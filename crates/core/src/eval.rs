@@ -1629,9 +1629,13 @@ enum ProductOutcome {
 }
 
 /// Recognize `αᵢ(x) = αⱼ(x)` over the σ-bound variable `x` with `i ≠ j`,
-/// normalized to `i < j`. Anything else is not a join predicate the
-/// evaluator fuses.
-fn equi_join_attrs(pred: &Pred, var: &Var) -> Option<(usize, usize)> {
+/// normalized to `i < j` — the one join shape this evaluator, the
+/// incremental engine's compile-time `σ(×)` fusion and the rewriter's
+/// conjunct splitter all agree on. `α₀` is not a valid attribute
+/// (1-based indexing); such a σ stays unfused so the per-element rule
+/// surfaces the `AttrIndexZero` error instead of a fused rule
+/// underflowing a field position.
+pub fn equi_join_attrs(pred: &Pred, var: &Var) -> Option<(usize, usize)> {
     let attr_of = |e: &Expr| match e {
         Expr::Attr(inner, ix) => match inner.as_ref() {
             Expr::Var(name) if name == var => Some(*ix),
@@ -1642,8 +1646,8 @@ fn equi_join_attrs(pred: &Pred, var: &Var) -> Option<(usize, usize)> {
     match pred {
         Pred::Eq(a, b) => {
             let (i, j) = (attr_of(a)?, attr_of(b)?);
-            if i == j {
-                None // trivially true on every tuple — not a join
+            if i == j || i == 0 || j == 0 {
+                None // trivially true, or an always-erroring α₀ — not a join
             } else {
                 Some((i.min(j), i.max(j)))
             }

@@ -8,8 +8,11 @@
 //! conjunctive-query reasoning fails on bags), so each rule here preserves
 //! the full bag, not just the support:
 //!
-//! * selection fusion and pushdown (through `×` with attribute-range
-//!   analysis, and below `MAP`);
+//! * selection fusion and pushdown (below `MAP`, and through `×` by the
+//!   conjunct splitter [`split_select_over_product`], whose output —
+//!   one-sided conjuncts below the product, the join equality directly
+//!   on it, the residue above — is this optimizer's normal form and the
+//!   shape the SQL lowering emits);
 //! * `ε` pushdown (`ε∘σ = σ∘ε`, `ε(A×B) = ε(A)×ε(B)`,
 //!   `ε(A ∪⁺ B) = ε(A) ∪ ε(B)`, …);
 //! * MAP fusion (`MAP_f ∘ MAP_g = MAP_{f∘g}`) and identity elimination;
@@ -23,7 +26,7 @@
 use std::collections::BTreeSet;
 
 use crate::bag::Bag;
-use crate::eval::{Evaluator, Limits};
+use crate::eval::{equi_join_attrs, Evaluator, Limits};
 use crate::expr::{Expr, Pred, Var};
 use crate::schema::{Database, Schema};
 use crate::typecheck::infer_type;
@@ -335,6 +338,48 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
         // --- selection rules -------------------------------------------
         Expr::Select { pred, input, .. } if matches!(*pred, Pred::True) => (*input, true),
         Expr::Select { input, .. } if is_empty_lit(&input) => (empty(), true),
+        // σ_p(σ_{αᵢ=αⱼ}(L × R)): the join σ sitting on its product is the
+        // shape both engines fuse, so it is not absorbed into the outer σ —
+        // the pair is re-split with the join equality first, which keeps it
+        // the key and pushes whatever one-sided conjuncts `p` holds.
+        Expr::Select {
+            var: outer_var,
+            pred: outer_pred,
+            input,
+        } if is_join_select(&input) => {
+            let original = Expr::Select {
+                var: outer_var.clone(),
+                pred: outer_pred.clone(),
+                input: input.clone(),
+            };
+            let Expr::Select {
+                var,
+                pred: join_pred,
+                input: product,
+            } = *input
+            else {
+                unreachable!("guarded by is_join_select")
+            };
+            let Expr::Product(left, right) = *product else {
+                unreachable!("guarded by is_join_select")
+            };
+            let renamed = if var == outer_var {
+                Some(*outer_pred)
+            } else {
+                subst_pred(&outer_pred, &outer_var, &Expr::Var(var.clone()))
+            };
+            match renamed {
+                Some(outer) => resplit(
+                    original,
+                    &var,
+                    vec![*join_pred, outer],
+                    *left,
+                    *right,
+                    schema,
+                ),
+                None => (original, false),
+            }
+        }
         // Fuse σ_p(σ_q(e)): rename q's variable to p's.
         Expr::Select {
             var: outer_var,
@@ -418,12 +463,18 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
                 ),
             }
         }
-        // Push σ through × when the predicate touches one side only.
+        // Split σ over ×: one-sided conjuncts below, the join equality on
+        // the product, the residue above.
         Expr::Select { var, pred, input } if matches!(*input, Expr::Product(_, _)) => {
+            let original = Expr::Select {
+                var: var.clone(),
+                pred: pred.clone(),
+                input: input.clone(),
+            };
             let Expr::Product(left, right) = *input else {
                 unreachable!("guarded by matches!")
             };
-            push_select_through_product(var, *pred, *left, *right, schema)
+            resplit(original, &var, vec![*pred], *left, *right, schema)
         }
 
         // --- dedup rules -------------------------------------------------
@@ -721,46 +772,117 @@ fn shift_attrs(pred: &Pred, var: &Var, offset: usize) -> Pred {
     shift_pred(pred, var, offset)
 }
 
-fn push_select_through_product(
-    var: Var,
-    pred: Pred,
+/// Append the conjuncts of `pred`, left to right, without the `True`s.
+fn flatten_conjunction(pred: Pred, out: &mut Vec<Pred>) {
+    match pred {
+        Pred::True => {}
+        Pred::And(a, b) => {
+            flatten_conjunction(*a, out);
+            flatten_conjunction(*b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// `σ_{c₁∧…∧cₙ}(input)`, left-nested; `input` itself when there is
+/// nothing to select on.
+fn select_all(var: &Var, conjuncts: Vec<Pred>, input: Expr) -> Expr {
+    match conjuncts.into_iter().reduce(Pred::and) {
+        Some(pred) => Expr::Select {
+            var: var.clone(),
+            pred: Box::new(pred),
+            input: Box::new(input),
+        },
+        None => input,
+    }
+}
+
+/// `σ_{αᵢ=αⱼ}` directly over a `×` — the join shape both engines fuse.
+fn is_join_select(expr: &Expr) -> bool {
+    matches!(
+        expr,
+        Expr::Select { var, pred, input }
+            if matches!(**input, Expr::Product(_, _)) && equi_join_attrs(pred, var).is_some()
+    )
+}
+
+/// The one conjunct splitter: `σ_{c₁∧…∧cₙ}(left × right)`, given the
+/// conjuncts over the row variable `var` (nested `∧` are flattened) and
+/// the arity of `left`, in the join normal form
+///
+/// ```text
+/// σ_residue( σ_{αᵢ=αⱼ}( σ_left-only(left) × σ_right-only(right) ) )
+/// ```
+///
+/// `True` conjuncts are dropped; a conjunct that reads only attributes of
+/// one operand moves below the product as a `σ` on that operand
+/// (right-side attributes shifted down by `left_arity`); the first
+/// `αᵢ = αⱼ` spanning the product boundary becomes the `σ` sitting
+/// directly on `×` — the shape [`equi_join_attrs`] recognises, which the
+/// evaluator runs as a hash join and the incremental engine maintains
+/// with the indexed delta rule; everything else (further spanning
+/// comparisons, conjuncts using the row variable bare, rebinding it,
+/// reading `α₀` or reading no attribute at all) stays in one `σ` above,
+/// in its original order. Each `σ` is omitted when it has no conjunct.
+///
+/// Multiplicity-exact for well-typed inputs. The SQL lowering calls this
+/// once per product of its FROM chain; [`optimize`] reaches it through
+/// its `σ(×)` rules.
+pub fn split_select_over_product(
+    var: &Var,
+    conjuncts: Vec<Pred>,
+    left: Expr,
+    right: Expr,
+    left_arity: usize,
+) -> Expr {
+    let mut on_left = Vec::new();
+    let mut on_right = Vec::new();
+    let mut join = None;
+    let mut residue = Vec::new();
+    let mut flat = Vec::with_capacity(conjuncts.len());
+    for pred in conjuncts {
+        flatten_conjunction(pred, &mut flat);
+    }
+    for conjunct in flat {
+        let bounds = attr_usage(&conjunct, var)
+            .and_then(|usage| Some((*usage.first()?, *usage.last()?)))
+            .filter(|&(lowest, _)| lowest >= 1);
+        match bounds {
+            Some((_, highest)) if highest <= left_arity => on_left.push(conjunct),
+            Some((lowest, _)) if lowest > left_arity => {
+                on_right.push(shift_attrs(&conjunct, var, left_arity));
+            }
+            Some(_) if join.is_none() && equi_join_attrs(&conjunct, var).is_some() => {
+                join = Some(conjunct);
+            }
+            _ => residue.push(conjunct),
+        }
+    }
+    let product = Expr::Product(
+        Box::new(select_all(var, on_left, left)),
+        Box::new(select_all(var, on_right, right)),
+    );
+    let joined = select_all(var, join.into_iter().collect(), product);
+    select_all(var, residue, joined)
+}
+
+/// [`split_select_over_product`] as a rewrite rule: `original` is the
+/// expression the parts were taken from, handed back untouched when the
+/// left arity is not derivable; `changed` iff the split moved anything.
+fn resplit(
+    original: Expr,
+    var: &Var,
+    conjuncts: Vec<Pred>,
     left: Expr,
     right: Expr,
     schema: &Schema,
 ) -> (Expr, bool) {
-    let unsplit = |var: Var, pred: Pred, left: Expr, right: Expr| Expr::Select {
-        var,
-        pred: Box::new(pred),
-        input: Box::new(Expr::Product(Box::new(left), Box::new(right))),
-    };
-    let Some(usage) = attr_usage(&pred, &var) else {
-        return (unsplit(var, pred, left, right), false);
-    };
     let Some(left_arity) = arity_of(&left, schema) else {
-        return (unsplit(var, pred, left, right), false);
+        return (original, false);
     };
-    if usage.is_empty() {
-        return (unsplit(var, pred, left, right), false);
-    }
-    if usage.iter().all(|&i| i <= left_arity) {
-        // All attributes are from the left operand: σ commutes inside.
-        let pushed = Expr::Select {
-            var,
-            pred: Box::new(pred),
-            input: Box::new(left),
-        };
-        (Expr::Product(Box::new(pushed), Box::new(right)), true)
-    } else if usage.iter().all(|&i| i > left_arity) {
-        let shifted = shift_attrs(&pred, &var, left_arity);
-        let pushed = Expr::Select {
-            var,
-            pred: Box::new(shifted),
-            input: Box::new(right),
-        };
-        (Expr::Product(Box::new(left), Box::new(pushed)), true)
-    } else {
-        (unsplit(var, pred, left, right), false)
-    }
+    let out = split_select_over_product(var, conjuncts, left, right, left_arity);
+    let changed = out != original;
+    (out, changed)
 }
 
 /// Fold a closed, powerset/fixpoint-free subexpression to a literal.
@@ -933,6 +1055,44 @@ mod tests {
         let out = optimize(&q, &graph_schema());
         assert!(matches!(out, Expr::Select { .. }), "{out}");
         assert_equivalent(&q);
+    }
+
+    #[test]
+    fn conjunction_over_product_splits_into_the_join_normal_form() {
+        let x = |i| Expr::var("x").attr(i);
+        let a = |s| Expr::lit(Value::sym(s));
+        let key = Pred::eq(x(2), x(3));
+        let left_only = Pred::eq(x(1), a("a"));
+        let right_only = Pred::eq(x(4), a("z"));
+        let spanning = Pred::lt(x(1), x(4));
+        let q = Expr::var("G").product(Expr::var("H")).select(
+            "x",
+            Pred::True
+                .and(spanning.clone())
+                .and(right_only)
+                .and(key.clone())
+                .and(left_only.clone()),
+        );
+        let expected = Expr::var("G")
+            .select("x", left_only)
+            .product(Expr::var("H").select("x", Pred::eq(x(2), a("z"))))
+            .select("x", key)
+            .select("x", spanning);
+        assert_eq!(optimize(&q, &graph_schema()), expected);
+        assert_equivalent(&q);
+
+        // A σ over a join σ is not fused back into it: its one-sided
+        // conjuncts are pushed past the join, which keeps its product.
+        let stacked = Expr::var("G")
+            .product(Expr::var("H"))
+            .select(
+                "y",
+                Pred::eq(Expr::var("y").attr(2), Expr::var("y").attr(3)),
+            )
+            .select("x", Pred::eq(x(1), a("a")));
+        let out = optimize(&stacked, &graph_schema());
+        assert!(is_join_select(&out), "{out}");
+        assert_equivalent(&stacked);
     }
 
     #[test]

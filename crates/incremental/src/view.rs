@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use balg_core::analyze::{base_linearity, Linearity};
 use balg_core::bag::{attr_field, Bag};
-use balg_core::eval::{EvalError, Evaluator, Limits};
+use balg_core::eval::{equi_join_attrs, EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred, Var};
 use balg_core::index::{BagIndex, IndexCache};
 use balg_core::par::{self, Parallel};
@@ -227,33 +227,6 @@ fn pred_free_vars(pred: &Pred, var: &Var) -> BTreeSet<Var> {
 
 fn probe_var() -> Box<Expr> {
     Box::new(Expr::var(DELTA_INPUT))
-}
-
-/// Recognize `αᵢ(x) = αⱼ(x)` over the σ-bound variable `x` with `i ≠ j`,
-/// normalized to `i < j` — the same join shape the fused evaluator
-/// recognizes, here driving the compile-time `σ(×)` fusion. `α₀` is not
-/// a valid attribute (1-based indexing); such a σ stays unfused so the
-/// per-element rule surfaces the `AttrIndexZero` error instead of the
-/// fused rule underflowing a field position.
-fn equi_join_attrs(pred: &Pred, var: &Var) -> Option<(usize, usize)> {
-    let attr_of = |e: &Expr| match e {
-        Expr::Attr(inner, ix) => match inner.as_ref() {
-            Expr::Var(name) if name == var => Some(*ix),
-            _ => None,
-        },
-        _ => None,
-    };
-    match pred {
-        Pred::Eq(a, b) => {
-            let (i, j) = (attr_of(a)?, attr_of(b)?);
-            if i == j || i == 0 {
-                None // trivially true, or an always-erroring α₀ — not a join
-            } else {
-                Some((i.min(j), i.max(j)))
-            }
-        }
-        _ => None,
-    }
 }
 
 fn compile(expr: &Expr) -> Node {

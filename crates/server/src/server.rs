@@ -173,7 +173,11 @@ pub struct SqlServer {
 
 impl SqlServer {
     /// Bind `addr` (use port 0 for an ephemeral port) and serve a
-    /// database under the given catalog.
+    /// database under the given catalog. With a `data_dir`, `db` seeds the
+    /// bases that hold no rows yet (all of them on a fresh directory, and
+    /// durably: the seed is logged); a non-empty seed for a base the
+    /// directory recovered rows for is an error — restart with an empty
+    /// `db`.
     pub fn spawn<A: ToSocketAddrs>(
         addr: A,
         catalog: Catalog,
@@ -196,16 +200,26 @@ impl SqlServer {
             Some(dir) => {
                 let mut rt = SqlRuntime::open(&catalog, dir, limits)
                     .map_err(|e| io::Error::other(e.to_string()))?;
-                // Seed bases the directory doesn't know yet (a fresh
-                // directory with initial data); existing state wins.
-                let seed: Vec<(String, balg_core::bag::Bag)> = db
-                    .iter()
-                    .filter(|(name, _)| rt.runtime().database().get(name).is_none())
-                    .map(|(name, bag)| (name.to_string(), bag.clone()))
-                    .collect();
-                for (name, bag) in seed {
+                // Seed every base that holds no rows yet — on a fresh
+                // directory that is all of them, `open` having only
+                // declared the catalog's tables empty. Rows the directory
+                // recovered are never silently kept over, or replaced by,
+                // a seed for the same base: that is an error.
+                for (name, bag) in db.iter().filter(|(_, bag)| !bag.is_empty()) {
+                    let holds_rows = rt
+                        .runtime()
+                        .database()
+                        .get(name)
+                        .is_some_and(|existing| !existing.is_empty());
+                    if holds_rows {
+                        return Err(io::Error::other(format!(
+                            "data directory {} already holds rows for {name}; \
+                             refusing to seed over them",
+                            dir.display()
+                        )));
+                    }
                     rt.backend_mut()
-                        .load_base(&name, bag)
+                        .load_base(name, bag.clone())
                         .map_err(|e| io::Error::other(e.to_string()))?;
                 }
                 // The writer thread group-commits: one fsync per drained

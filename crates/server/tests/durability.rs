@@ -194,3 +194,47 @@ fn idle_sessions_are_closed_after_the_read_timeout() {
     );
     server.shutdown();
 }
+
+#[test]
+fn durable_server_seeds_declared_tables_and_keeps_the_seed_across_restart() {
+    let dir = scratch("seed");
+    let catalog = Catalog::new().with_table("orders", &[("customer", false), ("qty", true)]);
+    let s = |x: &str| SqlValue::Str(x.into());
+    let seed = || {
+        let rows = vec![
+            vec![s("ann"), SqlValue::Int(3)],
+            vec![s("ann"), SqlValue::Int(3)], // a duplicate row counts
+            vec![s("bob"), SqlValue::Int(5)],
+        ];
+        database_from_rows(&catalog, &[("orders", rows)]).unwrap()
+    };
+    let config = || ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let count = |server: &SqlServer| {
+        let mut client = Client::connect(server.addr()).unwrap();
+        let reply = client.request("SELECT COUNT(*) FROM orders").unwrap();
+        assert!(reply.ok, "{}", reply.text);
+        reply.text
+    };
+
+    // Fresh directory: `open` declares `orders` empty, the seed still lands.
+    let server = SqlServer::spawn("127.0.0.1:0", catalog.clone(), seed(), config()).unwrap();
+    let seeded = count(&server);
+    assert_eq!(seeded.split_whitespace().next(), Some("3"), "{seeded}");
+    server.shutdown();
+
+    // The seed was logged: a restart without one serves the same rows.
+    let server =
+        SqlServer::spawn("127.0.0.1:0", Catalog::new(), Database::new(), config()).unwrap();
+    assert_eq!(count(&server), seeded);
+    server.shutdown();
+
+    // Seeding over recovered rows is refused, not skipped.
+    let Err(refused) = SqlServer::spawn("127.0.0.1:0", catalog.clone(), seed(), config()) else {
+        panic!("a seed over recovered rows must be an error")
+    };
+    assert!(refused.to_string().contains("orders"), "{refused}");
+    cleanup(&dir);
+}

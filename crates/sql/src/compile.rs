@@ -1,8 +1,12 @@
 //! Compiling SQL-bag queries to BALG expressions.
 //!
 //! The translation is the textbook SQL→algebra mapping with the paper's
-//! bag semantics throughout: FROM is a Cartesian product, WHERE is a
-//! selection, the projection is a MAP (duplicates **survive**, with
+//! bag semantics throughout: FROM is a left-deep chain of Cartesian
+//! products, WHERE is a conjunction of selections placed by
+//! [`split_select_over_product`] — one-table conjuncts below the
+//! products, the first equality linking each new table directly on its
+//! product (the join shape both engines fuse), the rest above — the
+//! projection is a MAP (duplicates **survive**, with
 //! multiplicities adding on collisions — exactly SQL's `SELECT` without
 //! `DISTINCT`), `DISTINCT` is `ε`, `UNION ALL`/`EXCEPT ALL`/`INTERSECT
 //! ALL` are `∪⁺`/`−`/`∩`, and the scalar aggregates are the Section 3
@@ -13,6 +17,7 @@ use std::fmt;
 use balg_core::derived::{average, count, int_value};
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
+use balg_core::rewrite::split_select_over_product;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 
@@ -105,6 +110,11 @@ struct Scope {
 }
 
 impl Scope {
+    /// How many columns the table under `alias` contributes.
+    fn arity(&self, alias: &str) -> usize {
+        self.columns.iter().filter(|sc| sc.alias == alias).count()
+    }
+
     fn resolve(&self, reference: &ColumnRef) -> Result<usize, CompileError> {
         let matches: Vec<usize> = self
             .columns
@@ -163,13 +173,15 @@ fn compile_setop(
     })
 }
 
+/// The row variable of every compiled WHERE selection.
+const ROW: &str = "ŵ";
+
 fn compile_select(core: &SelectCore, catalog: &Catalog) -> Result<CompiledQuery, CompileError> {
-    // Build the FROM scope and product.
+    // Build the FROM scope.
     let mut scope = Scope {
         columns: Vec::new(),
     };
     let mut seen_aliases = Vec::new();
-    let mut from_expr: Option<Expr> = None;
     for table_ref in &core.from {
         if seen_aliases.contains(&table_ref.alias) {
             return Err(CompileError::DuplicateAlias(table_ref.alias.clone()));
@@ -184,21 +196,39 @@ fn compile_select(core: &SelectCore, catalog: &Catalog) -> Result<CompiledQuery,
                 column: column.clone(),
             });
         }
-        let var = Expr::var(&table_ref.table);
-        from_expr = Some(match from_expr {
-            None => var,
-            Some(prev) => prev.product(var),
-        });
     }
-    let mut expr = from_expr.expect("parser guarantees nonempty FROM");
 
-    // WHERE: a conjunctive selection.
-    if !core.predicates.is_empty() {
-        let mut pred = Pred::True;
-        for comparison in &core.predicates {
-            pred = pred.and(compile_comparison(comparison, &scope)?);
-        }
-        expr = expr.select("ŵ", pred);
+    // WHERE: the conjuncts, each with the last scope column it reads
+    // (resolved against the whole scope, so ambiguity is still an error).
+    let mut pending = core
+        .predicates
+        .iter()
+        .map(|comparison| compile_comparison(comparison, &scope))
+        .collect::<Result<Vec<_>, _>>()?;
+
+    // FROM: a left-deep chain of products. After each one, the conjuncts
+    // whose columns are all in scope go through the conjunct splitter.
+    let mut from = core.from.iter();
+    let first = from.next().expect("parser guarantees nonempty FROM");
+    let mut expr = Expr::var(&first.table);
+    let mut arity = scope.arity(&first.alias);
+    for table_ref in from {
+        let in_scope = arity + scope.arity(&table_ref.alias);
+        let (ready, later): (Vec<_>, Vec<_>) =
+            pending.into_iter().partition(|(_, last)| *last <= in_scope);
+        pending = later;
+        expr = split_select_over_product(
+            &ROW.into(),
+            ready.into_iter().map(|(pred, _)| pred).collect(),
+            expr,
+            Expr::var(&table_ref.table),
+            arity,
+        );
+        arity = in_scope;
+    }
+    // What is left is a single-table WHERE: the bare conjunction.
+    if let Some(pred) = pending.into_iter().map(|(p, _)| p).reduce(Pred::and) {
+        expr = expr.select(ROW, pred);
     }
 
     // GROUP BY: compiled via the nest operator (the Conclusion's
@@ -371,7 +401,13 @@ fn compile_grouped(
     Ok((expr, output))
 }
 
-fn compile_comparison(comparison: &Comparison, scope: &Scope) -> Result<Pred, CompileError> {
+/// One WHERE comparison as a predicate over the row variable, with the
+/// 1-based position of the last scope column it reads (`0` when it reads
+/// none).
+fn compile_comparison(
+    comparison: &Comparison,
+    scope: &Scope,
+) -> Result<(Pred, usize), CompileError> {
     // Determine numeric context: a literal compared to a numeric column
     // must be encoded as an integer bag.
     let numeric_context =
@@ -383,42 +419,46 @@ fn compile_comparison(comparison: &Comparison, scope: &Scope) -> Result<Pred, Co
                     .is_ok_and(|idx| scope.columns[idx].column.numeric),
                 _ => false,
             });
-    let left = compile_operand(&comparison.left, scope, numeric_context)?;
-    let right = compile_operand(&comparison.right, scope, numeric_context)?;
-    Ok(match comparison.op {
+    let (left, left_column) = compile_operand(&comparison.left, scope, numeric_context)?;
+    let (right, right_column) = compile_operand(&comparison.right, scope, numeric_context)?;
+    let pred = match comparison.op {
         CompareOp::Eq => Pred::Eq(left, right),
         CompareOp::Neq => Pred::Eq(left, right).not(),
         CompareOp::Lt => Pred::Lt(left, right),
         CompareOp::Le => Pred::Le(left, right),
         CompareOp::Gt => Pred::Lt(right, left),
         CompareOp::Ge => Pred::Le(right, left),
-    })
+    };
+    Ok((pred, left_column.max(right_column)))
 }
 
+/// One operand, with the 1-based scope column it reads (`0` for a
+/// literal).
 fn compile_operand(
     operand: &Operand,
     scope: &Scope,
     numeric_context: bool,
-) -> Result<Expr, CompileError> {
+) -> Result<(Expr, usize), CompileError> {
     Ok(match operand {
         Operand::Column(reference) => {
-            let idx = scope.resolve(reference)?;
-            Expr::var("ŵ").attr(idx + 1)
+            let column = scope.resolve(reference)? + 1;
+            (Expr::var(ROW).attr(column), column)
         }
         Operand::Int(value) => {
-            if numeric_context {
+            let literal = if numeric_context {
                 let v = u64::try_from(*value)
                     .map_err(|_| CompileError::NumericStringComparison(value.to_string()))?;
                 Expr::Lit(int_value(v))
             } else {
                 Expr::lit(Value::int(*value))
-            }
+            };
+            (literal, 0)
         }
         Operand::Str(text) => {
             if numeric_context {
                 return Err(CompileError::NumericStringComparison(text.clone()));
             }
-            Expr::lit(Value::sym(text))
+            (Expr::lit(Value::sym(text)), 0)
         }
     })
 }

@@ -122,3 +122,122 @@ fn pushdown_shrinks_intermediates_on_selective_join() {
         m1.max_distinct_elements
     );
 }
+
+// ----- the join normal form ----------------------------------------------
+
+/// How many `σ_{αᵢ=αⱼ}` sit directly on a `×` — the shape both engines
+/// fuse.
+fn joins_on_products(expr: &Expr) -> usize {
+    let mut count = 0;
+    expr.visit(&mut |e| {
+        if let Expr::Select { var, pred, input } = e {
+            let fusable = matches!(**input, Expr::Product(_, _))
+                && balg::core::eval::equi_join_attrs(pred, var).is_some();
+            count += usize::from(fusable);
+        }
+    });
+    count
+}
+
+#[test]
+fn optimizer_keeps_the_sql_join_normal_form() {
+    let catalog = Catalog::new()
+        .with_table(
+            "orders",
+            &[("id", true), ("customer", false), ("qty", true)],
+        )
+        .with_table("cust", &[("customer", false), ("region", false)])
+        .with_table("reg", &[("region", false), ("zone", true)]);
+    let s = |x: &str| SqlValue::Str(x.into());
+    let i = SqlValue::Int;
+    let db = database_from_rows(
+        &catalog,
+        &[
+            (
+                "orders",
+                vec![
+                    vec![i(1), s("ann"), i(3)],
+                    vec![i(1), s("ann"), i(3)],
+                    vec![i(2), s("bob"), i(5)],
+                    vec![i(3), s("cleo"), i(9)],
+                ],
+            ),
+            (
+                "cust",
+                vec![
+                    vec![s("ann"), s("north")],
+                    vec![s("bob"), s("south")],
+                    vec![s("bob"), s("south")],
+                ],
+            ),
+            ("reg", vec![vec![s("north"), i(1)], vec![s("south"), i(7)]]),
+        ],
+    )
+    .unwrap();
+    let schema = catalog.to_schema();
+    // (query, joins in its plan)
+    let queries = [
+        (
+            "SELECT o.id, c.region FROM orders o, cust c \
+             WHERE o.customer = c.customer AND o.qty >= 4",
+            1,
+        ),
+        (
+            "SELECT o.id FROM orders o, cust c WHERE o.qty >= 4 AND c.customer = o.customer",
+            1,
+        ),
+        (
+            "SELECT o.id, r.zone FROM orders o, cust c, reg r \
+             WHERE o.customer = c.customer AND c.region = r.region AND r.zone < o.qty",
+            2,
+        ),
+        (
+            "SELECT a.id, b.id FROM orders a, orders b WHERE a.customer = b.customer",
+            1,
+        ),
+        (
+            "SELECT o.id FROM orders o, reg r WHERE o.qty = r.zone AND r.region <> 'west'",
+            1,
+        ),
+        ("SELECT o.id FROM orders o, reg r WHERE o.qty < r.zone", 0),
+    ];
+    for (sql, joins) in queries {
+        let compiled = compile_query(&parse(sql).unwrap(), &catalog).unwrap();
+        assert_eq!(joins_on_products(&compiled.expr), joins, "{sql}");
+        let once = optimize(&compiled.expr, &schema);
+        assert_eq!(joins_on_products(&once), joins, "{sql}: {once}");
+        assert_eq!(optimize(&once, &schema), once, "not idempotent on {sql}");
+        let plain = run(sql, &catalog, &db).unwrap();
+        let optimized = run_optimized(sql, &catalog, &db).unwrap();
+        assert_eq!(plain.rows, optimized.rows, "optimizer broke: {sql}");
+    }
+}
+
+#[test]
+fn optimizer_splits_a_hand_written_conjunction_into_a_fused_join() {
+    // select(x, x.1 = x.3 and x.2 >= 4, G × K)
+    let schema = Schema::new()
+        .with("G", Type::relation(2))
+        .with("K", Type::relation(2));
+    let g = Bag::from_values((0..30i64).map(|i| Value::tuple([Value::int(i % 10), Value::int(i)])));
+    let k = Bag::from_values((0..12i64).map(|i| Value::tuple([Value::int(i), Value::int(-i)])));
+    let product = (g.distinct_count() * k.distinct_count()) as u64;
+    let db = Database::new().with("G", g).with("K", k);
+    let x = |i| Expr::var("x").attr(i);
+    let q = Expr::var("G").product(Expr::var("K")).select(
+        "x",
+        Pred::eq(x(1), x(3)).and(Pred::le(Expr::lit(Value::int(4)), x(2))),
+    );
+    let optimized = optimize(&q, &schema);
+    assert_eq!(joins_on_products(&optimized), 1, "{optimized}");
+    assert_eq!(optimize(&optimized, &schema), optimized);
+    let (r1, m1) = eval_with_metrics(&q, &db, Limits::default());
+    let (r2, m2) = eval_with_metrics(&optimized, &db, Limits::default());
+    assert_eq!(r1.unwrap(), r2.unwrap());
+    assert_eq!(m1.max_distinct_elements, product);
+    assert!(
+        m2.max_distinct_elements < product,
+        "the optimized plan still held {} of {product} elements",
+        m2.max_distinct_elements
+    );
+}

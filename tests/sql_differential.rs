@@ -2,12 +2,21 @@
 //! the same bag as the hand-written BALG expression for the same query,
 //! on the same database — exercising `sql::parse` → `sql::compile` →
 //! `core::eval` end-to-end against independently constructed `Expr`s.
+//!
+//! The hand-written side of every join case is the naive lowering —
+//! one `σ` of the whole conjunction over the plain product chain — so the
+//! join planner in `sql::compile` is checked against the plan it
+//! replaced, and the fused cases also assert that no intermediate bag
+//! reached the size of the product.
 
-use balg::core::eval::eval_bag;
+use balg::core::derived::int_lit;
+use balg::core::eval::{eval_bag, eval_with_metrics, Limits};
 use balg::core::expr::{Expr, Pred};
 use balg::core::schema::Database;
 use balg::core::value::Value;
 use balg::sql::prelude::*;
+use proptest::collection::vec;
+use proptest::prelude::*;
 
 /// Two plain (non-numeric) tables with duplicate rows, so bag semantics
 /// is observable: `t(name, tag)` and `u(name)`.
@@ -160,4 +169,288 @@ fn multiplicities_multiply_through_joins() {
         .find(|(row, _)| row[0] == SqlValue::Str("a".into()))
         .expect("join must produce an 'a' row");
     assert_eq!(a_row.1, 6);
+}
+
+// ----- join planning ---------------------------------------------------
+
+/// `orders(id, customer, qty)` with duplicate rows, `cust(customer,
+/// region)` and `reg(region, zone)`: 10 × 4 × 3 distinct rows.
+fn join_fixture() -> (Catalog, Database) {
+    let catalog = Catalog::new()
+        .with_table(
+            "orders",
+            &[("id", true), ("customer", false), ("qty", true)],
+        )
+        .with_table("cust", &[("customer", false), ("region", false)])
+        .with_table("reg", &[("region", false), ("zone", true)]);
+    let s = |x: &str| SqlValue::Str(x.into());
+    let i = SqlValue::Int;
+    let mut orders: Vec<Vec<SqlValue>> = (0..10i64)
+        .map(|n| {
+            vec![
+                i(n),
+                s(["ann", "bob", "cleo", "zed"][n as usize % 4]),
+                i(n % 7),
+            ]
+        })
+        .collect();
+    orders.push(orders[1].clone()); // bob's order, twice
+    orders.push(orders[6].clone()); // cleo's order, twice
+    let cust = vec![
+        vec![s("ann"), s("north")],
+        vec![s("bob"), s("south")],
+        vec![s("bob"), s("south")], // a duplicate on the other side too
+        vec![s("cleo"), s("north")],
+        vec![s("dave"), s("east")],
+    ];
+    let reg = vec![
+        vec![s("north"), i(1)],
+        vec![s("south"), i(4)],
+        vec![s("west"), i(9)],
+    ];
+    let db = database_from_rows(
+        &catalog,
+        &[("orders", orders), ("cust", cust), ("reg", reg)],
+    )
+    .unwrap();
+    (catalog, db)
+}
+
+fn attr(i: usize) -> Expr {
+    Expr::var("r").attr(i)
+}
+
+/// [`assert_differential`], plus: the compiled plan never held a bag as
+/// large as the product of `tables` (it ran as a join).
+fn assert_fused(sql: &str, naive: &Expr, tables: &[&str], catalog: &Catalog, db: &Database) {
+    assert_differential(sql, naive, catalog, db);
+    let compiled = compile_query(&parse(sql).unwrap(), catalog).unwrap();
+    let (result, metrics) = eval_with_metrics(&compiled.expr, db, Limits::default());
+    result.unwrap();
+    let product: u64 = tables
+        .iter()
+        .map(|t| db.get(t).unwrap().distinct_count() as u64)
+        .product();
+    assert!(
+        metrics.max_distinct_elements < product,
+        "{sql:?} held {} elements, the product has {product}",
+        metrics.max_distinct_elements
+    );
+}
+
+#[test]
+fn join_with_a_one_sided_filter_fuses_in_either_conjunct_order() {
+    let (catalog, db) = join_fixture();
+    // Scope: o.id 1, o.customer 2, o.qty 3, c.customer 4, c.region 5.
+    let naive = |pred: Pred| {
+        Expr::var("orders")
+            .product(Expr::var("cust"))
+            .select("r", pred)
+            .project(&[1, 5])
+    };
+    let key = || Pred::eq(attr(2), attr(4));
+    let filter = || Pred::le(int_lit(4u64), attr(3));
+    assert_fused(
+        "SELECT o.id, c.region FROM orders o, cust c \
+         WHERE o.customer = c.customer AND o.qty >= 4",
+        &naive(key().and(filter())),
+        &["orders", "cust"],
+        &catalog,
+        &db,
+    );
+    assert_fused(
+        "SELECT o.id, c.region FROM orders o, cust c \
+         WHERE o.qty >= 4 AND c.customer = o.customer",
+        &naive(filter().and(Pred::eq(attr(4), attr(2)))),
+        &["orders", "cust"],
+        &catalog,
+        &db,
+    );
+}
+
+#[test]
+fn three_way_chain_is_two_joins() {
+    let (catalog, db) = join_fixture();
+    // … r.region 6, r.zone 7.
+    let naive = Expr::var("orders")
+        .product(Expr::var("cust"))
+        .product(Expr::var("reg"))
+        .select(
+            "r",
+            Pred::eq(attr(2), attr(4))
+                .and(Pred::eq(attr(5), attr(6)))
+                .and(Pred::le(int_lit(3u64), attr(3)))
+                .and(Pred::lt(attr(7), attr(3))),
+        )
+        .project(&[1, 7]);
+    assert_fused(
+        "SELECT o.id, r.zone FROM orders o, cust c, reg r \
+         WHERE o.customer = c.customer AND c.region = r.region \
+         AND o.qty >= 3 AND r.zone < o.qty",
+        &naive,
+        &["orders", "cust", "reg"],
+        &catalog,
+        &db,
+    );
+}
+
+#[test]
+fn self_join_under_two_aliases_fuses() {
+    let (catalog, db) = join_fixture();
+    let naive = Expr::var("orders")
+        .product(Expr::var("orders"))
+        .select(
+            "r",
+            Pred::eq(attr(2), attr(5)).and(Pred::lt(attr(1), attr(4))),
+        )
+        .project(&[1, 4]);
+    assert_fused(
+        "SELECT a.id, b.id FROM orders a, orders b \
+         WHERE a.customer = b.customer AND a.id < b.id",
+        &naive,
+        &["orders", "orders"],
+        &catalog,
+        &db,
+    );
+}
+
+#[test]
+fn equality_on_a_numeric_column_fuses() {
+    let (catalog, db) = join_fixture();
+    // Integer-bag values are join keys like any other value.
+    let naive = Expr::var("orders")
+        .product(Expr::var("reg"))
+        .select("r", Pred::eq(attr(3), attr(5)))
+        .project(&[1, 4]);
+    assert_fused(
+        "SELECT o.id, r.region FROM orders o, reg r WHERE o.qty = r.zone",
+        &naive,
+        &["orders", "reg"],
+        &catalog,
+        &db,
+    );
+}
+
+#[test]
+fn spanning_comparisons_without_an_equality_stay_a_correct_product() {
+    let (catalog, db) = join_fixture();
+    let naive = Expr::var("orders")
+        .product(Expr::var("reg"))
+        .select(
+            "r",
+            Pred::eq(attr(2), attr(4))
+                .not()
+                .and(Pred::lt(attr(3), attr(5))),
+        )
+        .project(&[1, 4]);
+    let sql = "SELECT o.id, r.region FROM orders o, reg r \
+               WHERE o.customer <> r.region AND o.qty < r.zone";
+    assert_differential(sql, &naive, &catalog, &db);
+    // Nothing to key a join on: the plan is σ over the bare product.
+    let compiled = compile_query(&parse(sql).unwrap(), &catalog).unwrap();
+    let mut products = 0;
+    compiled.expr.visit(&mut |e| {
+        if let Expr::Select { input, .. } = e {
+            products += usize::from(matches!(**input, Expr::Product(_, _)));
+        }
+    });
+    assert_eq!(products, 1, "{}", compiled.expr);
+}
+
+/// The proptest's tables: `a(s, n)`, `b(s, n)`, `c(n, s)` — six scope
+/// columns, `n` numeric. `true` marks the numeric ones.
+const COLUMNS: [(&str, bool); 6] = [
+    ("a.s", false),
+    ("a.n", true),
+    ("b.s", false),
+    ("b.n", true),
+    ("c.n", true),
+    ("c.s", false),
+];
+const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+
+fn prop_catalog() -> Catalog {
+    Catalog::new()
+        .with_table("a", &[("s", false), ("n", true)])
+        .with_table("b", &[("s", false), ("n", true)])
+        .with_table("c", &[("n", true), ("s", false)])
+}
+
+/// One random comparison, as SQL text and as the predicate the naive
+/// lowering gives it: column `left`, operator `op`, then column `right`
+/// when it exists in scope and has the same kind, else the literal `lit`.
+fn comparison(left: usize, right: usize, op: usize, lit: u8, in_scope: usize) -> (String, Pred) {
+    let left = left % in_scope;
+    let numeric = COLUMNS[left].1;
+    let (rhs_sql, rhs) = if right < in_scope && COLUMNS[right].1 == numeric {
+        (COLUMNS[right].0.to_owned(), attr(right + 1))
+    } else if numeric {
+        (lit.to_string(), int_lit(u64::from(lit)))
+    } else {
+        (
+            format!("'s{lit}'"),
+            Expr::lit(Value::sym(&format!("s{lit}"))),
+        )
+    };
+    let lhs = attr(left + 1);
+    let pred = match OPS[op] {
+        "=" => Pred::eq(lhs, rhs),
+        "<>" => Pred::eq(lhs, rhs).not(),
+        "<" => Pred::lt(lhs, rhs),
+        "<=" => Pred::le(lhs, rhs),
+        ">" => Pred::lt(rhs, lhs),
+        _ => Pred::le(rhs, lhs),
+    };
+    (format!("{} {} {rhs_sql}", COLUMNS[left].0, OPS[op]), pred)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random conjunctive WHERE clauses over two or three small tables
+    /// with duplicate rows: the planned lowering evaluates to the same bag
+    /// — multiplicities included — as one σ over the product chain.
+    #[test]
+    fn planned_joins_agree_with_the_naive_lowering(
+        a in vec((0u8..3, 0u8..3), 0..6),
+        b in vec((0u8..3, 0u8..3), 0..6),
+        c in vec((0u8..3, 0u8..3), 0..6),
+        three_tables in any::<bool>(),
+        conjuncts in vec((0usize..6, 0usize..8, 0usize..6, 0u8..3), 0..5),
+    ) {
+        let catalog = prop_catalog();
+        let s = |v: u8| SqlValue::Str(format!("s{v}"));
+        let n = |v: u8| SqlValue::Int(i64::from(v));
+        let db = database_from_rows(
+            &catalog,
+            &[
+                ("a", a.iter().map(|&(x, y)| vec![s(x), n(y)]).collect()),
+                ("b", b.iter().map(|&(x, y)| vec![s(x), n(y)]).collect()),
+                ("c", c.iter().map(|&(x, y)| vec![n(x), s(y)]).collect()),
+            ],
+        )
+        .unwrap();
+        let (from, in_scope) = if three_tables { ("a, b, c", 6) } else { ("a, b", 4) };
+        let (texts, preds): (Vec<String>, Vec<Pred>) = conjuncts
+            .iter()
+            .map(|&(left, right, op, lit)| comparison(left, right, op, lit, in_scope))
+            .unzip();
+        let mut sql = format!("SELECT * FROM {from}");
+        if !texts.is_empty() {
+            sql = format!("{sql} WHERE {}", texts.join(" AND "));
+        }
+        let mut naive = Expr::var("a").product(Expr::var("b"));
+        if three_tables {
+            naive = naive.product(Expr::var("c"));
+        }
+        if let Some(pred) = preds.into_iter().reduce(Pred::and) {
+            naive = naive.select("r", pred);
+        }
+        let compiled = compile_query(&parse(&sql).unwrap(), &catalog).unwrap();
+        prop_assert_eq!(
+            eval_bag(&compiled.expr, &db).unwrap(),
+            eval_bag(&naive, &db).unwrap(),
+            "{} planned as {}", sql, compiled.expr
+        );
+    }
 }
