@@ -456,12 +456,12 @@ mod tests {
 
     #[test]
     fn compiled_formula_is_balg2() {
+        use balg_core::analyze::analyze;
         use balg_core::schema::Schema;
-        use balg_core::typecheck::check;
         use balg_core::types::Type;
         let compiled = compile(&even_formula(), "x", DomainKind::ExponentialPowerbag);
         let schema = Schema::new().with("b", Type::relation(1));
-        let analysis = check(&compiled.expr, &schema).unwrap();
+        let analysis = analyze(&compiled.expr, &schema).unwrap();
         assert!(analysis.uses_powerbag);
         assert_eq!(analysis.max_bag_nesting, 2, "Lemma 5.7 stays within BALG²");
     }

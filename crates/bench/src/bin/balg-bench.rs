@@ -1,7 +1,6 @@
 //! Wall-clock benchmark runner emitting a JSON perf trajectory.
 //!
-//! Runs every E1–E18 group workload (the same shapes the Criterion
-//! `paper` bench times), the u1–u4 incremental update-stream workloads
+//! Runs every E1–E18 group workload, the u1–u4 incremental update-stream workloads
 //! (`*_delta` maintained vs `*_recompute` full re-evaluation), the r1
 //! durability workloads (WAL group commit, cold-start replay,
 //! checkpoint), the s1 server load workloads (1k+ simulated sessions

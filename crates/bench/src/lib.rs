@@ -1,17 +1,10 @@
-//! # balg-bench — benchmark harness
+//! # balg-bench — wall-clock bench runner
 //!
-//! The Criterion targets live in `benches/`:
-//!
-//! * `paper` — one group per experiment E1–E18 (DESIGN.md §2), timing the
-//!   core computation each report regenerates;
-//! * `micro` — ablations for the design choices called out in
-//!   DESIGN.md §5 (counted vs expanded bags, powerbag via binomials vs
-//!   the Definition 5.1 renaming, element-index structures, SubBag
-//!   predicates over large powersets).
-//!
-//! The wall-clock runner (`balg-bench` binary) additionally times the
-//! [`incremental`] update-stream workloads — maintained views vs full
-//! recompute under 1 000 single-tuple updates — the [`durability`] r1
+//! The `balg-bench` binary times one [`paper`] group per experiment
+//! E1–E18 (the core computation each report regenerates), the
+//! [`micro_wall`] hot spots, the [`incremental`] update-stream workloads
+//! — maintained views vs full recompute under 1 000 single-tuple
+//! updates — the [`durability`] r1
 //! workloads (WAL group commit, cold-start replay, checkpoint cost) —
 //! and the [`server_load`] concurrent-service workloads (1k+ simulated
 //! sessions against `balg-server`, reporting p50/p99 latency and

@@ -2,7 +2,7 @@
 //! trajectory lands in `BENCH_baseline.json` next to the E-groups.
 //!
 //! `micro_subbag_over_powerset` is the e4/e5 residual hot spot PR 4
-//! committed a Criterion baseline for: `σ_{s ⊑ C}(P)` over the 65 536
+//! committed a baseline for: `σ_{s ⊑ C}(P)` over the 65 536
 //! subbags of `workload_bag(8, 3)`. The default group runs the memoized
 //! membership tester; the `_scan` twin forces the per-element path
 //! (re-deriving the reference and merge-walking it per subbag) — which

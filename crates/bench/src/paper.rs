@@ -1,11 +1,8 @@
-//! The E1–E18 wall-clock workloads shared by the `balg-bench` binary and
-//! (in shape) the Criterion `paper` bench.
+//! The E1–E18 wall-clock workloads of the `balg-bench` binary.
 //!
-//! Each group runs the same core computation its Criterion counterpart
-//! times, at the same representative size, so the JSON trajectory the
-//! binary emits (`BENCH_baseline.json`) is directly comparable with the
-//! Criterion output. Keeping the workloads here — in the library — lets
-//! tests smoke-run every group without going through the bench harness.
+//! Each group runs the core computation of one experiment at a
+//! representative size. Keeping the workloads here — in the library —
+//! lets tests smoke-run every group without going through the binary.
 
 use balg_arith::prelude::{check_on_input, even_formula, DomainKind};
 use balg_core::bag::Bag;

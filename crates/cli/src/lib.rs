@@ -25,12 +25,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use balg_core::analyze::{analyze, render_report, Facts};
 use balg_core::eval::{eval_with_metrics, Limits};
 use balg_core::expr::Expr;
 use balg_core::parse::parse_expr;
 use balg_core::rewrite::optimize;
 use balg_core::schema::{Database, Schema};
-use balg_core::typecheck::check;
 use balg_core::value::Value;
 
 /// The outcome of one input line.
@@ -141,7 +141,7 @@ impl Session {
             }
             "check" => match parse_expr(args) {
                 Err(e) => Response::Text(e.to_string()),
-                Ok(expr) => match check(&expr, &self.schema()) {
+                Ok(expr) => match analyze(&expr, &self.schema()) {
                     Err(e) => Response::Text(format!("type error: {e}")),
                     Ok(analysis) => Response::Text(format!(
                         "type: {}\nBALG level: {} (power nesting {})\ncore BALG: {}{}",
@@ -196,9 +196,9 @@ impl Session {
 fn analyze_command(args: &str, schema: &Schema) -> Response {
     match parse_expr(args) {
         Err(e) => Response::Text(e.to_string()),
-        Ok(expr) => match balg_core::analyze::analyze(&expr, schema) {
+        Ok(expr) => match analyze(&expr, schema) {
             Err(e) => Response::Text(format!("analysis error: {e}")),
-            Ok(facts) => Response::Text(balg_core::analyze::render_report(&expr, &facts)),
+            Ok(facts) => Response::Text(render_report(&expr, &facts)),
         },
     }
 }
@@ -250,7 +250,7 @@ fn metrics_command() -> Response {
     }
 }
 
-fn extension_notes(analysis: &balg_core::typecheck::Analysis) -> String {
+fn extension_notes(analysis: &Facts) -> String {
     let mut notes = Vec::new();
     if analysis.uses_powerbag {
         notes.push("powerbag");
@@ -570,9 +570,50 @@ mod tests {
         let mut session = Session::new();
         session.process_line(":load G bag{ [a,b] }");
         let out = text(session.process_line(":check destroy(powerset(G))"));
-        assert!(out.contains("BALG level: 2"), "{out}");
+        assert_eq!(
+            out,
+            "type: {{[U, U]}}\nBALG level: 2 (power nesting 1)\ncore BALG: true"
+        );
         let out = text(session.process_line(":check ifp(T, T, G)"));
-        assert!(out.contains("IFP"), "{out}");
+        assert_eq!(
+            out,
+            "type: {{[U, U]}}\nBALG level: 1 (power nesting 0)\n\
+             core BALG: false (extensions: IFP)"
+        );
+        let out = text(
+            session
+                .process_line(":check powerbag(nest(select(x, lt(attr(x,1), attr(x,2)), G), 1))"),
+        );
+        assert_eq!(
+            out,
+            "type: {{{{[U, {{[U]}}]}}}}\nBALG level: 3 (power nesting 1)\n\
+             core BALG: false (extensions: powerbag, nest, order predicates)"
+        );
+    }
+
+    #[test]
+    fn check_and_analyze_give_one_verdict() {
+        let mut session = Session::new();
+        session.process_line(":load G bag{ [a,b] }");
+        // δ of a `?`-typed operand evaluates (to {{}}), so both accept it.
+        let accepted = "map(x, destroy(x), bag{})";
+        let out = text(session.process_line(&format!(":check {accepted}")));
+        assert!(out.starts_with("type: {{{{?}}}}\nBALG level:"), "{out}");
+        let out = text(session.process_line(&format!(":analyze {accepted}")));
+        assert!(out.starts_with("type: {{{{?}}}}\nset:"), "{out}");
+        // α₀ errors on every input, so both reject it whatever its operand.
+        for rejected in ["map(x, attr(x,0), bag{})", "attr(G, 0)"] {
+            let out = text(session.process_line(&format!(":check {rejected}")));
+            assert_eq!(
+                out,
+                "type error: attribute α0 is invalid: attribute indices are 1-based"
+            );
+            let out = text(session.process_line(&format!(":analyze {rejected}")));
+            assert_eq!(
+                out,
+                "analysis error: attribute α0 is invalid: attribute indices are 1-based"
+            );
+        }
     }
 
     #[test]

@@ -161,9 +161,9 @@ impl ExprZoo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use balg_core::analyze::analyze;
     use balg_core::eval::eval_bag;
     use balg_core::schema::Schema;
-    use balg_core::typecheck::check;
     use balg_core::types::Type;
 
     #[test]
@@ -182,7 +182,7 @@ mod tests {
             .with("R", Type::relation(1))
             .with("S", Type::relation(1));
         for (name, expr) in zoo() {
-            let analysis = check(&expr, &schema).expect(name);
+            let analysis = analyze(&expr, &schema).expect(name);
             assert_eq!(analysis.balg_level(), 1, "{name} is not BALG¹");
             assert!(analysis.is_core_balg(), "{name} uses extensions");
         }
@@ -202,7 +202,7 @@ mod tests {
         let mut zoo = ExprZoo::new(11);
         for i in 0..20 {
             let expr = zoo.unary_expr(3);
-            let analysis = check(&expr, &schema).unwrap_or_else(|e| panic!("expr {i}: {e}"));
+            let analysis = analyze(&expr, &schema).unwrap_or_else(|e| panic!("expr {i}: {e}"));
             assert_eq!(analysis.balg_level(), 1);
             assert!(!analysis.uses_subtract);
             eval_bag(&expr, &b_n(4)).unwrap_or_else(|e| panic!("expr {i} eval: {e}"));

@@ -5,7 +5,10 @@
 //! algebra is a *static* property of an expression — which operators it
 //! composes — not of the data it runs on. This module turns that
 //! observation into a reusable pass over [`Expr`] that, given a
-//! [`Schema`], derives four kinds of facts in a single traversal:
+//! [`Schema`], derives five kinds of facts. The typed pass (the only
+//! function in the workspace that walks an [`Expr`] to infer a [`Type`])
+//! computes 1, 2, 4 and 5 in a single traversal; 3 and the schema-less
+//! set-ness lattice are separate purely syntactic walkers.
 //!
 //! 1. **Shape/type inference** — the output [`Type`], tuple arities and
 //!    bag nesting of every subexpression. Out-of-bounds `αᵢ`, the always
@@ -33,12 +36,21 @@
 //!    `TooLarge`-risk classification ([`CostClass::Exponential`] /
 //!    [`CostClass::HyperExponential`]) when powerset, powerbag, or an
 //!    unbounded fixpoint can blow up (Sections 5–6 of the paper).
+//! 5. **Fragment** — the structural parameters the paper's hierarchy
+//!    results are phrased in: the *bag nesting* of every intermediate type
+//!    (membership in BALGᵏ, Sections 4–6; BALG¹ additionally requires
+//!    every type to be *strictly unnested*, `U^k` or `⟦U^k⟧`), the *power
+//!    nesting* (the maximal number of `P`/`P_b` on a root-to-leaf path,
+//!    defining the classes BALGᵏᵢ of Theorem 6.2), and which operators
+//!    outside the core algebra (`P_b`, `IFP`, `nest`, order predicates)
+//!    occur, so experiments can state exactly which fragment a query
+//!    lives in.
 //!
 //! The "cannot error" certificate ([`Facts::cannot_error`]) covers the
 //! *shape* errors (`BagError`, unbound variables): when every inferred
 //! type is concrete, evaluation on a schema-conforming database can only
 //! fail by exceeding a resource budget, never with a shape error.
-//! Soundness of all four fact families is gated by the differential
+//! Soundness of all five fact families is gated by the differential
 //! proptest in `tests/analyze_differential.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,9 +58,59 @@ use std::fmt;
 
 use crate::expr::{Expr, Pred, Var};
 use crate::schema::Schema;
-use crate::typecheck::TypeError;
 use crate::types::Type;
 use crate::value::Value;
+
+/// A static type error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TypeError {
+    /// A variable is neither λ-bound nor declared in the schema.
+    UnboundVariable(Var),
+    /// A bag operation was applied to a non-bag type.
+    NotABag(Type),
+    /// Cartesian product requires bags of tuples.
+    NotATupleBag(Type),
+    /// Attribute projection on a non-tuple type or out-of-range index.
+    BadAttribute {
+        /// 1-based requested index.
+        index: usize,
+        /// The offending type.
+        ty: Type,
+    },
+    /// Two sides of a union/difference/comparison have incompatible types.
+    Incompatible(Type, Type),
+    /// `δ` applied to a bag whose elements are not bags.
+    DestroyNeedsNestedBag(Type),
+    /// A literal value is not homogeneous (has no type).
+    IllTypedLiteral,
+    /// IFP body type incompatible with its accumulator.
+    IfpBodyMismatch(Type, Type),
+}
+
+impl fmt::Display for TypeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TypeError::UnboundVariable(name) => write!(f, "unbound variable {name}"),
+            TypeError::NotABag(ty) => write!(f, "expected a bag type, got {ty}"),
+            TypeError::NotATupleBag(ty) => {
+                write!(f, "cartesian product needs a bag of tuples, got {ty}")
+            }
+            TypeError::BadAttribute { index, ty } => {
+                write!(f, "attribute α{index} invalid for type {ty}")
+            }
+            TypeError::Incompatible(a, b) => write!(f, "incompatible types {a} and {b}"),
+            TypeError::DestroyNeedsNestedBag(ty) => {
+                write!(f, "δ needs a bag of bags, got {ty}")
+            }
+            TypeError::IllTypedLiteral => f.write_str("heterogeneous literal bag has no type"),
+            TypeError::IfpBodyMismatch(a, b) => {
+                write!(f, "IFP body type {a} incompatible with accumulator {b}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TypeError {}
 
 /// Why an expression is statically rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,6 +258,28 @@ pub struct Facts {
     /// condition that forces the incremental engine to recompute the
     /// enclosing `MAP`/`σ`/`IFP`.
     pub lambda_affected: BTreeSet<Var>,
+    /// Maximal bag nesting over every intermediate type (inputs included).
+    pub max_bag_nesting: usize,
+    /// `true` iff every intermediate type is `U^k` or `⟦U^k⟧` — the BALG¹
+    /// typing discipline of Section 4.
+    pub strictly_unnested: bool,
+    /// Maximal number of `P`/`P_b` on a root-to-leaf path (the power
+    /// nesting `i` of BALGᵏᵢ, Theorem 6.2).
+    pub power_nesting: usize,
+    /// Uses the powerbag extension (Definition 5.1).
+    pub uses_powerbag: bool,
+    /// Uses the inflationary fixpoint extension (Section 6).
+    pub uses_ifp: bool,
+    /// Uses order predicates `<`/`≤` on the domain.
+    pub uses_order: bool,
+    /// Uses duplicate elimination `ε` (relevant to Proposition 4.1).
+    pub uses_dedup: bool,
+    /// Uses subtraction `−` (relevant to Propositions 4.1–4.3).
+    pub uses_subtract: bool,
+    /// Uses powerset `P`.
+    pub uses_powerset: bool,
+    /// Uses the nest extension (\[PG88\], Conclusion).
+    pub uses_nest: bool,
 }
 
 impl Facts {
@@ -214,26 +298,59 @@ impl Facts {
             .values()
             .all(|&class| class <= Linearity::Bilinear)
     }
+
+    /// The smallest `k` such that the expression is in BALGᵏ. By the
+    /// Section 4 convention, level 1 additionally demands strictly
+    /// unnested types.
+    pub fn balg_level(&self) -> usize {
+        if self.max_bag_nesting <= 1 && self.strictly_unnested {
+            1
+        } else {
+            self.max_bag_nesting.max(2)
+        }
+    }
+
+    /// `true` iff the expression is in BALGᵏ (and uses no extensions).
+    pub fn in_balg(&self, k: usize) -> bool {
+        self.is_core_balg() && self.balg_level() <= k
+    }
+
+    /// `true` iff only the paper's core BALG operations are used (no
+    /// powerbag, no IFP, no nest, no order predicates).
+    pub fn is_core_balg(&self) -> bool {
+        !self.uses_powerbag && !self.uses_ifp && !self.uses_order && !self.uses_nest
+    }
 }
 
 /// Analyze `expr` against `schema`: full type inference plus set-ness,
-/// linearity, and tractability facts, in one pass.
+/// fragment, linearity, and tractability facts.
 pub fn analyze(expr: &Expr, schema: &Schema) -> Result<Facts, AnalyzeError> {
-    let mut pass = Pass {
-        schema,
-        env: Vec::new(),
-        all_concrete: true,
-    };
+    let mut pass = Pass::new(schema);
     let node = pass.infer(expr)?;
-    let all_concrete = pass.all_concrete;
     Ok(Facts {
         ty: node.ty,
         duplicate_free: node.set,
-        cannot_error: all_concrete,
+        cannot_error: pass.all_concrete,
         cost: node.cost,
         linearity: base_linearity(expr),
         lambda_affected: lambda_affected(expr),
+        max_bag_nesting: pass.max_bag_nesting,
+        strictly_unnested: pass.strictly_unnested,
+        power_nesting: pass.power_nesting,
+        uses_powerbag: pass.uses_powerbag,
+        uses_ifp: pass.uses_ifp,
+        uses_order: pass.uses_order,
+        uses_dedup: pass.uses_dedup,
+        uses_subtract: pass.uses_subtract,
+        uses_powerset: pass.uses_powerset,
+        uses_nest: pass.uses_nest,
     })
+}
+
+/// Infer only the output type of `expr` under `schema`: the typed pass
+/// alone, without the per-base linearity walks [`analyze`] adds.
+pub fn infer_type(expr: &Expr, schema: &Schema) -> Result<Type, AnalyzeError> {
+    Ok(Pass::new(schema).infer(expr)?.ty)
 }
 
 /// Syntactic duplicate-freeness: the set-ness lattice without type
@@ -482,13 +599,55 @@ struct Pass<'a> {
     /// Every type inferred so far (λ bindings included) is concrete —
     /// the precondition of the "cannot error" certificate.
     all_concrete: bool,
+    max_bag_nesting: usize,
+    strictly_unnested: bool,
+    /// `P`/`P_b` operators enclosing the node being inferred; its maximum
+    /// over the walk is the power nesting.
+    power_depth: usize,
+    power_nesting: usize,
+    uses_powerbag: bool,
+    uses_ifp: bool,
+    uses_order: bool,
+    uses_dedup: bool,
+    uses_subtract: bool,
+    uses_powerset: bool,
+    uses_nest: bool,
 }
 
-impl Pass<'_> {
-    fn observe(&mut self, ty: &Type) {
-        if !ty.is_concrete() {
-            self.all_concrete = false;
+impl<'a> Pass<'a> {
+    fn new(schema: &'a Schema) -> Pass<'a> {
+        Pass {
+            schema,
+            env: Vec::new(),
+            all_concrete: true,
+            max_bag_nesting: 0,
+            strictly_unnested: true,
+            power_depth: 0,
+            power_nesting: 0,
+            uses_powerbag: false,
+            uses_ifp: false,
+            uses_order: false,
+            uses_dedup: false,
+            uses_subtract: false,
+            uses_powerset: false,
+            uses_nest: false,
         }
+    }
+
+    fn observe(&mut self, ty: &Type) {
+        self.all_concrete = self.all_concrete && ty.is_concrete();
+        self.strictly_unnested = self.strictly_unnested && ty.is_unnested();
+        self.max_bag_nesting = self.max_bag_nesting.max(ty.bag_nesting());
+    }
+
+    /// Infer the operand of a `P`/`P_b`, one power level deeper.
+    fn infer_powered(&mut self, operand: &Expr) -> Result<Node, AnalyzeError> {
+        self.power_depth += 1;
+        self.power_nesting = self.power_nesting.max(self.power_depth);
+        let node = self.infer(operand)?;
+        self.power_depth -= 1;
+        require_bag(&node.ty)?;
+        Ok(node)
     }
 
     fn infer(&mut self, expr: &Expr) -> Result<Node, AnalyzeError> {
@@ -561,6 +720,7 @@ impl Pass<'_> {
                 }
             }
             Expr::Subtract(a, b) => {
+                self.uses_subtract = true;
                 let (na, nb) = (self.infer(a)?, self.infer(b)?);
                 let ty = unify_bags(&na.ty, &nb.ty)?;
                 Node {
@@ -605,8 +765,8 @@ impl Pass<'_> {
                 }
             }
             Expr::Powerset(e) => {
-                let node = self.infer(e)?;
-                require_bag(&node.ty)?;
+                self.uses_powerset = true;
+                let node = self.infer_powered(e)?;
                 Node {
                     ty: Type::bag(node.ty),
                     set: true,
@@ -614,8 +774,8 @@ impl Pass<'_> {
                 }
             }
             Expr::Powerbag(e) => {
-                let node = self.infer(e)?;
-                require_bag(&node.ty)?;
+                self.uses_powerbag = true;
+                let node = self.infer_powered(e)?;
                 Node {
                     ty: Type::bag(node.ty),
                     set: node.set,
@@ -702,6 +862,7 @@ impl Pass<'_> {
                 }
             }
             Expr::Dedup(e) => {
+                self.uses_dedup = true;
                 let node = self.infer(e)?;
                 require_bag(&node.ty)?;
                 Node {
@@ -711,6 +872,7 @@ impl Pass<'_> {
                 }
             }
             Expr::Nest { group, input } => {
+                self.uses_nest = true;
                 let node = self.infer(input)?;
                 let ty = nest_type(group, &node.ty)?;
                 Node {
@@ -720,6 +882,7 @@ impl Pass<'_> {
                 }
             }
             Expr::Ifp { var, body, input } => {
+                self.uses_ifp = true;
                 let nin = self.infer(input)?;
                 require_bag(&nin.ty)?;
                 self.env.push((var.clone(), nin.ty.clone(), nin.set));
@@ -748,6 +911,9 @@ impl Pass<'_> {
         match pred {
             Pred::True => Ok(CostClass::Polynomial(0)),
             Pred::Eq(a, b) | Pred::Lt(a, b) | Pred::Le(a, b) => {
+                if !matches!(pred, Pred::Eq(_, _)) {
+                    self.uses_order = true;
+                }
                 let (na, nb) = (self.infer(a)?, self.infer(b)?);
                 if na.ty.unify(&nb.ty).is_none() {
                     return Err(TypeError::Incompatible(na.ty, nb.ty).into());
@@ -1104,5 +1270,142 @@ mod tests {
         assert!(analyze(&tc, &s).unwrap().duplicate_free);
         let bag_seed = Expr::var("G").ifp("T", Expr::var("T"));
         assert!(!analyze(&bag_seed, &s).unwrap().duplicate_free);
+    }
+
+    #[test]
+    fn infer_flat_query_types() {
+        let schema = schema();
+        let q = Expr::var("G").project(&[2, 1]);
+        let facts = analyze(&q, &schema).unwrap();
+        assert_eq!(facts.ty, Type::relation(2));
+        assert_eq!(facts.balg_level(), 1);
+        assert!(facts.in_balg(1));
+        assert!(facts.is_core_balg());
+    }
+
+    #[test]
+    fn product_concatenates_tuple_types() {
+        let schema = schema();
+        let q = Expr::var("G").product(Expr::var("G"));
+        assert_eq!(infer_type(&q, &schema).unwrap(), Type::relation(4));
+    }
+
+    #[test]
+    fn powerset_raises_level_and_power_nesting() {
+        let schema = schema();
+        let q = Expr::var("G").powerset();
+        let facts = analyze(&q, &schema).unwrap();
+        assert_eq!(facts.ty, Type::bag(Type::relation(2)));
+        assert_eq!(facts.max_bag_nesting, 2);
+        assert_eq!(facts.balg_level(), 2);
+        assert_eq!(facts.power_nesting, 1);
+        assert!(!facts.in_balg(1));
+        assert!(facts.in_balg(2));
+        // P(P(G)) has power nesting 2 and level 3.
+        let q2 = Expr::var("G").powerset().powerset();
+        let facts2 = analyze(&q2, &schema).unwrap();
+        assert_eq!(facts2.power_nesting, 2);
+        assert_eq!(facts2.balg_level(), 3);
+    }
+
+    #[test]
+    fn destroy_lowers_nesting_in_type_but_not_in_level() {
+        let schema = schema();
+        let q = Expr::var("G").powerset().destroy();
+        let facts = analyze(&q, &schema).unwrap();
+        assert_eq!(facts.ty, Type::relation(2));
+        // The intermediate P(G) : ⟦⟦[U,U]⟧⟧ pushes the level to 2 even
+        // though the output is flat — this is the "increase of nesting is
+        // essential" point after Proposition 3.1.
+        assert_eq!(facts.max_bag_nesting, 2);
+        assert_eq!(facts.balg_level(), 2);
+    }
+
+    #[test]
+    fn delta_on_flat_bag_rejected() {
+        let schema = schema();
+        let q = Expr::var("G").destroy();
+        assert!(matches!(
+            analyze(&q, &schema),
+            Err(AnalyzeError::Type(TypeError::DestroyNeedsNestedBag(_)))
+        ));
+    }
+
+    #[test]
+    fn map_binds_element_type() {
+        let schema = schema();
+        let q = Expr::var("G").map("x", Expr::var("x").attr(1).singleton());
+        let facts = analyze(&q, &schema).unwrap();
+        assert_eq!(facts.ty, Type::bag(Type::bag(Type::Atom)));
+        assert_eq!(facts.balg_level(), 2);
+    }
+
+    #[test]
+    fn select_pred_type_mismatch_detected() {
+        let schema = schema();
+        // comparing a tuple attribute (atom) with the whole bag G
+        let q = Expr::var("G").select("x", Pred::eq(Expr::var("x").attr(1), Expr::var("G")));
+        assert!(matches!(
+            analyze(&q, &schema),
+            Err(AnalyzeError::Type(TypeError::Incompatible(_, _)))
+        ));
+    }
+
+    #[test]
+    fn extension_flags() {
+        let schema = schema();
+        let pb = Expr::var("G").powerbag();
+        let facts = analyze(&pb, &schema).unwrap();
+        assert!(facts.uses_powerbag);
+        assert!(!facts.is_core_balg());
+
+        let ifp = Expr::var("G").ifp("T", Expr::var("T"));
+        assert!(analyze(&ifp, &schema).unwrap().uses_ifp);
+
+        let ord = Expr::var("G").select(
+            "x",
+            Pred::lt(Expr::var("x").attr(1), Expr::var("x").attr(2)),
+        );
+        assert!(analyze(&ord, &schema).unwrap().uses_order);
+
+        let frag = Expr::var("G").subtract(Expr::var("G")).dedup();
+        let fa = analyze(&frag, &schema).unwrap();
+        assert!(fa.uses_subtract && fa.uses_dedup);
+    }
+
+    #[test]
+    fn strictly_unnested_discipline() {
+        // A tuple holding a bag has nesting 1 but is NOT a BALG¹ type.
+        let schema = schema();
+        let q = Expr::var("G").map(
+            "x",
+            Expr::tuple([Expr::var("x").attr(1), Expr::var("x").singleton()]),
+        );
+        let facts = analyze(&q, &schema).unwrap();
+        assert!(!facts.strictly_unnested);
+        assert!(facts.balg_level() >= 2);
+    }
+
+    #[test]
+    fn empty_bag_literal_unifies() {
+        let schema = schema();
+        let q = Expr::var("G").additive_union(Expr::empty_bag());
+        assert_eq!(infer_type(&q, &schema).unwrap(), Type::relation(2));
+    }
+
+    #[test]
+    fn unbound_variable_reported() {
+        let schema = Schema::new();
+        assert!(matches!(
+            analyze(&Expr::var("R"), &schema),
+            Err(AnalyzeError::Type(TypeError::UnboundVariable(_)))
+        ));
+    }
+
+    #[test]
+    fn literal_types() {
+        let schema = Schema::new();
+        let lit = Expr::lit(Value::bag([Value::tuple([Value::sym("a")])]));
+        assert_eq!(infer_type(&lit, &schema).unwrap(), Type::relation(1));
     }
 }

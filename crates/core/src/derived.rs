@@ -235,10 +235,10 @@ pub fn member(o: Value, b: Expr) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::analyze;
     use crate::eval::{eval_bag, EvalError};
     use crate::schema::Database;
     use crate::schema::Schema;
-    use crate::typecheck::check;
     use crate::types::Type;
 
     fn nat(v: u64) -> Natural {
@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn average_lives_in_balg2() {
         let schema = Schema::new().with("B", Type::bag(Type::relation(1)));
-        let analysis = check(&average(Expr::var("B")), &schema).unwrap();
+        let analysis = analyze(&average(Expr::var("B")), &schema).unwrap();
         assert!(analysis.is_core_balg());
         // Input ⟦⟦[a]⟧⟧ has nesting 2; the P(δ(B)) intermediate stays at 2:
         // aggregates are exactly BALG² queries (Section 5).
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn parity_query_uses_order_flag() {
         let schema = Schema::new().with("R", Type::relation(1));
-        let analysis = check(&parity_even_ordered(Expr::var("R")), &schema).unwrap();
+        let analysis = analyze(&parity_even_ordered(Expr::var("R")), &schema).unwrap();
         assert!(analysis.uses_order);
         assert_eq!(analysis.balg_level(), 1);
     }

@@ -333,23 +333,13 @@ impl<'a> Evaluator<'a> {
         (self.indexes.hits(), self.indexes.builds())
     }
 
-    /// Enable or disable partitioned parallel execution. Enabling adopts
-    /// the process-wide default chunk count
-    /// ([`crate::pool::default_parallelism`]); disabling pins every
-    /// operator to its serial path. Both settings compute the same bags,
-    /// errors, and step charges — only scheduling differs.
-    pub fn set_parallel(&mut self, enabled: bool) {
-        self.par.chunks = if enabled {
-            crate::pool::default_parallelism()
-        } else {
-            1
-        };
-    }
-
-    /// Pin the partition count directly (values `<= 1` disable parallel
-    /// execution). Partitioning is a pure function of this count — never
-    /// of worker count or load — so differential tests can compare any
-    /// two settings on any host.
+    /// Pin the partition count (values `<= 1` pin every operator to its
+    /// serial path; a fresh evaluator adopts the process-wide default
+    /// [`crate::pool::default_parallelism`]). Every setting computes the
+    /// same bags, errors, and step charges — only scheduling differs.
+    /// Partitioning is a pure function of this count — never of worker
+    /// count or load — so differential tests can compare any two
+    /// settings on any host.
     pub fn set_parallel_threads(&mut self, n: usize) {
         self.par.chunks = n.max(1);
     }

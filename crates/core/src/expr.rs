@@ -7,7 +7,7 @@
 //! bodies, which opaque closures would forbid.
 //!
 //! Two constructs extend the paper's core algebra and are flagged by the
-//! type checker ([`crate::typecheck`]): the powerbag `P_b` (Definition 5.1)
+//! static analyzer ([`mod@crate::analyze`]): the powerbag `P_b` (Definition 5.1)
 //! and the inflationary fixpoint `IFP` (Section 6, Theorem 6.6). Order
 //! predicates `<`/`≤` correspond to the paper's "in the presence of an
 //! order on the domain" results and are likewise flagged.

@@ -28,10 +28,10 @@
 //!     2u64.into()
 //! );
 //!
-//! // The type checker places the query in BALG¹.
+//! // The static analyzer places the query in BALG¹.
 //! let schema = Schema::new().with("G", Type::relation(2));
-//! let analysis = check(&q, &schema).unwrap();
-//! assert_eq!(analysis.balg_level(), 1);
+//! let facts = analyze(&q, &schema).unwrap();
+//! assert_eq!(facts.balg_level(), 1);
 //! ```
 //!
 //! ## Module map
@@ -43,8 +43,7 @@
 //! | [`value`]   | atoms, tuples, bags as values; standard encoding size |
 //! | [`bag`]     | the counted bag representation and all primitive operators |
 //! | [`expr`]    | the BALG expression AST with first-class λ |
-//! | [`typecheck`] | type inference + fragment analysis (BALGᵏᵢ) |
-//! | [`mod@analyze`] | static analyzer: shape inference, set-ness & linearity certificates, tractability class |
+//! | [`mod@analyze`] | the one static pass: type inference, fragment (BALGᵏᵢ), set-ness & linearity certificates, tractability class |
 //! | [`mod@eval`] | resource-limited evaluation with metrics |
 //! | [`index`]   | per-key join indexes and memoized `SubBag` testers |
 //! | [`pool`]    | vendored work-stealing thread pool (std-only) |
@@ -72,7 +71,6 @@ pub mod pool;
 pub mod profile;
 pub mod rewrite;
 pub mod schema;
-pub mod typecheck;
 pub mod types;
 pub mod value;
 pub mod wal;
@@ -81,8 +79,8 @@ pub mod zbag;
 /// Commonly used items, re-exported.
 pub mod prelude {
     pub use crate::analyze::{
-        analyze, base_linearity, certified_duplicate_free, lambda_affected, render_report,
-        AnalyzeError, CostClass, Facts, Linearity,
+        analyze, base_linearity, certified_duplicate_free, infer_type, lambda_affected,
+        render_report, AnalyzeError, CostClass, Facts, Linearity, TypeError,
     };
     pub use crate::bag::{Bag, BagError};
     pub use crate::eval::{
@@ -94,7 +92,6 @@ pub mod prelude {
     pub use crate::parse::{parse_expr, ExprParseError};
     pub use crate::rewrite::optimize;
     pub use crate::schema::{Database, Schema};
-    pub use crate::typecheck::{check, infer_type, Analysis, TypeError};
     pub use crate::types::Type;
     pub use crate::value::{Atom, Value};
     pub use crate::wal::{crc32, frame, frames, unframe, ByteReader, DecodeError, Unframed};

@@ -455,12 +455,12 @@ mod tests {
 
     #[test]
     fn parsed_expressions_typecheck() {
+        use crate::analyze::analyze;
         use crate::schema::Schema;
-        use crate::typecheck::check;
         use crate::types::Type;
         let schema = Schema::new().with("G", Type::relation(2));
         let e = parse_expr("destroy(powerset(G))").unwrap();
-        let analysis = check(&e, &schema).unwrap();
+        let analysis = analyze(&e, &schema).unwrap();
         assert_eq!(analysis.balg_level(), 2);
     }
 }

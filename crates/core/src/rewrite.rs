@@ -25,11 +25,11 @@
 
 use std::collections::BTreeSet;
 
+use crate::analyze::infer_type;
 use crate::bag::Bag;
 use crate::eval::{equi_join_attrs, Evaluator, Limits};
 use crate::expr::{Expr, Pred, Var};
 use crate::schema::{Database, Schema};
-use crate::typecheck::infer_type;
 use crate::types::Type;
 use crate::value::Value;
 

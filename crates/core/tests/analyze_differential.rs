@@ -14,13 +14,18 @@
 //! - a **set-ness** certificate (`duplicate_free`) means every
 //!   multiplicity in the output bag is exactly one.
 //!
+//! Per generated expression, accepted or not, [`check_static`] holds the
+//! typed pass against references that need no evaluation: the fragment
+//! facts equal their syntactic definitions, the two tractability readings
+//! (cost class, power nesting) agree, and `infer_type` is `analyze`'s type.
+//!
 //! Analyzer *rejections* assert nothing — the analyzer is deliberately
 //! conservative (a doomed λ body over a bag that happens to be empty
 //! evaluates fine but is still statically rejected). Linearity
 //! certificates are checked against the incremental engine's counters in
 //! `balg-incremental`'s `linearity_differential` suite instead.
 
-use balg_core::analyze::{analyze, Facts};
+use balg_core::analyze::{analyze, infer_type, AnalyzeError, CostClass, Facts};
 use balg_core::bag::{Bag, BagError};
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
@@ -263,6 +268,92 @@ fn check_case(expr: &Expr, facts: &Facts, db: &Database) {
     }
 }
 
+/// Syntactic reference for the power nesting: the maximal number of
+/// `P`/`P_b` on a root-to-leaf path, predicates included.
+fn power_nesting_ref(expr: &Expr) -> usize {
+    let mut deepest = 0;
+    let mut child = |e: &Expr| deepest = deepest.max(power_nesting_ref(e));
+    match expr {
+        Expr::Var(_) | Expr::Lit(_) => {}
+        Expr::AdditiveUnion(a, b)
+        | Expr::Subtract(a, b)
+        | Expr::MaxUnion(a, b)
+        | Expr::Intersect(a, b)
+        | Expr::Product(a, b) => {
+            child(a);
+            child(b);
+        }
+        Expr::Tuple(fields) => fields.iter().for_each(&mut child),
+        Expr::Singleton(e)
+        | Expr::Powerset(e)
+        | Expr::Powerbag(e)
+        | Expr::Attr(e, _)
+        | Expr::Destroy(e)
+        | Expr::Dedup(e)
+        | Expr::Nest { input: e, .. } => child(e),
+        Expr::Map { body, input, .. } | Expr::Ifp { body, input, .. } => {
+            child(body);
+            child(input);
+        }
+        Expr::Select { pred, input, .. } => {
+            child(input);
+            pred.visit_exprs(&mut child);
+        }
+    }
+    deepest + usize::from(matches!(expr, Expr::Powerset(_) | Expr::Powerbag(_)))
+}
+
+fn pred_uses_order(pred: &Pred) -> bool {
+    match pred {
+        Pred::Lt(_, _) | Pred::Le(_, _) => true,
+        Pred::Not(p) => pred_uses_order(p),
+        Pred::And(a, b) | Pred::Or(a, b) => pred_uses_order(a) || pred_uses_order(b),
+        _ => false,
+    }
+}
+
+/// The checks that need no database: fragment facts against their
+/// syntactic definitions, the cost class against the power nesting, and
+/// the type-only entry against the full analysis.
+fn check_static(expr: &Expr, analyzed: &Result<Facts, AnalyzeError>) {
+    assert_eq!(
+        infer_type(expr, &schema()),
+        analyzed.clone().map(|facts| facts.ty),
+        "infer_type and analyze disagree on {expr}"
+    );
+    let Ok(facts) = analyzed else { return };
+    assert_eq!(facts.power_nesting, power_nesting_ref(expr), "{expr}");
+    let uses = |name: &str, flag: bool, wanted: fn(&Expr) -> bool| {
+        let mut found = false;
+        expr.visit(&mut |e| found |= wanted(e));
+        assert_eq!(flag, found, "uses_{name} of {expr}");
+    };
+    uses("powerset", facts.uses_powerset, |e| {
+        matches!(e, Expr::Powerset(_))
+    });
+    uses("powerbag", facts.uses_powerbag, |e| {
+        matches!(e, Expr::Powerbag(_))
+    });
+    uses("ifp", facts.uses_ifp, |e| matches!(e, Expr::Ifp { .. }));
+    uses("nest", facts.uses_nest, |e| matches!(e, Expr::Nest { .. }));
+    uses("dedup", facts.uses_dedup, |e| matches!(e, Expr::Dedup(_)));
+    uses("subtract", facts.uses_subtract, |e| {
+        matches!(e, Expr::Subtract(_, _))
+    });
+    uses(
+        "order",
+        facts.uses_order,
+        |e| matches!(e, Expr::Select { pred, .. } if pred_uses_order(pred)),
+    );
+    assert_eq!(
+        matches!(facts.cost, CostClass::Polynomial(_)),
+        facts.power_nesting == 0 && !facts.uses_ifp,
+        "cost {} vs power nesting {} of {expr}",
+        facts.cost,
+        facts.power_nesting
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -276,7 +367,9 @@ proptest! {
         db in db_strategy(),
     ) {
         let expr = Gen::new(seed).expr(depth, arity);
-        if let Ok(facts) = analyze(&expr, &schema()) {
+        let analyzed = analyze(&expr, &schema());
+        check_static(&expr, &analyzed);
+        if let Ok(facts) = analyzed {
             check_case(&expr, &facts, &db);
         }
     }
@@ -346,4 +439,21 @@ fn headline_certificates_hold_on_a_concrete_database() {
     let facts = analyze(&power, &schema()).unwrap();
     assert!(facts.duplicate_free && facts.cost.blowup_risk());
     check_case(&power, &facts, &db);
+
+    // A power operator and an order comparison reached only through a
+    // predicate (the generator's predicates hold neither).
+    let below = Expr::var("R").select(
+        "x",
+        Pred::SubBag(
+            Expr::var("x").singleton(),
+            Expr::var("S").powerset().destroy(),
+        )
+        .and(Pred::le(Expr::var("x").attr(1), Expr::lit(Value::int(1)))),
+    );
+    let analyzed = analyze(&below, &schema());
+    check_static(&below, &analyzed);
+    let facts = analyzed.unwrap();
+    assert_eq!(facts.power_nesting, 1);
+    assert!(facts.uses_order && facts.cost.blowup_risk());
+    check_case(&below, &facts, &db);
 }

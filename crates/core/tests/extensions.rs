@@ -33,7 +33,7 @@ fn nest_groups_with_multiplicities() {
 #[test]
 fn nest_type_checks_and_is_flagged_extension() {
     let schema = Schema::new().with("R", Type::relation(2));
-    let analysis = check(&Expr::var("R").nest(&[1]), &schema).unwrap();
+    let analysis = analyze(&Expr::var("R").nest(&[1]), &schema).unwrap();
     assert_eq!(
         analysis.ty,
         Type::bag(Type::Tuple(vec![
@@ -51,7 +51,7 @@ fn nest_type_checks_and_is_flagged_extension() {
 #[test]
 fn nest_rejects_bad_attributes() {
     let schema = Schema::new().with("R", Type::relation(2));
-    assert!(check(&Expr::var("R").nest(&[3]), &schema).is_err());
+    assert!(analyze(&Expr::var("R").nest(&[3]), &schema).is_err());
     let db = Database::new().with("R", Bag::singleton(edge("a", "b")));
     assert!(eval(&Expr::var("R").nest(&[3]), &db).is_err());
 }

@@ -674,22 +674,6 @@ impl DurableRuntime {
         Ok(())
     }
 
-    /// Forwarded tuning knob (not a logged mutation).
-    pub fn set_index_capacity(&mut self, capacity: usize) {
-        self.inner.set_index_capacity(capacity);
-    }
-
-    /// Forwarded tuning knob (not a logged mutation).
-    pub fn set_indexing(&mut self, enabled: bool) {
-        self.inner.set_indexing(enabled);
-    }
-
-    /// Forwarded tuning knob (not a logged mutation): see
-    /// [`ViewRuntime::set_parallel`].
-    pub fn set_parallel(&mut self, enabled: bool) {
-        self.inner.set_parallel(enabled);
-    }
-
     /// Forwarded tuning knob (not a logged mutation): see
     /// [`ViewRuntime::set_parallel_threads`].
     pub fn set_parallel_threads(&mut self, n: usize) {
@@ -910,30 +894,6 @@ impl AnyRuntime {
     pub fn set_sync_on_commit(&mut self, sync: bool) {
         if let AnyRuntime::Durable(d) = self {
             d.set_sync_on_commit(sync);
-        }
-    }
-
-    /// Forwarded tuning knob.
-    pub fn set_index_capacity(&mut self, capacity: usize) {
-        match self {
-            AnyRuntime::Memory(rt) => rt.set_index_capacity(capacity),
-            AnyRuntime::Durable(d) => d.set_index_capacity(capacity),
-        }
-    }
-
-    /// Forwarded tuning knob.
-    pub fn set_indexing(&mut self, enabled: bool) {
-        match self {
-            AnyRuntime::Memory(rt) => rt.set_indexing(enabled),
-            AnyRuntime::Durable(d) => d.set_indexing(enabled),
-        }
-    }
-
-    /// Forwarded tuning knob: see [`ViewRuntime::set_parallel`].
-    pub fn set_parallel(&mut self, enabled: bool) {
-        match self {
-            AnyRuntime::Memory(rt) => rt.set_parallel(enabled),
-            AnyRuntime::Durable(d) => d.set_parallel(enabled),
         }
     }
 

@@ -213,19 +213,6 @@ impl ViewRuntime {
         }
     }
 
-    /// Bound the per-key index cache to `capacity` entries (minimum 1),
-    /// evicting least-recently-used entries if over. A server hosting
-    /// many concurrent sessions raises this so the working set of join
-    /// indexes survives ([`balg_core::index::IndexCache::set_capacity`]).
-    pub fn set_index_capacity(&mut self, capacity: usize) {
-        self.indexes.set_capacity(capacity);
-    }
-
-    /// The index cache's current capacity bound.
-    pub fn index_capacity(&self) -> usize {
-        self.indexes.capacity()
-    }
-
     /// Enable or disable the per-key index fast paths. Both settings
     /// maintain identical views — the differential suites run every
     /// (query, update-stream) pair both ways and require strict equality
@@ -244,23 +231,13 @@ impl ViewRuntime {
         self.use_indexes
     }
 
-    /// Enable or disable partitioned parallel execution for maintenance
-    /// passes. Enabling adopts the process-wide default chunk count
-    /// ([`balg_core::pool::default_parallelism`]); disabling pins every
+    /// Pin the maintenance partition count (values `<= 1` pin every
     /// maintenance evaluator — and the fused equi-join's optimistic
-    /// partitioned delta — to the serial paths. Both settings maintain
-    /// identical views, errors, and stats; only scheduling differs.
-    pub fn set_parallel(&mut self, enabled: bool) {
-        let mut p = balg_core::par::Parallel::from_global();
-        if !enabled {
-            p.chunks = 1;
-        }
-        self.parallel = Some(p);
-    }
-
-    /// Pin the maintenance partition count directly (values `<= 1`
-    /// disable parallel execution). Partitioning is a pure function of
-    /// this count, so differential suites can compare any two settings.
+    /// partitioned delta — to the serial paths; unset, the process-wide
+    /// default [`balg_core::pool::default_parallelism`] applies). Every
+    /// setting maintains identical views, errors, and stats; partitioning
+    /// is a pure function of this count, so differential suites can
+    /// compare any two settings.
     pub fn set_parallel_threads(&mut self, n: usize) {
         let mut p = self
             .parallel

@@ -132,7 +132,7 @@ fn run_twin_case(seed: u64, depth: usize, batches: usize, tight: bool) {
     parallel.set_parallel_threads(4);
     parallel.set_parallel_threshold(0); // partition even 1-row deltas
     let mut serial = ViewRuntime::with_limits(limits);
-    serial.set_parallel(false);
+    serial.set_parallel_threads(1);
     for (name, bag) in base_db() {
         parallel.load_base(name, bag.clone()).unwrap();
         serial.load_base(name, bag).unwrap();
@@ -236,7 +236,7 @@ fn partition_counts_agree_on_bulk_join_maintenance() {
     for chunks in [1usize, 2, 4, 7] {
         let mut rt = ViewRuntime::with_limits(Limits::default());
         if chunks == 1 {
-            rt.set_parallel(false);
+            rt.set_parallel_threads(1);
         } else {
             rt.set_parallel_threads(chunks);
             rt.set_parallel_threshold(0);

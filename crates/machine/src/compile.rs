@@ -531,8 +531,8 @@ mod tests {
 
     #[test]
     fn program_is_balg2_plus_ifp() {
+        use balg_core::analyze::analyze;
         use balg_core::schema::Schema;
-        use balg_core::typecheck::check;
         use balg_core::types::Type;
         let tm = flip_machine();
         let compiled = compile(&tm, &['0'], 1);
@@ -543,7 +543,7 @@ mod tests {
             Type::Atom,
         ]);
         let schema = Schema::new().with("C0", Type::bag(row_ty));
-        let analysis = check(&compiled.program, &schema).unwrap();
+        let analysis = analyze(&compiled.program, &schema).unwrap();
         assert!(analysis.uses_ifp);
         assert_eq!(analysis.max_bag_nesting, 2); // BALG² + IFP (Thm 6.6, k ≥ 2)
         assert!(!analysis.uses_powerset);

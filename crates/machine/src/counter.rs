@@ -444,8 +444,8 @@ mod tests {
 
     #[test]
     fn compiled_program_is_flat_plus_ifp() {
+        use balg_core::analyze::analyze;
         use balg_core::schema::Schema;
-        use balg_core::typecheck::check;
         use balg_core::types::Type;
         let compiled = compile_counter(&addition_machine(), &[1, 1]);
         let row_ty = Type::Tuple(vec![
@@ -455,7 +455,7 @@ mod tests {
             Type::bag(Type::atom_tuple(1)),
         ]);
         let schema = Schema::new().with("C0", Type::bag(row_ty));
-        let analysis = check(&compiled.program, &schema).unwrap();
+        let analysis = analyze(&compiled.program, &schema).unwrap();
         assert!(analysis.uses_ifp);
         assert!(!analysis.uses_powerset);
         assert_eq!(analysis.max_bag_nesting, 2);

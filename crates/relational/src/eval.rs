@@ -18,14 +18,12 @@
 
 use std::collections::HashMap;
 
-use balg_core::bag::{attr_field, Bag, BagBuilder, BagError};
+use balg_core::bag::{attr_field, BagBuilder, BagError};
 use balg_core::eval::{EvalError, Limits};
 use balg_core::expr::Var;
-use balg_core::index::{BagIndex, IndexCache};
+use balg_core::index::IndexCache;
 use balg_core::schema::Database;
 use balg_core::value::Value;
-use balg_core::{par, pool};
-use std::sync::Arc;
 
 use crate::expr::{RalgExpr, RalgPred};
 use crate::relation::Relation;
@@ -46,13 +44,6 @@ pub struct RalgEvaluator<'a> {
     /// describe, so repeated joins against a cached `DB′` view probe
     /// instead of rebuilding a hash table.
     indexes: IndexCache,
-    /// Whether the indexed join path may run (the differential suites
-    /// flip this to prove it equivalent to the scan path).
-    use_indexes: bool,
-    /// Partitioned-execution settings, mirroring the BALG evaluator:
-    /// partition counts are a pure function of `par.chunks`, so every
-    /// setting computes the same relations, errors, and step charges.
-    par: par::Parallel,
 }
 
 /// Always-on per-evaluation counters for the RALG baseline, resolved
@@ -96,39 +87,7 @@ impl<'a> RalgEvaluator<'a> {
             steps_left,
             db_views: HashMap::new(),
             indexes: IndexCache::new(),
-            use_indexes: true,
-            par: par::Parallel::from_global(),
         }
-    }
-
-    /// Enable or disable the indexed join fast path; both settings
-    /// compute the same relations. Disabling drops any cached indexes.
-    pub fn set_indexing(&mut self, enabled: bool) {
-        self.use_indexes = enabled;
-        if !enabled {
-            self.indexes.clear();
-        }
-    }
-
-    /// Enable or disable partitioned parallel execution (see
-    /// [`balg_core::eval::Evaluator::set_parallel`]); both settings
-    /// compute the same relations with the same step charges.
-    pub fn set_parallel(&mut self, enabled: bool) {
-        self.par.chunks = if enabled {
-            pool::default_parallelism()
-        } else {
-            1
-        };
-    }
-
-    /// Pin the partition count directly (`<= 1` disables).
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        self.par.chunks = n.max(1);
-    }
-
-    /// Override the minimum work size before operators partition.
-    pub fn set_parallel_threshold(&mut self, n: usize) {
-        self.par.threshold = n;
     }
 
     /// Evaluate a closed expression.
@@ -154,13 +113,7 @@ impl<'a> RalgEvaluator<'a> {
     }
 
     fn step(&mut self) -> Result<(), EvalError> {
-        self.charge_steps(1)
-    }
-
-    /// Charge `n` steps at once (the committed partitioned probe charges
-    /// its exact pair total in one call, like the serial per-pair loop).
-    fn charge_steps(&mut self, n: u64) -> Result<(), EvalError> {
-        match self.steps_left.checked_sub(n) {
+        match self.steps_left.checked_sub(1) {
             Some(rest) => {
                 self.steps_left = rest;
                 Ok(())
@@ -413,83 +366,27 @@ impl<'a> RalgEvaluator<'a> {
                     // Cached per-key index on the left operand: repeated
                     // joins against the same `DB′` view (or the same
                     // subquery result representation) probe instead of
-                    // rebuilding the hash table per query.
-                    if self.use_indexes {
-                        if let Some(cached) = self.indexes.get_or_build(left.as_bag(), i) {
-                            // Optimistic partitioned probe, mirroring the
-                            // BALG evaluator: commit only when the pair
-                            // total fits both remaining budgets; overflow
-                            // re-runs the serial loop below for the exact
-                            // serial error payload.
-                            if self.par.enabled() && right.len() >= self.par.threshold {
-                                let budget = self.steps_left.min(self.limits.max_bag_elements);
-                                if let Some((out, pairs)) = par_probe_join_set(
-                                    &cached,
-                                    right.as_bag(),
-                                    jr,
-                                    self.par.chunks,
-                                    budget,
-                                ) {
-                                    self.charge_steps(pairs)
-                                        .expect("pair count bounded by remaining steps");
-                                    let rel = Relation::from_set_bag_unchecked(out);
-                                    return Ok(ProductOutcome::Joined(rel));
-                                }
+                    // rebuilding the hash table per query. A non-empty
+                    // uniform-arity side with `i` in range always indexes.
+                    if let Some(cached) = self.indexes.get_or_build(left.as_bag(), i) {
+                        let mut out = BagBuilder::new();
+                        for rv in right.iter() {
+                            let right_fields = rv.as_tuple().expect("checked by uniform_arity");
+                            for (lv, _) in cached.group(&right_fields[jr - 1]) {
+                                self.step()?; // one per surviving pair, like the filter
+                                let left_fields = lv.as_tuple().expect("indexed rows are tuples");
+                                out.push_one(Value::concat_tuples(left_fields, right_fields));
+                                self.check_builder_limit(&mut out)?;
                             }
-                            let mut out = BagBuilder::new();
-                            for rv in right.iter() {
-                                let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                                for (lv, _) in cached.group(&right_fields[jr - 1]) {
-                                    self.step()?; // one per surviving pair, like the filter
-                                    let left_fields =
-                                        lv.as_tuple().expect("indexed rows are tuples");
-                                    out.push_one(Value::concat_tuples(left_fields, right_fields));
-                                    self.check_builder_limit(&mut out)?;
-                                }
-                            }
-                            let rel = Relation::from_set_bag_unchecked(out.build_set());
-                            return Ok(ProductOutcome::Joined(rel));
                         }
+                        let rel = Relation::from_set_bag_unchecked(out.build_set());
+                        return Ok(ProductOutcome::Joined(rel));
                     }
-                    let mut index: HashMap<&Value, Vec<&Value>> = HashMap::new();
-                    for lv in left.iter() {
-                        let fields = lv.as_tuple().expect("checked by uniform_arity");
-                        index.entry(&fields[i - 1]).or_default().push(lv);
-                    }
-                    let mut out = BagBuilder::new();
-                    for rv in right.iter() {
-                        let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                        let Some(matches) = index.get(&right_fields[jr - 1]) else {
-                            continue;
-                        };
-                        for lv in matches {
-                            self.step()?; // one per surviving pair, like the filter
-                            let left_fields = lv.as_tuple().expect("checked by uniform_arity");
-                            out.push_one(Value::concat_tuples(left_fields, right_fields));
-                            self.check_builder_limit(&mut out)?;
-                        }
-                    }
-                    let rel = Relation::from_set_bag_unchecked(out.build_set());
-                    return Ok(ProductOutcome::Joined(rel));
                 }
             }
         }
 
-        let predicted = left.len() as u128 * right.len() as u128;
-        let out = if self.par.enabled() && predicted >= self.par.threshold as u128 {
-            // `Relation::product` is bag product + dedup; the partitioned
-            // kernel computes the identical bag (and identical errors).
-            let bag = par::product(
-                left.as_bag(),
-                right.as_bag(),
-                self.limits.max_bag_elements,
-                self.par.chunks,
-            )?
-            .dedup();
-            Relation::from_set_bag_unchecked(bag)
-        } else {
-            left.product(&right, self.limits.max_bag_elements)?
-        };
+        let out = left.product(&right, self.limits.max_bag_elements)?;
         self.check_size(&out)?;
         Ok(ProductOutcome::Materialized(out))
     }
@@ -533,82 +430,6 @@ impl<'a> RalgEvaluator<'a> {
 enum Stage<'e> {
     Map { var: &'e Var, body: &'e RalgExpr },
     Filter { var: &'e Var, pred: &'e RalgPred },
-}
-
-/// A probe-join chunk job: `Some((chunk output, pairs emitted))`, or
-/// `None` when the shared budget counter tripped.
-type ProbeJoinJob = Box<dyn FnOnce() -> Option<(Bag, u64)> + Send>;
-
-/// Optimistic chunk-parallel probe of a cached join index, set semantics.
-///
-/// The right (probe) relation's rows are split into `chunks` contiguous
-/// ranges; each runs infallibly with a local builder while a shared atomic
-/// tracks the global surviving-pair count against `budget`. `None` on
-/// overflow (nothing charged — the serial loop reproduces the exact
-/// error); on success the chunk sets are disjoint (distinct rows on both
-/// sides, uniform left arity), so their additive union equals the serial
-/// `build_set` output.
-fn par_probe_join_set(
-    index: &Arc<BagIndex>,
-    probe: &Bag,
-    jr: usize,
-    chunks: usize,
-    budget: u64,
-) -> Option<(Bag, u64)> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let n = probe.distinct_count();
-    let counter = Arc::new(AtomicU64::new(0));
-    let mut jobs: Vec<ProbeJoinJob> = Vec::with_capacity(chunks);
-    let mut row = 0usize;
-    for k in 1..=chunks {
-        let end = n * k / chunks;
-        if end <= row {
-            continue;
-        }
-        let probe = probe.clone();
-        let index = Arc::clone(index);
-        let counter = Arc::clone(&counter);
-        let (lo, hi) = (row, end);
-        jobs.push(Box::new(move || {
-            let mut out = BagBuilder::new();
-            let mut pairs = 0u64;
-            for (rv, _) in &probe.pairs()[lo..hi] {
-                let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                let group = index.group(&right_fields[jr - 1]);
-                if group.is_empty() {
-                    continue;
-                }
-                let g = group.len() as u64;
-                let before = counter.fetch_add(g, Ordering::Relaxed);
-                if before.saturating_add(g) > budget {
-                    return None;
-                }
-                pairs += g;
-                for (lv, _) in group {
-                    let left_fields = lv.as_tuple().expect("indexed rows are tuples");
-                    out.push_one(Value::concat_tuples(left_fields, right_fields));
-                }
-            }
-            Some((out.build_set(), pairs))
-        }));
-        row = end;
-    }
-    if jobs.len() <= 1 {
-        return None;
-    }
-    par::note_partitioned(jobs.len());
-    let parts = pool::global().run(jobs);
-    let mut total = 0u64;
-    let mut merged = Bag::new();
-    for part in parts {
-        let Some((bag, pairs)) = part else {
-            par::note_serial_fallback();
-            return None;
-        };
-        total += pairs;
-        merged = merged.additive_union(&bag);
-    }
-    Some((merged, total))
 }
 
 /// What a stage chain streams over: an evaluated relation, or the

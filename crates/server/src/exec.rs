@@ -319,11 +319,6 @@ impl SerialTwin {
         }
     }
 
-    /// Bound the index cache, mirroring the server's configuration.
-    pub fn set_index_capacity(&mut self, capacity: usize) {
-        self.rt.set_index_capacity(capacity);
-    }
-
     /// Execute one statement the way the server would.
     pub fn execute(&mut self, line: &str) -> Reply {
         match route(line) {

@@ -49,8 +49,6 @@ pub struct ServerConfig {
     /// publications. Larger batches amortize snapshot construction;
     /// replies are withheld until the batch publishes either way.
     pub write_batch: usize,
-    /// Override for the runtime's join-index LRU capacity.
-    pub index_capacity: Option<usize>,
     /// Maximum accepted frame payload in bytes.
     pub max_frame: u32,
     /// Evaluation budgets for queries and view maintenance.
@@ -81,7 +79,6 @@ impl Default for ServerConfig {
         ServerConfig {
             writer_queue: 256,
             write_batch: 64,
-            index_capacity: None,
             max_frame: MAX_FRAME,
             limits: Limits::default(),
             data_dir: None,
@@ -187,7 +184,6 @@ impl SqlServer {
         let ServerConfig {
             writer_queue,
             write_batch,
-            index_capacity,
             max_frame,
             limits,
             data_dir,
@@ -228,9 +224,6 @@ impl SqlServer {
                 rt
             }
         };
-        if let Some(capacity) = index_capacity {
-            rt.set_index_capacity(capacity);
-        }
         if let Some(threads) = threads {
             rt.set_parallel_threads(threads);
         }

@@ -926,8 +926,8 @@ mod tests {
 
     #[test]
     fn compiled_queries_are_balg1_without_aggregates() {
+        use balg_core::analyze::analyze;
         use balg_core::schema::Schema;
-        use balg_core::typecheck::check;
         use balg_core::types::Type;
         let (catalog, _) = setup();
         let parsed = parse("SELECT DISTINCT customer FROM orders WHERE item = 'apple'").unwrap();
@@ -942,7 +942,7 @@ mod tests {
             Type::bag(Type::atom_tuple(1)),
         ]));
         let schema = Schema::new().with("orders", orders_ty);
-        let analysis = check(&compiled.expr, &schema).unwrap();
+        let analysis = analyze(&compiled.expr, &schema).unwrap();
         assert!(analysis.is_core_balg());
         assert!(analysis.balg_level() <= 2);
     }

@@ -496,30 +496,11 @@ impl SqlRuntime {
         self.view_columns.get(name).map(Vec::as_slice)
     }
 
-    /// Bound the runtime's per-key index cache (LRU, minimum 1) — the
-    /// lever a server raises so 1k concurrent sessions don't thrash the
-    /// hot join indexes.
-    pub fn set_index_capacity(&mut self, capacity: usize) {
-        self.backend.set_index_capacity(capacity);
-    }
-
-    /// Enable or disable partitioned parallel execution for this
-    /// session's evaluators — ad-hoc queries and view maintenance alike.
-    /// Enabling adopts the process-wide default chunk count
-    /// ([`balg_core::pool::default_parallelism`]); disabling pins every
-    /// operator to the serial paths. Both settings compute identical
-    /// results, errors, and step charges.
-    pub fn set_parallel(&mut self, enabled: bool) {
-        let chunks = if enabled {
-            balg_core::pool::default_parallelism()
-        } else {
-            1
-        };
-        self.set_parallel_threads(chunks);
-    }
-
-    /// Pin this session's partition count directly (values `<= 1`
-    /// disable parallel execution).
+    /// Pin the partition count of this session's evaluators — ad-hoc
+    /// queries and view maintenance alike (values `<= 1` pin every
+    /// operator to the serial paths; unset, the process-wide default
+    /// [`balg_core::pool::default_parallelism`] applies). Every setting
+    /// computes identical results, errors, and step charges.
     pub fn set_parallel_threads(&mut self, n: usize) {
         let n = n.max(1);
         self.parallel_chunks = Some(n);

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Static analysis confirms the fragment: BALG¹ + order.
     let schema = Schema::new().with("R", Type::relation(1));
-    let analysis = check(&parity_even_ordered(Expr::var("R")), &schema)?;
+    let analysis = analyze(&parity_even_ordered(Expr::var("R")), &schema)?;
     println!(
         "fragment: BALG level {}, uses order: {} (core BALG¹ alone cannot express parity)",
         analysis.balg_level(),

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let q1 = Expr::var("inv").subtract(Expr::var("ship"));
     let q2 = Expr::var("inv").powerset().destroy();
     for (name, q) in [("inv − ship", q1), ("δ(P(inv))", q2)] {
-        let analysis = check(&q, &schema)?;
+        let analysis = analyze(&q, &schema)?;
         println!(
             "\n{name}: type {}, BALG level {}, power nesting {}",
             analysis.ty,

@@ -58,18 +58,18 @@ fn hierarchy_levels_match_the_paper() {
     let schema = Schema::new().with("G", Type::relation(2));
     // BALG¹: no P, no δ, flat types.
     let q1 = Expr::var("G").project(&[2, 1]).subtract(Expr::var("G"));
-    let a1 = check(&q1, &schema).unwrap();
+    let a1 = analyze(&q1, &schema).unwrap();
     assert_eq!(a1.balg_level(), 1);
     assert_eq!(a1.power_nesting, 0);
     // BALG²: one powerset.
     let q2 = Expr::var("G").powerset().destroy();
-    let a2 = check(&q2, &schema).unwrap();
+    let a2 = analyze(&q2, &schema).unwrap();
     assert_eq!(a2.balg_level(), 2);
     assert_eq!(a2.power_nesting, 1);
     // BALG³: two nested powersets — "due to the type limitation it was
     // not possible in BALG² to apply the powerset twice consecutively".
     let q3 = Expr::var("G").powerset().powerset().destroy().destroy();
-    let a3 = check(&q3, &schema).unwrap();
+    let a3 = analyze(&q3, &schema).unwrap();
     assert_eq!(a3.balg_level(), 3);
     assert_eq!(a3.power_nesting, 2);
 }
@@ -113,9 +113,9 @@ fn theorem_5_2_separation_is_jointly_witnessed() {
 fn extension_flags_partition_the_language() {
     let schema = Schema::new().with("R", Type::relation(1));
     let core_query = Expr::var("R").dedup();
-    assert!(check(&core_query, &schema).unwrap().is_core_balg());
+    assert!(analyze(&core_query, &schema).unwrap().is_core_balg());
     let with_powerbag = Expr::var("R").powerbag();
-    assert!(!check(&with_powerbag, &schema).unwrap().is_core_balg());
+    assert!(!analyze(&with_powerbag, &schema).unwrap().is_core_balg());
     let with_ifp = Expr::var("R").ifp("T", Expr::var("T"));
-    assert!(!check(&with_ifp, &schema).unwrap().is_core_balg());
+    assert!(!analyze(&with_ifp, &schema).unwrap().is_core_balg());
 }
