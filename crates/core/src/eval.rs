@@ -16,7 +16,9 @@
 //!   ever built;
 //! * `σ_{αᵢ=αⱼ}(e × e′)` with the equality crossing the product boundary
 //!   evaluates as a hash join — matching pairs are produced directly
-//!   instead of building the full Cartesian product and filtering it.
+//!   instead of building the full Cartesian product and filtering it. The
+//!   pair loop itself is [`crate::join`]'s; this evaluator is one of its
+//!   adapters and supplies which side is indexed and what a pair costs.
 //!
 //! Both fusions compute the same bag (the λ bodies are pure); what changes
 //! is that skipped intermediates are no longer *observed*, so they don't
@@ -32,10 +34,10 @@ use balg_obs::profile::{Profiler, SpanId};
 
 use crate::bag::{attr_field, Bag, BagBuilder, BagError};
 use crate::expr::{Expr, Pred, Var};
-use crate::index::{BagIndex, IndexCache, SubBagTester};
+use crate::index::{IndexCache, SubBagTester};
+use crate::join;
 use crate::natural::Natural;
 use crate::par;
-use crate::pool;
 use crate::schema::Database;
 use crate::value::Value;
 
@@ -1109,13 +1111,13 @@ impl<'a> Evaluator<'a> {
     /// Evaluate `a × b`, optionally under an equi-join filter
     /// `αᵢ = αⱼ` (with `i < j` referring to the concatenated tuple).
     ///
-    /// With `join_attrs` set and the shape guards satisfied — all elements
-    /// tuples, uniform arity per side, the equality spanning the product
-    /// boundary — matching pairs are produced directly from a hash index
-    /// on the left side and the full product is never built. Otherwise
-    /// this is exactly the materializing `Expr::Product` evaluation
-    /// (element-count prediction, then [`Bag::product`]), and the caller
-    /// must still apply the filter.
+    /// With `join_attrs` set and the shape guards satisfied
+    /// ([`join::classify`]: all elements tuples, uniform arity per side,
+    /// the equality spanning the product boundary) matching pairs are
+    /// produced directly by a hash join and the full product is never
+    /// built. Otherwise this is exactly the materializing `Expr::Product`
+    /// evaluation (element-count prediction, then [`Bag::product`]), and
+    /// the caller must still apply the filter.
     fn eval_product(
         &mut self,
         a: &Expr,
@@ -1125,49 +1127,41 @@ impl<'a> Evaluator<'a> {
         let left = expect_bag(self.eval_inner(a)?)?;
         let right = expect_bag(self.eval_inner(b)?)?;
 
-        if let Some((i, j)) = join_attrs {
-            if let (Some(left_arity), Some(right_arity)) =
-                (uniform_arity(&left), uniform_arity(&right))
-            {
-                let spans_boundary =
-                    i >= 1 && i <= left_arity && j > left_arity && j <= left_arity + right_arity;
-                if spans_boundary {
-                    let jr = j - left_arity;
-                    if self.use_indexes {
-                        if let Some(out) = self.indexed_join(&left, i, &right, jr)? {
-                            self.observe(&out)?;
-                            self.note_fast_path("indexed-join");
-                            return Ok(ProductOutcome::Joined(out));
-                        }
-                    }
-                    // Scan path (indexes disabled, or neither side
-                    // indexable): a transient per-query hash table, the
-                    // pre-index behavior with identical output and step
-                    // charges.
-                    let mut index: HashMap<&Value, Vec<(&Value, &Natural)>> = HashMap::new();
-                    for (lv, lm) in left.iter() {
-                        let fields = lv.as_tuple().expect("checked by uniform_arity");
-                        index.entry(&fields[i - 1]).or_default().push((lv, lm));
-                    }
-                    let mut out = BagBuilder::new();
-                    for (rv, rm) in right.iter() {
-                        let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                        let Some(matches) = index.get(&right_fields[jr - 1]) else {
-                            continue;
-                        };
-                        for (lv, lm) in matches {
-                            self.step()?; // one per surviving pair, like the filter
-                            let left_fields = lv.as_tuple().expect("checked by uniform_arity");
-                            out.push(Value::concat_tuples(left_fields, right_fields), *lm * rm);
-                            self.check_builder_limit(&mut out)?;
-                        }
-                    }
-                    let out = out.build();
+        let keys = join_attrs.and_then(|(i, j)| join::classify(i, j, left.pairs(), right.pairs()));
+        if let Some((li, rj)) = keys {
+            if self.use_indexes {
+                if let Some(out) = self.indexed_join(&left, li, &right, rj)? {
                     self.observe(&out)?;
-                    self.note_fast_path("hash-join");
+                    self.note_fast_path("indexed-join");
                     return Ok(ProductOutcome::Joined(out));
                 }
             }
+            // Scan path (indexes disabled, or neither side indexable): a
+            // transient per-query hash table, deliberately not the kernel's
+            // probe — the indexed-vs-scan differential needs two
+            // implementations. Identical output and step charges.
+            let mut index: HashMap<&Value, Vec<(&Value, &Natural)>> = HashMap::new();
+            for (lv, lm) in left.iter() {
+                let fields = lv.as_tuple().expect("checked by classify");
+                index.entry(&fields[li - 1]).or_default().push((lv, lm));
+            }
+            let mut out = BagBuilder::new();
+            for (rv, rm) in right.iter() {
+                let right_fields = rv.as_tuple().expect("checked by classify");
+                let Some(matches) = index.get(&right_fields[rj - 1]) else {
+                    continue;
+                };
+                for (lv, lm) in matches {
+                    self.step()?; // one per surviving pair, like the filter
+                    let left_fields = lv.as_tuple().expect("checked by classify");
+                    out.push(Value::concat_tuples(left_fields, right_fields), *lm * rm);
+                    self.check_builder_limit(&mut out)?;
+                }
+            }
+            let out = out.build();
+            self.observe(&out)?;
+            self.note_fast_path("hash-join");
+            return Ok(ProductOutcome::Joined(out));
         }
 
         // Materializing path. Predict output size: distinct counts multiply.
@@ -1191,93 +1185,90 @@ impl<'a> Evaluator<'a> {
         Ok(ProductOutcome::Materialized(out))
     }
 
-    /// The cached-index hash join: probe a [`BagIndex`] on one operand
-    /// for every row of the other. `li`/`ri` are the join attributes in
-    /// each side's own 1-based numbering; both sides are known to be
-    /// uniform-arity tuple bags. Prefers an index that is already cached
-    /// (either side); on a double miss it indexes the smaller side — the
-    /// cheaper build, and the choice that lets a loop-stable operand
-    /// (e.g. the edge bag of an IFP transitive closure) stay cached while
-    /// the growing side is probed. Returns `Ok(None)` only when no side
-    /// can be indexed, which the guards above make unreachable in
-    /// practice; the caller then falls back to the transient scan.
+    /// The cached-index hash join: [`join::probe`] a cached index on one
+    /// operand with every row of the other. `li`/`rj` are the join
+    /// attributes in each side's own 1-based numbering; both sides are
+    /// known to be uniform-arity tuple bags. Prefers an index that is
+    /// already cached (either side); on a double miss it indexes the
+    /// smaller side — the cheaper build, and the choice that lets a
+    /// loop-stable operand (e.g. the edge bag of an IFP transitive
+    /// closure) stay cached while the growing side is probed. Returns
+    /// `Ok(None)` only when no side can be indexed, which the guards
+    /// above make unreachable in practice; the caller then falls back to
+    /// the transient scan.
     fn indexed_join(
         &mut self,
         left: &Bag,
         li: usize,
         right: &Bag,
-        ri: usize,
+        rj: usize,
     ) -> Result<Option<Bag>, EvalError> {
-        enum Pick {
-            Left(Arc<BagIndex>),
-            Right(Arc<BagIndex>),
-        }
-        let pick = if let Some(index) = self.indexes.peek(left, li) {
-            Some(Pick::Left(index))
-        } else if let Some(index) = self.indexes.peek(right, ri) {
-            Some(Pick::Right(index))
+        let (index, probe_is_left) = if let Some(index) = self.indexes.peek(left, li) {
+            (Some(index), false)
+        } else if let Some(index) = self.indexes.peek(right, rj) {
+            (Some(index), true)
         } else if left.distinct_count() <= right.distinct_count() {
-            self.indexes.get_or_build(left, li).map(Pick::Left)
+            (self.indexes.get_or_build(left, li), false)
         } else {
-            self.indexes.get_or_build(right, ri).map(Pick::Right)
+            (self.indexes.get_or_build(right, rj), true)
         };
-        let Some(pick) = pick else {
+        let Some(index) = index else {
             return Ok(None);
         };
-        // Optimistic partitioned probe: chunk the probe side's rows, run
-        // each chunk infallibly with a local builder, and commit only when
-        // the total surviving-pair count fits both remaining budgets
-        // (steps *and* distinct elements). On overflow nothing has been
-        // charged, so the serial loop below re-runs and reproduces the
-        // exact serial error payload and partial metric charges.
-        if self.par.enabled() {
-            let (index, probe_is_right) = match &pick {
-                Pick::Left(index) => (index, true),
-                Pick::Right(index) => (index, false),
+        let (probe, key) = if probe_is_left {
+            (left, li)
+        } else {
+            (right, rj)
+        };
+        // Optimistic partitioned probe ([`join::chunked`]): commits only
+        // when the surviving-pair count fits both remaining budgets (steps
+        // *and* distinct elements), where one bulk charge equals the
+        // per-pair charges. On overflow nothing has been charged, and the
+        // serial probe below reproduces the exact error payload and
+        // partial metrics.
+        let rows = probe.distinct_count();
+        if self.par.wants(rows) {
+            let budget = Arc::new(join::PushBudget::new(
+                self.steps_left.min(self.limits.max_bag_elements),
+            ));
+            let (probe, index) = (probe.clone(), Arc::clone(&index));
+            let chunk = move |lo, hi, budget: &join::PushBudget| {
+                let mut out = BagBuilder::new();
+                join::probe(
+                    &probe.pairs()[lo..hi],
+                    &index,
+                    key,
+                    probe_is_left,
+                    |pairs| budget.admit(pairs),
+                    |lf, rf, pm, mm| {
+                        out.push(Value::concat_tuples(lf, rf), pm * mm);
+                        Ok(())
+                    },
+                )?;
+                Ok(out.build())
             };
-            let probe = if probe_is_right { right } else { left };
-            if probe.distinct_count() >= self.par.threshold {
-                let budget = self.steps_left.min(self.limits.max_bag_elements);
-                if let Some((out, pairs)) = par_probe_join(
-                    index,
-                    probe,
-                    probe_is_right,
-                    li,
-                    ri,
-                    self.par.chunks,
-                    budget,
-                ) {
-                    self.charge_steps(pairs)
+            match join::chunked(rows, self.par.chunks, &budget, chunk, Bag::additive_union) {
+                Ok(out) => {
+                    self.charge_steps(budget.used())
                         .expect("pair count bounded by remaining steps");
                     return Ok(Some(out));
                 }
+                Err(join::Overflow) => par::note_serial_fallback(),
             }
         }
         let mut out = BagBuilder::new();
-        match pick {
-            Pick::Left(index) => {
-                for (rv, rm) in right.iter() {
-                    let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                    for (lv, lm) in index.group(&right_fields[ri - 1]) {
-                        self.step()?; // one per surviving pair, like the filter
-                        let left_fields = lv.as_tuple().expect("indexed rows are tuples");
-                        out.push(Value::concat_tuples(left_fields, right_fields), lm * rm);
-                        self.check_builder_limit(&mut out)?;
-                    }
-                }
-            }
-            Pick::Right(index) => {
-                for (lv, lm) in left.iter() {
-                    let left_fields = lv.as_tuple().expect("checked by uniform_arity");
-                    for (rv, rm) in index.group(&left_fields[li - 1]) {
-                        self.step()?; // one per surviving pair, like the filter
-                        let right_fields = rv.as_tuple().expect("indexed rows are tuples");
-                        out.push(Value::concat_tuples(left_fields, right_fields), lm * rm);
-                        self.check_builder_limit(&mut out)?;
-                    }
-                }
-            }
-        }
+        join::probe(
+            probe.pairs(),
+            &index,
+            key,
+            probe_is_left,
+            |_| Ok(()),
+            |lf, rf, pm, mm| {
+                self.step()?; // one per surviving pair, like the filter
+                out.push(Value::concat_tuples(lf, rf), pm * mm);
+                self.check_builder_limit(&mut out)
+            },
+        )?;
         Ok(Some(out.build()))
     }
 
@@ -1348,97 +1339,6 @@ enum MergeKind {
     Subtract,
     MaxUnion,
     Intersect,
-}
-
-/// A probe-join chunk job: `Some((chunk output, pairs emitted))`, or
-/// `None` when the shared budget counter tripped.
-type ProbeJoinJob = Box<dyn FnOnce() -> Option<(Bag, u64)> + Send>;
-
-/// Optimistic chunk-parallel probe of a cached join index.
-///
-/// The probe side's rows are split into `chunks` contiguous ranges; each
-/// range runs infallibly with a local [`BagBuilder`], tracking the global
-/// surviving-pair count through a shared atomic. If the count ever exceeds
-/// `budget` (the minimum of the evaluator's remaining step and element
-/// budgets) the attempt returns `None` with nothing charged — the caller's
-/// serial loop then reproduces the exact serial error payload and partial
-/// metric charges. On success the total pair count is returned for one
-/// bulk [`Evaluator::charge_steps`], identical to the serial loop's
-/// per-pair charges.
-///
-/// Chunk outputs merge exactly: both operand bags hold distinct rows and
-/// the left side has uniform arity, so every surviving `(probe row, match
-/// row)` pair concatenates to a distinct output tuple — chunk bags are
-/// disjoint and their additive union equals the serial builder's output.
-fn par_probe_join(
-    index: &Arc<BagIndex>,
-    probe: &Bag,
-    probe_is_right: bool,
-    li: usize,
-    ri: usize,
-    chunks: usize,
-    budget: u64,
-) -> Option<(Bag, u64)> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let n = probe.distinct_count();
-    let counter = Arc::new(AtomicU64::new(0));
-    let key_ix = if probe_is_right { ri } else { li };
-    let mut jobs: Vec<ProbeJoinJob> = Vec::with_capacity(chunks);
-    let mut row = 0usize;
-    for k in 1..=chunks {
-        let end = n * k / chunks;
-        if end <= row {
-            continue;
-        }
-        let probe = probe.clone();
-        let index = Arc::clone(index);
-        let counter = Arc::clone(&counter);
-        let (lo, hi) = (row, end);
-        jobs.push(Box::new(move || {
-            let mut out = BagBuilder::new();
-            let mut pairs = 0u64;
-            for (pv, pm) in &probe.pairs()[lo..hi] {
-                let pf = pv.as_tuple().expect("checked by uniform_arity");
-                let group = index.group(&pf[key_ix - 1]);
-                if group.is_empty() {
-                    continue;
-                }
-                let g = group.len() as u64;
-                let before = counter.fetch_add(g, Ordering::Relaxed);
-                if before.saturating_add(g) > budget {
-                    return None;
-                }
-                pairs += g;
-                for (mv, mm) in group {
-                    let mf = mv.as_tuple().expect("indexed rows are tuples");
-                    if probe_is_right {
-                        out.push(Value::concat_tuples(mf, pf), mm * pm);
-                    } else {
-                        out.push(Value::concat_tuples(pf, mf), pm * mm);
-                    }
-                }
-            }
-            Some((out.build(), pairs))
-        }));
-        row = end;
-    }
-    if jobs.len() <= 1 {
-        // Degenerate partition — let the caller's serial loop run instead.
-        return None;
-    }
-    par::note_partitioned(jobs.len());
-    let parts = pool::global().run(jobs);
-    let mut total = 0u64;
-    let mut merged = Bag::new();
-    for part in parts {
-        let Some((bag, pairs)) = part else {
-            par::note_serial_fallback();
-            return None;
-        };
-        total += pairs;
-        merged = merged.additive_union(&bag);
-    }
-    Some((merged, total))
 }
 
 /// One node of a `MAP`/`σ` spine, borrowed from the expression tree.
@@ -1634,31 +1534,9 @@ pub fn equi_join_attrs(pred: &Pred, var: &Var) -> Option<(usize, usize)> {
         _ => None,
     };
     match pred {
-        Pred::Eq(a, b) => {
-            let (i, j) = (attr_of(a)?, attr_of(b)?);
-            if i == j || i == 0 || j == 0 {
-                None // trivially true, or an always-erroring α₀ — not a join
-            } else {
-                Some((i.min(j), i.max(j)))
-            }
-        }
+        Pred::Eq(a, b) => join::equi_attrs(attr_of(a)?, attr_of(b)?),
         _ => None,
     }
-}
-
-/// `Some(arity)` iff every element is a tuple of the same arity (the empty
-/// bag has no witness, so it reports `None` and the caller falls back).
-fn uniform_arity(bag: &Bag) -> Option<usize> {
-    let mut arity = None;
-    for (value, _) in bag.iter() {
-        let len = value.as_tuple()?.len();
-        match arity {
-            None => arity = Some(len),
-            Some(a) if a == len => {}
-            Some(_) => return None,
-        }
-    }
-    arity
 }
 
 /// `π_I(L × R)` when every index of `I` falls on one side: the other side
@@ -1673,7 +1551,10 @@ fn one_sided_projection(
     right: &Bag,
     indices: &[usize],
 ) -> Result<Option<Bag>, EvalError> {
-    let (Some(left_arity), Some(right_arity)) = (uniform_arity(left), uniform_arity(right)) else {
+    let (Some(left_arity), Some(right_arity)) = (
+        join::uniform_arity(left.pairs()),
+        join::uniform_arity(right.pairs()),
+    ) else {
         return Ok(None);
     };
     if indices.iter().all(|&ix| ix >= 1 && ix <= left_arity) {

@@ -46,6 +46,7 @@
 //! | [`mod@analyze`] | the one static pass: type inference, fragment (BALGᵏᵢ), set-ness & linearity certificates, tractability class |
 //! | [`mod@eval`] | resource-limited evaluation with metrics |
 //! | [`index`]   | per-key join indexes and memoized `SubBag` testers |
+//! | [`join`]    | the equi-join kernel: classify, index probe, reference scan, chunked driver — every engine's fused `σ_{αᵢ=αⱼ}(×)` is an adapter over it |
 //! | [`pool`]    | vendored work-stealing thread pool (std-only) |
 //! | [`par`]     | deterministic partitioned operator kernels |
 //! | [`derived`] | aggregates, cardinality quantifiers, Prop 3.1 identities |
@@ -64,6 +65,7 @@ pub mod eval;
 pub mod expanded;
 pub mod expr;
 pub mod index;
+pub mod join;
 pub mod natural;
 pub mod par;
 pub mod parse;

@@ -474,10 +474,10 @@ fn par_obs() -> Option<&'static ParObs> {
 /// A chunk job producing one partition's sorted pair run.
 type PairRunJob = Box<dyn FnOnce() -> Vec<(Value, Natural)> + Send>;
 
-/// Count one operator execution that actually partitioned (≥ 2 chunks).
-/// Public so the downstream evaluators' chunked probe loops record into
-/// the same counters; never influences results.
-pub fn note_partitioned(chunks: usize) {
+/// Count one operator execution that actually partitioned (≥ 2 chunks) —
+/// the kernels here and [`crate::join::chunked`] record into the same
+/// counters; never influences results.
+pub(crate) fn note_partitioned(chunks: usize) {
     if chunks > 1 {
         if let Some(obs) = par_obs() {
             obs.partitions.inc();

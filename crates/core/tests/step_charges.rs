@@ -1,0 +1,135 @@
+//! Exact work counters of the fused equi-join, pinned.
+//!
+//! The differential suites (`index_props`, `parallel_differential`)
+//! compare the join paths with each other; two paths drifting *together*
+//! — what an extraction of their shared loop can cause — passes every one
+//! of them. Only absolute numbers catch that, so this file pins
+//! `Metrics.{steps, max_distinct_elements}` for fixed inputs.
+//!
+//! The constants were taken at commit `8899e58` (the parent of the
+//! `balg_core::join` extraction), before any edit, and every case is
+//! checked on all three `Evaluator` paths — indexed, `set_indexing(false)`
+//! and partitioned (`set_parallel_threads(4)`, threshold 1). A changed
+//! number is a bug in the change, not a re-baseline.
+
+use balg_core::bag::Bag;
+use balg_core::eval::{EvalError, Evaluator, Limits};
+use balg_core::expr::{Expr, Pred};
+use balg_core::natural::Natural;
+use balg_core::schema::Database;
+use balg_core::value::Value;
+
+/// `rows` binary tuples `[k mod keys, k]` with multiplicity `1 + k mod 3`:
+/// every join key groups `rows / keys` rows.
+fn keyed(rows: i64, keys: i64) -> Bag {
+    Bag::from_counted((0..rows).map(|k| {
+        (
+            Value::tuple([Value::int(k % keys), Value::int(k)]),
+            Natural::from(1 + (k % 3) as u64),
+        )
+    }))
+}
+
+fn join(left: &str, right: &str, i: usize, j: usize) -> Expr {
+    Expr::var(left).product(Expr::var(right)).select(
+        "x",
+        Pred::eq(Expr::var("x").attr(i), Expr::var("x").attr(j)),
+    )
+}
+
+/// Evaluate on the three paths; each must report exactly
+/// `(steps, max_distinct_elements)` and all must agree on the outcome.
+fn pinned(
+    q: &Expr,
+    db: &Database,
+    limits: &Limits,
+    steps: u64,
+    max_distinct: u64,
+) -> Result<Bag, EvalError> {
+    let mut outcomes = Vec::new();
+    for path in ["indexed", "scan", "partitioned"] {
+        let mut ev = Evaluator::new(db, limits.clone());
+        match path {
+            "scan" => ev.set_indexing(false),
+            "partitioned" => {
+                ev.set_parallel_threads(4);
+                ev.set_parallel_threshold(1);
+            }
+            _ => {}
+        }
+        let outcome = ev.eval_bag(q);
+        assert_eq!(
+            (ev.metrics().steps, ev.metrics().max_distinct_elements),
+            (steps, max_distinct),
+            "{path} path: (steps, max_distinct_elements) moved for {q}"
+        );
+        outcomes.push(outcome);
+    }
+    assert_eq!(outcomes[0], outcomes[1], "indexed vs scan for {q}");
+    assert_eq!(outcomes[0], outcomes[2], "indexed vs partitioned for {q}");
+    outcomes.swap_remove(0)
+}
+
+#[test]
+fn fused_join_charges_one_step_per_surviving_pair() {
+    let db = Database::new()
+        .with("R", keyed(48, 6))
+        .with("S", keyed(30, 5));
+    // σ_{α₁=α₃}(R × S): keys 0..4 match, 8 rows × 6 rows each.
+    let out = pinned(&join("R", "S", 1, 3), &db, &Limits::default(), 244, 240).unwrap();
+    assert_eq!(out.distinct_count(), 240);
+}
+
+#[test]
+fn ifp_closure_over_a_join_body() {
+    let g = Bag::from_values(
+        (0..12i64).map(|i| Value::tuple([Value::int(i), Value::int((i + 1) % 12)])),
+    );
+    let db = Database::new().with("G", g);
+    let body = join("T", "G", 2, 3).project(&[1, 4]).dedup();
+    let q = Expr::var("G").ifp("T", body);
+    let out = pinned(&q, &db, &Limits::default(), 1_946, 144).unwrap();
+    assert_eq!(out.distinct_count(), 144);
+}
+
+#[test]
+fn non_spanning_equality_materializes_then_filters() {
+    let db = Database::new()
+        .with("A", keyed(12, 4))
+        .with("B", keyed(5, 5));
+    // σ_{α₁=α₂}(A × B) reads the left operand twice: no probe join.
+    let out = pinned(&join("A", "B", 1, 2), &db, &Limits::default(), 304, 60).unwrap();
+    assert_eq!(out.distinct_count(), 20); // rows 0..3 have k mod 4 = k
+}
+
+#[test]
+fn step_limit_mid_probe_leaves_the_partial_charge() {
+    let db = Database::new()
+        .with("R", keyed(48, 6))
+        .with("S", keyed(30, 5));
+    let limits = Limits {
+        max_steps: 100,
+        ..Limits::default()
+    };
+    let err = pinned(&join("R", "S", 1, 3), &db, &limits, 101, 0).unwrap_err();
+    assert_eq!(err, EvalError::StepLimit(100));
+}
+
+#[test]
+fn element_limit_mid_probe_leaves_the_partial_charge() {
+    let db = Database::new()
+        .with("R", keyed(48, 6))
+        .with("S", keyed(30, 5));
+    let limits = Limits {
+        max_bag_elements: 50,
+        ..Limits::default()
+    };
+    let err = pinned(&join("R", "S", 1, 3), &db, &limits, 55, 0).unwrap_err();
+    assert_eq!(
+        err,
+        EvalError::ElementLimit {
+            observed: 51,
+            limit: 50
+        }
+    );
+}

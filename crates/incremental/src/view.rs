@@ -11,7 +11,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use balg_core::analyze::{base_linearity, Linearity};
@@ -19,8 +18,8 @@ use balg_core::bag::{attr_field, Bag};
 use balg_core::eval::{equi_join_attrs, EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred, Var};
 use balg_core::index::{BagIndex, IndexCache};
+use balg_core::join::{self, Overflow, PushBudget};
 use balg_core::par::{self, Parallel};
-use balg_core::pool;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 use balg_core::zbag::{ZBag, ZBagBuilder, ZInt};
@@ -440,36 +439,6 @@ fn expect_bag(value: &Value) -> Result<&Bag, EvalError> {
     })
 }
 
-/// One operand of a fused equi-join, as seen by the delta rule.
-enum JoinSide {
-    /// Empty and untouched by this batch: the join delta is zero.
-    Vacuous,
-    /// Uniform `arity`-tuples; `index` is the per-key index on the
-    /// preferred attribute when indexing is enabled and the attribute
-    /// falls on this side.
-    Uniform {
-        arity: usize,
-        index: Option<Arc<BagIndex>>,
-    },
-    /// Mixed arities or non-tuple rows — the fused linear rule is
-    /// unsound, so the node re-derives instead.
-    Irregular,
-}
-
-/// `Some(arity)` iff every element of the bag is a tuple of one arity.
-fn uniform_tuple_arity(bag: &Bag) -> Option<usize> {
-    let mut observed = None;
-    for row in bag.elements() {
-        let fields = row.as_tuple()?;
-        match observed {
-            None => observed = Some(fields.len()),
-            Some(a) if a == fields.len() => {}
-            Some(_) => return None,
-        }
-    }
-    observed
-}
-
 /// Classify one join operand. `preferred` is the attribute (in the
 /// side's own 1-based numbering) the probe terms would key by, and
 /// `want_index` says whether any term will actually probe this side (the
@@ -481,6 +450,12 @@ fn uniform_tuple_arity(bag: &Bag) -> Option<usize> {
 /// would force a copy-on-write of the snapshot on its next in-place
 /// patch and churn the cache with dead entries every batch. Scan mode
 /// establishes uniformity by scanning (its terms are `O(|bag|)` anyway).
+///
+/// Returns the side's uniform arity and, when indexing is enabled and
+/// `preferred` falls on this side, its per-key index — or `None` for
+/// mixed arities or non-tuple rows, where the fused linear rule is
+/// unsound and the node re-derives instead. The caller has dealt with the
+/// vacuous side (empty and untouched).
 fn join_side(
     ctx: &mut UpdateCtx<'_, '_>,
     bag: &Bag,
@@ -488,334 +463,149 @@ fn join_side(
     delta: &ZBag,
     persistent: bool,
     want_index: bool,
-) -> JoinSide {
+) -> Option<(usize, Option<Arc<BagIndex>>)> {
     // Delta rows must share the operand's arity or the fixed split point
     // of the concatenated tuple is ill-defined.
-    let mut delta_arity = None;
-    for (row, _) in delta.iter() {
-        let Some(fields) = row.as_tuple() else {
-            return JoinSide::Irregular;
-        };
-        match delta_arity {
-            None => delta_arity = Some(fields.len()),
-            Some(a) if a == fields.len() => {}
-            Some(_) => return JoinSide::Irregular,
-        }
+    let delta_arity = join::uniform_arity(delta.pairs());
+    if delta_arity.is_none() && !delta.is_empty() {
+        return None;
     }
     if bag.is_empty() {
-        return match delta_arity {
-            None => JoinSide::Vacuous,
-            Some(arity) => JoinSide::Uniform { arity, index: None },
-        };
+        return delta_arity.map(|arity| (arity, None));
     }
-    let arity;
-    let mut index = None;
-    if ctx.use_indexes && persistent {
+    let cached = ctx.use_indexes && persistent;
+    let index = if cached {
         // Build (or hit) the cached base index even when this batch's
         // terms won't probe it: it is built at most once per (base,
         // attribute), patched thereafter, and doubles as an O(1) arity
         // witness for every later batch.
-        match ctx.indexes.get_or_build(bag, preferred) {
-            Some(built) => {
-                arity = built.arity();
-                index = Some(built);
-            }
-            // The preferred attribute may simply be out of this side's
-            // range (the equality reads one side twice); attribute 1 is
-            // in range for every tuple, so it settles uniformity.
-            None => match ctx.indexes.get_or_build(bag, 1) {
-                Some(witness) => arity = witness.arity(),
-                None => return JoinSide::Irregular,
-            },
-        }
+        ctx.indexes.get_or_build(bag, preferred)
     } else if ctx.use_indexes && want_index {
-        match BagIndex::build(bag, preferred) {
-            Some(built) => {
-                arity = built.arity();
-                index = Some(Arc::new(built));
-            }
-            None => match uniform_tuple_arity(bag) {
-                Some(a) => arity = a,
-                None => return JoinSide::Irregular,
-            },
-        }
+        BagIndex::build(bag, preferred).map(Arc::new)
     } else {
-        match uniform_tuple_arity(bag) {
-            Some(a) => arity = a,
-            None => return JoinSide::Irregular,
-        }
-    }
-    if delta_arity.is_some_and(|d| d != arity) {
-        return JoinSide::Irregular;
-    }
-    JoinSide::Uniform { arity, index }
+        None
+    };
+    let arity = match &index {
+        Some(built) => Some(built.arity()),
+        // The preferred attribute may simply be out of this side's range
+        // (the equality reads one side twice); attribute 1 is in range
+        // for every tuple, so it settles uniformity.
+        None if cached => ctx.indexes.get_or_build(bag, 1).map(|w| w.arity()),
+        None => join::uniform_arity(bag.pairs()),
+    };
+    arity
+        .filter(|&arity| delta_arity.is_none_or(|d| d == arity))
+        .map(|arity| (arity, index))
 }
 
-/// The `k`-th (1-based) field of the virtual concatenation `lf ++ rf`.
-/// The caller has checked `1 ≤ k ≤ |lf| + |rf|`.
-fn pair_field<'x>(lf: &'x [Value], rf: &'x [Value], k: usize) -> &'x Value {
-    if k <= lf.len() {
-        &lf[k - 1]
-    } else {
-        &rf[k - lf.len() - 1]
-    }
-}
-
-/// Enforce the distinct-element budget on a join-delta builder.
-fn check_join_budget(out: &mut ZBagBuilder, limit: u64) -> Result<(), MaintainError> {
-    out.ensure_distinct_within(limit)
-        .map_err(|observed| MaintainError::Eval(EvalError::ElementLimit { observed, limit }))
-}
-
-/// Rank-proportional chunk boundaries over `n` delta rows: cut `k` ends at
-/// `n·k/chunks`, a pure function of the requested chunk count (never of
-/// worker count or load), so every parallelism setting partitions — and
-/// therefore computes — identically. Empty ranges collapse away.
-fn row_cuts(n: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let chunks = chunks.clamp(1, n.max(1));
-    let mut cuts = Vec::with_capacity(chunks);
-    let mut lo = 0usize;
-    for k in 1..=chunks {
-        let hi = n * k / chunks;
-        if hi > lo {
-            cuts.push((lo, hi));
-            lo = hi;
-        }
-    }
-    cuts
-}
-
-/// One chunk of an indexed join-delta term: probe the opposite side's
-/// per-key index with each delta row in `rows`, accumulating surviving
-/// pairs into a chunk-local builder. `key` is the 1-based join attribute
-/// within the delta row; `delta_is_left` fixes the concatenation order.
-/// The shared `counter` tracks total pushes across all chunks and terms;
-/// crossing `budget` aborts the whole optimistic attempt (checked
-/// *before* materializing a row's group, so committed work never exceeds
-/// the budget).
-fn probe_delta_chunk(
-    rows: &[(Value, ZInt)],
-    index: &BagIndex,
-    key: usize,
+/// One `F(δX × Y_new)` term of a fused equi-join delta: the unchanged
+/// operand `Y_new`, how its matching rows are reached, and which side of
+/// the product the delta rows sit on.
+#[derive(Clone)]
+struct SideTerm {
+    other: Bag,
+    /// `Y_new`'s per-key index and the key's 1-based position within a
+    /// delta row — set when the equality spans the product boundary and
+    /// the side got an index; otherwise the term scans `Y_new`.
+    probe: Option<(Arc<BagIndex>, usize)>,
+    attrs: (usize, usize),
     delta_is_left: bool,
-    counter: &AtomicU64,
-    budget: u64,
-) -> Option<ZBag> {
-    let mut out = ZBagBuilder::new();
-    for (row, change) in rows {
-        let pf = row.as_tuple().expect("join_side checked");
-        let group = index.group(&pf[key - 1]);
-        let g = group.len() as u64;
-        if counter.fetch_add(g, Ordering::Relaxed).saturating_add(g) > budget {
-            return None;
+}
+
+impl SideTerm {
+    /// Hand every surviving pair of `rows × Y_new` to `push`, its
+    /// multiplicity the δ-row's scaled by `Y`'s; `admit` learns how many
+    /// pairs are coming before they do.
+    fn run<E>(
+        &self,
+        rows: &[(Value, ZInt)],
+        mut admit: impl FnMut(u64) -> Result<(), E>,
+        mut push: impl FnMut(Value, ZInt) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (attrs, left) = (self.attrs, self.delta_is_left);
+        match &self.probe {
+            Some((index, key)) => join::probe(rows, index, *key, left, admit, |lf, rf, d, m| {
+                push(Value::concat_tuples(lf, rf), d.scale(m))
+            }),
+            None => join::scan(rows, self.other.pairs(), attrs, left, |lf, rf, d, m| {
+                admit(1)?;
+                push(Value::concat_tuples(lf, rf), d.scale(m))
+            }),
         }
-        for (other, mult) in group {
-            let of = other.as_tuple().expect("indexed rows are tuples");
-            let value = if delta_is_left {
-                Value::concat_tuples(pf, of)
-            } else {
-                Value::concat_tuples(of, pf)
+    }
+}
+
+/// A fused equi-join delta, classified: what [`Node::join_delta`] hands to
+/// whichever sink runs it.
+struct DeltaJoin<'a> {
+    /// The `F(δA × B_new)` and `F(A_new × δB)` terms, each with its delta.
+    sides: [(SideTerm, &'a ZBag); 2],
+}
+
+impl<'a> DeltaJoin<'a> {
+    /// The side terms that are not zero (nothing on one side).
+    fn live(&self) -> impl Iterator<Item = &(SideTerm, &'a ZBag)> {
+        let live = |(term, delta): &&(SideTerm, &ZBag)| !delta.is_empty() && !term.other.is_empty();
+        self.sides.iter().filter(live)
+    }
+
+    /// `⊖ F(δA × δB)` — both sides small, one pair-filter scan.
+    fn cross_term<E>(&self, mut push: impl FnMut(Value, ZInt) -> Result<(), E>) -> Result<(), E> {
+        let [(term, da), (_, db)] = &self.sides;
+        join::scan(da.pairs(), db.pairs(), term.attrs, true, |lf, rf, l, r| {
+            push(Value::concat_tuples(lf, rf), l.mul(r).neg())
+        })
+    }
+
+    /// The exact sink: one builder across all three terms, the
+    /// distinct-element budget enforced after every push.
+    fn exact(&self, limit: u64) -> Result<ZBag, MaintainError> {
+        let mut out = ZBagBuilder::new();
+        let mut push = |value, change| {
+            out.push(value, change);
+            out.ensure_distinct_within(limit).map_err(|observed| {
+                MaintainError::Eval(EvalError::ElementLimit { observed, limit })
+            })
+        };
+        for (term, delta) in self.live() {
+            term.run(delta.pairs(), |_| Ok(()), &mut push)?;
+        }
+        self.cross_term(&mut push)?;
+        Ok(out.build())
+    }
+
+    /// The optimistic sink: each side term's delta rows chunked across the
+    /// worker pool (a delta below the partition threshold is one inline
+    /// chunk), all three terms under one [`PushBudget`] of `limit` pairs.
+    /// Within it the exact sink cannot hit its distinct-element budget
+    /// either (distinct ≤ pushes), so a committed delta is bit-identical;
+    /// on [`Overflow`] nothing is kept and [`DeltaJoin::exact`] decides.
+    fn optimistic(&self, par: Parallel, limit: u64) -> Result<ZBag, Overflow> {
+        let budget = Arc::new(PushBudget::new(limit));
+        let mut out = ZBag::new();
+        for (term, delta) in self.live() {
+            let (term, rows) = (term.clone(), delta.pairs().to_vec());
+            let n = rows.len();
+            let chunks = if par.wants(n) { par.chunks } else { 1 };
+            let chunk = move |lo, hi, budget: &PushBudget| {
+                let mut part = ZBagBuilder::new();
+                let push = |value, change| {
+                    part.push(value, change);
+                    Ok(())
+                };
+                term.run(&rows[lo..hi], |pairs| budget.admit(pairs), push)?;
+                Ok(part.build())
             };
-            out.push(value, change.scale(mult));
+            out = out.add(&join::chunked(n, chunks, &budget, chunk, ZBag::add)?);
         }
+        let mut part = ZBagBuilder::new();
+        self.cross_term(|value, change| {
+            budget.admit(1)?;
+            part.push(value, change);
+            Ok(())
+        })?;
+        Ok(out.add(&part.build()))
     }
-    Some(out.build())
-}
-
-/// One chunk of a scanned join-delta term: pair every delta row in `rows`
-/// with every element of the unchanged operand under the `αᵢ = αⱼ` filter.
-/// Budget semantics mirror [`probe_delta_chunk`] (the counter is bumped
-/// per surviving pair, before the push).
-fn scan_delta_chunk(
-    rows: &[(Value, ZInt)],
-    other: &Bag,
-    i: usize,
-    j: usize,
-    delta_is_left: bool,
-    counter: &AtomicU64,
-    budget: u64,
-) -> Option<ZBag> {
-    let mut out = ZBagBuilder::new();
-    for (row, change) in rows {
-        let pf = row.as_tuple().expect("join_side checked");
-        for (other_row, mult) in other.iter() {
-            let of = other_row.as_tuple().expect("join_side checked");
-            let (lf, rf) = if delta_is_left { (pf, of) } else { (of, pf) };
-            if pair_field(lf, rf, i) == pair_field(lf, rf, j) {
-                if counter.fetch_add(1, Ordering::Relaxed) >= budget {
-                    return None;
-                }
-                out.push(Value::concat_tuples(lf, rf), change.scale(mult));
-            }
-        }
-    }
-    Some(out.build())
-}
-
-/// Fan one indexed term out across the worker pool (or run it inline when
-/// the delta is below the partition threshold). Chunk deltas merge with
-/// the keyed group sum [`ZBag::add`], which equals building from the full
-/// push stream in any order.
-fn par_probe_term(
-    delta: &Arc<Vec<(Value, ZInt)>>,
-    index: &Arc<BagIndex>,
-    key: usize,
-    delta_is_left: bool,
-    par: Parallel,
-    counter: &Arc<AtomicU64>,
-    budget: u64,
-) -> Option<ZBag> {
-    let want = if delta.len() >= par.threshold {
-        par.chunks
-    } else {
-        1
-    };
-    let cuts = row_cuts(delta.len(), want);
-    if cuts.len() <= 1 {
-        return probe_delta_chunk(delta, index, key, delta_is_left, counter, budget);
-    }
-    par::note_partitioned(cuts.len());
-    let jobs: Vec<_> = cuts
-        .into_iter()
-        .map(|(lo, hi)| {
-            let delta = Arc::clone(delta);
-            let index = Arc::clone(index);
-            let counter = Arc::clone(counter);
-            move || probe_delta_chunk(&delta[lo..hi], &index, key, delta_is_left, &counter, budget)
-        })
-        .collect();
-    let mut out = ZBag::new();
-    for part in pool::global().run(jobs) {
-        out = out.add(&part?);
-    }
-    Some(out)
-}
-
-/// Fan one scanned term out across the worker pool — same contract as
-/// [`par_probe_term`], with the unchanged operand scanned per delta row.
-#[allow(clippy::too_many_arguments)]
-fn par_scan_term(
-    delta: &Arc<Vec<(Value, ZInt)>>,
-    other: &Bag,
-    i: usize,
-    j: usize,
-    delta_is_left: bool,
-    par: Parallel,
-    counter: &Arc<AtomicU64>,
-    budget: u64,
-) -> Option<ZBag> {
-    let want = if delta.len() >= par.threshold {
-        par.chunks
-    } else {
-        1
-    };
-    let cuts = row_cuts(delta.len(), want);
-    if cuts.len() <= 1 {
-        return scan_delta_chunk(delta, other, i, j, delta_is_left, counter, budget);
-    }
-    par::note_partitioned(cuts.len());
-    let jobs: Vec<_> = cuts
-        .into_iter()
-        .map(|(lo, hi)| {
-            let delta = Arc::clone(delta);
-            let other = other.clone();
-            let counter = Arc::clone(counter);
-            move || {
-                scan_delta_chunk(
-                    &delta[lo..hi],
-                    &other,
-                    i,
-                    j,
-                    delta_is_left,
-                    &counter,
-                    budget,
-                )
-            }
-        })
-        .collect();
-    let mut out = ZBag::new();
-    for part in pool::global().run(jobs) {
-        out = out.add(&part?);
-    }
-    Some(out)
-}
-
-/// Optimistic partitioned evaluation of the fused equi-join's three delta
-/// terms. Commits only when the total surviving pair count stays within
-/// `budget` (= `max_elements`): in that regime the serial builder cannot
-/// hit its distinct-element budget either (distinct ≤ pushes), and the
-/// keyed merge of chunk deltas equals the serial push stream, so the
-/// committed delta is bit-identical to the serial one. On overflow
-/// nothing is kept and the caller's serial loops re-derive the exact
-/// outcome — success or the precise `ElementLimit` payload. The boolean
-/// mirrors the serial `used_index` flag.
-#[allow(clippy::too_many_arguments)]
-fn join_delta_par(
-    da: &ZBag,
-    db_: &ZBag,
-    left_new: &Bag,
-    right_new: &Bag,
-    left_index: &Option<Arc<BagIndex>>,
-    right_index: &Option<Arc<BagIndex>>,
-    i: usize,
-    j: usize,
-    la: usize,
-    spanning: bool,
-    par: Parallel,
-    budget: u64,
-) -> Option<(ZBag, bool)> {
-    let counter = Arc::new(AtomicU64::new(0));
-    let mut out = ZBag::new();
-    let mut used_index = false;
-    // F(δA × B_new)
-    if !da.is_empty() && !right_new.is_empty() {
-        let rows = Arc::new(da.pairs().to_vec());
-        let term = if let (true, Some(index)) = (spanning, right_index) {
-            used_index = true;
-            par_probe_term(&rows, index, i, true, par, &counter, budget)
-        } else {
-            par_scan_term(&rows, right_new, i, j, true, par, &counter, budget)
-        };
-        let Some(term) = term else {
-            par::note_serial_fallback();
-            return None;
-        };
-        out = out.add(&term);
-    }
-    // F(A_new × δB)
-    if !db_.is_empty() && !left_new.is_empty() {
-        let rows = Arc::new(db_.pairs().to_vec());
-        let term = if let (true, Some(index)) = (spanning, left_index) {
-            used_index = true;
-            par_probe_term(&rows, index, j - la, false, par, &counter, budget)
-        } else {
-            par_scan_term(&rows, left_new, i, j, false, par, &counter, budget)
-        };
-        let Some(term) = term else {
-            par::note_serial_fallback();
-            return None;
-        };
-        out = out.add(&term);
-    }
-    // ⊖ F(δA × δB) — both sides small, a direct pair loop on this thread.
-    if !da.is_empty() && !db_.is_empty() {
-        let mut builder = ZBagBuilder::new();
-        for (lrow, lchange) in da.iter() {
-            let lf = lrow.as_tuple().expect("join_side checked");
-            for (rrow, rchange) in db_.iter() {
-                let rf = rrow.as_tuple().expect("join_side checked");
-                if pair_field(lf, rf, i) == pair_field(lf, rf, j) {
-                    if counter.fetch_add(1, Ordering::Relaxed) >= budget {
-                        par::note_serial_fallback();
-                        return None;
-                    }
-                    builder.push(Value::concat_tuples(lf, rf), lchange.mul(rchange).neg());
-                }
-            }
-        }
-        out = out.add(&builder.build());
-    }
-    Some((out, used_index))
 }
 
 /// Classify a replaced value for the parent: unchanged, a bag delta, or an
@@ -969,9 +759,11 @@ impl Node {
 
     /// The fused equi-join's linear delta in post-update form:
     /// `δJ = F(δA × B_new) ⊕ F(A_new × δB) ⊖ F(δA × δB)` with
-    /// `F = σ_{αᵢ=αⱼ}`. When the equality spans the product boundary,
-    /// each `F(δX × Y)` term probes `Y`'s per-key index — only the rows
-    /// keyed by the delta's join values are touched, `O(|δ| · matches)`;
+    /// `F = σ_{αᵢ=αⱼ}` — three calls into [`balg_core::join`], which owns
+    /// the pair loops; this adapter classifies the operands and picks the
+    /// sink. When the equality spans the product boundary, each
+    /// `F(δX × Y)` term probes `Y`'s per-key index — only the rows keyed
+    /// by the delta's join values are touched, `O(|δ| · matches)`;
     /// otherwise the terms scan `Y` under the pair filter (still linear
     /// in `|Y|`, the shape of the unfused bilinear rule). Returns `None`
     /// when the operands do not admit the fused rule (mixed arities, an
@@ -998,119 +790,61 @@ impl Node {
         // Only a non-empty opposite delta makes a side worth indexing:
         // F(A_new × δB) probes the left index, F(δA × B_new) the right.
         let (want_left, want_right) = (!db_.is_empty(), !da.is_empty());
-        // The left side's arity fixes the split point of the
+        // An operand that is empty and untouched makes the join delta
+        // zero. The left side's arity fixes the split point of the
         // concatenated tuple, so it resolves first.
-        let (la, left_index) = match join_side(ctx, left_new, i, da, left_persistent, want_left) {
-            JoinSide::Vacuous => return Ok(Some((ZBag::new(), false))),
-            JoinSide::Irregular => return Ok(None),
-            JoinSide::Uniform { arity, index } => (arity, index),
+        let zero = || Ok(Some((ZBag::new(), false)));
+        if left_new.is_empty() && da.is_empty() {
+            return zero();
+        }
+        let Some((la, left_index)) = join_side(ctx, left_new, i, da, left_persistent, want_left)
+        else {
+            return Ok(None);
         };
+        if right_new.is_empty() && db_.is_empty() {
+            return zero();
+        }
         let right_preferred = if j > la { j - la } else { 1 };
-        let (ra, right_index) = match join_side(
+        let Some((ra, right_index)) = join_side(
             ctx,
             right_new,
             right_preferred,
             db_,
             right_persistent,
             want_right,
-        ) {
-            JoinSide::Vacuous => return Ok(Some((ZBag::new(), false))),
-            JoinSide::Irregular => return Ok(None),
-            JoinSide::Uniform { arity, index } => (arity, index),
+        ) else {
+            return Ok(None);
         };
         if i > la + ra || j > la + ra {
             return Ok(None); // σ errors on every pair — re-derive honestly
         }
-        let spanning = i <= la && j > la;
-        // Optimistic partitioned attempt: chunk the delta rows across the
-        // worker pool under a shared push budget (see [`join_delta_par`]).
-        // `None` means the budget overflowed — fall through to the serial
-        // loops, which re-derive the exact outcome.
+        // A term probes only when the equality spans the boundary *and*
+        // `join_side` indexed the operand it reads: F(δA × B_new) keys
+        // B's index by αᵢ of a δA row, F(A_new × δB) keys A's by
+        // α_{j−la} of a δB row. A term with nothing on one side is zero.
+        let spanning = join::spanning_keys(i, j, la, ra);
+        let side = |other: &Bag, index: Option<Arc<BagIndex>>, key, delta_is_left| SideTerm {
+            other: other.clone(),
+            probe: index.zip(key),
+            attrs: (i, j),
+            delta_is_left,
+        };
+        let (left_key, right_key) = (spanning.map(|k| k.0), spanning.map(|k| k.1));
+        let join = DeltaJoin {
+            sides: [
+                (side(right_new, right_index, left_key, true), da),
+                (side(left_new, left_index, right_key, false), db_),
+            ],
+        };
+        let used_index = join.live().any(|(term, _)| term.probe.is_some());
         let parallel = ctx.ev.parallel();
         if parallel.wants(da.distinct_count()) || parallel.wants(db_.distinct_count()) {
-            if let Some(result) = join_delta_par(
-                da,
-                db_,
-                left_new,
-                right_new,
-                &left_index,
-                &right_index,
-                i,
-                j,
-                la,
-                spanning,
-                parallel,
-                ctx.max_elements,
-            ) {
-                return Ok(Some(result));
+            match join.optimistic(parallel, ctx.max_elements) {
+                Ok(delta) => return Ok(Some((delta, used_index))),
+                Err(Overflow) => par::note_serial_fallback(),
             }
         }
-        let mut out = ZBagBuilder::new();
-        let mut used_index = false;
-        // F(δA × B_new)
-        if !da.is_empty() && !right_new.is_empty() {
-            if let (true, Some(index)) = (spanning, &right_index) {
-                used_index = true;
-                for (row, change) in da.iter() {
-                    let lf = row.as_tuple().expect("join_side checked");
-                    for (other, mult) in index.group(&lf[i - 1]) {
-                        let rf = other.as_tuple().expect("indexed rows are tuples");
-                        out.push(Value::concat_tuples(lf, rf), change.scale(mult));
-                        check_join_budget(&mut out, ctx.max_elements)?;
-                    }
-                }
-            } else {
-                for (row, change) in da.iter() {
-                    let lf = row.as_tuple().expect("join_side checked");
-                    for (other, mult) in right_new.iter() {
-                        let rf = other.as_tuple().expect("join_side checked");
-                        if pair_field(lf, rf, i) == pair_field(lf, rf, j) {
-                            out.push(Value::concat_tuples(lf, rf), change.scale(mult));
-                            check_join_budget(&mut out, ctx.max_elements)?;
-                        }
-                    }
-                }
-            }
-        }
-        // F(A_new × δB)
-        if !db_.is_empty() && !left_new.is_empty() {
-            if let (true, Some(index)) = (spanning, &left_index) {
-                used_index = true;
-                for (row, change) in db_.iter() {
-                    let rf = row.as_tuple().expect("join_side checked");
-                    for (other, mult) in index.group(&rf[j - la - 1]) {
-                        let lf = other.as_tuple().expect("indexed rows are tuples");
-                        out.push(Value::concat_tuples(lf, rf), change.scale(mult));
-                        check_join_budget(&mut out, ctx.max_elements)?;
-                    }
-                }
-            } else {
-                for (row, change) in db_.iter() {
-                    let rf = row.as_tuple().expect("join_side checked");
-                    for (other, mult) in left_new.iter() {
-                        let lf = other.as_tuple().expect("join_side checked");
-                        if pair_field(lf, rf, i) == pair_field(lf, rf, j) {
-                            out.push(Value::concat_tuples(lf, rf), change.scale(mult));
-                            check_join_budget(&mut out, ctx.max_elements)?;
-                        }
-                    }
-                }
-            }
-        }
-        // ⊖ F(δA × δB) — both sides small, a direct pair loop.
-        if !da.is_empty() && !db_.is_empty() {
-            for (lrow, lchange) in da.iter() {
-                let lf = lrow.as_tuple().expect("join_side checked");
-                for (rrow, rchange) in db_.iter() {
-                    let rf = rrow.as_tuple().expect("join_side checked");
-                    if pair_field(lf, rf, i) == pair_field(lf, rf, j) {
-                        out.push(Value::concat_tuples(lf, rf), lchange.mul(rchange).neg());
-                        check_join_budget(&mut out, ctx.max_elements)?;
-                    }
-                }
-            }
-        }
-        Ok(Some((out.build(), used_index)))
+        Ok(Some((join.exact(ctx.max_elements)?, used_index)))
     }
 
     /// Apply a bag delta to this node's snapshot (in place when uniquely

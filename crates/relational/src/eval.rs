@@ -14,7 +14,8 @@
 //! * adjacent `MAP`/`σ` stages stream each element through the whole
 //!   chain in one pass, `MAP` directly over a product streams the pairs
 //!   without materializing the product, and `σ_{αᵢ=αⱼ}(e × e′)` with the
-//!   equality crossing the product boundary evaluates as a hash join.
+//!   equality crossing the product boundary evaluates as a hash join —
+//!   through [`balg_core::join`], the pair loop the BALG engines share.
 
 use std::collections::HashMap;
 
@@ -22,6 +23,7 @@ use balg_core::bag::{attr_field, BagBuilder, BagError};
 use balg_core::eval::{EvalError, Limits};
 use balg_core::expr::Var;
 use balg_core::index::IndexCache;
+use balg_core::join;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 
@@ -342,10 +344,11 @@ impl<'a> RalgEvaluator<'a> {
 
     /// Evaluate `a × b`, optionally under an equi-join filter `αᵢ = αⱼ`
     /// crossing the product boundary. With the shape guards satisfied
-    /// (all tuples, uniform arity per side) the matching pairs come from
-    /// a hash index on the left side and the product is never built;
-    /// otherwise the materializing path runs and the caller must still
-    /// apply the filter.
+    /// ([`join::classify`]) the right operand probes a cached index on
+    /// the left through [`join::probe`] and the product is never built;
+    /// this adapter supplies only the policy — a step and a set insertion
+    /// per surviving pair. Otherwise the materializing path runs and the
+    /// caller must still apply the filter.
     fn eval_product(
         &mut self,
         a: &RalgExpr,
@@ -355,34 +358,31 @@ impl<'a> RalgEvaluator<'a> {
         let left = expect_relation(self.eval_inner(a)?)?;
         let right = expect_relation(self.eval_inner(b)?)?;
 
-        if let Some((i, j)) = join_attrs {
-            if let (Some(left_arity), Some(right_arity)) =
-                (uniform_arity(&left), uniform_arity(&right))
-            {
-                let spans_boundary =
-                    i >= 1 && i <= left_arity && j > left_arity && j <= left_arity + right_arity;
-                if spans_boundary {
-                    let jr = j - left_arity;
-                    // Cached per-key index on the left operand: repeated
-                    // joins against the same `DB′` view (or the same
-                    // subquery result representation) probe instead of
-                    // rebuilding the hash table per query. A non-empty
-                    // uniform-arity side with `i` in range always indexes.
-                    if let Some(cached) = self.indexes.get_or_build(left.as_bag(), i) {
-                        let mut out = BagBuilder::new();
-                        for rv in right.iter() {
-                            let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                            for (lv, _) in cached.group(&right_fields[jr - 1]) {
-                                self.step()?; // one per surviving pair, like the filter
-                                let left_fields = lv.as_tuple().expect("indexed rows are tuples");
-                                out.push_one(Value::concat_tuples(left_fields, right_fields));
-                                self.check_builder_limit(&mut out)?;
-                            }
-                        }
-                        let rel = Relation::from_set_bag_unchecked(out.build_set());
-                        return Ok(ProductOutcome::Joined(rel));
-                    }
-                }
+        let (left_rows, right_rows) = (left.as_bag().pairs(), right.as_bag().pairs());
+        if let Some((li, rj)) =
+            join_attrs.and_then(|(i, j)| join::classify(i, j, left_rows, right_rows))
+        {
+            // Cached per-key index on the left operand: repeated joins
+            // against the same `DB′` view (or the same subquery result
+            // representation) probe instead of rebuilding the hash table
+            // per query. A non-empty uniform-arity side with `li` in
+            // range always indexes.
+            if let Some(cached) = self.indexes.get_or_build(left.as_bag(), li) {
+                let mut out = BagBuilder::new();
+                join::probe(
+                    right_rows,
+                    &cached,
+                    rj,
+                    false,
+                    |_| Ok(()),
+                    |left_fields, right_fields, _, _| {
+                        self.step()?; // one per surviving pair, like the filter
+                        out.push_one(Value::concat_tuples(left_fields, right_fields));
+                        self.check_builder_limit(&mut out)
+                    },
+                )?;
+                let rel = Relation::from_set_bag_unchecked(out.build_set());
+                return Ok(ProductOutcome::Joined(rel));
             }
         }
 
@@ -447,8 +447,8 @@ enum ProductOutcome {
     Materialized(Relation),
 }
 
-/// Recognize `αᵢ(x) = αⱼ(x)` over the σ-bound variable `x` with `i ≠ j`,
-/// normalized to `i < j`.
+/// Recognize `αᵢ(x) = αⱼ(x)` over the σ-bound variable `x`, in the
+/// [`join::equi_attrs`] normal form the BALG recogniser shares.
 fn equi_join_attrs(pred: &RalgPred, var: &Var) -> Option<(usize, usize)> {
     let attr_of = |e: &RalgExpr| match e {
         RalgExpr::Attr(inner, ix) => match inner.as_ref() {
@@ -458,30 +458,9 @@ fn equi_join_attrs(pred: &RalgPred, var: &Var) -> Option<(usize, usize)> {
         _ => None,
     };
     match pred {
-        RalgPred::Eq(a, b) => {
-            let (i, j) = (attr_of(a)?, attr_of(b)?);
-            if i == j {
-                None // trivially true on every tuple — not a join
-            } else {
-                Some((i.min(j), i.max(j)))
-            }
-        }
+        RalgPred::Eq(a, b) => join::equi_attrs(attr_of(a)?, attr_of(b)?),
         _ => None,
     }
-}
-
-/// `Some(arity)` iff every element is a tuple of the same arity.
-fn uniform_arity(rel: &Relation) -> Option<usize> {
-    let mut arity = None;
-    for value in rel.iter() {
-        let len = value.as_tuple()?.len();
-        match arity {
-            None => arity = Some(len),
-            Some(a) if a == len => {}
-            Some(_) => return None,
-        }
-    }
-    arity
 }
 
 /// Re-wrap an evaluator-produced value as a relation. The evaluator only
@@ -596,6 +575,33 @@ mod tests {
             eval(&q, &db),
             Err(EvalError::Bag(BagError::BadArity { index: 5, arity: 1 }))
         ));
+    }
+
+    #[test]
+    fn attr_index_zero_in_a_join_predicate_stays_unfused() {
+        // σ_{α₀=α₂}(G × G), either way round: `α₀` is not a join key, so
+        // the σ must not fuse — the fused shape and the same σ over a
+        // detour (a union with ∅, which no recogniser sees through) raise
+        // the same AttrIndexZero, as the BALG evaluator's twin does.
+        let db = Database::new().with(
+            "G",
+            Bag::from_values([Value::tuple([Value::sym("a"), Value::sym("b")])]),
+        );
+        for (i, j) in [(0, 2), (2, 0)] {
+            let pred = || RalgPred::Eq(RalgExpr::var("x").attr(i), RalgExpr::var("x").attr(j));
+            assert_eq!(equi_join_attrs(&pred(), &Var::from("x")), None);
+            let product = || RalgExpr::var("G").product(RalgExpr::var("G"));
+            let fused = product().select("x", pred());
+            let detour = product()
+                .union(RalgExpr::lit(Value::empty_bag()))
+                .select("x", pred());
+            for q in [fused, detour] {
+                match eval(&q, &db) {
+                    Err(EvalError::Bag(BagError::AttrIndexZero)) => {}
+                    other => panic!("α{i} = α{j}: expected AttrIndexZero, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
