@@ -9,18 +9,27 @@
 //! are exactly those quantities, consumed by the `balg-complexity` crate's
 //! experiments.
 //!
-//! Two fusions keep the hot paths from materializing intermediates:
+//! Three fusions keep the hot paths from materializing intermediates:
 //!
 //! * adjacent `MAP`/`σ` (and hence `π`) stages stream each input element
 //!   through the whole chain in one pass, so only the chain's final bag is
 //!   ever built;
+//! * a `σ` stage whose predicate only compares attributes of its own row
+//!   with each other and with literals (`True`/`=`/`<`/`≤`/`¬`/`∧`/`∨` over
+//!   `αᵢ(x)`, `i ≥ 1`, and constants — every single-table SQL `WHERE`) is
+//!   decided on the borrowed row: no λ binding, no clone of a rejected
+//!   row, and one bulk charge per row of exactly the steps the tree walk
+//!   charges (1 per predicate node reached, 2 per `αᵢ(x)`, 1 per literal).
+//!   A row the walk would fail on — not a tuple, a missing attribute, too
+//!   few steps left — is handed to the tree walk, which fails on the same
+//!   step with the same error and the same partial [`Metrics`];
 //! * `σ_{αᵢ=αⱼ}(e × e′)` with the equality crossing the product boundary
 //!   evaluates as a hash join — matching pairs are produced directly
 //!   instead of building the full Cartesian product and filtering it. The
 //!   pair loop itself is [`crate::join`]'s; this evaluator is one of its
 //!   adapters and supplies which side is indexed and what a pair costs.
 //!
-//! Both fusions compute the same bag (the λ bodies are pure); what changes
+//! All three compute the same bag (the λ bodies are pure); what changes
 //! is that skipped intermediates are no longer *observed*, so they don't
 //! count against [`Limits::max_bag_elements`] and don't appear in
 //! [`Metrics`]. That is the point: the budgets meter what the evaluator
@@ -774,7 +783,11 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                 }
-                Stage::Filter { var, pred }
+                Stage::Filter {
+                    var,
+                    pred,
+                    in_place: reads_row_in_place(pred, var),
+                }
             }
             _ => unreachable!("spine nodes are Map or Select"),
         }
@@ -818,7 +831,7 @@ impl<'a> Evaluator<'a> {
 
         let mut first_stage = 0;
         let base = match (cur, stages.first()) {
-            (Expr::Product(a, b), Some(Stage::Filter { var, pred }))
+            (Expr::Product(a, b), Some(Stage::Filter { var, pred, .. }))
                 if equi_join_attrs(pred, var).is_some() =>
             {
                 let (i, j) = equi_join_attrs(pred, var).expect("just matched");
@@ -895,7 +908,10 @@ impl<'a> Evaluator<'a> {
                                 blocked.push((*var).clone());
                                 collect_invariant_roots(body, &mut blocked, &mut roots);
                             }
-                            Stage::Filter { var, pred } => {
+                            // An in-place σ reads only its row and literals:
+                            // nothing to hoist.
+                            Stage::Filter { in_place: true, .. } => {}
+                            Stage::Filter { var, pred, .. } => {
                                 blocked.push((*var).clone());
                                 collect_invariant_pred_roots(pred, &mut blocked, &mut roots);
                             }
@@ -968,8 +984,30 @@ impl<'a> Evaluator<'a> {
         testers.resize_with(stages.len(), || None);
         match base {
             ChainBase::Bag(bag) => {
+                // A leading in-place σ decides on the borrowed row, so a
+                // rejected row is never cloned; a row it declines enters
+                // the chain at that stage's tree walk.
+                let lead = match stages.first() {
+                    Some(Stage::Filter {
+                        pred,
+                        in_place: true,
+                        ..
+                    }) => Some(*pred),
+                    _ => None,
+                };
                 for (value, mult) in bag.iter() {
-                    self.run_stages(value.clone(), mult.clone(), stages, &mut testers, &mut out)?;
+                    let from = match lead.and_then(|pred| self.filter_in_place(pred, value)) {
+                        Some(false) => continue,
+                        Some(true) => 1,
+                        None => 0,
+                    };
+                    self.run_stages(
+                        value.clone(),
+                        mult.clone(),
+                        &stages[from..],
+                        &mut testers[from..],
+                        &mut out,
+                    )?;
                 }
             }
             ChainBase::Pairs(left, right) => {
@@ -1031,6 +1069,24 @@ impl<'a> Evaluator<'a> {
         })
     }
 
+    /// Decide an in-place σ ([`reads_row_in_place`]) on a borrowed row:
+    /// no λ binding, no clone, one bulk charge of exactly what
+    /// [`Evaluator::eval_pred`] charges for this row. `None` — and nothing
+    /// charged — when the tree walk has to run instead because it would
+    /// fail: the row is not a tuple, the walk reaches an attribute the row
+    /// lacks, or the charge exceeds the remaining step budget (the walk
+    /// then stops on the exact step with the exact partial metrics).
+    fn filter_in_place(&mut self, pred: &Pred, row: &Value) -> Option<bool> {
+        let mut steps = 0;
+        let keep = row_verdict(pred, row.as_tuple()?, &mut steps)?;
+        if steps > self.steps_left {
+            return None;
+        }
+        self.charge_steps(steps)
+            .expect("checked against steps_left");
+        Some(keep)
+    }
+
     /// Push one element through every stage; survivors land in `out`.
     /// `testers` holds one lazily-filled [`SubBagTester`] slot per stage.
     fn run_stages(
@@ -1050,7 +1106,18 @@ impl<'a> Evaluator<'a> {
                     self.env.pop();
                     current = image?;
                 }
-                Stage::Filter { var, pred } => {
+                Stage::Filter {
+                    var,
+                    pred,
+                    in_place,
+                } => {
+                    if *in_place {
+                        match self.filter_in_place(pred, &current) {
+                            Some(true) => continue,
+                            Some(false) => return Ok(()),
+                            None => {} // declined: the tree walk below
+                        }
+                    }
                     self.env.push(((*var).clone(), current));
                     let keep = self.eval_pred(pred);
                     let (_, value_back) = self.env.pop().expect("balanced λ environment");
@@ -1350,6 +1417,11 @@ enum Stage<'e> {
     Filter {
         var: &'e Var,
         pred: &'e Pred,
+        /// The predicate only compares attributes of `var`'s own row and
+        /// literals ([`reads_row_in_place`]): decided by [`row_verdict`]
+        /// on the borrowed row, by the tree walk only for the rows
+        /// `row_verdict` declines.
+        in_place: bool,
     },
     /// A `MAP` whose body is `[α_{i₁}(x), …]` over its own λ variable —
     /// the paper's `π` abbreviation — precompiled to its 1-based indices.
@@ -1388,6 +1460,65 @@ fn projection_spec(body: &Expr, var: &Var) -> Option<Vec<usize>> {
         }
     }
     Some(indices)
+}
+
+/// Is `pred` decidable from the fields of `var`'s row alone — built from
+/// `True`/`Eq`/`Lt`/`Le`/`Not`/`And`/`Or` with every operand a literal or
+/// `αᵢ(var)`, `i ≥ 1`? Every SQL `WHERE` over one table lowers to this.
+/// Anything else (`α₀`, another variable, a computed operand, `∈`, `⊑`)
+/// keeps the λ-binding tree walk.
+fn reads_row_in_place(pred: &Pred, var: &Var) -> bool {
+    let operand = |e: &Expr| match e {
+        Expr::Lit(_) => true,
+        Expr::Attr(inner, ix) => {
+            *ix >= 1 && matches!(inner.as_ref(), Expr::Var(name) if name == var)
+        }
+        _ => false,
+    };
+    match pred {
+        Pred::True => true,
+        Pred::Eq(a, b) | Pred::Lt(a, b) | Pred::Le(a, b) => operand(a) && operand(b),
+        Pred::Member(..) | Pred::SubBag(..) => false,
+        Pred::Not(p) => reads_row_in_place(p, var),
+        Pred::And(a, b) | Pred::Or(a, b) => {
+            reads_row_in_place(a, var) && reads_row_in_place(b, var)
+        }
+    }
+}
+
+/// [`Evaluator::eval_pred`] for a [`reads_row_in_place`] predicate, on the
+/// row's borrowed fields: the same verdict under the same short-circuits,
+/// adding to `steps` what the tree walk charges on the way — 1 per
+/// predicate node reached, 2 per `αᵢ(x)` (the `Attr` and its `Var`), 1 per
+/// literal. `None` as soon as it reaches an attribute the row lacks, where
+/// the tree walk raises `BadArity` (`steps` is then meaningless).
+fn row_verdict(pred: &Pred, fields: &[Value], steps: &mut u64) -> Option<bool> {
+    *steps += 1;
+    Some(match pred {
+        Pred::True => true,
+        Pred::Eq(a, b) => row_operand(a, fields, steps)? == row_operand(b, fields, steps)?,
+        Pred::Lt(a, b) => row_operand(a, fields, steps)? < row_operand(b, fields, steps)?,
+        Pred::Le(a, b) => row_operand(a, fields, steps)? <= row_operand(b, fields, steps)?,
+        Pred::Member(..) | Pred::SubBag(..) => return None,
+        Pred::Not(p) => !row_verdict(p, fields, steps)?,
+        Pred::And(a, b) => row_verdict(a, fields, steps)? && row_verdict(b, fields, steps)?,
+        Pred::Or(a, b) => row_verdict(a, fields, steps)? || row_verdict(b, fields, steps)?,
+    })
+}
+
+/// One operand of [`row_verdict`]: the literal, or the row's own field.
+fn row_operand<'r>(operand: &'r Expr, fields: &'r [Value], steps: &mut u64) -> Option<&'r Value> {
+    match operand {
+        Expr::Lit(value) => {
+            *steps += 1;
+            Some(value)
+        }
+        Expr::Attr(_, ix) => {
+            *steps += 2;
+            fields.get(ix.checked_sub(1)?)
+        }
+        _ => None,
+    }
 }
 
 /// What a stage chain streams over: an evaluated bag, or the unmaterialized

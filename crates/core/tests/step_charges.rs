@@ -18,6 +18,7 @@ use balg_core::expr::{Expr, Pred};
 use balg_core::natural::Natural;
 use balg_core::schema::Database;
 use balg_core::value::Value;
+use balg_sql::prelude::{compile_query, database_from_rows, parse, Catalog, SqlValue};
 
 /// `rows` binary tuples `[k mod keys, k]` with multiplicity `1 + k mod 3`:
 /// every join key groups `rows / keys` rows.
@@ -132,4 +133,86 @@ fn element_limit_mid_probe_leaves_the_partial_charge() {
             limit: 50
         }
     );
+}
+
+// ---- σ over a row's own attributes and constants ----
+//
+// The constants below were taken at commit `7277d89` (the parent of the
+// in-place σ stage), before any edit, when every one of these predicates
+// ran through the λ-binding tree walk. The in-place walker reports what
+// that walk charges; it and its reference drifting together is what these
+// absolute numbers are for.
+
+/// `query_small`'s table at a fixed content: 256 `orders` rows
+/// `(k, c{7k mod 32}, 1 + 5k mod 8)`.
+fn orders() -> (Catalog, Database) {
+    let catalog = Catalog::new().with_table(
+        "orders",
+        &[("id", false), ("customer", false), ("qty", true)],
+    );
+    let rows = (0..256i64)
+        .map(|k| {
+            vec![
+                SqlValue::Int(k),
+                SqlValue::Str(format!("c{:03}", (7 * k) % 32)),
+                SqlValue::Int(1 + (5 * k) % 8),
+            ]
+        })
+        .collect();
+    let db = database_from_rows(&catalog, &[("orders", rows)]).unwrap();
+    (catalog, db)
+}
+
+/// Lower `sql` with `compile_query` and pin its evaluation.
+fn sql_pinned(sql: &str, steps: u64, max_distinct: u64) -> Bag {
+    let (catalog, db) = orders();
+    let compiled = compile_query(&parse(sql).unwrap(), &catalog).unwrap();
+    pinned(&compiled.expr, &db, &Limits::default(), steps, max_distinct).unwrap()
+}
+
+#[test]
+fn point_select_scans_every_row_once() {
+    let out = sql_pinned("SELECT customer, qty FROM orders WHERE id = 77", 1_028, 1);
+    assert_eq!(out.distinct_count(), 1);
+}
+
+#[test]
+fn range_select_short_circuits_its_conjunction() {
+    let out = sql_pinned(
+        "SELECT id, qty FROM orders WHERE id >= 100 AND id < 132",
+        1_939,
+        32,
+    );
+    assert_eq!(out.distinct_count(), 32);
+}
+
+#[test]
+fn sum_over_a_string_equality() {
+    let out = sql_pinned(
+        "SELECT SUM(qty) FROM orders WHERE customer = 'c005'",
+        1_046,
+        1,
+    );
+    assert_eq!(out.distinct_count(), 1);
+}
+
+#[test]
+fn distinct_over_a_numeric_comparison() {
+    let out = sql_pinned(
+        "SELECT DISTINCT customer FROM orders WHERE qty >= 6",
+        1_124,
+        12,
+    );
+    assert_eq!(out.distinct_count(), 12);
+}
+
+#[test]
+fn attribute_to_attribute_comparison() {
+    let db = Database::new().with("G", keyed(48, 6));
+    let q = Expr::var("G").select(
+        "x",
+        Pred::lt(Expr::var("x").attr(1), Expr::var("x").attr(2)),
+    );
+    let out = pinned(&q, &db, &Limits::default(), 242, 42).unwrap();
+    assert_eq!(out.distinct_count(), 42); // rows 0..5 have k mod 6 = k
 }

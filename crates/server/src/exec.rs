@@ -73,14 +73,12 @@ pub fn route(line: &str) -> Route {
             _ => Route::Read,
         };
     }
-    let first = line
-        .split_whitespace()
-        .next()
-        .unwrap_or("")
-        .to_ascii_uppercase();
-    match first.as_str() {
-        "CREATE" | "INSERT" | "DELETE" | "CHECKPOINT" => Route::Write,
-        _ => Route::Read,
+    let first = line.split_whitespace().next().unwrap_or("");
+    let writes = ["CREATE", "INSERT", "DELETE", "CHECKPOINT"];
+    if writes.iter().any(|kw| first.eq_ignore_ascii_case(kw)) {
+        Route::Write
+    } else {
+        Route::Read
     }
 }
 

@@ -17,12 +17,17 @@ pub const MAX_FRAME: u32 = 1 << 20;
 /// actually received, never the peer's claimed length alone.
 const INITIAL_PAYLOAD_CHUNK: u32 = 8 * 1024;
 
-/// Write one frame.
+/// Write one frame — header and payload in a single `write`, so an
+/// unbuffered `TCP_NODELAY` socket sends one segment and the peer wakes
+/// once: written apart they are two syscalls and two segments, which is
+/// half of a `:seq` round trip over loopback.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32"))?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -112,6 +117,33 @@ mod tests {
             Some(&b""[..])
         );
         assert_eq!(read_frame(&mut cursor, MAX_FRAME).unwrap(), None);
+    }
+
+    /// A frame reaches the transport in one `write` call: on a socket
+    /// that is one segment and one wake-up of the peer.
+    #[test]
+    fn a_frame_is_one_write() {
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writer = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut writer, b":seq").unwrap();
+        assert_eq!(writer.writes, 1);
+        assert_eq!(writer.bytes, b"\0\0\0\x04:seq");
     }
 
     #[test]

@@ -547,35 +547,7 @@ pub fn run_query(
     let compiled = compile_query(&parsed, catalog).map_err(SqlError::Compile)?;
     let mut evaluator = Evaluator::new(db, limits);
     let bag = evaluator.eval_bag(&compiled.expr).map_err(SqlError::Eval)?;
-    let mut rows = Vec::with_capacity(bag.distinct_count());
-    for (row, mult) in bag.iter() {
-        let fields = row
-            .as_tuple()
-            .ok_or_else(|| SqlError::Decode(row.to_string()))?;
-        if fields.len() != compiled.output.len() {
-            return Err(SqlError::Decode(format!(
-                "row arity {} vs output arity {}",
-                fields.len(),
-                compiled.output.len()
-            )));
-        }
-        let decoded = fields
-            .iter()
-            .zip(&compiled.output)
-            .map(|(value, column)| {
-                decode_value(value, column.numeric)
-                    .ok_or_else(|| SqlError::Decode(value.to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let m = mult
-            .to_u64()
-            .ok_or_else(|| SqlError::Decode("multiplicity over u64".into()))?;
-        rows.push((decoded, m));
-    }
-    Ok(QueryResult {
-        columns: compiled.output,
-        rows,
-    })
+    decode_result(&bag, compiled.output)
 }
 
 /// Shorthand for [`run_query`] with default limits.

@@ -256,8 +256,13 @@ impl fmt::Display for Response {
         match self {
             Response::Rows(result) => {
                 for (row, mult) in &result.rows {
-                    let rendered: Vec<String> = row.iter().map(SqlValue::to_string).collect();
-                    writeln!(f, "{}  x{mult}", rendered.join(" | "))?;
+                    for (ix, cell) in row.iter().enumerate() {
+                        if ix > 0 {
+                            f.write_str(" | ")?;
+                        }
+                        write!(f, "{cell}")?;
+                    }
+                    writeln!(f, "  x{mult}")?;
                 }
                 write!(f, "({} rows)", result.total_rows())
             }
