@@ -2,9 +2,15 @@
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use crate::exec::Reply;
-use crate::frame::{decode_reply, read_frame, write_frame, MAX_FRAME};
+use crate::frame::{decode_reply, poll_readable, read_frame, write_frame, MAX_FRAME};
+
+/// How long a client polls for its reply before it blocks: longer than
+/// the server takes over a read of a few thousand rows or an in-memory
+/// commit, so the usual reply is picked up without a wake-up.
+const REPLY_POLL: Duration = Duration::from_micros(200);
 
 /// One connection to a [`crate::server::SqlServer`]. Requests are
 /// strictly request/reply in order; a client is one session (clone the
@@ -24,6 +30,7 @@ impl Client {
     /// Send one statement line, block for its reply.
     pub fn request(&mut self, line: &str) -> io::Result<Reply> {
         write_frame(&mut self.stream, line.as_bytes())?;
+        poll_readable(&self.stream, REPLY_POLL)?;
         let payload = read_frame(&mut self.stream, MAX_FRAME)?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,

@@ -35,7 +35,7 @@ use balg_core::schema::Database;
 use balg_sql::prelude::{Catalog, SqlRuntime};
 
 use crate::exec::{execute_read, execute_write, route, snapshot_of, Reply, Route, Snapshot};
-use crate::frame::{encode_reply, read_frame, write_frame, MAX_FRAME};
+use crate::frame::{encode_reply, poll_readable, read_frame, write_frame, MAX_FRAME};
 
 /// Tunables for one server instance.
 #[derive(Clone, Debug)]
@@ -312,10 +312,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
+/// How long a session polls for its client's next request before it
+/// blocks: a client in a request/reply loop sends it within microseconds
+/// of the reply, and one that does not is idle — the session then sleeps
+/// as before, at the price of this much CPU per statement.
+const NEXT_REQUEST_POLL: Duration = Duration::from_micros(50);
+
 fn session_loop(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(shared.read_timeout);
     loop {
+        poll_readable(&stream, NEXT_REQUEST_POLL)?;
         let payload = match read_frame(&mut stream, shared.max_frame) {
             Ok(Some(payload)) => payload,
             Ok(None) => return Ok(()),
