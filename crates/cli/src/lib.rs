@@ -617,6 +617,26 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_nesting_depth_is_a_parse_error() {
+        let mut session = Session::new();
+        session.process_line(":load G bag{ [a,b] }");
+        let deep = format!("{}G{}", "dedup(".repeat(20_000), ")".repeat(20_000));
+        for line in [
+            deep.clone(),
+            format!(":analyze {deep}"),
+            format!(":profile {deep}"),
+        ] {
+            let out = text(session.process_line(&line));
+            assert!(
+                out.contains("nested deeper than"),
+                "{}",
+                &out[..out.len().min(200)]
+            );
+        }
+        assert!(text(session.process_line("dedup(G)")).contains("[a, b]"));
+    }
+
+    #[test]
     fn analyze_command_reports_facts() {
         let mut session = Session::new();
         session.process_line(":load G bag{ [a,b]*2, [b,c] }");

@@ -1,8 +1,8 @@
-//! Byte-equality of the `:profile` report across every surface that
-//! renders one: the plain CLI session, the incremental session, the
-//! server's read path ([`execute_read`]), and the serial twin.
+//! Byte-equality of the `:profile` and `:analyze` reports across every
+//! surface that renders them: the plain CLI session, the incremental
+//! session, the server's read path ([`execute_read`]), and the serial twin.
 //!
-//! All four call the one renderer in `balg_core::profile`, so equality
+//! All four call the one renderer in `balg_core` for each, so equality
 //! holds by construction — provided the report itself is deterministic,
 //! which `BALG_PROFILE_TICKS` guarantees by switching the profiler to a
 //! counting clock. Single test in this binary: the env var is process
@@ -24,6 +24,13 @@ fn text(response: Response) -> String {
     }
 }
 
+/// `g`'s transitive closure, joining the fixpoint variable with `other`.
+fn closure(other: &str) -> String {
+    format!(
+        "ifp(T, dedup(project(select(x, eq(attr(x,2), attr(x,3)), product(T, {other})), 1, 4)), g)"
+    )
+}
+
 #[test]
 fn profile_report_is_byte_equal_across_surfaces() {
     std::env::set_var(balg_obs::profile::PROFILE_TICKS_ENV, "1000");
@@ -33,30 +40,31 @@ fn profile_report_is_byte_equal_across_surfaces() {
     // Surface 1 — the serial twin's statement surface.
     let mut twin = SerialTwin::new(catalog.clone(), db.clone(), Limits::default());
     assert!(twin.execute(INSERT).ok);
-    let twin_reply = twin.execute(&format!(":profile {EXPR}"));
-    assert!(twin_reply.ok, "{}", twin_reply.text);
-
     // Surface 2 — execute_read over a freshly pinned snapshot of an
     // identically mutated runtime.
     let mut rt = SqlRuntime::with_limits(catalog, db, Limits::default());
     rt.execute(INSERT).unwrap();
-    let direct = execute_read(&snapshot_of(&rt, 1), &format!(":profile {EXPR}"));
-    assert_eq!(twin_reply, direct);
-
+    let snapshot = snapshot_of(&rt, 1);
     // Surface 3 — the plain CLI session over the same bag.
     let mut session = Session::new();
     assert_eq!(text(session.process_line(LOAD)), "loaded g");
-    let cli = text(session.process_line(&format!(":profile {EXPR}")));
-    assert_eq!(twin_reply.text, cli);
-
     // Surface 4 — the incremental session (bases plus views).
     let mut inc = IncrementalSession::new();
     assert_eq!(text(inc.process_line(LOAD)), "loaded g");
-    let inc_report = text(inc.process_line(&format!(":profile {EXPR}")));
-    assert_eq!(twin_reply.text, inc_report);
+
+    // One command line on all four; the reply, byte-equal.
+    let mut everywhere = |line: &str| {
+        let twin_reply = twin.execute(line);
+        assert!(twin_reply.ok, "{}", twin_reply.text);
+        assert_eq!(twin_reply, execute_read(&snapshot, line));
+        assert_eq!(twin_reply.text, text(session.process_line(line)));
+        assert_eq!(twin_reply.text, text(inc.process_line(line)));
+        twin_reply.text
+    };
 
     // The report is a real profile: operator tree, fast-path tag, step
     // charges, deterministic tick times, and the result line.
+    let cli = everywhere(&format!(":profile {EXPR}"));
     assert!(cli.contains("base g"), "{cli}");
     assert!(
         cli.contains("[indexed-join]") || cli.contains("[hash-join]"),
@@ -65,6 +73,25 @@ fn profile_report_is_byte_equal_across_surfaces() {
     assert!(cli.contains("steps"), "{cli}");
     assert!(cli.contains("total: "), "{cli}");
     assert!(cli.contains("result: 1 distinct elements"), "{cli}");
+
+    // What `:analyze` says a fixpoint's loop will bind is what `:profile`
+    // saw it do: the closure along `g` is in delta form and runs
+    // semi-naively; joined with itself it reads `T` twice and runs in full.
+    for (other, delta_form) in [("g", true), ("T", false)] {
+        let verdict = everywhere(&format!(":analyze {}", closure(other)));
+        let profile = everywhere(&format!(":profile {}", closure(other)));
+        let expected = if delta_form { "delta-form" } else { "full" };
+        assert!(
+            verdict.ends_with(&format!("\nifp T: {expected}")),
+            "{verdict}"
+        );
+        assert_eq!(
+            profile.starts_with("IFP \u{3bb}T [semi-naive]"),
+            delta_form,
+            "{profile}"
+        );
+        assert!(profile.contains("result: 3 distinct elements"), "{profile}");
+    }
 
     // Parse errors reply as errors on the statement surface and as plain
     // messages in the REPL — same text either way.

@@ -438,6 +438,47 @@ pub fn base_linearity(expr: &Expr) -> BTreeMap<Var, Linearity> {
     classify(expr, &mut Vec::new())
 }
 
+/// Can `IFP[λvar.body]` iterate on the tuples the previous round added
+/// instead of on the whole accumulator? Yes when `body = ε(f)`, `var`
+/// stays unbound in `f` and classifies [`Linearity::Linear`] or
+/// [`Linearity::Bilinear`] there, and is read exactly once: the path from
+/// `ε` to `var` then passes only `σ`/`MAP` that do not read `var`, `×`/`∪⁺`
+/// with a `var`-free other operand, and `δ`, so
+/// `supp f(A ∪ B) = supp f(A) ∪ supp f(B)`, and under `ε` only the support
+/// counts: `T ∪ ε(f(T)) = T ∪ ε(f(Δ))` for `Δ` what the last round added.
+/// Without the outer `ε` multiplicities count derivations; read twice
+/// (`T × T`, `T ∪⁺ T`) a derivation can pair two old tuples with a new one.
+///
+/// The evaluator's `IFP` loop binds its variable by this verdict and
+/// `:analyze` prints it ([`render_report`]).
+pub fn ifp_delta_form(var: &Var, body: &Expr) -> bool {
+    let Expr::Dedup(f) = body else {
+        return false;
+    };
+    // The cheap count first: most bodies that fail, fail it.
+    linear_reads(f, var) == 1
+        && matches!(
+            base_linearity(f).get(var),
+            Some(Linearity::Linear | Linearity::Bilinear)
+        )
+}
+
+/// How often `expr` reads `var` along linear paths. For a `var` that
+/// [`classify`] rates at most [`Linearity::Bilinear`] that is every free
+/// occurrence: anywhere but under the operators descended here it would
+/// be non-linear.
+fn linear_reads(expr: &Expr, var: &Var) -> usize {
+    match expr {
+        Expr::Var(name) => usize::from(name == var),
+        Expr::AdditiveUnion(a, b) | Expr::Product(a, b) => {
+            linear_reads(a, var) + linear_reads(b, var)
+        }
+        Expr::Destroy(e) => linear_reads(e, var),
+        Expr::Map { input, .. } | Expr::Select { input, .. } => linear_reads(input, var),
+        _ => 0,
+    }
+}
+
 /// The bases read inside some λ body or selection/fixpoint predicate —
 /// updates to them leave delta form and force body recomputation.
 pub fn lambda_affected(expr: &Expr) -> BTreeSet<Var> {
@@ -1064,6 +1105,18 @@ pub fn render_report(expr: &Expr, facts: &Facts) -> String {
             }
         }
     }
+    // What each fixpoint's loop will bind its variable to — the verdict
+    // `:profile` confirms with a `[semi-naive]` tag.
+    expr.visit(&mut |node| {
+        if let Expr::Ifp { var, body, .. } = node {
+            let form = if ifp_delta_form(var, body) {
+                "delta-form"
+            } else {
+                "full"
+            };
+            out.push_str(&format!("\nifp {var}: {form}"));
+        }
+    });
     out
 }
 

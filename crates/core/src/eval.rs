@@ -9,7 +9,7 @@
 //! are exactly those quantities, consumed by the `balg-complexity` crate's
 //! experiments.
 //!
-//! Three fusions keep the hot paths from materializing intermediates:
+//! Four fusions keep the hot paths from materializing intermediates:
 //!
 //! * adjacent `MAP`/`σ` (and hence `π`) stages stream each input element
 //!   through the whole chain in one pass, so only the chain's final bag is
@@ -27,9 +27,22 @@
 //!   evaluates as a hash join — matching pairs are produced directly
 //!   instead of building the full Cartesian product and filtering it. The
 //!   pair loop itself is [`crate::join`]'s; this evaluator is one of its
-//!   adapters and supplies which side is indexed and what a pair costs.
+//!   adapters and supplies which side is indexed and what a pair costs;
+//! * an `IFP` whose body is `ε` of an expression that reads the fixpoint
+//!   variable once, linearly ([`crate::analyze::ifp_delta_form`] — the
+//!   transitive-closure shape), evaluates that body on the tuples the
+//!   previous round added instead of on the whole accumulator: semi-naive
+//!   iteration. Result bag, [`Metrics::ifp_iterations`], the `observe` of
+//!   each round's accumulator and the round at which `IfpLimit` fires are
+//!   those of the full-accumulator loop, which every other body still
+//!   runs; a non-resource error surfaces in the same round with the same
+//!   variant; [`Metrics::steps`] and the maxima over the body's
+//!   intermediates charge the work done and can only fall — save where an
+//!   operator picks its plan by operand size (`π` over `×` streams the
+//!   pairs of a small product at a step each and projects one side of a
+//!   large one for less).
 //!
-//! All three compute the same bag (the λ bodies are pure); what changes
+//! All four compute the same bag (the λ bodies are pure); what changes
 //! is that skipped intermediates are no longer *observed*, so they don't
 //! count against [`Limits::max_bag_elements`] and don't appear in
 //! [`Metrics`]. That is the point: the budgets meter what the evaluator
@@ -41,6 +54,7 @@ use std::sync::Arc;
 
 use balg_obs::profile::{Profiler, SpanId};
 
+use crate::analyze::ifp_delta_form;
 use crate::bag::{attr_field, Bag, BagBuilder, BagError};
 use crate::expr::{Expr, Pred, Var};
 use crate::index::{IndexCache, SubBagTester};
@@ -717,20 +731,42 @@ impl<'a> Evaluator<'a> {
                 self.observe(&out)?;
                 Ok(Value::Bag(out))
             }
+            // Least fixpoint of T(B) = body(B) ∪ B (maximal union keeps the
+            // operator inflationary on bags: multiplicities never shrink).
+            // Each round splits the union as B ∪⁺ fresh with fresh =
+            // body(B) ∸ B, what the round added; the fixpoint is reached
+            // when that is empty.
+            //
+            // A body in delta form ([`ifp_delta_form`]) is evaluated on
+            // `fresh` instead of on B — semi-naive iteration; every other
+            // body binds B. Contract between the two (module doc; gated by
+            // `tests/ifp_seminaive_props.rs`): result bag,
+            // `Metrics::ifp_iterations`, the `observe` of each round's
+            // accumulator and the round at which `IfpLimit` fires are
+            // identical; steps and the maxima over the body's
+            // intermediates can only fall, so a step, element or
+            // multiplicity budget fails later or not at all; a
+            // non-resource error (`BadArity`, a shape error,
+            // `AttrIndexZero`) surfaces in the same round with the same
+            // variant, because an element that fails the body fails it in
+            // the first round that sees it — the round it is fresh.
             Expr::Ifp { var, body, input } => {
-                // Least fixpoint of T(B) = body(B) ∪ B (maximal union keeps
-                // the operator inflationary on bags: multiplicities never
-                // shrink, so convergence is detected by equality).
                 let mut current = expect_bag(self.eval_inner(input)?)?;
+                let delta_form = ifp_delta_form(var, body);
+                let mut fresh = current.clone(); // round 1: the seed
                 for _ in 0..self.limits.max_ifp_iterations {
                     self.metrics.ifp_iterations += 1;
-                    self.env.push((var.clone(), Value::Bag(current.clone())));
+                    let bound = if delta_form { fresh } else { current.clone() };
+                    self.env.push((var.clone(), Value::Bag(bound)));
                     let stepped = self.eval_inner(body);
                     self.env.pop();
-                    let next =
-                        self.merge_bags(&current, &expect_bag(stepped?)?, MergeKind::MaxUnion);
+                    fresh = self.merge_bags(&expect_bag(stepped?)?, &current, MergeKind::Subtract);
+                    let next = self.merge_bags(&current, &fresh, MergeKind::AdditiveUnion);
                     self.observe(&next)?;
-                    if next == current {
+                    if fresh.is_empty() {
+                        if delta_form {
+                            self.note_fast_path("semi-naive");
+                        }
                         return Ok(Value::Bag(current));
                     }
                     current = next;
@@ -1197,7 +1233,7 @@ impl<'a> Evaluator<'a> {
         let keys = join_attrs.and_then(|(i, j)| join::classify(i, j, left.pairs(), right.pairs()));
         if let Some((li, rj)) = keys {
             if self.use_indexes {
-                if let Some(out) = self.indexed_join(&left, li, &right, rj)? {
+                if let Some(out) = self.indexed_join((a, &left, li), (b, &right, rj))? {
                     self.observe(&out)?;
                     self.note_fast_path("indexed-join");
                     return Ok(ProductOutcome::Joined(out));
@@ -1253,31 +1289,39 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The cached-index hash join: [`join::probe`] a cached index on one
-    /// operand with every row of the other. `li`/`rj` are the join
-    /// attributes in each side's own 1-based numbering; both sides are
-    /// known to be uniform-arity tuple bags. Prefers an index that is
-    /// already cached (either side); on a double miss it indexes the
-    /// smaller side — the cheaper build, and the choice that lets a
-    /// loop-stable operand (e.g. the edge bag of an IFP transitive
-    /// closure) stay cached while the growing side is probed. Returns
-    /// `Ok(None)` only when no side can be indexed, which the guards
-    /// above make unreachable in practice; the caller then falls back to
-    /// the transient scan.
+    /// operand with every row of the other. Each side is its expression,
+    /// its bag and its join attribute in the side's own 1-based numbering;
+    /// both bags are known to be uniform-arity tuple bags. Prefers an index
+    /// that is already cached (either side). On a double miss it indexes
+    /// the operand that outlives the enclosing loop: one that reads a
+    /// λ-bound variable (the accumulator or the fresh tuples of an IFP
+    /// round, the row of a `MAP`) is a new bag next time round and its
+    /// index would die unused, while the other side (the edge bag of a
+    /// transitive closure) is built once and hit every round. When that
+    /// does not decide — both sides or neither read the environment — the
+    /// smaller side is the cheaper build. Returns `Ok(None)` only when no
+    /// side can be indexed, which the guards above make unreachable in
+    /// practice; the caller then falls back to the transient scan.
     fn indexed_join(
         &mut self,
-        left: &Bag,
-        li: usize,
-        right: &Bag,
-        rj: usize,
+        (a, left, li): (&Expr, &Bag, usize),
+        (b, right, rj): (&Expr, &Bag, usize),
     ) -> Result<Option<Bag>, EvalError> {
         let (index, probe_is_left) = if let Some(index) = self.indexes.peek(left, li) {
             (Some(index), false)
         } else if let Some(index) = self.indexes.peek(right, rj) {
             (Some(index), true)
-        } else if left.distinct_count() <= right.distinct_count() {
-            (self.indexes.get_or_build(left, li), false)
         } else {
-            (self.indexes.get_or_build(right, rj), true)
+            let index_left = match (self.reads_env(a), self.reads_env(b)) {
+                (false, true) => true,
+                (true, false) => false,
+                _ => left.distinct_count() <= right.distinct_count(),
+            };
+            if index_left {
+                (self.indexes.get_or_build(left, li), false)
+            } else {
+                (self.indexes.get_or_build(right, rj), true)
+            }
         };
         let Some(index) = index else {
             return Ok(None);
@@ -1337,6 +1381,12 @@ impl<'a> Evaluator<'a> {
             },
         )?;
         Ok(Some(out.build()))
+    }
+
+    /// Does `expr` read a variable the λ environment binds — is its value
+    /// one iteration's, not the whole evaluation's?
+    fn reads_env(&self, expr: &Expr) -> bool {
+        self.env.iter().any(|(name, _)| mentions_free(expr, name))
     }
 
     fn eval_binary(&mut self, a: &Expr, b: &Expr, op: MergeKind) -> Result<Value, EvalError> {

@@ -20,6 +20,15 @@ use crate::value::Value;
 /// A variable name — a database bag name or a λ-bound variable.
 pub type Var = Arc<str>;
 
+/// The deepest operator nesting a text front end builds (the BALG parser's
+/// `expr`/`pred` descent; the SQL parser's parentheses, set-operation
+/// chains, `FROM` lists and `WHERE` conjunctions). Type inference, the rewriter, both evaluators,
+/// `Display` and `Drop` all recurse over the tree, so the cap is what
+/// keeps a hostile one-line input from overflowing the stack: chosen so
+/// that parsing, analyzing, evaluating and dropping a chain this deep
+/// fits a 2 MiB thread — a server session's — in a debug build.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// A BALG expression.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Expr {

@@ -30,7 +30,7 @@ use std::fmt;
 
 use crate::bag::Bag;
 use crate::derived;
-use crate::expr::{Expr, Pred};
+use crate::expr::{Expr, Pred, MAX_EXPR_DEPTH};
 use crate::natural::Natural;
 use crate::value::Value;
 
@@ -57,6 +57,7 @@ pub fn parse_expr(input: &str) -> Result<Expr, ExprParseError> {
         bytes: input.as_bytes(),
         input,
         pos: 0,
+        depth: 0,
     };
     let expr = parser.expr()?;
     parser.skip_ws();
@@ -70,6 +71,8 @@ struct P<'a> {
     bytes: &'a [u8],
     input: &'a str,
     pos: usize,
+    /// Open `expr`/`pred` calls — the nesting of the tree being built.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -136,7 +139,33 @@ impl<'a> P<'a> {
             .map_err(|_| self.err("number out of range"))
     }
 
+    /// Run one level of the recursive descent, refusing to go deeper than
+    /// [`MAX_EXPR_DEPTH`]: everything downstream (`analyze`, `rewrite`,
+    /// `eval`, `Drop`) recurses over the tree this parser builds.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ExprParseError>,
+    ) -> Result<T, ExprParseError> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.err(&format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     fn expr(&mut self) -> Result<Expr, ExprParseError> {
+        self.nested(Self::expr_level)
+    }
+
+    fn pred(&mut self) -> Result<Pred, ExprParseError> {
+        self.nested(Self::pred_level)
+    }
+
+    fn expr_level(&mut self) -> Result<Expr, ExprParseError> {
         self.skip_ws();
         if self.peek() == Some(b'[') {
             return Err(self.err("tuples appear only inside bag{...} rows"));
@@ -264,7 +293,7 @@ impl<'a> P<'a> {
         Ok((a, b))
     }
 
-    fn pred(&mut self) -> Result<Pred, ExprParseError> {
+    fn pred_level(&mut self) -> Result<Pred, ExprParseError> {
         let name = self.ident()?;
         if name == "true" {
             return Ok(Pred::True);
@@ -451,6 +480,70 @@ mod tests {
         assert!(parse_expr("G extra").is_err());
         assert!(parse_expr("bag{ [a").is_err());
         assert!(parse_expr("select(x, zap(x), G)").is_err());
+    }
+
+    /// `depth` nested calls of `op` around `G` (the leaf is one more level).
+    fn chain(op: &str, depth: usize) -> String {
+        format!("{}G{}", format!("{op}(").repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        assert!(parse_expr(&chain("dedup", MAX_EXPR_DEPTH - 1)).is_ok());
+        // The 140 KB line that used to overflow the stack.
+        let err = parse_expr(&chain("dedup", 20_000)).unwrap_err();
+        assert_eq!(err.position, "dedup(".len() * MAX_EXPR_DEPTH);
+        assert!(err.message.contains("nested deeper than"), "{err}");
+        // Predicates nest on the same budget.
+        let nots = format!(
+            "select(x, {}true{}, G)",
+            "not(".repeat(MAX_EXPR_DEPTH),
+            ")".repeat(MAX_EXPR_DEPTH)
+        );
+        assert!(parse_expr(&nots).is_err());
+    }
+
+    /// The cap's reason: everything downstream recurses over the parsed
+    /// tree, so a cap-deep chain of every kind must fit a 2 MiB thread
+    /// (a server session's) in this — typically debug — build.
+    #[test]
+    fn cap_deep_chains_fit_a_session_thread() {
+        use crate::analyze::analyze;
+        use crate::eval::{Evaluator, Limits};
+        use crate::schema::Schema;
+        use crate::types::Type;
+        let d = MAX_EXPR_DEPTH - 1;
+        let texts = [
+            chain("dedup", d),
+            chain("singleton", d),
+            chain("count", d),
+            format!("{}G{}", "unionp(G, ".repeat(d), ")".repeat(d)),
+            format!("{}G{}", "map(x, ".repeat(d), ", G)".repeat(d)),
+            format!("{}G{}", "ifp(T, T, ".repeat(d), ")".repeat(d)),
+            format!("{}G{}", "project(".repeat(d), ", 1, 2)".repeat(d)),
+            format!(
+                "{}G{}",
+                "select(x, eq(x, ".repeat(d / 2),
+                "), G)".repeat(d / 2)
+            ),
+            format!(
+                "select(x, {}true{}, G)",
+                "not(".repeat(d - 1),
+                ")".repeat(d - 1)
+            ),
+        ];
+        let session = std::thread::Builder::new().stack_size(2 << 20);
+        let work = move || {
+            let schema = Schema::new().with("G", Type::relation(2));
+            let db = db();
+            for text in texts {
+                let expr = parse_expr(&text).expect("within the cap");
+                let _ = analyze(&expr, &schema);
+                let value = Evaluator::new(&db, Limits::default()).eval(&expr);
+                let _ = format!("{expr} {value:?}");
+            }
+        };
+        session.spawn(work).unwrap().join().unwrap();
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! everything else is compared on steps too and then swept over every
 //! `max_steps` from 1 to its unrestricted total.
 
+use balg_core::analyze::ifp_delta_form;
 use balg_core::bag::{attr_field, Bag, BagBuilder, BagError};
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred, Var};
@@ -80,14 +81,20 @@ impl Model<'_> {
             }
             Expr::Ifp { var, body, input } => {
                 self.tick()?;
+                // The evaluator's loop: a delta-form body (form 3 with a
+                // predicate that does not read `T`) sees only the rows
+                // the last round added, and is charged for those.
+                let delta_form = ifp_delta_form(var, body);
                 let mut current = self.bag(input, env)?;
+                let mut fresh = current.clone();
                 loop {
-                    let inner = bound(env, var, Value::Bag(current.clone()));
-                    let next = current.max_union(&self.bag(body, &inner)?);
-                    if next == current {
+                    let seen = if delta_form { fresh } else { current.clone() };
+                    let inner = bound(env, var, Value::Bag(seen));
+                    fresh = self.bag(body, &inner)?.subtract(&current);
+                    if fresh.is_empty() {
                         return Ok(current);
                     }
-                    current = next;
+                    current = current.additive_union(&fresh);
                 }
             }
             _ => Ok(self

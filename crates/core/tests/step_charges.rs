@@ -10,7 +10,9 @@
 //! `balg_core::join` extraction), before any edit, and every case is
 //! checked on all three `Evaluator` paths — indexed, `set_indexing(false)`
 //! and partitioned (`set_parallel_threads(4)`, threshold 1). A changed
-//! number is a bug in the change, not a re-baseline.
+//! number is a bug in the change, not a re-baseline — with one exception:
+//! `ifp_closure_over_a_join_body` was re-recorded when the fixpoint became
+//! semi-naive, which by contract charges less (reason at the constant).
 
 use balg_core::bag::Bag;
 use balg_core::eval::{EvalError, Evaluator, Limits};
@@ -89,7 +91,13 @@ fn ifp_closure_over_a_join_body() {
     let db = Database::new().with("G", g);
     let body = join("T", "G", 2, 3).project(&[1, 4]).dedup();
     let q = Expr::var("G").ifp("T", body);
-    let out = pinned(&q, &db, &Limits::default(), 1_946, 144).unwrap();
+    // Re-recorded with the semi-naive fixpoint (was 1 946 at `8899e58`):
+    // the body is `ε` of an expression linear in `T`, so each of the 12
+    // rounds joins only the 12 paths the round before added — 30 steps
+    // (ε, π, σ, ×, T, G, 12 pairs, 12 projections) instead of 30, 54, …,
+    // 294 over the growing accumulator — plus the IFP node and its seed.
+    // The accumulator itself, and so `max_distinct_elements`, is unchanged.
+    let out = pinned(&q, &db, &Limits::default(), 362, 144).unwrap();
     assert_eq!(out.distinct_count(), 144);
 }
 

@@ -148,6 +148,33 @@ fn dropped_views_report_their_cause_over_the_wire() {
     server.shutdown();
 }
 
+/// A 140 KB line nests 20 000 operators: it used to overflow the session
+/// thread's stack, which takes the whole process down. Now both parsers
+/// stop at `MAX_EXPR_DEPTH` and the session carries on.
+#[test]
+fn hostile_nesting_depth_is_an_error_reply() {
+    let server = spawn_default();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let deep =
+        |open: &str, leaf: &str| format!("{}{leaf}{}", open.repeat(20_000), ")".repeat(20_000));
+    let select = "SELECT customer FROM orders";
+    let chain = vec![select; 5_000].join(" UNION ALL ");
+    for statement in [
+        format!(":analyze {}", deep("dedup(", "orders")),
+        format!(":profile {}", deep("dedup(", "orders")),
+        format!("CREATE VIEW v AS BALG {}", deep("dedup(", "orders")),
+        deep("(", select),
+        chain,
+    ] {
+        let reply = client.request(&statement).unwrap();
+        assert!(!reply.ok);
+        assert!(reply.text.contains("nested deeper than"), "{}", reply.text);
+    }
+    assert_eq!(client.request(":ping").unwrap(), Reply::ok("pong"));
+    assert!(client.request(select).unwrap().ok);
+    server.shutdown();
+}
+
 #[test]
 fn oversized_frames_close_the_connection() {
     let catalog = Catalog::new().with_table("t", &[("v", false)]);

@@ -6,6 +6,7 @@ use crate::ast::{
     Aggregate, ColumnRef, CompareOp, Comparison, Operand, Projection, Query, SelectCore, TableRef,
 };
 use crate::lexer::{tokenize_with_positions, Keyword, LexError, Token};
+use balg_core::expr::MAX_EXPR_DEPTH;
 
 /// A parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +55,7 @@ pub(crate) fn parse_query_from(
         positions,
         pos: start,
     };
-    let query = parser.query()?;
+    let query = parser.query(0)?;
     parser.expect_end()?;
     Ok(query)
 }
@@ -133,9 +134,22 @@ impl Parser {
         }
     }
 
+    /// One level further down the tree being built, `depth` levels below
+    /// the statement. The compiler, the evaluator and `Drop` recurse over
+    /// the plan, and parentheses, a chain of set operations, a `FROM` list
+    /// and a `WHERE` conjunction each make it one level deeper per item,
+    /// so all four draw on the one [`MAX_EXPR_DEPTH`].
+    fn deeper(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth == MAX_EXPR_DEPTH {
+            return Err(self.error(&format!("query nested deeper than {MAX_EXPR_DEPTH} levels")));
+        }
+        Ok(depth + 1)
+    }
+
     // query := select_core (set_op query_core)*
-    fn query(&mut self) -> Result<Query, ParseError> {
-        let mut left = self.query_atom()?;
+    fn query(&mut self, depth: usize) -> Result<Query, ParseError> {
+        let mut depth = self.deeper(depth)?;
+        let mut left = self.query_atom(depth)?;
         loop {
             let make: fn(Box<Query>, Box<Query>) -> Query = if self.eat_keyword(Keyword::Union) {
                 if self.eat_keyword(Keyword::All) {
@@ -158,23 +172,24 @@ impl Parser {
             } else {
                 break;
             };
-            let right = self.query_atom()?;
+            depth = self.deeper(depth)?; // the chain is left-deep
+            let right = self.query_atom(depth)?;
             left = make(Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
-    fn query_atom(&mut self) -> Result<Query, ParseError> {
+    fn query_atom(&mut self, depth: usize) -> Result<Query, ParseError> {
         if self.eat(&Token::LParen) {
-            let inner = self.query()?;
+            let inner = self.query(depth)?;
             self.expect(&Token::RParen)?;
             Ok(inner)
         } else {
-            Ok(Query::Select(self.select_core()?))
+            Ok(Query::Select(self.select_core(depth)?))
         }
     }
 
-    fn select_core(&mut self) -> Result<SelectCore, ParseError> {
+    fn select_core(&mut self, mut depth: usize) -> Result<SelectCore, ParseError> {
         if !self.eat_keyword(Keyword::Select) {
             return Err(self.error("expected SELECT"));
         }
@@ -185,12 +200,14 @@ impl Parser {
         }
         let mut from = vec![self.table_ref()?];
         while self.eat(&Token::Comma) {
+            depth = self.deeper(depth)?; // one more `×`
             from.push(self.table_ref()?);
         }
         let mut predicates = Vec::new();
         if self.eat_keyword(Keyword::Where) {
             predicates.push(self.comparison()?);
             while self.eat_keyword(Keyword::And) {
+                depth = self.deeper(depth)?; // one more `σ` or `∧`
                 predicates.push(self.comparison()?);
             }
         }

@@ -242,3 +242,44 @@ fn bad_updates_surface_the_update_variant() {
         SqlError::Update(UpdateError::UnknownView(ref v)) if v == "missing"
     ));
 }
+
+// ----- nesting depth -----
+
+/// Parentheses, set-operation chains, `FROM` lists and `WHERE`
+/// conjunctions each deepen the plan by one level per item; all four stop
+/// at `MAX_EXPR_DEPTH` with a positioned parse error, and a statement just
+/// inside the cap still compiles, runs and drops on a test thread's 2 MiB
+/// stack.
+#[test]
+fn nesting_depth_is_capped() {
+    use balg_core::expr::MAX_EXPR_DEPTH;
+    let select = "SELECT customer FROM orders";
+    let parens = |n: usize| format!("{}{select}{}", "(".repeat(n), ")".repeat(n));
+    let unions = |n: usize| vec![select; n].join(" UNION ALL ");
+    let tables = |n: usize| {
+        let from: Vec<String> = (0..n).map(|i| format!("vip v{i}")).collect();
+        format!("SELECT v0.customer FROM {}", from.join(", "))
+    };
+    let conjuncts = |n: usize| format!("{select} WHERE {}", vec!["qty = 3"; n].join(" AND "));
+    let mut rt = runtime();
+    for (shape, inside) in [
+        (&parens as &dyn Fn(usize) -> String, MAX_EXPR_DEPTH - 1),
+        (&unions, MAX_EXPR_DEPTH),
+        (&conjuncts, MAX_EXPR_DEPTH),
+    ] {
+        let ok = rt.execute(&shape(inside));
+        assert!(ok.is_ok(), "{ok:?}");
+        // A hostile size, far past what the stack could take.
+        let err = rt.execute(&shape(20_000)).unwrap_err();
+        let SqlError::Parse(err) = err else {
+            panic!("expected a parse error, got {err:?}")
+        };
+        assert!(err.message.contains("nested deeper than"), "{err}");
+        assert!(err.at > 0, "{err}");
+    }
+    assert!(matches!(
+        rt.execute(&tables(3_000)),
+        Err(SqlError::Parse(_))
+    ));
+    assert!(parse_statement(&tables(MAX_EXPR_DEPTH)).is_ok());
+}
