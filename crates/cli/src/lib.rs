@@ -298,7 +298,7 @@ anything else is parsed as a BALG expression and evaluated, e.g.
 /// engine, `:insert`/`:delete` stream updates through it, and plain
 /// expressions may read both bases and view results.
 pub struct IncrementalSession {
-    backend: balg_incremental::AnyRuntime,
+    backend: balg_incremental::Runtime,
 }
 
 impl Default for IncrementalSession {
@@ -311,7 +311,7 @@ impl IncrementalSession {
     /// A fresh in-memory incremental session with default budgets.
     pub fn new() -> IncrementalSession {
         IncrementalSession {
-            backend: balg_incremental::AnyRuntime::from(balg_incremental::ViewRuntime::new()),
+            backend: balg_incremental::Runtime::memory(balg_incremental::ViewRuntime::new()),
         }
     }
 
@@ -319,10 +319,9 @@ impl IncrementalSession {
     /// `--data-dir` flag): loads the latest snapshot, replays the WAL,
     /// and logs every later mutation before applying it.
     pub fn open(data_dir: impl AsRef<std::path::Path>) -> Result<IncrementalSession, String> {
-        let durable = balg_incremental::ViewRuntime::open(data_dir).map_err(|e| e.to_string())?;
-        Ok(IncrementalSession {
-            backend: balg_incremental::AnyRuntime::from(durable),
-        })
+        let backend = balg_incremental::Runtime::open(data_dir, Limits::default())
+            .map_err(|e| e.to_string())?;
+        Ok(IncrementalSession { backend })
     }
 
     /// The underlying view runtime.
@@ -451,10 +450,7 @@ impl IncrementalSession {
                 }
                 Response::Text(out.trim_end().to_owned())
             }
-            "stats" => Response::Text(balg_incremental::render_stats(
-                self.backend.runtime(),
-                self.backend.durability().as_ref(),
-            )),
+            "stats" => Response::Text(self.backend.render_stats()),
             "check" => {
                 let result = if args.is_empty() {
                     self.backend.runtime().verify_all()

@@ -1,8 +1,14 @@
-//! Durability for the view runtime: write-ahead log, snapshots, recovery.
+//! The stateful runtime and its optional commit log: write-ahead log,
+//! snapshots, recovery.
 //!
-//! [`DurableRuntime`] wraps a [`ViewRuntime`] and persists every committed
-//! mutation to a data directory, so a process crash (or plain restart)
-//! replays to exactly the acked state:
+//! [`Runtime`] is the one type every surface holds: a [`ViewRuntime`]
+//! plus, when it was opened over a data directory, a commit log. Each
+//! mutation crosses one seam — validate, write ahead, commit in memory —
+//! and the write-ahead step is the only thing the log adds, so an
+//! in-memory runtime ([`Runtime::memory`]) and a durable one
+//! ([`Runtime::open`]) maintain their views through the same code. A
+//! durable runtime persists every committed mutation, so a process crash
+//! (or plain restart) replays to exactly the acked state:
 //!
 //! * **`wal.log`** — a sequence of CRC-framed records
 //!   ([`balg_core::wal`]), one per mutation: update batches (the hot
@@ -13,21 +19,23 @@
 //!   survives, and a torn tail can only be an un-acked suffix.
 //! * **`snapshot.balg`** — a full image of the runtime (bases, view
 //!   definitions, dropped-view tombstones, counters) written by
-//!   [`DurableRuntime::checkpoint`]: to `snapshot.tmp` first, fsynced,
+//!   [`Runtime::checkpoint`]: to `snapshot.tmp` first, fsynced,
 //!   atomically renamed, directory fsynced, and only then is the WAL
 //!   truncated. A crash at any point leaves either the old or the new
 //!   snapshot intact, never a half state; WAL records already covered by
 //!   the surviving snapshot are skipped on replay by LSN.
 //!
-//! [`DurableRuntime::open`] loads the snapshot (if any), replays the WAL
-//! tail, **truncates** — rather than fails on — a torn or corrupt final
+//! [`Runtime::open`] loads the snapshot (if any), replays the WAL tail,
+//! **truncates** — rather than fails on — a torn or corrupt final
 //! record, re-derives all views, and resumes with the next LSN.
 //!
 //! Crash behaviour is tested the way the concurrency layer is: a fault
 //! plan ([`WalFaultPlan`]) injects kills at chosen WAL byte offsets and
 //! checkpoint crash points, and the recovery suites compare the reopened
-//! runtime against a never-crashed in-process twin.
+//! runtime against a never-crashed twin — and, step by step, a durable
+//! runtime against an in-memory one.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -42,7 +50,7 @@ use balg_core::wal::{
 };
 use balg_core::zbag::ZBag;
 
-use crate::runtime::{DroppedView, RuntimeStats, UpdateBatch, UpdateError, ViewRuntime};
+use crate::runtime::{render_stats, DroppedView, UpdateBatch, UpdateError, ViewRuntime};
 
 /// WAL record payload tags. Tag `0` is deliberately unused: an all-zero
 /// frame header ("zero-filled tail") decodes as an empty payload, and the
@@ -226,7 +234,7 @@ impl WalRecord {
 }
 
 /// When to write a snapshot and truncate the WAL automatically. Explicit
-/// [`DurableRuntime::checkpoint`] calls are always honoured regardless.
+/// [`Runtime::checkpoint`] calls are always honoured regardless.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointPolicy {
     /// Checkpoint once the WAL exceeds this many bytes (`0` disables the
@@ -264,7 +272,7 @@ impl CheckpointPolicy {
 /// Fault-injection plan for crash testing. A triggered fault leaves the
 /// on-disk state exactly as a kill at that instant would (including any
 /// torn partial write, which is flushed so the recovery test reads what a
-/// real crash would leave) and **poisons** the runtime: every later
+/// real crash would leave) and **poisons** the log: every later
 /// operation fails with [`DurableError::Poisoned`], modelling the process
 /// being gone. Reopening the directory is the only way forward.
 #[derive(Clone, Copy, Debug, Default)]
@@ -314,7 +322,8 @@ pub enum DurableError {
     Update(UpdateError),
     /// An injected fault fired; the simulated process is dead.
     Fault(&'static str),
-    /// The runtime was poisoned by an earlier injected fault.
+    /// The log was poisoned by an earlier injected fault or a failed
+    /// write to the WAL file.
     Poisoned,
 }
 
@@ -325,7 +334,7 @@ impl fmt::Display for DurableError {
             DurableError::Corrupt(what) => write!(f, "corrupt durable state: {what}"),
             DurableError::Update(e) => write!(f, "{e}"),
             DurableError::Fault(point) => write!(f, "injected fault: {point}"),
-            DurableError::Poisoned => f.write_str("runtime poisoned by injected fault"),
+            DurableError::Poisoned => f.write_str("runtime poisoned by an earlier log failure"),
         }
     }
 }
@@ -370,15 +379,15 @@ pub struct Durability {
     pub checkpoints: u64,
 }
 
-/// A [`ViewRuntime`] whose every mutation is persisted to a data
-/// directory. See the module docs for the file layout and guarantees.
+/// The commit log of a durable [`Runtime`]: everything that exists only
+/// on disk — the WAL file and its position, the snapshot's coverage, the
+/// persisted annotations, and the crash-test fault plan.
 #[derive(Debug)]
-pub struct DurableRuntime {
-    inner: ViewRuntime,
+struct Wal {
     /// Opaque persisted annotations (see [`WalRecord::Meta`]).
-    metas: std::collections::BTreeMap<String, String>,
+    metas: BTreeMap<String, String>,
     dir: PathBuf,
-    wal: File,
+    file: File,
     /// Current WAL length in bytes (file offset of the next record).
     wal_bytes: u64,
     /// LSN of the last logged record.
@@ -394,134 +403,67 @@ pub struct DurableRuntime {
     poisoned: bool,
 }
 
-impl ViewRuntime {
-    /// Open (or create) a durable runtime over `data_dir` with default
-    /// evaluation budgets — the issue-facing spelling of
-    /// [`DurableRuntime::open`].
-    pub fn open(data_dir: impl AsRef<Path>) -> Result<DurableRuntime, DurableError> {
-        DurableRuntime::open(data_dir, Limits::default())
+impl Wal {
+    fn check_poison(&self) -> Result<(), DurableError> {
+        if self.poisoned {
+            return Err(DurableError::Poisoned);
+        }
+        Ok(())
     }
-}
 
-impl DurableRuntime {
-    /// Open (or create) the data directory: load the latest snapshot,
-    /// replay the WAL tail (truncating a torn/corrupt final record),
-    /// re-derive all views, and resume with monotonic LSNs.
-    ///
-    /// `limits` must match the budgets the directory was written under —
-    /// deterministic replay of view drops depends on it.
-    pub fn open(
-        data_dir: impl AsRef<Path>,
-        limits: Limits,
-    ) -> Result<DurableRuntime, DurableError> {
-        let dir = data_dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        // A leftover snapshot.tmp is a checkpoint that never committed
-        // (crash before rename); the old snapshot is still authoritative.
-        let tmp = dir.join("snapshot.tmp");
-        if tmp.exists() {
-            std::fs::remove_file(&tmp)?;
-        }
+    /// Run one write to the log file. Any failure **poisons** the log:
+    /// after a failed `write` or `fsync` the file may end in a torn
+    /// frame, and a commit acked behind it would be truncated away by
+    /// the next [`Runtime::open`] along with the tear.
+    fn guarded(
+        &mut self,
+        write: impl FnOnce(&mut Wal) -> Result<(), DurableError>,
+    ) -> Result<(), DurableError> {
+        self.check_poison()?;
+        let result = write(self);
+        self.poisoned |= result.is_err();
+        result
+    }
 
-        let mut inner = ViewRuntime::with_limits(limits);
-        let mut metas = std::collections::BTreeMap::new();
-        let mut snapshot_lsn = 0u64;
-        let snap_path = dir.join("snapshot.balg");
-        if snap_path.exists() {
-            snapshot_lsn = load_snapshot(&snap_path, &mut inner, &mut metas)?;
-        }
-
-        let wal_path = dir.join("wal.log");
-        let mut wal = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&wal_path)?;
-        let mut bytes = Vec::new();
-        wal.read_to_end(&mut bytes)?;
-
-        let mut lsn = snapshot_lsn;
-        let mut replayed_batches = 0u64;
-        let mut iter = frames(&bytes);
-        let mut good_end = 0usize;
-        while let Some((_, payload)) = iter.next() {
-            if payload.is_empty() {
-                // Zero-filled region decoding as an "empty record" — see
-                // the tag-0 note. Truncate here.
-                break;
+    /// Append the record `build` makes of the next LSN as one frame,
+    /// honouring the fault plan; the LSN is taken only once the frame is
+    /// written whole.
+    fn append(&mut self, build: impl FnOnce(u64) -> WalRecord) -> Result<(), DurableError> {
+        self.guarded(|wal| {
+            let framed = frame(&build(wal.lsn + 1).encode());
+            if let Some(cut) = wal.fault.cut_wal_at {
+                let end = wal.wal_bytes + framed.len() as u64;
+                if end > cut {
+                    // Simulated kill mid-write: the prefix up to the cut
+                    // reaches the disk (flushed so the recovery test sees
+                    // exactly what a crash would leave), the rest never does.
+                    let keep = cut.saturating_sub(wal.wal_bytes) as usize;
+                    wal.file.write_all(&framed[..keep])?;
+                    wal.file.sync_data()?;
+                    return Err(DurableError::Fault("wal write cut"));
+                }
             }
-            let record = match WalRecord::decode(payload) {
-                Ok(record) => record,
-                // Mid-file decode failure behind a valid CRC would be a
-                // writer bug; at the tail it is a torn write. Either way
-                // the only safe resumption point is before the record.
-                Err(_) => break,
-            };
-            if record.lsn() <= snapshot_lsn {
-                // Already covered by the snapshot (crash after rename,
-                // before WAL truncation).
-                good_end = iter.offset();
-                continue;
+            wal.file.write_all(&framed)?;
+            wal.lsn += 1;
+            wal.wal_bytes += framed.len() as u64;
+            if let Some(obs) = crate::obs::dur_obs() {
+                obs.wal_bytes.add(framed.len() as u64);
             }
-            lsn = record.lsn();
-            replay(&mut inner, &mut metas, record, &mut replayed_batches)?;
-            good_end = iter.offset();
-        }
-        if good_end < bytes.len() {
-            // Torn or corrupt tail: truncate to the last good record so
-            // future appends extend a clean log.
-            wal.set_len(good_end as u64)?;
-            wal.sync_all()?;
-        }
-
-        Ok(DurableRuntime {
-            inner,
-            metas,
-            dir,
-            wal,
-            wal_bytes: good_end as u64,
-            lsn,
-            snapshot_lsn,
-            batches_since_checkpoint: 0,
-            replayed_batches,
-            checkpoints: 0,
-            policy: CheckpointPolicy::default(),
-            sync_on_commit: true,
-            fault: WalFaultPlan::none(),
-            poisoned: false,
+            if wal.sync_on_commit {
+                sync_data_timed(&wal.file)?;
+            }
+            Ok(())
         })
     }
 
-    /// The data directory this runtime persists to.
-    pub fn data_dir(&self) -> &Path {
-        &self.dir
+    fn set_meta(&mut self, key: String, value: Option<String>) {
+        match value {
+            Some(value) => self.metas.insert(key, value),
+            None => self.metas.remove(&key),
+        };
     }
 
-    /// The wrapped in-memory runtime (reads only — mutations must go
-    /// through the logging methods).
-    pub fn runtime(&self) -> &ViewRuntime {
-        &self.inner
-    }
-
-    /// Replace the automatic checkpoint policy.
-    pub fn set_checkpoint_policy(&mut self, policy: CheckpointPolicy) {
-        self.policy = policy;
-    }
-
-    /// Whether every commit fsyncs before returning (default `true`).
-    /// The server turns this off and calls [`DurableRuntime::sync_wal`]
-    /// once per drained writer-queue group, before acking any of them.
-    pub fn set_sync_on_commit(&mut self, sync: bool) {
-        self.sync_on_commit = sync;
-    }
-
-    /// Install a fault-injection plan (crash tests only).
-    pub fn set_fault_plan(&mut self, fault: WalFaultPlan) {
-        self.fault = fault;
-    }
-
-    /// Durability counters for `:stats`.
-    pub fn durability(&self) -> Durability {
+    fn durability(&self) -> Durability {
         Durability {
             lsn: self.lsn,
             snapshot_lsn: self.snapshot_lsn,
@@ -532,172 +474,15 @@ impl DurableRuntime {
         }
     }
 
-    /// Flush WAL writes to stable storage. A no-op when every commit
-    /// already syncs.
-    pub fn sync_wal(&mut self) -> Result<(), DurableError> {
-        self.check_poison()?;
-        sync_data_timed(&self.wal)?;
-        Ok(())
-    }
-
-    fn check_poison(&self) -> Result<(), DurableError> {
-        if self.poisoned {
-            return Err(DurableError::Poisoned);
-        }
-        Ok(())
-    }
-
-    /// Append one framed record to the WAL, honouring the fault plan.
-    fn append_wal(&mut self, record: &WalRecord) -> Result<(), DurableError> {
-        let framed = frame(&record.encode());
-        if let Some(cut) = self.fault.cut_wal_at {
-            let end = self.wal_bytes + framed.len() as u64;
-            if end > cut {
-                // Simulated kill mid-write: the prefix up to the cut
-                // reaches the disk (flushed so the recovery test sees
-                // exactly what a crash would leave), the rest never does.
-                let keep = cut.saturating_sub(self.wal_bytes) as usize;
-                self.wal.write_all(&framed[..keep])?;
-                self.wal.sync_data()?;
-                self.poisoned = true;
-                return Err(DurableError::Fault("wal write cut"));
-            }
-        }
-        self.wal.write_all(&framed)?;
-        self.wal_bytes += framed.len() as u64;
-        if let Some(obs) = crate::obs::dur_obs() {
-            obs.wal_bytes.add(framed.len() as u64);
-        }
-        if self.sync_on_commit {
-            sync_data_timed(&self.wal)?;
-        }
-        Ok(())
-    }
-
-    fn next_lsn(&mut self) -> u64 {
-        self.lsn += 1;
-        self.lsn
-    }
-
-    /// Log and apply one update batch. The record is validated first
-    /// (nothing is logged for a rejected batch), then logged and — by
-    /// default — fsynced, then committed in memory, so an `Ok` means the
-    /// batch survives any later crash. A deterministic view drop
-    /// ([`UpdateError::View`]) still commits and is still durable; the
-    /// error is surfaced as it is by [`ViewRuntime::apply`].
-    pub fn commit(&mut self, batch: &UpdateBatch) -> Result<(), DurableError> {
-        self.check_poison()?;
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.inner.validate(batch)?;
-        let lsn = self.next_lsn();
-        let deltas: Vec<(Var, ZBag)> = batch
-            .iter()
-            .filter(|(_, delta)| !delta.is_empty())
-            .map(|(name, delta)| (name.clone(), delta.clone()))
-            .collect();
-        self.append_wal(&WalRecord::Batch { lsn, deltas })?;
-        let applied = self.inner.apply(batch);
-        self.batches_since_checkpoint += 1;
-        self.maybe_checkpoint()?;
-        applied.map_err(DurableError::from)
-    }
-
-    /// Log and apply a base load/replace (see [`ViewRuntime::load_base`]).
-    pub fn load_base(&mut self, name: &str, bag: Bag) -> Result<(), DurableError> {
-        self.check_poison()?;
-        let lsn = self.next_lsn();
-        self.append_wal(&WalRecord::LoadBase {
-            lsn,
-            name: name.to_owned(),
-            bag: bag.clone(),
-        })?;
-        self.inner.load_base(name, bag).map_err(DurableError::from)
-    }
-
-    /// Log and apply a view registration (see
-    /// [`ViewRuntime::create_view`]). A registration the runtime rejects
-    /// is logged but rejected identically on replay, so the log and the
-    /// state never diverge.
-    pub fn create_view(&mut self, name: &str, expr: Expr) -> Result<&Bag, DurableError> {
-        self.check_poison()?;
-        let lsn = self.next_lsn();
-        self.append_wal(&WalRecord::CreateView {
-            lsn,
-            name: name.to_owned(),
-            expr: expr.clone(),
-        })?;
-        self.inner
-            .create_view(name, expr)
-            .map_err(DurableError::from)
-    }
-
-    /// Log and apply a view drop (see [`ViewRuntime::drop_view`]).
-    pub fn drop_view(&mut self, name: &str) -> Result<bool, DurableError> {
-        self.check_poison()?;
-        let lsn = self.next_lsn();
-        self.append_wal(&WalRecord::DropView {
-            lsn,
-            name: name.to_owned(),
-        })?;
-        Ok(self.inner.drop_view(name))
-    }
-
-    /// A persisted annotation's current value.
-    pub fn meta(&self, key: &str) -> Option<&str> {
-        self.metas.get(key).map(String::as_str)
-    }
-
-    /// Iterate persisted annotations in key order.
-    pub fn metas(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.metas.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// Log and apply an annotation write (`None` deletes the key).
-    pub fn set_meta(&mut self, key: &str, value: Option<&str>) -> Result<(), DurableError> {
-        self.check_poison()?;
-        let lsn = self.next_lsn();
-        self.append_wal(&WalRecord::Meta {
-            lsn,
-            key: key.to_owned(),
-            value: value.map(str::to_owned),
-        })?;
-        match value {
-            Some(value) => {
-                self.metas.insert(key.to_owned(), value.to_owned());
-            }
-            None => {
-                self.metas.remove(key);
-            }
-        }
-        Ok(())
-    }
-
-    /// Forwarded tuning knob (not a logged mutation): see
-    /// [`ViewRuntime::set_parallel_threads`].
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        self.inner.set_parallel_threads(n);
-    }
-
-    fn maybe_checkpoint(&mut self) -> Result<(), DurableError> {
-        if self
-            .policy
-            .due(self.wal_bytes, self.batches_since_checkpoint)
-        {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Write a full snapshot and truncate the WAL. The sequence is
-    /// crash-consistent at every step: tmp write → tmp fsync → atomic
-    /// rename → directory fsync → WAL truncate; a kill between any two
-    /// steps leaves a directory [`DurableRuntime::open`] recovers exactly.
-    pub fn checkpoint(&mut self) -> Result<(), DurableError> {
+    /// Write a full snapshot of `views` and truncate the log. The
+    /// sequence is crash-consistent at every step: tmp write → tmp fsync
+    /// → atomic rename → directory fsync → WAL truncate; a kill between
+    /// any two steps leaves a directory [`Runtime::open`] recovers
+    /// exactly.
+    fn checkpoint(&mut self, views: &ViewRuntime) -> Result<(), DurableError> {
         self.check_poison()?;
         let started = crate::obs::dur_obs().map(|_| std::time::Instant::now());
-        let bytes = encode_snapshot(&self.inner, &self.metas, self.lsn);
+        let bytes = encode_snapshot(views, &self.metas, self.lsn);
         let tmp = self.dir.join("snapshot.tmp");
         {
             let mut file = File::create(&tmp)?;
@@ -722,8 +507,8 @@ impl DurableRuntime {
             self.poisoned = true;
             return Err(DurableError::Fault("checkpoint truncate"));
         }
-        self.wal.set_len(0)?;
-        self.wal.sync_all()?;
+        self.file.set_len(0)?;
+        self.file.sync_all()?;
         self.wal_bytes = 0;
         self.snapshot_lsn = self.lsn;
         self.batches_since_checkpoint = 0;
@@ -735,174 +520,281 @@ impl DurableRuntime {
         }
         Ok(())
     }
-
-    // ------------------------------------------------------------------
-    // Read-side forwarding
-    // ------------------------------------------------------------------
-
-    /// See [`ViewRuntime::view`].
-    pub fn view(&self, name: &str) -> Option<&Bag> {
-        self.inner.view(name)
-    }
-
-    /// See [`ViewRuntime::verify`].
-    pub fn verify(&self, name: &str) -> Result<bool, UpdateError> {
-        self.inner.verify(name)
-    }
-
-    /// See [`ViewRuntime::verify_all`].
-    pub fn verify_all(&self) -> Result<bool, UpdateError> {
-        self.inner.verify_all()
-    }
-
-    /// See [`ViewRuntime::stats`].
-    pub fn stats(&self) -> RuntimeStats {
-        self.inner.stats()
-    }
 }
 
-/// A runtime that is either purely in-memory or durable — the shape the
-/// SQL layer and the CLI program against, so `--data-dir` is a
-/// construction-time choice rather than a parallel code path.
+/// The one stateful runtime: a [`ViewRuntime`] and, when opened over a
+/// data directory, the commit log every mutation is written to first.
+/// See the module docs for the file layout and guarantees. In-memory
+/// ([`Runtime::memory`]) the durability calls are no-ops.
+///
+/// The wrapper is what makes "mutations go through the log" a matter of
+/// type: [`Runtime::runtime`] hands out `&ViewRuntime` only.
 #[derive(Debug)]
-pub enum AnyRuntime {
-    /// Plain in-memory [`ViewRuntime`]; durability calls are no-ops.
-    Memory(ViewRuntime),
-    /// WAL-backed [`DurableRuntime`].
-    Durable(DurableRuntime),
+pub struct Runtime {
+    views: ViewRuntime,
+    log: Option<Wal>,
 }
 
-impl From<ViewRuntime> for AnyRuntime {
-    fn from(rt: ViewRuntime) -> Self {
-        AnyRuntime::Memory(rt)
+impl Runtime {
+    /// A purely in-memory runtime over `views`; nothing is persisted.
+    pub fn memory(views: ViewRuntime) -> Runtime {
+        Runtime { views, log: None }
     }
-}
 
-impl From<DurableRuntime> for AnyRuntime {
-    fn from(rt: DurableRuntime) -> Self {
-        AnyRuntime::Durable(rt)
+    /// Open (or create) the data directory: load the latest snapshot,
+    /// replay the WAL tail (truncating a torn/corrupt final record),
+    /// re-derive all views, and resume with monotonic LSNs.
+    ///
+    /// `limits` must match the budgets the directory was written under —
+    /// deterministic replay of view drops depends on it.
+    pub fn open(data_dir: impl AsRef<Path>, limits: Limits) -> Result<Runtime, DurableError> {
+        let dir = data_dir.as_ref().to_path_buf();
+        std::fs::create_dir_all(&dir)?;
+        // A leftover snapshot.tmp is a checkpoint that never committed
+        // (crash before rename); the old snapshot is still authoritative.
+        let tmp = dir.join("snapshot.tmp");
+        if tmp.exists() {
+            std::fs::remove_file(&tmp)?;
+        }
+
+        let mut views = ViewRuntime::with_limits(limits);
+        let mut metas = BTreeMap::new();
+        let mut snapshot_lsn = 0u64;
+        let snap_path = dir.join("snapshot.balg");
+        if snap_path.exists() {
+            snapshot_lsn = load_snapshot(&snap_path, &mut views, &mut metas)?;
+        }
+
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(dir.join("wal.log"))?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+
+        let mut wal = Wal {
+            metas,
+            dir,
+            file,
+            wal_bytes: 0,
+            lsn: snapshot_lsn,
+            snapshot_lsn,
+            batches_since_checkpoint: 0,
+            replayed_batches: 0,
+            checkpoints: 0,
+            policy: CheckpointPolicy::default(),
+            sync_on_commit: true,
+            fault: WalFaultPlan::none(),
+            poisoned: false,
+        };
+        let mut iter = frames(&bytes);
+        let mut good_end = 0usize;
+        while let Some((_, payload)) = iter.next() {
+            if payload.is_empty() {
+                // Zero-filled region decoding as an "empty record" — see
+                // the tag-0 note. Truncate here.
+                break;
+            }
+            let record = match WalRecord::decode(payload) {
+                Ok(record) => record,
+                // Mid-file decode failure behind a valid CRC would be a
+                // writer bug; at the tail it is a torn write. Either way
+                // the only safe resumption point is before the record.
+                Err(_) => break,
+            };
+            // A record at or below the snapshot LSN is already covered
+            // (crash after rename, before WAL truncation).
+            if record.lsn() > snapshot_lsn {
+                wal.lsn = record.lsn();
+                replay(&mut views, &mut wal, record)?;
+            }
+            good_end = iter.offset();
+        }
+        if good_end < bytes.len() {
+            // Torn or corrupt tail: truncate to the last good record so
+            // future appends extend a clean log.
+            wal.file.set_len(good_end as u64)?;
+            wal.file.sync_all()?;
+        }
+        wal.wal_bytes = good_end as u64;
+        Ok(Runtime {
+            views,
+            log: Some(wal),
+        })
     }
-}
 
-impl AnyRuntime {
-    /// The wrapped in-memory runtime (always present; the durable wrapper
-    /// maintains one).
+    /// The wrapped in-memory runtime (reads only — mutations must go
+    /// through the logging methods).
     pub fn runtime(&self) -> &ViewRuntime {
-        match self {
-            AnyRuntime::Memory(rt) => rt,
-            AnyRuntime::Durable(d) => d.runtime(),
+        &self.views
+    }
+
+    /// Replace the automatic checkpoint policy.
+    pub fn set_checkpoint_policy(&mut self, policy: CheckpointPolicy) {
+        if let Some(wal) = &mut self.log {
+            wal.policy = policy;
         }
     }
 
-    /// Whether mutations are persisted.
-    pub fn is_durable(&self) -> bool {
-        matches!(self, AnyRuntime::Durable(_))
+    /// Whether every commit fsyncs before returning (default `true`).
+    /// The server turns this off and calls [`Runtime::sync_wal`] once
+    /// per drained writer-queue group, before acking any of them.
+    pub fn set_sync_on_commit(&mut self, sync: bool) {
+        if let Some(wal) = &mut self.log {
+            wal.sync_on_commit = sync;
+        }
     }
 
-    /// Durability counters (`None` in memory mode).
+    /// Install a fault-injection plan (crash tests only).
+    pub fn set_fault_plan(&mut self, fault: WalFaultPlan) {
+        if let Some(wal) = &mut self.log {
+            wal.fault = fault;
+        }
+    }
+
+    /// Durability counters for `:stats` (`None` in memory).
     pub fn durability(&self) -> Option<Durability> {
-        match self {
-            AnyRuntime::Memory(_) => None,
-            AnyRuntime::Durable(d) => Some(d.durability()),
+        self.log.as_ref().map(Wal::durability)
+    }
+
+    /// The `:stats` report of this runtime — [`render_stats`] over its
+    /// views and durability counters.
+    pub fn render_stats(&self) -> String {
+        render_stats(&self.views, self.durability().as_ref())
+    }
+
+    /// Flush WAL writes to stable storage. A no-op when every commit
+    /// already syncs, and in memory.
+    pub fn sync_wal(&mut self) -> Result<(), DurableError> {
+        match &mut self.log {
+            Some(wal) => wal.guarded(|wal| Ok(sync_data_timed(&wal.file)?)),
+            None => Ok(()),
         }
     }
 
-    /// See [`ViewRuntime::load_base`] / [`DurableRuntime::load_base`].
-    pub fn load_base(&mut self, name: &str, bag: Bag) -> Result<(), DurableError> {
-        match self {
-            AnyRuntime::Memory(rt) => rt.load_base(name, bag).map_err(DurableError::from),
-            AnyRuntime::Durable(d) => d.load_base(name, bag),
+    /// The write-ahead step every mutation starts with: log the record
+    /// (and, by default, fsync it) before anything changes in memory.
+    fn write_ahead(&mut self, build: impl FnOnce(u64) -> WalRecord) -> Result<(), DurableError> {
+        match &mut self.log {
+            Some(wal) => wal.append(build),
+            None => Ok(()),
         }
     }
 
-    /// See [`ViewRuntime::create_view`] / [`DurableRuntime::create_view`].
-    /// Returns `()` rather than the initial bag; read it back with
-    /// [`ViewRuntime::view`] via [`AnyRuntime::runtime`].
-    pub fn create_view(&mut self, name: &str, expr: Expr) -> Result<(), DurableError> {
-        match self {
-            AnyRuntime::Memory(rt) => rt
-                .create_view(name, expr)
-                .map(|_| ())
-                .map_err(DurableError::from),
-            AnyRuntime::Durable(d) => d.create_view(name, expr).map(|_| ()),
-        }
-    }
-
-    /// See [`ViewRuntime::drop_view`] / [`DurableRuntime::drop_view`].
-    pub fn drop_view(&mut self, name: &str) -> Result<bool, DurableError> {
-        match self {
-            AnyRuntime::Memory(rt) => Ok(rt.drop_view(name)),
-            AnyRuntime::Durable(d) => d.drop_view(name),
-        }
-    }
-
-    /// See [`ViewRuntime::apply`] / [`DurableRuntime::commit`].
+    /// Log and apply one update batch. The batch is validated first
+    /// (nothing is logged for a rejected batch), then logged and — by
+    /// default — fsynced, then committed in memory, so an `Ok` from a
+    /// durable runtime means the batch survives any later crash. A
+    /// deterministic view drop ([`UpdateError::View`]) still commits and
+    /// is still durable; the error is surfaced as it is by
+    /// [`ViewRuntime::apply`].
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<(), DurableError> {
-        match self {
-            AnyRuntime::Memory(rt) => rt.apply(batch).map_err(DurableError::from),
-            AnyRuntime::Durable(d) => d.commit(batch),
+        // Ahead of the append's own check: a dead log refuses even the
+        // batches that would log nothing or fail validation.
+        if let Some(wal) = &self.log {
+            wal.check_poison()?;
         }
-    }
-
-    /// Checkpoint a durable runtime, returning the post-checkpoint
-    /// counters; `Ok(None)` in memory mode (nothing to persist).
-    pub fn checkpoint(&mut self) -> Result<Option<Durability>, DurableError> {
-        match self {
-            AnyRuntime::Memory(_) => Ok(None),
-            AnyRuntime::Durable(d) => {
-                d.checkpoint()?;
-                Ok(Some(d.durability()))
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let affected = self.views.validate(batch)?;
+        self.write_ahead(|lsn| WalRecord::Batch {
+            lsn,
+            deltas: batch
+                .iter()
+                .filter(|(_, delta)| !delta.is_empty())
+                .map(|(name, delta)| (name.clone(), delta.clone()))
+                .collect(),
+        })?;
+        let applied = self.views.commit_validated(batch, &affected);
+        if let Some(wal) = &mut self.log {
+            wal.batches_since_checkpoint += 1;
+            if wal.policy.due(wal.wal_bytes, wal.batches_since_checkpoint) {
+                wal.checkpoint(&self.views)?;
             }
         }
+        applied.map_err(DurableError::from)
     }
 
-    /// Persist an annotation (no-op in memory mode — the caller's own
-    /// in-memory structures are already authoritative there).
-    pub fn set_meta(&mut self, key: &str, value: Option<&str>) -> Result<(), DurableError> {
-        match self {
-            AnyRuntime::Memory(_) => Ok(()),
-            AnyRuntime::Durable(d) => d.set_meta(key, value),
-        }
+    /// Log and apply a base load/replace (see [`ViewRuntime::load_base`]).
+    pub fn load_base(&mut self, name: &str, bag: Bag) -> Result<(), DurableError> {
+        self.write_ahead(|lsn| WalRecord::LoadBase {
+            lsn,
+            name: name.to_owned(),
+            bag: bag.clone(),
+        })?;
+        self.views.load_base(name, bag).map_err(DurableError::from)
     }
 
-    /// All persisted annotations in key order (empty in memory mode).
-    pub fn metas(&self) -> impl Iterator<Item = (&str, &str)> {
-        let durable = match self {
-            AnyRuntime::Memory(_) => None,
-            AnyRuntime::Durable(d) => Some(d),
-        };
-        durable.into_iter().flat_map(DurableRuntime::metas)
+    /// Log and apply a view registration (see
+    /// [`ViewRuntime::create_view`]). A registration the runtime rejects
+    /// is logged but rejected identically on replay, so the log and the
+    /// state never diverge.
+    pub fn create_view(&mut self, name: &str, expr: Expr) -> Result<&Bag, DurableError> {
+        self.write_ahead(|lsn| WalRecord::CreateView {
+            lsn,
+            name: name.to_owned(),
+            expr: expr.clone(),
+        })?;
+        self.views
+            .create_view(name, expr)
+            .map_err(DurableError::from)
     }
 
-    /// A persisted annotation (`None` in memory mode).
+    /// Log and apply a view drop (see [`ViewRuntime::drop_view`]).
+    pub fn drop_view(&mut self, name: &str) -> Result<bool, DurableError> {
+        self.write_ahead(|lsn| WalRecord::DropView {
+            lsn,
+            name: name.to_owned(),
+        })?;
+        Ok(self.views.drop_view(name))
+    }
+
+    /// A persisted annotation's current value (`None` in memory).
     pub fn meta(&self, key: &str) -> Option<&str> {
-        match self {
-            AnyRuntime::Memory(_) => None,
-            AnyRuntime::Durable(d) => d.meta(key),
-        }
+        self.log.as_ref()?.metas.get(key).map(String::as_str)
     }
 
-    /// See [`DurableRuntime::sync_wal`]; no-op in memory mode.
-    pub fn sync_wal(&mut self) -> Result<(), DurableError> {
-        match self {
-            AnyRuntime::Memory(_) => Ok(()),
-            AnyRuntime::Durable(d) => d.sync_wal(),
-        }
+    /// Iterate persisted annotations in key order (empty in memory).
+    pub fn metas(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.log
+            .iter()
+            .flat_map(|wal| &wal.metas)
+            .map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    /// See [`DurableRuntime::set_sync_on_commit`]; no-op in memory mode.
-    pub fn set_sync_on_commit(&mut self, sync: bool) {
-        if let AnyRuntime::Durable(d) = self {
-            d.set_sync_on_commit(sync);
-        }
+    /// Log and apply an annotation write (`None` deletes the key). A
+    /// no-op in memory — the caller's own structures are authoritative
+    /// there.
+    pub fn set_meta(&mut self, key: &str, value: Option<&str>) -> Result<(), DurableError> {
+        let Some(wal) = &mut self.log else {
+            return Ok(());
+        };
+        wal.append(|lsn| WalRecord::Meta {
+            lsn,
+            key: key.to_owned(),
+            value: value.map(str::to_owned),
+        })?;
+        wal.set_meta(key.to_owned(), value.map(str::to_owned));
+        Ok(())
     }
 
-    /// Forwarded tuning knob: see [`ViewRuntime::set_parallel_threads`].
+    /// Forwarded tuning knob (not a logged mutation): see
+    /// [`ViewRuntime::set_parallel_threads`].
     pub fn set_parallel_threads(&mut self, n: usize) {
-        match self {
-            AnyRuntime::Memory(rt) => rt.set_parallel_threads(n),
-            AnyRuntime::Durable(d) => d.set_parallel_threads(n),
-        }
+        self.views.set_parallel_threads(n);
+    }
+
+    /// Write a full snapshot and truncate the WAL, returning the
+    /// post-checkpoint counters; `Ok(None)` in memory (nothing to
+    /// persist).
+    pub fn checkpoint(&mut self) -> Result<Option<Durability>, DurableError> {
+        let Some(wal) = &mut self.log else {
+            return Ok(None);
+        };
+        wal.checkpoint(&self.views)?;
+        Ok(Some(wal.durability()))
     }
 }
 
@@ -924,19 +816,14 @@ fn sync_data_timed(wal: &File) -> std::io::Result<()> {
 /// they are part of the state being reconstructed, not replay errors.
 /// Base-level failures can only mean a corrupt or foreign log: batches
 /// are validated before they are logged.
-fn replay(
-    inner: &mut ViewRuntime,
-    metas: &mut std::collections::BTreeMap<String, String>,
-    record: WalRecord,
-    replayed_batches: &mut u64,
-) -> Result<(), DurableError> {
+fn replay(views: &mut ViewRuntime, wal: &mut Wal, record: WalRecord) -> Result<(), DurableError> {
     match record {
         WalRecord::Batch { deltas, .. } => {
             let mut batch = UpdateBatch::new();
             for (name, delta) in &deltas {
                 batch.merge_delta(name, delta);
             }
-            match inner.apply(&batch) {
+            match views.apply(&batch) {
                 Ok(()) | Err(UpdateError::View { .. }) | Err(UpdateError::ViewDropped { .. }) => {}
                 Err(e @ (UpdateError::UnknownBase(_) | UpdateError::NegativeBase { .. })) => {
                     return Err(DurableError::Corrupt(format!(
@@ -945,40 +832,29 @@ fn replay(
                 }
                 Err(e) => return Err(DurableError::Update(e)),
             }
-            *replayed_batches += 1;
+            wal.replayed_batches += 1;
             if let Some(obs) = crate::obs::dur_obs() {
                 obs.replayed_batches.inc();
             }
         }
         WalRecord::LoadBase { name, bag, .. } => {
             // A dependent view's re-derivation failure is deterministic.
-            let _ = inner.load_base(&name, bag);
+            let _ = views.load_base(&name, bag);
         }
         WalRecord::CreateView { name, expr, .. } => {
             // A rejected registration was rejected before the crash too.
-            let _ = inner.create_view(&name, expr);
+            let _ = views.create_view(&name, expr);
         }
         WalRecord::DropView { name, .. } => {
-            inner.drop_view(&name);
+            views.drop_view(&name);
         }
-        WalRecord::Meta { key, value, .. } => match value {
-            Some(value) => {
-                metas.insert(key, value);
-            }
-            None => {
-                metas.remove(&key);
-            }
-        },
+        WalRecord::Meta { key, value, .. } => wal.set_meta(key, value),
     }
     Ok(())
 }
 
 /// Serialize the full runtime state as a framed snapshot byte stream.
-fn encode_snapshot(
-    rt: &ViewRuntime,
-    metas: &std::collections::BTreeMap<String, String>,
-    lsn: u64,
-) -> Vec<u8> {
+fn encode_snapshot(rt: &ViewRuntime, metas: &BTreeMap<String, String>, lsn: u64) -> Vec<u8> {
     let mut out = Vec::new();
     let mut count = 0u64;
     let push = |out: &mut Vec<u8>, payload: &[u8]| {
@@ -1035,7 +911,7 @@ fn encode_snapshot(
 fn load_snapshot(
     path: &Path,
     inner: &mut ViewRuntime,
-    metas: &mut std::collections::BTreeMap<String, String>,
+    metas: &mut BTreeMap<String, String>,
 ) -> Result<u64, DurableError> {
     let bytes = std::fs::read(path)?;
     let corrupt = |what: &str| DurableError::Corrupt(format!("snapshot: {what}"));
@@ -1117,4 +993,47 @@ fn load_snapshot(
     }
     inner.restore_batches(batches);
     Ok(lsn)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use balg_core::value::Value;
+
+    fn insert(n: i64) -> UpdateBatch {
+        let mut batch = UpdateBatch::new();
+        batch.insert("R", Value::int(n));
+        batch
+    }
+
+    /// A failed write to the WAL file must kill the log: a commit acked
+    /// after it would sit behind a possibly torn frame, and the next
+    /// `open` truncates at the tear — losing an acked commit.
+    #[test]
+    fn a_log_io_error_poisons_the_runtime() {
+        let dir = std::env::temp_dir().join(format!("balg-wal-io-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
+        rt.load_base("R", Bag::new()).unwrap();
+        rt.create_view("v", Expr::var("R").dedup()).unwrap();
+        rt.apply(&insert(1)).unwrap();
+        let before = rt.runtime().clone();
+
+        // Every write through a read-only handle fails with a real
+        // `io::Error` — no fault plan involved.
+        rt.log.as_mut().unwrap().file = File::open(dir.join("wal.log")).unwrap();
+        assert!(matches!(rt.apply(&insert(2)), Err(DurableError::Io(_))));
+        assert_eq!(rt.runtime().database(), before.database());
+        assert_eq!(rt.runtime().view("v"), before.view("v"));
+        assert_eq!(rt.runtime().batches(), before.batches());
+        assert!(matches!(rt.apply(&insert(3)), Err(DurableError::Poisoned)));
+        assert!(matches!(rt.sync_wal(), Err(DurableError::Poisoned)));
+        drop(rt);
+
+        let reopened = Runtime::open(&dir, Limits::default()).unwrap();
+        assert_eq!(reopened.runtime().database(), before.database());
+        assert_eq!(reopened.runtime().view("v"), before.view("v"));
+        assert_eq!(reopened.runtime().batches(), before.batches());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -35,6 +35,17 @@
 //! ([`ViewStats::fallback_recomputes`]) so tests can assert which path
 //! ran.
 //!
+//! ## One stateful runtime
+//!
+//! [`ViewRuntime`] is the engine: bases, views, the delta rules.
+//! [`Runtime`] is what the SQL layer, the CLI and the server hold — a
+//! `ViewRuntime` plus an optional commit log. [`Runtime::memory`] has no
+//! log; [`Runtime::open`] writes every mutation ahead to a data directory
+//! (WAL + snapshots, see [`durable`]) and replays it on the next open.
+//! Both run each mutation through the same validate → write-ahead →
+//! commit seam, so durability is a construction-time choice, not a second
+//! code path.
+//!
 //! ## Quick tour
 //!
 //! ```
@@ -67,8 +78,7 @@ pub mod view;
 /// Commonly used items, re-exported.
 pub mod prelude {
     pub use crate::durable::{
-        AnyRuntime, CheckpointPolicy, Durability, DurableError, DurableRuntime, WalFaultPlan,
-        WalRecord,
+        CheckpointPolicy, Durability, DurableError, Runtime, WalFaultPlan, WalRecord,
     };
     pub use crate::runtime::{
         render_stats, DroppedView, RuntimeStats, UpdateBatch, UpdateError, ViewRuntime,

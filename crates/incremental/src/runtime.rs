@@ -401,9 +401,9 @@ impl ViewRuntime {
     /// Phase-1 validation of a batch without mutating anything: every
     /// base must exist and every deletion must be covered, so a commit of
     /// the batch cannot fail halfway (all-or-nothing semantics without
-    /// staging copies). Returns the set of affected base names. The
-    /// durability layer calls this *before* logging a batch, so the WAL
-    /// only ever contains batches that will commit on replay.
+    /// staging copies). Returns the set of affected base names.
+    /// [`crate::durable::Runtime`] logs a batch only after this accepted
+    /// it, so the WAL only ever contains batches that commit on replay.
     pub fn validate(&self, batch: &UpdateBatch) -> Result<BTreeSet<Var>, UpdateError> {
         let mut affected: BTreeSet<Var> = BTreeSet::new();
         for (name, delta) in batch.iter() {
@@ -435,14 +435,26 @@ impl ViewRuntime {
             return Ok(());
         }
         let affected = self.validate(batch)?;
-        // Phase 2 — commit. Taking each bag out of the database gives the
-        // patch unique ownership, so a small delta edits the sorted slice
-        // in place instead of rebuilding (or copy-on-write cloning) it.
+        self.commit_validated(batch, &affected)
+    }
+
+    /// Phase 2 of [`ViewRuntime::apply`]: commit a non-empty batch that
+    /// [`ViewRuntime::validate`] accepted against the current database,
+    /// `affected` being the set it returned. [`crate::durable::Runtime`]
+    /// writes the batch to its log between the two phases.
+    pub(crate) fn commit_validated(
+        &mut self,
+        batch: &UpdateBatch,
+        affected: &BTreeSet<Var>,
+    ) -> Result<(), UpdateError> {
+        // Taking each bag out of the database gives the patch unique
+        // ownership, so a small delta edits the sorted slice in place
+        // instead of rebuilding (or copy-on-write cloning) it.
         // Cached indexes over the base are taken out first — dropping the
         // cache's owner clone is what restores unique ownership — patched
         // with the same delta, and restored under the new representation.
-        for name in &affected {
-            let base = self.db.take(name).expect("validated above");
+        for name in affected {
+            let base = self.db.take(name).expect("validated by the caller");
             let delta = batch.delta(name).expect("affected implies a delta");
             let taken = self.indexes.take_for_patch(&base);
             let new =
@@ -471,7 +483,7 @@ impl ViewRuntime {
         let mut failed: Vec<(String, EvalError)> = Vec::new();
         let obs = crate::obs::incr_obs();
         for (view_name, view) in &mut self.views {
-            if view.reads().is_disjoint(&affected) {
+            if view.reads().is_disjoint(affected) {
                 continue;
             }
             let before = obs.map(|_| view.stats().clone());
@@ -479,7 +491,7 @@ impl ViewRuntime {
             if view
                 .maintain(
                     &batch.deltas,
-                    &affected,
+                    affected,
                     &self.db,
                     &self.limits,
                     &mut self.indexes,
@@ -591,7 +603,8 @@ impl ViewRuntime {
 /// counters, the join-index cache line, one line per dropped view with
 /// its cause, and — when the runtime is durable — the WAL position and
 /// replay counters. One renderer, so the text is byte-equal across
-/// surfaces by construction.
+/// surfaces by construction; they reach it through
+/// [`crate::durable::Runtime::render_stats`].
 pub fn render_stats(rt: &ViewRuntime, durability: Option<&crate::durable::Durability>) -> String {
     let stats = rt.stats();
     let mut out = format!(

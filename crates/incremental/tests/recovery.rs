@@ -120,14 +120,14 @@ fn apply_twin(twin: &mut ViewRuntime, op: &Op) {
     }
 }
 
-fn apply_durable(rt: &mut DurableRuntime, op: &Op) -> Result<(), DurableError> {
+fn apply_durable(rt: &mut Runtime, op: &Op) -> Result<(), DurableError> {
     match op {
         Op::Load(name, rows) => rt.load_base(
             name,
             Bag::from_values(rows.iter().map(|&(a, b)| pair(a, b))),
         ),
         Op::View(name, expr) => rt.create_view(name, expr.clone()).map(|_| ()),
-        Op::Batch(rows) => rt.commit(&to_batch(rows)),
+        Op::Batch(rows) => rt.apply(&to_batch(rows)),
         Op::Drop(name) => rt.drop_view(name).map(|_| ()),
     }
 }
@@ -170,7 +170,7 @@ fn assert_same(ctx: &str, recovered: &ViewRuntime, twin: &ViewRuntime) {
 /// exactly the acked operations. Ops rejected by an injected fault (or
 /// by the post-fault poison) are *not* applied to the twin; logical
 /// errors (e.g. a deterministic view drop) are applied to both sides.
-fn drive(rt: &mut DurableRuntime, fault: WalFaultPlan) -> ViewRuntime {
+fn drive(rt: &mut Runtime, fault: WalFaultPlan) -> ViewRuntime {
     rt.set_checkpoint_policy(CheckpointPolicy::manual());
     rt.set_fault_plan(fault);
     let mut twin = ViewRuntime::with_limits(Limits::default());
@@ -188,12 +188,12 @@ fn drive(rt: &mut DurableRuntime, fault: WalFaultPlan) -> ViewRuntime {
 /// The clean run's WAL record boundaries, for building the cut grid.
 fn record_boundaries() -> Vec<u64> {
     let dir = scratch("boundaries");
-    let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
     rt.set_checkpoint_policy(CheckpointPolicy::manual());
     let mut bounds = vec![0u64];
     for op in scenario() {
         let _ = apply_durable(&mut rt, &op);
-        let bytes = rt.durability().wal_bytes;
+        let bytes = rt.durability().unwrap().wal_bytes;
         if Some(&bytes) != bounds.last() {
             bounds.push(bytes);
         }
@@ -206,12 +206,12 @@ fn record_boundaries() -> Vec<u64> {
 fn clean_reopen_equals_twin() {
     let dir = scratch("clean");
     let twin = {
-        let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
         drive(&mut rt, WalFaultPlan::none())
     };
-    let reopened = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_same("clean reopen", reopened.runtime(), &twin);
-    assert!(reopened.durability().replayed_batches > 0);
+    assert!(reopened.durability().unwrap().replayed_batches > 0);
     cleanup(&dir);
 }
 
@@ -234,15 +234,15 @@ fn kill_matrix_every_cut_offset_recovers() {
     for cut in cuts {
         let dir = scratch(&format!("cut{cut}"));
         let twin = {
-            let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+            let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
             drive(&mut rt, WalFaultPlan::cut_wal_at(cut))
         };
-        let reopened = DurableRuntime::open(&dir, Limits::default())
+        let reopened = Runtime::open(&dir, Limits::default())
             .unwrap_or_else(|e| panic!("reopen after cut at byte {cut} failed: {e}"));
         assert_same(&format!("cut at byte {cut}"), reopened.runtime(), &twin);
         // The torn tail was truncated: the next open must be clean.
         drop(reopened);
-        let again = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let again = Runtime::open(&dir, Limits::default()).unwrap();
         assert_same(&format!("second reopen, cut {cut}"), again.runtime(), &twin);
         cleanup(&dir);
     }
@@ -252,7 +252,7 @@ fn kill_matrix_every_cut_offset_recovers() {
 fn checkpoint_roundtrip_and_wal_truncation() {
     let dir = scratch("checkpoint");
     let twin = {
-        let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
         rt.set_checkpoint_policy(CheckpointPolicy::manual());
         let mut twin = ViewRuntime::with_limits(Limits::default());
         for (i, op) in scenario().iter().enumerate() {
@@ -260,18 +260,18 @@ fn checkpoint_roundtrip_and_wal_truncation() {
             apply_twin(&mut twin, op);
             if i == 8 {
                 rt.checkpoint().unwrap();
-                assert_eq!(rt.durability().wal_bytes, 0);
-                assert_eq!(rt.durability().batches_since_checkpoint, 0);
-                assert!(rt.durability().snapshot_lsn > 0);
+                assert_eq!(rt.durability().unwrap().wal_bytes, 0);
+                assert_eq!(rt.durability().unwrap().batches_since_checkpoint, 0);
+                assert!(rt.durability().unwrap().snapshot_lsn > 0);
             }
         }
-        assert_eq!(rt.durability().checkpoints, 1);
+        assert_eq!(rt.durability().unwrap().checkpoints, 1);
         twin
     };
-    let reopened = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_same("post-checkpoint reopen", reopened.runtime(), &twin);
     // Only the post-checkpoint tail was replayed.
-    let stats = reopened.durability();
+    let stats = reopened.durability().unwrap();
     assert!(stats.snapshot_lsn > 0);
     assert!(stats.lsn > stats.snapshot_lsn);
     cleanup(&dir);
@@ -280,7 +280,7 @@ fn checkpoint_roundtrip_and_wal_truncation() {
 #[test]
 fn checkpoint_policy_triggers_automatically() {
     let dir = scratch("policy");
-    let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
     rt.set_checkpoint_policy(CheckpointPolicy {
         max_wal_bytes: 0,
         max_batches: 3,
@@ -289,13 +289,13 @@ fn checkpoint_policy_triggers_automatically() {
     for i in 0..10 {
         let mut batch = UpdateBatch::new();
         batch.insert("R", pair(i, i));
-        rt.commit(&batch).unwrap();
+        rt.apply(&batch).unwrap();
     }
-    let stats = rt.durability();
+    let stats = rt.durability().unwrap();
     assert!(stats.checkpoints >= 3, "{stats:?}");
     assert!(stats.batches_since_checkpoint < 3, "{stats:?}");
     drop(rt);
-    let reopened = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_eq!(
         reopened
             .runtime()
@@ -335,7 +335,7 @@ fn checkpoint_crash_points_recover() {
     ] {
         let dir = scratch(&format!("ckpt-{tag}"));
         let twin = {
-            let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+            let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
             rt.set_checkpoint_policy(CheckpointPolicy::manual());
             let mut twin = ViewRuntime::with_limits(Limits::default());
             for op in scenario() {
@@ -347,12 +347,12 @@ fn checkpoint_crash_points_recover() {
             rt.set_fault_plan(fault);
             assert!(matches!(rt.checkpoint(), Err(DurableError::Fault(_))));
             assert!(matches!(
-                rt.commit(&UpdateBatch::new()),
+                rt.apply(&UpdateBatch::new()),
                 Err(DurableError::Poisoned)
             ));
             twin
         };
-        let reopened = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let reopened = Runtime::open(&dir, Limits::default()).unwrap();
         assert_same(
             &format!("checkpoint crash at {tag}"),
             reopened.runtime(),
@@ -364,7 +364,7 @@ fn checkpoint_crash_points_recover() {
         let mut reopened = reopened;
         reopened.checkpoint().unwrap();
         drop(reopened);
-        let again = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let again = Runtime::open(&dir, Limits::default()).unwrap();
         assert_same(
             &format!("post-recovery checkpoint, {tag}"),
             again.runtime(),
@@ -378,7 +378,7 @@ fn checkpoint_crash_points_recover() {
 /// full state, twin of the state with the last batch missing).
 fn two_batch_dir(tag: &str) -> (PathBuf, ViewRuntime, ViewRuntime) {
     let dir = scratch(tag);
-    let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
     rt.set_checkpoint_policy(CheckpointPolicy::manual());
     rt.load_base("R", Bag::from_values([pair(1, 1)])).unwrap();
     rt.create_view("rev", Expr::var("R").project(&[2, 1]))
@@ -390,12 +390,12 @@ fn two_batch_dir(tag: &str) -> (PathBuf, ViewRuntime, ViewRuntime) {
     let mut prefix = full.clone();
     let mut b1 = UpdateBatch::new();
     b1.insert("R", pair(2, 2));
-    rt.commit(&b1).unwrap();
+    rt.apply(&b1).unwrap();
     full.apply(&b1).unwrap();
     prefix.apply(&b1).unwrap();
     let mut b2 = UpdateBatch::new();
     b2.insert("R", pair(3, 3));
-    rt.commit(&b2).unwrap();
+    rt.apply(&b2).unwrap();
     full.apply(&b2).unwrap();
     (dir, full, prefix)
 }
@@ -409,7 +409,7 @@ fn corrupt_tail_bad_crc_is_truncated() {
     let last = bytes.len() - 3;
     bytes[last] ^= 0x01;
     std::fs::write(&wal, &bytes).unwrap();
-    let reopened = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_same("bad CRC tail", reopened.runtime(), &prefix);
     // The log shrank to the good prefix on disk, not just in memory.
     assert!(std::fs::metadata(&wal).unwrap().len() < bytes.len() as u64);
@@ -423,7 +423,7 @@ fn corrupt_tail_short_read_is_truncated() {
     let bytes = std::fs::read(&wal).unwrap();
     // Drop the last few bytes: the final record ends mid-payload.
     std::fs::write(&wal, &bytes[..bytes.len() - 5]).unwrap();
-    let reopened = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_same("short read tail", reopened.runtime(), &prefix);
     cleanup(&dir);
 }
@@ -436,7 +436,7 @@ fn corrupt_tail_zero_filled_is_truncated() {
     // A pre-allocated-but-never-written region after the last record.
     bytes.extend_from_slice(&[0u8; 256]);
     std::fs::write(&wal, &bytes).unwrap();
-    let reopened = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_same("zero-filled tail", reopened.runtime(), &full);
     assert_eq!(
         std::fs::metadata(&wal).unwrap().len(),
@@ -456,13 +456,13 @@ fn recovery_continues_cleanly_after_truncation() {
     // extend cleanly from the truncation point.
     let mut twin = prefix;
     {
-        let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
         let mut batch = UpdateBatch::new();
         batch.insert("R", pair(7, 7));
-        rt.commit(&batch).unwrap();
+        rt.apply(&batch).unwrap();
         twin.apply(&batch).unwrap();
     }
-    let reopened = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_same("append after truncation", reopened.runtime(), &twin);
     cleanup(&dir);
 }
@@ -471,20 +471,20 @@ fn recovery_continues_cleanly_after_truncation() {
 fn metas_survive_crash_and_checkpoint() {
     let dir = scratch("metas");
     {
-        let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
         rt.set_meta("table:orders", Some("customer:0,qty:1"))
             .unwrap();
         rt.set_meta("doomed", Some("x")).unwrap();
         rt.set_meta("doomed", None).unwrap();
     }
     {
-        let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
         assert_eq!(rt.meta("table:orders"), Some("customer:0,qty:1"));
         assert_eq!(rt.meta("doomed"), None);
         rt.checkpoint().unwrap();
         rt.set_meta("post", Some("ckpt")).unwrap();
     }
-    let rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let rt = Runtime::open(&dir, Limits::default()).unwrap();
     assert_eq!(rt.meta("table:orders"), Some("customer:0,qty:1"));
     assert_eq!(rt.meta("post"), Some("ckpt"));
     assert_eq!(rt.metas().count(), 2);
@@ -495,10 +495,10 @@ fn metas_survive_crash_and_checkpoint() {
 fn view_runtime_open_spelling_works() {
     let dir = scratch("open-spelling");
     {
-        let mut rt = ViewRuntime::open(&dir).unwrap();
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
         rt.load_base("R", Bag::from_values([pair(1, 2)])).unwrap();
     }
-    let rt = ViewRuntime::open(&dir).unwrap();
+    let rt = Runtime::open(&dir, Limits::default()).unwrap();
     assert!(rt
         .runtime()
         .database()

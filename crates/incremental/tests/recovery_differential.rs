@@ -2,8 +2,10 @@
 //! (base contents, view set, update stream, crash offset) tuples, a
 //! runtime killed at an arbitrary WAL byte offset and reopened must be
 //! state-identical to a never-crashed twin that applied exactly the
-//! acked operations. The nightly deep job raises `PROPTEST_CASES` to
-//! push the same property through 1024+ random crash points.
+//! acked operations. The same scenarios also run fault-free through a
+//! durable and an in-memory `Runtime` side by side, which must agree
+//! after every op. The nightly deep job raises `PROPTEST_CASES` to
+//! push both properties through 1024+ random scenarios and crash points.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,16 +98,16 @@ fn scenario(seed: u64, batches: usize) -> Vec<Op> {
     ops
 }
 
-fn apply_durable(rt: &mut DurableRuntime, op: &Op) -> Result<(), DurableError> {
+fn apply_durable(rt: &mut Runtime, op: &Op) -> Result<(), DurableError> {
     match op {
         Op::Load(name, rows) => rt.load_base(
             name,
             Bag::from_values(rows.iter().map(|&(a, b)| pair(a, b))),
         ),
         Op::View(name, expr) => rt.create_view(name, expr.clone()).map(|_| ()),
-        Op::Batch(batch) => rt.commit(batch),
+        Op::Batch(batch) => rt.apply(batch),
         Op::Drop(name) => rt.drop_view(name).map(|_| ()),
-        Op::Checkpoint => rt.checkpoint(),
+        Op::Checkpoint => rt.checkpoint().map(|_| ()),
     }
 }
 
@@ -130,27 +132,61 @@ fn apply_twin(twin: &mut ViewRuntime, op: &Op) {
     }
 }
 
+/// Everything a `ViewRuntime` holds that an op can move: bases, view
+/// results and their per-view counters, tombstones, the batch counter.
+fn assert_same_views(ctx: &str, durable: &ViewRuntime, memory: &ViewRuntime) {
+    assert_eq!(durable.database(), memory.database(), "{ctx}: bases");
+    let views = |rt: &ViewRuntime| -> Vec<(String, Bag, ViewStats)> {
+        rt.views()
+            .map(|(n, v)| (n.to_owned(), v.result().clone(), v.stats().clone()))
+            .collect()
+    };
+    assert_eq!(views(durable), views(memory), "{ctx}: views or ViewStats");
+    let dropped = |rt: &ViewRuntime| -> Vec<(String, String, u64)> {
+        rt.dropped()
+            .map(|(n, d)| (n.to_owned(), d.cause.clone(), d.at_batch))
+            .collect()
+    };
+    assert_eq!(dropped(durable), dropped(memory), "{ctx}: tombstones");
+    assert_eq!(durable.batches(), memory.batches(), "{ctx}: batch counter");
+}
+
 /// The property: kill at `cut` bytes into the (current) WAL, reopen,
 /// compare against the acked-ops twin.
 fn run_case(seed: u64, batches: usize, cut_permille: u64) {
     let ops = scenario(seed, batches);
     let dir = scratch();
 
-    // Clean run to learn the final WAL extent for this scenario.
+    // Clean run to learn the final WAL extent for this scenario — with
+    // an in-memory `Runtime` alongside: the log is the only difference
+    // between the two, so every op must answer alike and leave the same
+    // `ViewRuntime` behind.
     let total = {
-        let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
         rt.set_checkpoint_policy(CheckpointPolicy::manual());
+        let mut memory = Runtime::memory(ViewRuntime::with_limits(Limits::default()));
         let mut high = 0u64;
-        for op in &ops {
-            let _ = apply_durable(&mut rt, op);
-            high = high.max(rt.durability().wal_bytes);
+        for (i, op) in ops.iter().enumerate() {
+            let logged = apply_durable(&mut rt, op).map_err(|e| e.to_string());
+            let unlogged = apply_durable(&mut memory, op).map_err(|e| e.to_string());
+            assert_eq!(
+                logged, unlogged,
+                "seed {seed}, op {i} {op:?}: replies diverged"
+            );
+            assert_same_views(
+                &format!("seed {seed}, after op {i} {op:?}"),
+                rt.runtime(),
+                memory.runtime(),
+            );
+            high = high.max(rt.durability().unwrap().wal_bytes);
         }
+        assert_eq!(memory.durability(), None);
         high.max(1)
     };
     let _ = std::fs::remove_dir_all(&dir);
 
     let cut = total * cut_permille / 1000;
-    let mut rt = DurableRuntime::open(&dir, Limits::default()).unwrap();
+    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
     rt.set_checkpoint_policy(CheckpointPolicy::manual());
     rt.set_fault_plan(WalFaultPlan::cut_wal_at(cut));
     let mut twin = ViewRuntime::with_limits(Limits::default());
@@ -164,7 +200,7 @@ fn run_case(seed: u64, batches: usize, cut_permille: u64) {
     }
     drop(rt);
 
-    let reopened = DurableRuntime::open(&dir, Limits::default())
+    let reopened = Runtime::open(&dir, Limits::default())
         .unwrap_or_else(|e| panic!("seed {seed}: reopen after cut at {cut} failed: {e}"));
     let recovered = reopened.runtime();
     assert_eq!(

@@ -245,7 +245,7 @@ pub fn execute_write(rt: &mut SqlRuntime, line: &str) -> Reply {
                     Err(e) => Reply::err(e.to_string()),
                 }
             }
-            "stats" => Reply::ok(render_stats(rt)),
+            "stats" => Reply::ok(rt.backend_mut().render_stats()),
             "table" => declare_table(rt, args),
             other => Reply::err(format!("unknown command :{other}")),
         };
@@ -289,12 +289,6 @@ pub fn metrics_reply() -> Reply {
         Some(registry) => Reply::ok(registry.render_prometheus()),
         None => Reply::err("no metrics registry installed"),
     }
-}
-
-/// The `:stats` text — [`balg_incremental::render_stats`], the renderer
-/// every surface shares, so the server and balg-cli report identically.
-fn render_stats(rt: &SqlRuntime) -> String {
-    balg_incremental::render_stats(rt.runtime(), rt.durability().as_ref())
 }
 
 /// The serial oracle: the same statement surface executed in-process on

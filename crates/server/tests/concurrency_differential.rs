@@ -12,14 +12,17 @@
 //!    must answer every read byte-identically to the twin;
 //! 3. readers racing the writer must only ever observe states the
 //!    serial replay passes through (prefix states), with `:seq`
-//!    monotonically non-decreasing per session.
+//!    monotonically non-decreasing per session;
+//! 4. a churn of 1 024 short sessions — connect, four requests,
+//!    disconnect — an eighth of them writers, must leave the server in
+//!    the state the twin reaches by replaying the writes alone.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
 
 use balg_core::eval::Limits;
 use balg_server::prelude::*;
-use balg_sql::prelude::{database_from_rows, Catalog};
+use balg_sql::prelude::{database_from_rows, Catalog, SqlValue};
 
 /// Deterministic statement stream: a fixed LCG, so every run and both
 /// executions see the same statements in the same order.
@@ -59,8 +62,13 @@ fn catalog() -> Catalog {
 }
 
 fn spawn_pair() -> (SqlServer, SerialTwin) {
+    spawn_pair_over(Vec::new())
+}
+
+/// A server and its twin over the same initial `orders` rows.
+fn spawn_pair_over(orders: Vec<Vec<SqlValue>>) -> (SqlServer, SerialTwin) {
     let catalog = catalog();
-    let db = database_from_rows(&catalog, &[]).unwrap();
+    let db = database_from_rows(&catalog, &[("orders", orders)]).unwrap();
     let server = SqlServer::spawn(
         "127.0.0.1:0",
         catalog.clone(),
@@ -251,6 +259,107 @@ fn concurrent_writers_serialize_without_loss() {
             client.request(line).unwrap(),
             twin.execute(line),
             "divergent post-race read of {line:?}"
+        );
+    }
+    server.shutdown();
+}
+
+/// Short sessions simulated by the churn test, multiplexed over
+/// [`CLIENT_THREADS`] client threads.
+const SESSIONS: usize = 1_024;
+const CLIENT_THREADS: usize = 16;
+
+/// The view every churn session reads.
+const BIG_VIEW: &str = "CREATE VIEW big AS SELECT customer FROM orders WHERE qty >= 4";
+
+/// A server and its twin over the same 64 seeded `orders` rows.
+fn spawn_seeded_pair() -> (SqlServer, SerialTwin) {
+    spawn_pair_over(
+        (0..64)
+            .map(|i| {
+                vec![
+                    SqlValue::Str(format!("c{}", i % 8)),
+                    SqlValue::Int(1 + i % 7),
+                ]
+            })
+            .collect(),
+    )
+}
+
+/// The four statements of one simulated session. Every 8th session is a
+/// writer: it inserts a row only it names, reads the view that must now
+/// hold it, and deletes it again (always legal — the database is in a
+/// steady state); the rest read.
+fn session_script(session: usize) -> Vec<String> {
+    if session.is_multiple_of(8) {
+        let customer = format!("w{session}");
+        return vec![
+            format!("INSERT INTO orders VALUES ('{customer}', 6)"),
+            ":rows big".to_owned(),
+            format!("DELETE FROM orders VALUES ('{customer}', 6)"),
+            ":seq".to_owned(),
+        ];
+    }
+    vec![
+        ":rows big".to_owned(),
+        "SELECT customer FROM orders WHERE qty >= 4".to_owned(),
+        ":seq".to_owned(),
+        "SELECT SUM(qty) FROM orders".to_owned(),
+    ]
+}
+
+#[test]
+fn session_churn_equals_serial_replay() {
+    let (server, mut twin) = spawn_seeded_pair();
+    let mut setup = Client::connect(server.addr()).unwrap();
+    assert_eq!(setup.request(BIG_VIEW).unwrap(), twin.execute(BIG_VIEW));
+    drop(setup);
+
+    let addr = server.addr();
+    let start = Arc::new(Barrier::new(CLIENT_THREADS));
+    let handles: Vec<_> = (0..CLIENT_THREADS)
+        .map(|t| {
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                start.wait();
+                for session in (t..SESSIONS).step_by(CLIENT_THREADS) {
+                    let mut client = Client::connect(addr).unwrap();
+                    for line in session_script(session) {
+                        let reply = client.request(&line).unwrap();
+                        assert!(reply.ok, "session {session}, {line:?}: {}", reply.text);
+                        // Read-your-writes: the ack of the INSERT came
+                        // after the snapshot holding it was published.
+                        if session.is_multiple_of(8) && line == ":rows big" {
+                            assert!(
+                                reply.text.contains(&format!("w{session}")),
+                                "writer {session} does not see its own row:\n{}",
+                                reply.text
+                            );
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for handle in handles {
+        handle.join().unwrap();
+    }
+
+    // The writers interleaved in some order; each touched only its own
+    // row and took it out again, so any order ends where the twin does.
+    for session in (0..SESSIONS).step_by(8) {
+        for line in session_script(session) {
+            if route(&line) == Route::Write {
+                assert!(twin.execute(&line).ok);
+            }
+        }
+    }
+    let mut fresh = Client::connect(addr).unwrap();
+    for line in [":seq", ":rows big", ":check", ":stats"] {
+        assert_eq!(
+            fresh.request(line).unwrap(),
+            twin.execute(line),
+            "divergent post-churn reply to {line:?}"
         );
     }
     server.shutdown();

@@ -18,7 +18,7 @@ use balg_core::eval::{Evaluator, Limits};
 use balg_core::expr::Expr;
 use balg_core::types::Type;
 use balg_core::value::Value;
-use balg_incremental::{AnyRuntime, DurableError, DurableRuntime, UpdateBatch, ViewRuntime};
+use balg_incremental::{DurableError, Runtime, UpdateBatch, ViewRuntime};
 
 use crate::ast::Query;
 use crate::catalog::{encode_value, Catalog, Column, SqlValue, Table};
@@ -349,7 +349,7 @@ fn balg_view_columns(ty: &Type) -> Option<Vec<Column>> {
 /// registered views.
 pub struct SqlRuntime {
     catalog: Catalog,
-    backend: AnyRuntime,
+    backend: Runtime,
     view_columns: BTreeMap<String, Vec<Column>>,
     /// Partition-count override for this session's evaluators (ad-hoc
     /// queries and view maintenance); `None` inherits the process-wide
@@ -382,7 +382,7 @@ impl SqlRuntime {
         }
         SqlRuntime {
             catalog,
-            backend: AnyRuntime::from(runtime),
+            backend: Runtime::memory(runtime),
             view_columns: BTreeMap::new(),
             parallel_chunks: None,
         }
@@ -398,10 +398,9 @@ impl SqlRuntime {
         data_dir: impl AsRef<Path>,
         limits: Limits,
     ) -> Result<SqlRuntime, SqlError> {
-        let durable = DurableRuntime::open(data_dir, limits).map_err(durable_err)?;
         let mut rt = SqlRuntime {
             catalog: Catalog::new(),
-            backend: AnyRuntime::from(durable),
+            backend: Runtime::open(data_dir, limits).map_err(durable_err)?,
             view_columns: BTreeMap::new(),
             parallel_chunks: None,
         };
@@ -457,13 +456,8 @@ impl SqlRuntime {
     }
 
     /// The backing runtime — memory or durable (server tuning: group
-    /// commit, fsync control, durability counters).
-    pub fn backend(&self) -> &AnyRuntime {
-        &self.backend
-    }
-
-    /// Mutable access to the backing runtime.
-    pub fn backend_mut(&mut self) -> &mut AnyRuntime {
+    /// commit, fsync control; bulk base loads; `:stats`).
+    pub fn backend_mut(&mut self) -> &mut Runtime {
         &mut self.backend
     }
 
