@@ -207,8 +207,8 @@ impl Bag {
 
     /// Read-only view of the sorted `(element, multiplicity)` pair slice
     /// (strictly ascending keys, no zero multiplicities) — what
-    /// [`crate::par`]'s partitioned kernels and the downstream evaluators'
-    /// chunked probe loops split at key boundaries. Construction stays
+    /// [`crate::par`]'s partitioned merges split at key boundaries and the
+    /// [`crate::join`] loops walk. Construction stays
     /// crate-private, so the invariant cannot be broken through this view.
     pub fn pairs(&self) -> &[(Value, Natural)] {
         &self.elems
@@ -875,7 +875,7 @@ impl Bag {
 
 /// Allocation hint for subbag enumeration: the predicted distinct count
 /// when it fits, clamped by the element budget (never trusted raw).
-pub(crate) fn subbag_capacity(predicted: &Natural, max_elements: u64) -> usize {
+fn subbag_capacity(predicted: &Natural, max_elements: u64) -> usize {
     predicted.to_u64().map_or(0, |n| n.min(max_elements)) as usize
 }
 
@@ -883,7 +883,7 @@ pub(crate) fn subbag_capacity(predicted: &Natural, max_elements: u64) -> usize {
 /// source entry. The source entries arrive in element order, so the pair
 /// vector is born satisfying the bag invariant — no per-subbag tree or
 /// sort, just a filtered copy.
-pub(crate) fn build_subbag(entries: &[(&Value, &Natural)], counts: &[u64]) -> Bag {
+fn build_subbag(entries: &[(&Value, &Natural)], counts: &[u64]) -> Bag {
     let mut pairs = Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
     for ((value, _), &count) in entries.iter().zip(counts) {
         if count > 0 {

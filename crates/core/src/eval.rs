@@ -255,8 +255,9 @@ pub struct Evaluator<'a> {
     /// `SubBag` testers) may run. The differential suites flip this to
     /// prove the indexed and scan paths equivalent.
     use_indexes: bool,
-    /// Partitioned-execution settings ([`crate::par`]). Partition counts
-    /// are a pure function of `par.chunks`, never of hardware, so every
+    /// Partitioned-execution settings for the four keywise merges
+    /// ([`crate::par`]; every other operator is serial). Partition counts
+    /// are a pure function of `par.chunks()`, never of hardware, so every
     /// setting computes the same bags, errors, and step charges; the
     /// parallel↔serial differential suites flip this to prove it.
     par: par::Parallel,
@@ -358,39 +359,33 @@ impl<'a> Evaluator<'a> {
         (self.indexes.hits(), self.indexes.builds())
     }
 
-    /// Pin the partition count (values `<= 1` pin every operator to its
-    /// serial path; a fresh evaluator adopts the process-wide default
+    /// Pin the partition count of the keywise merges, clamped to
+    /// `1..=`[`crate::pool::MAX_PARALLELISM`] (`1` pins them to the serial
+    /// path; a fresh evaluator adopts the process-wide default
     /// [`crate::pool::default_parallelism`]). Every setting computes the
     /// same bags, errors, and step charges — only scheduling differs.
     /// Partitioning is a pure function of this count — never of worker
     /// count or load — so differential tests can compare any two
     /// settings on any host.
     pub fn set_parallel_threads(&mut self, n: usize) {
-        self.par.chunks = n.max(1);
+        self.par = par::Parallel::new(n, self.par.threshold);
     }
 
-    /// Override the minimum work size before operators partition
-    /// (distinct elements / probe rows / predicted outputs). Tests drop
-    /// this to `0` to force the partitioned paths onto small inputs.
+    /// Override the minimum combined input size (distinct elements) before
+    /// a merge partitions. Tests drop this to `0` to force the partitioned
+    /// paths onto small inputs.
     pub fn set_parallel_threshold(&mut self, n: usize) {
         self.par.threshold = n;
     }
 
     /// The current partition count (`1` means serial).
     pub fn parallel_chunks(&self) -> usize {
-        self.par.chunks
+        self.par.chunks()
     }
 
-    /// The full partitioned-execution settings, for engines (e.g. the
-    /// incremental view maintainer) that drive their own partitioned
-    /// kernels off this evaluator's configuration.
-    pub fn parallel(&self) -> par::Parallel {
-        self.par
-    }
-
-    /// Install a full partitioned-execution configuration in one call —
-    /// the counterpart of [`Evaluator::parallel`] for hosts that carry a
-    /// [`par::Parallel`] of their own (e.g. the incremental runtime).
+    /// Install a full partitioned-execution configuration in one call, for
+    /// hosts that carry a [`par::Parallel`] of their own (e.g. the
+    /// incremental runtime).
     pub fn set_parallel_config(&mut self, par: par::Parallel) {
         self.par = par;
     }
@@ -636,21 +631,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Whether a powerset/powerbag enumeration over `bag` should use the
-    /// rank-chunked parallel kernel: parallelism on, more than one distinct
-    /// element (the single-element fast path beats any partitioning), and
-    /// a predicted enumeration at least the threshold. Oversized
-    /// predictions (`> u64`) go to the parallel kernel too — it reproduces
-    /// the serial `TooLarge` pre-check before enumerating anything.
-    fn subbags_want_partitioning(&self, bag: &Bag) -> bool {
-        self.par.enabled()
-            && bag.distinct_count() > 1
-            && bag
-                .powerset_cardinality()
-                .to_u64()
-                .is_none_or(|n| n >= self.par.threshold as u64)
-    }
-
     fn eval_node(&mut self, expr: &Expr) -> Result<Value, EvalError> {
         match expr {
             Expr::Var(name) => self.lookup(name),
@@ -680,22 +660,14 @@ impl<'a> Evaluator<'a> {
             Expr::Powerset(e) => {
                 let bag = expect_bag(self.eval_inner(e)?)?;
                 self.metrics.powerset_calls += 1;
-                let out = if self.subbags_want_partitioning(&bag) {
-                    par::powerset(&bag, self.limits.max_bag_elements, self.par.chunks)?
-                } else {
-                    bag.powerset(self.limits.max_bag_elements)?
-                };
+                let out = bag.powerset(self.limits.max_bag_elements)?;
                 self.observe(&out)?;
                 Ok(Value::Bag(out))
             }
             Expr::Powerbag(e) => {
                 let bag = expect_bag(self.eval_inner(e)?)?;
                 self.metrics.powerset_calls += 1;
-                let out = if self.subbags_want_partitioning(&bag) {
-                    par::powerbag(&bag, self.limits.max_bag_elements, self.par.chunks)?
-                } else {
-                    bag.powerbag(self.limits.max_bag_elements)?
-                };
+                let out = bag.powerbag(self.limits.max_bag_elements)?;
                 self.observe(&out)?;
                 Ok(Value::Bag(out))
             }
@@ -1279,11 +1251,7 @@ impl<'a> Evaluator<'a> {
                 limit: self.limits.max_bag_elements,
             });
         }
-        let out = if self.par.enabled() && predicted >= self.par.threshold as u128 {
-            par::product(&left, &right, self.limits.max_bag_elements, self.par.chunks)?
-        } else {
-            left.product(&right, self.limits.max_bag_elements)?
-        };
+        let out = left.product(&right, self.limits.max_bag_elements)?;
         self.observe(&out)?;
         Ok(ProductOutcome::Materialized(out))
     }
@@ -1331,49 +1299,12 @@ impl<'a> Evaluator<'a> {
         } else {
             (right, rj)
         };
-        // Optimistic partitioned probe ([`join::chunked`]): commits only
-        // when the surviving-pair count fits both remaining budgets (steps
-        // *and* distinct elements), where one bulk charge equals the
-        // per-pair charges. On overflow nothing has been charged, and the
-        // serial probe below reproduces the exact error payload and
-        // partial metrics.
-        let rows = probe.distinct_count();
-        if self.par.wants(rows) {
-            let budget = Arc::new(join::PushBudget::new(
-                self.steps_left.min(self.limits.max_bag_elements),
-            ));
-            let (probe, index) = (probe.clone(), Arc::clone(&index));
-            let chunk = move |lo, hi, budget: &join::PushBudget| {
-                let mut out = BagBuilder::new();
-                join::probe(
-                    &probe.pairs()[lo..hi],
-                    &index,
-                    key,
-                    probe_is_left,
-                    |pairs| budget.admit(pairs),
-                    |lf, rf, pm, mm| {
-                        out.push(Value::concat_tuples(lf, rf), pm * mm);
-                        Ok(())
-                    },
-                )?;
-                Ok(out.build())
-            };
-            match join::chunked(rows, self.par.chunks, &budget, chunk, Bag::additive_union) {
-                Ok(out) => {
-                    self.charge_steps(budget.used())
-                        .expect("pair count bounded by remaining steps");
-                    return Ok(Some(out));
-                }
-                Err(join::Overflow) => par::note_serial_fallback(),
-            }
-        }
         let mut out = BagBuilder::new();
         join::probe(
             probe.pairs(),
             &index,
             key,
             probe_is_left,
-            |_| Ok(()),
             |lf, rf, pm, mm| {
                 self.step()?; // one per surviving pair, like the filter
                 out.push(Value::concat_tuples(lf, rf), pm * mm);
@@ -1400,18 +1331,18 @@ impl<'a> Evaluator<'a> {
     /// Run one of the four keywise merges, partitioned when the combined
     /// input is large enough. The merges charge no per-element steps, so
     /// the partitioned path is identical to the serial one in every
-    /// observable (bag, error, metrics) — the cheapest parallelism in the
-    /// system.
+    /// observable (bag, error, metrics) — the only parallelism in the
+    /// evaluator.
     fn merge_bags(&self, left: &Bag, right: &Bag, op: MergeKind) -> Bag {
         if self
             .par
             .wants(left.distinct_count() + right.distinct_count())
         {
             match op {
-                MergeKind::AdditiveUnion => par::additive_union(left, right, self.par.chunks),
-                MergeKind::Subtract => par::subtract(left, right, self.par.chunks),
-                MergeKind::MaxUnion => par::max_union(left, right, self.par.chunks),
-                MergeKind::Intersect => par::intersect(left, right, self.par.chunks),
+                MergeKind::AdditiveUnion => par::additive_union(left, right, self.par.chunks()),
+                MergeKind::Subtract => par::subtract(left, right, self.par.chunks()),
+                MergeKind::MaxUnion => par::max_union(left, right, self.par.chunks()),
+                MergeKind::Intersect => par::intersect(left, right, self.par.chunks()),
             }
         } else {
             match op {

@@ -5,25 +5,20 @@
 //! both inside BALG¹ — so every engine that wants it fast recognises that
 //! shape and fuses it. What they share lives here, once: **classify**
 //! ([`equi_attrs`], [`uniform_arity`], [`spanning_keys`]), **probe** a
-//! [`BagIndex`] ([`probe`]), the index-free **reference scan** the
-//! differential suites compare the probe against ([`scan`]), and the
-//! **chunked driver** of the optimistic partitioned runs ([`chunked`],
-//! [`PushBudget`]).
+//! [`BagIndex`] ([`probe`]), and the index-free **reference scan** the
+//! differential suites compare the probe against ([`scan`]). Every loop
+//! here runs on the calling thread: a join never partitions.
 //!
 //! What differs between engines is *policy* and stays with them, passed
 //! in as closures the compiler monomorphises: how two multiplicities
 //! combine (`ℕ·ℕ`, `ℤ·ℕ`, `−ℤ·ℤ`, set insertion), where a pair goes, what
-//! it costs (a step and an element-budget check per pair, or one bulk
-//! charge after an optimistic run) and which operand gets indexed.
-//! Nothing here knows which engine is calling.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! it costs (a step and an element-budget check per pair, or the
+//! distinct-element budget after every push) and which operand gets
+//! indexed. Nothing here knows which engine is calling.
 
 use crate::index::BagIndex;
 use crate::natural::Natural;
 use crate::value::Value;
-use crate::{par, pool};
 
 /// The normal form of an equality `αᵢ = αⱼ` read off a σ predicate:
 /// `i < j`, or `None` when it is no join — `i = j` is trivially true, and
@@ -70,23 +65,18 @@ pub fn classify<L, R>(
 /// Look the `key`-th field (1-based) of every row up in `index` and hand
 /// each match to `sink` as `(left fields, right fields, probe
 /// multiplicity, match multiplicity)` — fields in operand order,
-/// whichever side is probing. `admit` learns a row's match count before
-/// its pairs are emitted, so an optimistic run charges its budget per
-/// group, not per pair. The first error from either closure ends the walk.
+/// whichever side is probing. The first error from `sink` ends the walk.
 /// Rows must be tuples at least `key` wide ([`classify`] establishes it).
 pub fn probe<P, E>(
     rows: &[(Value, P)],
     index: &BagIndex,
     key: usize,
     probe_is_left: bool,
-    mut admit: impl FnMut(u64) -> Result<(), E>,
     mut sink: impl FnMut(&[Value], &[Value], &P, &Natural) -> Result<(), E>,
 ) -> Result<(), E> {
     for (row, probe_mult) in rows {
         let fields = row.as_tuple().expect("probe rows are tuples");
-        let group = index.group(&fields[key - 1]);
-        admit(group.len() as u64)?;
-        for (matched, match_mult) in group {
+        for (matched, match_mult) in index.group(&fields[key - 1]) {
             let other = matched.as_tuple().expect("indexed rows are tuples");
             if probe_is_left {
                 sink(fields, other, probe_mult, match_mult)?;
@@ -134,104 +124,6 @@ pub fn scan<P, M, E>(
         }
     }
     Ok(())
-}
-
-/// An optimistic run emitted more pairs than its [`PushBudget`] allows.
-/// Nothing was committed; the caller re-runs its exact serial path, which
-/// reproduces the precise error payload and partial charges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Overflow;
-
-/// The pair budget all chunks (and terms) of one optimistic run share. A
-/// run commits only if the total pair count stayed within the limit — the
-/// regime in which the serial path cannot trip its budgets either.
-#[derive(Debug)]
-pub struct PushBudget {
-    used: AtomicU64,
-    limit: u64,
-}
-
-impl PushBudget {
-    /// A fresh budget of `limit` pairs.
-    pub fn new(limit: u64) -> PushBudget {
-        PushBudget {
-            used: AtomicU64::new(0),
-            limit,
-        }
-    }
-
-    /// Claim room for `pairs` more pairs *before* materializing them, so
-    /// committed work never exceeds the limit.
-    pub fn admit(&self, pairs: u64) -> Result<(), Overflow> {
-        // Relaxed: the counter publishes nothing but itself.
-        let before = self.used.fetch_add(pairs, Ordering::Relaxed);
-        if before.saturating_add(pairs) > self.limit {
-            Err(Overflow)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Pairs admitted so far — after a committed run, its pair count.
-    pub fn used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
-    }
-}
-
-/// Rank-proportional chunk boundaries over `n` rows: cut `k` ends at
-/// `n·k/chunks`, a pure function of the requested chunk count (never of
-/// worker count or load), so every parallelism setting partitions — and
-/// therefore computes — identically. Empty ranges collapse away.
-fn row_cuts(n: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let chunks = chunks.clamp(1, n.max(1));
-    let mut cuts = Vec::with_capacity(chunks);
-    let mut lo = 0usize;
-    for k in 1..=chunks {
-        let hi = n * k / chunks;
-        if hi > lo {
-            cuts.push((lo, hi));
-            lo = hi;
-        }
-    }
-    cuts
-}
-
-/// Run `chunk(lo, hi, budget)` — a [`probe`] or [`scan`] of that row
-/// range into a chunk-local output — over rank-proportional cuts of
-/// `rows` on the global [`pool`], and fold the outputs with `merge`, all
-/// or nothing: one chunk overflowing the shared budget fails the run. A
-/// single cut runs inline on this thread. Distinct probe rows yield
-/// distinct pairs, so a keyed-sum `merge` of the chunk outputs equals one
-/// builder fed the whole push stream.
-pub fn chunked<T, F>(
-    rows: usize,
-    chunks: usize,
-    budget: &Arc<PushBudget>,
-    chunk: F,
-    merge: impl Fn(&T, &T) -> T,
-) -> Result<T, Overflow>
-where
-    T: Send + 'static,
-    F: Fn(usize, usize, &PushBudget) -> Result<T, Overflow> + Send + Sync + 'static,
-{
-    let cuts = row_cuts(rows, chunks);
-    let parts = if cuts.len() <= 1 {
-        vec![chunk(0, rows, budget)]
-    } else {
-        par::note_partitioned(cuts.len());
-        let chunk = Arc::new(chunk);
-        let jobs: Vec<_> = cuts
-            .into_iter()
-            .map(|(lo, hi)| {
-                let (chunk, budget) = (Arc::clone(&chunk), Arc::clone(budget));
-                move || chunk(lo, hi, &budget)
-            })
-            .collect();
-        pool::global().run(jobs)
-    };
-    let mut parts = parts.into_iter();
-    let first = parts.next().expect("at least the inline chunk ran")?;
-    parts.try_fold(first, |merged, part| Ok(merge(&merged, &part?)))
 }
 
 #[cfg(test)]
@@ -282,15 +174,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cuts_are_a_pure_function_of_the_chunk_count() {
-        assert_eq!(row_cuts(10, 4), vec![(0, 2), (2, 5), (5, 7), (7, 10)]);
-        assert_eq!(row_cuts(3, 8), vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(row_cuts(5, 1), vec![(0, 5)]);
-        assert_eq!(row_cuts(5, 0), vec![(0, 5)]);
-        assert!(row_cuts(0, 4).is_empty());
-    }
-
     /// `σ_{α₂=α₃}(L × R)` through `f`, multiplicities multiplied.
     fn joined(
         f: impl FnOnce(&mut dyn FnMut(&[Value], &[Value], &Natural, &Natural) -> Result<(), ()>),
@@ -314,10 +197,10 @@ mod tests {
         let left_index = BagIndex::build(&left, 2).unwrap();
         let right_index = BagIndex::build(&right, 1).unwrap();
         let probing_right = joined(|sink| {
-            probe(right.pairs(), &left_index, 1, false, |_| Ok(()), sink).unwrap();
+            probe(right.pairs(), &left_index, 1, false, sink).unwrap();
         });
         let probing_left = joined(|sink| {
-            probe(left.pairs(), &right_index, 2, true, |_| Ok(()), sink).unwrap();
+            probe(left.pairs(), &right_index, 2, true, sink).unwrap();
         });
         assert_eq!(probing_right, reference);
         assert_eq!(probing_left, reference);
@@ -326,44 +209,5 @@ mod tests {
             scan(right.pairs(), left.pairs(), (2, 3), false, sink).unwrap();
         });
         assert_eq!(scanning_right, reference);
-    }
-
-    #[test]
-    fn chunked_runs_are_all_or_nothing() {
-        let probe_rows = rows(&[(1, 7, 1), (2, 7, 1), (3, 7, 1), (4, 7, 1)]);
-        let index = Arc::new(BagIndex::build(&rows(&[(7, 0, 1), (7, 1, 1)]), 1).unwrap());
-        let run = |chunks: usize, limit: u64| {
-            let budget = Arc::new(PushBudget::new(limit));
-            let (probe_rows, index) = (probe_rows.clone(), Arc::clone(&index));
-            let out = chunked(
-                4,
-                chunks,
-                &budget,
-                move |lo, hi, budget| {
-                    let mut out = BagBuilder::new();
-                    probe(
-                        &probe_rows.pairs()[lo..hi],
-                        &index,
-                        2,
-                        true,
-                        |n| budget.admit(n),
-                        |l, r, a, b| {
-                            out.push(Value::concat_tuples(l, r), a * b);
-                            Ok(())
-                        },
-                    )?;
-                    Ok(out.build())
-                },
-                Bag::additive_union,
-            );
-            (out, budget.used())
-        };
-        let (serial, used) = run(1, 8);
-        assert_eq!(used, 8);
-        assert_eq!(serial.as_ref().unwrap().distinct_count(), 8);
-        for chunks in [2, 4, 9] {
-            assert_eq!(run(chunks, 8), (serial.clone(), 8), "{chunks} chunks");
-            assert_eq!(run(chunks, 7).0, Err(Overflow), "{chunks} chunks");
-        }
     }
 }

@@ -46,9 +46,9 @@
 //! | [`mod@analyze`] | the one static pass: type inference, fragment (BALGᵏᵢ), set-ness & linearity certificates, tractability class |
 //! | [`mod@eval`] | resource-limited evaluation with metrics |
 //! | [`index`]   | per-key join indexes and memoized `SubBag` testers |
-//! | [`join`]    | the equi-join kernel: classify, index probe, reference scan, chunked driver — every engine's fused `σ_{αᵢ=αⱼ}(×)` is an adapter over it |
+//! | [`join`]    | the equi-join kernel: classify, index probe, reference scan — every engine's fused `σ_{αᵢ=αⱼ}(×)` is an adapter over it |
 //! | [`pool`]    | vendored work-stealing thread pool (std-only) |
-//! | [`par`]     | deterministic partitioned operator kernels |
+//! | [`par`]     | deterministic partitioned keywise merges (`∪⁺`, `−`, `∪`, `∩`) |
 //! | [`derived`] | aggregates, cardinality quantifiers, Prop 3.1 identities |
 //! | [`expanded`] | the standard-encoding representation (differential oracle) |
 //! | [`rewrite`] | multiplicity-exact optimization rules (σ pushdown, ε/MAP fusion) |

@@ -26,6 +26,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
+use crate::par::{Parallel, DEFAULT_THRESHOLD};
+
 /// A unit of work queued on the pool.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
@@ -71,36 +73,64 @@ impl PoolShared {
     }
 }
 
+/// The most partitions an evaluator splits work into and the most workers
+/// a pool spawns: every partition count and worker count is clamped to
+/// `1..=MAX_PARALLELISM`.
+pub const MAX_PARALLELISM: usize = 64;
+
 /// A fixed-size work-stealing thread pool.
 ///
 /// Most callers should use the process-wide [`global`] pool; constructing a
 /// private pool is supported for tests.
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
+    /// Workers actually running — fewer than requested when the OS refused
+    /// a thread, possibly none.
     workers: usize,
 }
 
 impl ThreadPool {
-    /// Build a pool with `workers` background threads (clamped to `1..=64`).
+    /// Build a pool with `workers` background threads (clamped to
+    /// `1..=`[`MAX_PARALLELISM`]).
     ///
     /// Worker threads park when idle and live for the life of the process;
-    /// the pool is intended to be built once and shared.
+    /// the pool is intended to be built once and shared. When the OS
+    /// refuses a thread the pool keeps the workers it already has; with
+    /// none, [`ThreadPool::run`] executes every batch on the caller.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.clamp(1, 64);
+        ThreadPool::with_spawner(workers, |name, body| {
+            std::thread::Builder::new().name(name).spawn(body).map(drop)
+        })
+    }
+
+    /// [`ThreadPool::new`] with the thread spawn behind a hook, so tests
+    /// can make the OS refuse the `k`-th worker.
+    fn with_spawner(
+        workers: usize,
+        mut spawn: impl FnMut(String, Task) -> std::io::Result<()>,
+    ) -> Self {
+        let requested = workers.clamp(1, MAX_PARALLELISM);
         let shared = Arc::new(PoolShared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queues: (0..requested)
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
             idle: Mutex::new(()),
             bell: Condvar::new(),
             next: AtomicUsize::new(0),
         });
-        for home in 0..workers {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("balg-pool-{home}"))
-                .spawn(move || worker_loop(&shared, home))
-                .expect("spawn balg pool worker");
+        let mut spawned = 0;
+        for home in 0..requested {
+            let worker = Arc::clone(&shared);
+            let body = Box::new(move || worker_loop(&worker, home));
+            if spawn(format!("balg-pool-{home}"), body).is_err() {
+                break;
+            }
+            spawned += 1;
         }
-        ThreadPool { shared, workers }
+        ThreadPool {
+            shared,
+            workers: spawned,
+        }
     }
 
     /// Number of background worker threads.
@@ -113,20 +143,18 @@ impl ThreadPool {
     /// The calling thread participates: while the batch is outstanding it
     /// steals and runs queued tasks (its own or anyone's), so this is safe
     /// to call from inside a pool task and never deadlocks. A panic in any
-    /// job is re-thrown here after the rest of the batch has settled.
+    /// job is re-thrown here after the rest of the batch has settled. A
+    /// pool without workers runs the batch on the caller, in order, and a
+    /// panic there propagates at once.
     pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            // Nothing to overlap; skip the queue entirely.
-            let mut jobs = jobs;
-            return vec![jobs.pop().expect("one job")()];
+        if n <= 1 || self.workers == 0 {
+            // Nothing to overlap, or nobody to overlap with: skip the queue.
+            return jobs.into_iter().map(|job| job()).collect();
         }
 
         type Slot<T> = Option<std::thread::Result<T>>;
@@ -154,7 +182,7 @@ impl ThreadPool {
             }
             if let Some(task) = self
                 .shared
-                .take(self.shared.next.load(Ordering::Relaxed) % self.workers)
+                .take(self.shared.next.load(Ordering::Relaxed) % self.shared.queues.len())
             {
                 task();
                 continue;
@@ -224,19 +252,21 @@ pub fn default_parallelism() -> usize {
         .unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         })
-        .clamp(1, 64);
+        .clamp(1, MAX_PARALLELISM);
     // Racing first calls resolve identically; a concurrent explicit
     // `set_default_parallelism` wins.
     let _ = DEFAULT_PARALLELISM.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
     DEFAULT_PARALLELISM.load(Ordering::Relaxed)
 }
 
-/// Override the process-wide default parallelism (clamped to `1..=64`).
+/// Override the process-wide default parallelism (clamped to
+/// `1..=`[`MAX_PARALLELISM`] by [`Parallel::new`]).
 ///
 /// Affects evaluators constructed *after* the call; existing evaluators keep
 /// the chunk count they captured (or had set explicitly).
 pub fn set_default_parallelism(n: usize) {
-    DEFAULT_PARALLELISM.store(n.clamp(1, 64), Ordering::Relaxed);
+    let chunks = Parallel::new(n, DEFAULT_THRESHOLD).chunks();
+    DEFAULT_PARALLELISM.store(chunks, Ordering::Relaxed);
 }
 
 /// The process-wide pool, built on first use.
@@ -316,6 +346,56 @@ mod tests {
         ];
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(jobs)));
         assert!(err.is_err());
+    }
+
+    /// A pool whose `k`-th spawn is refused keeps the `k` workers before
+    /// it; with none, batches run on the caller. Either way a batch of
+    /// merge chunks comes back in submission order and concatenates to the
+    /// serial merge.
+    #[test]
+    fn a_refused_spawn_keeps_the_workers_already_running() {
+        use crate::bag::Bag;
+        use crate::natural::Natural;
+        use crate::value::Value;
+        let a =
+            Bag::from_counted((0..400).map(|k| (Value::int(k), Natural::from(1 + k as u64 % 3))));
+        let b = Bag::from_counted((200..600).map(|k| (Value::int(k), Natural::from(2u64))));
+        let keys = |bag: &Bag, lo: i64, hi: i64| {
+            let range = Value::int(lo)..Value::int(hi);
+            Bag::from_counted(
+                bag.iter()
+                    .filter(|(v, _)| range.contains(v))
+                    .map(|(v, m)| (v.clone(), m.clone())),
+            )
+        };
+        for k in [0usize, 1] {
+            let mut spawns = 0;
+            let pool = ThreadPool::with_spawner(4, |name, body| {
+                spawns += 1;
+                if spawns > k {
+                    return Err(std::io::Error::other("refused"));
+                }
+                std::thread::Builder::new().name(name).spawn(body).map(drop)
+            });
+            assert_eq!(pool.workers(), k);
+            let jobs: Vec<_> = (0..8)
+                .map(|c| {
+                    let (a, b) = (
+                        keys(&a, c * 75, (c + 1) * 75),
+                        keys(&b, c * 75, (c + 1) * 75),
+                    );
+                    move || a.additive_union(&b)
+                })
+                .collect();
+            let parts = pool.run(jobs);
+            let concatenated: Vec<_> = parts
+                .iter()
+                .flat_map(|part| part.pairs().to_vec())
+                .collect();
+            assert_eq!(concatenated, a.additive_union(&b).pairs(), "k = {k}");
+            let order: Vec<_> = (0..9u64).map(|i| move || i).collect();
+            assert_eq!(pool.run(order), (0..9).collect::<Vec<_>>(), "k = {k}");
+        }
     }
 
     #[test]

@@ -285,8 +285,8 @@ impl ZBag {
 
     /// Read-only view of the sorted `(element, signed multiplicity)` pair
     /// slice. Construction stays private, so exposing the slice cannot
-    /// break the representation invariant; partitioned kernels use it to
-    /// range-chunk delta rows.
+    /// break the representation invariant; the [`crate::join`] loops walk
+    /// delta rows through it.
     pub fn pairs(&self) -> &[(Value, ZInt)] {
         &self.pairs
     }

@@ -1,11 +1,13 @@
-//! The parallel↔serial differential: every partitioned operator kernel
-//! ([`balg_core::par`], plus the evaluator's optimistic partitioned join
-//! probe) must compute **exactly** what its serial counterpart computes
-//! — equal bags, equal errors (payloads included), equal step charges —
-//! at every partition count. Partitioning is a pure function of the
-//! requested chunk count, never of hardware, so this suite proves the
-//! documented determinism contract on any host, including single-core
-//! CI runners.
+//! The parallel↔serial differential: the partitioned keywise merges
+//! ([`balg_core::par`]: `∪⁺`, `−`, `∪`, `∩`) must compute **exactly** what
+//! their serial counterparts compute — equal bags, equal errors (payloads
+//! included), equal step charges — at every partition count, and so must
+//! every expression built over them. Joins, products and powerset
+//! enumeration never partition; the random trees still mix them in, which
+//! pins that a partition count cannot change their bag, error or charge
+//! either. Partitioning is a pure function of the requested chunk count,
+//! never of hardware, so this suite proves the documented determinism
+//! contract on any host, including single-core CI runners.
 //!
 //! The threshold is pinned to 0 throughout, forcing the partitioned
 //! paths onto the small random inputs proptest can afford; partition
@@ -28,13 +30,6 @@ fn binary_bag(rows: &[(i64, i64, u64)]) -> Bag {
     Bag::from_counted(
         rows.iter()
             .map(|&(a, b, m)| (tuple2(a, b), Natural::from(m))),
-    )
-}
-
-fn unary_bag(rows: &[(i64, u64)]) -> Bag {
-    Bag::from_counted(
-        rows.iter()
-            .map(|&(a, m)| (Value::tuple([Value::int(a)]), Natural::from(m))),
     )
 }
 
@@ -68,9 +63,9 @@ fn assert_parallel_serial_agree(q: &Expr, db: &Database, limits: &Limits) {
     }
 }
 
-/// Random expressions over the partitionable operator set: the four
-/// keywise merges, the materializing product, the fused equi-join shape,
-/// and structural operators layered on top.
+/// Random expressions over the four keywise merges (the partitioned
+/// kernels), the materializing product and the fused equi-join shape
+/// (which never partition), and structural operators layered on top.
 fn expr_strategy() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![Just(Expr::var("R")), Just(Expr::var("S"))];
     leaf.prop_recursive(3, 12, 2, |inner| {
@@ -111,9 +106,7 @@ proptest! {
 
     /// The same trees under hostile budgets: when the serial evaluation
     /// errors (`ElementLimit`, `TooLarge`, `StepLimit`…), every partition
-    /// count reproduces the **same error payload** — the optimistic
-    /// kernels must discard partial work and re-derive the serial
-    /// outcome, charging identically.
+    /// count reproduces the **same error payload**, charging identically.
     #[test]
     fn tight_budgets_error_identically(
         q in expr_strategy(),
@@ -132,60 +125,11 @@ proptest! {
         };
         assert_parallel_serial_agree(&q, &db, &limits);
     }
-
-    /// The rank-space subbag enumeration: powerset and powerbag over
-    /// random small bags (duplicated multiplicities exercise the
-    /// weighted binomial path) agree at every partition count, including
-    /// under a budget that trips the up-front cardinality prediction.
-    #[test]
-    fn power_operators_agree_across_partition_counts(
-        rows in vec((0i64..6, 1u64..4), 0..7),
-        weighted in any::<bool>(),
-        tight in any::<bool>(),
-    ) {
-        let db = Database::new().with("U", unary_bag(&rows));
-        let q = if weighted {
-            Expr::var("U").powerbag()
-        } else {
-            Expr::var("U").powerset()
-        };
-        let limits = if tight {
-            Limits { max_bag_elements: 16, ..Limits::default() }
-        } else {
-            Limits::default()
-        };
-        assert_parallel_serial_agree(&q, &db, &limits);
-        // A destroyed powerset (the paper's e4 shape) flows the chunked
-        // output through a downstream operator.
-        let q = Expr::var("U").powerset().dedup();
-        assert_parallel_serial_agree(&q, &db, &limits);
-    }
-
-    /// Non-tuple elements force the product's error path: the pre-scan's
-    /// first-error rule must surface the same `NotATuple` (or budget
-    /// error) the serial inner loop finds, at every partition count.
-    #[test]
-    fn irregular_products_error_identically(
-        left in vec((0i64..4, 0i64..4, 1u64..3), 0..10),
-        right in vec((0i64..4, 1u64..3), 0..10),
-        poison_left in any::<bool>(),
-    ) {
-        let mut r = binary_bag(&left);
-        let mut s = unary_bag(&right);
-        if poison_left {
-            r.insert(Value::sym("atom")); // not a tuple
-        } else {
-            s.insert(Value::sym("atom"));
-        }
-        let db = Database::new().with("R", r).with("S", s);
-        let q = Expr::var("R").product(Expr::var("S"));
-        assert_parallel_serial_agree(&q, &db, &Limits::default());
-    }
 }
 
-/// The IFP body (a transitive closure over a cycle) iterates the
-/// partitioned join and max-union kernels many times; the closure must be
-/// identical at every partition count, and so must the step charges.
+/// The IFP body (a transitive closure over a cycle) iterates the fused
+/// join and the fixpoint's partitioned merges many times; the closure must
+/// be identical at every partition count, and so must the step charges.
 #[test]
 fn ifp_closure_agrees_across_partition_counts() {
     let g = Bag::from_values(
@@ -212,8 +156,8 @@ fn ifp_closure_agrees_across_partition_counts() {
 }
 
 /// Larger-than-threshold inputs through the *default* threshold: with
-/// realistic sizes the partitioned paths engage on their own, and the
-/// keywise merges and join probe still match the serial twin exactly.
+/// realistic sizes the partitioned merges engage on their own, and they
+/// and the (serial) join probe still match the serial twin exactly.
 #[test]
 fn default_threshold_engages_and_agrees() {
     let n = 6000i64;
@@ -239,4 +183,31 @@ fn default_threshold_engages_and_agrees() {
         assert_eq!(a, b, "default-threshold disagreement for {q}");
         assert_eq!(serial.metrics().steps, parallel.metrics().steps, "{q}");
     }
+}
+
+/// A partition count past what a merge can allocate cuts for is clamped
+/// to `pool::MAX_PARALLELISM`, not trusted: a 5 000 + 5 000-row `∪⁺`
+/// (above the default threshold) at `n` requested partitions computes
+/// the serial bag.
+fn assert_oversized_partition_count_is_clamped(n: usize) {
+    let r = Bag::from_values((0..5000i64).map(|i| tuple2(i, i % 7)));
+    let s = Bag::from_values((0..5000i64).map(|i| tuple2(i + 2500, i % 5)));
+    let db = Database::new().with("R", r).with("S", s);
+    let q = Expr::var("R").additive_union(Expr::var("S"));
+    let mut serial = Evaluator::new(&db, Limits::default());
+    serial.set_parallel_threads(1);
+    let mut wide = Evaluator::new(&db, Limits::default());
+    wide.set_parallel_threads(n);
+    assert_eq!(wide.eval_bag(&q), serial.eval_bag(&q), "{n} partitions");
+    assert_eq!(wide.parallel_chunks(), balg_core::pool::MAX_PARALLELISM);
+}
+
+#[test]
+fn a_trillion_partitions_are_clamped() {
+    assert_oversized_partition_count_is_clamped(10usize.saturating_pow(12));
+}
+
+#[test]
+fn usize_max_partitions_are_clamped() {
+    assert_oversized_partition_count_is_clamped(usize::MAX);
 }

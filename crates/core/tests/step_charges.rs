@@ -8,8 +8,10 @@
 //!
 //! The constants were taken at commit `8899e58` (the parent of the
 //! `balg_core::join` extraction), before any edit, and every case is
-//! checked on all three `Evaluator` paths — indexed, `set_indexing(false)`
-//! and partitioned (`set_parallel_threads(4)`, threshold 1). A changed
+//! checked on all three `Evaluator` settings — indexed,
+//! `set_indexing(false)` and 4 chunks (`set_parallel_threads(4)`, threshold
+//! 1), where a join never partitions, so that row pins that a partition
+//! count cannot change a join's bag, error or charge. A changed
 //! number is a bug in the change, not a re-baseline — with one exception:
 //! `ifp_closure_over_a_join_body` was re-recorded when the fixpoint became
 //! semi-naive, which by contract charges less (reason at the constant).

@@ -231,37 +231,37 @@ impl ViewRuntime {
         self.use_indexes
     }
 
-    /// Pin the maintenance partition count (values `<= 1` pin every
-    /// maintenance evaluator — and the fused equi-join's optimistic
-    /// partitioned delta — to the serial paths; unset, the process-wide
-    /// default [`balg_core::pool::default_parallelism`] applies). Every
-    /// setting maintains identical views, errors, and stats; partitioning
-    /// is a pure function of this count, so differential suites can
-    /// compare any two settings.
+    /// Pin the maintenance partition count, clamped to
+    /// `1..=`[`balg_core::pool::MAX_PARALLELISM`] (`1` pins every
+    /// maintenance evaluator to the serial paths; unset, the process-wide
+    /// default [`balg_core::pool::default_parallelism`] applies). Only the
+    /// keywise merges partition — a join delta never does. Every setting
+    /// maintains identical views, errors, and stats; partitioning is a pure
+    /// function of this count, so differential suites can compare any two
+    /// settings.
     pub fn set_parallel_threads(&mut self, n: usize) {
-        let mut p = self
-            .parallel
-            .unwrap_or_else(balg_core::par::Parallel::from_global);
-        p.chunks = n.max(1);
-        self.parallel = Some(p);
+        let threshold = self.parallel().threshold;
+        self.parallel = Some(balg_core::par::Parallel::new(n, threshold));
     }
 
-    /// Override the minimum delta size before maintenance partitions
-    /// (tests drop this to `0` to force the partitioned join delta onto
-    /// small updates).
+    /// Override the minimum combined input size before a maintenance
+    /// merge partitions (tests drop this to `0` to force the partitioned
+    /// merges onto small updates).
     pub fn set_parallel_threshold(&mut self, n: usize) {
-        let mut p = self
-            .parallel
-            .unwrap_or_else(balg_core::par::Parallel::from_global);
+        let mut p = self.parallel();
         p.threshold = n;
         self.parallel = Some(p);
     }
 
     /// The effective maintenance partition count (`1` means serial).
     pub fn parallel_chunks(&self) -> usize {
+        self.parallel().chunks()
+    }
+
+    /// The effective partitioned-execution settings.
+    fn parallel(&self) -> balg_core::par::Parallel {
         self.parallel
             .unwrap_or_else(balg_core::par::Parallel::from_global)
-            .chunks
     }
 
     /// Join-index cache statistics `(hits, builds)`.

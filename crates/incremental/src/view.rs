@@ -18,8 +18,8 @@ use balg_core::bag::{attr_field, Bag};
 use balg_core::eval::{equi_join_attrs, EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred, Var};
 use balg_core::index::{BagIndex, IndexCache};
-use balg_core::join::{self, Overflow, PushBudget};
-use balg_core::par::{self, Parallel};
+use balg_core::join;
+use balg_core::par::Parallel;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 use balg_core::zbag::{ZBag, ZBagBuilder, ZInt};
@@ -501,9 +501,8 @@ fn join_side(
 /// One `F(δX × Y_new)` term of a fused equi-join delta: the unchanged
 /// operand `Y_new`, how its matching rows are reached, and which side of
 /// the product the delta rows sit on.
-#[derive(Clone)]
-struct SideTerm {
-    other: Bag,
+struct SideTerm<'a> {
+    other: &'a Bag,
     /// `Y_new`'s per-key index and the key's 1-based position within a
     /// delta row — set when the equality spans the product boundary and
     /// the side got an index; otherwise the term scans `Y_new`.
@@ -512,39 +511,35 @@ struct SideTerm {
     delta_is_left: bool,
 }
 
-impl SideTerm {
+impl SideTerm<'_> {
     /// Hand every surviving pair of `rows × Y_new` to `push`, its
-    /// multiplicity the δ-row's scaled by `Y`'s; `admit` learns how many
-    /// pairs are coming before they do.
+    /// multiplicity the δ-row's scaled by `Y`'s.
     fn run<E>(
         &self,
         rows: &[(Value, ZInt)],
-        mut admit: impl FnMut(u64) -> Result<(), E>,
         mut push: impl FnMut(Value, ZInt) -> Result<(), E>,
     ) -> Result<(), E> {
         let (attrs, left) = (self.attrs, self.delta_is_left);
         match &self.probe {
-            Some((index, key)) => join::probe(rows, index, *key, left, admit, |lf, rf, d, m| {
+            Some((index, key)) => join::probe(rows, index, *key, left, |lf, rf, d, m| {
                 push(Value::concat_tuples(lf, rf), d.scale(m))
             }),
             None => join::scan(rows, self.other.pairs(), attrs, left, |lf, rf, d, m| {
-                admit(1)?;
                 push(Value::concat_tuples(lf, rf), d.scale(m))
             }),
         }
     }
 }
 
-/// A fused equi-join delta, classified: what [`Node::join_delta`] hands to
-/// whichever sink runs it.
+/// A fused equi-join delta, classified: what [`Node::join_delta`] runs.
 struct DeltaJoin<'a> {
     /// The `F(δA × B_new)` and `F(A_new × δB)` terms, each with its delta.
-    sides: [(SideTerm, &'a ZBag); 2],
+    sides: [(SideTerm<'a>, &'a ZBag); 2],
 }
 
 impl<'a> DeltaJoin<'a> {
     /// The side terms that are not zero (nothing on one side).
-    fn live(&self) -> impl Iterator<Item = &(SideTerm, &'a ZBag)> {
+    fn live(&self) -> impl Iterator<Item = &(SideTerm<'a>, &'a ZBag)> {
         let live = |(term, delta): &&(SideTerm, &ZBag)| !delta.is_empty() && !term.other.is_empty();
         self.sides.iter().filter(live)
     }
@@ -557,8 +552,8 @@ impl<'a> DeltaJoin<'a> {
         })
     }
 
-    /// The exact sink: one builder across all three terms, the
-    /// distinct-element budget enforced after every push.
+    /// One builder across all three terms, the distinct-element budget
+    /// enforced after every push.
     fn exact(&self, limit: u64) -> Result<ZBag, MaintainError> {
         let mut out = ZBagBuilder::new();
         let mut push = |value, change| {
@@ -568,43 +563,10 @@ impl<'a> DeltaJoin<'a> {
             })
         };
         for (term, delta) in self.live() {
-            term.run(delta.pairs(), |_| Ok(()), &mut push)?;
+            term.run(delta.pairs(), &mut push)?;
         }
         self.cross_term(&mut push)?;
         Ok(out.build())
-    }
-
-    /// The optimistic sink: each side term's delta rows chunked across the
-    /// worker pool (a delta below the partition threshold is one inline
-    /// chunk), all three terms under one [`PushBudget`] of `limit` pairs.
-    /// Within it the exact sink cannot hit its distinct-element budget
-    /// either (distinct ≤ pushes), so a committed delta is bit-identical;
-    /// on [`Overflow`] nothing is kept and [`DeltaJoin::exact`] decides.
-    fn optimistic(&self, par: Parallel, limit: u64) -> Result<ZBag, Overflow> {
-        let budget = Arc::new(PushBudget::new(limit));
-        let mut out = ZBag::new();
-        for (term, delta) in self.live() {
-            let (term, rows) = (term.clone(), delta.pairs().to_vec());
-            let n = rows.len();
-            let chunks = if par.wants(n) { par.chunks } else { 1 };
-            let chunk = move |lo, hi, budget: &PushBudget| {
-                let mut part = ZBagBuilder::new();
-                let push = |value, change| {
-                    part.push(value, change);
-                    Ok(())
-                };
-                term.run(&rows[lo..hi], |pairs| budget.admit(pairs), push)?;
-                Ok(part.build())
-            };
-            out = out.add(&join::chunked(n, chunks, &budget, chunk, ZBag::add)?);
-        }
-        let mut part = ZBagBuilder::new();
-        self.cross_term(|value, change| {
-            budget.admit(1)?;
-            part.push(value, change);
-            Ok(())
-        })?;
-        Ok(out.add(&part.build()))
     }
 }
 
@@ -760,10 +722,11 @@ impl Node {
     /// The fused equi-join's linear delta in post-update form:
     /// `δJ = F(δA × B_new) ⊕ F(A_new × δB) ⊖ F(δA × δB)` with
     /// `F = σ_{αᵢ=αⱼ}` — three calls into [`balg_core::join`], which owns
-    /// the pair loops; this adapter classifies the operands and picks the
-    /// sink. When the equality spans the product boundary, each
-    /// `F(δX × Y)` term probes `Y`'s per-key index — only the rows keyed
-    /// by the delta's join values are touched, `O(|δ| · matches)`;
+    /// the pair loops; this adapter classifies the operands and owns the
+    /// sink, on the calling thread. When the equality spans the product
+    /// boundary, each `F(δX × Y)` term probes `Y`'s per-key index — only
+    /// the rows keyed by the delta's join values are touched,
+    /// `O(|δ| · matches)`;
     /// otherwise the terms scan `Y` under the pair filter (still linear
     /// in `|Y|`, the shape of the unfused bilinear rule). Returns `None`
     /// when the operands do not admit the fused rule (mixed arities, an
@@ -823,8 +786,8 @@ impl Node {
         // B's index by αᵢ of a δA row, F(A_new × δB) keys A's by
         // α_{j−la} of a δB row. A term with nothing on one side is zero.
         let spanning = join::spanning_keys(i, j, la, ra);
-        let side = |other: &Bag, index: Option<Arc<BagIndex>>, key, delta_is_left| SideTerm {
-            other: other.clone(),
+        let side = |other, index: Option<Arc<BagIndex>>, key, delta_is_left| SideTerm {
+            other,
             probe: index.zip(key),
             attrs: (i, j),
             delta_is_left,
@@ -837,13 +800,6 @@ impl Node {
             ],
         };
         let used_index = join.live().any(|(term, _)| term.probe.is_some());
-        let parallel = ctx.ev.parallel();
-        if parallel.wants(da.distinct_count()) || parallel.wants(db_.distinct_count()) {
-            match join.optimistic(parallel, ctx.max_elements) {
-                Ok(delta) => return Ok(Some((delta, used_index))),
-                Err(Overflow) => par::note_serial_fallback(),
-            }
-        }
         Ok(Some((join.exact(ctx.max_elements)?, used_index)))
     }
 

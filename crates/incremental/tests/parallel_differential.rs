@@ -1,12 +1,11 @@
-//! The incremental engine's parallel↔serial differential: a runtime with
-//! the partitioned join-delta kernels forced on (4 chunks, threshold 0)
-//! replays the same (query, update-stream) pairs as a runtime pinned to
-//! the serial paths, in lockstep. After every batch the base bags, view
-//! snapshots, maintenance outcomes, **and the full instrumentation
-//! counters** must be strictly equal — the partitioned probe commits only
-//! when it can prove the serial loops would have succeeded with the same
-//! output, and aborts (falling back to serial) otherwise, so `used_index`
-//! accounting and budget errors cannot diverge.
+//! The incremental engine's parallel↔serial differential: a runtime at 4
+//! chunks, threshold 0 (every maintenance merge partitions) replays the
+//! same (query, update-stream) pairs as a runtime pinned to the serial
+//! paths, in lockstep. After every batch the base bags, view snapshots,
+//! maintenance outcomes, **and the full instrumentation counters** must
+//! be strictly equal. A join delta never partitions, so on the join-heavy
+//! streams below this pins that a partition count cannot change a join's
+//! bag, `used_index` accounting or budget verdict.
 
 use balg_core::bag::Bag;
 use balg_core::eval::Limits;
@@ -31,9 +30,9 @@ fn pair(a: i64, b: i64) -> Value {
     Value::tuple([Value::int(a), Value::int(b)])
 }
 
-/// Equi-join shapes are where the partitioned delta kernels live, so the
-/// generator leans on them: σ_{αi=αj}(A × B) over binary bases, wrapped
-/// in the merges and structural operators the deltas flow through.
+/// The generator leans on equi-join shapes, σ_{αi=αj}(A × B) over binary
+/// bases, wrapped in the merges and structural operators the deltas flow
+/// through.
 fn join_heavy_expr(rng: &mut StdRng, depth: usize) -> Expr {
     if depth == 0 {
         return if rng.gen_bool(0.5) {
@@ -168,8 +167,8 @@ fn run_twin_case(seed: u64, depth: usize, batches: usize, tight: bool) {
             "partitioned and serial propagation diverged for seed {seed}: {expr}"
         );
         assert_eq!(parallel.database(), serial.database());
-        // The partitioned probe must account index usage exactly like the
-        // serial loops do — the whole counter set is comparable.
+        // Index usage is accounted identically at every partition count —
+        // the whole counter set is comparable.
         assert_eq!(
             parallel.stats(),
             serial.stats(),
@@ -207,8 +206,8 @@ proptest! {
 
     /// The same pairs under a hostile element budget: overflow verdicts
     /// (view dropped vs kept) and every surviving snapshot must match —
-    /// the optimistic partitioned probe may never commit work the serial
-    /// loops would have rejected, nor reject work they would have kept.
+    /// no partition count may keep work the serial loops would have
+    /// rejected, nor reject work they would have kept.
     #[test]
     fn partitioned_and_serial_budget_verdicts_agree(
         seed in 0u64..1_000_000,

@@ -10,8 +10,10 @@
 //! sizes must equal the constants below.
 //!
 //! The constants were taken at commit `8899e58` (the parent of the
-//! `balg_core::join` extraction), before any edit. The serial and the
-//! partitioned runtime (4 chunks, threshold 0) must both hit them.
+//! `balg_core::join` extraction), before any edit. The serial runtime and
+//! one at 4 chunks, threshold 0, must both hit them: a join delta never
+//! partitions, so a partition count cannot change its bag, error or
+//! counters.
 
 use balg_core::bag::Bag;
 use balg_core::eval::Limits;
@@ -144,8 +146,7 @@ fn scanned_stream_counters_are_pinned() {
 /// A delta of 24 distinct rows against a 16-element budget, though the
 /// view holds 12 rows before and after: maintenance must fail on the
 /// budget (never commit a partial delta) and degrade to exactly one full
-/// re-derivation — on the serial sink and, after the optimistic attempt
-/// overflows, on the partitioned path alike.
+/// re-derivation — at 1 and at 4 chunks alike.
 #[test]
 fn a_delta_past_the_element_budget_costs_exactly_one_reinit() {
     for chunks in [1, 4] {

@@ -374,7 +374,6 @@ impl<'a> RalgEvaluator<'a> {
                     &cached,
                     rj,
                     false,
-                    |_| Ok(()),
                     |left_fields, right_fields, _, _| {
                         self.step()?; // one per surviving pair, like the filter
                         out.push_one(Value::concat_tuples(left_fields, right_fields));

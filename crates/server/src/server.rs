@@ -69,8 +69,9 @@ pub struct ServerConfig {
     /// Partition count for intra-query parallel execution (the binary's
     /// `--threads N`). `None` inherits the process-wide default
     /// (`BALG_THREADS` or the detected core count); `Some(1)` pins the
-    /// serial paths. Every setting computes identical results — only
-    /// scheduling differs.
+    /// serial paths, and any count is clamped to
+    /// `1..=`[`balg_core::pool::MAX_PARALLELISM`]. Every setting computes
+    /// identical results — only scheduling differs.
     pub threads: Option<usize>,
 }
 

@@ -496,14 +496,14 @@ impl SqlRuntime {
     }
 
     /// Pin the partition count of this session's evaluators — ad-hoc
-    /// queries and view maintenance alike (values `<= 1` pin every
-    /// operator to the serial paths; unset, the process-wide default
+    /// queries and view maintenance alike — clamped to
+    /// `1..=`[`balg_core::pool::MAX_PARALLELISM`] (`1` pins every operator
+    /// to the serial paths; unset, the process-wide default
     /// [`balg_core::pool::default_parallelism`] applies). Every setting
     /// computes identical results, errors, and step charges.
     pub fn set_parallel_threads(&mut self, n: usize) {
-        let n = n.max(1);
-        self.parallel_chunks = Some(n);
         self.backend.set_parallel_threads(n);
+        self.parallel_chunks = Some(self.backend.runtime().parallel_chunks());
     }
 
     /// This session's partition-count override (`None` means the
@@ -757,6 +757,26 @@ mod tests {
         )
         .unwrap();
         SqlRuntime::new(catalog, db)
+    }
+
+    /// `set_parallel_threads(usize::MAX)` is clamped, not handed to a merge
+    /// as its cut count: a `UNION ALL` of two 5 000-row tables (above the
+    /// partition threshold) answers what a serial session answers.
+    #[test]
+    fn an_oversized_partition_count_is_clamped() {
+        let catalog = Catalog::new()
+            .with_table("t", &[("k", true)])
+            .with_table("u", &[("k", true)]);
+        let rows = |lo: i64| (lo..lo + 5000).map(|k| vec![SqlValue::Int(k)]).collect();
+        let db = database_from_rows(&catalog, &[("t", rows(0)), ("u", rows(2500))]).unwrap();
+        let query = "SELECT k FROM t UNION ALL SELECT k FROM u";
+        let mut serial = SqlRuntime::new(catalog.clone(), db.clone());
+        serial.set_parallel_threads(1);
+        let mut wide = SqlRuntime::new(catalog, db);
+        wide.set_parallel_threads(usize::MAX);
+        assert_eq!(wide.execute(query).unwrap(), serial.execute(query).unwrap());
+        let max = balg_core::pool::MAX_PARALLELISM;
+        assert_eq!(wide.parallel_threads(), Some(max));
     }
 
     #[test]

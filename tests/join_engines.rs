@@ -5,13 +5,13 @@
 //! join paths. This one feeds a single random `σ_{αᵢ=αⱼ}(L × R)` through
 //! all of them:
 //!
-//! * (a) `Evaluator`, indexed; (b) `set_indexing(false)`; (c) partitioned
-//!   (`set_parallel_threads(4)`, threshold 1) — results, error values and
-//!   `Metrics.steps` must agree;
+//! * (a) `Evaluator`, indexed; (b) `set_indexing(false)`; (c) at 4 chunks
+//!   (`set_parallel_threads(4)`, threshold 1), where a join never
+//!   partitions — results, error values and `Metrics.steps` must agree;
 //! * (d) a `ViewRuntime` join view registered over *empty* bases, with `L`
 //!   and `R` streamed in as randomly split insert batches and a random
 //!   subset then deleted — the ℤ-multiplicity path — indexed, scanning and
-//!   partitioned, checked after every batch;
+//!   at 4 chunks, checked after every batch;
 //! * (e) `RalgEvaluator` on the same database seen as sets;
 //!
 //! against `σ(L × R)` *materialised* (product, then a per-element filter
