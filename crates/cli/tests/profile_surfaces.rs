@@ -93,6 +93,30 @@ fn profile_report_is_byte_equal_across_surfaces() {
         assert!(profile.contains("result: 3 distinct elements"), "{profile}");
     }
 
+    // The key-run kernels tag the frame that ran them. A bag they decline
+    // (tuples beside atoms) fails on the per-row path, and no frame is
+    // tagged.
+    let mixed = "unionp(g, map(x, attr(x,1), g))";
+    for (expr, tag) in [
+        ("nest(g, 1)".to_owned(), Some("nest[1] [key-runs]")),
+        (
+            "dedup(project(g, 1))".to_owned(),
+            Some("MAP \u{3bb}\u{3c0} [key-runs]"),
+        ),
+        ("nest(g, 2)".to_owned(), Some("nest[2] [key-sort]")),
+        (format!("project({mixed}, 1)"), None),
+        (format!("nest({mixed}, 1)"), None),
+    ] {
+        let profile = everywhere(&format!(":profile {expr}"));
+        match tag {
+            Some(tag) => assert!(profile.contains(tag), "{profile}"),
+            None => {
+                assert!(!profile.contains("[key-"), "{profile}");
+                assert!(profile.contains("\nerror: expected a tuple"), "{profile}");
+            }
+        }
+    }
+
     // Parse errors reply as errors on the statement surface and as plain
     // messages in the REPL — same text either way.
     let bad = twin.execute(":profile project(");

@@ -29,6 +29,18 @@
 //!   the order the old map iteration induced, so the total [`Value`] order
 //!   of Theorem 5.1's PSPACE encoding is unchanged.
 //!
+//! Tuples compare field by field, a shorter tuple before its extensions,
+//! so the slice is also a group index on its leading attributes. Taking
+//! the first `k` fields is monotone in that order, hence rows that share
+//! their first `k` fields form one contiguous *key run*. Two distinct rows
+//! of a run first differ at a field past `k` (or one ends there), so their
+//! residuals `[α_{k+1}, …]` ascend strictly in slice order. The same holds
+//! for any key after a *stable* sort of the rows by the key fields: rows
+//! with equal key fields first differ at a non-key position, in the order
+//! their residuals compare. [`Bag::nest`] and [`Bag::project_prefix`] walk
+//! these runs, building every output slice already sorted ([`is_key_prefix`]
+//! says when no sort is needed).
+//!
 //! The slice sits behind an [`Arc`] (as a `Vec`, so a uniquely-owned bag
 //! can still be mutated in place) with copy-on-write mutation: cloning a
 //! bag — which the evaluator does for every variable lookup, every λ
@@ -110,6 +122,14 @@ pub fn attr_field(fields: &[Value], index: usize) -> Result<&Value, BagError> {
         index,
         arity: fields.len(),
     })
+}
+
+/// `true` iff `indices` is `1, 2, …, k` (`k ≥ 0`): the leading attributes,
+/// on which the sorted slice is already clustered into key runs (module
+/// doc). The one test behind [`Bag::nest`]'s sort-free path, the prefix
+/// projections and the evaluator's `key-runs`/`key-sort` profile tags.
+pub fn is_key_prefix(indices: &[usize]) -> bool {
+    indices.iter().enumerate().all(|(i, &ix)| ix == i + 1)
 }
 
 /// A homogeneous bag of [`Value`]s with exact [`Natural`] multiplicities.
@@ -743,8 +763,15 @@ impl Bag {
     }
 
     /// Projection helper `π_{i₁,…,iₙ}` over 1-based attribute indices —
-    /// the paper's abbreviation for `MAP_{λx.[α_{i₁}(x), …]}`.
+    /// the paper's abbreviation for `MAP_{λx.[α_{i₁}(x), …]}`. Prefix
+    /// indices `1..=k` take [`Bag::project_prefix`]; a row it declines is
+    /// reported by the general path.
     pub fn project(&self, indices: &[usize]) -> Result<Bag, BagError> {
+        if is_key_prefix(indices) {
+            if let Some(out) = self.project_prefix(indices.len()) {
+                return Ok(out);
+            }
+        }
         self.map(|value| {
             let fields = value
                 .as_tuple()
@@ -765,64 +792,104 @@ impl Bag {
         })
     }
 
+    /// `π_{1,…,k}` in one pass over key runs (module doc): each run of
+    /// rows sharing their first `k` fields becomes one tuple whose
+    /// multiplicity is the run's sum, and the output is born sorted.
+    /// `None` when a row is not a tuple or has fewer than `k` fields, so
+    /// each caller reports that row with its own error.
+    pub fn project_prefix(&self, k: usize) -> Option<Bag> {
+        let mut out: Vec<(Value, Natural)> = Vec::new();
+        let mut run: &[Value] = &[];
+        for (row, mult) in self.elems.iter() {
+            let key = row.as_tuple()?.get(..k)?;
+            match out.last_mut() {
+                Some((_, sum)) if key == run => *sum += mult,
+                _ => {
+                    out.push((Value::Tuple(key.into()), mult.clone()));
+                    run = key;
+                }
+            }
+        }
+        Some(Bag::from_sorted_vec(out))
+    }
+
     /// The nest operator of \[PG88\] (Conclusion): group a bag of tuples by
     /// the 1-based attributes in `group`; each distinct group key appears
     /// **once**, extended with a bag holding the residual-attribute tuples
     /// of its members (inner multiplicities preserved).
+    ///
+    /// One walk over key runs (module doc). A prefix key `1..=k` reads
+    /// them straight off the slice; any other key first stable-sorts the
+    /// rows by their borrowed key fields. Either way each inner bag is a
+    /// run's residuals, already ascending and distinct, and the groups
+    /// come out in key order. Every row is checked first, in slice order,
+    /// so the first bad row raises as it would in a row-by-row pass.
     pub fn nest(&self, group: &[usize]) -> Result<Bag, BagError> {
-        use std::collections::BTreeMap;
-        // Membership bitmask over 1-based attribute positions, precomputed
-        // so the residual split is O(arity) per row instead of
-        // O(arity × |group|). Fixed-size (no allocation keyed to attacker-
-        // controlled indices); positions beyond the mask — which only
-        // matter for equally wide rows — fall back to the linear scan.
+        let mut rows: Vec<(&[Value], &Natural)> = Vec::with_capacity(self.elems.len());
+        for (row, mult) in self.elems.iter() {
+            let fields = row
+                .as_tuple()
+                .ok_or_else(|| BagError::NotATuple(row.clone()))?;
+            for &ix in group {
+                attr_field(fields, ix)?;
+            }
+            rows.push((fields, mult));
+        }
+        // Every index is now known to be in range for every row.
+        fn key_of<'a>(group: &'a [usize], fields: &'a [Value]) -> impl Iterator<Item = &'a Value> {
+            group.iter().map(move |&ix| &fields[ix - 1])
+        }
+        let prefix = is_key_prefix(group);
+        if !prefix {
+            rows.sort_by(|a, b| key_of(group, a.0).cmp(key_of(group, b.0)));
+        }
+        // Membership bitmask over 1-based attribute positions, so the
+        // residual split is O(arity) per row instead of O(arity × |group|).
+        // Fixed-size (no allocation keyed to attacker-controlled indices);
+        // positions beyond the mask — which only matter for equally wide
+        // rows — fall back to the linear scan.
         let mut mask = 0u128;
         for &ix in group {
             if (1..=128).contains(&ix) {
                 mask |= 1 << (ix - 1);
             }
         }
-        let grouped = |i: usize| -> bool {
-            if i < 128 {
-                mask >> i & 1 == 1
-            } else {
-                group.contains(&(i + 1))
+        let residual = |fields: &[Value]| -> Value {
+            if prefix {
+                return Value::Tuple(fields[group.len()..].into());
             }
+            let grouped = |i: usize| {
+                if i < 128 {
+                    mask >> i & 1 == 1
+                } else {
+                    group.contains(&(i + 1))
+                }
+            };
+            Value::Tuple(
+                fields
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !grouped(*i))
+                    .map(|(_, v)| v.clone())
+                    .collect(),
+            )
         };
-        let mut groups: BTreeMap<Vec<Value>, BagBuilder> = BTreeMap::new();
-        for (row, mult) in self.elems.iter() {
-            let fields = row
-                .as_tuple()
-                .ok_or_else(|| BagError::NotATuple(row.clone()))?;
-            let mut key = Vec::with_capacity(group.len());
-            for &ix in group {
-                let i = ix.checked_sub(1).ok_or(BagError::AttrIndexZero)?;
-                let field = fields.get(i).ok_or(BagError::BadArity {
-                    index: ix,
-                    arity: fields.len(),
-                })?;
-                key.push(field.clone());
-            }
-            let residual: Vec<Value> = fields
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !grouped(*i))
-                .map(|(_, v)| v.clone())
-                .collect();
-            groups
-                .entry(key)
-                .or_default()
-                .push(Value::Tuple(residual.into()), mult.clone());
-        }
-        // Group keys come out of the map in ascending order; the output
-        // tuples all share one arity and differ within the key prefix, so
-        // they are emitted already sorted and distinct.
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, inner) in groups {
-            let mut fields = key;
-            fields.push(Value::Bag(inner.build()));
-            out.push((Value::Tuple(fields.into()), Natural::one()));
-        }
+        let out = rows
+            .chunk_by(|a, b| key_of(group, a.0).eq(key_of(group, b.0)))
+            .map(|members| {
+                let inner = members
+                    .iter()
+                    .map(|(fields, mult)| (residual(fields), (*mult).clone()))
+                    .collect();
+                let nested = Value::Bag(Bag::from_sorted_vec(inner));
+                // An exact-size chain: one allocation for the whole tuple.
+                let fields: Arc<[Value]> = key_of(group, members[0].0)
+                    .cloned()
+                    .chain([nested])
+                    .collect();
+                (Value::Tuple(fields), Natural::one())
+            })
+            .collect();
         Ok(Bag::from_sorted_vec(out))
     }
 

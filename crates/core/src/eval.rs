@@ -13,7 +13,9 @@
 //!
 //! * adjacent `MAP`/`σ` (and hence `π`) stages stream each input element
 //!   through the whole chain in one pass, so only the chain's final bag is
-//!   ever built;
+//!   ever built; a chain that is only `π_{1..k}` over a bag folds the
+//!   bag's key runs instead ([`Bag::project_prefix`]), with one bulk charge
+//!   equal to the per-row loop's and that loop as its fallback;
 //! * a `σ` stage whose predicate only compares attributes of its own row
 //!   with each other and with literals (`True`/`=`/`<`/`≤`/`¬`/`∧`/`∨` over
 //!   `αᵢ(x)`, `i ≥ 1`, and constants — every single-table SQL `WHERE`) is
@@ -55,7 +57,7 @@ use std::sync::Arc;
 use balg_obs::profile::{Profiler, SpanId};
 
 use crate::analyze::ifp_delta_form;
-use crate::bag::{attr_field, Bag, BagBuilder, BagError};
+use crate::bag::{attr_field, is_key_prefix, Bag, BagBuilder, BagError};
 use crate::expr::{Expr, Pred, Var};
 use crate::index::{IndexCache, SubBagTester};
 use crate::join;
@@ -607,7 +609,17 @@ impl<'a> Evaluator<'a> {
             Ok(Value::Bag(bag)) => Some(bag.distinct_count() as u64),
             _ => None,
         };
-        let tag = self.fast_path.take();
+        let noted = self.fast_path.take();
+        // `nest` is tagged here rather than in `eval_node`: a branch there
+        // measurably slowed every node of an unprofiled evaluation.
+        let tag = match expr {
+            Expr::Nest { group, .. } if result.is_ok() => Some(if is_key_prefix(group) {
+                "key-runs"
+            } else {
+                "key-sort"
+            }),
+            _ => noted,
+        };
         if let Some(profiler) = self.profiler.as_mut() {
             profiler.finish(span, steps, rows, tag, result.is_err());
         }
@@ -969,7 +981,20 @@ impl<'a> Evaluator<'a> {
                 self.note_fast_path("subbag-sweep");
                 self.run_subbag_select(bag, rhs)
             }
-            _ => self.run_chain_loop(&base, stages),
+            // A lone prefix `π` over a bag folds key runs; a chain the
+            // kernel declines streams row by row.
+            _ => {
+                let runs = match (&base, stages) {
+                    (ChainBase::Bag(bag), [Stage::Project { indices }]) => {
+                        self.project_key_runs(bag, indices)
+                    }
+                    _ => None,
+                };
+                match runs {
+                    Some(out) => Ok(out),
+                    None => self.run_chain_loop(&base, stages),
+                }
+            }
         };
         for key in registered {
             self.memo.remove(&key);
@@ -1093,6 +1118,28 @@ impl<'a> Evaluator<'a> {
         self.charge_steps(steps)
             .expect("checked against steps_left");
         Some(keep)
+    }
+
+    /// A chain that is only a prefix `π_{1..k}` over a bag, by
+    /// [`Bag::project_prefix`]: one bulk charge of the one step per row the
+    /// per-row loop charges, like [`Evaluator::filter_in_place`]. `None` —
+    /// and nothing charged — when that loop has to run instead, to fail on
+    /// its exact row and step with its partial [`Metrics`]: the indices are
+    /// not a prefix, the kernel declines a row, the charge exceeds the
+    /// remaining steps, or the output would exceed the element budget.
+    fn project_key_runs(&mut self, bag: &Bag, indices: &[usize]) -> Option<Bag> {
+        let steps = bag.distinct_count() as u64;
+        if !is_key_prefix(indices) || steps > self.steps_left {
+            return None;
+        }
+        let out = bag.project_prefix(indices.len())?;
+        if out.distinct_count() as u64 > self.limits.max_bag_elements {
+            return None;
+        }
+        self.charge_steps(steps)
+            .expect("checked against steps_left");
+        self.note_fast_path("key-runs");
+        Some(out)
     }
 
     /// Push one element through every stage; survivors land in `out`.

@@ -131,16 +131,48 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// How deep the recursive decoders ([`get_value`], [`get_bag`],
+/// [`get_zbag`], [`get_expr`], [`get_pred`]) may nest, each call one
+/// level. A record nested deeper is [`DecodeError::Invalid`], not a stack
+/// overflow. The write path refuses anything deeper before it reaches a
+/// log ([`bag_decodes`], [`zbag_decodes`], [`expr_decodes`]), so every
+/// record a runtime wrote decodes. A debug build spends 4–5 KB of stack
+/// per expression level, so the cap fits a 2 MiB thread (a server
+/// session's) about twice; text the parsers accept
+/// ([`crate::expr::MAX_EXPR_DEPTH`]) nests about 70 levels.
+pub const MAX_DECODE_DEPTH: usize = 256;
+
 /// A cursor over an encoded byte slice.
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Recursive decoder calls currently open on this reader.
+    depth: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// Start reading at the front of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+        ByteReader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Run one recursive decoder one level deeper, refusing to pass
+    /// [`MAX_DECODE_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        decode: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        if self.depth == MAX_DECODE_DEPTH {
+            return Err(DecodeError::Invalid("nested deeper than MAX_DECODE_DEPTH"));
+        }
+        self.depth += 1;
+        let out = decode(self);
+        self.depth -= 1;
+        out
     }
 
     /// Bytes not yet consumed.
@@ -183,10 +215,12 @@ impl<'a> ByteReader<'a> {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
-    /// Read a `usize`-bounded length (rejects lengths beyond the input).
-    fn len(&mut self) -> Result<usize, DecodeError> {
+    /// Read an element count, rejecting one whose elements — each at least
+    /// `min_size` encoded bytes — cannot fit the bytes left. A
+    /// `with_capacity` of the result is therefore bounded by the input.
+    fn count(&mut self, min_size: usize) -> Result<usize, DecodeError> {
         let n = self.u64()?;
-        if n > self.remaining() as u64 {
+        if n > (self.remaining() / min_size) as u64 {
             return Err(DecodeError::Truncated);
         }
         Ok(n as usize)
@@ -194,7 +228,7 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, DecodeError> {
-        let n = self.len()?;
+        let n = self.count(1)?;
         let bytes = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         std::str::from_utf8(bytes).map_err(|_| DecodeError::Utf8)
@@ -218,12 +252,9 @@ pub fn put_natural(out: &mut Vec<u8>, n: &Natural) {
 
 /// Decode a [`Natural`] written by [`put_natural`].
 pub fn get_natural(r: &mut ByteReader<'_>) -> Result<Natural, DecodeError> {
-    let count = r.u64()?;
-    // A limb is ≥ 1 encoded byte; reject counts the input cannot hold.
-    if count > r.remaining() as u64 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut limbs = Vec::with_capacity(count as usize);
+    // A limb is ≥ 1 encoded byte.
+    let count = r.count(1)?;
+    let mut limbs = Vec::with_capacity(count);
     for _ in 0..count {
         limbs.push(r.u64()?);
     }
@@ -255,6 +286,13 @@ const VAL_STR: u8 = 1;
 const VAL_TUPLE: u8 = 2;
 const VAL_BAG: u8 = 3;
 
+/// The fewest bytes a value encodes to: a tag and a one-byte varint.
+const MIN_VALUE: usize = 2;
+/// The fewest bytes a [`Natural`] encodes to: a zero limb count.
+const MIN_NATURAL: usize = 1;
+/// The fewest bytes an [`Expr`] encodes to: a tag and an empty name.
+const MIN_EXPR: usize = 2;
+
 /// Encode a [`Value`] (canonical: bags in sorted order).
 pub fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
@@ -282,11 +320,11 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
 
 /// Decode a [`Value`] written by [`put_value`].
 pub fn get_value(r: &mut ByteReader<'_>) -> Result<Value, DecodeError> {
-    match r.u8()? {
+    r.nested(|r| match r.u8()? {
         VAL_INT => Ok(Value::int(r.i64()?)),
         VAL_STR => Ok(Value::sym(r.str()?)),
         VAL_TUPLE => {
-            let count = r.len()?;
+            let count = r.count(MIN_VALUE)?;
             let mut fields = Vec::with_capacity(count);
             for _ in 0..count {
                 fields.push(get_value(r)?);
@@ -295,7 +333,7 @@ pub fn get_value(r: &mut ByteReader<'_>) -> Result<Value, DecodeError> {
         }
         VAL_BAG => Ok(Value::Bag(get_bag(r)?)),
         tag => Err(DecodeError::Tag { what: "value", tag }),
-    }
+    })
 }
 
 /// Encode a [`Bag`]: distinct count, then `(value, multiplicity)` pairs in
@@ -311,17 +349,19 @@ pub fn put_bag(out: &mut Vec<u8>, bag: &Bag) {
 /// Decode a [`Bag`] written by [`put_bag`]. Pairs arrive in canonical order,
 /// so the builder's in-order bulk path applies.
 pub fn get_bag(r: &mut ByteReader<'_>) -> Result<Bag, DecodeError> {
-    let count = r.len()?;
-    let mut builder = BagBuilder::with_capacity(count);
-    for _ in 0..count {
-        let value = get_value(r)?;
-        let mult = get_natural(r)?;
-        if mult.is_zero() {
-            return Err(DecodeError::Invalid("zero multiplicity in bag"));
+    r.nested(|r| {
+        let count = r.count(MIN_VALUE + MIN_NATURAL)?;
+        let mut builder = BagBuilder::with_capacity(count);
+        for _ in 0..count {
+            let value = get_value(r)?;
+            let mult = get_natural(r)?;
+            if mult.is_zero() {
+                return Err(DecodeError::Invalid("zero multiplicity in bag"));
+            }
+            builder.push(value, mult);
         }
-        builder.push(value, mult);
-    }
-    Ok(builder.build())
+        Ok(builder.build())
+    })
 }
 
 /// Encode a [`ZBag`] delta: distinct count, then `(value, ℤ-multiplicity)`
@@ -336,17 +376,20 @@ pub fn put_zbag(out: &mut Vec<u8>, zbag: &ZBag) {
 
 /// Decode a [`ZBag`] written by [`put_zbag`].
 pub fn get_zbag(r: &mut ByteReader<'_>) -> Result<ZBag, DecodeError> {
-    let count = r.len()?;
-    let mut pairs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let value = get_value(r)?;
-        let mult = get_zint(r)?;
-        if mult.is_zero() {
-            return Err(DecodeError::Invalid("zero multiplicity in zbag"));
+    r.nested(|r| {
+        // A ℤ-multiplicity is a sign byte and a natural.
+        let count = r.count(MIN_VALUE + 1 + MIN_NATURAL)?;
+        let mut pairs = Vec::with_capacity(count);
+        for _ in 0..count {
+            let value = get_value(r)?;
+            let mult = get_zint(r)?;
+            if mult.is_zero() {
+                return Err(DecodeError::Invalid("zero multiplicity in zbag"));
+            }
+            pairs.push((value, mult));
         }
-        pairs.push((value, mult));
-    }
-    Ok(ZBag::from_counted(pairs))
+        Ok(ZBag::from_counted(pairs))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -468,6 +511,11 @@ pub fn put_expr(out: &mut Vec<u8>, expr: &Expr) {
 
 /// Decode an [`Expr`] written by [`put_expr`].
 pub fn get_expr(r: &mut ByteReader<'_>) -> Result<Expr, DecodeError> {
+    r.nested(expr_node)
+}
+
+/// One level of [`get_expr`].
+fn expr_node(r: &mut ByteReader<'_>) -> Result<Expr, DecodeError> {
     let tag = r.u8()?;
     let boxed = |r: &mut ByteReader<'_>| get_expr(r).map(Box::new);
     Ok(match tag {
@@ -478,7 +526,7 @@ pub fn get_expr(r: &mut ByteReader<'_>) -> Result<Expr, DecodeError> {
         EXPR_MAX_UNION => Expr::MaxUnion(boxed(r)?, boxed(r)?),
         EXPR_INTERSECT => Expr::Intersect(boxed(r)?, boxed(r)?),
         EXPR_TUPLE => {
-            let count = r.len()?;
+            let count = r.count(MIN_EXPR)?;
             let mut fields = Vec::with_capacity(count);
             for _ in 0..count {
                 fields.push(get_expr(r)?);
@@ -511,7 +559,8 @@ pub fn get_expr(r: &mut ByteReader<'_>) -> Result<Expr, DecodeError> {
             input: boxed(r)?,
         },
         EXPR_NEST => {
-            let count = r.len()?;
+            // An index is a varint of at least one byte.
+            let count = r.count(1)?;
             let mut group = Vec::with_capacity(count);
             for _ in 0..count {
                 group.push(r.u64()? as usize);
@@ -573,6 +622,11 @@ pub fn put_pred(out: &mut Vec<u8>, pred: &Pred) {
 
 /// Decode a [`Pred`] written by [`put_pred`].
 pub fn get_pred(r: &mut ByteReader<'_>) -> Result<Pred, DecodeError> {
+    r.nested(pred_node)
+}
+
+/// One level of [`get_pred`].
+fn pred_node(r: &mut ByteReader<'_>) -> Result<Pred, DecodeError> {
     let tag = r.u8()?;
     Ok(match tag {
         PRED_TRUE => Pred::True,
@@ -586,6 +640,90 @@ pub fn get_pred(r: &mut ByteReader<'_>) -> Result<Pred, DecodeError> {
         PRED_OR => Pred::Or(Box::new(get_pred(r)?), Box::new(get_pred(r)?)),
         tag => return Err(DecodeError::Tag { what: "pred", tag }),
     })
+}
+
+// ---------------------------------------------------------------------------
+// Depth checks for the write path
+// ---------------------------------------------------------------------------
+
+/// `true` iff [`get_bag`] decodes `bag` within [`MAX_DECODE_DEPTH`].
+pub fn bag_decodes(bag: &Bag) -> bool {
+    bag.elements()
+        .all(|value| value_fits(value, MAX_DECODE_DEPTH - 1))
+}
+
+/// `true` iff [`get_zbag`] decodes `zbag` within [`MAX_DECODE_DEPTH`].
+pub fn zbag_decodes(zbag: &ZBag) -> bool {
+    zbag.iter()
+        .all(|(value, _)| value_fits(value, MAX_DECODE_DEPTH - 1))
+}
+
+/// `true` iff [`get_expr`] decodes `expr` within [`MAX_DECODE_DEPTH`].
+pub fn expr_decodes(expr: &Expr) -> bool {
+    expr_fits(expr, MAX_DECODE_DEPTH)
+}
+
+// Each walker mirrors its decoder call for call and stops once `levels`
+// runs out, so it recurses no deeper than the decoder may.
+
+fn value_fits(value: &Value, levels: usize) -> bool {
+    let Some(inner) = levels.checked_sub(1) else {
+        return false;
+    };
+    match value {
+        Value::Atom(_) => true,
+        Value::Tuple(fields) => fields.iter().all(|field| value_fits(field, inner)),
+        // `get_value`, then `get_bag`, then each element.
+        Value::Bag(bag) => inner
+            .checked_sub(1)
+            .is_some_and(|left| bag.elements().all(|value| value_fits(value, left))),
+    }
+}
+
+fn expr_fits(expr: &Expr, levels: usize) -> bool {
+    let Some(inner) = levels.checked_sub(1) else {
+        return false;
+    };
+    match expr {
+        Expr::Var(_) => true,
+        Expr::Lit(value) => value_fits(value, inner),
+        Expr::AdditiveUnion(a, b)
+        | Expr::Subtract(a, b)
+        | Expr::MaxUnion(a, b)
+        | Expr::Intersect(a, b)
+        | Expr::Product(a, b)
+        | Expr::Map {
+            body: a, input: b, ..
+        }
+        | Expr::Ifp {
+            body: a, input: b, ..
+        } => expr_fits(a, inner) && expr_fits(b, inner),
+        Expr::Tuple(fields) => fields.iter().all(|field| expr_fits(field, inner)),
+        Expr::Singleton(e)
+        | Expr::Powerset(e)
+        | Expr::Powerbag(e)
+        | Expr::Attr(e, _)
+        | Expr::Destroy(e)
+        | Expr::Dedup(e)
+        | Expr::Nest { input: e, .. } => expr_fits(e, inner),
+        Expr::Select { pred, input, .. } => pred_fits(pred, inner) && expr_fits(input, inner),
+    }
+}
+
+fn pred_fits(pred: &Pred, levels: usize) -> bool {
+    let Some(inner) = levels.checked_sub(1) else {
+        return false;
+    };
+    match pred {
+        Pred::True => true,
+        Pred::Eq(a, b)
+        | Pred::Lt(a, b)
+        | Pred::Le(a, b)
+        | Pred::Member(a, b)
+        | Pred::SubBag(a, b) => expr_fits(a, inner) && expr_fits(b, inner),
+        Pred::Not(p) => pred_fits(p, inner),
+        Pred::And(a, b) | Pred::Or(a, b) => pred_fits(a, inner) && pred_fits(b, inner),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -913,6 +1051,92 @@ mod tests {
         match unframe(&log[iter.offset()..]) {
             Unframed::Record { payload, .. } => assert!(payload.is_empty()),
             Unframed::Incomplete | Unframed::Corrupt => {}
+        }
+    }
+
+    const TOO_DEEP: DecodeError = DecodeError::Invalid("nested deeper than MAX_DECODE_DEPTH");
+
+    #[test]
+    fn crafted_deep_records_are_errors_not_stack_overflows() {
+        // 200 000 nested 1-tuples in 400 KB: this used to abort the process.
+        let tuples = [VAL_TUPLE, 1].repeat(200_000);
+        assert_eq!(get_value(&mut ByteReader::new(&tuples)), Err(TOO_DEEP));
+        let bags = [VAL_BAG, 1].repeat(200_000);
+        assert_eq!(get_bag(&mut ByteReader::new(&bags)), Err(TOO_DEEP));
+        let dedups = [EXPR_DEDUP].repeat(200_000);
+        assert_eq!(get_expr(&mut ByteReader::new(&dedups)), Err(TOO_DEEP));
+        let nots = [PRED_NOT].repeat(200_000);
+        assert_eq!(get_pred(&mut ByteReader::new(&nots)), Err(TOO_DEEP));
+    }
+
+    #[test]
+    fn huge_counts_are_refused_before_allocating() {
+        // Counts the bytes left could never hold, whatever the elements.
+        for tag in [VAL_TUPLE, VAL_BAG] {
+            let mut record = vec![tag];
+            put_u64(&mut record, 400_000);
+            record.resize(400_000, 0);
+            assert_eq!(
+                get_value(&mut ByteReader::new(&record)),
+                Err(DecodeError::Truncated)
+            );
+        }
+        let mut record = Vec::new();
+        put_u64(&mut record, 1 << 40);
+        assert_eq!(
+            get_zbag(&mut ByteReader::new(&record)),
+            Err(DecodeError::Truncated)
+        );
+        let mut record = vec![EXPR_NEST];
+        put_u64(&mut record, 1 << 40);
+        assert_eq!(
+            get_expr(&mut ByteReader::new(&record)),
+            Err(DecodeError::Truncated)
+        );
+    }
+
+    /// `depth` nested 1-tuples around an atom: `depth + 1` decoder levels.
+    fn nested_value(depth: usize) -> Value {
+        (0..depth).fold(Value::int(0), |v, _| Value::tuple([v]))
+    }
+
+    #[test]
+    fn the_write_side_checks_agree_with_the_decoders_at_the_cap() {
+        for depth in MAX_DECODE_DEPTH - 3..=MAX_DECODE_DEPTH + 1 {
+            let value = nested_value(depth);
+            let mut buf = Vec::new();
+            put_value(&mut buf, &value);
+            let decoded = get_value(&mut ByteReader::new(&buf));
+            assert_eq!(decoded.is_ok(), depth < MAX_DECODE_DEPTH, "value {depth}");
+
+            let bag = Bag::singleton(value.clone());
+            let mut buf = Vec::new();
+            put_bag(&mut buf, &bag);
+            let decoded = get_bag(&mut ByteReader::new(&buf));
+            assert_eq!(decoded.is_ok(), bag_decodes(&bag), "bag {depth}");
+            assert_eq!(
+                decoded.is_ok(),
+                depth + 2 <= MAX_DECODE_DEPTH,
+                "bag {depth}"
+            );
+
+            let zbag = ZBag::from_counted([(Value::bag([value.clone()]), ZInt::one())]);
+            let mut buf = Vec::new();
+            put_zbag(&mut buf, &zbag);
+            let decoded = get_zbag(&mut ByteReader::new(&buf));
+            assert_eq!(decoded.is_ok(), zbag_decodes(&zbag), "zbag {depth}");
+
+            let expr = (0..depth).fold(Expr::lit(Value::int(1)), |e, _| e.dedup());
+            let select = Expr::var("G").select(
+                "x",
+                (0..depth).fold(Pred::eq(Expr::lit(value), Expr::var("x")), |p, _| p.not()),
+            );
+            for expr in [expr, select] {
+                let mut buf = Vec::new();
+                put_expr(&mut buf, &expr);
+                let decoded = get_expr(&mut ByteReader::new(&buf));
+                assert_eq!(decoded.is_ok(), expr_decodes(&expr), "expr {depth}");
+            }
         }
     }
 }

@@ -226,3 +226,63 @@ fn attribute_to_attribute_comparison() {
     let out = pinned(&q, &db, &Limits::default(), 242, 42).unwrap();
     assert_eq!(out.distinct_count(), 42); // rows 0..5 have k mod 6 = k
 }
+
+// ---- nest and projection over key runs ----
+//
+// The constants below were taken at commit `801c316` (the parent of the
+// key-run kernel), before any edit, when `nest` grouped through a map and
+// every projection ran row by row.
+
+/// `keyed(48, 6)`'s binary rows beside 20 ternary rows
+/// `[k mod 4, k, k mod 3]` (multiplicity `1 + k mod 2`): arities 2 and 3
+/// interleave within each leading key.
+fn mixed_arity() -> Database {
+    let ternary = Bag::from_counted((0..20i64).map(|k| {
+        (
+            Value::tuple([Value::int(k % 4), Value::int(k), Value::int(k % 3)]),
+            Natural::from(1 + (k % 2) as u64),
+        )
+    }));
+    Database::new().with("G", keyed(48, 6).additive_union(&ternary))
+}
+
+#[test]
+fn nest_on_the_leading_attribute() {
+    let out = pinned(
+        &Expr::var("G").nest(&[1]),
+        &mixed_arity(),
+        &Limits::default(),
+        2,
+        6,
+    )
+    .unwrap();
+    assert_eq!(out.distinct_count(), 6);
+}
+
+#[test]
+fn nest_on_a_non_leading_attribute() {
+    let out = pinned(
+        &Expr::var("G").nest(&[2]),
+        &mixed_arity(),
+        &Limits::default(),
+        2,
+        48,
+    )
+    .unwrap();
+    assert_eq!(out.distinct_count(), 48);
+}
+
+#[test]
+fn dedup_of_a_leading_projection() {
+    let q = Expr::var("G").project(&[1]).dedup();
+    let out = pinned(&q, &mixed_arity(), &Limits::default(), 71, 6).unwrap();
+    assert_eq!(out.distinct_count(), 6);
+}
+
+#[test]
+fn projection_onto_the_two_leading_attributes() {
+    let q = Expr::var("G").project(&[1, 2]);
+    let out = pinned(&q, &mixed_arity(), &Limits::default(), 70, 60).unwrap();
+    // 68 rows; 8 ternary rows share their leading pair with a binary row.
+    assert_eq!(out.distinct_count(), 60);
+}

@@ -50,7 +50,9 @@ use balg_core::wal::{
 };
 use balg_core::zbag::ZBag;
 
-use crate::runtime::{render_stats, DroppedView, UpdateBatch, UpdateError, ViewRuntime};
+use crate::runtime::{
+    check_base, check_view, render_stats, DroppedView, UpdateBatch, UpdateError, ViewRuntime,
+};
 
 /// WAL record payload tags. Tag `0` is deliberately unused: an all-zero
 /// frame header ("zero-filled tail") decodes as an empty payload, and the
@@ -719,6 +721,7 @@ impl Runtime {
 
     /// Log and apply a base load/replace (see [`ViewRuntime::load_base`]).
     pub fn load_base(&mut self, name: &str, bag: Bag) -> Result<(), DurableError> {
+        check_base(name, &bag)?;
         self.write_ahead(|lsn| WalRecord::LoadBase {
             lsn,
             name: name.to_owned(),
@@ -730,8 +733,10 @@ impl Runtime {
     /// Log and apply a view registration (see
     /// [`ViewRuntime::create_view`]). A registration the runtime rejects
     /// is logged but rejected identically on replay, so the log and the
-    /// state never diverge.
+    /// state never diverge — except one the log could not decode, which
+    /// is refused before it is logged.
     pub fn create_view(&mut self, name: &str, expr: Expr) -> Result<&Bag, DurableError> {
+        check_view(name, &expr)?;
         self.write_ahead(|lsn| WalRecord::CreateView {
             lsn,
             name: name.to_owned(),

@@ -10,6 +10,7 @@ use balg_core::expr::{Expr, Var};
 use balg_core::index::IndexCache;
 use balg_core::schema::Database;
 use balg_core::value::Value;
+use balg_core::wal::{bag_decodes, expr_decodes, zbag_decodes, MAX_DECODE_DEPTH};
 use balg_core::zbag::{ZBag, ZBagError, ZInt};
 
 use crate::view::{View, ViewStats};
@@ -101,6 +102,11 @@ pub enum UpdateError {
         /// The underlying evaluation error.
         error: EvalError,
     },
+    /// A value loaded into or changed in the named base, or the named
+    /// view's expression, nests deeper than the log's decoders accept
+    /// ([`balg_core::wal::MAX_DECODE_DEPTH`]) — refused before anything is
+    /// logged or committed, so every logged record replays.
+    TooDeep(String),
 }
 
 impl fmt::Display for UpdateError {
@@ -118,6 +124,10 @@ impl fmt::Display for UpdateError {
                 )
             }
             UpdateError::View { view, error } => write!(f, "view {view}: {error}"),
+            UpdateError::TooDeep(name) => write!(
+                f,
+                "{name} nests deeper than the {MAX_DECODE_DEPTH} levels the log decodes"
+            ),
         }
     }
 }
@@ -149,6 +159,26 @@ pub struct DroppedView {
     pub cause: String,
     /// Value of [`RuntimeStats::batches`] when the view was dropped.
     pub at_batch: u64,
+}
+
+/// Refuse a base whose values the log could not decode (see
+/// [`UpdateError::TooDeep`]).
+pub(crate) fn check_base(name: &str, bag: &Bag) -> Result<(), UpdateError> {
+    if bag_decodes(bag) {
+        Ok(())
+    } else {
+        Err(UpdateError::TooDeep(name.to_owned()))
+    }
+}
+
+/// Refuse a view expression the log could not decode (see
+/// [`UpdateError::TooDeep`]).
+pub(crate) fn check_view(name: &str, expr: &Expr) -> Result<(), UpdateError> {
+    if expr_decodes(expr) {
+        Ok(())
+    } else {
+        Err(UpdateError::TooDeep(name.to_owned()))
+    }
 }
 
 /// Named base bags plus incrementally maintained views.
@@ -298,6 +328,7 @@ impl ViewRuntime {
     /// only serve results for the replaced base) and the first failure is
     /// reported.
     pub fn load_base(&mut self, name: &str, bag: Bag) -> Result<(), UpdateError> {
+        check_base(name, &bag)?;
         // A wholesale replacement invalidates any indexes over the old
         // representation (unless the new bag shares it, in which case the
         // entries stay valid by construction).
@@ -364,6 +395,7 @@ impl ViewRuntime {
     /// Register (or replace) a maintained view for a compiled BALG
     /// expression. The initial result is computed immediately.
     pub fn create_view(&mut self, name: &str, expr: Expr) -> Result<&Bag, UpdateError> {
+        check_view(name, &expr)?;
         let view = View::new(
             expr,
             &self.db,
@@ -399,9 +431,10 @@ impl ViewRuntime {
     }
 
     /// Phase-1 validation of a batch without mutating anything: every
-    /// base must exist and every deletion must be covered, so a commit of
-    /// the batch cannot fail halfway (all-or-nothing semantics without
-    /// staging copies). Returns the set of affected base names.
+    /// base must exist, every deletion must be covered and every value
+    /// must be decodable from the log, so a commit of the batch cannot
+    /// fail halfway (all-or-nothing semantics without staging copies).
+    /// Returns the set of affected base names.
     /// [`crate::durable::Runtime`] logs a batch only after this accepted
     /// it, so the WAL only ever contains batches that commit on replay.
     pub fn validate(&self, batch: &UpdateBatch) -> Result<BTreeSet<Var>, UpdateError> {
@@ -414,6 +447,9 @@ impl ViewRuntime {
                 .db
                 .get(name)
                 .ok_or_else(|| UpdateError::UnknownBase(name.to_string()))?;
+            if !zbag_decodes(delta) {
+                return Err(UpdateError::TooDeep(name.to_string()));
+            }
             for (value, mult) in delta.iter() {
                 if mult.is_negative() && &base.multiplicity(value) < mult.magnitude() {
                     return Err(UpdateError::NegativeBase {

@@ -507,3 +507,82 @@ fn view_runtime_open_spelling_works() {
         .contains(&pair(1, 2)));
     cleanup(&dir);
 }
+
+/// `depth` nested 1-tuples around an atom.
+fn nested(depth: usize) -> Value {
+    (0..depth).fold(Value::int(0), |v, _| Value::tuple([v]))
+}
+
+#[test]
+fn a_crafted_deep_record_is_a_torn_tail_not_an_abort() {
+    use balg_core::wal::{frame, put_u64};
+    let (dir, full, _prefix) = two_batch_dir("deep-record");
+    let wal = dir.join("wal.log");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    let good_len = bytes.len() as u64;
+    // A batch record (tag 1) inserting 200 000 nested 1-tuples into `R`:
+    // decoding it used to overflow the stack and abort the process.
+    let mut payload = vec![1];
+    put_u64(&mut payload, 99); // lsn
+    put_u64(&mut payload, 1); // one delta
+    payload.extend_from_slice(&[1, b'R', 1]); // its base, one row
+    payload.extend_from_slice(&[2, 1].repeat(200_000));
+    bytes.extend_from_slice(&frame(&payload));
+    std::fs::write(&wal, &bytes).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
+    assert_same("deep record", reopened.runtime(), &full);
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), good_len);
+    cleanup(&dir);
+}
+
+#[test]
+fn what_the_log_cannot_decode_is_refused_before_it_is_logged() {
+    use balg_core::wal::MAX_DECODE_DEPTH;
+    let dir = scratch("too-deep");
+    let deepest = nested(MAX_DECODE_DEPTH - 2);
+    let wal = dir.join("wal.log");
+    {
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
+        rt.load_base("R", Bag::from_values([pair(1, 2)])).unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.insert("R", deepest.clone());
+        rt.apply(&batch).unwrap();
+        let logged = std::fs::metadata(&wal).unwrap().len();
+
+        let too_deep = || UpdateError::TooDeep("R".into()).to_string();
+        let mut batch = UpdateBatch::new();
+        batch.insert("R", nested(MAX_DECODE_DEPTH - 1));
+        let err = rt.apply(&batch).unwrap_err();
+        assert_eq!(err.to_string(), too_deep());
+        let err = rt
+            .load_base("R", Bag::from_values([nested(MAX_DECODE_DEPTH)]))
+            .unwrap_err();
+        assert_eq!(err.to_string(), too_deep());
+        let deep_view = (0..MAX_DECODE_DEPTH).fold(Expr::var("R"), |e, _| e.dedup());
+        let err = rt.create_view("v", deep_view.clone()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            UpdateError::TooDeep("v".into()).to_string()
+        );
+        assert_eq!(std::fs::metadata(&wal).unwrap().len(), logged);
+
+        // The in-memory runtime refuses the same three.
+        let mut twin = ViewRuntime::new();
+        twin.load_base("R", Bag::new()).unwrap();
+        assert!(matches!(twin.apply(&batch), Err(UpdateError::TooDeep(_))));
+        assert!(twin
+            .load_base("R", Bag::from_values([nested(MAX_DECODE_DEPTH)]))
+            .is_err());
+        assert!(twin.create_view("v", deep_view).is_err());
+    }
+    // Everything acknowledged replays, the deepest value included, from
+    // the log and then from a snapshot.
+    for _ in 0..2 {
+        let mut reopened = Runtime::open(&dir, Limits::default()).unwrap();
+        let base = reopened.runtime().database().get("R").unwrap();
+        assert!(base.contains(&deepest) && base.contains(&pair(1, 2)));
+        assert_eq!(base.distinct_count(), 2);
+        reopened.checkpoint().unwrap();
+    }
+    cleanup(&dir);
+}
