@@ -16,6 +16,13 @@ use balg_sql::prelude::{database_from_rows, Catalog, SqlRuntime};
 const EXPR: &str = "project(select(x, eq(attr(x,2), attr(x,3)), product(g, g)), 1, 4)";
 const INSERT: &str = "INSERT INTO g VALUES ('a', 'b'), ('b', 'c')";
 const LOAD: &str = ":load g bag{ [a,b], [b,c] }";
+/// A table keyed on a numeric column, which stores `k` as the bag `int(k)`:
+/// the only literals the BALG text has are bags, so this is where `α₁`
+/// can equal one.
+const INSERT_N: &str = "INSERT INTO n VALUES (1, 'a'), (2, 'b'), (2, 'c'), (3, 'd')";
+const LOAD_N: &str = ":load n unionp(map(x, tuple(int(1), attr(x,1)), bag{ [a] }), \
+    unionp(map(x, tuple(int(2), attr(x,1)), bag{ [b], [c] }), \
+    map(x, tuple(int(3), attr(x,1)), bag{ [d] })))";
 
 fn text(response: Response) -> String {
     match response {
@@ -34,23 +41,29 @@ fn closure(other: &str) -> String {
 #[test]
 fn profile_report_is_byte_equal_across_surfaces() {
     std::env::set_var(balg_obs::profile::PROFILE_TICKS_ENV, "1000");
-    let catalog = Catalog::new().with_table("g", &[("src", false), ("dst", false)]);
+    let catalog = Catalog::new()
+        .with_table("g", &[("src", false), ("dst", false)])
+        .with_table("n", &[("k", true), ("v", false)]);
     let db = database_from_rows(&catalog, &[]).unwrap();
 
     // Surface 1 — the serial twin's statement surface.
     let mut twin = SerialTwin::new(catalog.clone(), db.clone(), Limits::default());
     assert!(twin.execute(INSERT).ok);
+    assert!(twin.execute(INSERT_N).ok);
     // Surface 2 — execute_read over a freshly pinned snapshot of an
     // identically mutated runtime.
     let mut rt = SqlRuntime::with_limits(catalog, db, Limits::default());
     rt.execute(INSERT).unwrap();
-    let snapshot = snapshot_of(&rt, 1);
-    // Surface 3 — the plain CLI session over the same bag.
+    rt.execute(INSERT_N).unwrap();
+    let snapshot = snapshot_of(&rt, 2);
+    // Surface 3 — the plain CLI session over the same bags.
     let mut session = Session::new();
     assert_eq!(text(session.process_line(LOAD)), "loaded g");
+    assert_eq!(text(session.process_line(LOAD_N)), "loaded n");
     // Surface 4 — the incremental session (bases plus views).
     let mut inc = IncrementalSession::new();
     assert_eq!(text(inc.process_line(LOAD)), "loaded g");
+    assert_eq!(text(inc.process_line(LOAD_N)), "loaded n");
 
     // One command line on all four; the reply, byte-equal.
     let mut everywhere = |line: &str| {
@@ -115,6 +128,25 @@ fn profile_report_is_byte_equal_across_surfaces() {
                 assert!(profile.contains("\nerror: expected a tuple"), "{profile}");
             }
         }
+    }
+
+    // A σ comparing `α₁` with a literal seeks the runs of the sorted slice
+    // and is tagged; one that reads `α₂` first scans every row, untagged.
+    // Both return the two rows keyed 2.
+    let k = "eq(attr(x,1), int(2))";
+    for (pred, seek) in [
+        (k.to_owned(), true),
+        (format!("and({k}, lt(attr(x,2), int(1)))"), true),
+        (format!("and(lt(attr(x,2), int(1)), {k})"), false),
+    ] {
+        let profile = everywhere(&format!(":profile select(x, {pred}, n)"));
+        assert_eq!(
+            profile.starts_with("\u{3c3} \u{3bb}x [seek]"),
+            seek,
+            "{profile}"
+        );
+        assert_eq!(profile.contains("[seek]"), seek, "{profile}");
+        assert!(profile.contains("result: 2 distinct elements"), "{profile}");
     }
 
     // Parse errors reply as errors on the statement surface and as plain

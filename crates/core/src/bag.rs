@@ -41,6 +41,16 @@
 //! these runs, building every output slice already sorted ([`is_key_prefix`]
 //! says when no sort is needed).
 //!
+//! The same order makes `α₁` monotone: once the first row is a non-empty
+//! tuple and the last a tuple, every row is a tuple with an `α₁` (atoms
+//! sort before tuples, bags after, and `[]` before every other tuple), and
+//! `α₁` never decreases along the slice. So for a literal `c` the rows with
+//! `α₁ < c`, `α₁ = c` and `α₁ > c` are three contiguous runs, cut by two
+//! binary searches, and `L` literals cut the slice into at most `2L + 1`
+//! runs on each of which every comparison of `α₁` with a literal has one
+//! answer. [`Bag::lead_runs`] computes the cuts; the evaluator decides a
+//! selection on `α₁` once per run instead of once per row.
+//!
 //! The slice sits behind an [`Arc`] (as a `Vec`, so a uniquely-owned bag
 //! can still be mutated in place) with copy-on-write mutation: cloning a
 //! bag — which the evaluator does for every variable lookup, every λ
@@ -811,6 +821,32 @@ impl Bag {
             }
         }
         Some(Bag::from_sorted_vec(out))
+    }
+
+    /// The runs on which `α₁` compares the same way with each of
+    /// `literals` (module doc): the ascending cut points `0 = c₀ < … <
+    /// c_r = n`, two binary searches per literal, so `r ≤ 2·|literals| + 1`.
+    /// `None` unless every row has an `α₁`, which the first row (a
+    /// non-empty tuple) and the last (a tuple) prove.
+    pub fn lead_runs(&self, literals: &[&Value]) -> Option<Vec<usize>> {
+        let rows = &self.elems[..];
+        let (first, last) = (&rows.first()?.0, &rows.last()?.0);
+        if first.as_tuple().is_none_or(<[Value]>::is_empty) || last.as_tuple().is_none() {
+            return None;
+        }
+        fn lead((row, _): &(Value, Natural)) -> Option<&Value> {
+            row.as_tuple().and_then(<[Value]>::first)
+        }
+        let mut cuts = Vec::with_capacity(2 * literals.len() + 2);
+        cuts.extend([0, rows.len()]);
+        for &c in literals {
+            let below = rows.partition_point(|row| lead(row) < Some(c));
+            let equal = rows[below..].partition_point(|row| lead(row) == Some(c));
+            cuts.extend([below, below + equal]);
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        Some(cuts)
     }
 
     /// The nest operator of \[PG88\] (Conclusion): group a bag of tuples by

@@ -1017,9 +1017,9 @@ impl<'a> Evaluator<'a> {
         testers.resize_with(stages.len(), || None);
         match base {
             ChainBase::Bag(bag) => {
-                // A leading in-place σ decides on the borrowed row, so a
-                // rejected row is never cloned; a row it declines enters
-                // the chain at that stage's tree walk.
+                // A leading in-place σ that compares `α₁` with literals
+                // seeks the runs its verdict is constant on; any other
+                // chain scans the rows.
                 let lead = match stages.first() {
                     Some(Stage::Filter {
                         pred,
@@ -1028,19 +1028,20 @@ impl<'a> Evaluator<'a> {
                     }) => Some(*pred),
                     _ => None,
                 };
-                for (value, mult) in bag.iter() {
-                    let from = match lead.and_then(|pred| self.filter_in_place(pred, value)) {
-                        Some(false) => continue,
-                        Some(true) => 1,
-                        None => 0,
-                    };
-                    self.run_stages(
-                        value.clone(),
-                        mult.clone(),
-                        &stages[from..],
-                        &mut testers[from..],
-                        &mut out,
-                    )?;
+                let mut literals = Vec::new();
+                if let Some(pred) = lead {
+                    lead_literals(pred, &mut literals);
+                }
+                let cuts = if literals.is_empty() {
+                    None
+                } else {
+                    bag.lead_runs(&literals)
+                };
+                match (lead, cuts) {
+                    (Some(pred), Some(cuts)) => {
+                        self.seek_runs(bag.pairs(), &cuts, pred, stages, &mut testers, &mut out)?;
+                    }
+                    _ => self.scan_rows(bag.pairs(), lead, stages, &mut testers, &mut out)?,
                 }
             }
             ChainBase::Pairs(left, right) => {
@@ -1074,6 +1075,76 @@ impl<'a> Evaluator<'a> {
             }
         }
         Ok(out.build())
+    }
+
+    /// Push `rows` of a bag base through the chain one by one. A leading
+    /// in-place σ (`lead`) decides on the borrowed row, so a rejected row
+    /// is never cloned; a row it declines enters the chain at that stage's
+    /// tree walk.
+    fn scan_rows(
+        &mut self,
+        rows: &[(Value, Natural)],
+        lead: Option<&Pred>,
+        stages: &[Stage<'_>],
+        testers: &mut [Option<SubBagTester>],
+        out: &mut BagBuilder,
+    ) -> Result<(), EvalError> {
+        for (value, mult) in rows {
+            let from = match lead.and_then(|pred| self.filter_in_place(pred, value)) {
+                Some(false) => continue,
+                Some(true) => 1,
+                None => 0,
+            };
+            self.run_stages(
+                value.clone(),
+                mult.clone(),
+                &stages[from..],
+                &mut testers[from..],
+                out,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// [`Evaluator::scan_rows`] for a leading in-place σ `pred` over the
+    /// runs [`Bag::lead_runs`] cut at its `α₁` literals. Each run's first
+    /// row is walked cut down to its `α₁`: a verdict means the walk read
+    /// nothing else, so the verdict and its charge hold for every row of
+    /// the run. A false run is charged in bulk and skipped; every other
+    /// run — true, reading past `α₁`, or with a bulk charge over the steps
+    /// left — is scanned: the same bags, errors and [`Metrics`] at every
+    /// budget.
+    fn seek_runs(
+        &mut self,
+        rows: &[(Value, Natural)],
+        cuts: &[usize],
+        pred: &Pred,
+        stages: &[Stage<'_>],
+        testers: &mut [Option<SubBagTester>],
+        out: &mut BagBuilder,
+    ) -> Result<(), EvalError> {
+        let mut skipped = false;
+        for run in cuts.windows(2).map(|cut| &rows[cut[0]..cut[1]]) {
+            let mut steps = 0;
+            let verdict = run[0]
+                .0
+                .as_tuple()
+                .and_then(|fields| fields.get(..1))
+                .and_then(|lead| row_verdict(pred, lead, &mut steps));
+            let bulk = steps.saturating_mul(run.len() as u64);
+            if verdict == Some(false) && bulk <= self.steps_left {
+                self.charge_steps(bulk).expect("checked against steps_left");
+                skipped = true;
+            } else {
+                self.scan_rows(run, Some(pred), stages, testers, out)?;
+            }
+        }
+        // Noted last, so the tag lands on this chain's frame rather than on
+        // a frame the later stages evaluate.
+        if skipped {
+            self.note_fast_path("seek");
+        }
+        Ok(())
     }
 
     /// The specialized loop for a one-stage `σ_{x ⊑ rhs}(bag)` chain:
@@ -1511,6 +1582,23 @@ fn reads_row_in_place(pred: &Pred, var: &Var) -> bool {
         Pred::And(a, b) | Pred::Or(a, b) => {
             reads_row_in_place(a, var) && reads_row_in_place(b, var)
         }
+    }
+}
+
+/// The literals a [`reads_row_in_place`] predicate compares `α₁` with:
+/// where [`Bag::lead_runs`] cuts the slice for [`Evaluator::seek_runs`].
+fn lead_literals<'p>(pred: &'p Pred, out: &mut Vec<&'p Value>) {
+    match pred {
+        Pred::Eq(a, b) | Pred::Lt(a, b) | Pred::Le(a, b) => match (a, b) {
+            (Expr::Attr(_, 1), Expr::Lit(c)) | (Expr::Lit(c), Expr::Attr(_, 1)) => out.push(c),
+            _ => {}
+        },
+        Pred::Not(p) => lead_literals(p, out),
+        Pred::And(a, b) | Pred::Or(a, b) => {
+            lead_literals(a, out);
+            lead_literals(b, out);
+        }
+        Pred::True | Pred::Member(..) | Pred::SubBag(..) => {}
     }
 }
 

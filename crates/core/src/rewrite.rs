@@ -169,155 +169,154 @@ fn pred_binders(pred: &Pred) -> BTreeSet<Var> {
 /// a binder in the target could capture a free variable of the
 /// replacement (conservative).
 fn subst(expr: &Expr, var: &Var, replacement: &Expr) -> Option<Expr> {
-    let replacement_free: BTreeSet<Var> = replacement.free_vars().into_iter().collect();
-    if binders(expr)
-        .intersection(&replacement_free)
-        .next()
-        .is_some()
-    {
-        return None;
-    }
-    Some(subst_unchecked(expr, var, replacement))
-}
-
-fn subst_unchecked(expr: &Expr, var: &Var, replacement: &Expr) -> Expr {
-    match expr {
-        Expr::Var(name) if name == var => replacement.clone(),
-        Expr::Var(_) | Expr::Lit(_) => expr.clone(),
-        Expr::AdditiveUnion(a, b) => Expr::AdditiveUnion(
-            Box::new(subst_unchecked(a, var, replacement)),
-            Box::new(subst_unchecked(b, var, replacement)),
-        ),
-        Expr::Subtract(a, b) => Expr::Subtract(
-            Box::new(subst_unchecked(a, var, replacement)),
-            Box::new(subst_unchecked(b, var, replacement)),
-        ),
-        Expr::MaxUnion(a, b) => Expr::MaxUnion(
-            Box::new(subst_unchecked(a, var, replacement)),
-            Box::new(subst_unchecked(b, var, replacement)),
-        ),
-        Expr::Intersect(a, b) => Expr::Intersect(
-            Box::new(subst_unchecked(a, var, replacement)),
-            Box::new(subst_unchecked(b, var, replacement)),
-        ),
-        Expr::Product(a, b) => Expr::Product(
-            Box::new(subst_unchecked(a, var, replacement)),
-            Box::new(subst_unchecked(b, var, replacement)),
-        ),
-        Expr::Tuple(fields) => Expr::Tuple(
-            fields
-                .iter()
-                .map(|f| subst_unchecked(f, var, replacement))
-                .collect(),
-        ),
-        Expr::Singleton(e) => Expr::Singleton(Box::new(subst_unchecked(e, var, replacement))),
-        Expr::Powerset(e) => Expr::Powerset(Box::new(subst_unchecked(e, var, replacement))),
-        Expr::Powerbag(e) => Expr::Powerbag(Box::new(subst_unchecked(e, var, replacement))),
-        Expr::Attr(e, i) => Expr::Attr(Box::new(subst_unchecked(e, var, replacement)), *i),
-        Expr::Destroy(e) => Expr::Destroy(Box::new(subst_unchecked(e, var, replacement))),
-        Expr::Dedup(e) => Expr::Dedup(Box::new(subst_unchecked(e, var, replacement))),
-        Expr::Map {
-            var: bound,
-            body,
-            input,
-        } => {
-            let input = Box::new(subst_unchecked(input, var, replacement));
-            let body = if bound == var {
-                body.clone() // shadowed
-            } else {
-                Box::new(subst_unchecked(body, var, replacement))
-            };
-            Expr::Map {
-                var: bound.clone(),
-                body,
-                input,
-            }
-        }
-        Expr::Select {
-            var: bound,
-            pred,
-            input,
-        } => {
-            let input = Box::new(subst_unchecked(input, var, replacement));
-            let pred = if bound == var {
-                pred.clone()
-            } else {
-                Box::new(subst_pred_unchecked(pred, var, replacement))
-            };
-            Expr::Select {
-                var: bound.clone(),
-                pred,
-                input,
-            }
-        }
-        Expr::Ifp {
-            var: bound,
-            body,
-            input,
-        } => {
-            let input = Box::new(subst_unchecked(input, var, replacement));
-            let body = if bound == var {
-                body.clone()
-            } else {
-                Box::new(subst_unchecked(body, var, replacement))
-            };
-            Expr::Ifp {
-                var: bound.clone(),
-                body,
-                input,
-            }
-        }
-        Expr::Nest { group, input } => Expr::Nest {
-            group: group.clone(),
-            input: Box::new(subst_unchecked(input, var, replacement)),
-        },
-    }
+    Subst::new(&binders(expr), var, replacement, false).map(|s| s.expr(expr))
 }
 
 fn subst_pred(pred: &Pred, var: &Var, replacement: &Expr) -> Option<Pred> {
-    let replacement_free: BTreeSet<Var> = replacement.free_vars().into_iter().collect();
-    if pred_binders(pred)
-        .intersection(&replacement_free)
-        .next()
-        .is_some()
+    Subst::new(&pred_binders(pred), var, replacement, false).map(|s| s.pred(pred))
+}
+
+/// The body of `MAP_f ∘ MAP_g` fused to `MAP_{f[x := g]}`, or `None` where
+/// that would grow it. Substitution copies `g` once per use of `x` in `f`,
+/// so a chain of `π`s (two uses a level) would double at every level.
+/// Allowed: at most one use; or every use an in-range `αᵢ(x)` and `g` a
+/// `τ` of variables, literals and `αⱼ(y)`s, where each `αᵢ(x)` becomes the
+/// i-th field itself and the body does not grow.
+fn fuse_map_bodies(outer: &Expr, var: &Var, inner: &Expr) -> Option<Expr> {
+    // Counts shadowed uses too: an over-count only declines.
+    let mut uses = 0;
+    outer.visit(&mut |e| uses += usize::from(matches!(e, Expr::Var(name) if name == var)));
+    if uses <= 1 {
+        return subst(outer, var, inner);
+    }
+    let Expr::Tuple(fields) = inner else {
+        return None;
+    };
+    let plain = |field: &Expr| match field {
+        Expr::Var(_) | Expr::Lit(_) => true,
+        Expr::Attr(e, _) => matches!(**e, Expr::Var(_)),
+        _ => false,
+    };
+    let (mut indices, mut only_attrs) = (BTreeSet::new(), true);
+    collect_usage(outer, var, &mut indices, &mut only_attrs);
+    if !only_attrs
+        || !fields.iter().all(plain)
+        || !indices.iter().all(|i| (1..=fields.len()).contains(i))
     {
         return None;
     }
-    Some(subst_pred_unchecked(pred, var, replacement))
+    Subst::new(&binders(outer), var, inner, true).map(|s| s.expr(outer))
 }
 
-fn subst_pred_unchecked(pred: &Pred, var: &Var, replacement: &Expr) -> Pred {
-    match pred {
-        Pred::True => Pred::True,
-        Pred::Eq(a, b) => Pred::Eq(
-            subst_unchecked(a, var, replacement),
-            subst_unchecked(b, var, replacement),
-        ),
-        Pred::Lt(a, b) => Pred::Lt(
-            subst_unchecked(a, var, replacement),
-            subst_unchecked(b, var, replacement),
-        ),
-        Pred::Le(a, b) => Pred::Le(
-            subst_unchecked(a, var, replacement),
-            subst_unchecked(b, var, replacement),
-        ),
-        Pred::Member(a, b) => Pred::Member(
-            subst_unchecked(a, var, replacement),
-            subst_unchecked(b, var, replacement),
-        ),
-        Pred::SubBag(a, b) => Pred::SubBag(
-            subst_unchecked(a, var, replacement),
-            subst_unchecked(b, var, replacement),
-        ),
-        Pred::Not(p) => Pred::Not(Box::new(subst_pred_unchecked(p, var, replacement))),
-        Pred::And(a, b) => Pred::And(
-            Box::new(subst_pred_unchecked(a, var, replacement)),
-            Box::new(subst_pred_unchecked(b, var, replacement)),
-        ),
-        Pred::Or(a, b) => Pred::Or(
-            Box::new(subst_pred_unchecked(a, var, replacement)),
-            Box::new(subst_pred_unchecked(b, var, replacement)),
-        ),
+/// One substitution of free `var` by `with`.
+struct Subst<'a> {
+    var: &'a Var,
+    with: &'a Expr,
+    /// `with` is a `τ` and every `αᵢ(var)` becomes its i-th field
+    /// ([`fuse_map_bodies`] checked that each is in range).
+    pick_fields: bool,
+}
+
+impl<'a> Subst<'a> {
+    /// `None` when one of `binders` could capture a free variable of `with`.
+    fn new(
+        binders: &BTreeSet<Var>,
+        var: &'a Var,
+        with: &'a Expr,
+        pick_fields: bool,
+    ) -> Option<Subst<'a>> {
+        let captured = with.free_vars().iter().any(|free| binders.contains(free));
+        (!captured).then_some(Subst {
+            var,
+            with,
+            pick_fields,
+        })
+    }
+
+    fn boxed(&self, expr: &Expr) -> Box<Expr> {
+        Box::new(self.expr(expr))
+    }
+
+    fn expr(&self, expr: &Expr) -> Expr {
+        match expr {
+            Expr::Var(name) if name == self.var => self.with.clone(),
+            Expr::Var(_) | Expr::Lit(_) => expr.clone(),
+            Expr::AdditiveUnion(a, b) => Expr::AdditiveUnion(self.boxed(a), self.boxed(b)),
+            Expr::Subtract(a, b) => Expr::Subtract(self.boxed(a), self.boxed(b)),
+            Expr::MaxUnion(a, b) => Expr::MaxUnion(self.boxed(a), self.boxed(b)),
+            Expr::Intersect(a, b) => Expr::Intersect(self.boxed(a), self.boxed(b)),
+            Expr::Product(a, b) => Expr::Product(self.boxed(a), self.boxed(b)),
+            Expr::Tuple(fields) => Expr::Tuple(fields.iter().map(|f| self.expr(f)).collect()),
+            Expr::Singleton(e) => Expr::Singleton(self.boxed(e)),
+            Expr::Powerset(e) => Expr::Powerset(self.boxed(e)),
+            Expr::Powerbag(e) => Expr::Powerbag(self.boxed(e)),
+            Expr::Attr(e, i) => match (e.as_ref(), self.with) {
+                (Expr::Var(name), Expr::Tuple(fields)) if self.pick_fields && name == self.var => {
+                    fields[i - 1].clone()
+                }
+                _ => Expr::Attr(self.boxed(e), *i),
+            },
+            Expr::Destroy(e) => Expr::Destroy(self.boxed(e)),
+            Expr::Dedup(e) => Expr::Dedup(self.boxed(e)),
+            Expr::Map {
+                var: bound,
+                body,
+                input,
+            } => Expr::Map {
+                var: bound.clone(),
+                // A rebinding of `var` shadows it in the body.
+                body: if bound == self.var {
+                    body.clone()
+                } else {
+                    self.boxed(body)
+                },
+                input: self.boxed(input),
+            },
+            Expr::Select {
+                var: bound,
+                pred,
+                input,
+            } => Expr::Select {
+                var: bound.clone(),
+                pred: if bound == self.var {
+                    pred.clone()
+                } else {
+                    Box::new(self.pred(pred))
+                },
+                input: self.boxed(input),
+            },
+            Expr::Ifp {
+                var: bound,
+                body,
+                input,
+            } => Expr::Ifp {
+                var: bound.clone(),
+                body: if bound == self.var {
+                    body.clone()
+                } else {
+                    self.boxed(body)
+                },
+                input: self.boxed(input),
+            },
+            Expr::Nest { group, input } => Expr::Nest {
+                group: group.clone(),
+                input: self.boxed(input),
+            },
+        }
+    }
+
+    fn pred(&self, pred: &Pred) -> Pred {
+        match pred {
+            Pred::True => Pred::True,
+            Pred::Eq(a, b) => Pred::Eq(self.expr(a), self.expr(b)),
+            Pred::Lt(a, b) => Pred::Lt(self.expr(a), self.expr(b)),
+            Pred::Le(a, b) => Pred::Le(self.expr(a), self.expr(b)),
+            Pred::Member(a, b) => Pred::Member(self.expr(a), self.expr(b)),
+            Pred::SubBag(a, b) => Pred::SubBag(self.expr(a), self.expr(b)),
+            Pred::Not(p) => Pred::Not(Box::new(self.pred(p))),
+            Pred::And(a, b) => Pred::And(Box::new(self.pred(a)), Box::new(self.pred(b))),
+            Pred::Or(a, b) => Pred::Or(Box::new(self.pred(a)), Box::new(self.pred(b))),
+        }
     }
 }
 
@@ -529,7 +528,8 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
             let _ = var;
             (*input, true)
         }
-        // Fusion MAP_f(MAP_g(e)) → MAP_{f[x:=g]}(e).
+        // Fusion MAP_f(MAP_g(e)) → MAP_{f[x:=g]}(e), where it does not
+        // grow the body.
         Expr::Map {
             var: outer_var,
             body: outer_body,
@@ -543,7 +543,7 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
             else {
                 unreachable!("guarded by matches!")
             };
-            match subst(&outer_body, &outer_var, &inner_body) {
+            match fuse_map_bodies(&outer_body, &outer_var, &inner_body) {
                 Some(fused) => (
                     Expr::Map {
                         var: inner_var,
@@ -1110,6 +1110,36 @@ mod tests {
 
         let identity = Expr::var("G").map("x", Expr::var("x"));
         assert_eq!(optimize(&identity, &graph_schema()), Expr::var("G"));
+    }
+
+    #[test]
+    fn map_fusion_does_not_grow_the_body() {
+        // `project(…, 1, 2)` reads its variable twice a level: substituting
+        // whole bodies doubled the tree at every level (2^25 nodes at 25).
+        let chain = |depth: usize, base: Expr| (0..depth).fold(base, |e, _| e.project(&[1, 2]));
+        // A body that is not a `τ` of plain fields: the π above it keeps
+        // its own MAP, and every π above that fuses into it.
+        let opaque = Expr::var("G").map(
+            "y",
+            Expr::tuple([Expr::var("y").attr(2), Expr::var("y").singleton()]),
+        );
+        for base in [Expr::var("G"), opaque] {
+            for depth in [25, 60] {
+                let q = chain(depth, base.clone());
+                let out = optimize(&q, &graph_schema());
+                assert!(out.size() <= q.size(), "{depth} deep: {out}");
+            }
+            assert_equivalent(&chain(6, base));
+        }
+        // One use of the variable still fuses whatever the inner body is.
+        let once = Expr::var("G")
+            .map("y", Expr::var("y").singleton())
+            .map("x", Expr::tuple([Expr::var("x")]));
+        assert_eq!(
+            optimize(&once, &graph_schema()),
+            Expr::var("G").map("y", Expr::tuple([Expr::var("y").singleton()]))
+        );
+        assert_equivalent(&once);
     }
 
     #[test]

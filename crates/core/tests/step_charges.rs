@@ -156,11 +156,16 @@ fn element_limit_mid_probe_leaves_the_partial_charge() {
 /// `query_small`'s table at a fixed content: 256 `orders` rows
 /// `(k, c{7k mod 32}, 1 + 5k mod 8)`.
 fn orders() -> (Catalog, Database) {
+    orders_of(256)
+}
+
+/// [`orders`] with `n` rows.
+fn orders_of(n: i64) -> (Catalog, Database) {
     let catalog = Catalog::new().with_table(
         "orders",
         &[("id", false), ("customer", false), ("qty", true)],
     );
-    let rows = (0..256i64)
+    let rows = (0..n)
         .map(|k| {
             vec![
                 SqlValue::Int(k),
@@ -285,4 +290,89 @@ fn projection_onto_the_two_leading_attributes() {
     let out = pinned(&q, &mixed_arity(), &Limits::default(), 70, 60).unwrap();
     // 68 rows; 8 ternary rows share their leading pair with a binary row.
     assert_eq!(out.distinct_count(), 60);
+}
+
+// ---- σ on the leading attribute, decided per run of the sorted slice ----
+//
+// The constants below were taken at commit `457755b` (the parent of the
+// seek), before any edit, when every row was decided on its own. A skipped
+// row still charges what the scan charged it.
+
+/// `σ_{λx.p}(orders)` over [`orders`], pinned.
+fn balg_pinned(p: Pred, steps: u64, max_distinct: u64) -> Bag {
+    let (_, db) = orders();
+    let q = Expr::var("orders").select("x", p);
+    pinned(&q, &db, &Limits::default(), steps, max_distinct).unwrap()
+}
+
+fn id() -> Expr {
+    Expr::var("x").attr(1)
+}
+
+fn int(c: i64) -> Expr {
+    Expr::lit(Value::int(c))
+}
+
+#[test]
+fn point_select_hit_on_the_last_row() {
+    let out = sql_pinned("SELECT customer, qty FROM orders WHERE id = 255", 1_028, 1);
+    assert_eq!(out.distinct_count(), 1);
+}
+
+#[test]
+fn point_select_miss_on_either_side() {
+    for (sql, steps) in [
+        ("SELECT customer, qty FROM orders WHERE id = 256", 1_027),
+        ("SELECT customer, qty FROM orders WHERE id = -1", 1_027),
+    ] {
+        assert!(sql_pinned(sql, steps, 0).is_empty(), "{sql}");
+    }
+}
+
+#[test]
+fn range_select_closed_at_both_ends() {
+    let out = sql_pinned(
+        "SELECT id, qty FROM orders WHERE id > 7 AND id <= 39",
+        2_307,
+        32,
+    );
+    assert_eq!(out.distinct_count(), 32);
+}
+
+#[test]
+fn negated_point_select() {
+    let out = sql_pinned("SELECT id FROM orders WHERE id <> 77", 1_538, 255);
+    assert_eq!(out.distinct_count(), 255);
+}
+
+#[test]
+fn disjunction_of_two_ranges() {
+    let p = Pred::lt(id(), int(10)).or(Pred::le(int(250), id()));
+    assert_eq!(balg_pinned(p, 2_266, 16).distinct_count(), 16);
+}
+
+#[test]
+fn mixed_conjunction_in_both_orders() {
+    // `qty` is the bag-encoded third column: `qty >= 3` reads `α₃` beside
+    // the literal `⟦[a]³⟧`. With the `α₁` conjuncts first, the runs they
+    // reject are skipped; with `qty` first, every run is scanned.
+    for (condition, steps, rows) in [
+        ("id >= 64 AND id < 96 AND qty >= 3", 2_459, 24),
+        ("qty >= 3 AND id >= 64 AND id < 96", 2_907, 24),
+        ("id = 78 AND qty >= 3", 1_288, 1),
+        ("qty >= 3 AND id = 78", 2_052, 1),
+    ] {
+        let sql = format!("SELECT id FROM orders WHERE {condition}");
+        let out = sql_pinned(&sql, steps, rows);
+        assert_eq!(out.distinct_count() as u64, rows, "{sql}");
+    }
+}
+
+#[test]
+fn point_select_over_2048_rows() {
+    let (catalog, db) = orders_of(2048);
+    let sql = "SELECT customer, qty FROM orders WHERE id = 1500";
+    let compiled = compile_query(&parse(sql).unwrap(), &catalog).unwrap();
+    let out = pinned(&compiled.expr, &db, &Limits::default(), 8_196, 1).unwrap();
+    assert_eq!(out.distinct_count(), 1);
 }
