@@ -19,8 +19,9 @@
 //! previous `BTreeMap`:
 //!
 //! * lookups are a binary search over one allocation (no tree-node hops);
-//! * the merge operations (`∪⁺`, `−`, `∪`, `∩`) are linear two-pointer
-//!   passes producing their output already sorted;
+//! * the merge operations (`∪⁺`, `−`, `∪`, `∩`) are one keywise walk over
+//!   both slices producing its output already sorted (§ *One keywise
+//!   merge* below);
 //! * `powerset`/`powerbag` subbags are bulk-built straight from the
 //!   enumeration (the source entries arrive in element order), skipping
 //!   the per-subbag tree construction that dominated those operators;
@@ -50,6 +51,23 @@
 //! runs on each of which every comparison of `α₁` with a literal has one
 //! answer. [`Bag::lead_runs`] computes the cuts; the evaluator decides a
 //! selection on `α₁` once per run instead of once per row.
+//!
+//! # One keywise merge
+//!
+//! Section 3 defines `∪⁺`, `−`, `∪` and `∩` in one shape: the
+//! multiplicity of `o` in the result is `f(p, q)`, where `p` and `q` are
+//! its multiplicities in the two operands and `f` is `+`, monus, `sup` or
+//! `inf` ([`MergeOp`]). An absent key has multiplicity 0, and `f(p, 0)` is
+//! either `p` or 0, so each op also says whether a side's unmatched keys
+//! are kept. One slice kernel runs all four: it walks the side with fewer
+//! keys and finds each key in the rest of the other side, then copies or
+//! skips the run before it by that side's keep flag. The find is a linear
+//! scan, which makes the walk a two-pointer merge, until the bigger side
+//! holds more than 16× the keys; then it is a binary search, so a small
+//! operand costs `O(s log b)` comparisons instead of `O(s + b)`.
+//! [`Bag::merge`] takes the short cuts first (an empty side, or both
+//! operands one representation, where `f(p, p)` is `2p`, 0 or `p`), and
+//! [`crate::par::merge`] runs the same kernel on each aligned cut.
 //!
 //! The slice sits behind an [`Arc`] (as a `Vec`, so a uniquely-owned bag
 //! can still be mutated in place) with copy-on-write mutation: cloning a
@@ -409,124 +427,57 @@ impl Bag {
 
     // ----- basic bag operations (Section 3) -----
 
-    /// Additive union `B ∪⁺ B′`: multiplicities add (`n = p + q`). A
-    /// linear two-pointer merge.
-    pub fn additive_union(&self, other: &Bag) -> Bag {
-        if self.is_empty() {
-            return other.clone();
-        }
+    /// The keywise merge `B op B′`: `o` has multiplicity `f(p, q)` in the
+    /// result (module doc, § *One keywise merge*).
+    pub fn merge(&self, other: &Bag, op: MergeOp) -> Bag {
+        self.merge_short_cut(other, op)
+            .unwrap_or_else(|| Bag::from_sorted_vec(merge_slices(&self.elems, &other.elems, op)))
+    }
+
+    /// The merges that need no walk, or `None`: an empty side leaves the
+    /// other side whole or nothing, by its keep flag, and a bag merged
+    /// with its own representation has `f(p, p)` at every key — doubled,
+    /// emptied or shared. The partitioned merge takes the same short cuts.
+    pub(crate) fn merge_short_cut(&self, other: &Bag, op: MergeOp) -> Option<Bag> {
+        let (keep_left, keep_right) = op.keeps();
         if other.is_empty() {
-            return self.clone();
+            return Some(if keep_left { self.clone() } else { Bag::new() });
         }
-        if Arc::ptr_eq(&self.elems, &other.elems) {
-            return self.scale(&Natural::from(2u64));
+        if self.is_empty() {
+            return Some(if keep_right {
+                other.clone()
+            } else {
+                Bag::new()
+            });
         }
-        Bag::from_sorted_vec(merge_sorted_pairs(
-            self.elems.iter().cloned(),
-            other.elems.iter().cloned(),
-            |mut x, y| {
-                x += &y;
-                x
-            },
-        ))
+        if !self.shares_representation(other) {
+            return None;
+        }
+        Some(match op {
+            MergeOp::Add => self.scale(&Natural::from(2u64)),
+            MergeOp::Monus => Bag::new(),
+            MergeOp::Max | MergeOp::Min => self.clone(),
+        })
+    }
+
+    /// Additive union `B ∪⁺ B′`: multiplicities add (`n = p + q`).
+    pub fn additive_union(&self, other: &Bag) -> Bag {
+        self.merge(other, MergeOp::Add)
     }
 
     /// Subtraction `B − B′`: monus on multiplicities (`n = sup(0, p − q)`).
     pub fn subtract(&self, other: &Bag) -> Bag {
-        if other.is_empty() {
-            return self.clone();
-        }
-        if Arc::ptr_eq(&self.elems, &other.elems) {
-            return Bag::new();
-        }
-        let mut out = Vec::with_capacity(self.elems.len());
-        let mut others = other.elems.iter().peekable();
-        for (value, mult) in self.elems.iter() {
-            while let Some((ov, _)) = others.peek() {
-                if *ov < *value {
-                    others.next();
-                } else {
-                    break;
-                }
-            }
-            match others.peek() {
-                Some((ov, om)) if *ov == *value => {
-                    let rem = mult.monus(om);
-                    if !rem.is_zero() {
-                        out.push((value.clone(), rem));
-                    }
-                    others.next();
-                }
-                _ => out.push((value.clone(), mult.clone())),
-            }
-        }
-        Bag::from_sorted_vec(out)
+        self.merge(other, MergeOp::Monus)
     }
 
     /// Maximal union `B ∪ B′`: `n = sup(p, q)`.
     pub fn max_union(&self, other: &Bag) -> Bag {
-        if self.is_empty() || Arc::ptr_eq(&self.elems, &other.elems) {
-            return other.clone();
-        }
-        if other.is_empty() {
-            return self.clone();
-        }
-        Bag::from_sorted_vec(merge_sorted_pairs(
-            self.elems.iter().cloned(),
-            other.elems.iter().cloned(),
-            |x, y| x.max(y),
-        ))
+        self.merge(other, MergeOp::Max)
     }
 
     /// Intersection `B ∩ B′`: `n = inf(p, q)`.
-    ///
-    /// Symmetric, and absent elements have multiplicity zero, so only the
-    /// side with fewer distinct elements is walked: when the sizes are
-    /// close this is a two-pointer merge; when one side is much smaller it
-    /// binary-searches the big side over a shrinking suffix.
     pub fn intersect(&self, other: &Bag) -> Bag {
-        if Arc::ptr_eq(&self.elems, &other.elems) {
-            return self.clone();
-        }
-        let (small, big) = if self.distinct_count() <= other.distinct_count() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        if small.is_empty() {
-            return Bag::new();
-        }
-        let mut out = Vec::with_capacity(small.elems.len());
-        if small.elems.len() * 16 < big.elems.len() {
-            let mut lo = 0usize;
-            for (value, mult) in small.elems.iter() {
-                match big.elems[lo..].binary_search_by(|probe| probe.0.cmp(value)) {
-                    Ok(ix) => {
-                        out.push((value.clone(), mult.min(&big.elems[lo + ix].1).clone()));
-                        lo += ix + 1;
-                    }
-                    Err(ix) => lo += ix,
-                }
-            }
-        } else {
-            let mut bigs = big.elems.iter().peekable();
-            for (value, mult) in small.elems.iter() {
-                while let Some((bv, _)) = bigs.peek() {
-                    if *bv < *value {
-                        bigs.next();
-                    } else {
-                        break;
-                    }
-                }
-                if let Some((bv, bm)) = bigs.peek() {
-                    if *bv == *value {
-                        out.push((value.clone(), mult.min(bm).clone()));
-                        bigs.next();
-                    }
-                }
-            }
-        }
-        Bag::from_sorted_vec(out)
+        self.merge(other, MergeOp::Min)
     }
 
     /// Duplicate elimination `ε(B)`: each element of `B` 1-belongs to the
@@ -1025,12 +976,121 @@ impl Multiplicity for Natural {
     }
 }
 
-/// Two-pointer merge of two sorted pair slices: keys present on one side
-/// pass through, keys present on both are combined with `combine`; zero
-/// results are dropped (for ℕ combiners like `+` and `sup` that never
-/// happens, for ℤ addition it is how cancellation disappears). The shared
-/// skeleton of `∪⁺`, `∪`, the builders' compaction, and the `ZBag` group
-/// operations.
+/// The four keywise merges of Section 3, each the function `f(p, q)` of
+/// the two multiplicities at a key (module doc, § *One keywise merge*).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MergeOp {
+    /// `∪⁺`: `p + q`.
+    Add,
+    /// `−`: monus, `sup(0, p − q)`.
+    Monus,
+    /// `∪`: `sup(p, q)`.
+    Max,
+    /// `∩`: `inf(p, q)`.
+    Min,
+}
+
+impl MergeOp {
+    /// `f(p, q)` at a key both sides hold; zero drops the key.
+    fn combine(self, p: &Natural, q: &Natural) -> Natural {
+        match self {
+            MergeOp::Add => p + q,
+            MergeOp::Monus => p.monus(q),
+            MergeOp::Max => p.max(q).clone(),
+            MergeOp::Min => p.min(q).clone(),
+        }
+    }
+
+    /// Whether a key held only by the left (right) side survives:
+    /// `f(p, 0) = p` (`f(0, q) = q`) rather than 0.
+    fn keeps(self) -> (bool, bool) {
+        match self {
+            MergeOp::Add | MergeOp::Max => (true, true),
+            MergeOp::Monus => (true, false),
+            MergeOp::Min => (false, false),
+        }
+    }
+}
+
+/// The one keywise merge kernel: `op` over two sorted pair slices, the
+/// output sorted. It walks the side with fewer keys and finds each key in
+/// the rest of the other side — by a linear scan, or by binary search
+/// when that side holds more than 16× the keys — copying or skipping the
+/// run before it by that side's keep flag (module doc).
+pub(crate) fn merge_slices(
+    a: &[(Value, Natural)],
+    b: &[(Value, Natural)],
+    op: MergeOp,
+) -> Vec<(Value, Natural)> {
+    let (keep_a, keep_b) = op.keeps();
+    let mut out = Vec::with_capacity(match (keep_a, keep_b) {
+        (true, true) => a.len() + b.len(),
+        (true, false) => a.len(),
+        _ => a.len().min(b.len()),
+    });
+    // Walk the shorter side; `flip` when that is `b`, so `f` still sees
+    // its arguments in operand order.
+    let flip = a.len() > b.len();
+    let (small, big) = if flip { (b, a) } else { (a, b) };
+    let (keep_small, keep_big) = if flip {
+        (keep_b, keep_a)
+    } else {
+        (keep_a, keep_b)
+    };
+    let skewed = small.len() * 16 < big.len();
+    let mut lo = 0;
+    for (value, m) in small {
+        let rest = &big[lo..];
+        let found = if skewed {
+            rest.binary_search_by(|probe| probe.0.cmp(value))
+        } else {
+            // The two-pointer step: one comparison per key passed.
+            let mut ix = 0;
+            loop {
+                match rest.get(ix).map(|probe| probe.0.cmp(value)) {
+                    Some(Ordering::Less) => ix += 1,
+                    Some(Ordering::Equal) => break Ok(ix),
+                    _ => break Err(ix),
+                }
+            }
+        };
+        let (Ok(ix) | Err(ix)) = found;
+        if keep_big {
+            out.extend_from_slice(&rest[..ix]);
+        }
+        match found {
+            Ok(_) => {
+                let q = &rest[ix].1;
+                let combined = if flip {
+                    op.combine(q, m)
+                } else {
+                    op.combine(m, q)
+                };
+                if !combined.is_zero() {
+                    out.push((value.clone(), combined));
+                }
+                lo += ix + 1;
+            }
+            Err(_) => {
+                if keep_small {
+                    out.push((value.clone(), m.clone()));
+                }
+                lo += ix;
+            }
+        }
+    }
+    if keep_big {
+        out.extend_from_slice(&big[lo..]);
+    }
+    out
+}
+
+/// Two-pointer merge of two sorted pair sequences taken by value: keys
+/// present on one side pass through, keys present on both are combined
+/// with `combine`; zero results are dropped (for ℕ accumulation that never
+/// happens, for ℤ addition it is how cancellation disappears). The
+/// builders' compaction and the `ZBag` group operations run it; the ℕ
+/// merges of Section 3 run `merge_slices`.
 pub(crate) fn merge_sorted_pairs<M: Multiplicity>(
     a: impl IntoIterator<Item = (Value, M)>,
     b: impl IntoIterator<Item = (Value, M)>,

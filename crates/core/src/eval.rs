@@ -57,7 +57,7 @@ use std::sync::Arc;
 use balg_obs::profile::{Profiler, SpanId};
 
 use crate::analyze::ifp_delta_form;
-use crate::bag::{attr_field, is_key_prefix, Bag, BagBuilder, BagError};
+use crate::bag::{attr_field, is_key_prefix, Bag, BagBuilder, BagError, MergeOp};
 use crate::expr::{Expr, Pred, Var};
 use crate::index::{IndexCache, SubBagTester};
 use crate::join;
@@ -385,13 +385,6 @@ impl<'a> Evaluator<'a> {
         self.par.chunks()
     }
 
-    /// Install a full partitioned-execution configuration in one call, for
-    /// hosts that carry a [`par::Parallel`] of their own (e.g. the
-    /// incremental runtime).
-    pub fn set_parallel_config(&mut self, par: par::Parallel) {
-        self.par = par;
-    }
-
     /// Evaluate a closed expression (free variables resolve to database
     /// bags).
     pub fn eval(&mut self, expr: &Expr) -> Result<Value, EvalError> {
@@ -484,6 +477,11 @@ impl<'a> Evaluator<'a> {
         let result = self.eval_pred(pred);
         self.env.truncate(depth);
         result
+    }
+
+    /// The budgets this evaluator enforces.
+    pub fn limits(&self) -> &Limits {
+        &self.limits
     }
 
     /// Metrics accumulated so far.
@@ -647,10 +645,10 @@ impl<'a> Evaluator<'a> {
         match expr {
             Expr::Var(name) => self.lookup(name),
             Expr::Lit(value) => Ok(value.clone()),
-            Expr::AdditiveUnion(a, b) => self.eval_binary(a, b, MergeKind::AdditiveUnion),
-            Expr::Subtract(a, b) => self.eval_binary(a, b, MergeKind::Subtract),
-            Expr::MaxUnion(a, b) => self.eval_binary(a, b, MergeKind::MaxUnion),
-            Expr::Intersect(a, b) => self.eval_binary(a, b, MergeKind::Intersect),
+            Expr::AdditiveUnion(a, b) => self.eval_binary(a, b, MergeOp::Add),
+            Expr::Subtract(a, b) => self.eval_binary(a, b, MergeOp::Monus),
+            Expr::MaxUnion(a, b) => self.eval_binary(a, b, MergeOp::Max),
+            Expr::Intersect(a, b) => self.eval_binary(a, b, MergeOp::Min),
             Expr::Tuple(fields) => {
                 let mut out = Vec::with_capacity(fields.len());
                 for field in fields {
@@ -744,8 +742,8 @@ impl<'a> Evaluator<'a> {
                     self.env.push((var.clone(), Value::Bag(bound)));
                     let stepped = self.eval_inner(body);
                     self.env.pop();
-                    fresh = self.merge_bags(&expect_bag(stepped?)?, &current, MergeKind::Subtract);
-                    let next = self.merge_bags(&current, &fresh, MergeKind::AdditiveUnion);
+                    fresh = self.merge_bags(&expect_bag(stepped?)?, &current, MergeOp::Monus);
+                    let next = self.merge_bags(&current, &fresh, MergeOp::Add);
                     self.observe(&next)?;
                     if fresh.is_empty() {
                         if delta_form {
@@ -1438,7 +1436,7 @@ impl<'a> Evaluator<'a> {
         self.env.iter().any(|(name, _)| mentions_free(expr, name))
     }
 
-    fn eval_binary(&mut self, a: &Expr, b: &Expr, op: MergeKind) -> Result<Value, EvalError> {
+    fn eval_binary(&mut self, a: &Expr, b: &Expr, op: MergeOp) -> Result<Value, EvalError> {
         let left = expect_bag(self.eval_inner(a)?)?;
         let right = expect_bag(self.eval_inner(b)?)?;
         let out = self.merge_bags(&left, &right, op);
@@ -1451,25 +1449,14 @@ impl<'a> Evaluator<'a> {
     /// the partitioned path is identical to the serial one in every
     /// observable (bag, error, metrics) — the only parallelism in the
     /// evaluator.
-    fn merge_bags(&self, left: &Bag, right: &Bag, op: MergeKind) -> Bag {
+    fn merge_bags(&self, left: &Bag, right: &Bag, op: MergeOp) -> Bag {
         if self
             .par
             .wants(left.distinct_count() + right.distinct_count())
         {
-            match op {
-                MergeKind::AdditiveUnion => par::additive_union(left, right, self.par.chunks()),
-                MergeKind::Subtract => par::subtract(left, right, self.par.chunks()),
-                MergeKind::MaxUnion => par::max_union(left, right, self.par.chunks()),
-                MergeKind::Intersect => par::intersect(left, right, self.par.chunks()),
-            }
-        } else {
-            match op {
-                MergeKind::AdditiveUnion => left.additive_union(right),
-                MergeKind::Subtract => left.subtract(right),
-                MergeKind::MaxUnion => left.max_union(right),
-                MergeKind::Intersect => left.intersect(right),
-            }
+            return par::merge(left, right, op, self.par.chunks());
         }
+        left.merge(right, op)
     }
 
     fn eval_pred(&mut self, pred: &Pred) -> Result<bool, EvalError> {
@@ -1494,17 +1481,6 @@ impl<'a> Evaluator<'a> {
             Pred::Or(a, b) => Ok(self.eval_pred(a)? || self.eval_pred(b)?),
         }
     }
-}
-
-/// The four keywise merge operators of `eval_binary`, reified so the
-/// evaluator can dispatch each to its serial [`Bag`] method or its
-/// partitioned [`crate::par`] kernel.
-#[derive(Clone, Copy)]
-enum MergeKind {
-    AdditiveUnion,
-    Subtract,
-    MaxUnion,
-    Intersect,
 }
 
 /// One node of a `MAP`/`σ` spine, borrowed from the expression tree.

@@ -16,9 +16,10 @@
 //!   probes instead of a fresh merge walk plus a re-evaluation of the
 //!   reference expression.
 //!
-//! [`IndexCache`] makes the join index reusable across evaluations:
-//! entries are keyed by the **representation pointer** of the bag's
-//! copy-on-write slice, and each entry holds a clone of the indexed bag.
+//! [`IndexCache`] makes the join index reusable across evaluations: a
+//! least-recently-used list of at most [`IndexCache::DEFAULT_CAPACITY`]
+//! entries, keyed by the **representation pointer** of the bag's
+//! copy-on-write slice, each holding a clone of the indexed bag.
 //! That clone is what makes pointer keying sound: while an entry lives,
 //! the slice allocation cannot be freed (no pointer reuse), and any
 //! mutation of the bag goes through `Arc::make_mut`, which must copy the
@@ -246,24 +247,22 @@ struct CacheEntry {
 
 /// A small cache of [`BagIndex`]es keyed by `(representation, attribute)`.
 ///
-/// Lookup is a linear scan over at most [`IndexCache::capacity`] pointer
-/// comparisons — cheaper than hashing for the handful of bases a query or
-/// runtime touches. Negative results (bag not indexable) are cached too,
-/// so a mixed-arity operand is not re-scanned on every probe.
+/// Lookup is a linear scan over at most [`IndexCache::DEFAULT_CAPACITY`]
+/// pointer comparisons — cheaper than hashing for the handful of bases a
+/// query or runtime touches. Every cache has that one capacity. Negative
+/// results (bag not indexable) are cached too, so a mixed-arity operand
+/// is not re-scanned on every probe.
 ///
 /// Eviction is **least-recently-used**: entries live in recency order
 /// (most recent at the back), every hit refreshes its entry, and an
 /// insert past capacity evicts the front. A fixed-position FIFO here
 /// would evict the hottest join index as soon as a workload touches
-/// `capacity + 1` distinct representations — exactly what a large
+/// `DEFAULT_CAPACITY + 1` distinct representations — exactly what a large
 /// concurrent session mix does — so recency, not insertion order, is
-/// what the bound must act on. Capacity is configurable
-/// ([`IndexCache::with_capacity`], [`IndexCache::set_capacity`]) and
-/// defaults to [`IndexCache::DEFAULT_CAPACITY`].
-#[derive(Clone, Debug)]
+/// what the bound must act on.
+#[derive(Clone, Debug, Default)]
 pub struct IndexCache {
     entries: Vec<CacheEntry>,
-    capacity: usize,
     hits: u64,
     builds: u64,
     misses: u64,
@@ -313,50 +312,13 @@ fn cache_obs() -> Option<&'static CacheObs> {
     CACHE_OBS.get()
 }
 
-impl Default for IndexCache {
-    fn default() -> IndexCache {
-        IndexCache::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-}
-
 impl IndexCache {
-    /// Default cache capacity.
+    /// The most entries a cache holds.
     pub const DEFAULT_CAPACITY: usize = 32;
 
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     pub fn new() -> IndexCache {
         IndexCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` entries (minimum 1).
-    pub fn with_capacity(capacity: usize) -> IndexCache {
-        IndexCache {
-            entries: Vec::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            builds: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The current capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Change the capacity (minimum 1), evicting least-recently-used
-    /// entries if the cache is over the new bound.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        if self.entries.len() > self.capacity {
-            let dropped = (self.entries.len() - self.capacity) as u64;
-            self.entries.drain(..self.entries.len() - self.capacity);
-            self.evictions += dropped;
-            if let Some(obs) = cache_obs() {
-                obs.evictions.add(dropped);
-            }
-        }
     }
 
     fn find(&self, bag: &Bag, attr: usize) -> Option<usize> {
@@ -374,7 +336,7 @@ impl IndexCache {
     }
 
     fn push_evicting(&mut self, entry: CacheEntry) {
-        if self.entries.len() >= self.capacity {
+        if self.entries.len() >= Self::DEFAULT_CAPACITY {
             self.entries.remove(0);
             self.evictions += 1;
             if let Some(obs) = cache_obs() {
@@ -483,8 +445,8 @@ impl IndexCache {
         self.misses
     }
 
-    /// Entries dropped by the LRU bound (inserts past capacity and
-    /// capacity shrinks; explicit invalidation does not count).
+    /// Entries dropped by the LRU bound (inserts past capacity; explicit
+    /// invalidation does not count).
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -715,52 +677,37 @@ mod tests {
 
     #[test]
     fn eviction_is_least_recently_used() {
-        // Four slots; fill them, touch the oldest, then overflow: the
-        // eviction victim must be the least-recently-*used* entry (b),
-        // not the oldest-inserted (a). Under the former FIFO policy a hot
-        // entry died as soon as capacity+1 representations were touched.
-        let mut cache = IndexCache::with_capacity(4);
-        let bags: Vec<Bag> = (0..5).map(|i| bag(&[(i, 0, 1)])).collect();
-        for b in &bags[..4] {
+        // Fill every slot, touch the oldest, then overflow: the eviction
+        // victim must be the least-recently-*used* entry (b), not the
+        // oldest-inserted (a). Under the former FIFO policy a hot entry
+        // died as soon as capacity+1 representations were touched.
+        let mut cache = IndexCache::new();
+        let bags: Vec<Bag> = (0..=IndexCache::DEFAULT_CAPACITY as i64)
+            .map(|i| bag(&[(i, 0, 1)]))
+            .collect();
+        let (fill, overflow) = bags.split_at(IndexCache::DEFAULT_CAPACITY);
+        for b in fill {
             cache.get_or_build(b, 1).unwrap();
         }
         // Touch a (the oldest) — now b is least recently used.
         assert!(cache.peek(&bags[0], 1).is_some());
-        cache.get_or_build(&bags[4], 1).unwrap(); // evicts...
-        assert_eq!(cache.len(), 4);
+        cache.get_or_build(&overflow[0], 1).unwrap(); // evicts...
+        assert_eq!(cache.len(), IndexCache::DEFAULT_CAPACITY);
+        assert_eq!(cache.evictions(), 1);
         let builds = cache.builds();
         assert!(cache.peek(&bags[0], 1).is_some(), "hot entry must survive");
         assert!(cache.peek(&bags[1], 1).is_none(), "LRU entry must be gone");
         assert_eq!(cache.builds(), builds, "peek never builds");
 
         // get_or_build hits refresh recency exactly like peek hits.
-        let mut cache = IndexCache::with_capacity(2);
-        cache.get_or_build(&bags[0], 1).unwrap();
-        cache.get_or_build(&bags[1], 1).unwrap();
-        cache.get_or_build(&bags[0], 1).unwrap(); // refresh a
-        cache.get_or_build(&bags[2], 1).unwrap(); // evicts b
-        assert!(cache.peek(&bags[0], 1).is_some());
-        assert!(cache.peek(&bags[1], 1).is_none());
-    }
-
-    #[test]
-    fn capacity_is_configurable_and_shrinks_lru_first() {
-        let mut cache = IndexCache::with_capacity(8);
-        assert_eq!(cache.capacity(), 8);
-        let bags: Vec<Bag> = (0..8).map(|i| bag(&[(i, 0, 1)])).collect();
-        for b in &bags {
+        let mut cache = IndexCache::new();
+        for b in fill {
             cache.get_or_build(b, 1).unwrap();
         }
-        assert!(cache.peek(&bags[0], 1).is_some()); // refresh the oldest
-        cache.set_capacity(2);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.peek(&bags[0], 1).is_some(), "refreshed entry kept");
-        assert!(cache.peek(&bags[7], 1).is_some(), "most recent kept");
-        assert!(cache.peek(&bags[6], 1).is_none());
-        // Capacity 0 clamps to 1.
-        cache.set_capacity(0);
-        assert_eq!(cache.capacity(), 1);
-        assert_eq!(cache.len(), 1);
+        cache.get_or_build(&bags[0], 1).unwrap(); // refresh a
+        cache.get_or_build(&overflow[0], 1).unwrap(); // evicts b
+        assert!(cache.peek(&bags[0], 1).is_some());
+        assert!(cache.peek(&bags[1], 1).is_none());
     }
 
     #[test]

@@ -47,8 +47,8 @@
 //! | [`mod@eval`] | resource-limited evaluation with metrics |
 //! | [`index`]   | per-key join indexes and memoized `SubBag` testers |
 //! | [`join`]    | the equi-join kernel: classify, index probe, reference scan — every engine's fused `σ_{αᵢ=αⱼ}(×)` is an adapter over it |
-//! | [`pool`]    | vendored work-stealing thread pool (std-only) |
-//! | [`par`]     | deterministic partitioned keywise merges (`∪⁺`, `−`, `∪`, `∩`) |
+//! | [`pool`]    | vendored one-queue thread pool; the submitter is one of its threads (std-only) |
+//! | [`par`]     | the keywise merge (`∪⁺`, `−`, `∪`, `∩`) run on deterministic aligned cuts |
 //! | [`derived`] | aggregates, cardinality quantifiers, Prop 3.1 identities |
 //! | [`expanded`] | the standard-encoding representation (differential oracle) |
 //! | [`rewrite`] | multiplicity-exact optimization rules (σ pushdown, ε/MAP fusion) |

@@ -1,23 +1,23 @@
 //! Deterministic partitioned keywise merges over the sorted pair slice.
 //!
-//! The PR-3 representation — strictly ascending `(Value, Natural)` slices —
-//! was chosen because the hot operator shapes partition cleanly at key
-//! boundaries. The four merges here (`∪⁺`, `−`, `∪`, `∩`) split **both**
-//! inputs into at most `chunks` contiguous ranges **as a pure function of
-//! the requested chunk count** (never of worker count, load, or timing),
-//! run the ranges on the global [`crate::pool`], and concatenate the
-//! pre-sorted chunk outputs. The output multiplicity at a key depends only
-//! on the two input multiplicities at that key, and both sides are split
-//! at *shared* pivot keys (`partition_point`), so no key spans two chunks
-//! and concatenation is exactly the serial merge — which is what the
-//! parallel↔serial twin differential pins down.
+//! The four merges (`∪⁺`, `−`, `∪`, `∩`) are one kernel over two sorted
+//! slices ([`crate::bag`], § *One keywise merge*). [`merge`] splits
+//! **both** inputs into at most `chunks` contiguous ranges **as a pure
+//! function of the requested chunk count** (never of worker count, load,
+//! or timing), runs that kernel on each pair of ranges on the global
+//! [`crate::pool`], and concatenates the pre-sorted chunk outputs. The
+//! output multiplicity at a key depends only on the two input
+//! multiplicities at that key, and both sides are split at *shared* pivot
+//! keys (`partition_point`), so no key spans two chunks and concatenation
+//! is exactly the serial merge — which is what the parallel↔serial twin
+//! differential pins down.
 //!
 //! These are the only partitioned kernels. Joins, products and
 //! powerset/powerbag enumeration always run serially: their partitioned
 //! twins added a serial fold or sort over the whole result and measured
 //! slower than the serial kernel on a 2-core host.
 
-use crate::bag::Bag;
+use crate::bag::{merge_slices, Bag, MergeOp};
 use crate::natural::Natural;
 use crate::pool;
 use crate::value::Value;
@@ -69,8 +69,6 @@ impl Parallel {
     }
 }
 
-// ----- shared partitioning -----
-
 /// Split two sorted slices at shared key boundaries into at most `chunks`
 /// aligned ranges. Returns the *end* index pair of each chunk (the last is
 /// always `(a.len(), b.len())`). Pivot keys are drawn from the longer
@@ -106,87 +104,19 @@ fn aligned_cuts(
     cuts
 }
 
-/// The four keywise merge shapes, each a closed function of the per-key
-/// multiplicity pair — the property that makes boundary-aligned chunking
-/// exact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MergeOp {
-    /// `∪⁺`: multiplicities add.
-    Add,
-    /// `−`: monus (`sup(0, p − q)`).
-    Monus,
-    /// `∪`: `sup(p, q)`.
-    Max,
-    /// `∩`: `inf(p, q)`, absent keys drop.
-    Min,
-}
-
-/// Serial keywise merge of two sorted ranges. Output semantics match the
-/// corresponding [`Bag`] operator restricted to these ranges.
-fn merge_ranges(
-    a: &[(Value, Natural)],
-    b: &[(Value, Natural)],
-    op: MergeOp,
-) -> Vec<(Value, Natural)> {
-    let cap = match op {
-        MergeOp::Add | MergeOp::Max => a.len() + b.len(),
-        MergeOp::Monus => a.len(),
-        MergeOp::Min => a.len().min(b.len()),
-    };
-    let mut out = Vec::with_capacity(cap);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (av, am) = &a[i];
-        let (bv, bm) = &b[j];
-        match av.cmp(bv) {
-            std::cmp::Ordering::Less => {
-                if matches!(op, MergeOp::Add | MergeOp::Monus | MergeOp::Max) {
-                    out.push((av.clone(), am.clone()));
-                }
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                if matches!(op, MergeOp::Add | MergeOp::Max) {
-                    out.push((bv.clone(), bm.clone()));
-                }
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let m = match op {
-                    MergeOp::Add => {
-                        let mut x = am.clone();
-                        x += bm;
-                        x
-                    }
-                    MergeOp::Monus => am.monus(bm),
-                    MergeOp::Max => am.max(bm).clone(),
-                    MergeOp::Min => am.min(bm).clone(),
-                };
-                if !m.is_zero() {
-                    out.push((av.clone(), m));
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    if matches!(op, MergeOp::Add | MergeOp::Monus | MergeOp::Max) {
-        out.extend(a[i..].iter().cloned());
-    }
-    if matches!(op, MergeOp::Add | MergeOp::Max) {
-        out.extend(b[j..].iter().cloned());
-    }
-    out
-}
-
 /// A chunk job producing one partition's sorted pair run.
 type PairRunJob = Box<dyn FnOnce() -> Vec<(Value, Natural)> + Send>;
 
-/// Partitioned keywise merge: identical output to the serial operator.
-fn par_merge(a: &Bag, b: &Bag, op: MergeOp, chunks: usize) -> Bag {
+/// The keywise merge `a op b` over at most `chunks` aligned cuts, each run
+/// through the serial kernel on the pool. Equal to [`Bag::merge`] for
+/// every chunk count.
+pub fn merge(a: &Bag, b: &Bag, op: MergeOp, chunks: usize) -> Bag {
+    if let Some(out) = a.merge_short_cut(b, op) {
+        return out;
+    }
     let cuts = aligned_cuts(a.pairs(), b.pairs(), chunks);
     if cuts.len() <= 1 {
-        return Bag::from_sorted_vec(merge_ranges(a.pairs(), b.pairs(), op));
+        return Bag::from_sorted_vec(merge_slices(a.pairs(), b.pairs(), op));
     }
     note_partitioned();
     let mut jobs: Vec<PairRunJob> = Vec::with_capacity(cuts.len());
@@ -195,7 +125,7 @@ fn par_merge(a: &Bag, b: &Bag, op: MergeOp, chunks: usize) -> Bag {
         let (a, b) = (a.clone(), b.clone());
         let (as_, bs) = start;
         jobs.push(Box::new(move || {
-            merge_ranges(&a.pairs()[as_..ae], &b.pairs()[bs..be], op)
+            merge_slices(&a.pairs()[as_..ae], &b.pairs()[bs..be], op)
         }));
         start = (ae, be);
     }
@@ -205,38 +135,6 @@ fn par_merge(a: &Bag, b: &Bag, op: MergeOp, chunks: usize) -> Bag {
         out.extend(part);
     }
     Bag::from_sorted_vec(out)
-}
-
-/// Partitioned additive union `∪⁺`. Equal to [`Bag::additive_union`].
-pub fn additive_union(a: &Bag, b: &Bag, chunks: usize) -> Bag {
-    if a.is_empty() || b.is_empty() || a.shares_representation(b) {
-        return a.additive_union(b);
-    }
-    par_merge(a, b, MergeOp::Add, chunks)
-}
-
-/// Partitioned subtraction `−` (monus). Equal to [`Bag::subtract`].
-pub fn subtract(a: &Bag, b: &Bag, chunks: usize) -> Bag {
-    if a.is_empty() || b.is_empty() || a.shares_representation(b) {
-        return a.subtract(b);
-    }
-    par_merge(a, b, MergeOp::Monus, chunks)
-}
-
-/// Partitioned maximal union `∪`. Equal to [`Bag::max_union`].
-pub fn max_union(a: &Bag, b: &Bag, chunks: usize) -> Bag {
-    if a.is_empty() || b.is_empty() || a.shares_representation(b) {
-        return a.max_union(b);
-    }
-    par_merge(a, b, MergeOp::Max, chunks)
-}
-
-/// Partitioned intersection `∩`. Equal to [`Bag::intersect`].
-pub fn intersect(a: &Bag, b: &Bag, chunks: usize) -> Bag {
-    if a.is_empty() || b.is_empty() || a.shares_representation(b) {
-        return a.intersect(b);
-    }
-    par_merge(a, b, MergeOp::Min, chunks)
 }
 
 // ----- observability -----
@@ -256,7 +154,7 @@ fn note_partitioned() {
             PARTITIONS.get_or_init(|| {
                 registry.counter(
                     "balg_par_partitions_total",
-                    "Operator executions that ran partitioned on the work-stealing pool",
+                    "Operator executions that ran partitioned on the pool",
                 )
             })
         }
@@ -267,29 +165,39 @@ fn note_partitioned() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// An operand script over `0..keys`: `(key, multiplicity)` draws,
+    /// zeros dropped and repeats accumulated by `Bag::from_counted`.
+    fn operand(keys: i64, draws: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(i64, u64)>> {
+        proptest::collection::vec((0..keys, 0u64..4), draws)
+    }
 
     fn bag_of(rows: &[(i64, u64)]) -> Bag {
         Bag::from_counted(rows.iter().map(|&(v, m)| (Value::int(v), Natural::from(m))))
     }
 
-    #[test]
-    fn merges_agree_with_serial_at_every_chunk_count() {
-        let a = bag_of(
-            &(0..200)
-                .map(|i| (i, (i % 5 + 1) as u64))
-                .collect::<Vec<_>>(),
-        );
-        let b = bag_of(
-            &(100..300)
-                .map(|i| (i, (i % 3 + 1) as u64))
-                .collect::<Vec<_>>(),
-        );
-        for chunks in [1, 2, 3, 4, 7, 64] {
-            assert_eq!(additive_union(&a, &b, chunks), a.additive_union(&b));
-            assert_eq!(subtract(&a, &b, chunks), a.subtract(&b));
-            assert_eq!(subtract(&b, &a, chunks), b.subtract(&a));
-            assert_eq!(max_union(&a, &b, chunks), a.max_union(&b));
-            assert_eq!(intersect(&a, &b, chunks), a.intersect(&b));
+    proptest! {
+        /// Every chunk count computes the serial merge, for operands of
+        /// similar size, for one side 16× the other (the kernel's binary
+        /// search on each cut) and for a bag merged with itself.
+        #[test]
+        fn merge_agrees_with_serial_at_every_chunk_count(
+            operands in prop_oneof![
+                (operand(300, 0..200), operand(300, 0..200)),
+                (operand(300, 0..6), operand(300, 150..300)),
+                (operand(300, 150..300), operand(300, 0..6)),
+            ],
+            shared in any::<bool>(),
+        ) {
+            let a = bag_of(&operands.0);
+            let b = if shared { a.clone() } else { bag_of(&operands.1) };
+            for op in [MergeOp::Add, MergeOp::Monus, MergeOp::Max, MergeOp::Min] {
+                let serial = a.merge(&b, op);
+                for chunks in [1, 2, 3, 7, 64] {
+                    prop_assert_eq!(merge(&a, &b, op, chunks), serial.clone(), "{:?} at {} chunks", op, chunks);
+                }
+            }
         }
     }
 

@@ -1,17 +1,19 @@
-//! A vendored, hand-rolled work-stealing thread pool (std-only).
+//! A hand-rolled thread pool with one FIFO queue (std-only).
 //!
-//! The evaluator's parallel operator kernels ([`crate::par`]) need a way to
-//! run a small, statically known set of independent chunk jobs and collect
-//! their results **in submission order**. This module provides exactly that
-//! and nothing more:
+//! The partitioned merges ([`crate::par`]) run a small, statically known
+//! set of independent chunk jobs and collect their results **in
+//! submission order**. This module provides exactly that and nothing
+//! more:
 //!
 //! * one global pool, built lazily on first use ([`global`]);
-//! * per-worker deques — the owner pops from the back, thieves steal from
-//!   the front;
-//! * the *submitting* thread does not block idly: while it waits for its
-//!   batch it steals and runs pending jobs itself, so nested `run` calls
-//!   (a parallel operator inside a parallel IFP body) cannot deadlock and
-//!   the pool degrades gracefully to serial execution on a 1-core host;
+//! * one queue behind one mutex, served by `N − 1` spawned workers and by
+//!   the submitting thread as the `N`-th: while its batch is outstanding
+//!   the submitter takes jobs off the same queue, so a `run` from inside a
+//!   job cannot deadlock, and a pool without workers runs every batch on
+//!   the caller;
+//! * idle workers park on a condition variable paired with the queue's
+//!   own mutex, so a job pushed between a worker's empty check and its
+//!   wait cannot be missed, and no one polls on a timer;
 //! * results are collected by job index, so scheduling order never leaks
 //!   into observable output order.
 //!
@@ -24,7 +26,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::time::Duration;
 
 use crate::par::{Parallel, DEFAULT_THRESHOLD};
 
@@ -34,71 +35,54 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// Lock a mutex, recovering from poisoning.
 ///
 /// A panic inside a task is caught and re-thrown on the submitting thread,
-/// but the brief window where a queue lock could be poisoned must not take
-/// the whole pool down.
+/// but the brief window where a lock could be poisoned must not take the
+/// whole pool down.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-struct PoolShared {
-    /// One deque per worker; the submitting thread injects round-robin.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Sleep/wake signalling for idle workers.
-    idle: Mutex<()>,
+/// The queue every thread of a pool takes jobs from.
+struct Queue {
+    tasks: Mutex<VecDeque<Task>>,
+    /// Rung after every push; idle workers park on it.
     bell: Condvar,
-    /// Round-robin injection cursor.
-    next: AtomicUsize,
 }
 
-impl PoolShared {
-    /// Try to take one task: first from `home`, then by stealing.
-    fn take(&self, home: usize) -> Option<Task> {
-        if let Some(t) = lock(&self.queues[home]).pop_back() {
-            return Some(t);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (home + off) % n;
-            if let Some(t) = lock(&self.queues[victim]).pop_front() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn inject(&self, task: Task) {
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        lock(&self.queues[slot]).push_back(task);
-        self.bell.notify_all();
+impl Queue {
+    /// Take the oldest job, releasing the lock before the caller runs it
+    /// (a `while let` over the guard itself would run the job under it).
+    fn pop(&self) -> Option<Task> {
+        lock(&self.tasks).pop_front()
     }
 }
 
-/// The most partitions an evaluator splits work into and the most workers
-/// a pool spawns: every partition count and worker count is clamped to
+/// The most partitions an evaluator splits work into and the most threads
+/// a pool runs on: every partition count and thread count is clamped to
 /// `1..=MAX_PARALLELISM`.
 pub const MAX_PARALLELISM: usize = 64;
 
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size thread pool over one FIFO queue.
 ///
 /// Most callers should use the process-wide [`global`] pool; constructing a
 /// private pool is supported for tests.
 pub struct ThreadPool {
-    shared: Arc<PoolShared>,
+    queue: Arc<Queue>,
     /// Workers actually running — fewer than requested when the OS refused
     /// a thread, possibly none.
     workers: usize,
 }
 
 impl ThreadPool {
-    /// Build a pool with `workers` background threads (clamped to
-    /// `1..=`[`MAX_PARALLELISM`]).
+    /// Build a pool that runs each batch on `threads` threads (clamped to
+    /// `1..=`[`MAX_PARALLELISM`]): `threads − 1` background workers plus
+    /// the thread that calls [`ThreadPool::run`].
     ///
     /// Worker threads park when idle and live for the life of the process;
     /// the pool is intended to be built once and shared. When the OS
     /// refuses a thread the pool keeps the workers it already has; with
     /// none, [`ThreadPool::run`] executes every batch on the caller.
-    pub fn new(workers: usize) -> Self {
-        ThreadPool::with_spawner(workers, |name, body| {
+    pub fn new(threads: usize) -> Self {
+        ThreadPool::with_spawner(threads, |name, body| {
             std::thread::Builder::new().name(name).spawn(body).map(drop)
         })
     }
@@ -106,46 +90,42 @@ impl ThreadPool {
     /// [`ThreadPool::new`] with the thread spawn behind a hook, so tests
     /// can make the OS refuse the `k`-th worker.
     fn with_spawner(
-        workers: usize,
+        threads: usize,
         mut spawn: impl FnMut(String, Task) -> std::io::Result<()>,
     ) -> Self {
-        let requested = workers.clamp(1, MAX_PARALLELISM);
-        let shared = Arc::new(PoolShared {
-            queues: (0..requested)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            idle: Mutex::new(()),
+        let queue = Arc::new(Queue {
+            tasks: Mutex::new(VecDeque::new()),
             bell: Condvar::new(),
-            next: AtomicUsize::new(0),
         });
-        let mut spawned = 0;
-        for home in 0..requested {
-            let worker = Arc::clone(&shared);
-            let body = Box::new(move || worker_loop(&worker, home));
-            if spawn(format!("balg-pool-{home}"), body).is_err() {
+        let mut workers = 0;
+        for id in 1..threads.clamp(1, MAX_PARALLELISM) {
+            let queue = Arc::clone(&queue);
+            if spawn(
+                format!("balg-pool-{id}"),
+                Box::new(move || worker_loop(&queue)),
+            )
+            .is_err()
+            {
                 break;
             }
-            spawned += 1;
+            workers += 1;
         }
-        ThreadPool {
-            shared,
-            workers: spawned,
-        }
+        ThreadPool { queue, workers }
     }
 
-    /// Number of background worker threads.
+    /// Number of background worker threads (the submitter not counted).
     pub fn workers(&self) -> usize {
         self.workers
     }
 
     /// Run a batch of jobs and return their results in submission order.
     ///
-    /// The calling thread participates: while the batch is outstanding it
-    /// steals and runs queued tasks (its own or anyone's), so this is safe
-    /// to call from inside a pool task and never deadlocks. A panic in any
-    /// job is re-thrown here after the rest of the batch has settled. A
-    /// pool without workers runs the batch on the caller, in order, and a
-    /// panic there propagates at once.
+    /// The calling thread participates: it runs queued jobs (its own or
+    /// anyone's) until the queue is empty, then waits for the jobs other
+    /// threads took, so this is safe to call from inside a pool task and
+    /// never deadlocks. A panic in any job is re-thrown here after the
+    /// rest of the batch has settled. A pool without workers runs the
+    /// batch on the caller, in order, and a panic there propagates at once.
     pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
@@ -162,10 +142,11 @@ impl ThreadPool {
             Arc::new(Mutex::new((0..n).map(|_| None).collect()));
         let latch = Arc::new((Mutex::new(n), Condvar::new()));
 
+        let mut tasks = lock(&self.queue.tasks);
         for (ix, job) in jobs.into_iter().enumerate() {
             let results = Arc::clone(&results);
             let latch = Arc::clone(&latch);
-            self.shared.inject(Box::new(move || {
+            tasks.push_back(Box::new(move || {
                 let out = catch_unwind(AssertUnwindSafe(job));
                 lock(&results)[ix] = Some(out);
                 let (count, done) = &*latch;
@@ -173,30 +154,19 @@ impl ThreadPool {
                 done.notify_all();
             }));
         }
+        drop(tasks);
+        self.queue.bell.notify_all();
 
-        // Help until the whole batch has completed.
-        let (count, done) = &*latch;
-        loop {
-            if *lock(count) == 0 {
-                break;
-            }
-            if let Some(task) = self
-                .shared
-                .take(self.shared.next.load(Ordering::Relaxed) % self.shared.queues.len())
-            {
-                task();
-                continue;
-            }
-            let guard = lock(count);
-            if *guard == 0 {
-                break;
-            }
-            // Short timeout: a task finishing on a worker notifies `done`,
-            // but new *stealable* work appearing only rings `bell`.
-            let _ = done
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(PoisonError::into_inner);
+        // Help until the queue is empty, then wait for the jobs in flight.
+        while let Some(task) = self.queue.pop() {
+            task();
         }
+        let (count, done) = &*latch;
+        let mut left = lock(count);
+        while *left > 0 {
+            left = done.wait(left).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(left);
 
         let collected = std::mem::take(&mut *lock(&results));
         let mut out = Vec::with_capacity(n);
@@ -214,18 +184,17 @@ impl ThreadPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared, home: usize) {
+fn worker_loop(queue: &Queue) {
     loop {
-        if let Some(task) = shared.take(home) {
-            task();
-            continue;
-        }
-        let guard = lock(&shared.idle);
-        // Re-check under the idle lock to avoid missing a wakeup, then park.
-        let _ = shared
+        // The empty check and the wait hold the lock a push takes, so no
+        // push can fall between them.
+        let mut tasks = queue
             .bell
-            .wait_timeout(guard, Duration::from_millis(50))
+            .wait_while(lock(&queue.tasks), |tasks| tasks.is_empty())
             .unwrap_or_else(PoisonError::into_inner);
+        let task = tasks.pop_front().expect("woken on a non-empty queue");
+        drop(tasks);
+        task();
     }
 }
 
@@ -271,9 +240,9 @@ pub fn set_default_parallelism(n: usize) {
 
 /// The process-wide pool, built on first use.
 ///
-/// Worker count is `min(default_parallelism, available_parallelism)` — on a
-/// 1-core host a single worker is spawned and the submitting thread's
-/// help-while-waiting loop does most of the running.
+/// Thread count is `min(default_parallelism, available_parallelism)`,
+/// the submitter included — on a 1-core host no worker is spawned and
+/// every batch runs on the caller.
 pub fn global() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
     POOL.get_or_init(|| {

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use balg_core::bag::{Bag, BagBuilder};
+use balg_core::bag::{Bag, BagBuilder, MergeOp};
 use balg_core::natural::Natural;
 use balg_core::value::Value;
 use proptest::prelude::*;
@@ -18,10 +18,32 @@ fn nat(v: u64) -> Natural {
     Natural::from(v)
 }
 
+/// `(key, multiplicity)` insertions into a bag of integers.
+type Script = Vec<(i64, u64)>;
+
 /// A raw insertion script: keys from a tiny domain (forcing collisions)
 /// with multiplicities including zero (which must be dropped).
-fn script() -> impl Strategy<Value = Vec<(i64, u64)>> {
+fn script() -> impl Strategy<Value = Script> {
     proptest::collection::vec((0i64..10, 0u64..6), 0..24)
+}
+
+/// Two merge operands and whether the second is the first's own
+/// representation. Both from the tiny domain (the two-pointer walk), or
+/// one with at most 3 keys against one with more than 48 on a wide
+/// domain, in either order (the kernel's binary search once one side
+/// holds more than 16× the other's keys, with keys below, between and
+/// above the bigger side's), or one bag merged with a clone of itself
+/// (the shared-representation short cut).
+fn merge_operands() -> impl Strategy<Value = (Script, Script, bool)> {
+    let small = || proptest::collection::vec((-5i64..205, 1u64..6), 0..4);
+    let big = || proptest::collection::vec((0i64..200, 1u64..6), 100..200);
+    prop_oneof![
+        (script(), script(), Just(false)),
+        (small(), big(), Just(false)),
+        (big(), small(), Just(false)),
+        (script(), Just(Vec::new()), Just(true)),
+        (big(), Just(Vec::new()), Just(true)),
+    ]
 }
 
 fn tuple_script() -> impl Strategy<Value = Vec<((i64, i64), u64)>> {
@@ -55,7 +77,7 @@ fn assert_invariant(bag: &Bag) {
     );
 }
 
-fn atoms_script_to_values(script: Vec<(i64, u64)>) -> Vec<(Value, Natural)> {
+fn atoms_script_to_values(script: Script) -> Vec<(Value, Natural)> {
     script
         .into_iter()
         .map(|(k, m)| (Value::int(k), nat(m)))
@@ -94,11 +116,17 @@ proptest! {
     }
 
     #[test]
-    fn merge_operations_agree_with_map_model(ra in script(), rb in script()) {
+    fn merge_operations_agree_with_map_model(operands in merge_operands()) {
+        let (ra, rb, shared) = operands;
         let sa = atoms_script_to_values(ra);
-        let sb = atoms_script_to_values(rb);
-        let (ma, mb) = (model_from(&sa), model_from(&sb));
-        let (a, b) = (Bag::from_counted(sa), Bag::from_counted(sb));
+        let ma = model_from(&sa);
+        let a = Bag::from_counted(sa);
+        let (b, mb) = if shared {
+            (a.clone(), ma.clone())
+        } else {
+            let sb = atoms_script_to_values(rb);
+            (Bag::from_counted(sb.clone()), model_from(&sb))
+        };
 
         let keys: Vec<&Value> = ma.keys().chain(mb.keys()).collect();
         let get = |m: &Model, k: &Value| m.get(k).cloned().unwrap_or_default();
@@ -123,18 +151,19 @@ proptest! {
             }
         }
 
-        for (bag, model) in [
-            (a.additive_union(&b), add),
-            (a.subtract(&b), sub),
-            (a.max_union(&b), max),
-            (a.intersect(&b), min),
+        for (op, model) in [
+            (MergeOp::Add, add),
+            (MergeOp::Monus, sub),
+            (MergeOp::Max, max),
+            (MergeOp::Min, min),
         ] {
+            let bag = a.merge(&b, op);
             assert_invariant(&bag);
-            prop_assert!(bag_matches_model(&bag, &model));
+            prop_assert!(bag_matches_model(&bag, &model), "{:?}", op);
         }
 
         // Point lookups agree with the model everywhere on the domain.
-        for k in 0i64..10 {
+        for k in -5i64..205 {
             let key = Value::int(k);
             prop_assert_eq!(a.multiplicity(&key), get(&ma, &key));
             prop_assert_eq!(a.contains(&key), ma.contains_key(&key));

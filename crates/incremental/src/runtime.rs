@@ -8,6 +8,7 @@ use balg_core::bag::Bag;
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Var};
 use balg_core::index::IndexCache;
+use balg_core::par::Parallel;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 use balg_core::wal::{bag_decodes, expr_decodes, zbag_decodes, MAX_DECODE_DEPTH};
@@ -181,6 +182,35 @@ pub(crate) fn check_view(name: &str, expr: &Expr) -> Result<(), UpdateError> {
     }
 }
 
+/// How the runtime configures every evaluator it hands a view: the
+/// budgets, the index switch and the partition override.
+#[derive(Clone, Debug)]
+struct EvalSettings {
+    limits: Limits,
+    /// Whether the fused equi-join propagates through index probes
+    /// (default) or scans — the differential suites run both.
+    use_indexes: bool,
+    /// Partitioned-execution override; `None` inherits the process-wide
+    /// default ([`Parallel::from_global`]). Every setting maintains
+    /// identical views — only scheduling differs.
+    parallel: Option<Parallel>,
+}
+
+impl EvalSettings {
+    /// The one place a view's evaluator is built — for registration,
+    /// maintenance and re-derivation alike. Each call is fresh, so one
+    /// view's steps never count against another's budget.
+    fn evaluator<'a>(&self, db: &'a Database) -> Evaluator<'a> {
+        let mut ev = Evaluator::new(db, self.limits.clone());
+        ev.set_indexing(self.use_indexes);
+        if let Some(p) = self.parallel {
+            ev.set_parallel_threads(p.chunks());
+            ev.set_parallel_threshold(p.threshold);
+        }
+        ev
+    }
+}
+
 /// Named base bags plus incrementally maintained views.
 ///
 /// The lifecycle is: [`ViewRuntime::load_base`] the database,
@@ -191,7 +221,7 @@ pub(crate) fn check_view(name: &str, expr: &Expr) -> Result<(), UpdateError> {
 #[derive(Clone, Debug)]
 pub struct ViewRuntime {
     db: Database,
-    limits: Limits,
+    eval: EvalSettings,
     views: BTreeMap<String, View>,
     /// Tombstones for views dropped after a failed re-derivation, cleared
     /// when a view of the same name is registered again.
@@ -201,14 +231,6 @@ pub struct ViewRuntime {
     /// persistent across batches: base indexes are patched alongside the
     /// base on every commit instead of being rebuilt.
     indexes: IndexCache,
-    /// Whether the fused equi-join propagates through index probes
-    /// (default) or scans — the differential suites run both.
-    use_indexes: bool,
-    /// Partitioned-execution override applied to every maintenance
-    /// evaluator; `None` inherits the process-wide default
-    /// ([`balg_core::par::Parallel::from_global`]). Every setting
-    /// maintains identical views — only scheduling differs.
-    parallel: Option<balg_core::par::Parallel>,
 }
 
 impl Default for ViewRuntime {
@@ -233,13 +255,15 @@ impl ViewRuntime {
     pub fn from_database(db: Database, limits: Limits) -> ViewRuntime {
         ViewRuntime {
             db,
-            limits,
+            eval: EvalSettings {
+                limits,
+                use_indexes: true,
+                parallel: None,
+            },
             views: BTreeMap::new(),
             dropped: BTreeMap::new(),
             batches: 0,
             indexes: IndexCache::new(),
-            use_indexes: true,
-            parallel: None,
         }
     }
 
@@ -250,7 +274,7 @@ impl ViewRuntime {
     /// scanning the unchanged operand ([`ViewStats::scanned_join_ops`]).
     /// Disabling drops any cached indexes.
     pub fn set_indexing(&mut self, enabled: bool) {
-        self.use_indexes = enabled;
+        self.eval.use_indexes = enabled;
         if !enabled {
             self.indexes.clear();
         }
@@ -258,7 +282,7 @@ impl ViewRuntime {
 
     /// Whether the index fast paths are enabled.
     pub fn indexing(&self) -> bool {
-        self.use_indexes
+        self.eval.use_indexes
     }
 
     /// Pin the maintenance partition count, clamped to
@@ -271,7 +295,7 @@ impl ViewRuntime {
     /// settings.
     pub fn set_parallel_threads(&mut self, n: usize) {
         let threshold = self.parallel().threshold;
-        self.parallel = Some(balg_core::par::Parallel::new(n, threshold));
+        self.eval.parallel = Some(Parallel::new(n, threshold));
     }
 
     /// Override the minimum combined input size before a maintenance
@@ -280,7 +304,7 @@ impl ViewRuntime {
     pub fn set_parallel_threshold(&mut self, n: usize) {
         let mut p = self.parallel();
         p.threshold = n;
-        self.parallel = Some(p);
+        self.eval.parallel = Some(p);
     }
 
     /// The effective maintenance partition count (`1` means serial).
@@ -289,9 +313,8 @@ impl ViewRuntime {
     }
 
     /// The effective partitioned-execution settings.
-    fn parallel(&self) -> balg_core::par::Parallel {
-        self.parallel
-            .unwrap_or_else(balg_core::par::Parallel::from_global)
+    fn parallel(&self) -> Parallel {
+        self.eval.parallel.unwrap_or_else(Parallel::from_global)
     }
 
     /// Join-index cache statistics `(hits, builds)`.
@@ -317,7 +340,7 @@ impl ViewRuntime {
 
     /// The evaluation budgets in force.
     pub fn limits(&self) -> &Limits {
-        &self.limits
+        &self.eval.limits
     }
 
     /// Load (or wholesale replace) a base bag. Views reading it are
@@ -342,9 +365,7 @@ impl ViewRuntime {
         let mut failed: Vec<(String, EvalError)> = Vec::new();
         for (view_name, view) in &mut self.views {
             if view.reads().contains(&var) {
-                if let Err(error) =
-                    view.reinit(&self.db, &self.limits, self.use_indexes, self.parallel)
-                {
+                if let Err(error) = view.reinit(&self.db, &mut self.eval.evaluator(&self.db)) {
                     failed.push((view_name.clone(), error));
                 }
             }
@@ -396,14 +417,8 @@ impl ViewRuntime {
     /// expression. The initial result is computed immediately.
     pub fn create_view(&mut self, name: &str, expr: Expr) -> Result<&Bag, UpdateError> {
         check_view(name, &expr)?;
-        let view = View::new(
-            expr,
-            &self.db,
-            &self.limits,
-            self.use_indexes,
-            self.parallel,
-        )
-        .map_err(|error| UpdateError::View {
+        let mut ev = self.eval.evaluator(&self.db);
+        let view = View::new(expr, &self.db, &mut ev).map_err(|error| UpdateError::View {
             view: name.to_owned(),
             error,
         })?;
@@ -524,21 +539,16 @@ impl ViewRuntime {
             }
             let before = obs.map(|_| view.stats().clone());
             let start = obs.map(|_| std::time::Instant::now());
-            if view
-                .maintain(
-                    &batch.deltas,
-                    affected,
-                    &self.db,
-                    &self.limits,
-                    &mut self.indexes,
-                    self.use_indexes,
-                    self.parallel,
-                )
-                .is_err()
-            {
-                if let Err(error) =
-                    view.reinit(&self.db, &self.limits, self.use_indexes, self.parallel)
-                {
+            let maintained = view.maintain(
+                &batch.deltas,
+                affected,
+                &self.db,
+                &mut self.eval.evaluator(&self.db),
+                &mut self.indexes,
+                self.eval.use_indexes,
+            );
+            if maintained.is_err() {
+                if let Err(error) = view.reinit(&self.db, &mut self.eval.evaluator(&self.db)) {
                     failed.push((view_name.clone(), error));
                 }
             }
@@ -575,7 +585,7 @@ impl ViewRuntime {
             .views
             .get(name)
             .ok_or_else(|| self.missing_view_error(name))?;
-        let mut ev = Evaluator::new(&self.db, self.limits.clone());
+        let mut ev = Evaluator::new(&self.db, self.eval.limits.clone());
         let fresh = ev
             .eval_bag(view.expr())
             .map_err(|error| UpdateError::View {

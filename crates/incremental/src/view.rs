@@ -14,12 +14,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use balg_core::analyze::{base_linearity, Linearity};
-use balg_core::bag::{attr_field, Bag};
-use balg_core::eval::{equi_join_attrs, EvalError, Evaluator, Limits};
+use balg_core::bag::{attr_field, Bag, MergeOp};
+use balg_core::eval::{equi_join_attrs, EvalError, Evaluator};
 use balg_core::expr::{Expr, Pred, Var};
 use balg_core::index::{BagIndex, IndexCache};
 use balg_core::join;
-use balg_core::par::Parallel;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 use balg_core::zbag::{ZBag, ZBagBuilder, ZInt};
@@ -117,10 +116,8 @@ enum Delta {
 enum Kind {
     Var(Var),
     Lit(Value),
-    AdditiveUnion,
-    Subtract,
-    MaxUnion,
-    Intersect,
+    /// `∪⁺`, `−`, `∪` or `∩`: linear for `∪⁺`, re-derived for the rest.
+    Merge(MergeOp),
     Tuple,
     Singleton,
     Product,
@@ -189,8 +186,8 @@ struct Node {
 
 /// Everything an update pass threads through the tree.
 struct UpdateCtx<'a, 'e> {
-    deltas: &'a BTreeMap<Var, ZBag>,
-    affected: &'a BTreeSet<Var>,
+    deltas: &'e BTreeMap<Var, ZBag>,
+    affected: &'e BTreeSet<Var>,
     db: &'a Database,
     max_elements: u64,
     ev: &'e mut Evaluator<'a>,
@@ -234,21 +231,17 @@ fn compile(expr: &Expr) -> Node {
     let kind = match expr {
         Expr::Var(name) => Kind::Var(name.clone()),
         Expr::Lit(value) => Kind::Lit(value.clone()),
-        Expr::AdditiveUnion(a, b) => {
+        Expr::AdditiveUnion(a, b)
+        | Expr::Subtract(a, b)
+        | Expr::MaxUnion(a, b)
+        | Expr::Intersect(a, b) => {
             children = vec![compile(a), compile(b)];
-            Kind::AdditiveUnion
-        }
-        Expr::Subtract(a, b) => {
-            children = vec![compile(a), compile(b)];
-            Kind::Subtract
-        }
-        Expr::MaxUnion(a, b) => {
-            children = vec![compile(a), compile(b)];
-            Kind::MaxUnion
-        }
-        Expr::Intersect(a, b) => {
-            children = vec![compile(a), compile(b)];
-            Kind::Intersect
+            Kind::Merge(match expr {
+                Expr::AdditiveUnion(..) => MergeOp::Add,
+                Expr::Subtract(..) => MergeOp::Monus,
+                Expr::MaxUnion(..) => MergeOp::Max,
+                _ => MergeOp::Min,
+            })
         }
         Expr::Product(a, b) => {
             children = vec![compile(a), compile(b)];
@@ -377,9 +370,7 @@ fn can_fall_back(node: &Node) -> bool {
             .any(|c| matches!(c.kind, Kind::Tuple | Kind::Attr(_)))
     };
     match &node.kind {
-        Kind::Subtract
-        | Kind::MaxUnion
-        | Kind::Intersect
+        Kind::Merge(MergeOp::Monus | MergeOp::Max | MergeOp::Min)
         | Kind::Dedup
         | Kind::Powerset
         | Kind::Powerbag
@@ -390,7 +381,7 @@ fn can_fall_back(node: &Node) -> bool {
         // The fused join's linear rule needs uniform-arity operands — a
         // runtime property — so the node must be able to re-derive.
         Kind::EquiJoin { .. } => true,
-        Kind::AdditiveUnion | Kind::Product | Kind::Destroy => opaque_child(),
+        Kind::Merge(MergeOp::Add) | Kind::Product | Kind::Destroy => opaque_child(),
         Kind::Var(_) | Kind::Lit(_) => false,
     }
 }
@@ -409,9 +400,7 @@ fn mark_snapshots(node: &mut Node, demanded: bool) {
     let demands_children = match &node.kind {
         // Re-derivation reads every child; the bilinear product rule reads
         // both operands' fresh values.
-        Kind::Subtract
-        | Kind::MaxUnion
-        | Kind::Intersect
+        Kind::Merge(MergeOp::Monus | MergeOp::Max | MergeOp::Min)
         | Kind::Dedup
         | Kind::Powerset
         | Kind::Powerbag
@@ -422,7 +411,7 @@ fn mark_snapshots(node: &mut Node, demanded: bool) {
         | Kind::Attr(_)
         | Kind::Product
         | Kind::EquiJoin { .. } => true,
-        Kind::Map { .. } | Kind::Select { .. } | Kind::AdditiveUnion | Kind::Destroy => {
+        Kind::Map { .. } | Kind::Select { .. } | Kind::Merge(MergeOp::Add) | Kind::Destroy => {
             can_fall_back(node)
         }
         Kind::Var(_) | Kind::Lit(_) => false,
@@ -630,10 +619,7 @@ impl Node {
                 .map(|bag| Value::Bag(bag.clone()))
                 .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
             Kind::Lit(value) => value.clone(),
-            Kind::AdditiveUnion => Value::Bag(child_bag(0)?.additive_union(child_bag(1)?)),
-            Kind::Subtract => Value::Bag(child_bag(0)?.subtract(child_bag(1)?)),
-            Kind::MaxUnion => Value::Bag(child_bag(0)?.max_union(child_bag(1)?)),
-            Kind::Intersect => Value::Bag(child_bag(0)?.intersect(child_bag(1)?)),
+            Kind::Merge(op) => Value::Bag(child_bag(0)?.merge(child_bag(1)?, *op)),
             Kind::Product => Value::Bag(child_bag(0)?.product(child_bag(1)?, max_elements)?),
             Kind::Tuple => Value::Tuple(
                 self.children
@@ -854,7 +840,7 @@ impl Node {
                 }
             }
             Kind::Lit(_) => Ok(Delta::None),
-            Kind::AdditiveUnion => {
+            Kind::Merge(MergeOp::Add) => {
                 let da = self.children[0].update(ctx)?;
                 let db = self.children[1].update(ctx)?;
                 match (da, db) {
@@ -1026,7 +1012,7 @@ impl Node {
             }
             // Non-linear bag operators: refresh children, then re-derive
             // this single operator over their snapshots.
-            Kind::Subtract | Kind::MaxUnion | Kind::Intersect => {
+            Kind::Merge(_) => {
                 let da = self.children[0].update(ctx)?;
                 let db = self.children[1].update(ctx)?;
                 if matches!((&da, &db), (Delta::None, Delta::None)) {
@@ -1082,25 +1068,20 @@ pub struct View {
 }
 
 impl View {
-    /// Compile and fully evaluate a view over the current database. The
-    /// expression must be bag-valued and closed over database names.
+    /// Compile and fully evaluate a view over the current database `db`,
+    /// on the runtime's evaluator `ev` over it. The expression must be
+    /// bag-valued and closed over database names.
     pub(crate) fn new(
         expr: Expr,
         db: &Database,
-        limits: &Limits,
-        use_indexes: bool,
-        parallel: Option<Parallel>,
+        ev: &mut Evaluator<'_>,
     ) -> Result<View, EvalError> {
         let mut root = compile(&expr);
         mark_snapshots(&mut root, true);
         // Even a bare `Var`/`Lit` root materializes: `result()` reads it.
         root.keep_snapshot = true;
-        let mut ev = Evaluator::new(db, limits.clone());
-        ev.set_indexing(use_indexes);
-        if let Some(p) = parallel {
-            ev.set_parallel_config(p);
-        }
-        root.init(db, &mut ev, limits.max_bag_elements)?;
+        let max_elements = ev.limits().max_bag_elements;
+        root.init(db, ev, max_elements)?;
         if root.snapshot.as_bag().is_none() {
             return Err(EvalError::Shape {
                 expected: "a bag-valued view",
@@ -1149,34 +1130,27 @@ impl View {
     }
 
     /// One maintenance pass for a committed update batch. `db` is the
-    /// **post-update** database; `affected` names the bases whose deltas
-    /// are nonzero. `indexes` is the runtime's persistent per-key index
-    /// cache (base indexes in it have already been patched for this
-    /// batch); `use_indexes` routes the fused equi-join between index
-    /// probes and scans.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn maintain(
+    /// **post-update** database and `ev` the runtime's evaluator over it;
+    /// `affected` names the bases whose deltas are nonzero. `indexes` is
+    /// the runtime's persistent per-key index cache (base indexes in it
+    /// have already been patched for this batch); `use_indexes` routes
+    /// the fused equi-join between index probes and scans.
+    pub(crate) fn maintain<'a>(
         &mut self,
         deltas: &BTreeMap<Var, ZBag>,
         affected: &BTreeSet<Var>,
-        db: &Database,
-        limits: &Limits,
+        db: &'a Database,
+        ev: &mut Evaluator<'a>,
         indexes: &mut IndexCache,
         use_indexes: bool,
-        parallel: Option<Parallel>,
     ) -> Result<(), MaintainError> {
         let counters_before = (self.stats.fallback_recomputes, self.stats.scalar_recomputes);
-        let mut ev = Evaluator::new(db, limits.clone());
-        ev.set_indexing(use_indexes);
-        if let Some(p) = parallel {
-            ev.set_parallel_config(p);
-        }
         let mut ctx = UpdateCtx {
             deltas,
             affected,
             db,
-            max_elements: limits.max_bag_elements,
-            ev: &mut ev,
+            max_elements: ev.limits().max_bag_elements,
+            ev,
             stats: &mut self.stats,
             indexes,
             use_indexes,
@@ -1214,21 +1188,16 @@ impl View {
         Ok(())
     }
 
-    /// Re-derive every snapshot from scratch — the degraded path after a
-    /// maintenance error, and the rebase path after [`super::runtime::ViewRuntime::load_base`].
+    /// Re-derive every snapshot from scratch on the runtime's evaluator
+    /// `ev` over `db` — the degraded path after a maintenance error, and
+    /// the rebase path after [`super::runtime::ViewRuntime::load_base`].
     pub(crate) fn reinit(
         &mut self,
         db: &Database,
-        limits: &Limits,
-        use_indexes: bool,
-        parallel: Option<Parallel>,
+        ev: &mut Evaluator<'_>,
     ) -> Result<(), EvalError> {
-        let mut ev = Evaluator::new(db, limits.clone());
-        ev.set_indexing(use_indexes);
-        if let Some(p) = parallel {
-            ev.set_parallel_config(p);
-        }
-        self.root.init(db, &mut ev, limits.max_bag_elements)?;
+        let max_elements = ev.limits().max_bag_elements;
+        self.root.init(db, ev, max_elements)?;
         self.stats.full_reinits += 1;
         Ok(())
     }
