@@ -764,15 +764,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Fused evaluation of a `MAP`/`σ` spine: each element of the base bag
-    /// streams through every stage in one pass, so only the chain's final
-    /// bag is materialized. When the innermost stage is an equi-join
-    /// selection directly over a product (`σ_{αᵢ=αⱼ}(e × e′)` with `i` on
-    /// the left side and `j` on the right), the base is produced by a hash
-    /// join instead of product-then-filter.
-    ///
-    /// Entered from [`Evaluator::eval_inner`], which has already charged
-    /// the step for the outermost spine node.
     /// Classify one spine node as a [`Stage`], consulting the cached
     /// projection analysis for `MAP` bodies.
     fn make_stage<'e>(&mut self, node: &'e Expr) -> Stage<'e> {
@@ -811,6 +802,15 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// Fused evaluation of a `MAP`/`σ` spine: each element of the base bag
+    /// streams through every stage in one pass, so only the chain's final
+    /// bag is materialized. When the innermost stage is an equi-join
+    /// selection directly over a product (`σ_{αᵢ=αⱼ}(e × e′)` with `i` on
+    /// the left side and `j` on the right), the base is produced by a hash
+    /// join instead of product-then-filter.
+    ///
+    /// Entered from [`Evaluator::eval_inner`], which has already charged
+    /// the step for the outermost spine node.
     fn eval_stage_chain(&mut self, expr: &Expr) -> Result<Value, EvalError> {
         // Measure the spine first (no allocation), then collect it in
         // evaluation order — single-stage chains, the overwhelmingly

@@ -11,10 +11,10 @@
 //!
 //! What differs between engines is *policy* and stays with them, passed
 //! in as closures the compiler monomorphises: how two multiplicities
-//! combine (`ℕ·ℕ`, `ℤ·ℕ`, `−ℤ·ℤ`, set insertion), where a pair goes, what
-//! it costs (a step and an element-budget check per pair, or the
-//! distinct-element budget after every push) and which operand gets
-//! indexed. Nothing here knows which engine is calling.
+//! combine (`ℕ·ℕ`, `ℤ·ℕ`, `−ℤ·ℤ`), where a pair goes, what it costs (a
+//! step and an element-budget check per pair, or the distinct-element
+//! budget after every push) and which operand gets indexed. Nothing here
+//! knows which engine is calling.
 
 use crate::index::BagIndex;
 use crate::natural::Natural;

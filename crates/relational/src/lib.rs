@@ -1,8 +1,10 @@
 //! # balg-relational — the nested relational algebra RALG
 //!
 //! The set-semantics baseline the paper measures BALG against: nested
-//! relations, the RALG operator set of \[AB87\]/\[HS91\], a direct evaluator,
-//! and the Proposition 4.2 translations showing
+//! relations, the RALG operator set of \[AB87\]/\[HS91\], a direct
+//! evaluator that serves as the reference (one node at a time, no fast
+//! paths — a fast RALG query is its BALG embedding, optimized), and the
+//! Proposition 4.2 translations showing
 //! `BALG¹₋₋ ≡ RALG₋₋` over sets (and that the equivalence *breaks* once
 //! bag subtraction enters — Example 4.1 / Proposition 4.3, experiment E7).
 //!

@@ -1,8 +1,12 @@
 //! Property tests for the RALG set semantics and the Prop 4.2 boundary.
 
+use balg_core::analyze::analyze;
 use balg_core::bag::Bag;
+use balg_core::eval::{eval_bag, Evaluator, Limits};
 use balg_core::natural::Natural;
-use balg_core::schema::Database;
+use balg_core::rewrite::optimize;
+use balg_core::schema::{Database, Schema};
+use balg_core::types::Type;
 use balg_core::value::Value;
 use balg_relational::prelude::*;
 use proptest::prelude::*;
@@ -89,6 +93,54 @@ fn differential_db() -> Database {
     Database::new().with("R", r).with("S", s)
 }
 
+/// The schema `differential_db` conforms to.
+fn differential_schema() -> Schema {
+    Schema::new()
+        .with("R", Type::relation(2))
+        .with("S", Type::relation(1))
+}
+
+/// Why the optimized embedding is the fast RALG route: given a schema,
+/// `optimize` drops the `ε` the embedding puts between `σ` and `×`, so
+/// the BALG evaluator's fused join runs and the product is never built.
+/// The raw embedding builds all n² pairs. The query is two-step paths,
+/// `π₁,₄(σ_{α₂=α₃}(G × G))`, the one the README's RALG route table
+/// measures.
+#[test]
+fn optimized_embedding_never_builds_the_join_product() {
+    let n = 64;
+    let cycle = (0..n).map(|i| Value::tuple([Value::int(i), Value::int((i + 1) % n)]));
+    let db = Database::new().with("G", Bag::from_values(cycle));
+    let q = RalgExpr::var("G")
+        .product(RalgExpr::var("G"))
+        .select(
+            "x",
+            RalgPred::eq(RalgExpr::var("x").attr(2), RalgExpr::var("x").attr(3)),
+        )
+        .map(
+            "x",
+            RalgExpr::tuple([RalgExpr::var("x").attr(1), RalgExpr::var("x").attr(4)]),
+        );
+    let reference = RalgEvaluator::new(&db, Limits::default())
+        .eval_relation(&q)
+        .unwrap();
+    assert_eq!(reference.len(), 64);
+
+    let raw = ralg_to_balg(&q);
+    let optimized = optimize(&raw, &Schema::new().with("G", Type::relation(2)));
+    let run = |expr| {
+        let mut ev = Evaluator::new(&db, Limits::default());
+        let bag = ev.eval_bag(expr).unwrap();
+        (bag, ev.metrics().max_distinct_elements)
+    };
+    let (bag, widest) = run(&optimized);
+    assert_eq!(&bag, reference.as_bag());
+    assert!(widest <= 64, "{optimized} built a {widest}-element bag");
+    let (bag, widest) = run(&raw);
+    assert_eq!(&bag, reference.as_bag());
+    assert_eq!(widest, 4_096);
+}
+
 proptest! {
     #[test]
     fn set_laws(a in relation(), b in relation(), c in relation()) {
@@ -144,28 +196,37 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The PR-3 differential property pinning the RALG evaluator rewrite
-    /// and the sharpened `ralg_to_balg` embedding: every random RALG query
-    /// must produce, via direct set-semantics evaluation, exactly the bag
-    /// the BALG embedding computes — not just the same support, the same
+    /// The differential property pinning the `ralg_to_balg` embedding to
+    /// the direct set-semantics reference: every random RALG
+    /// query must produce, via direct evaluation, exactly the bag the BALG
+    /// embedding computes — not just the same support, the same
     /// (set-shaped) value. Queries that fail (out-of-range attributes,
-    /// products over non-tuples) must fail on both routes.
+    /// products over non-tuples) must fail on both routes. When `analyze`
+    /// accepts the embedding under the database's schema, the fast route
+    /// — the embedding through `optimize` — is held to the same answer;
+    /// `optimize` assumes well-typed input, so rejected queries skip it.
     #[test]
     fn direct_eval_agrees_with_balg_embedding(q in ralg_query()) {
         let db = differential_db();
-        let direct = RalgEvaluator::new(&db, balg_core::eval::Limits::default()).eval_relation(&q);
+        let schema = differential_schema();
+        let direct = RalgEvaluator::new(&db, Limits::default()).eval_relation(&q);
         let embedded = ralg_to_balg(&q);
-        let via = balg_core::eval::eval_bag(&embedded, &db);
-        match (direct, via) {
-            (Ok(direct), Ok(via)) => {
-                prop_assert!(
-                    is_set_value(&Value::Bag(via.clone())),
-                    "embedding produced duplicates: {}", via
-                );
-                prop_assert_eq!(direct.as_bag(), &via);
+        let mut routes = vec![("embedding", eval_bag(&embedded, &db))];
+        if analyze(&embedded, &schema).is_ok() {
+            routes.push(("optimized embedding", eval_bag(&optimize(&embedded, &schema), &db)));
+        }
+        for (route, via) in routes {
+            match (&direct, via) {
+                (Ok(direct), Ok(via)) => {
+                    prop_assert!(
+                        is_set_value(&Value::Bag(via.clone())),
+                        "{} produced duplicates: {}", route, via
+                    );
+                    prop_assert_eq!(direct.as_bag(), &via, "{}", route);
+                }
+                (Err(_), Err(_)) => {} // both routes reject, e.g. BadArity
+                (direct, via) => panic!("{route} divergence: direct={direct:?} via={via:?}"),
             }
-            (Err(_), Err(_)) => {} // both routes reject, e.g. BadArity
-            (direct, via) => panic!("divergence: direct={direct:?} via={via:?}"),
         }
     }
 }

@@ -1,9 +1,8 @@
 //! One input, every adapter of the `balg_core::join` kernel, one answer.
 //!
 //! The per-pair suites (`index_props`, both `parallel_differential`s,
-//! `incremental/tests/differential.rs`, `ralg_props`) each compare two
-//! join paths. This one feeds a single random `σ_{αᵢ=αⱼ}(L × R)` through
-//! all of them:
+//! `incremental/tests/differential.rs`) each compare two join paths. This
+//! one feeds a single random `σ_{αᵢ=αⱼ}(L × R)` through all of them:
 //!
 //! * (a) `Evaluator`, indexed; (b) `set_indexing(false)`; (c) at 4 chunks
 //!   (`set_parallel_threads(4)`, threshold 1), where a join never
@@ -12,10 +11,11 @@
 //!   and `R` streamed in as randomly split insert batches and a random
 //!   subset then deleted — the ℤ-multiplicity path — indexed, scanning and
 //!   at 4 chunks, checked after every batch;
-//! * (e) `RalgEvaluator` on the same database seen as sets;
 //!
 //! against `σ(L × R)` *materialised* (product, then a per-element filter
-//! no recogniser fuses) on the same database, and `ε` of it for (e).
+//! no recogniser fuses) on the same database. (e) `RalgEvaluator`, the
+//! set-semantics oracle with no join of its own (product, then filter),
+//! must give `ε` of that reference on the same database seen as sets.
 //! `(i, j)` ranges over spanning, same-side, equal, out-of-range and `α₀`
 //! pairs, so the unfused and the error paths are exercised as well.
 
