@@ -80,7 +80,7 @@ fn profile_report_is_byte_equal_across_surfaces() {
     let cli = everywhere(&format!(":profile {EXPR}"));
     assert!(cli.contains("base g"), "{cli}");
     assert!(
-        cli.contains("[indexed-join]") || cli.contains("[hash-join]"),
+        cli.contains("[indexed-join]") || cli.contains("[scan-join]"),
         "{cli}"
     );
     assert!(cli.contains("steps"), "{cli}");

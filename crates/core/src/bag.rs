@@ -68,6 +68,7 @@
 //! [`Bag::merge`] takes the short cuts first (an empty side, or both
 //! operands one representation, where `f(p, p)` is `2p`, 0 or `p`), and
 //! [`crate::par::merge`] runs the same kernel on each aligned cut.
+//! [`Bag::is_subbag_of`] walks its candidate with the same find step.
 //!
 //! The slice sits behind an [`Arc`] (as a `Vec`, so a uniquely-owned bag
 //! can still be mutated in place) with copy-on-write mutation: cloning a
@@ -397,8 +398,10 @@ impl Bag {
     }
 
     /// Subbag test `B ⊑ B′`: whenever `o` n-belongs to `B`, `o` p-belongs
-    /// to `B′` for some `p ≥ n`. A single merge walk over the two sorted
-    /// slices.
+    /// to `B′` for some `p ≥ n`. Walks `B` and finds each key in the rest
+    /// of `B′` with the find step of the keywise merge (module doc): a
+    /// two-pointer walk, or a binary search once `B′` holds more than 16×
+    /// the keys.
     pub fn is_subbag_of(&self, other: &Bag) -> bool {
         if Arc::ptr_eq(&self.elems, &other.elems) {
             return true;
@@ -406,21 +409,13 @@ impl Bag {
         if self.distinct_count() > other.distinct_count() {
             return false;
         }
-        let mut others = other.elems.iter();
-        'next: for (value, mult) in self.elems.iter() {
-            for (ov, om) in others.by_ref() {
-                match ov.cmp(value) {
-                    Ordering::Less => continue,
-                    Ordering::Equal => {
-                        if om >= mult {
-                            continue 'next;
-                        }
-                        return false;
-                    }
-                    Ordering::Greater => return false,
-                }
+        let skewed = is_skewed(self.elems.len(), other.elems.len());
+        let mut lo = 0;
+        for (value, mult) in self.elems.iter() {
+            match find_key(&other.elems[lo..], value, skewed) {
+                Ok(ix) if &other.elems[lo + ix].1 >= mult => lo += ix + 1,
+                _ => return false,
             }
-            return false;
         }
         true
     }
@@ -1037,23 +1032,11 @@ pub(crate) fn merge_slices(
     } else {
         (keep_a, keep_b)
     };
-    let skewed = small.len() * 16 < big.len();
+    let skewed = is_skewed(small.len(), big.len());
     let mut lo = 0;
     for (value, m) in small {
         let rest = &big[lo..];
-        let found = if skewed {
-            rest.binary_search_by(|probe| probe.0.cmp(value))
-        } else {
-            // The two-pointer step: one comparison per key passed.
-            let mut ix = 0;
-            loop {
-                match rest.get(ix).map(|probe| probe.0.cmp(value)) {
-                    Some(Ordering::Less) => ix += 1,
-                    Some(Ordering::Equal) => break Ok(ix),
-                    _ => break Err(ix),
-                }
-            }
-        };
+        let found = find_key(rest, value, skewed);
         let (Ok(ix) | Err(ix)) = found;
         if keep_big {
             out.extend_from_slice(&rest[..ix]);
@@ -1083,6 +1066,32 @@ pub(crate) fn merge_slices(
         out.extend_from_slice(&big[lo..]);
     }
     out
+}
+
+/// Whether a walk over `small` keys finds them in `big` keys by binary
+/// search rather than by the two-pointer step: once `big` holds more than
+/// 16× the keys.
+fn is_skewed(small: usize, big: usize) -> bool {
+    small * 16 < big
+}
+
+/// The find step of the keywise walks ([`merge_slices`],
+/// [`Bag::is_subbag_of`]): where `value` sits in the sorted `rest`, `Ok`
+/// at its key or `Err` before the first greater one. A linear scan, one
+/// comparison per key passed, or a binary search when `skewed`.
+#[inline]
+fn find_key<M>(rest: &[(Value, M)], value: &Value, skewed: bool) -> Result<usize, usize> {
+    if skewed {
+        return rest.binary_search_by(|probe| probe.0.cmp(value));
+    }
+    let mut ix = 0;
+    loop {
+        match rest.get(ix).map(|probe| probe.0.cmp(value)) {
+            Some(Ordering::Less) => ix += 1,
+            Some(Ordering::Equal) => return Ok(ix),
+            _ => return Err(ix),
+        }
+    }
 }
 
 /// Two-pointer merge of two sorted pair sequences taken by value: keys

@@ -28,8 +28,10 @@
 //! * `σ_{αᵢ=αⱼ}(e × e′)` with the equality crossing the product boundary
 //!   evaluates as a hash join — matching pairs are produced directly
 //!   instead of building the full Cartesian product and filtering it. The
-//!   pair loop itself is [`crate::join`]'s; this evaluator is one of its
-//!   adapters and supplies which side is indexed and what a pair costs;
+//!   pair loop itself is [`crate::join`]'s (its index probe, or its
+//!   reference scan with [`Evaluator::set_indexing`] off); this evaluator
+//!   is one of its adapters and supplies which side is indexed and what a
+//!   pair costs;
 //! * an `IFP` whose body is `ε` of an expression that reads the fixpoint
 //!   variable once, linearly ([`crate::analyze::ifp_delta_form`] — the
 //!   transitive-closure shape), evaluates that body on the tuples the
@@ -59,7 +61,7 @@ use balg_obs::profile::{Profiler, SpanId};
 use crate::analyze::ifp_delta_form;
 use crate::bag::{attr_field, is_key_prefix, Bag, BagBuilder, BagError, MergeOp};
 use crate::expr::{Expr, Pred, Var};
-use crate::index::{IndexCache, SubBagTester};
+use crate::index::IndexCache;
 use crate::join;
 use crate::natural::Natural;
 use crate::par;
@@ -253,9 +255,9 @@ pub struct Evaluator<'a> {
     /// slice allocation it describes, so repeated joins against the same
     /// operand (IFP bodies, repeated queries) probe instead of rebuilding.
     indexes: IndexCache,
-    /// Whether the secondary-index fast paths (indexed joins, memoized
-    /// `SubBag` testers) may run. The differential suites flip this to
-    /// prove the indexed and scan paths equivalent.
+    /// Whether a fused equi-join probes a cached [`crate::index::BagIndex`]
+    /// or runs [`join::scan`], the kernel's reference loop. The
+    /// differential suites flip this to prove the two paths equivalent.
     use_indexes: bool,
     /// Partitioned-execution settings for the four keywise merges
     /// ([`crate::par`]; every other operator is serial). Partition counts
@@ -343,11 +345,12 @@ impl<'a> Evaluator<'a> {
         self.profiler.take()
     }
 
-    /// Enable or disable the secondary-index fast paths (per-key join
-    /// indexes and memoized `SubBag` testers). Both settings compute the
-    /// same bags with the same step charges; the differential test suites
-    /// run every query both ways and require strict equality. Disabling
-    /// drops any cached indexes.
+    /// Choose how a fused equi-join finds its pairs: probe a cached
+    /// per-key index (enabled, the default) or run [`join::scan`], the
+    /// index-free reference loop (disabled). Nothing else reads the switch.
+    /// Both settings compute the same bags with the same step charges; the
+    /// differential test suites run every query both ways and require
+    /// strict equality. Disabling drops any cached indexes.
     pub fn set_indexing(&mut self, enabled: bool) {
         self.use_indexes = enabled;
         if !enabled {
@@ -779,25 +782,11 @@ impl<'a> Evaluator<'a> {
                     None => Stage::Map { var, body },
                 }
             }
-            Expr::Select { var, pred, .. } => {
-                // `σ_{lhs ⊑ rhs}` with a loop-invariant rhs: the rhs
-                // evaluates once per chain run into a memoized membership
-                // tester ([`SubBagTester`]) probed per element, instead of
-                // re-deriving the reference bag and merge-walking it for
-                // every element of a large (typically powerset) input.
-                if self.use_indexes {
-                    if let Pred::SubBag(lhs, rhs) = pred.as_ref() {
-                        if !mentions_free(rhs, var) {
-                            return Stage::SubBag { var, lhs, rhs };
-                        }
-                    }
-                }
-                Stage::Filter {
-                    var,
-                    pred,
-                    in_place: reads_row_in_place(pred, var),
-                }
-            }
+            Expr::Select { var, pred, .. } => Stage::Filter {
+                var,
+                pred,
+                in_place: reads_row_in_place(pred, var),
+            },
             _ => unreachable!("spine nodes are Map or Select"),
         }
     }
@@ -883,14 +872,17 @@ impl<'a> Evaluator<'a> {
                             > 2 * (left.distinct_count() + right.distinct_count()) =>
                     {
                         match one_sided_projection(&left, &right, indices)? {
-                            Some(bag) => {
-                                // One step per produced element, in bulk.
-                                self.charge_steps(bag.distinct_count() as u64)?;
+                            // One step per produced element, in bulk, when
+                            // the budget holds it; otherwise the pairs
+                            // stream, to fail on their exact step.
+                            Some(bag) if bag.distinct_count() as u64 <= self.steps_left => {
+                                self.charge_steps(bag.distinct_count() as u64)
+                                    .expect("checked against steps_left");
                                 first_stage = 1; // the projection is done
                                 self.note_fast_path("project-scale");
                                 ChainBase::Bag(bag)
                             }
-                            None => ChainBase::Pairs(left, right),
+                            _ => ChainBase::Pairs(left, right),
                         }
                     }
                     _ => ChainBase::Pairs(left, right),
@@ -933,12 +925,6 @@ impl<'a> Evaluator<'a> {
                                 blocked.push((*var).clone());
                                 collect_invariant_pred_roots(pred, &mut blocked, &mut roots);
                             }
-                            // The rhs is memoized by the tester itself;
-                            // only the lhs can hold hoistable subtrees.
-                            Stage::SubBag { var, lhs, .. } => {
-                                blocked.push((*var).clone());
-                                collect_invariant_roots(lhs, &mut blocked, &mut roots);
-                            }
                             // A projection has no subexpressions to hoist.
                             Stage::Project { .. } => {}
                         }
@@ -963,22 +949,6 @@ impl<'a> Evaluator<'a> {
         // it through an empty pipeline (the observe below still runs).
         let result = match (&base, stages) {
             (ChainBase::Bag(bag), []) => Ok(bag.clone()),
-            // The whole chain is `σ_{x ⊑ rhs}` over the λ variable itself
-            // — the powerset-sweep shape: elements are tested in place
-            // (no per-element environment binding or value clone) against
-            // the memoized reference, and the output is a subsequence of
-            // the sorted input.
-            (
-                ChainBase::Bag(bag),
-                [Stage::SubBag {
-                    var,
-                    lhs: Expr::Var(name),
-                    rhs,
-                }],
-            ) if name == *var => {
-                self.note_fast_path("subbag-sweep");
-                self.run_subbag_select(bag, rhs)
-            }
             // A lone prefix `π` over a bag folds key runs; a chain the
             // kernel declines streams row by row.
             _ => {
@@ -1007,12 +977,6 @@ impl<'a> Evaluator<'a> {
     /// the error path.
     fn run_chain_loop(&mut self, base: &ChainBase, stages: &[Stage<'_>]) -> Result<Bag, EvalError> {
         let mut out = BagBuilder::new();
-        // One memoized-tester slot per stage, filled lazily by the first
-        // element that reaches a `SubBag` stage (so a chain that filters
-        // everything out earlier never evaluates the rhs — matching the
-        // unmemoized per-element evaluation order).
-        let mut testers: Vec<Option<SubBagTester>> = Vec::new();
-        testers.resize_with(stages.len(), || None);
         match base {
             ChainBase::Bag(bag) => {
                 // A leading in-place σ that compares `α₁` with literals
@@ -1037,9 +1001,9 @@ impl<'a> Evaluator<'a> {
                 };
                 match (lead, cuts) {
                     (Some(pred), Some(cuts)) => {
-                        self.seek_runs(bag.pairs(), &cuts, pred, stages, &mut testers, &mut out)?;
+                        self.seek_runs(bag.pairs(), &cuts, pred, stages, &mut out)?;
                     }
-                    _ => self.scan_rows(bag.pairs(), lead, stages, &mut testers, &mut out)?,
+                    _ => self.scan_rows(bag.pairs(), lead, stages, &mut out)?,
                 }
             }
             ChainBase::Pairs(left, right) => {
@@ -1049,9 +1013,6 @@ impl<'a> Evaluator<'a> {
                     Some(Stage::Project { indices }) => (Some(&indices[..]), &stages[1..]),
                     _ => (None, stages),
                 };
-                if project.is_some() {
-                    testers.remove(0); // keep slots aligned with `rest`
-                }
                 for (lv, lm) in left.iter() {
                     let left_fields = lv
                         .as_tuple()
@@ -1067,7 +1028,7 @@ impl<'a> Evaluator<'a> {
                             }
                             None => Value::concat_tuples(left_fields, right_fields),
                         };
-                        self.run_stages(first, lm * rm, rest, &mut testers, &mut out)?;
+                        self.run_stages(first, lm * rm, rest, &mut out)?;
                     }
                 }
             }
@@ -1084,7 +1045,6 @@ impl<'a> Evaluator<'a> {
         rows: &[(Value, Natural)],
         lead: Option<&Pred>,
         stages: &[Stage<'_>],
-        testers: &mut [Option<SubBagTester>],
         out: &mut BagBuilder,
     ) -> Result<(), EvalError> {
         for (value, mult) in rows {
@@ -1093,13 +1053,7 @@ impl<'a> Evaluator<'a> {
                 Some(true) => 1,
                 None => 0,
             };
-            self.run_stages(
-                value.clone(),
-                mult.clone(),
-                &stages[from..],
-                &mut testers[from..],
-                out,
-            )?;
+            self.run_stages(value.clone(), mult.clone(), &stages[from..], out)?;
         }
         Ok(())
     }
@@ -1118,7 +1072,6 @@ impl<'a> Evaluator<'a> {
         cuts: &[usize],
         pred: &Pred,
         stages: &[Stage<'_>],
-        testers: &mut [Option<SubBagTester>],
         out: &mut BagBuilder,
     ) -> Result<(), EvalError> {
         let mut skipped = false;
@@ -1134,7 +1087,7 @@ impl<'a> Evaluator<'a> {
                 self.charge_steps(bulk).expect("checked against steps_left");
                 skipped = true;
             } else {
-                self.scan_rows(run, Some(pred), stages, testers, out)?;
+                self.scan_rows(run, Some(pred), stages, out)?;
             }
         }
         // Noted last, so the tag lands on this chain's frame rather than on
@@ -1143,32 +1096,6 @@ impl<'a> Evaluator<'a> {
             self.note_fast_path("seek");
         }
         Ok(())
-    }
-
-    /// The specialized loop for a one-stage `σ_{x ⊑ rhs}(bag)` chain:
-    /// every element is a candidate bag tested in place. Matches the
-    /// per-element path exactly — error precedence (a non-bag first
-    /// element outranks an rhs failure; later shape errors follow the
-    /// reference derivation), the resulting bag, and the step totals:
-    /// the per-element path charges pred + λ-var lookup per element and
-    /// evaluates the rhs once in full (loop-invariant hoisting memoizes
-    /// it) plus one root-lookup step per later element, so this charges
-    /// `3n − 1` in bulk around the single full rhs evaluation.
-    fn run_subbag_select(&mut self, bag: &Bag, rhs: &Expr) -> Result<Bag, EvalError> {
-        if bag.is_empty() {
-            return Ok(Bag::new()); // the reference is never derived
-        }
-        let first = bag.elements().next().expect("non-empty");
-        if first.as_bag().is_none() {
-            return Err(shape("a bag", first));
-        }
-        let reference = expect_bag(self.eval_inner(rhs)?)?;
-        let tester = SubBagTester::new(&reference);
-        self.charge_steps(3 * bag.distinct_count() as u64 - 1)?;
-        bag.select(|value| match value.as_bag() {
-            Some(candidate) => Ok(tester.admits(candidate)),
-            None => Err(shape("a bag", value)),
-        })
     }
 
     /// Decide an in-place σ ([`reads_row_in_place`]) on a borrowed row:
@@ -1212,17 +1139,15 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Push one element through every stage; survivors land in `out`.
-    /// `testers` holds one lazily-filled [`SubBagTester`] slot per stage.
     fn run_stages(
         &mut self,
         value: Value,
         mult: Natural,
         stages: &[Stage<'_>],
-        testers: &mut [Option<SubBagTester>],
         out: &mut BagBuilder,
     ) -> Result<(), EvalError> {
         let mut current = value;
-        for (stage_ix, stage) in stages.iter().enumerate() {
+        for stage in stages {
             match stage {
                 Stage::Map { var, body } => {
                     self.env.push(((*var).clone(), current));
@@ -1246,30 +1171,6 @@ impl<'a> Evaluator<'a> {
                     let keep = self.eval_pred(pred);
                     let (_, value_back) = self.env.pop().expect("balanced λ environment");
                     if !keep? {
-                        return Ok(());
-                    }
-                    current = value_back;
-                }
-                Stage::SubBag { var, lhs, rhs } => {
-                    self.step()?; // the predicate node, as eval_pred charges it
-                    self.env.push(((*var).clone(), current));
-                    let left = self.eval_inner(lhs);
-                    let (_, value_back) = self.env.pop().expect("balanced λ environment");
-                    let left = expect_bag(left?)?;
-                    if testers[stage_ix].is_none() {
-                        // First element to reach this stage: derive the
-                        // reference once (errors surface exactly where
-                        // the per-element evaluation would have raised
-                        // them first) and memoize its caps.
-                        let reference = expect_bag(self.eval_inner(rhs)?)?;
-                        testers[stage_ix] = Some(SubBagTester::new(&reference));
-                    } else {
-                        // The per-element path re-reads the (hoisted,
-                        // memoized) reference: one root-lookup step.
-                        self.step()?;
-                    }
-                    let tester = testers[stage_ix].as_ref().expect("just ensured");
-                    if !tester.admits(&left) {
                         return Ok(());
                     }
                     current = value_back;
@@ -1305,10 +1206,11 @@ impl<'a> Evaluator<'a> {
     /// With `join_attrs` set and the shape guards satisfied
     /// ([`join::classify`]: all elements tuples, uniform arity per side,
     /// the equality spanning the product boundary) matching pairs are
-    /// produced directly by a hash join and the full product is never
-    /// built. Otherwise this is exactly the materializing `Expr::Product`
-    /// evaluation (element-count prediction, then [`Bag::product`]), and
-    /// the caller must still apply the filter.
+    /// produced directly — by an index probe, or by [`join::scan`] with
+    /// indexing off — and the full product is never built. Otherwise this
+    /// is exactly the materializing `Expr::Product` evaluation
+    /// (element-count prediction, then [`Bag::product`]), and the caller
+    /// must still apply the filter.
     fn eval_product(
         &mut self,
         a: &Expr,
@@ -1318,40 +1220,37 @@ impl<'a> Evaluator<'a> {
         let left = expect_bag(self.eval_inner(a)?)?;
         let right = expect_bag(self.eval_inner(b)?)?;
 
-        let keys = join_attrs.and_then(|(i, j)| join::classify(i, j, left.pairs(), right.pairs()));
-        if let Some((li, rj)) = keys {
-            if self.use_indexes {
-                if let Some(out) = self.indexed_join((a, &left, li), (b, &right, rj))? {
-                    self.observe(&out)?;
-                    self.note_fast_path("indexed-join");
-                    return Ok(ProductOutcome::Joined(out));
+        let keys = join_attrs
+            .and_then(|(i, j)| Some(((i, j), join::classify(i, j, left.pairs(), right.pairs())?)));
+        if let Some((attrs, (li, rj))) = keys {
+            let indexed = if self.use_indexes {
+                self.indexed_join((a, &left, li), (b, &right, rj))?
+            } else {
+                None
+            };
+            let (out, tag) = match indexed {
+                Some(out) => (out, "indexed-join"),
+                // Indexes disabled (or neither side indexable): the
+                // kernel's reference loop, which the probe is checked
+                // against — the same pairs at the same charges.
+                None => {
+                    let mut out = BagBuilder::new();
+                    join::scan(
+                        left.pairs(),
+                        right.pairs(),
+                        attrs,
+                        true,
+                        |lf, rf, lm, rm| {
+                            self.step()?; // one per surviving pair, like the filter
+                            out.push(Value::concat_tuples(lf, rf), lm * rm);
+                            self.check_builder_limit(&mut out)
+                        },
+                    )?;
+                    (out.build(), "scan-join")
                 }
-            }
-            // Scan path (indexes disabled, or neither side indexable): a
-            // transient per-query hash table, deliberately not the kernel's
-            // probe — the indexed-vs-scan differential needs two
-            // implementations. Identical output and step charges.
-            let mut index: HashMap<&Value, Vec<(&Value, &Natural)>> = HashMap::new();
-            for (lv, lm) in left.iter() {
-                let fields = lv.as_tuple().expect("checked by classify");
-                index.entry(&fields[li - 1]).or_default().push((lv, lm));
-            }
-            let mut out = BagBuilder::new();
-            for (rv, rm) in right.iter() {
-                let right_fields = rv.as_tuple().expect("checked by classify");
-                let Some(matches) = index.get(&right_fields[rj - 1]) else {
-                    continue;
-                };
-                for (lv, lm) in matches {
-                    self.step()?; // one per surviving pair, like the filter
-                    let left_fields = lv.as_tuple().expect("checked by classify");
-                    out.push(Value::concat_tuples(left_fields, right_fields), *lm * rm);
-                    self.check_builder_limit(&mut out)?;
-                }
-            }
-            let out = out.build();
+            };
             self.observe(&out)?;
-            self.note_fast_path("hash-join");
+            self.note_fast_path(tag);
             return Ok(ProductOutcome::Joined(out));
         }
 
@@ -1385,7 +1284,7 @@ impl<'a> Evaluator<'a> {
     /// does not decide — both sides or neither read the environment — the
     /// smaller side is the cheaper build. Returns `Ok(None)` only when no
     /// side can be indexed, which the guards above make unreachable in
-    /// practice; the caller then falls back to the transient scan.
+    /// practice; the caller then falls back to [`join::scan`].
     fn indexed_join(
         &mut self,
         (a, left, li): (&Expr, &Bag, usize),
@@ -1502,14 +1401,6 @@ enum Stage<'e> {
     /// the paper's `π` abbreviation — precompiled to its 1-based indices.
     Project {
         indices: Arc<[usize]>,
-    },
-    /// A `σ` whose predicate is a single `SubBag(lhs, rhs)` with `rhs`
-    /// not reading the λ variable: the rhs is evaluated once per chain
-    /// run and memoized as a [`SubBagTester`].
-    SubBag {
-        var: &'e Var,
-        lhs: &'e Expr,
-        rhs: &'e Expr,
     },
 }
 

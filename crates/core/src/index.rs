@@ -1,20 +1,14 @@
-//! Secondary indexes over bags: per-key join indexes and memoized
-//! membership structures for `SubBag` predicate tests.
+//! Secondary indexes over bags: per-key join indexes.
 //!
 //! The sorted-slice [`Bag`] answers *ordered* probes in `O(log n)`, but
-//! the two remaining hot paths named by the ROADMAP are keyed by an
-//! **attribute of the element**, not by the element itself:
-//!
-//! * the equi-join `σ_{αᵢ=αⱼ}(B × B′)` wants all rows of one operand
-//!   whose `i`-th field equals a probe key — [`BagIndex`] groups a bag's
-//!   rows by one attribute so a join (and, in `balg-incremental`, a join
-//!   *delta*) touches only the rows keyed by the values it carries,
-//!   `O(matches)` instead of `O(|other side|)`;
-//! * the powerset workloads test thousands of subbags against one fixed
-//!   reference bag — [`SubBagTester`] memoizes the reference's
-//!   per-element multiplicity caps once so each test is a handful of hash
-//!   probes instead of a fresh merge walk plus a re-evaluation of the
-//!   reference expression.
+//! the equi-join `σ_{αᵢ=αⱼ}(B × B′)` is keyed by an **attribute of the
+//! element**, not by the element itself: it wants all rows of one operand
+//! whose `i`-th field equals a probe key. [`BagIndex`] groups a bag's rows
+//! by one attribute so a join (and, in `balg-incremental`, a join *delta*)
+//! touches only the rows keyed by the values it carries, `O(matches)`
+//! instead of `O(|other side|)`. A subbag test `s ⊑ C` needs no index: the
+//! evaluator hoists `C` out of the loop, and [`Bag::is_subbag_of`] walks
+//! `s` with a binary search once `C` is 16× bigger.
 //!
 //! [`IndexCache`] makes the join index reusable across evaluations: a
 //! least-recently-used list of at most [`IndexCache::DEFAULT_CAPACITY`]
@@ -467,65 +461,6 @@ impl IndexCache {
     }
 }
 
-/// A memoized membership structure for repeated subbag tests against one
-/// fixed reference bag: `candidate ⊑ reference` holds iff every element's
-/// candidate multiplicity is within the reference's cap.
-///
-/// The evaluator builds one per `σ_{s ⊑ C}` chain, so the reference is
-/// derived **once** instead of once per element — for the powerset-heavy
-/// e4/e5 workloads that is tens of thousands of re-derivations saved.
-/// The test itself is adaptive: against a small reference the two-sorted
-/// -slice merge walk of [`Bag::is_subbag_of`] is unbeatable, so the
-/// tester delegates to it; past [`SubBagTester::HASH_THRESHOLD`] distinct
-/// elements it switches to a per-element hash probe of memoized caps,
-/// whose `O(|candidate|)` beats the walk's `O(|candidate| + |reference|)`
-/// when candidates are small relative to the reference.
-#[derive(Clone, Debug)]
-pub struct SubBagTester {
-    reference: Bag,
-    /// Per-element multiplicity caps, built only for large references.
-    caps: Option<ValueMap<Natural>>,
-}
-
-impl SubBagTester {
-    /// Reference size past which hash probing beats the merge walk.
-    pub const HASH_THRESHOLD: usize = 64;
-
-    /// Memoize the reference bag (`O(1)` for small references — the bag
-    /// is shared; `O(|reference|)` `Arc`-bump clones past the hash
-    /// threshold).
-    pub fn new(reference: &Bag) -> SubBagTester {
-        let caps = (reference.distinct_count() > Self::HASH_THRESHOLD).then(|| {
-            let mut caps = ValueMap::default();
-            caps.reserve(reference.distinct_count());
-            for (value, mult) in reference.iter() {
-                caps.insert(value.clone(), mult.clone());
-            }
-            caps
-        });
-        SubBagTester {
-            reference: reference.clone(),
-            caps,
-        }
-    }
-
-    /// `candidate ⊑ reference` — exactly [`Bag::is_subbag_of`] against
-    /// the memoized reference.
-    pub fn admits(&self, candidate: &Bag) -> bool {
-        match &self.caps {
-            None => candidate.is_subbag_of(&self.reference),
-            Some(caps) => {
-                if candidate.distinct_count() > caps.len() {
-                    return false;
-                }
-                candidate
-                    .iter()
-                    .all(|(value, mult)| caps.get(value).is_some_and(|cap| cap >= mult))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,51 +643,5 @@ mod tests {
         cache.get_or_build(&overflow[0], 1).unwrap(); // evicts b
         assert!(cache.peek(&bags[0], 1).is_some());
         assert!(cache.peek(&bags[1], 1).is_none());
-    }
-
-    #[test]
-    fn subbag_tester_matches_is_subbag_of() {
-        let reference = bag(&[(1, 1, 3), (2, 2, 1)]);
-        let tester = SubBagTester::new(&reference);
-        let cases = [
-            bag(&[]),
-            bag(&[(1, 1, 3)]),
-            bag(&[(1, 1, 4)]),
-            bag(&[(1, 1, 1), (2, 2, 1)]),
-            bag(&[(3, 3, 1)]),
-            bag(&[(1, 1, 1), (2, 2, 1), (3, 3, 1)]),
-            reference.clone(),
-        ];
-        for candidate in &cases {
-            assert_eq!(
-                tester.admits(candidate),
-                candidate.is_subbag_of(&reference),
-                "{candidate}"
-            );
-        }
-    }
-
-    #[test]
-    fn subbag_tester_hash_arm_matches_too() {
-        // A reference past the hash threshold exercises the caps-map arm.
-        let reference = Bag::from_counted(
-            (0..(SubBagTester::HASH_THRESHOLD as i64 + 32))
-                .map(|i| (Value::int(i), Natural::from(i as u64 % 3 + 1))),
-        );
-        let tester = SubBagTester::new(&reference);
-        let cases = [
-            Bag::new(),
-            Bag::from_counted([(Value::int(4), Natural::from(2u64))]),
-            Bag::from_counted([(Value::int(4), Natural::from(3u64))]), // cap is 2
-            Bag::from_counted([(Value::int(-1), Natural::from(1u64))]),
-            reference.clone(),
-        ];
-        for candidate in &cases {
-            assert_eq!(
-                tester.admits(candidate),
-                candidate.is_subbag_of(&reference),
-                "{candidate}"
-            );
-        }
     }
 }

@@ -45,7 +45,7 @@
 //! | [`expr`]    | the BALG expression AST with first-class λ |
 //! | [`mod@analyze`] | the one static pass: type inference, fragment (BALGᵏᵢ), set-ness & linearity certificates, tractability class |
 //! | [`mod@eval`] | resource-limited evaluation with metrics |
-//! | [`index`]   | per-key join indexes and memoized `SubBag` testers |
+//! | [`index`]   | per-key join indexes and their representation-keyed cache |
 //! | [`join`]    | the equi-join kernel: classify, index probe, reference scan — every engine's fused `σ_{αᵢ=αⱼ}(×)` is an adapter over it |
 //! | [`pool`]    | vendored one-queue thread pool; the submitter is one of its threads (std-only) |
 //! | [`par`]     | the keywise merge (`∪⁺`, `−`, `∪`, `∩`) run on deterministic aligned cuts |
@@ -89,7 +89,7 @@ pub mod prelude {
         eval, eval_bag, eval_with_metrics, EvalError, Evaluator, Limits, Metrics,
     };
     pub use crate::expr::{Expr, Pred, Var};
-    pub use crate::index::{BagIndex, IndexCache, SubBagTester};
+    pub use crate::index::{BagIndex, IndexCache};
     pub use crate::natural::Natural;
     pub use crate::parse::{parse_expr, ExprParseError};
     pub use crate::rewrite::optimize;

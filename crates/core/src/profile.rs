@@ -85,7 +85,7 @@ mod tests {
         assert!(report.contains("base G"), "{report}");
         assert!(report.contains("steps"), "{report}");
         assert!(
-            report.contains("[indexed-join]") || report.contains("[hash-join]"),
+            report.contains("[indexed-join]") || report.contains("[scan-join]"),
             "{report}"
         );
         assert!(report.contains("total: "), "{report}");

@@ -33,14 +33,31 @@ fn script() -> impl Strategy<Value = Script> {
 /// domain, in either order (the kernel's binary search once one side
 /// holds more than 16× the other's keys, with keys below, between and
 /// above the bigger side's), or one bag merged with a clone of itself
-/// (the shared-representation short cut).
+/// (the shared-representation short cut). The small side is also drawn
+/// from the big side's own entries, so the skewed subbag walk finds every
+/// key and answers `true` as well as `false`.
 fn merge_operands() -> impl Strategy<Value = (Script, Script, bool)> {
     let small = || proptest::collection::vec((-5i64..205, 1u64..6), 0..4);
     let big = || proptest::collection::vec((0i64..200, 1u64..6), 100..200);
+    let drawn = big()
+        .prop_flat_map(|big| {
+            let picks = proptest::collection::vec((0..big.len(), 0u64..3), 1..4);
+            (Just(big), picks)
+        })
+        .prop_map(|(big, picks)| {
+            // Each pick at most its entry's multiplicity: a subbag of
+            // `big` unless two picks share a key.
+            let small = picks
+                .iter()
+                .map(|&(ix, cut)| (big[ix].0, big[ix].1.saturating_sub(cut).max(1)))
+                .collect();
+            (big, small, false)
+        });
     prop_oneof![
         (script(), script(), Just(false)),
         (small(), big(), Just(false)),
         (big(), small(), Just(false)),
+        drawn,
         (script(), Just(Vec::new()), Just(true)),
         (big(), Just(Vec::new()), Just(true)),
     ]
@@ -169,9 +186,10 @@ proptest! {
             prop_assert_eq!(a.contains(&key), ma.contains_key(&key));
         }
 
-        // Subbag test vs the model inequality.
-        let model_subbag = ma.iter().all(|(k, m)| &get(&mb, k) >= m);
-        prop_assert_eq!(a.is_subbag_of(&b), model_subbag);
+        // Subbag tests, both ways, vs the model inequality.
+        let model_subbag = |x: &Model, y: &Model| x.iter().all(|(k, m)| &get(y, k) >= m);
+        prop_assert_eq!(a.is_subbag_of(&b), model_subbag(&ma, &mb));
+        prop_assert_eq!(b.is_subbag_of(&a), model_subbag(&mb, &ma));
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //!
 //! Three layers are pinned down:
 //!
-//! * the evaluator's `σ_{αᵢ=αⱼ}(R × S)` hash join with indexes enabled
-//!   vs force-disabled (including mixed-arity operands, where both must
-//!   take the materializing fallback, and repeated evaluation through a
-//!   warm cache);
-//! * the memoized `SubBag` filter stage vs per-element predicate
-//!   evaluation over powerset-shaped inputs;
-//! * [`BagIndex::patch`] vs an index rebuilt from the patched bag, and
-//!   [`SubBagTester`] vs the merge-walk `Bag::is_subbag_of`.
+//! * the evaluator's `σ_{αᵢ=αⱼ}(R × S)` join with indexes enabled (an
+//!   index probe) vs force-disabled (`join::scan`), including mixed-arity
+//!   operands, where both must take the materializing fallback, and
+//!   repeated evaluation through a warm cache;
+//! * `⊑` filters over powerset-shaped inputs on both settings — an
+//!   ordinary σ stage either way, whose right-hand side the chain derives
+//!   once, lazily;
+//! * [`BagIndex::patch`] vs an index rebuilt from the patched bag.
 
 use balg_core::bag::Bag;
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
-use balg_core::index::{BagIndex, SubBagTester};
+use balg_core::index::BagIndex;
 use balg_core::natural::Natural;
 use balg_core::schema::Database;
 use balg_core::value::Value;
@@ -70,7 +70,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random equi-join queries over random bags of tuples: the indexed
-    /// join, the transient-scan join, and the warm-cache re-run agree on
+    /// join, the reference-scan join, and the warm-cache re-run agree on
     /// every case — spanning or not, mixed-arity or not, projected or
     /// not.
     #[test]
@@ -100,8 +100,8 @@ proptest! {
         let _ = assert_both_paths_agree(&q, &db);
     }
 
-    /// The memoized `SubBag` filter stage vs per-element evaluation, for
-    /// both predicate orientations (subbag-of-base and singleton-in-base).
+    /// `⊑` filters on both settings, for both predicate orientations
+    /// (subbag-of-base and singleton-in-base).
     #[test]
     fn memoized_subbag_filter_agrees(
         base in vec((0i64..5, 1u64..3), 0..6),
@@ -121,19 +121,6 @@ proptest! {
             Pred::SubBag(Expr::var("x").singleton(), Expr::var("B")),
         );
         let _ = assert_both_paths_agree(&q, &db);
-    }
-
-    /// `SubBagTester::admits` is exactly `Bag::is_subbag_of` against the
-    /// memoized reference.
-    #[test]
-    fn tester_matches_merge_walk(
-        candidate in vec((0i64..5, 1u64..4), 0..6),
-        reference in vec((0i64..5, 1u64..4), 0..6),
-    ) {
-        let c = unary_bag(&candidate);
-        let r = unary_bag(&reference);
-        let tester = SubBagTester::new(&r);
-        prop_assert_eq!(tester.admits(&c), c.is_subbag_of(&r));
     }
 
     /// Patching an index with a delta is equivalent to rebuilding it over
@@ -209,9 +196,9 @@ fn ifp_join_reuses_the_cached_index() {
     assert_eq!(scanned.index_stats(), (0, 0));
 }
 
-/// The memoized `SubBag` stage keeps lazy error behavior: when the chain
-/// never reaches the stage (empty input), the reference expression is
-/// never evaluated, so an erroring rhs only fails once an element flows.
+/// A `⊑` filter keeps lazy error behavior: when the chain never reaches
+/// the stage (empty input), the hoisted reference expression is never
+/// evaluated, so an erroring rhs only fails once an element flows.
 #[test]
 fn subbag_reference_stays_lazy_on_empty_input() {
     let db = Database::new()
@@ -220,7 +207,13 @@ fn subbag_reference_stays_lazy_on_empty_input() {
     let bad_rhs = Expr::var("B").destroy(); // δ over atoms: a shape error
     let q = Expr::var("EMPTY").select("s", Pred::SubBag(Expr::var("s"), bad_rhs.clone()));
     assert_eq!(assert_both_paths_agree(&q, &db).unwrap(), Bag::new());
-    // With a non-empty input both paths surface the same error.
-    let q = Expr::var("B").select("s", Pred::SubBag(Expr::var("s").singleton(), bad_rhs));
+    // With a non-empty input both paths surface the same error, at the
+    // same charge — also when the row itself is not a bag.
+    let q = Expr::var("B").select(
+        "s",
+        Pred::SubBag(Expr::var("s").singleton(), bad_rhs.clone()),
+    );
+    assert!(assert_both_paths_agree(&q, &db).is_err());
+    let q = Expr::var("B").select("s", Pred::SubBag(Expr::var("s"), bad_rhs));
     assert!(assert_both_paths_agree(&q, &db).is_err());
 }

@@ -16,7 +16,7 @@
 //! `ifp_closure_over_a_join_body` was re-recorded when the fixpoint became
 //! semi-naive, which by contract charges less (reason at the constant).
 
-use balg_core::bag::Bag;
+use balg_core::bag::{Bag, BagError};
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
 use balg_core::natural::Natural;
@@ -375,4 +375,65 @@ fn point_select_over_2048_rows() {
     let compiled = compile_query(&parse(sql).unwrap(), &catalog).unwrap();
     let out = pinned(&compiled.expr, &db, &Limits::default(), 8_196, 1).unwrap();
     assert_eq!(out.distinct_count(), 1);
+}
+
+// ---- `⊑` filters, ordinary σ stages ----
+//
+// The constants below were taken at commit `b81aee3` (the parent of the
+// change that made `⊑` an ordinary σ stage), before any edit, when an
+// indexed evaluator sent `σ_{λs.lhs ⊑ rhs}` with a loop-invariant `rhs`
+// through a special stage and charged a bare-variable sweep in bulk.
+// Both paths charged these totals; the per-element walk still does.
+
+/// `B` = the ints `0..6`, `C` = the 16 even ints `0..32`, and `M` = `B`
+/// with multiplicities `1 + k mod 3`.
+fn subbag_db() -> Database {
+    Database::new()
+        .with("B", Bag::from_values((0..6).map(Value::int)))
+        .with("C", Bag::from_values((0..16).map(|k| Value::int(2 * k))))
+        .with(
+            "M",
+            Bag::from_counted((0..6).map(|k| (Value::int(k), Natural::from(1 + (k % 3) as u64)))),
+        )
+}
+
+#[test]
+fn subbag_sweep_over_a_powerset() {
+    // σ_{λs. s ⊑ C}(P(B)): 64 subbags at 3 steps each (the σ node, `s`,
+    // `C`), one fewer for the first, plus σ, P, B and the first `C`.
+    let q = Expr::var("B")
+        .powerset()
+        .select("s", Pred::SubBag(Expr::var("s"), Expr::var("C")));
+    let out = pinned(&q, &subbag_db(), &Limits::default(), 195, 64).unwrap();
+    assert_eq!(out.distinct_count(), 8); // the subbags of {0, 2, 4}
+}
+
+#[test]
+fn singleton_subbag_of_a_computed_reference() {
+    // σ_{λx. β(x) ⊑ C ∩ ε(M)}(M): the reference is derived once in full
+    // and read back from the memo by every later row.
+    let q = Expr::var("M").select(
+        "x",
+        Pred::SubBag(
+            Expr::var("x").singleton(),
+            Expr::var("C").intersect(Expr::var("M").dedup()),
+        ),
+    );
+    let out = pinned(&q, &subbag_db(), &Limits::default(), 29, 6).unwrap();
+    assert_eq!(out.distinct_count(), 3);
+}
+
+#[test]
+fn subbag_reference_is_derived_only_when_a_row_flows() {
+    let db = Database::new()
+        .with("EMPTY", Bag::new())
+        .with("B", Bag::from_values([Value::sym("a")]));
+    let bad_rhs = Expr::var("B").destroy(); // δ over atoms
+    let q = Expr::var("EMPTY").select("s", Pred::SubBag(Expr::var("s"), bad_rhs.clone()));
+    assert!(pinned(&q, &db, &Limits::default(), 2, 0)
+        .unwrap()
+        .is_empty());
+    let q = Expr::var("B").select("s", Pred::SubBag(Expr::var("s").singleton(), bad_rhs));
+    let err = pinned(&q, &db, &Limits::default(), 7, 1).unwrap_err();
+    assert_eq!(err, EvalError::Bag(BagError::NotABag(Value::sym("a"))));
 }

@@ -187,8 +187,9 @@ pub(crate) fn check_view(name: &str, expr: &Expr) -> Result<(), UpdateError> {
 #[derive(Clone, Debug)]
 struct EvalSettings {
     limits: Limits,
-    /// Whether the fused equi-join propagates through index probes
-    /// (default) or scans — the differential suites run both.
+    /// Whether every fused equi-join — a view node's delta and each
+    /// evaluator's one-shot join — probes a `BagIndex` (default) or runs
+    /// `join::scan`; the differential suites run both.
     use_indexes: bool,
     /// Partitioned-execution override; `None` inherits the process-wide
     /// default ([`Parallel::from_global`]). Every setting maintains
@@ -267,11 +268,13 @@ impl ViewRuntime {
         }
     }
 
-    /// Enable or disable the per-key index fast paths. Both settings
+    /// Choose how every fused equi-join finds its pairs: probe a per-key
+    /// `BagIndex` (enabled, the default) or run `join::scan`, the kernel's
+    /// reference loop, over the unchanged operand (disabled;
+    /// [`ViewStats::scanned_join_ops`]). The evaluators the runtime builds
+    /// get the same switch ([`Evaluator::set_indexing`]). Both settings
     /// maintain identical views — the differential suites run every
-    /// (query, update-stream) pair both ways and require strict equality
-    /// — but with indexing off the fused equi-join falls back to
-    /// scanning the unchanged operand ([`ViewStats::scanned_join_ops`]).
+    /// (query, update-stream) pair both ways and require strict equality.
     /// Disabling drops any cached indexes.
     pub fn set_indexing(&mut self, enabled: bool) {
         self.eval.use_indexes = enabled;
