@@ -419,9 +419,9 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluate an expression under additional λ-style bindings pushed on
     /// top of the environment — the entry point the incremental view
-    /// engine uses to apply a `MAP` body to a single delta element, or to
-    /// re-derive one operator over a memoized child snapshot (bound to a
-    /// fresh variable).
+    /// engine runs each node's probe through: the node's operator over
+    /// its children's values, or over a delta's positive or negative part,
+    /// each bound to a fresh variable.
     ///
     /// The expression tree may differ from the one a previous call
     /// analyzed, so the pointer-keyed caches are cleared on entry, exactly
@@ -433,21 +433,6 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Value, EvalError> {
         self.invariant_roots.clear();
         self.projection_specs.clear();
-        self.eval_open_cached(expr, bindings)
-    }
-
-    /// As [`Evaluator::eval_open`], but keeping the pointer-keyed analysis
-    /// caches from the previous `eval_open*` call. Sound **only** when the
-    /// caller evaluates within the same expression tree as that previous
-    /// call (pointer identity of AST nodes) — e.g. applying one λ body to
-    /// every element of a delta, which is exactly the incremental
-    /// engine's per-element hot loop. When in doubt use
-    /// [`Evaluator::eval_open`], which clears first.
-    pub fn eval_open_cached(
-        &mut self,
-        expr: &Expr,
-        bindings: &[(Var, Value)],
-    ) -> Result<Value, EvalError> {
         let depth = self.env.len();
         self.env.extend(bindings.iter().cloned());
         let result = self.eval_inner(expr);
@@ -456,8 +441,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate a selection predicate under additional bindings — the σ
-    /// counterpart of [`Evaluator::eval_open`], used to filter single
-    /// delta elements without materializing a singleton bag per element.
+    /// counterpart of [`Evaluator::eval_open`]: the public tree walk a
+    /// fused chain's row decisions are held to.
     pub fn eval_pred_open(
         &mut self,
         pred: &Pred,
@@ -465,16 +450,6 @@ impl<'a> Evaluator<'a> {
     ) -> Result<bool, EvalError> {
         self.invariant_roots.clear();
         self.projection_specs.clear();
-        self.eval_pred_open_cached(pred, bindings)
-    }
-
-    /// As [`Evaluator::eval_pred_open`] with the same same-tree cache
-    /// contract as [`Evaluator::eval_open_cached`].
-    pub fn eval_pred_open_cached(
-        &mut self,
-        pred: &Pred,
-        bindings: &[(Var, Value)],
-    ) -> Result<bool, EvalError> {
         let depth = self.env.len();
         self.env.extend(bindings.iter().cloned());
         let result = self.eval_pred(pred);

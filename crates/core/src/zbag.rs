@@ -460,28 +460,24 @@ impl ZBag {
         Ok(Bag::from_sorted_vec(out))
     }
 
-    // ----- linear BALG operators, lifted to ℤ -----
-
-    /// `MAP_φ` on a delta: images accumulate their signed preimage
-    /// multiplicities. Linear because MAP distributes over `∪⁺`.
-    pub fn map<E>(&self, mut f: impl FnMut(&Value) -> Result<Value, E>) -> Result<ZBag, E> {
-        let mut out = ZBagBuilder::new();
+    /// The positive and negative parts: the bags `(p, n)` with
+    /// `self = p ⊖ n`, so `ZBag::diff(&p, &n) == self`. A linear operator
+    /// `F` maps the delta as `F(p) ⊖ F(n)` with ℕ-bag kernels only — how
+    /// the incremental engine runs `MAP`, `σ` and `δ` on a delta.
+    pub fn split(&self) -> (Bag, Bag) {
+        let (mut positive, mut negative) = (Vec::new(), Vec::new());
         for (value, mult) in &self.pairs {
-            out.push(f(value)?, mult.clone());
+            let part = if mult.is_negative() {
+                &mut negative
+            } else {
+                &mut positive
+            };
+            part.push((value.clone(), mult.magnitude().clone()));
         }
-        Ok(out.build())
-    }
-
-    /// `σ` on a delta: keeps elements satisfying the predicate with their
-    /// signed multiplicities.
-    pub fn select<E>(&self, mut pred: impl FnMut(&Value) -> Result<bool, E>) -> Result<ZBag, E> {
-        let mut out = Vec::new();
-        for (value, mult) in &self.pairs {
-            if pred(value)? {
-                out.push((value.clone(), mult.clone()));
-            }
-        }
-        Ok(ZBag::from_sorted_vec(out))
+        (
+            Bag::from_sorted_vec(positive),
+            Bag::from_sorted_vec(negative),
+        )
     }
 
     /// `×` of two deltas (the building block of the bilinear product rule
@@ -506,22 +502,6 @@ impl ZBag {
                         limit: max_elements,
                     });
                 }
-            }
-        }
-        Ok(out.build())
-    }
-
-    /// `δ` (bag-destroy) on a delta of bags: inner elements accumulate
-    /// scaled by the signed outer multiplicity. Linear because destroy is
-    /// a multiplicity-weighted sum.
-    pub fn destroy(&self) -> Result<ZBag, BagError> {
-        let mut out = ZBagBuilder::new();
-        for (value, mult) in &self.pairs {
-            let inner = value
-                .as_bag()
-                .ok_or_else(|| BagError::NotABag(value.clone()))?;
-            for (elem, inner_mult) in inner.iter() {
-                out.push(elem.clone(), mult.scale(inner_mult));
             }
         }
         Ok(out.build())
@@ -716,34 +696,6 @@ mod tests {
             .add(&ZBag::from_bag(&a_old).product(&db, u64::MAX).unwrap())
             .add(&da.product(&db, u64::MAX).unwrap());
         assert_eq!(rule, expected);
-    }
-
-    #[test]
-    fn map_select_destroy_are_linear() {
-        let delta = ZBag::from_counted([
-            (Value::tuple([sym("a"), sym("b")]), z(2)),
-            (Value::tuple([sym("c"), sym("d")]), z(-1)),
-        ]);
-        let mapped = delta
-            .map(|v| {
-                Ok::<_, std::convert::Infallible>(Value::tuple([v.as_tuple().unwrap()[1].clone()]))
-            })
-            .unwrap();
-        assert_eq!(mapped.multiplicity(&Value::tuple([sym("b")])), z(2));
-        assert_eq!(mapped.multiplicity(&Value::tuple([sym("d")])), z(-1));
-
-        let selected = delta
-            .select(|v| Ok::<_, std::convert::Infallible>(v.as_tuple().unwrap()[0] == sym("a")))
-            .unwrap();
-        assert_eq!(selected.distinct_count(), 1);
-
-        let nested = ZBag::from_counted([
-            (Value::bag([sym("p"), sym("p")]), z(-1)),
-            (Value::bag([sym("q")]), z(3)),
-        ]);
-        let flat = nested.destroy().unwrap();
-        assert_eq!(flat.multiplicity(&sym("p")), z(-2));
-        assert_eq!(flat.multiplicity(&sym("q")), z(3));
     }
 
     #[test]

@@ -6,9 +6,19 @@
 //! and windows straddling `±u64::MAX` — the boundary where the underlying
 //! `Natural` spills from the inline word to heap limbs, which is exactly
 //! where a sign/monus bookkeeping slip would hide.
+//!
+//! The last property holds `ZBag::split` to the rule the view engine
+//! builds on it: a linear operator maps a delta as the evaluator's image
+//! of the positive part minus its image of the negative part, which must
+//! equal the element-by-element sum `Σ m·F({x})` with signed `m`.
 
+use balg_core::bag::Bag;
+use balg_core::eval::{Evaluator, Limits};
+use balg_core::expr::{Expr, Pred, Var};
 use balg_core::natural::Natural;
-use balg_core::zbag::ZInt;
+use balg_core::schema::Database;
+use balg_core::value::Value;
+use balg_core::zbag::{ZBag, ZBagBuilder, ZInt};
 use proptest::prelude::*;
 
 /// A `Natural` from a `u128` (splitting at the 64-bit limb boundary).
@@ -107,6 +117,59 @@ proptest! {
         prop_assert!(zero.is_zero());
         prop_assert!(!zero.is_negative());
         prop_assert_eq!(zero, ZInt::zero());
+    }
+
+    #[test]
+    fn split_parts_map_like_the_delta(
+        changes in proptest::collection::vec((0i64..12, -3i64..4), 0..10),
+        op in 0usize..3,
+    ) {
+        let delta = ZBag::from_counted(changes.iter().map(|&(k, m)| (row(k), ZInt::from(m))));
+        let (positive, negative) = delta.split();
+        prop_assert_eq!(&ZBag::diff(&positive, &negative), &delta);
+        prop_assert!(positive.iter().all(|(v, _)| negative.multiplicity(v).is_zero()));
+
+        let probe = linear_probe(op);
+        let db = Database::new();
+        let mut ev = Evaluator::new(&db, Limits::default());
+        let mut image = |part: Bag| ev.eval_open(&probe, &[(input(), Value::Bag(part))]);
+        let (plus, minus) = (image(positive).unwrap(), image(negative).unwrap());
+        let by_parts = ZBag::diff(plus.as_bag().unwrap(), minus.as_bag().unwrap());
+
+        let mut by_element = ZBagBuilder::new();
+        for (value, mult) in delta.iter() {
+            let one = image(Bag::singleton(value.clone())).unwrap();
+            for (out, times) in one.as_bag().unwrap().iter() {
+                by_element.push(out.clone(), mult.scale(times));
+            }
+        }
+        prop_assert_eq!(by_parts, by_element.build());
+    }
+}
+
+fn input() -> Var {
+    Var::from("·Δ0")
+}
+
+/// Row `k` of the split property: a tuple whose first attribute collides
+/// across rows (so `MAP` images of added and removed rows cancel), with a
+/// bag in its third attribute for `δ`.
+fn row(k: i64) -> Value {
+    Value::tuple([
+        Value::int(k % 3),
+        Value::int(k),
+        Value::bag([Value::int(k % 2), Value::int(k % 4)]),
+    ])
+}
+
+/// `MAP λx.[α₁(x)]`, `σ α₂(x) < 6` and `δ(MAP λx.α₃(x))` over the input.
+fn linear_probe(op: usize) -> Expr {
+    let x = || Expr::var("x");
+    let input = Expr::Var(input());
+    match op {
+        0 => input.map("x", Expr::tuple([x().attr(1)])),
+        1 => input.select("x", Pred::lt(x().attr(2), Expr::lit(Value::int(6)))),
+        _ => input.map("x", x().attr(3)).destroy(),
     }
 }
 

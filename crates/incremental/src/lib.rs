@@ -18,9 +18,8 @@
 //! | operator | derivative rule |
 //! |----------|-----------------|
 //! | `∪⁺` | `δ(A ∪⁺ B) = δA ⊕ δB` |
-//! | `MAP_φ` / `σ_φ` / `π` | push each delta element through `φ` (valid while `φ` reads no updated bag) |
+//! | `MAP_φ` / `σ_φ` / `π` / `δ` (destroy) | `F(δ) = F(δ⁺) ⊖ F(δ⁻)`: the operator runs on the delta's positive and negative parts (valid while `φ` reads no updated bag) |
 //! | `×` | `δ(A×B) = δA×B ⊕ A×δB ⊕ δA×δB` |
-//! | `δ` (destroy) | `δ` of the delta, inner bags scaled by signed outer multiplicity |
 //! | scalar constructs (`τ`, `β`, `αᵢ`) | cheap re-derivation of the single value |
 //!
 //! The **non-linear** operators — monus `−`, `ε`, `∪` (max), `∩` (min),
@@ -34,6 +33,13 @@
 //! analysis. Fallbacks are counted by an instrumentation counter
 //! ([`ViewStats::fallback_recomputes`]) so tests can assert which path
 //! ran.
+//!
+//! A node never applies an operator itself. It holds the operator as a
+//! *probe* over fresh input variables, and the view's
+//! [`balg_core::eval::Evaluator`] runs it — over the children's snapshots
+//! to re-derive, or over a delta's two parts for the linear rule — so a
+//! maintained node computes what a one-shot evaluation computes, under
+//! the same budgets.
 //!
 //! ## One stateful runtime
 //!

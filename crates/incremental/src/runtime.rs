@@ -795,7 +795,7 @@ mod tests {
     #[test]
     fn affected_lambda_body_forces_fallback() {
         // σ with a SubBag predicate against a *changing* base: the
-        // per-element linear rule is unsound, so the engine must re-derive.
+        // linear rule is unsound, so the engine must re-derive.
         let mut runtime = ViewRuntime::new();
         runtime
             .load_base("B", Bag::from_values([sym("p"), sym("q")]))

@@ -1,20 +1,25 @@
 //! One maintained view: a BALG expression compiled to a tree of
-//! snapshot-carrying nodes with per-operator derivative rules.
+//! snapshot-carrying nodes, each with a maintenance rule.
 //!
-//! Each node memoizes its current value under the runtime's database.
-//! An update pass walks the tree once: subtrees whose free database names
-//! are untouched by the batch return immediately; linear operators combine
-//! their children's deltas algebraically; non-linear operators re-derive
-//! **one operator application** over their children's refreshed snapshots
-//! and hand the pointwise difference to their parent as a delta. The
-//! result is that work concentrates where the update actually lands.
+//! Each node memoizes its current value under the runtime's database and
+//! holds its operator as a *probe*: the operator applied to fresh input
+//! variables, one per child. The evaluator runs every probe, so a node
+//! computes exactly what a one-shot evaluation of its operator computes,
+//! under the same budgets. An update pass walks the tree once: subtrees
+//! whose free database names are untouched by the batch return
+//! immediately; `∪⁺`, `×` and the fused join combine their children's
+//! deltas algebraically; `MAP`, `σ` and `δ` run their probe on the
+//! positive and negative parts of their input's delta; every other node
+//! re-derives **one operator application** over its children's refreshed
+//! snapshots and hands the pointwise difference to its parent as a delta.
+//! The result is that work concentrates where the update actually lands.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 use balg_core::analyze::{base_linearity, Linearity};
-use balg_core::bag::{attr_field, Bag, MergeOp};
+use balg_core::bag::Bag;
 use balg_core::eval::{equi_join_attrs, EvalError, Evaluator};
 use balg_core::expr::{Expr, Pred, Var};
 use balg_core::index::{BagIndex, IndexCache};
@@ -23,15 +28,12 @@ use balg_core::schema::Database;
 use balg_core::value::Value;
 use balg_core::zbag::{ZBag, ZBagBuilder, ZInt};
 
-/// The fresh variable the fallback probes bind the memoized child
-/// snapshot to (not expressible in the surface syntax, so it can never
-/// collide with a user name).
-const DELTA_INPUT: &str = "·Δinput";
-
-/// The two fresh variables the fused equi-join's re-derivation probe
-/// binds its operand snapshots to.
-const DELTA_INPUT_LEFT: &str = "·ΔinputL";
-const DELTA_INPUT_RIGHT: &str = "·ΔinputR";
+/// The fresh variable a probe binds its `k`-th child's value to (not
+/// expressible in the surface syntax, so it can never collide with a user
+/// name).
+fn input_var(k: usize) -> Var {
+    Var::from(format!("·Δ{k}"))
+}
 
 /// Instrumentation counters for one view — which maintenance path ran.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -108,64 +110,67 @@ enum Delta {
     Opaque,
 }
 
-/// The operator of one compiled node. `Map`/`Select`/`Ifp` keep their λ
-/// bodies as raw expressions (applied per delta element through
-/// [`Evaluator::eval_open`]) plus a pre-built probe expression that
-/// re-derives the whole operator over a bound child snapshot.
+impl Delta {
+    /// The bag delta, zero for `None`. Only for a delta known not to be
+    /// `Opaque`.
+    fn into_zbag(self) -> ZBag {
+        match self {
+            Delta::Bag(delta) => delta,
+            Delta::None | Delta::Opaque => ZBag::new(),
+        }
+    }
+}
+
+/// How one compiled node turns its children's deltas into its own. The
+/// operator itself is the node's probe; every rule that cannot take a
+/// delta re-derives the node by running it.
 #[derive(Clone, Debug)]
-enum Kind {
-    Var(Var),
-    Lit(Value),
-    /// `∪⁺`, `−`, `∪` or `∩`: linear for `∪⁺`, re-derived for the rest.
-    Merge(MergeOp),
-    Tuple,
-    Singleton,
+enum Rule {
+    /// A database bag: its delta is the batch's.
+    Base(Var),
+    /// A literal: never changes.
+    Const,
+    /// `∪⁺`: the children's deltas add.
+    Sum,
+    /// `×`: the bilinear rule in post-update form.
     Product,
-    Powerset,
-    Powerbag,
-    Attr(usize),
-    Destroy,
-    Dedup,
-    Map {
-        var: Var,
-        body: Expr,
-        probe: Expr,
-    },
-    Select {
-        var: Var,
-        pred: Pred,
-        probe: Expr,
-    },
     /// `σ_{αᵢ=αⱼ}(A × B)` fused at compile time (children are the two
     /// product operands). When the equality spans the product boundary
     /// the delta touches only the rows keyed by the delta's join values
     /// — probed from a per-key index, or scanned when indexing is off;
     /// otherwise the bilinear terms run with the general pair filter.
-    /// `probe` re-derives the whole `σ(×)` over bound operand snapshots
-    /// for the shapes the fused rule cannot take (mixed arities).
-    EquiJoin {
-        i: usize,
-        j: usize,
-        probe: Expr,
-    },
-    Ifp {
-        probe: Expr,
-    },
-    Nest(Vec<usize>),
+    /// The probe re-derives the whole `σ(×)` for the shapes the fused
+    /// rule cannot take (mixed arities).
+    EquiJoin { i: usize, j: usize },
+    /// `MAP`, `σ` and `δ`: linear in their one input, so the probe maps
+    /// a delta's positive and negative parts — while the λ body reads no
+    /// updated bag.
+    Linear,
+    /// `∸`, `∪`, `∩`, `ε`, `P`, `P_b`, `nest` and `IFP`: re-derived
+    /// whenever an input, or a bag the λ body reads, moved.
+    Rederive,
+    /// `τ`, `β`, `αᵢ`: constant-size re-derivation.
+    Scalar,
 }
 
-/// One compiled node: operator, children, free-name analysis, and the
+/// One compiled node: rule, probe, children, free-name analysis, and the
 /// memoized snapshot.
 #[derive(Clone, Debug)]
 struct Node {
-    kind: Kind,
+    rule: Rule,
+    /// The node's operator with each child replaced by its input
+    /// variable (λ bodies stay inside): what the evaluator runs over the
+    /// children's values, or over a linear node's delta parts.
+    probe: Expr,
+    /// The probe's input variables, one per child, in child order.
+    inputs: Vec<Var>,
     children: Vec<Node>,
     /// Database names this subtree reads, λ bodies included — the key for
     /// skipping untouched subtrees.
     reads: BTreeSet<Var>,
     /// Names read by the λ body/pred alone (empty for non-λ nodes): when
-    /// an update touches these, the linear per-element rule is unsound and
-    /// the node falls back.
+    /// an update touches these, the linear rule is unsound and the node
+    /// falls back.
     body_reads: BTreeSet<Var>,
     /// Whether this node materializes its value. Demanded top-down by
     /// [`mark_snapshots`]: the root, every node a parent may re-derive
@@ -180,7 +185,8 @@ struct Node {
     expr: Expr,
     /// The node's current value under the runtime's database
     /// (a placeholder when `keep_snapshot` is false; `Var` nodes read
-    /// through to the database instead of holding a second reference).
+    /// through to the database instead of holding a second reference, and
+    /// literals hold their value from compilation on).
     snapshot: Value,
 }
 
@@ -189,7 +195,6 @@ struct UpdateCtx<'a, 'e> {
     deltas: &'e BTreeMap<Var, ZBag>,
     affected: &'e BTreeSet<Var>,
     db: &'a Database,
-    max_elements: u64,
     ev: &'e mut Evaluator<'a>,
     stats: &'e mut ViewStats,
     /// The runtime's persistent per-key index cache: base-bag indexes
@@ -221,200 +226,142 @@ fn pred_free_vars(pred: &Pred, var: &Var) -> BTreeSet<Var> {
     out
 }
 
-fn probe_var() -> Box<Expr> {
-    Box::new(Expr::var(DELTA_INPUT))
-}
-
-fn compile(expr: &Expr) -> Node {
-    let mut children = Vec::new();
-    let mut body_reads = BTreeSet::new();
-    let kind = match expr {
-        Expr::Var(name) => Kind::Var(name.clone()),
-        Expr::Lit(value) => Kind::Lit(value.clone()),
+/// The direct operands of `expr`: the sub-expressions a view node
+/// compiles into children. A λ body is not an operand; it runs inside
+/// the probe.
+fn operands_mut(expr: &mut Expr) -> Vec<&mut Expr> {
+    match expr {
+        Expr::Var(_) | Expr::Lit(_) => vec![],
         Expr::AdditiveUnion(a, b)
         | Expr::Subtract(a, b)
         | Expr::MaxUnion(a, b)
-        | Expr::Intersect(a, b) => {
-            children = vec![compile(a), compile(b)];
-            Kind::Merge(match expr {
-                Expr::AdditiveUnion(..) => MergeOp::Add,
-                Expr::Subtract(..) => MergeOp::Monus,
-                Expr::MaxUnion(..) => MergeOp::Max,
-                _ => MergeOp::Min,
-            })
+        | Expr::Intersect(a, b)
+        | Expr::Product(a, b) => vec![a, b],
+        Expr::Tuple(fields) => fields.iter_mut().collect(),
+        Expr::Singleton(e)
+        | Expr::Powerset(e)
+        | Expr::Powerbag(e)
+        | Expr::Attr(e, _)
+        | Expr::Destroy(e)
+        | Expr::Dedup(e)
+        | Expr::Map { input: e, .. }
+        | Expr::Select { input: e, .. }
+        | Expr::Ifp { input: e, .. }
+        | Expr::Nest { input: e, .. } => vec![e],
+    }
+}
+
+fn compile(expr: Expr) -> Node {
+    // `σ_{αᵢ=αⱼ}(A × B)` fuses into one join node whose children are A
+    // and B: the σ must intercept *before* the product's bilinear rule,
+    // or every delta would pay the full `δA × B` intermediate only to
+    // filter it down to the matches.
+    let join = match &expr {
+        Expr::Select { var, pred, input } if matches!(**input, Expr::Product(..)) => {
+            equi_join_attrs(pred, var)
         }
-        Expr::Product(a, b) => {
-            children = vec![compile(a), compile(b)];
-            Kind::Product
-        }
-        Expr::Tuple(fields) => {
-            children = fields.iter().map(compile).collect();
-            Kind::Tuple
-        }
-        Expr::Singleton(e) => {
-            children = vec![compile(e)];
-            Kind::Singleton
-        }
-        Expr::Powerset(e) => {
-            children = vec![compile(e)];
-            Kind::Powerset
-        }
-        Expr::Powerbag(e) => {
-            children = vec![compile(e)];
-            Kind::Powerbag
-        }
-        Expr::Attr(e, index) => {
-            children = vec![compile(e)];
-            Kind::Attr(*index)
-        }
-        Expr::Destroy(e) => {
-            children = vec![compile(e)];
-            Kind::Destroy
-        }
-        Expr::Dedup(e) => {
-            children = vec![compile(e)];
-            Kind::Dedup
-        }
-        Expr::Map { var, body, input } => {
-            children = vec![compile(input)];
-            body_reads = body_free_vars(body, var);
-            Kind::Map {
-                var: var.clone(),
-                body: (**body).clone(),
-                probe: Expr::Map {
-                    var: var.clone(),
-                    body: body.clone(),
-                    input: probe_var(),
-                },
-            }
-        }
-        Expr::Select { var, pred, input } => {
-            // `σ_{αᵢ=αⱼ}(A × B)` fuses into one join node: the σ must
-            // intercept *before* the product's bilinear rule, or every
-            // delta would pay the full `δA × B` intermediate only to
-            // filter it down to the matches.
-            if let (Expr::Product(a, b), Some((i, j))) =
-                (input.as_ref(), equi_join_attrs(pred, var))
-            {
-                children = vec![compile(a), compile(b)];
-                let probe = Expr::Select {
-                    var: var.clone(),
-                    pred: pred.clone(),
-                    input: Box::new(Expr::Product(
-                        Box::new(Expr::var(DELTA_INPUT_LEFT)),
-                        Box::new(Expr::var(DELTA_INPUT_RIGHT)),
-                    )),
-                };
-                // The pred reads only attributes of the bound tuple, so
-                // `body_reads` stays empty (`pred_free_vars` agrees).
-                debug_assert!(pred_free_vars(pred, var).is_empty());
-                Kind::EquiJoin { i, j, probe }
-            } else {
-                children = vec![compile(input)];
-                body_reads = pred_free_vars(pred, var);
-                Kind::Select {
-                    var: var.clone(),
-                    pred: (**pred).clone(),
-                    probe: Expr::Select {
-                        var: var.clone(),
-                        pred: pred.clone(),
-                        input: probe_var(),
-                    },
-                }
-            }
-        }
-        Expr::Ifp { var, body, input } => {
-            children = vec![compile(input)];
-            body_reads = body_free_vars(body, var);
-            Kind::Ifp {
-                probe: Expr::Ifp {
-                    var: var.clone(),
-                    body: body.clone(),
-                    input: probe_var(),
-                },
-            }
-        }
-        Expr::Nest { group, input } => {
-            children = vec![compile(input)];
-            Kind::Nest(group.clone())
+        _ => None,
+    };
+    let rule = if let Some((i, j)) = join {
+        Rule::EquiJoin { i, j }
+    } else {
+        match &expr {
+            Expr::Var(name) => Rule::Base(name.clone()),
+            Expr::Lit(_) => Rule::Const,
+            Expr::AdditiveUnion(..) => Rule::Sum,
+            Expr::Product(..) => Rule::Product,
+            Expr::Map { .. } | Expr::Select { .. } | Expr::Destroy(_) => Rule::Linear,
+            Expr::Tuple(_) | Expr::Singleton(_) | Expr::Attr(..) => Rule::Scalar,
+            Expr::Subtract(..)
+            | Expr::MaxUnion(..)
+            | Expr::Intersect(..)
+            | Expr::Dedup(_)
+            | Expr::Powerset(_)
+            | Expr::Powerbag(_)
+            | Expr::Nest { .. }
+            | Expr::Ifp { .. } => Rule::Rederive,
         }
     };
+    // The fused join's pred reads only attributes of the bound tuple, so
+    // its `body_reads` come out empty.
+    let body_reads = match &expr {
+        Expr::Map { var, body, .. } | Expr::Ifp { var, body, .. } => body_free_vars(body, var),
+        Expr::Select { var, pred, .. } => pred_free_vars(pred, var),
+        _ => BTreeSet::new(),
+    };
+    let mut probe = expr.clone();
+    let slots = match &mut probe {
+        Expr::Select { input, .. } if join.is_some() => operands_mut(input),
+        other => operands_mut(other),
+    };
+    let mut inputs = Vec::with_capacity(slots.len());
+    let mut children = Vec::with_capacity(slots.len());
+    for (k, slot) in slots.into_iter().enumerate() {
+        let var = input_var(k);
+        children.push(compile(std::mem::replace(slot, Expr::Var(var.clone()))));
+        inputs.push(var);
+    }
     let mut reads: BTreeSet<Var> = body_reads.clone();
-    if let Kind::Var(name) = &kind {
+    if let Rule::Base(name) = &rule {
         reads.insert(name.clone());
     }
     for child in &children {
         reads.extend(child.reads.iter().cloned());
     }
+    let snapshot = match &expr {
+        Expr::Lit(value) => value.clone(),
+        _ => Value::empty_bag(),
+    };
     Node {
-        kind,
+        rule,
+        probe,
+        inputs,
         children,
         reads,
         body_reads,
         keep_snapshot: true,
-        expr: expr.clone(),
-        snapshot: Value::empty_bag(),
+        expr,
+        snapshot,
     }
 }
 
 /// Can this node's update pass take the re-derivation path? (If so it
 /// reads its own old snapshot — for the delta diff — and its children's
 /// fresh values.) `Opaque` child deltas, the other fallback trigger, can
-/// only originate from direct `Tuple`/`Attr` children: every other kind
+/// only originate from direct `τ`/`αᵢ` children: every other node
 /// reports `None` or a bag delta, and a node that absorbs an `Opaque` by
 /// re-deriving emits a bag delta itself.
 fn can_fall_back(node: &Node) -> bool {
     let opaque_child = || {
         node.children
             .iter()
-            .any(|c| matches!(c.kind, Kind::Tuple | Kind::Attr(_)))
+            .any(|c| matches!(c.probe, Expr::Tuple(_) | Expr::Attr(..)))
     };
-    match &node.kind {
-        Kind::Merge(MergeOp::Monus | MergeOp::Max | MergeOp::Min)
-        | Kind::Dedup
-        | Kind::Powerset
-        | Kind::Powerbag
-        | Kind::Nest(_)
-        | Kind::Ifp { .. } => true,
-        Kind::Tuple | Kind::Singleton | Kind::Attr(_) => true, // scalar re-derivation
-        Kind::Map { .. } | Kind::Select { .. } => !node.body_reads.is_empty() || opaque_child(),
+    match &node.rule {
         // The fused join's linear rule needs uniform-arity operands — a
         // runtime property — so the node must be able to re-derive.
-        Kind::EquiJoin { .. } => true,
-        Kind::Merge(MergeOp::Add) | Kind::Product | Kind::Destroy => opaque_child(),
-        Kind::Var(_) | Kind::Lit(_) => false,
+        Rule::Rederive | Rule::Scalar | Rule::EquiJoin { .. } => true,
+        Rule::Linear | Rule::Sum | Rule::Product => !node.body_reads.is_empty() || opaque_child(),
+        Rule::Base(_) | Rule::Const => false,
     }
 }
 
 /// Decide which nodes materialize snapshots. `demanded` means the parent
 /// may read this node's value (re-derivation input, scalar recompute, or
 /// the root result). `Var` nodes never materialize — readers go through
-/// [`Node::current_bag`] to the database — except when they *are* the
-/// demanded value and a parent probe needs an owned copy, which
-/// [`Node::child_value`] handles by cloning out of the database anyway.
+/// [`Node::current_bag`] to the database, and [`Node::current_value`]
+/// clones out of it for a probe binding.
 fn mark_snapshots(node: &mut Node, demanded: bool) {
-    node.keep_snapshot = match node.kind {
-        Kind::Var(_) | Kind::Lit(_) => false,
+    node.keep_snapshot = match node.rule {
+        Rule::Base(_) | Rule::Const => false,
         _ => demanded || can_fall_back(node),
     };
-    let demands_children = match &node.kind {
+    let demands_children = match &node.rule {
         // Re-derivation reads every child; the bilinear product rule reads
         // both operands' fresh values.
-        Kind::Merge(MergeOp::Monus | MergeOp::Max | MergeOp::Min)
-        | Kind::Dedup
-        | Kind::Powerset
-        | Kind::Powerbag
-        | Kind::Nest(_)
-        | Kind::Ifp { .. }
-        | Kind::Tuple
-        | Kind::Singleton
-        | Kind::Attr(_)
-        | Kind::Product
-        | Kind::EquiJoin { .. } => true,
-        Kind::Map { .. } | Kind::Select { .. } | Kind::Merge(MergeOp::Add) | Kind::Destroy => {
-            can_fall_back(node)
-        }
-        Kind::Var(_) | Kind::Lit(_) => false,
+        Rule::Rederive | Rule::Scalar | Rule::Product | Rule::EquiJoin { .. } => true,
+        Rule::Linear | Rule::Sum => can_fall_back(node),
+        Rule::Base(_) | Rule::Const => false,
     };
     for child in &mut node.children {
         mark_snapshots(child, demands_children);
@@ -577,115 +524,73 @@ impl Node {
     /// base bags never carry a second reference (which would force
     /// copy-on-write on every in-place base patch).
     fn current_bag<'x>(&'x self, db: &'x Database) -> Result<&'x Bag, EvalError> {
-        match &self.kind {
-            Kind::Var(name) if !self.keep_snapshot => db
+        match &self.rule {
+            Rule::Base(name) if !self.keep_snapshot => db
                 .get(name)
                 .ok_or_else(|| EvalError::UnboundVariable(name.clone())),
-            // Literals never materialize; their value lives in the kind.
-            Kind::Lit(value) => expect_bag(value),
             _ => expect_bag(&self.snapshot),
         }
     }
 
-    /// The node's current value, cloned (for probe bindings and scalar
-    /// recomputes).
+    /// The node's current value, cloned (a probe binding).
     fn current_value(&self, db: &Database) -> Result<Value, EvalError> {
-        if let Kind::Var(name) = &self.kind {
-            if !self.keep_snapshot {
-                return db
-                    .get(name)
-                    .map(|bag| Value::Bag(bag.clone()))
-                    .ok_or_else(|| EvalError::UnboundVariable(name.clone()));
-            }
+        match &self.rule {
+            Rule::Base(_) if !self.keep_snapshot => self.current_bag(db).cloned().map(Value::Bag),
+            _ => Ok(self.snapshot.clone()),
         }
-        if let Kind::Lit(value) = &self.kind {
-            return Ok(value.clone());
-        }
-        Ok(self.snapshot.clone())
+    }
+
+    /// Run the probe with `values` bound to its inputs, in order.
+    fn run_probe(
+        &self,
+        ev: &mut Evaluator<'_>,
+        values: impl IntoIterator<Item = Value>,
+    ) -> Result<Value, EvalError> {
+        let bindings: Vec<(Var, Value)> = self.inputs.iter().cloned().zip(values).collect();
+        ev.eval_open(&self.probe, &bindings)
     }
 
     /// Re-derive this node's value from its children's current values
     /// (one operator application — children are *not* re-evaluated).
-    fn recompute(
-        &self,
-        db: &Database,
-        ev: &mut Evaluator<'_>,
-        max_elements: u64,
-    ) -> Result<Value, EvalError> {
-        let child_bag = |i: usize| -> Result<&Bag, EvalError> { self.children[i].current_bag(db) };
-        Ok(match &self.kind {
-            Kind::Var(name) => db
-                .get(name)
-                .map(|bag| Value::Bag(bag.clone()))
-                .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
-            Kind::Lit(value) => value.clone(),
-            Kind::Merge(op) => Value::Bag(child_bag(0)?.merge(child_bag(1)?, *op)),
-            Kind::Product => Value::Bag(child_bag(0)?.product(child_bag(1)?, max_elements)?),
-            Kind::Tuple => Value::Tuple(
-                self.children
-                    .iter()
-                    .map(|c| c.current_value(db))
-                    .collect::<Result<Vec<_>, _>>()?
-                    .into(),
-            ),
-            Kind::Singleton => Value::Bag(Bag::singleton(self.children[0].current_value(db)?)),
-            Kind::Powerset => Value::Bag(child_bag(0)?.powerset(max_elements)?),
-            Kind::Powerbag => Value::Bag(child_bag(0)?.powerbag(max_elements)?),
-            Kind::Attr(index) => {
-                let value = self.children[0].current_value(db)?;
-                let fields = value.as_tuple().ok_or_else(|| EvalError::Shape {
-                    expected: "a tuple",
-                    found: value.to_string(),
-                })?;
-                attr_field(fields, *index)
-                    .cloned()
-                    .map_err(EvalError::Bag)?
+    fn derive(&self, db: &Database, ev: &mut Evaluator<'_>) -> Result<Value, EvalError> {
+        let values = self
+            .children
+            .iter()
+            .map(|child| child.current_value(db))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.run_probe(ev, values)
+    }
+
+    /// A linear node's delta: the probe maps the delta's positive and
+    /// negative parts, two ℕ-bags, and the images subtract —
+    /// `F(δ⁺ ⊖ δ⁻) = F(δ⁺) ⊖ F(δ⁻)`.
+    fn linear_delta(&self, ev: &mut Evaluator<'_>, delta: &ZBag) -> Result<ZBag, EvalError> {
+        let (added, removed) = delta.split();
+        let mut image = |part: Bag| -> Result<Bag, EvalError> {
+            if part.is_empty() {
+                return Ok(part);
             }
-            Kind::Destroy => Value::Bag(child_bag(0)?.destroy()?),
-            Kind::Dedup => Value::Bag(child_bag(0)?.dedup()),
-            Kind::Nest(group) => Value::Bag(child_bag(0)?.nest(group)?),
-            Kind::Map { probe, .. } | Kind::Select { probe, .. } | Kind::Ifp { probe } => {
-                let input = self.children[0].current_value(db)?;
-                ev.eval_open(probe, &[(Var::from(DELTA_INPUT), input)])?
-            }
-            Kind::EquiJoin { probe, .. } => {
-                let left = self.children[0].current_value(db)?;
-                let right = self.children[1].current_value(db)?;
-                ev.eval_open(
-                    probe,
-                    &[
-                        (Var::from(DELTA_INPUT_LEFT), left),
-                        (Var::from(DELTA_INPUT_RIGHT), right),
-                    ],
-                )?
-            }
-        })
+            expect_bag(&self.run_probe(ev, [Value::Bag(part)])?).cloned()
+        };
+        Ok(ZBag::diff(&image(added)?, &image(removed)?))
     }
 
     /// Fill in the materialized snapshots. A kept node whose children all
-    /// have usable current values (materialized, `Var`, or `Lit`) derives
-    /// its value with **one** operator application over them; only kept
-    /// nodes above a non-materialized (purely linear) child re-evaluate
-    /// their sub-expression through the fused evaluator — so stacked
-    /// non-linear operators don't re-evaluate shared subtrees, and a
-    /// skipped product under a clean σ is never materialized even at
+    /// have usable current values (materialized, a base bag, or a literal)
+    /// derives its value with **one** operator application over them;
+    /// only kept nodes above a non-materialized (purely linear) child
+    /// re-evaluate their sub-expression through the fused evaluator — so
+    /// stacked non-linear operators don't re-evaluate shared subtrees, and
+    /// a skipped product under a clean σ is never materialized even at
     /// registration.
-    fn init(
-        &mut self,
-        db: &Database,
-        ev: &mut Evaluator<'_>,
-        max_elements: u64,
-    ) -> Result<(), EvalError> {
+    fn init(&mut self, db: &Database, ev: &mut Evaluator<'_>) -> Result<(), EvalError> {
         for child in &mut self.children {
-            child.init(db, ev, max_elements)?;
+            child.init(db, ev)?;
         }
         if self.keep_snapshot {
-            let children_ready = self
-                .children
-                .iter()
-                .all(|c| c.keep_snapshot || matches!(c.kind, Kind::Var(_) | Kind::Lit(_)));
-            self.snapshot = if children_ready {
-                self.recompute(db, ev, max_elements)?
+            let ready = |c: &Node| c.keep_snapshot || matches!(c.rule, Rule::Base(_) | Rule::Const);
+            self.snapshot = if self.children.iter().all(ready) {
+                self.derive(db, ev)?
             } else {
                 ev.eval_open(&self.expr, &[])?
             };
@@ -693,13 +598,18 @@ impl Node {
         Ok(())
     }
 
-    /// Non-linear fallback: one operator re-derived over the children's
-    /// refreshed values, re-expressed as a delta for the parent.
-    /// Fallback-capable nodes always materialize (see [`mark_snapshots`]),
-    /// so `self.snapshot` is the valid pre-update value here.
-    fn fallback(&mut self, ctx: &mut UpdateCtx<'_, '_>) -> Result<Delta, MaintainError> {
-        let new = self.recompute(ctx.db, ctx.ev, ctx.max_elements)?;
-        ctx.stats.fallback_recomputes += 1;
+    /// Re-derivation: one operator application over the children's
+    /// refreshed values, re-expressed as a delta for the parent and
+    /// counted as a scalar recompute or a fallback. Re-deriving nodes
+    /// always materialize (see [`mark_snapshots`]), so `self.snapshot` is
+    /// the valid pre-update value here.
+    fn rederive(&mut self, ctx: &mut UpdateCtx<'_, '_>) -> Result<Delta, MaintainError> {
+        let new = self.derive(ctx.db, ctx.ev)?;
+        if matches!(self.rule, Rule::Scalar) {
+            ctx.stats.scalar_recomputes += 1;
+        } else {
+            ctx.stats.fallback_recomputes += 1;
+        }
         let delta = replaced(&self.snapshot, &new);
         self.snapshot = new;
         Ok(delta)
@@ -734,8 +644,8 @@ impl Node {
         let right_new = self.children[1]
             .current_bag(db)
             .map_err(MaintainError::Eval)?;
-        let left_persistent = matches!(self.children[0].kind, Kind::Var(_));
-        let right_persistent = matches!(self.children[1].kind, Kind::Var(_));
+        let left_persistent = matches!(self.children[0].rule, Rule::Base(_));
+        let right_persistent = matches!(self.children[1].rule, Rule::Base(_));
         // Only a non-empty opposite delta makes a side worth indexing:
         // F(A_new × δB) probes the left index, F(δA × B_new) the right.
         let (want_left, want_right) = (!db_.is_empty(), !da.is_empty());
@@ -786,7 +696,8 @@ impl Node {
             ],
         };
         let used_index = join.live().any(|(term, _)| term.probe.is_some());
-        Ok(Some((join.exact(ctx.max_elements)?, used_index)))
+        let limit = ctx.ev.limits().max_bag_elements;
+        Ok(Some((join.exact(limit)?, used_index)))
     }
 
     /// Apply a bag delta to this node's snapshot (in place when uniquely
@@ -818,245 +729,108 @@ impl Node {
         if self.reads.is_disjoint(ctx.affected) {
             return Ok(Delta::None);
         }
-        match &self.kind {
-            Kind::Var(name) => {
+        let body_affected = !self.body_reads.is_disjoint(ctx.affected);
+        match &self.rule {
+            Rule::Base(name) => {
                 let name = name.clone();
                 // The runtime has already committed the new base bag;
                 // readers go through `current_bag` to the database, so
                 // only a demanded-as-root Var refreshes a snapshot.
                 if self.keep_snapshot {
-                    let bag = ctx
-                        .db
-                        .get(&name)
-                        .ok_or_else(|| {
-                            MaintainError::Eval(EvalError::UnboundVariable(name.clone()))
-                        })?
-                        .clone();
-                    self.snapshot = Value::Bag(bag);
+                    let bag = ctx.db.get(&name);
+                    let bag = bag.ok_or_else(|| EvalError::UnboundVariable(name.clone()))?;
+                    self.snapshot = Value::Bag(bag.clone());
                 }
                 match ctx.deltas.get(&name) {
                     Some(delta) if !delta.is_empty() => Ok(Delta::Bag(delta.clone())),
                     _ => Ok(Delta::None),
                 }
             }
-            Kind::Lit(_) => Ok(Delta::None),
-            Kind::Merge(MergeOp::Add) => {
-                let da = self.children[0].update(ctx)?;
-                let db = self.children[1].update(ctx)?;
-                match (da, db) {
-                    (Delta::Opaque, _) | (_, Delta::Opaque) => self.fallback(ctx),
-                    (Delta::None, Delta::None) => Ok(Delta::None),
-                    (a, b) => {
-                        let mut delta = ZBag::new();
-                        if let Delta::Bag(d) = a {
-                            delta = delta.add(&d);
-                        }
-                        if let Delta::Bag(d) = b {
-                            delta = delta.add(&d);
-                        }
-                        ctx.stats.linear_delta_ops += 1;
-                        self.apply_bag_delta(delta)
-                    }
-                }
-            }
-            Kind::Product => {
-                let da = self.children[0].update(ctx)?;
-                let db = self.children[1].update(ctx)?;
-                match (da, db) {
-                    (Delta::Opaque, _) | (_, Delta::Opaque) => self.fallback(ctx),
-                    (Delta::None, Delta::None) => Ok(Delta::None),
-                    (a, b) => {
-                        // Bilinear rule in post-update form — only fresh
-                        // operand values are needed, so no old snapshots
-                        // are captured:
-                        // δ(A×B) = δA×B_new ⊕ A_new×δB ⊖ δA×δB.
-                        let mut delta = ZBag::new();
-                        if let Delta::Bag(d) = &a {
-                            let right_new = self.children[1]
-                                .current_bag(ctx.db)
-                                .map_err(MaintainError::Eval)?;
-                            delta = delta.add(
-                                &d.product(&ZBag::from_bag(right_new), ctx.max_elements)
-                                    .map_err(EvalError::Bag)?,
-                            );
-                        }
-                        if let Delta::Bag(d) = &b {
-                            let left_new = self.children[0]
-                                .current_bag(ctx.db)
-                                .map_err(MaintainError::Eval)?;
-                            delta = delta.add(
-                                &ZBag::from_bag(left_new)
-                                    .product(d, ctx.max_elements)
-                                    .map_err(EvalError::Bag)?,
-                            );
-                        }
-                        if let (Delta::Bag(x), Delta::Bag(y)) = (&a, &b) {
-                            delta = delta.add(
-                                &x.product(y, ctx.max_elements)
-                                    .map_err(EvalError::Bag)?
-                                    .negate(),
-                            );
-                        }
-                        ctx.stats.linear_delta_ops += 1;
-                        self.apply_bag_delta(delta)
-                    }
-                }
-            }
-            Kind::EquiJoin { i, j, .. } => {
-                let (i, j) = (*i, *j);
-                let da = self.children[0].update(ctx)?;
-                let db_ = self.children[1].update(ctx)?;
-                match (da, db_) {
-                    (Delta::Opaque, _) | (_, Delta::Opaque) => self.fallback(ctx),
-                    (Delta::None, Delta::None) => Ok(Delta::None),
-                    (a, b) => {
-                        let zero = ZBag::new();
-                        let da = match &a {
-                            Delta::Bag(d) => d,
-                            _ => &zero,
-                        };
-                        let db_ = match &b {
-                            Delta::Bag(d) => d,
-                            _ => &zero,
-                        };
-                        match self.join_delta(ctx, i, j, da, db_)? {
-                            Some((delta, used_index)) => {
-                                ctx.stats.linear_delta_ops += 1;
-                                if used_index {
-                                    ctx.stats.indexed_join_ops += 1;
-                                } else {
-                                    ctx.stats.scanned_join_ops += 1;
-                                }
-                                self.apply_bag_delta(delta)
+            Rule::Const => Ok(Delta::None),
+            Rule::Sum | Rule::Product | Rule::EquiJoin { .. } => {
+                let left = self.children[0].update(ctx)?;
+                let right = self.children[1].update(ctx)?;
+                let (da, db) = match (left, right) {
+                    (Delta::Opaque, _) | (_, Delta::Opaque) => return self.rederive(ctx),
+                    (Delta::None, Delta::None) => return Ok(Delta::None),
+                    (left, right) => (left.into_zbag(), right.into_zbag()),
+                };
+                let delta = match self.rule {
+                    Rule::EquiJoin { i, j } => match self.join_delta(ctx, i, j, &da, &db)? {
+                        Some((delta, used_index)) => {
+                            if used_index {
+                                ctx.stats.indexed_join_ops += 1;
+                            } else {
+                                ctx.stats.scanned_join_ops += 1;
                             }
-                            None => {
-                                ctx.irregular_join_fallbacks += 1;
-                                self.fallback(ctx)
-                            }
+                            delta
                         }
-                    }
-                }
+                        None => {
+                            ctx.irregular_join_fallbacks += 1;
+                            return self.rederive(ctx);
+                        }
+                    },
+                    Rule::Product => self.product_delta(ctx, &da, &db)?,
+                    _ => da.add(&db),
+                };
+                ctx.stats.linear_delta_ops += 1;
+                self.apply_bag_delta(delta)
             }
-            Kind::Destroy => match self.children[0].update(ctx)? {
+            Rule::Linear => match self.children[0].update(ctx)? {
+                _ if body_affected => self.rederive(ctx),
+                Delta::Opaque => self.rederive(ctx),
                 Delta::None => Ok(Delta::None),
-                Delta::Opaque => self.fallback(ctx),
                 Delta::Bag(d) => {
-                    let delta = d.destroy().map_err(EvalError::Bag)?;
+                    let delta = self.linear_delta(ctx.ev, &d)?;
                     ctx.stats.linear_delta_ops += 1;
                     self.apply_bag_delta(delta)
                 }
             },
-            Kind::Map { .. } => {
-                let body_affected = !self.body_reads.is_disjoint(ctx.affected);
-                let child = self.children[0].update(ctx)?;
-                if body_affected || matches!(child, Delta::Opaque) {
-                    return self.fallback(ctx);
-                }
-                match child {
-                    Delta::None => Ok(Delta::None),
-                    Delta::Bag(d) => {
-                        // Linear per-element rule: MAP distributes over ∪⁺,
-                        // so each delta element maps through the body with
-                        // its signed multiplicity. The body is one stable
-                        // tree across the loop, so after the first element
-                        // clears the evaluator's pointer-keyed caches the
-                        // rest reuse them.
-                        let Kind::Map { var, body, .. } = &self.kind else {
-                            unreachable!("matched above");
-                        };
-                        let mut out = ZBagBuilder::new();
-                        for (i, (value, mult)) in d.iter().enumerate() {
-                            let binding = [(var.clone(), value.clone())];
-                            let image = if i == 0 {
-                                ctx.ev.eval_open(body, &binding)?
-                            } else {
-                                ctx.ev.eval_open_cached(body, &binding)?
-                            };
-                            out.push(image, mult.clone());
-                        }
-                        ctx.stats.linear_delta_ops += 1;
-                        self.apply_bag_delta(out.build())
-                    }
-                    Delta::Opaque => unreachable!("handled above"),
-                }
-            }
-            Kind::Select { .. } => {
-                let body_affected = !self.body_reads.is_disjoint(ctx.affected);
-                let child = self.children[0].update(ctx)?;
-                if body_affected || matches!(child, Delta::Opaque) {
-                    return self.fallback(ctx);
-                }
-                match child {
-                    Delta::None => Ok(Delta::None),
-                    Delta::Bag(d) => {
-                        let Kind::Select { var, pred, .. } = &self.kind else {
-                            unreachable!("matched above");
-                        };
-                        let mut out = ZBagBuilder::new();
-                        for (i, (value, mult)) in d.iter().enumerate() {
-                            let binding = [(var.clone(), value.clone())];
-                            let keep = if i == 0 {
-                                ctx.ev.eval_pred_open(pred, &binding)?
-                            } else {
-                                ctx.ev.eval_pred_open_cached(pred, &binding)?
-                            };
-                            if keep {
-                                out.push(value.clone(), mult.clone());
-                            }
-                        }
-                        ctx.stats.linear_delta_ops += 1;
-                        self.apply_bag_delta(out.build())
-                    }
-                    Delta::Opaque => unreachable!("handled above"),
-                }
-            }
-            // Non-linear bag operators: refresh children, then re-derive
-            // this single operator over their snapshots.
-            Kind::Merge(_) => {
-                let da = self.children[0].update(ctx)?;
-                let db = self.children[1].update(ctx)?;
-                if matches!((&da, &db), (Delta::None, Delta::None)) {
-                    return Ok(Delta::None);
-                }
-                self.fallback(ctx)
-            }
-            Kind::Dedup | Kind::Powerset | Kind::Powerbag | Kind::Nest(_) => {
-                match self.children[0].update(ctx)? {
-                    Delta::None => Ok(Delta::None),
-                    _ => self.fallback(ctx),
-                }
-            }
-            Kind::Ifp { .. } => {
-                let body_affected = !self.body_reads.is_disjoint(ctx.affected);
-                let child = self.children[0].update(ctx)?;
-                if !body_affected && matches!(child, Delta::None) {
-                    return Ok(Delta::None);
-                }
-                self.fallback(ctx)
-            }
-            // Scalar constructs: constant-size re-derivation.
-            Kind::Tuple | Kind::Singleton | Kind::Attr(_) => {
-                let mut any = false;
+            // Refresh every child, then re-derive this single operator
+            // over their snapshots if anything it reads moved.
+            Rule::Rederive | Rule::Scalar => {
+                let mut moved = body_affected;
                 for child in &mut self.children {
-                    any |= !matches!(child.update(ctx)?, Delta::None);
+                    moved |= !matches!(child.update(ctx)?, Delta::None);
                 }
-                if !any {
+                if !moved {
                     return Ok(Delta::None);
                 }
-                let new = self.recompute(ctx.db, ctx.ev, ctx.max_elements)?;
-                ctx.stats.scalar_recomputes += 1;
-                let delta = replaced(&self.snapshot, &new);
-                self.snapshot = new;
-                Ok(delta)
+                self.rederive(ctx)
             }
         }
+    }
+
+    /// The bilinear `×` rule in post-update form — only fresh operand
+    /// values are needed, so no old snapshots are captured:
+    /// `δ(A×B) = δA×B_new ⊕ A_new×δB ⊖ δA×δB`.
+    fn product_delta(
+        &self,
+        ctx: &UpdateCtx<'_, '_>,
+        da: &ZBag,
+        db: &ZBag,
+    ) -> Result<ZBag, MaintainError> {
+        let limit = ctx.ev.limits().max_bag_elements;
+        let mut delta = ZBag::new();
+        if !da.is_empty() {
+            let right = ZBag::from_bag(self.children[1].current_bag(ctx.db)?);
+            delta = delta.add(&da.product(&right, limit).map_err(EvalError::Bag)?);
+        }
+        if !db.is_empty() {
+            let left = ZBag::from_bag(self.children[0].current_bag(ctx.db)?);
+            delta = delta.add(&left.product(db, limit).map_err(EvalError::Bag)?);
+        }
+        if !da.is_empty() && !db.is_empty() {
+            delta = delta.add(&da.product(db, limit).map_err(EvalError::Bag)?.negate());
+        }
+        Ok(delta)
     }
 }
 
 /// A registered, incrementally maintained view.
 #[derive(Clone, Debug)]
 pub struct View {
-    expr: Expr,
+    /// The compiled tree; its root's `expr` is the view's expression.
     root: Node,
     stats: ViewStats,
     /// Per-base linearity facts from the static analyzer
@@ -1076,21 +850,19 @@ impl View {
         db: &Database,
         ev: &mut Evaluator<'_>,
     ) -> Result<View, EvalError> {
-        let mut root = compile(&expr);
+        let linearity = base_linearity(&expr);
+        let mut root = compile(expr);
         mark_snapshots(&mut root, true);
         // Even a bare `Var`/`Lit` root materializes: `result()` reads it.
         root.keep_snapshot = true;
-        let max_elements = ev.limits().max_bag_elements;
-        root.init(db, ev, max_elements)?;
+        root.init(db, ev)?;
         if root.snapshot.as_bag().is_none() {
             return Err(EvalError::Shape {
                 expected: "a bag-valued view",
                 found: root.snapshot.to_string(),
             });
         }
-        let linearity = base_linearity(&expr);
         Ok(View {
-            expr,
             root,
             stats: ViewStats::default(),
             linearity,
@@ -1107,7 +879,7 @@ impl View {
 
     /// The view's defining expression.
     pub fn expr(&self) -> &Expr {
-        &self.expr
+        &self.root.expr
     }
 
     /// The database names the view reads.
@@ -1149,7 +921,6 @@ impl View {
             deltas,
             affected,
             db,
-            max_elements: ev.limits().max_bag_elements,
             ev,
             stats: &mut self.stats,
             indexes,
@@ -1196,8 +967,7 @@ impl View {
         db: &Database,
         ev: &mut Evaluator<'_>,
     ) -> Result<(), EvalError> {
-        let max_elements = ev.limits().max_bag_elements;
-        self.root.init(db, ev, max_elements)?;
+        self.root.init(db, ev)?;
         self.stats.full_reinits += 1;
         Ok(())
     }

@@ -17,7 +17,7 @@ use balg_core::eval::{Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
 use balg_core::value::Value;
 use balg_core::zbag::ZInt;
-use balg_incremental::{UpdateBatch, ViewRuntime};
+use balg_incremental::{UpdateBatch, UpdateError, ViewRuntime};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 use rand::rngs::StdRng;
@@ -82,7 +82,7 @@ impl QueryGen {
             3 => Pred::Member(x().attr(1), Expr::lit(self.small_atom_bag())),
             // Subbag containment against a *database* bag: this makes the
             // λ body read R, so updates to R force the non-linear
-            // fallback (the per-element rule would be unsound).
+            // fallback (the linear rule would be unsound).
             4 if arity == 1 => Pred::SubBag(x().singleton(), Expr::var("R")),
             5 => Pred::eq(x().attr(1), Expr::lit(Value::int(self.rng.gen_range(0..4))))
                 .not()
@@ -650,6 +650,62 @@ fn non_spanning_equi_join_stays_linear_and_exact() {
     let stats = runtime.stats().views;
     assert!(stats.scanned_join_ops > 0, "{stats:?}");
     assert_eq!(stats.fallback_recomputes, 0, "{stats:?}");
+}
+
+/// A view node runs its operator on the evaluator, so registration and
+/// maintenance fail exactly where a one-shot evaluation of the view fails,
+/// with the same error: the element budget of a `×` (an `ElementLimit`
+/// with the predicted size) and the multiplicity-width budget of a merge
+/// both hold inside the node tree.
+#[test]
+fn nodes_fail_where_one_shot_evaluation_fails() {
+    let tight = Limits {
+        max_bag_elements: 8,
+        max_multiplicity_bits: 4,
+        ..limits()
+    };
+    let counted = |n: u64| Bag::from_counted([(unary(0), n.into()), (unary(1), 1u64.into())]);
+    let three = Bag::from_values([unary(0), unary(1), unary(2)]);
+    let one_shot =
+        |rt: &ViewRuntime, expr: &Expr| Evaluator::new(rt.database(), tight.clone()).eval_bag(expr);
+
+    // Registration: a 9-row product against an 8-row budget, and a
+    // multiplicity of 18 (5 bits) against a 4-bit budget.
+    let cases = [
+        (Expr::var("R").product(Expr::var("S")), three.clone()),
+        (Expr::var("R").additive_union(Expr::var("R")), counted(9)),
+        (
+            Expr::var("R")
+                .max_union(Expr::var("S"))
+                .additive_union(Expr::var("R")),
+            counted(9),
+        ),
+    ];
+    for (expr, r) in cases {
+        let mut rt = ViewRuntime::with_limits(tight.clone());
+        rt.load_base("R", r).unwrap();
+        rt.load_base("S", three.clone()).unwrap();
+        let expected = one_shot(&rt, &expr).unwrap_err();
+        match rt.create_view("v", expr.clone()) {
+            Err(UpdateError::View { error, .. }) => assert_eq!(error, expected, "{expr}"),
+            other => panic!("{expr} registered: {other:?}"),
+        }
+    }
+
+    // Maintenance: `R ∪ S` re-derives past the budget on the batch that
+    // raises `R`'s multiplicity to 16; the view is dropped with the
+    // one-shot error as its cause.
+    let mut rt = ViewRuntime::with_limits(tight.clone());
+    rt.load_base("R", counted(15)).unwrap();
+    rt.load_base("S", three).unwrap();
+    let expr = Expr::var("R").max_union(Expr::var("S"));
+    rt.create_view("v", expr.clone()).unwrap();
+    let mut batch = UpdateBatch::new();
+    batch.insert("R", unary(0));
+    assert!(rt.apply(&batch).is_err());
+    let expected = one_shot(&rt, &expr).unwrap_err();
+    let (_, dropped) = rt.dropped().next().expect("the view is dropped");
+    assert_eq!(dropped.cause, expected.to_string());
 }
 
 /// Non-linear fallbacks are *exercised* and visible through the

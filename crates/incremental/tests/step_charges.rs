@@ -14,6 +14,12 @@
 //! one at 4 chunks, threshold 0, must both hit them: a join delta never
 //! partitions, so a partition count cannot change its bag, error or
 //! counters.
+//!
+//! `every_rule_counts_as_before` does the same for every other rule
+//! (linear `MAP`/`σ`/`δ`, a cancelling delta, re-derived merges, `P`,
+//! `nest`, `IFP`, `×`, the scalar constructs and a `⊑` body reading a
+//! changing base), with constants taken at `626c916`, the commit before
+//! view nodes ran their operators through the evaluator.
 
 use balg_core::bag::Bag;
 use balg_core::eval::Limits;
@@ -141,6 +147,174 @@ fn scanned_stream_counters_are_pinned() {
         rt.set_parallel_threshold(0);
     });
     assert_eq!(partitioned, expected);
+}
+
+fn unary(v: i64) -> Value {
+    Value::tuple([Value::int(v)])
+}
+
+fn stats(linear: u64, fallback: u64, scalar: u64) -> ViewStats {
+    ViewStats {
+        linear_delta_ops: linear,
+        fallback_recomputes: fallback,
+        scalar_recomputes: scalar,
+        ..ViewStats::default()
+    }
+}
+
+/// One view per maintenance rule that is not a join: the linear
+/// `MAP`/`σ`/`δ` chain, a delta that cancels inside `π₁` before it
+/// reaches `ε`, the re-derived merges, `P`, `nest` and `IFP`, the
+/// bilinear `×`, the scalar `τ`/`β`/`α`, and a `⊑` body that reads a
+/// changing base.
+fn rule_views() -> Vec<(&'static str, Expr)> {
+    let x = || Expr::var("x");
+    let keys = Expr::var("G").project(&[1]);
+    let closure = Expr::var("T")
+        .product(Expr::var("G"))
+        .select("x", Pred::eq(x().attr(2), x().attr(3)))
+        .project(&[1, 4])
+        .dedup();
+    vec![
+        (
+            "chain",
+            Expr::var("G")
+                .select("x", Pred::lt(x().attr(1), Expr::lit(Value::int(3))))
+                .project(&[2]),
+        ),
+        (
+            "flatten",
+            Expr::var("R").map("x", x().singleton()).destroy(),
+        ),
+        ("cancel", keys.clone().dedup()),
+        (
+            "merges",
+            keys.clone()
+                .subtract(Expr::var("R"))
+                .max_union(Expr::var("R").intersect(keys)),
+        ),
+        ("powerset", Expr::var("R").dedup().powerset().destroy()),
+        (
+            "nest",
+            Expr::var("G")
+                .nest(&[1])
+                .map("g", Expr::tuple([Expr::var("g").attr(1)])),
+        ),
+        ("closure", Expr::var("G").ifp("T", closure)),
+        ("product", Expr::var("R").product(Expr::var("R"))),
+        (
+            "scalar",
+            Expr::tuple([Expr::var("R"), Expr::var("G")])
+                .attr(1)
+                .singleton()
+                .destroy()
+                .additive_union(Expr::var("R").singleton().destroy()),
+        ),
+        (
+            "subbag",
+            Expr::var("S").select("x", Pred::SubBag(x().singleton(), Expr::var("R"))),
+        ),
+    ]
+}
+
+/// Batch `k` of the rule stream: `G` swaps a row for one with the same
+/// key (so `π₁(G)` cancels), `R` and `S` gain and lose rows.
+fn rule_batch(k: i64) -> UpdateBatch {
+    let mut batch = UpdateBatch::new();
+    match k % 4 {
+        0 => {
+            batch.delete("G", pair(k % 3, k));
+            batch.insert("G", pair(k % 3, k + 1));
+        }
+        1 => {
+            batch.insert("G", pair(k % 3, k));
+            batch.insert("R", unary(k % 5));
+        }
+        2 => {
+            batch.delete("R", unary((k - 1) % 5));
+            batch.insert("S", unary(k % 5));
+        }
+        _ => {
+            batch.insert("R", unary(k % 5));
+            batch.insert("R", unary((k + 1) % 5));
+            batch.delete("S", unary((k - 1) % 5));
+        }
+    }
+    batch
+}
+
+/// Every non-join rule over a fixed 32-batch stream: each view's
+/// [`ViewStats`] and distinct rows, taken at `626c916`, before view
+/// nodes ran their operators through the evaluator. Indexing and
+/// partitioning must not move them.
+#[test]
+fn every_rule_counts_as_before() {
+    let expected: Vec<(&str, ViewStats, usize)> = vec![
+        ("chain", stats(32, 0, 0), 8),
+        ("flatten", stats(48, 0, 0), 5),
+        // Half of the `π₁` deltas cancel, so `ε` re-derives 8 times, not 16.
+        ("cancel", stats(16, 8, 0), 3),
+        ("merges", stats(32, 67, 0), 3),
+        ("powerset", stats(1, 25, 0), 5),
+        ("nest", stats(16, 16, 0), 3),
+        ("closure", stats(0, 16, 0), 19),
+        ("product", stats(24, 0, 0), 25),
+        ("scalar", stats(72, 0, 112), 5),
+        ("subbag", stats(0, 24, 0), 5),
+    ];
+    for (indexing, chunks) in [(true, 1), (false, 1), (true, 4)] {
+        let mut rt = ViewRuntime::with_limits(Limits::default());
+        rt.set_indexing(indexing);
+        rt.set_parallel_threads(chunks);
+        rt.set_parallel_threshold(0);
+        // Every `G` row the stream deletes is loaded or inserted first.
+        let g = (0..32).filter(|k| k % 4 == 0).map(|k| pair(k % 3, k));
+        rt.load_base("G", Bag::from_values(g)).unwrap();
+        rt.load_base("R", Bag::from_values((0..3).map(unary)))
+            .unwrap();
+        rt.load_base("S", Bag::from_values((0..5).map(unary)))
+            .unwrap();
+        for (name, expr) in rule_views() {
+            rt.create_view(name, expr).unwrap();
+        }
+        for k in 0..32 {
+            rt.apply(&rule_batch(k)).unwrap();
+        }
+        assert!(rt.verify_all().unwrap());
+        let observed: Vec<(&str, ViewStats, usize)> = rule_views()
+            .into_iter()
+            .map(|(name, _)| {
+                let (_, view) = rt.views().find(|(n, _)| *n == name).expect("registered");
+                (name, view.stats().clone(), view.result().distinct_count())
+            })
+            .collect();
+        assert_eq!(observed, expected, "indexing {indexing}, {chunks} chunk(s)");
+    }
+}
+
+/// A `MAP` body that fails on a row the batch inserts: maintenance fails,
+/// the full re-derivation fails the same way, and the view is dropped
+/// with that evaluation's error as its cause.
+#[test]
+fn a_failing_body_drops_the_view_with_the_evaluators_error() {
+    let mut rt = ViewRuntime::with_limits(Limits::default());
+    rt.load_base("G", Bag::from_values([pair(0, 1)])).unwrap();
+    let q = Expr::var("G")
+        .select(
+            "x",
+            Pred::eq(Expr::var("x").attr(1), Expr::lit(Value::int(9))),
+        )
+        .map("x", Expr::tuple([Expr::var("x").attr(3)]));
+    rt.create_view("v", q).unwrap();
+    let mut batch = UpdateBatch::new();
+    batch.insert("G", pair(9, 1));
+    batch.delete("G", pair(0, 1));
+    let err = rt.apply(&batch).unwrap_err();
+    let cause = "attribute α3 out of range for arity 2";
+    assert_eq!(err.to_string(), format!("view v: {cause}"));
+    let (name, record) = rt.dropped().next().expect("dropped");
+    assert_eq!((name, record.cause.as_str()), ("v", cause));
+    assert_eq!(rt.stats().views, ViewStats::default());
 }
 
 /// A delta of 24 distinct rows against a 16-element budget, though the
