@@ -9,17 +9,30 @@
 //! replies by construction, and the differential test suite is left to
 //! validate what actually differs between them: snapshot publication,
 //! ordering, and read-your-writes.
+//!
+//! Every snapshot published from one runtime shares one
+//! [`StatementCache`], so a read compiled for one session is found by
+//! every later read of the same text, in any session. Sharing
+//! is sound because a compiled query is a function of its text and the
+//! catalog alone: data, budgets and views enter only at evaluation,
+//! which reads the snapshot's own `db`, `limits` and `parallel_chunks`.
+//! The runtime replaces its cache whenever it replaces its catalog, so
+//! a snapshot's cache only ever holds compiles against the catalog that
+//! snapshot carries — a snapshot pinned before a `:table` keeps the old
+//! catalog and the old cache, and answers exactly as it did. The cache
+//! keeps only successful query compiles, so every error reply is built
+//! afresh each time.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use balg_core::bag::Bag;
-use balg_core::eval::{Evaluator, Limits};
+use balg_core::eval::Limits;
 use balg_core::schema::Database;
 use balg_incremental::UpdateError;
-use balg_sql::ast::Query;
 use balg_sql::prelude::{
-    compile_query, decode_result, parse_statement, Catalog, Column, QueryResult, Response,
-    SqlError, SqlRuntime, Statement,
+    decode_result, Catalog, Column, Prepared, QueryResult, Response, SqlError, SqlRuntime,
+    StatementCache,
 };
 
 /// One reply to one statement: success flag plus the rendered text.
@@ -86,13 +99,17 @@ pub fn route(line: &str) -> Route {
 /// reader session pins (one `Arc` clone) and evaluates against without
 /// any coordination with the writer. Bags are copy-on-write behind `Arc`,
 /// so building one of these per write batch clones maps of pointers, not
-/// data.
+/// data; the statement cache is shared, not copied.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// Writer-serialized statement count at publication time (monotonic).
     pub seq: u64,
-    /// The table catalog.
+    /// The table catalog: what queries compile against and `:analyze`
+    /// types against.
     pub catalog: Catalog,
+    /// The compiled reads of `catalog`, shared by every snapshot the
+    /// runtime publishes until its catalog changes (see the module doc).
+    pub statements: Arc<StatementCache>,
     /// The base bags.
     pub db: Database,
     /// Maintained view results with their output shapes.
@@ -124,6 +141,7 @@ pub fn snapshot_of(rt: &SqlRuntime, seq: u64) -> Snapshot {
     Snapshot {
         seq,
         catalog: rt.catalog().clone(),
+        statements: Arc::clone(rt.statements()),
         db: runtime.database().clone(),
         views,
         dropped,
@@ -183,14 +201,17 @@ pub fn execute_read(snap: &Snapshot, line: &str) -> Reply {
             other => Reply::err(format!("unknown command :{other}")),
         };
     }
-    match parse_statement(line) {
-        Ok(Statement::Query(query)) => match run_snapshot_query(snap, &query) {
-            Ok(result) => Reply::ok(Response::Rows(result).to_string()),
-            Err(e) => Reply::err(e.to_string()),
-        },
+    let compiled = match snap.statements.prepare(line, &snap.catalog) {
+        Ok(Prepared::Query(compiled)) => compiled,
         // route() sends CREATE/INSERT/DELETE to the writer; reaching this
         // arm means a caller bypassed route().
-        Ok(_) => Reply::err("update statements must go through the writer"),
+        Ok(Prepared::Other(_)) => {
+            return Reply::err("update statements must go through the writer")
+        }
+        Err(e) => return Reply::err(e.to_string()),
+    };
+    match compiled.evaluate(&snap.db, snap.limits.clone(), snap.parallel_chunks) {
+        Ok(rows) => Reply::ok(Response::Rows(rows).to_string()),
         Err(e) => Reply::err(e.to_string()),
     }
 }
@@ -212,18 +233,6 @@ fn snapshot_view_rows(snap: &Snapshot, name: &str) -> Result<QueryResult, String
             Err(SqlError::Update(error).to_string())
         }
     }
-}
-
-/// One-shot query over the snapshot's base bags — the same compile and
-/// decode pipeline `SqlRuntime` runs, against the pinned database.
-fn run_snapshot_query(snap: &Snapshot, query: &Query) -> Result<QueryResult, SqlError> {
-    let compiled = compile_query(query, &snap.catalog).map_err(SqlError::Compile)?;
-    let mut evaluator = Evaluator::new(&snap.db, snap.limits.clone());
-    if let Some(chunks) = snap.parallel_chunks {
-        evaluator.set_parallel_threads(chunks);
-    }
-    let bag = evaluator.eval_bag(&compiled.expr).map_err(SqlError::Eval)?;
-    decode_result(&bag, compiled.output)
 }
 
 /// Execute a write-routed statement against the live runtime (the single
@@ -311,10 +320,15 @@ impl SerialTwin {
         }
     }
 
+    /// What a read issued now would pin.
+    pub fn snapshot(&self) -> Snapshot {
+        snapshot_of(&self.rt, self.seq)
+    }
+
     /// Execute one statement the way the server would.
     pub fn execute(&mut self, line: &str) -> Reply {
         match route(line) {
-            Route::Read => execute_read(&snapshot_of(&self.rt, self.seq), line),
+            Route::Read => execute_read(&self.snapshot(), line),
             Route::Write => {
                 let reply = execute_write(&mut self.rt, line);
                 self.seq += 1;

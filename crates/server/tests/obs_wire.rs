@@ -1,7 +1,8 @@
 //! Over-the-wire smoke for the observability surfaces: a live TCP
 //! server answers `:profile` byte-identically to its serial twin, and
 //! `:metrics` serves the process-global registry in Prometheus text
-//! format with the server's own instruments present.
+//! format with the server's own instruments and the statement cache's
+//! counters present.
 //!
 //! Single test in this binary: it owns the process-global registry and
 //! the deterministic-profile env var.
@@ -11,6 +12,7 @@ use balg_server::prelude::{Client, SerialTwin, ServerConfig, SqlServer};
 use balg_sql::prelude::{database_from_rows, Catalog};
 
 const INSERT: &str = "INSERT INTO g VALUES ('a', 'b'), ('b', 'c')";
+const SELECT: &str = "SELECT dst FROM g WHERE src = 'a'";
 const PROFILE: &str = ":profile project(select(x, eq(attr(x,2), attr(x,3)), product(g, g)), 1, 4)";
 
 #[test]
@@ -39,6 +41,13 @@ fn profile_and_metrics_over_the_wire() {
     assert!(twin.execute(INSERT).ok);
     assert_eq!(twin.execute(PROFILE).text, profile.text);
 
+    // A read twice over the wire: a statement-cache miss, then a hit, both
+    // byte-equal to the twin's reply.
+    let expected = twin.execute(SELECT);
+    assert!(expected.ok, "{}", expected.text);
+    assert_eq!(client.request(SELECT).unwrap(), expected);
+    assert_eq!(client.request(SELECT).unwrap(), expected);
+
     // `:metrics` renders the registry, including the server's own
     // instruments (registered at the first dispatch) and the evaluator's.
     let metrics = client.request(":metrics").unwrap();
@@ -63,5 +72,13 @@ fn profile_and_metrics_over_the_wire() {
         "{}",
         metrics.text
     );
+    // Misses: both INSERTs, the twin's read and the server's first read.
+    // The server's second read hit.
+    for line in [
+        "balg_sql_statement_cache_hits_total 1",
+        "balg_sql_statement_cache_misses_total 4",
+    ] {
+        assert!(metrics.text.contains(line), "{line}: {}", metrics.text);
+    }
     server.shutdown();
 }

@@ -99,6 +99,25 @@ pub struct CompiledQuery {
     pub output: Vec<Column>,
 }
 
+impl CompiledQuery {
+    /// Evaluate over `db` and decode the rows: the one evaluation tail of
+    /// every SQL read. `chunks` pins the evaluator's partition count
+    /// (`None` inherits the process-wide default).
+    pub fn evaluate(
+        &self,
+        db: &Database,
+        limits: Limits,
+        chunks: Option<usize>,
+    ) -> Result<QueryResult, SqlError> {
+        let mut evaluator = Evaluator::new(db, limits);
+        if let Some(chunks) = chunks {
+            evaluator.set_parallel_threads(chunks);
+        }
+        let bag = evaluator.eval_bag(&self.expr).map_err(SqlError::Eval)?;
+        decode_result(&bag, self.output.clone())
+    }
+}
+
 /// One resolvable column of the FROM scope.
 struct ScopeColumn {
     alias: String,
@@ -545,9 +564,7 @@ pub fn run_query(
 ) -> Result<QueryResult, SqlError> {
     let parsed = parse(sql).map_err(SqlError::Parse)?;
     let compiled = compile_query(&parsed, catalog).map_err(SqlError::Compile)?;
-    let mut evaluator = Evaluator::new(db, limits);
-    let bag = evaluator.eval_bag(&compiled.expr).map_err(SqlError::Eval)?;
-    decode_result(&bag, compiled.output)
+    compiled.evaluate(db, limits, None)
 }
 
 /// Shorthand for [`run_query`] with default limits.
@@ -560,16 +577,31 @@ pub fn run(sql: &str, catalog: &Catalog, db: &Database) -> Result<QueryResult, S
 /// fusion, …). Results are identical; intermediate bags are smaller.
 pub fn run_optimized(sql: &str, catalog: &Catalog, db: &Database) -> Result<QueryResult, SqlError> {
     let parsed = parse(sql).map_err(SqlError::Parse)?;
-    let compiled = compile_query(&parsed, catalog).map_err(SqlError::Compile)?;
-    let optimized = balg_core::rewrite::optimize(&compiled.expr, &catalog.to_schema());
-    let mut evaluator = Evaluator::new(db, Limits::default());
-    let bag = evaluator.eval_bag(&optimized).map_err(SqlError::Eval)?;
-    decode_result(&bag, compiled.output)
+    let mut compiled = compile_query(&parsed, catalog).map_err(SqlError::Compile)?;
+    compiled.expr = balg_core::rewrite::optimize(&compiled.expr, &catalog.to_schema());
+    compiled.evaluate(db, Limits::default(), None)
+}
+
+/// Compile a `CREATE VIEW` query and have the static analyzer certify
+/// what the compiler built: a shape error here means the SQL→BALG
+/// translation itself is broken, and the view must not register. No cost
+/// gate — compiled aggregates legitimately use the Section 3
+/// powerset-guess, bounded at runtime by the evaluator's budgets.
+pub(crate) fn compile_view(query: &Query, catalog: &Catalog) -> Result<CompiledQuery, SqlError> {
+    let compiled = compile_query(query, catalog).map_err(SqlError::Compile)?;
+    balg_core::analyze::analyze(&compiled.expr, &catalog.to_schema()).map_err(|e| {
+        SqlError::Analysis {
+            at: 0,
+            message: format!("compiled view failed analysis: {e}"),
+        }
+    })?;
+    Ok(compiled)
 }
 
 /// Decode a result bag against an output row shape. Public so external
 /// runtimes (the `balg-server` snapshot read path) can decode pinned view
-/// bags exactly the way [`run_query`] decodes one-shot results.
+/// bags exactly the way [`CompiledQuery::evaluate`] decodes one-shot
+/// results.
 pub fn decode_result(
     bag: &balg_core::bag::Bag,
     output: Vec<Column>,

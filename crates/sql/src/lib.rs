@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
+pub mod cache;
 pub mod catalog;
 pub mod compile;
 pub mod lexer;
@@ -41,6 +42,7 @@ pub mod prelude {
         Aggregate, ColumnRef, CompareOp, Comparison, Operand, Projection, Query, SelectCore,
         TableRef,
     };
+    pub use crate::cache::{Prepared, StatementCache};
     pub use crate::catalog::{
         decode_value, encode_value, load_table, Catalog, Column, LoadError, SqlValue, Table,
     };

@@ -12,17 +12,19 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 use balg_core::analyze;
-use balg_core::eval::{Evaluator, Limits};
+use balg_core::eval::Limits;
 use balg_core::expr::Expr;
 use balg_core::types::Type;
 use balg_core::value::Value;
 use balg_incremental::{DurableError, Runtime, UpdateBatch, ViewRuntime};
 
 use crate::ast::Query;
+use crate::cache::{Prepared, StatementCache};
 use crate::catalog::{encode_value, Catalog, Column, SqlValue, Table};
-use crate::compile::{compile_query, decode_result, QueryResult, SqlError};
+use crate::compile::{compile_view, decode_result, QueryResult, SqlError};
 use crate::lexer::{tokenize_with_positions, Keyword, Token};
 use crate::parser::{parse_query_from, ParseError, Parser};
 
@@ -344,11 +346,15 @@ fn balg_view_columns(ty: &Type) -> Option<Vec<Column>> {
         .collect()
 }
 
-/// A SQL session with maintained views: a catalog, a runtime (in-memory
-/// or WAL-backed — see [`SqlRuntime::open`]), and the output shapes of
-/// registered views.
+/// A SQL session with maintained views: a catalog with its statement
+/// cache, a runtime (in-memory or WAL-backed — see [`SqlRuntime::open`]),
+/// and the output shapes of registered views.
 pub struct SqlRuntime {
     catalog: Catalog,
+    /// The compiled reads of `catalog`. Replaced, never cleared, in the
+    /// same assignment that replaces the catalog, so snapshots pinned
+    /// earlier keep the cache of the catalog they carry.
+    statements: Arc<StatementCache>,
     backend: Runtime,
     view_columns: BTreeMap<String, Vec<Column>>,
     /// Partition-count override for this session's evaluators (ad-hoc
@@ -382,6 +388,7 @@ impl SqlRuntime {
         }
         SqlRuntime {
             catalog,
+            statements: Arc::default(),
             backend: Runtime::memory(runtime),
             view_columns: BTreeMap::new(),
             parallel_chunks: None,
@@ -398,35 +405,33 @@ impl SqlRuntime {
         data_dir: impl AsRef<Path>,
         limits: Limits,
     ) -> Result<SqlRuntime, SqlError> {
-        let mut rt = SqlRuntime {
-            catalog: Catalog::new(),
-            backend: Runtime::open(data_dir, limits).map_err(durable_err)?,
-            view_columns: BTreeMap::new(),
-            parallel_chunks: None,
-        };
+        let backend = Runtime::open(data_dir, limits).map_err(durable_err)?;
         // Persisted schema first: it is the authoritative record of what
         // the directory's bags and views mean.
-        let mut persisted: Vec<(String, String)> = Vec::new();
-        for (key, value) in rt.backend.metas() {
-            persisted.push((key.to_owned(), value.to_owned()));
-        }
-        for (key, value) in persisted {
+        let mut persisted = Catalog::new();
+        let mut view_columns = BTreeMap::new();
+        for (key, value) in backend.metas() {
             if let Some(table) = key.strip_prefix("table:") {
-                let columns = decode_columns(&value)?;
+                let columns = decode_columns(value)?;
                 let refs: Vec<(&str, bool)> = columns
                     .iter()
                     .map(|c| (c.name.as_str(), c.numeric))
                     .collect();
-                rt.catalog.declare(table, &refs);
+                persisted.declare(table, &refs);
             } else if let Some(view) = key.strip_prefix("viewcols:") {
-                rt.view_columns
-                    .insert(view.to_owned(), decode_columns(&value)?);
+                view_columns.insert(view.to_owned(), decode_columns(value)?);
             }
         }
         // A replayed runtime may have dropped views (deterministic
         // maintenance failures re-happen on replay); drop their shapes.
-        rt.view_columns
-            .retain(|name, _| rt.backend.runtime().view(name).is_some());
+        view_columns.retain(|name, _| backend.runtime().view(name).is_some());
+        let mut rt = SqlRuntime {
+            catalog: persisted,
+            statements: Arc::default(),
+            backend,
+            view_columns,
+            parallel_chunks: None,
+        };
         // Then the caller's catalog: new tables are declared (and
         // persisted); already-known tables must not be silently reshaped.
         let fresh: Vec<Table> = catalog
@@ -448,6 +453,11 @@ impl SqlRuntime {
     /// The table catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// The statement cache of the current catalog.
+    pub fn statements(&self) -> &Arc<StatementCache> {
+        &self.statements
     }
 
     /// The underlying view runtime (current database, stats, checks).
@@ -476,7 +486,12 @@ impl SqlRuntime {
                 crate::compile::CompileError::TableExists(name.to_owned()),
             ));
         }
-        self.catalog.declare(name, columns);
+        let mut catalog = self.catalog.clone();
+        catalog.declare(name, columns);
+        // A new catalog starts a new statement cache in the same
+        // assignment: nothing compiled against the old one can answer
+        // under the new one.
+        (self.catalog, self.statements) = (catalog, Arc::default());
         let encoded = encode_columns(&self.catalog.get(name).expect("just declared").columns);
         self.backend
             .set_meta(&format!("table:{name}"), Some(&encoded))
@@ -514,8 +529,17 @@ impl SqlRuntime {
 
     /// Parse and execute one statement.
     pub fn execute(&mut self, sql: &str) -> Result<Response, SqlError> {
-        match parse_statement(sql).map_err(SqlError::Parse)? {
-            Statement::Query(query) => Ok(Response::Rows(self.run_query(&query)?)),
+        let statement = match self.statements.prepare(sql, &self.catalog)? {
+            Prepared::Query(compiled) => {
+                let runtime = self.backend.runtime();
+                let limits = runtime.limits().clone();
+                let rows = compiled.evaluate(runtime.database(), limits, self.parallel_chunks)?;
+                return Ok(Response::Rows(rows));
+            }
+            Prepared::Other(statement) => statement,
+        };
+        match statement {
+            Statement::Query(_) => unreachable!("prepare compiles every query"),
             Statement::CreateView { name, query } => {
                 // A view may not take a declared table's name: the name
                 // would mean the base rows in FROM but the view rows in
@@ -525,19 +549,7 @@ impl SqlRuntime {
                         crate::compile::CompileError::ViewShadowsTable(name),
                     ));
                 }
-                let compiled = compile_query(&query, &self.catalog).map_err(SqlError::Compile)?;
-                // The analyzer certifies what the compiler built: a shape
-                // error here means the SQL→BALG translation itself is
-                // broken, and the view must not register. No cost gate —
-                // compiled aggregates legitimately use the Section 3
-                // powerset-guess, bounded at runtime by the evaluator's
-                // budgets.
-                analyze::analyze(&compiled.expr, &self.catalog.to_schema()).map_err(|e| {
-                    SqlError::Analysis {
-                        at: 0,
-                        message: format!("compiled view failed analysis: {e}"),
-                    }
-                })?;
+                let compiled = compile_view(&query, &self.catalog)?;
                 self.register_view(name, compiled.expr, compiled.output)
             }
             Statement::CreateBalgView { name, expr, at } => {
@@ -719,17 +731,6 @@ impl SqlRuntime {
             let _ = self.backend.set_meta(&format!("viewcols:{name}"), None);
         }
         result
-    }
-
-    fn run_query(&self, query: &Query) -> Result<QueryResult, SqlError> {
-        let compiled = compile_query(query, &self.catalog).map_err(SqlError::Compile)?;
-        let runtime = self.backend.runtime();
-        let mut evaluator = Evaluator::new(runtime.database(), runtime.limits().clone());
-        if let Some(chunks) = self.parallel_chunks {
-            evaluator.set_parallel_threads(chunks);
-        }
-        let bag = evaluator.eval_bag(&compiled.expr).map_err(SqlError::Eval)?;
-        decode_result(&bag, compiled.output)
     }
 }
 

@@ -15,8 +15,9 @@ use balg::core::expr::{Expr, Pred};
 use balg::core::schema::Database;
 use balg::core::value::Value;
 use balg::sql::prelude::*;
-use proptest::collection::vec;
 use proptest::prelude::*;
+
+mod sql_gen;
 
 /// Two plain (non-numeric) tables with duplicate rows, so bag semantics
 /// is observable: `t(name, tag)` and `u(name)`.
@@ -357,53 +358,6 @@ fn spanning_comparisons_without_an_equality_stay_a_correct_product() {
     assert_eq!(products, 1, "{}", compiled.expr);
 }
 
-/// The proptest's tables: `a(s, n)`, `b(s, n)`, `c(n, s)` — six scope
-/// columns, `n` numeric. `true` marks the numeric ones.
-const COLUMNS: [(&str, bool); 6] = [
-    ("a.s", false),
-    ("a.n", true),
-    ("b.s", false),
-    ("b.n", true),
-    ("c.n", true),
-    ("c.s", false),
-];
-const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
-
-fn prop_catalog() -> Catalog {
-    Catalog::new()
-        .with_table("a", &[("s", false), ("n", true)])
-        .with_table("b", &[("s", false), ("n", true)])
-        .with_table("c", &[("n", true), ("s", false)])
-}
-
-/// One random comparison, as SQL text and as the predicate the naive
-/// lowering gives it: column `left`, operator `op`, then column `right`
-/// when it exists in scope and has the same kind, else the literal `lit`.
-fn comparison(left: usize, right: usize, op: usize, lit: u8, in_scope: usize) -> (String, Pred) {
-    let left = left % in_scope;
-    let numeric = COLUMNS[left].1;
-    let (rhs_sql, rhs) = if right < in_scope && COLUMNS[right].1 == numeric {
-        (COLUMNS[right].0.to_owned(), attr(right + 1))
-    } else if numeric {
-        (lit.to_string(), int_lit(u64::from(lit)))
-    } else {
-        (
-            format!("'s{lit}'"),
-            Expr::lit(Value::sym(&format!("s{lit}"))),
-        )
-    };
-    let lhs = attr(left + 1);
-    let pred = match OPS[op] {
-        "=" => Pred::eq(lhs, rhs),
-        "<>" => Pred::eq(lhs, rhs).not(),
-        "<" => Pred::lt(lhs, rhs),
-        "<=" => Pred::le(lhs, rhs),
-        ">" => Pred::lt(rhs, lhs),
-        _ => Pred::le(rhs, lhs),
-    };
-    (format!("{} {} {rhs_sql}", COLUMNS[left].0, OPS[op]), pred)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -411,42 +365,10 @@ proptest! {
     /// with duplicate rows: the planned lowering evaluates to the same bag
     /// — multiplicities included — as one σ over the product chain.
     #[test]
-    fn planned_joins_agree_with_the_naive_lowering(
-        a in vec((0u8..3, 0u8..3), 0..6),
-        b in vec((0u8..3, 0u8..3), 0..6),
-        c in vec((0u8..3, 0u8..3), 0..6),
-        three_tables in any::<bool>(),
-        conjuncts in vec((0usize..6, 0usize..8, 0usize..6, 0u8..3), 0..5),
-    ) {
-        let catalog = prop_catalog();
-        let s = |v: u8| SqlValue::Str(format!("s{v}"));
-        let n = |v: u8| SqlValue::Int(i64::from(v));
-        let db = database_from_rows(
-            &catalog,
-            &[
-                ("a", a.iter().map(|&(x, y)| vec![s(x), n(y)]).collect()),
-                ("b", b.iter().map(|&(x, y)| vec![s(x), n(y)]).collect()),
-                ("c", c.iter().map(|&(x, y)| vec![n(x), s(y)]).collect()),
-            ],
-        )
-        .unwrap();
-        let (from, in_scope) = if three_tables { ("a, b, c", 6) } else { ("a, b", 4) };
-        let (texts, preds): (Vec<String>, Vec<Pred>) = conjuncts
-            .iter()
-            .map(|&(left, right, op, lit)| comparison(left, right, op, lit, in_scope))
-            .unzip();
-        let mut sql = format!("SELECT * FROM {from}");
-        if !texts.is_empty() {
-            sql = format!("{sql} WHERE {}", texts.join(" AND "));
-        }
-        let mut naive = Expr::var("a").product(Expr::var("b"));
-        if three_tables {
-            naive = naive.product(Expr::var("c"));
-        }
-        if let Some(pred) = preds.into_iter().reduce(Pred::and) {
-            naive = naive.select("r", pred);
-        }
-        let compiled = compile_query(&parse(&sql).unwrap(), &catalog).unwrap();
+    fn planned_joins_agree_with_the_naive_lowering(case in sql_gen::case()) {
+        let db = sql_gen::database(&case);
+        let (sql, naive) = sql_gen::query(&case);
+        let compiled = compile_query(&parse(&sql).unwrap(), &sql_gen::catalog()).unwrap();
         prop_assert_eq!(
             eval_bag(&compiled.expr, &db).unwrap(),
             eval_bag(&naive, &db).unwrap(),
