@@ -55,6 +55,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::ControlFlow;
 
 use crate::expr::{Expr, Pred, Var};
 use crate::schema::Schema;
@@ -482,51 +483,24 @@ fn linear_reads(expr: &Expr, var: &Var) -> usize {
 /// The bases read inside some λ body or selection/fixpoint predicate —
 /// updates to them leave delta form and force body recomputation.
 pub fn lambda_affected(expr: &Expr) -> BTreeSet<Var> {
-    let mut out = BTreeSet::new();
-    collect_lambda_reads(expr, &mut Vec::new(), &mut out);
-    out
-}
-
-fn collect_lambda_reads(expr: &Expr, bound: &mut Vec<Var>, out: &mut BTreeSet<Var>) {
-    match expr {
-        Expr::Var(_) | Expr::Lit(_) => {}
-        Expr::AdditiveUnion(a, b)
-        | Expr::Subtract(a, b)
-        | Expr::MaxUnion(a, b)
-        | Expr::Intersect(a, b)
-        | Expr::Product(a, b) => {
-            collect_lambda_reads(a, bound, out);
-            collect_lambda_reads(b, bound, out);
-        }
-        Expr::Tuple(fields) => {
-            for field in fields {
-                collect_lambda_reads(field, bound, out);
+    /// `bound` holds the binders enclosing `expr`: one per λ it sits in.
+    fn go<'a>(expr: &'a Expr, bound: &mut Vec<&'a Var>, out: &mut BTreeSet<Var>) {
+        if let Expr::Var(name) = expr {
+            if !bound.is_empty() && !bound.contains(&name) {
+                out.insert(name.clone());
             }
         }
-        Expr::Singleton(e)
-        | Expr::Powerset(e)
-        | Expr::Powerbag(e)
-        | Expr::Attr(e, _)
-        | Expr::Destroy(e)
-        | Expr::Dedup(e) => collect_lambda_reads(e, bound, out),
-        Expr::Map { var, body, input } | Expr::Ifp { var, body, input } => {
-            collect_lambda_reads(input, bound, out);
-            out.extend(free_with(body, bound, var));
-            bound.push(var.clone());
-            collect_lambda_reads(body, bound, out);
-            bound.pop();
-        }
-        Expr::Select { var, pred, input } => {
-            collect_lambda_reads(input, bound, out);
-            pred.visit_exprs(&mut |e| {
-                out.extend(free_with(e, bound, var));
-                bound.push(var.clone());
-                collect_lambda_reads(e, bound, out);
-                bound.pop();
-            });
-        }
-        Expr::Nest { input, .. } => collect_lambda_reads(input, bound, out),
+        let _ = expr.try_for_each_child(|child, var| {
+            let depth = bound.len();
+            bound.extend(var);
+            go(child, bound, out);
+            bound.truncate(depth);
+            ControlFlow::<()>::Continue(())
+        });
     }
+    let mut out = BTreeSet::new();
+    go(expr, &mut Vec::new(), &mut out);
+    out
 }
 
 /// Free variables of `expr` that are bases: not in `bound` and not the

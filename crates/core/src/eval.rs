@@ -54,6 +54,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use balg_obs::profile::{Profiler, SpanId};
@@ -887,18 +888,19 @@ impl<'a> Evaluator<'a> {
                 None => {
                     let mut roots = Vec::new();
                     for stage in stages {
-                        let mut blocked = Vec::new();
                         match stage {
                             Stage::Map { var, body } => {
-                                blocked.push((*var).clone());
-                                collect_invariant_roots(body, &mut blocked, &mut roots);
+                                collect_invariant_roots(body, &mut vec![*var], &mut roots);
                             }
                             // An in-place σ reads only its row and literals:
                             // nothing to hoist.
                             Stage::Filter { in_place: true, .. } => {}
                             Stage::Filter { var, pred, .. } => {
-                                blocked.push((*var).clone());
-                                collect_invariant_pred_roots(pred, &mut blocked, &mut roots);
+                                let mut blocked = vec![*var];
+                                let _ = pred.try_for_each_expr(&mut |e| {
+                                    collect_invariant_roots(e, &mut blocked, &mut roots);
+                                    ControlFlow::<()>::Continue(())
+                                });
                             }
                             // A projection has no subexpressions to hoist.
                             Stage::Project { .. } => {}
@@ -1495,35 +1497,15 @@ fn worth_memoizing(expr: &Expr) -> bool {
 /// Does `name` occur free in `expr`? (Occurrences under a λ that rebinds
 /// the same name are bound, not free.)
 fn mentions_free(expr: &Expr, name: &Var) -> bool {
-    match expr {
-        Expr::Var(v) => v == name,
-        Expr::Lit(_) => false,
-        Expr::AdditiveUnion(a, b)
-        | Expr::Subtract(a, b)
-        | Expr::MaxUnion(a, b)
-        | Expr::Intersect(a, b)
-        | Expr::Product(a, b) => mentions_free(a, name) || mentions_free(b, name),
-        Expr::Tuple(fields) => fields.iter().any(|f| mentions_free(f, name)),
-        Expr::Singleton(e)
-        | Expr::Powerset(e)
-        | Expr::Powerbag(e)
-        | Expr::Attr(e, _)
-        | Expr::Destroy(e)
-        | Expr::Dedup(e) => mentions_free(e, name),
-        Expr::Map { var, body, input } | Expr::Ifp { var, body, input } => {
-            mentions_free(input, name) || (var != name && mentions_free(body, name))
-        }
-        Expr::Select { var, pred, input } => {
-            mentions_free(input, name) || (var != name && mentions_free_pred(pred, name))
-        }
-        Expr::Nest { input, .. } => mentions_free(input, name),
-    }
-}
-
-fn mentions_free_pred(pred: &Pred, name: &Var) -> bool {
-    let mut found = false;
-    pred.visit_exprs(&mut |e| found |= mentions_free(e, name));
-    found
+    matches!(expr, Expr::Var(v) if v == name)
+        || expr
+            .try_for_each_child(|child, bound| {
+                if bound != Some(name) && mentions_free(child, name) {
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            })
+            .is_break()
 }
 
 /// Collect the maximal subexpressions of `expr` that mention none of the
@@ -1532,71 +1514,24 @@ fn mentions_free_pred(pred: &Pred, name: &Var) -> bool {
 /// evaluate to the same value for every element of the stage's loop, so
 /// the evaluator memoizes them (lazily, preserving error behavior: a
 /// subtree that is never reached is never evaluated).
-fn collect_invariant_roots<'e>(expr: &'e Expr, blocked: &mut Vec<Var>, out: &mut Vec<&'e Expr>) {
+fn collect_invariant_roots<'e>(
+    expr: &'e Expr,
+    blocked: &mut Vec<&'e Var>,
+    out: &mut Vec<&'e Expr>,
+) {
     if !blocked.iter().any(|name| mentions_free(expr, name)) {
         if worth_memoizing(expr) {
             out.push(expr);
         }
         return;
     }
-    match expr {
-        Expr::Var(_) | Expr::Lit(_) => {}
-        Expr::AdditiveUnion(a, b)
-        | Expr::Subtract(a, b)
-        | Expr::MaxUnion(a, b)
-        | Expr::Intersect(a, b)
-        | Expr::Product(a, b) => {
-            collect_invariant_roots(a, blocked, out);
-            collect_invariant_roots(b, blocked, out);
-        }
-        Expr::Tuple(fields) => {
-            for field in fields {
-                collect_invariant_roots(field, blocked, out);
-            }
-        }
-        Expr::Singleton(e)
-        | Expr::Powerset(e)
-        | Expr::Powerbag(e)
-        | Expr::Attr(e, _)
-        | Expr::Destroy(e)
-        | Expr::Dedup(e) => collect_invariant_roots(e, blocked, out),
-        Expr::Map { var, body, input } | Expr::Ifp { var, body, input } => {
-            collect_invariant_roots(input, blocked, out);
-            blocked.push(var.clone());
-            collect_invariant_roots(body, blocked, out);
-            blocked.pop();
-        }
-        Expr::Select { var, pred, input } => {
-            collect_invariant_roots(input, blocked, out);
-            blocked.push(var.clone());
-            collect_invariant_pred_roots(pred, blocked, out);
-            blocked.pop();
-        }
-        Expr::Nest { input, .. } => collect_invariant_roots(input, blocked, out),
-    }
-}
-
-fn collect_invariant_pred_roots<'e>(
-    pred: &'e Pred,
-    blocked: &mut Vec<Var>,
-    out: &mut Vec<&'e Expr>,
-) {
-    match pred {
-        Pred::True => {}
-        Pred::Eq(a, b)
-        | Pred::Lt(a, b)
-        | Pred::Le(a, b)
-        | Pred::Member(a, b)
-        | Pred::SubBag(a, b) => {
-            collect_invariant_roots(a, blocked, out);
-            collect_invariant_roots(b, blocked, out);
-        }
-        Pred::Not(p) => collect_invariant_pred_roots(p, blocked, out),
-        Pred::And(a, b) | Pred::Or(a, b) => {
-            collect_invariant_pred_roots(a, blocked, out);
-            collect_invariant_pred_roots(b, blocked, out);
-        }
-    }
+    let _ = expr.try_for_each_child(|child, var| {
+        let depth = blocked.len();
+        blocked.extend(var);
+        collect_invariant_roots(child, blocked, out);
+        blocked.truncate(depth);
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 /// How [`Evaluator::eval_product`] produced its bag.

@@ -11,8 +11,40 @@
 //! and the inflationary fixpoint `IFP` (Section 6, Theorem 6.6). Order
 //! predicates `<`/`≤` correspond to the paper's "in the presence of an
 //! order on the domain" results and are likewise flagged.
+//!
+//! # The child walk
+//!
+//! `MAP`, `σ` and `IFP` each bind a λ variable, so a pass over a query
+//! has to know which binder is in scope where. Every structural pass —
+//! [`Expr::visit`], [`Expr::free_vars`], the rewriter's bottom-up pass,
+//! substitution and attribute shifting, the evaluator's loop-invariant
+//! analysis, the analyzer's λ reads, a view's operands — is a fold over
+//! one walk, [`Expr::try_for_each_child`] (shared, stops at the first
+//! `Break`) and [`Expr::for_each_child_mut`] (in place, on an owned tree).
+//! It guarantees:
+//!
+//! * **scope**: each direct sub-expression comes with the λ variable bound
+//!   for it — `Some(var)` for a `MAP`/`IFP` body and for every expression
+//!   of a `σ` predicate, `None` for everything else, inputs included;
+//! * **order**: source order — operands left to right, a λ body (or the
+//!   predicate's expressions, left to right) before its input. `visit`'s
+//!   pre-order, and with it the `ifp` lines of `:analyze`, follows it;
+//!   `free_vars` lists an input before its body by folding the unscoped
+//!   children first;
+//! * **no allocation**: the closure is monomorphised and the walk builds
+//!   nothing, so a fold allocates only what it collects.
+//!
+//! A new `Expr` variant is added to the walk's two matches. The matches
+//! that give each variant its *meaning* must still be touched by hand:
+//! the evaluator's dispatch and `node_label` (`eval.rs`); typing,
+//! `set_like` and `classify` (`analyze.rs`); the WAL codec and its
+//! `expr_fits` size check (`wal.rs`); `Display` below; the parser
+//! (`parse.rs`); `balg_relational`'s `translate`; the incremental view
+//! compiler's rule table (`view.rs`); and, for a variant that owns heap
+//! data, the statement cache's `footprint` (`balg_sql`'s `cache.rs`).
 
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::value::Value;
@@ -273,6 +305,81 @@ impl Expr {
     /// Pre-order traversal over all sub-expressions, including λ bodies.
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
+        let _ = self.try_for_each_child(|child, _| {
+            child.visit(f);
+            ControlFlow::<()>::Continue(())
+        });
+    }
+
+    /// Free variables (not bound by any enclosing MAP/σ/IFP λ), in first
+    /// occurrence order — these are the database bags the query reads.
+    /// An input comes before the λ body mapped over it.
+    pub fn free_vars(&self) -> Vec<Var> {
+        fn go<'a>(expr: &'a Expr, bound: &mut Vec<&'a Var>, out: &mut Vec<Var>) {
+            if let Expr::Var(name) = expr {
+                if !bound.contains(&name) && !out.contains(name) {
+                    out.push(name.clone());
+                }
+            }
+            for scoped in [false, true] {
+                let _ = expr.try_for_each_child(|child, var| {
+                    if var.is_some() == scoped {
+                        let depth = bound.len();
+                        bound.extend(var);
+                        go(child, bound, out);
+                        bound.truncate(depth);
+                    }
+                    ControlFlow::<()>::Continue(())
+                });
+            }
+        }
+        let mut out = Vec::new();
+        go(self, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// The child walk: calls `f` on each direct sub-expression, in source
+    /// order, with the λ variable bound for it — `Some(var)` for a
+    /// `MAP`/`IFP` body and for every expression of a `σ` predicate,
+    /// `None` otherwise — and stops at the first `Break`, which it
+    /// returns.
+    pub fn try_for_each_child<'a, B>(
+        &'a self,
+        mut f: impl FnMut(&'a Expr, Option<&'a Var>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        match self {
+            Expr::Var(_) | Expr::Lit(_) => ControlFlow::Continue(()),
+            Expr::AdditiveUnion(a, b)
+            | Expr::Subtract(a, b)
+            | Expr::MaxUnion(a, b)
+            | Expr::Intersect(a, b)
+            | Expr::Product(a, b) => {
+                f(a, None)?;
+                f(b, None)
+            }
+            Expr::Tuple(fields) => fields.iter().try_for_each(|field| f(field, None)),
+            Expr::Singleton(e)
+            | Expr::Powerset(e)
+            | Expr::Powerbag(e)
+            | Expr::Attr(e, _)
+            | Expr::Destroy(e)
+            | Expr::Dedup(e)
+            | Expr::Nest { input: e, .. } => f(e, None),
+            Expr::Map { var, body, input } | Expr::Ifp { var, body, input } => {
+                f(body, Some(var))?;
+                f(input, None)
+            }
+            Expr::Select { var, pred, input } => {
+                pred.try_for_each_expr(&mut |e| f(e, Some(var)))?;
+                f(input, None)
+            }
+        }
+    }
+
+    /// [`Expr::try_for_each_child`] over an owned tree, for rewriting it
+    /// in place: the same children, order and scopes, without the early
+    /// stop.
+    pub fn for_each_child_mut<'a>(&'a mut self, mut f: impl FnMut(&'a mut Expr, Option<&'a Var>)) {
         match self {
             Expr::Var(_) | Expr::Lit(_) => {}
             Expr::AdditiveUnion(a, b)
@@ -280,80 +387,27 @@ impl Expr {
             | Expr::MaxUnion(a, b)
             | Expr::Intersect(a, b)
             | Expr::Product(a, b) => {
-                a.visit(f);
-                b.visit(f);
+                f(a, None);
+                f(b, None);
             }
-            Expr::Tuple(fields) => {
-                for field in fields {
-                    field.visit(f);
-                }
-            }
+            Expr::Tuple(fields) => fields.iter_mut().for_each(|field| f(field, None)),
             Expr::Singleton(e)
             | Expr::Powerset(e)
             | Expr::Powerbag(e)
             | Expr::Attr(e, _)
             | Expr::Destroy(e)
-            | Expr::Dedup(e) => e.visit(f),
-            Expr::Map { body, input, .. } | Expr::Ifp { body, input, .. } => {
-                body.visit(f);
-                input.visit(f);
+            | Expr::Dedup(e)
+            | Expr::Nest { input: e, .. } => f(e, None),
+            Expr::Map { var, body, input } | Expr::Ifp { var, body, input } => {
+                f(body, Some(var));
+                f(input, None);
             }
-            Expr::Select { pred, input, .. } => {
-                pred.visit(f);
-                input.visit(f);
-            }
-            Expr::Nest { input, .. } => input.visit(f),
-        }
-    }
-
-    /// Free variables (not bound by any enclosing MAP/σ/IFP λ), in first
-    /// occurrence order — these are the database bags the query reads.
-    pub fn free_vars(&self) -> Vec<Var> {
-        fn go(expr: &Expr, bound: &mut Vec<Var>, out: &mut Vec<Var>) {
-            match expr {
-                Expr::Var(name) => {
-                    if !bound.contains(name) && !out.contains(name) {
-                        out.push(name.clone());
-                    }
-                }
-                Expr::Lit(_) => {}
-                Expr::AdditiveUnion(a, b)
-                | Expr::Subtract(a, b)
-                | Expr::MaxUnion(a, b)
-                | Expr::Intersect(a, b)
-                | Expr::Product(a, b) => {
-                    go(a, bound, out);
-                    go(b, bound, out);
-                }
-                Expr::Tuple(fields) => {
-                    for field in fields {
-                        go(field, bound, out);
-                    }
-                }
-                Expr::Singleton(e)
-                | Expr::Powerset(e)
-                | Expr::Powerbag(e)
-                | Expr::Attr(e, _)
-                | Expr::Destroy(e)
-                | Expr::Dedup(e) => go(e, bound, out),
-                Expr::Map { var, body, input } | Expr::Ifp { var, body, input } => {
-                    go(input, bound, out);
-                    bound.push(var.clone());
-                    go(body, bound, out);
-                    bound.pop();
-                }
-                Expr::Select { var, pred, input } => {
-                    go(input, bound, out);
-                    bound.push(var.clone());
-                    pred.visit_exprs(&mut |e| go(e, &mut bound.clone(), out));
-                    bound.pop();
-                }
-                Expr::Nest { input, .. } => go(input, bound, out),
+            Expr::Select { var, pred, input } => {
+                let var: &'a Var = var;
+                pred.for_each_expr_mut(&mut |e| f(e, Some(var)));
+                f(input, None);
             }
         }
-        let mut out = Vec::new();
-        go(self, &mut Vec::new(), &mut out);
-        out
     }
 }
 
@@ -391,6 +445,44 @@ impl Pred {
 
     /// Visit the expressions immediately inside the predicate.
     pub fn visit_exprs(&self, f: &mut impl FnMut(&Expr)) {
+        let _ = self.try_for_each_expr(&mut |e| {
+            f(e);
+            ControlFlow::<()>::Continue(())
+        });
+    }
+
+    /// Visit the predicate and every sub-expression recursively.
+    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
+        self.visit_exprs(&mut |e| e.visit(f));
+    }
+
+    /// The expressions of the predicate, left to right, for the child
+    /// walk: stops at the first `Break`.
+    pub(crate) fn try_for_each_expr<'a, B, F>(&'a self, f: &mut F) -> ControlFlow<B>
+    where
+        F: FnMut(&'a Expr) -> ControlFlow<B>,
+    {
+        match self {
+            Pred::True => ControlFlow::Continue(()),
+            Pred::Eq(a, b)
+            | Pred::Lt(a, b)
+            | Pred::Le(a, b)
+            | Pred::Member(a, b)
+            | Pred::SubBag(a, b) => {
+                f(a)?;
+                f(b)
+            }
+            Pred::Not(p) => p.try_for_each_expr(f),
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                a.try_for_each_expr(f)?;
+                b.try_for_each_expr(f)
+            }
+        }
+    }
+
+    /// [`Pred::try_for_each_expr`] over an owned predicate, for rewriting
+    /// it in place.
+    pub(crate) fn for_each_expr_mut<'a, F: FnMut(&'a mut Expr)>(&'a mut self, f: &mut F) {
         match self {
             Pred::True => {}
             Pred::Eq(a, b)
@@ -401,17 +493,12 @@ impl Pred {
                 f(a);
                 f(b);
             }
-            Pred::Not(p) => p.visit_exprs(f),
+            Pred::Not(p) => p.for_each_expr_mut(f),
             Pred::And(a, b) | Pred::Or(a, b) => {
-                a.visit_exprs(f);
-                b.visit_exprs(f);
+                a.for_each_expr_mut(f);
+                b.for_each_expr_mut(f);
             }
         }
-    }
-
-    /// Visit the predicate and every sub-expression recursively.
-    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
-        self.visit_exprs(&mut |e| e.visit(f));
     }
 }
 

@@ -14,7 +14,10 @@
 //!   on it, the residue above — is this optimizer's normal form and the
 //!   shape the SQL lowering emits);
 //! * `ε` pushdown (`ε∘σ = σ∘ε`, `ε(A×B) = ε(A)×ε(B)`,
-//!   `ε(A ∪⁺ B) = ε(A) ∪ ε(B)`, …);
+//!   `ε(A ∪⁺ B) = ε(A) ∪ ε(B)`, …). `ε` moves below `×` only when the
+//!   schema gives both operands an arity: concatenating tuples is
+//!   injective only then, and over `A = {{[a], [a,b]}}`,
+//!   `B = {{[b,c], [c]}}` the pushed form would count `[a,b,c]` twice;
 //! * MAP fusion (`MAP_f ∘ MAP_g = MAP_{f∘g}`) and identity elimination;
 //! * empty-bag and idempotence simplifications;
 //! * constant folding of closed, powerset-free subexpressions.
@@ -24,6 +27,7 @@
 //! errors an ill-typed `e` would have raised.
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 use crate::analyze::infer_type;
 use crate::bag::Bag;
@@ -41,101 +45,27 @@ use crate::value::Value;
 pub fn optimize(expr: &Expr, schema: &Schema) -> Expr {
     let mut current = expr.clone();
     for _ in 0..12 {
-        let (next, changed) = pass(&current, schema);
-        current = next;
-        if !changed {
+        if !pass(&mut current, schema) {
             break;
         }
     }
     current
 }
 
-/// One bottom-up pass.
-fn pass(expr: &Expr, schema: &Schema) -> (Expr, bool) {
+/// One bottom-up pass, in place: `true` if any rule fired.
+fn pass(expr: &mut Expr, schema: &Schema) -> bool {
     // Rewrite children first.
-    let (node, mut changed) = rebuild_children(expr, schema);
-    // Then the node itself, repeatedly while local rules fire.
-    let mut node = node;
-    loop {
-        match apply_rules(node, schema) {
-            (next, true) => {
-                node = next;
-                changed = true;
-            }
-            (next, false) => return (next, changed),
-        }
-    }
-}
-
-fn rebuild_children(expr: &Expr, schema: &Schema) -> (Expr, bool) {
     let mut changed = false;
-    let mut rw = |e: &Expr| {
-        let (out, c) = pass(e, schema);
-        changed |= c;
-        Box::new(out)
-    };
-    let out = match expr {
-        Expr::Var(_) | Expr::Lit(_) => expr.clone(),
-        Expr::AdditiveUnion(a, b) => Expr::AdditiveUnion(rw(a), rw(b)),
-        Expr::Subtract(a, b) => Expr::Subtract(rw(a), rw(b)),
-        Expr::MaxUnion(a, b) => Expr::MaxUnion(rw(a), rw(b)),
-        Expr::Intersect(a, b) => Expr::Intersect(rw(a), rw(b)),
-        Expr::Product(a, b) => Expr::Product(rw(a), rw(b)),
-        Expr::Tuple(fields) => Expr::Tuple(fields.iter().map(|f| *rw(f)).collect()),
-        Expr::Singleton(e) => Expr::Singleton(rw(e)),
-        Expr::Powerset(e) => Expr::Powerset(rw(e)),
-        Expr::Powerbag(e) => Expr::Powerbag(rw(e)),
-        Expr::Attr(e, i) => Expr::Attr(rw(e), *i),
-        Expr::Destroy(e) => Expr::Destroy(rw(e)),
-        Expr::Dedup(e) => Expr::Dedup(rw(e)),
-        Expr::Map { var, body, input } => Expr::Map {
-            var: var.clone(),
-            body: rw(body),
-            input: rw(input),
-        },
-        Expr::Select { var, pred, input } => {
-            let input = rw(input);
-            Expr::Select {
-                var: var.clone(),
-                pred: Box::new(rewrite_pred(pred, schema, &mut changed)),
-                input,
-            }
+    expr.for_each_child_mut(|child, _| changed |= pass(child, schema));
+    // Then the node itself, repeatedly while local rules fire.
+    loop {
+        let node = std::mem::replace(expr, Expr::Tuple(Vec::new()));
+        let (next, fired) = apply_rules(node, schema);
+        *expr = next;
+        if !fired {
+            return changed;
         }
-        Expr::Ifp { var, body, input } => Expr::Ifp {
-            var: var.clone(),
-            body: rw(body),
-            input: rw(input),
-        },
-        Expr::Nest { group, input } => Expr::Nest {
-            group: group.clone(),
-            input: rw(input),
-        },
-    };
-    (out, changed)
-}
-
-fn rewrite_pred(pred: &Pred, schema: &Schema, changed: &mut bool) -> Pred {
-    let mut rw = |e: &Expr| {
-        let (out, c) = pass(e, schema);
-        *changed |= c;
-        out
-    };
-    match pred {
-        Pred::True => Pred::True,
-        Pred::Eq(a, b) => Pred::Eq(rw(a), rw(b)),
-        Pred::Lt(a, b) => Pred::Lt(rw(a), rw(b)),
-        Pred::Le(a, b) => Pred::Le(rw(a), rw(b)),
-        Pred::Member(a, b) => Pred::Member(rw(a), rw(b)),
-        Pred::SubBag(a, b) => Pred::SubBag(rw(a), rw(b)),
-        Pred::Not(p) => Pred::Not(Box::new(rewrite_pred(p, schema, changed))),
-        Pred::And(a, b) => Pred::And(
-            Box::new(rewrite_pred(a, schema, changed)),
-            Box::new(rewrite_pred(b, schema, changed)),
-        ),
-        Pred::Or(a, b) => Pred::Or(
-            Box::new(rewrite_pred(a, schema, changed)),
-            Box::new(rewrite_pred(b, schema, changed)),
-        ),
+        changed = true;
     }
 }
 
@@ -165,24 +95,30 @@ fn pred_binders(pred: &Pred) -> BTreeSet<Var> {
     out
 }
 
-/// Capture-safe substitution of free `var` by `replacement`; `None` when
-/// a binder in the target could capture a free variable of the
-/// replacement (conservative).
-fn subst(expr: &Expr, var: &Var, replacement: &Expr) -> Option<Expr> {
-    Subst::new(&binders(expr), var, replacement, false).map(|s| s.expr(expr))
+/// Capture-safe substitution of free `var` by `with` in `expr`, in
+/// place; `false`, leaving `expr` as it was, when a binder in it could
+/// capture a free variable of `with` (conservative).
+fn subst(expr: &mut Expr, var: &Var, with: &Expr) -> bool {
+    Subst::new(&binders(expr), var, with, false)
+        .map(|s| s.expr(expr))
+        .is_some()
 }
 
-fn subst_pred(pred: &Pred, var: &Var, replacement: &Expr) -> Option<Pred> {
-    Subst::new(&pred_binders(pred), var, replacement, false).map(|s| s.pred(pred))
+/// [`subst`] in every expression of a predicate.
+fn subst_pred(pred: &mut Pred, var: &Var, with: &Expr) -> bool {
+    Subst::new(&pred_binders(pred), var, with, false)
+        .map(|s| pred.for_each_expr_mut(&mut |e| s.expr(e)))
+        .is_some()
 }
 
-/// The body of `MAP_f ∘ MAP_g` fused to `MAP_{f[x := g]}`, or `None` where
-/// that would grow it. Substitution copies `g` once per use of `x` in `f`,
-/// so a chain of `π`s (two uses a level) would double at every level.
-/// Allowed: at most one use; or every use an in-range `αᵢ(x)` and `g` a
-/// `τ` of variables, literals and `αⱼ(y)`s, where each `αᵢ(x)` becomes the
-/// i-th field itself and the body does not grow.
-fn fuse_map_bodies(outer: &Expr, var: &Var, inner: &Expr) -> Option<Expr> {
+/// Fuse `MAP_f ∘ MAP_g` to `MAP_{f[x := g]}` by substituting in the body
+/// `f` in place; `false`, leaving it as it was, where that would grow it.
+/// Substitution copies `g` once per use of `x` in `f`, so a chain of `π`s
+/// (two uses a level) would double at every level. Allowed: at most one
+/// use; or every use an in-range `αᵢ(x)` and `g` a `τ` of variables,
+/// literals and `αⱼ(y)`s, where each `αᵢ(x)` becomes the i-th field
+/// itself and the body does not grow.
+fn fuse_map_bodies(outer: &mut Expr, var: &Var, inner: &Expr) -> bool {
     // Counts shadowed uses too: an over-count only declines.
     let mut uses = 0;
     outer.visit(&mut |e| uses += usize::from(matches!(e, Expr::Var(name) if name == var)));
@@ -190,22 +126,20 @@ fn fuse_map_bodies(outer: &Expr, var: &Var, inner: &Expr) -> Option<Expr> {
         return subst(outer, var, inner);
     }
     let Expr::Tuple(fields) = inner else {
-        return None;
+        return false;
     };
     let plain = |field: &Expr| match field {
         Expr::Var(_) | Expr::Lit(_) => true,
         Expr::Attr(e, _) => matches!(**e, Expr::Var(_)),
         _ => false,
     };
-    let (mut indices, mut only_attrs) = (BTreeSet::new(), true);
-    collect_usage(outer, var, &mut indices, &mut only_attrs);
-    if !only_attrs
-        || !fields.iter().all(plain)
-        || !indices.iter().all(|i| (1..=fields.len()).contains(i))
-    {
-        return None;
-    }
-    Subst::new(&binders(outer), var, inner, true).map(|s| s.expr(outer))
+    let mut indices = BTreeSet::new();
+    attr_reads(outer, var, &mut indices).is_continue()
+        && fields.iter().all(plain)
+        && indices.iter().all(|i| (1..=fields.len()).contains(i))
+        && Subst::new(&binders(outer), var, inner, true)
+            .map(|s| s.expr(outer))
+            .is_some()
 }
 
 /// One substitution of free `var` by `with`.
@@ -233,89 +167,22 @@ impl<'a> Subst<'a> {
         })
     }
 
-    fn boxed(&self, expr: &Expr) -> Box<Expr> {
-        Box::new(self.expr(expr))
-    }
-
-    fn expr(&self, expr: &Expr) -> Expr {
+    fn expr(&self, expr: &mut Expr) {
         match expr {
-            Expr::Var(name) if name == self.var => self.with.clone(),
-            Expr::Var(_) | Expr::Lit(_) => expr.clone(),
-            Expr::AdditiveUnion(a, b) => Expr::AdditiveUnion(self.boxed(a), self.boxed(b)),
-            Expr::Subtract(a, b) => Expr::Subtract(self.boxed(a), self.boxed(b)),
-            Expr::MaxUnion(a, b) => Expr::MaxUnion(self.boxed(a), self.boxed(b)),
-            Expr::Intersect(a, b) => Expr::Intersect(self.boxed(a), self.boxed(b)),
-            Expr::Product(a, b) => Expr::Product(self.boxed(a), self.boxed(b)),
-            Expr::Tuple(fields) => Expr::Tuple(fields.iter().map(|f| self.expr(f)).collect()),
-            Expr::Singleton(e) => Expr::Singleton(self.boxed(e)),
-            Expr::Powerset(e) => Expr::Powerset(self.boxed(e)),
-            Expr::Powerbag(e) => Expr::Powerbag(self.boxed(e)),
-            Expr::Attr(e, i) => match (e.as_ref(), self.with) {
-                (Expr::Var(name), Expr::Tuple(fields)) if self.pick_fields && name == self.var => {
-                    fields[i - 1].clone()
+            Expr::Var(name) if name == self.var => *expr = self.with.clone(),
+            Expr::Attr(inner, i)
+                if self.pick_fields && matches!(&**inner, Expr::Var(name) if name == self.var) =>
+            {
+                if let Expr::Tuple(fields) = self.with {
+                    *expr = fields[*i - 1].clone();
                 }
-                _ => Expr::Attr(self.boxed(e), *i),
-            },
-            Expr::Destroy(e) => Expr::Destroy(self.boxed(e)),
-            Expr::Dedup(e) => Expr::Dedup(self.boxed(e)),
-            Expr::Map {
-                var: bound,
-                body,
-                input,
-            } => Expr::Map {
-                var: bound.clone(),
-                // A rebinding of `var` shadows it in the body.
-                body: if bound == self.var {
-                    body.clone()
-                } else {
-                    self.boxed(body)
-                },
-                input: self.boxed(input),
-            },
-            Expr::Select {
-                var: bound,
-                pred,
-                input,
-            } => Expr::Select {
-                var: bound.clone(),
-                pred: if bound == self.var {
-                    pred.clone()
-                } else {
-                    Box::new(self.pred(pred))
-                },
-                input: self.boxed(input),
-            },
-            Expr::Ifp {
-                var: bound,
-                body,
-                input,
-            } => Expr::Ifp {
-                var: bound.clone(),
-                body: if bound == self.var {
-                    body.clone()
-                } else {
-                    self.boxed(body)
-                },
-                input: self.boxed(input),
-            },
-            Expr::Nest { group, input } => Expr::Nest {
-                group: group.clone(),
-                input: self.boxed(input),
-            },
-        }
-    }
-
-    fn pred(&self, pred: &Pred) -> Pred {
-        match pred {
-            Pred::True => Pred::True,
-            Pred::Eq(a, b) => Pred::Eq(self.expr(a), self.expr(b)),
-            Pred::Lt(a, b) => Pred::Lt(self.expr(a), self.expr(b)),
-            Pred::Le(a, b) => Pred::Le(self.expr(a), self.expr(b)),
-            Pred::Member(a, b) => Pred::Member(self.expr(a), self.expr(b)),
-            Pred::SubBag(a, b) => Pred::SubBag(self.expr(a), self.expr(b)),
-            Pred::Not(p) => Pred::Not(Box::new(self.pred(p))),
-            Pred::And(a, b) => Pred::And(Box::new(self.pred(a)), Box::new(self.pred(b))),
-            Pred::Or(a, b) => Pred::Or(Box::new(self.pred(a)), Box::new(self.pred(b))),
+            }
+            // A rebinding of `var` shadows it in the λ's body.
+            _ => expr.for_each_child_mut(|child, bound| {
+                if bound != Some(self.var) {
+                    self.expr(child);
+                }
+            }),
         }
     }
 }
@@ -343,7 +210,7 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
         // the key and pushes whatever one-sided conjuncts `p` holds.
         Expr::Select {
             var: outer_var,
-            pred: outer_pred,
+            pred: mut outer_pred,
             input,
         } if is_join_select(&input) => {
             let original = Expr::Select {
@@ -362,21 +229,12 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
             let Expr::Product(left, right) = *product else {
                 unreachable!("guarded by is_join_select")
             };
-            let renamed = if var == outer_var {
-                Some(*outer_pred)
+            if var == outer_var || subst_pred(&mut outer_pred, &outer_var, &Expr::Var(var.clone()))
+            {
+                let conjuncts = vec![*join_pred, *outer_pred];
+                resplit(original, &var, conjuncts, *left, *right, schema)
             } else {
-                subst_pred(&outer_pred, &outer_var, &Expr::Var(var.clone()))
-            };
-            match renamed {
-                Some(outer) => resplit(
-                    original,
-                    &var,
-                    vec![*join_pred, outer],
-                    *left,
-                    *right,
-                    schema,
-                ),
-                None => (original, false),
+                (original, false)
             }
         }
         // Fuse σ_p(σ_q(e)): rename q's variable to p's.
@@ -387,44 +245,38 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
         } if matches!(*input, Expr::Select { .. }) => {
             let Expr::Select {
                 var: inner_var,
-                pred: inner_pred,
+                pred: mut inner_pred,
                 input: inner_input,
             } = *input
             else {
                 unreachable!("guarded by matches!")
             };
-            let renamed = if inner_var == outer_var {
-                Some(*inner_pred.clone())
+            if inner_var == outer_var
+                || subst_pred(&mut inner_pred, &inner_var, &Expr::Var(outer_var.clone()))
+            {
+                let fused = Expr::Select {
+                    var: outer_var,
+                    pred: Box::new(Pred::And(outer_pred, inner_pred)),
+                    input: inner_input,
+                };
+                (fused, true)
             } else {
-                subst_pred(&inner_pred, &inner_var, &Expr::Var(outer_var.clone()))
-            };
-            match renamed {
-                Some(inner) => (
-                    Expr::Select {
-                        var: outer_var,
-                        pred: Box::new(Pred::And(outer_pred, Box::new(inner))),
+                let unfused = Expr::Select {
+                    var: outer_var,
+                    pred: outer_pred,
+                    input: Box::new(Expr::Select {
+                        var: inner_var,
+                        pred: inner_pred,
                         input: inner_input,
-                    },
-                    true,
-                ),
-                None => (
-                    Expr::Select {
-                        var: outer_var,
-                        pred: outer_pred,
-                        input: Box::new(Expr::Select {
-                            var: inner_var,
-                            pred: inner_pred,
-                            input: inner_input,
-                        }),
-                    },
-                    false,
-                ),
+                    }),
+                };
+                (unfused, false)
             }
         }
         // Push σ below MAP: σ_p(MAP_f(e)) = MAP_f(σ_{p[x := f]}(e)).
         Expr::Select {
             var: select_var,
-            pred,
+            mut pred,
             input,
         } if matches!(*input, Expr::Map { .. }) => {
             let Expr::Map {
@@ -435,31 +287,28 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
             else {
                 unreachable!("guarded by matches!")
             };
-            match subst_pred(&pred, &select_var, &body) {
-                Some(pushed) => (
-                    Expr::Map {
-                        var: map_var.clone(),
-                        body,
-                        input: Box::new(Expr::Select {
-                            var: map_var,
-                            pred: Box::new(pushed),
-                            input: map_input,
-                        }),
-                    },
-                    true,
-                ),
-                None => (
-                    Expr::Select {
-                        var: select_var,
+            if subst_pred(&mut pred, &select_var, &body) {
+                let pushed = Expr::Map {
+                    var: map_var.clone(),
+                    body,
+                    input: Box::new(Expr::Select {
+                        var: map_var,
                         pred,
-                        input: Box::new(Expr::Map {
-                            var: map_var,
-                            body,
-                            input: map_input,
-                        }),
-                    },
-                    false,
-                ),
+                        input: map_input,
+                    }),
+                };
+                (pushed, true)
+            } else {
+                let kept = Expr::Select {
+                    var: select_var,
+                    pred,
+                    input: Box::new(Expr::Map {
+                        var: map_var,
+                        body,
+                        input: map_input,
+                    }),
+                };
+                (kept, false)
             }
         }
         // Split σ over ×: one-sided conjuncts below, the join equality on
@@ -500,7 +349,12 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
                 true,
             )
         }
-        Expr::Dedup(e) if matches!(*e, Expr::Product(_, _)) => {
+        // ε(A × B) = ε(A) × ε(B) needs both arities: concatenation is
+        // injective only then (module doc).
+        Expr::Dedup(e)
+            if matches!(&*e, Expr::Product(a, b)
+                if arity_of(a, schema).is_some() && arity_of(b, schema).is_some()) =>
+        {
             let Expr::Product(a, b) = *e else {
                 unreachable!("guarded by matches!")
             };
@@ -532,7 +386,7 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
         // grow the body.
         Expr::Map {
             var: outer_var,
-            body: outer_body,
+            body: mut outer_body,
             input,
         } if matches!(*input, Expr::Map { .. }) => {
             let Expr::Map {
@@ -543,27 +397,24 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
             else {
                 unreachable!("guarded by matches!")
             };
-            match fuse_map_bodies(&outer_body, &outer_var, &inner_body) {
-                Some(fused) => (
-                    Expr::Map {
+            if fuse_map_bodies(&mut outer_body, &outer_var, &inner_body) {
+                let fused = Expr::Map {
+                    var: inner_var,
+                    body: outer_body,
+                    input: inner_input,
+                };
+                (fused, true)
+            } else {
+                let unfused = Expr::Map {
+                    var: outer_var,
+                    body: outer_body,
+                    input: Box::new(Expr::Map {
                         var: inner_var,
-                        body: Box::new(fused),
+                        body: inner_body,
                         input: inner_input,
-                    },
-                    true,
-                ),
-                None => (
-                    Expr::Map {
-                        var: outer_var,
-                        body: outer_body,
-                        input: Box::new(Expr::Map {
-                            var: inner_var,
-                            body: inner_body,
-                            input: inner_input,
-                        }),
-                    },
-                    false,
-                ),
+                    }),
+                };
+                (unfused, false)
             }
         }
 
@@ -593,74 +444,25 @@ fn attr_usage(pred: &Pred, var: &Var) -> Option<BTreeSet<usize>> {
         return None;
     }
     let mut indices = BTreeSet::new();
-    let mut ok = true;
-    pred.visit_exprs(&mut |e| collect_usage(e, var, &mut indices, &mut ok));
-    if ok {
-        Some(indices)
-    } else {
-        None
-    }
+    let reads = pred.try_for_each_expr(&mut |e| attr_reads(e, var, &mut indices));
+    reads.is_continue().then_some(indices)
 }
 
-fn collect_usage(expr: &Expr, var: &Var, indices: &mut BTreeSet<usize>, ok: &mut bool) {
+/// Add the `i` of every free `αᵢ(var)` in `expr` to `indices`; `Break` at
+/// a bare use of `var`.
+fn attr_reads(expr: &Expr, var: &Var, indices: &mut BTreeSet<usize>) -> ControlFlow<()> {
     match expr {
-        Expr::Attr(inner, i) if **inner == Expr::Var(var.clone()) => {
+        Expr::Attr(inner, i) if matches!(&**inner, Expr::Var(name) if name == var) => {
             indices.insert(*i);
+            ControlFlow::Continue(())
         }
-        Expr::Var(name) if name == var => {
-            *ok = false; // bare use of the row variable
-        }
-        _ => {
-            // Recurse manually over children (visit would re-enter Attr).
-            match expr {
-                Expr::Var(_) | Expr::Lit(_) => {}
-                Expr::AdditiveUnion(a, b)
-                | Expr::Subtract(a, b)
-                | Expr::MaxUnion(a, b)
-                | Expr::Intersect(a, b)
-                | Expr::Product(a, b) => {
-                    collect_usage(a, var, indices, ok);
-                    collect_usage(b, var, indices, ok);
-                }
-                Expr::Tuple(fields) => {
-                    for field in fields {
-                        collect_usage(field, var, indices, ok);
-                    }
-                }
-                Expr::Singleton(e)
-                | Expr::Powerset(e)
-                | Expr::Powerbag(e)
-                | Expr::Destroy(e)
-                | Expr::Dedup(e) => collect_usage(e, var, indices, ok),
-                Expr::Attr(e, _) => collect_usage(e, var, indices, ok),
-                Expr::Map {
-                    var: bound,
-                    body,
-                    input,
-                }
-                | Expr::Ifp {
-                    var: bound,
-                    body,
-                    input,
-                } => {
-                    collect_usage(input, var, indices, ok);
-                    if bound != var {
-                        collect_usage(body, var, indices, ok);
-                    }
-                }
-                Expr::Select {
-                    var: bound,
-                    pred,
-                    input,
-                } => {
-                    collect_usage(input, var, indices, ok);
-                    if bound != var {
-                        pred.visit_exprs(&mut |e| collect_usage(e, var, indices, ok));
-                    }
-                }
-                Expr::Nest { input, .. } => collect_usage(input, var, indices, ok),
+        Expr::Var(name) if name == var => ControlFlow::Break(()),
+        _ => expr.try_for_each_child(|child, bound| {
+            if bound == Some(var) {
+                return ControlFlow::Continue(());
             }
-        }
+            attr_reads(child, var, indices)
+        }),
     }
 }
 
@@ -675,101 +477,13 @@ fn arity_of(expr: &Expr, schema: &Schema) -> Option<usize> {
     }
 }
 
-/// Shift every `αᵢ(var)` in the predicate down by `offset`.
-fn shift_attrs(pred: &Pred, var: &Var, offset: usize) -> Pred {
-    fn shift_expr(expr: &Expr, var: &Var, offset: usize) -> Expr {
-        match expr {
-            Expr::Attr(inner, i) if **inner == Expr::Var(var.clone()) => {
-                Expr::Attr(inner.clone(), i - offset)
-            }
-            Expr::Var(_) | Expr::Lit(_) => expr.clone(),
-            Expr::AdditiveUnion(a, b) => Expr::AdditiveUnion(
-                Box::new(shift_expr(a, var, offset)),
-                Box::new(shift_expr(b, var, offset)),
-            ),
-            Expr::Subtract(a, b) => Expr::Subtract(
-                Box::new(shift_expr(a, var, offset)),
-                Box::new(shift_expr(b, var, offset)),
-            ),
-            Expr::MaxUnion(a, b) => Expr::MaxUnion(
-                Box::new(shift_expr(a, var, offset)),
-                Box::new(shift_expr(b, var, offset)),
-            ),
-            Expr::Intersect(a, b) => Expr::Intersect(
-                Box::new(shift_expr(a, var, offset)),
-                Box::new(shift_expr(b, var, offset)),
-            ),
-            Expr::Product(a, b) => Expr::Product(
-                Box::new(shift_expr(a, var, offset)),
-                Box::new(shift_expr(b, var, offset)),
-            ),
-            Expr::Tuple(fields) => {
-                Expr::Tuple(fields.iter().map(|f| shift_expr(f, var, offset)).collect())
-            }
-            Expr::Singleton(e) => Expr::Singleton(Box::new(shift_expr(e, var, offset))),
-            Expr::Powerset(e) => Expr::Powerset(Box::new(shift_expr(e, var, offset))),
-            Expr::Powerbag(e) => Expr::Powerbag(Box::new(shift_expr(e, var, offset))),
-            Expr::Attr(e, i) => Expr::Attr(Box::new(shift_expr(e, var, offset)), *i),
-            Expr::Destroy(e) => Expr::Destroy(Box::new(shift_expr(e, var, offset))),
-            Expr::Dedup(e) => Expr::Dedup(Box::new(shift_expr(e, var, offset))),
-            // Binders shadowing `var` were excluded by attr_usage.
-            Expr::Map {
-                var: v,
-                body,
-                input,
-            } => Expr::Map {
-                var: v.clone(),
-                body: Box::new(shift_expr(body, var, offset)),
-                input: Box::new(shift_expr(input, var, offset)),
-            },
-            Expr::Select {
-                var: v,
-                pred,
-                input,
-            } => Expr::Select {
-                var: v.clone(),
-                pred: Box::new(shift_pred(pred, var, offset)),
-                input: Box::new(shift_expr(input, var, offset)),
-            },
-            Expr::Ifp {
-                var: v,
-                body,
-                input,
-            } => Expr::Ifp {
-                var: v.clone(),
-                body: Box::new(shift_expr(body, var, offset)),
-                input: Box::new(shift_expr(input, var, offset)),
-            },
-            Expr::Nest { group, input } => Expr::Nest {
-                group: group.clone(),
-                input: Box::new(shift_expr(input, var, offset)),
-            },
-        }
+/// Shift every `αᵢ(var)` in `expr` down by `offset`, in place. Binders
+/// shadowing `var` were excluded by [`attr_usage`].
+fn shift_attrs(expr: &mut Expr, var: &Var, offset: usize) {
+    match expr {
+        Expr::Attr(inner, i) if matches!(&**inner, Expr::Var(name) if name == var) => *i -= offset,
+        _ => expr.for_each_child_mut(|child, _| shift_attrs(child, var, offset)),
     }
-    fn shift_pred(pred: &Pred, var: &Var, offset: usize) -> Pred {
-        match pred {
-            Pred::True => Pred::True,
-            Pred::Eq(a, b) => Pred::Eq(shift_expr(a, var, offset), shift_expr(b, var, offset)),
-            Pred::Lt(a, b) => Pred::Lt(shift_expr(a, var, offset), shift_expr(b, var, offset)),
-            Pred::Le(a, b) => Pred::Le(shift_expr(a, var, offset), shift_expr(b, var, offset)),
-            Pred::Member(a, b) => {
-                Pred::Member(shift_expr(a, var, offset), shift_expr(b, var, offset))
-            }
-            Pred::SubBag(a, b) => {
-                Pred::SubBag(shift_expr(a, var, offset), shift_expr(b, var, offset))
-            }
-            Pred::Not(p) => Pred::Not(Box::new(shift_pred(p, var, offset))),
-            Pred::And(a, b) => Pred::And(
-                Box::new(shift_pred(a, var, offset)),
-                Box::new(shift_pred(b, var, offset)),
-            ),
-            Pred::Or(a, b) => Pred::Or(
-                Box::new(shift_pred(a, var, offset)),
-                Box::new(shift_pred(b, var, offset)),
-            ),
-        }
-    }
-    shift_pred(pred, var, offset)
 }
 
 /// Append the conjuncts of `pred`, left to right, without the `True`s.
@@ -850,7 +564,9 @@ pub fn split_select_over_product(
         match bounds {
             Some((_, highest)) if highest <= left_arity => on_left.push(conjunct),
             Some((lowest, _)) if lowest > left_arity => {
-                on_right.push(shift_attrs(&conjunct, var, left_arity));
+                let mut conjunct = conjunct;
+                conjunct.for_each_expr_mut(&mut |e| shift_attrs(e, var, left_arity));
+                on_right.push(conjunct);
             }
             Some(_) if join.is_none() && equi_join_attrs(&conjunct, var).is_some() => {
                 join = Some(conjunct);

@@ -1,8 +1,10 @@
-//! The random-expression generator shared by `analyze_differential` and
-//! `step_limit_props`: expressions over two unary relations `R`, `S` and
-//! one binary relation `G` that reach every operator, both arities, `∈`
-//! and `⊑` predicates, and deliberately doomed shapes; and random
-//! databases conforming to that schema.
+//! The random-expression generator shared by `analyze_differential`,
+//! `step_limit_props` and the optimizer suite: expressions over two unary
+//! relations `R`, `S` and one binary relation `G` that reach every
+//! operator, both arities, `∈` and `⊑` predicates, λs binding `x` or `y`,
+//! a nested λ reading its outer binder, a `MAP_x` inside a `MAP_x` body,
+//! and deliberately doomed shapes; and random databases conforming to
+//! that schema.
 
 use balg_core::bag::Bag;
 use balg_core::expr::{Expr, Pred};
@@ -79,8 +81,18 @@ impl Gen {
         }
     }
 
-    fn pred(&mut self, arity: usize) -> Pred {
-        let x = || Expr::var("x");
+    /// A λ variable: mostly `x`, sometimes `y`, so that fusing two λs
+    /// has to rename one.
+    fn binder(&mut self) -> &'static str {
+        if self.below(4) == 0 {
+            "y"
+        } else {
+            "x"
+        }
+    }
+
+    fn pred(&mut self, arity: usize, var: &str) -> Pred {
+        let x = || Expr::var(var);
         match self.below(5) {
             0 if arity >= 2 => Pred::eq(x().attr(1), x().attr(2)),
             1 => Pred::lt(x().attr(1), Expr::lit(Value::int(self.below(4) as i64))),
@@ -99,7 +111,7 @@ impl Gen {
         if depth == 0 {
             return self.leaf(arity);
         }
-        match self.below(16) {
+        match self.below(18) {
             0 => self
                 .expr(depth - 1, arity)
                 .additive_union(self.expr(depth - 1, arity)),
@@ -114,17 +126,20 @@ impl Gen {
                 .intersect(self.expr(depth - 1, arity)),
             4 => self.expr(depth - 1, arity).dedup(),
             5 => {
-                let pred = self.pred(arity);
-                self.expr(depth - 1, arity).select("x", pred)
+                let var = self.binder();
+                let pred = self.pred(arity, var);
+                self.expr(depth - 1, arity).select(var, pred)
             }
             6 => {
+                let var = self.binder();
+                let x = || Expr::var(var);
                 let body = if arity == 1 {
-                    Expr::tuple([Expr::var("x").attr(1), Expr::var("x").attr(1)])
+                    Expr::tuple([x().attr(1), x().attr(1)])
                 } else {
-                    Expr::tuple([Expr::var("x").attr(2), Expr::var("x").attr(1)])
+                    Expr::tuple([x().attr(2), x().attr(1)])
                 };
                 let input_arity = if arity == 1 { 1 } else { 2 };
-                let out = self.expr(depth - 1, input_arity).map("x", body);
+                let out = self.expr(depth - 1, input_arity).map(var, body);
                 if arity == 1 {
                     out.project(&[1])
                 } else {
@@ -174,6 +189,34 @@ impl Gen {
                 .expr(depth - 1, arity)
                 .map("x", Expr::var("x").attr(9))
                 .project(&[1]),
+            // A nested λ reading its outer binder:
+            // δ(MAP_x[σ_y[α₁(y) = αₖ(x)](G)](e)), the rows of G that
+            // continue a row of `e` (k its last attribute).
+            15 => {
+                let step = Expr::var("G").select(
+                    "y",
+                    Pred::eq(Expr::var("y").attr(1), Expr::var("x").attr(arity)),
+                );
+                let out = self.expr(depth - 1, arity).map("x", step).destroy();
+                if arity == 1 {
+                    out.project(&[2])
+                } else {
+                    out
+                }
+            }
+            // A `MAP_x` inside a `MAP_x` body: the inner λ rebinds `x` to a
+            // row of G, whose σ input still reads the outer `x`:
+            // δ(MAP_x[MAP_x[τ(α₂(x), …)](σ_y[α₁(y) = αₖ(x)](G))](e)).
+            16 => {
+                let fields = (0..arity).map(|i| Expr::var("x").attr(2 - i));
+                let inner = Expr::var("G")
+                    .select(
+                        "y",
+                        Pred::eq(Expr::var("y").attr(1), Expr::var("x").attr(arity)),
+                    )
+                    .map("x", Expr::tuple(fields));
+                self.expr(depth - 1, arity).map("x", inner).destroy()
+            }
             _ => self.expr(depth - 1, arity),
         }
     }

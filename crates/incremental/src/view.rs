@@ -226,31 +226,6 @@ fn pred_free_vars(pred: &Pred, var: &Var) -> BTreeSet<Var> {
     out
 }
 
-/// The direct operands of `expr`: the sub-expressions a view node
-/// compiles into children. A λ body is not an operand; it runs inside
-/// the probe.
-fn operands_mut(expr: &mut Expr) -> Vec<&mut Expr> {
-    match expr {
-        Expr::Var(_) | Expr::Lit(_) => vec![],
-        Expr::AdditiveUnion(a, b)
-        | Expr::Subtract(a, b)
-        | Expr::MaxUnion(a, b)
-        | Expr::Intersect(a, b)
-        | Expr::Product(a, b) => vec![a, b],
-        Expr::Tuple(fields) => fields.iter_mut().collect(),
-        Expr::Singleton(e)
-        | Expr::Powerset(e)
-        | Expr::Powerbag(e)
-        | Expr::Attr(e, _)
-        | Expr::Destroy(e)
-        | Expr::Dedup(e)
-        | Expr::Map { input: e, .. }
-        | Expr::Select { input: e, .. }
-        | Expr::Ifp { input: e, .. }
-        | Expr::Nest { input: e, .. } => vec![e],
-    }
-}
-
 fn compile(expr: Expr) -> Node {
     // `σ_{αᵢ=αⱼ}(A × B)` fuses into one join node whose children are A
     // and B: the σ must intercept *before* the product's bilinear rule,
@@ -289,17 +264,24 @@ fn compile(expr: Expr) -> Node {
         Expr::Select { var, pred, .. } => pred_free_vars(pred, var),
         _ => BTreeSet::new(),
     };
+    // Each operand — a child outside every λ; a λ body runs inside the
+    // probe — compiles into a child node and leaves an input variable in
+    // its place.
     let mut probe = expr.clone();
-    let slots = match &mut probe {
-        Expr::Select { input, .. } if join.is_some() => operands_mut(input),
-        other => operands_mut(other),
+    let (mut inputs, mut children) = (Vec::new(), Vec::new());
+    let compile_operand = |operand: &mut Expr, var: Option<&Var>| {
+        if var.is_none() {
+            let input = input_var(inputs.len());
+            children.push(compile(std::mem::replace(
+                operand,
+                Expr::Var(input.clone()),
+            )));
+            inputs.push(input);
+        }
     };
-    let mut inputs = Vec::with_capacity(slots.len());
-    let mut children = Vec::with_capacity(slots.len());
-    for (k, slot) in slots.into_iter().enumerate() {
-        let var = input_var(k);
-        children.push(compile(std::mem::replace(slot, Expr::Var(var.clone()))));
-        inputs.push(var);
+    match &mut probe {
+        Expr::Select { input, .. } if join.is_some() => input.for_each_child_mut(compile_operand),
+        other => other.for_each_child_mut(compile_operand),
     }
     let mut reads: BTreeSet<Var> = body_reads.clone();
     if let Rule::Base(name) = &rule {

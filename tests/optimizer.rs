@@ -2,9 +2,14 @@
 //! random databases — the constraint bag semantics adds to classical
 //! rewriting (Section 3's optimization remark, [CV93]).
 
+#[path = "../crates/core/tests/expr_gen/mod.rs"]
+mod expr_gen;
+
 use balg::complexity::generator::{random_database, zoo, ExprZoo};
 use balg::core::prelude::*;
 use balg::sql::prelude::*;
+use expr_gen::{db_strategy, Gen};
+use proptest::prelude::*;
 
 fn zoo_schema() -> Schema {
     Schema::new()
@@ -43,6 +48,55 @@ fn optimizer_preserves_random_expressions() {
                 before, after,
                 "expr #{i} differs at n={n}:\n{expr}\n→\n{optimized}"
             );
+        }
+    }
+}
+
+/// A budget error, which a rewrite may move (it changes how much work
+/// the evaluation does), as opposed to an error in the answer.
+fn is_resource_limit(e: &EvalError) -> bool {
+    matches!(
+        e,
+        EvalError::StepLimit(_)
+            | EvalError::ElementLimit { .. }
+            | EvalError::MultiplicityLimit { .. }
+            | EvalError::IfpLimit(_)
+            | EvalError::Bag(BagError::TooLarge { .. })
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The generator's well-typed expressions, λs binding `x` or `y`,
+    /// nested λs reading an outer binder and rebinding one included: the
+    /// optimized form gives the same answer wherever the original gives
+    /// one within the budget.
+    #[test]
+    fn optimizer_preserves_generated_expressions(
+        seed in 0u64..1_000_000_000,
+        depth in 1usize..5,
+        arity in 1usize..3,
+        db in db_strategy(),
+    ) {
+        let expr = Gen::new(seed).expr(depth, arity);
+        let schema = Schema::new()
+            .with("R", Type::relation(1))
+            .with("S", Type::relation(1))
+            .with("G", Type::relation(2));
+        if analyze(&expr, &schema).is_ok() {
+            let optimized = optimize(&expr, &schema);
+            let limits = Limits {
+                max_bag_elements: 1 << 10,
+                max_multiplicity_bits: 1 << 9,
+                max_steps: 1_000_000,
+                max_ifp_iterations: 32,
+            };
+            let run = |e: &Expr| Evaluator::new(&db, limits.clone()).eval(e);
+            match (run(&expr), run(&optimized)) {
+                (Err(e), _) | (_, Err(e)) if is_resource_limit(&e) => {}
+                (before, after) => prop_assert_eq!(before, after, "{} → {}", expr, optimized),
+            }
         }
     }
 }
@@ -239,5 +293,41 @@ fn optimizer_splits_a_hand_written_conjunction_into_a_fused_join() {
         m2.max_distinct_elements < product,
         "the optimized plan still held {} of {product} elements",
         m2.max_distinct_elements
+    );
+}
+
+#[test]
+fn dedup_moves_below_a_product_only_when_both_arities_are_known() {
+    // ε(A × B) = ε(A) × ε(B) needs tuple concatenation to be injective:
+    // over A = {{[a], [a,b]}} and B = {{[b,c], [c]}}, [a] ++ [b,c] and
+    // [a,b] ++ [c] are the same tuple, so ε after the product leaves it
+    // once while the pushed form keeps it twice.
+    let t = |fields: &[&str]| Value::tuple(fields.iter().map(|f| Value::sym(f)));
+    let a = Bag::from_values([t(&["a"]), t(&["a", "b"])]);
+    let b = Bag::from_values([t(&["b", "c"]), t(&["c"])]);
+    // The schema a REPL session derives from the loaded bags: a bag of
+    // mixed arities gets no entry.
+    let mut schema = Schema::new();
+    for (name, bag) in [("A", &a), ("B", &b)] {
+        if let Some(ty) = Value::Bag(bag.clone()).infer_type() {
+            schema = schema.with(name, ty);
+        }
+    }
+    let db = Database::new().with("A", a).with("B", b);
+    let q = Expr::var("A").product(Expr::var("B")).dedup();
+    let optimized = optimize(&q, &schema);
+    assert_eq!(optimized, q, "ε moved below a product of unknown arities");
+    assert_eq!(
+        eval_bag(&optimized, &db).unwrap(),
+        eval_bag(&q, &db).unwrap()
+    );
+
+    // With both arities derivable the rule still fires.
+    let schema = Schema::new()
+        .with("A", Type::relation(1))
+        .with("B", Type::relation(2));
+    assert_eq!(
+        optimize(&q, &schema),
+        Expr::var("A").dedup().product(Expr::var("B").dedup())
     );
 }
