@@ -30,8 +30,8 @@
 //!   instead of building the full Cartesian product and filtering it. The
 //!   pair loop itself is [`crate::join`]'s (its index probe, or its
 //!   reference scan with [`Evaluator::set_indexing`] off); this evaluator
-//!   is one of its adapters and supplies which side is indexed and what a
-//!   pair costs;
+//!   is its one caller and supplies which side is indexed and what a
+//!   pair costs (the incremental view engine's join deltas run here too);
 //! * an `IFP` whose body is `ε` of an expression that reads the fixpoint
 //!   variable once, linearly ([`crate::analyze::ifp_delta_form`] — the
 //!   transitive-closure shape), evaluates that body on the tuples the
@@ -62,7 +62,7 @@ use balg_obs::profile::{Profiler, SpanId};
 use crate::analyze::ifp_delta_form;
 use crate::bag::{attr_field, is_key_prefix, Bag, BagBuilder, BagError, MergeOp};
 use crate::expr::{Expr, Pred, Var};
-use crate::index::IndexCache;
+use crate::index::{BagIndex, IndexCache};
 use crate::join;
 use crate::natural::Natural;
 use crate::par;
@@ -230,6 +230,32 @@ impl std::hash::Hasher for PtrHasher {
 
 type PtrMap<V> = HashMap<*const Expr, V, std::hash::BuildHasherDefault<PtrHasher>>;
 
+/// An evaluator's join-index cache: its own, or one lent to it.
+enum Indexes<'a> {
+    Own(IndexCache),
+    Lent(&'a mut IndexCache),
+}
+
+impl std::ops::Deref for Indexes<'_> {
+    type Target = IndexCache;
+
+    fn deref(&self) -> &IndexCache {
+        match self {
+            Indexes::Own(cache) => cache,
+            Indexes::Lent(cache) => cache,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Indexes<'_> {
+    fn deref_mut(&mut self) -> &mut IndexCache {
+        match self {
+            Indexes::Own(cache) => cache,
+            Indexes::Lent(cache) => cache,
+        }
+    }
+}
+
 /// A reusable evaluator bound to one database.
 pub struct Evaluator<'a> {
     db: &'a Database,
@@ -251,15 +277,19 @@ pub struct Evaluator<'a> {
     /// not a re-scan and re-allocation per loop iteration.
     projection_specs: PtrMap<Option<Arc<[usize]>>>,
     /// Per-key join indexes over operand bags, keyed by representation
-    /// pointer. Valid across `eval` calls: the database is borrowed
-    /// immutably for the evaluator's lifetime and each entry pins the
-    /// slice allocation it describes, so repeated joins against the same
-    /// operand (IFP bodies, repeated queries) probe instead of rebuilding.
-    indexes: IndexCache,
-    /// Whether a fused equi-join probes a cached [`crate::index::BagIndex`]
-    /// or runs [`join::scan`], the kernel's reference loop. The
-    /// differential suites flip this to prove the two paths equivalent.
+    /// pointer: the evaluator's own, or one lent by an owner that
+    /// outlives it ([`Evaluator::set_index_cache`]). Valid across `eval`
+    /// calls: each entry pins the slice allocation it describes, so
+    /// repeated joins against the same operand (IFP bodies, repeated
+    /// queries, a view's join delta every commit) probe instead of
+    /// rebuilding.
+    indexes: Indexes<'a>,
+    /// Whether a fused equi-join probes a [`BagIndex`] or runs
+    /// [`join::scan`], the kernel's reference loop. The differential
+    /// suites flip this to prove the two paths equivalent.
     use_indexes: bool,
+    /// Fused equi-joins answered by an index probe so far.
+    indexed_joins: u64,
     /// Partitioned-execution settings for the four keywise merges
     /// ([`crate::par`]; every other operator is serial). Partition counts
     /// are a pure function of `par.chunks()`, never of hardware, so every
@@ -326,8 +356,9 @@ impl<'a> Evaluator<'a> {
             memo: PtrMap::default(),
             invariant_roots: PtrMap::default(),
             projection_specs: PtrMap::default(),
-            indexes: IndexCache::new(),
+            indexes: Indexes::Own(IndexCache::new()),
             use_indexes: true,
+            indexed_joins: 0,
             par: par::Parallel::from_global(),
             profiler: None,
             fast_path: None,
@@ -359,10 +390,25 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// Use `cache` as this evaluator's join-index cache for the rest of
+    /// its life, in place of its own: entries it finds there are probed,
+    /// and indexes over operands that outlive the evaluation are left
+    /// there for the owner's next evaluator.
+    pub fn set_index_cache(&mut self, cache: &'a mut IndexCache) {
+        self.indexes = Indexes::Lent(cache);
+    }
+
     /// The join-index cache statistics `(hits, builds)` — exposed so
     /// tests can assert that repeated joins actually reuse an index.
     pub fn index_stats(&self) -> (u64, u64) {
         (self.indexes.hits(), self.indexes.builds())
+    }
+
+    /// Fused equi-joins this evaluator answered by probing an index
+    /// (cached or built for the one join) — the rest ran
+    /// [`join::scan`] or materialized the product.
+    pub fn indexed_joins(&self) -> u64 {
+        self.indexed_joins
     }
 
     /// Pin the partition count of the keywise merges, clamped to
@@ -1180,14 +1226,16 @@ impl<'a> Evaluator<'a> {
     /// Evaluate `a × b`, optionally under an equi-join filter
     /// `αᵢ = αⱼ` (with `i < j` referring to the concatenated tuple).
     ///
-    /// With `join_attrs` set and the shape guards satisfied
-    /// ([`join::classify`]: all elements tuples, uniform arity per side,
-    /// the equality spanning the product boundary) matching pairs are
-    /// produced directly — by an index probe, or by [`join::scan`] with
-    /// indexing off — and the full product is never built. Otherwise this
-    /// is exactly the materializing `Expr::Product` evaluation
-    /// (element-count prediction, then [`Bag::product`]), and the caller
-    /// must still apply the filter.
+    /// With `join_attrs` set and the shape guards satisfied (all elements
+    /// tuples, uniform arity per side, the equality spanning the product
+    /// boundary — [`join::spanning_keys`]) matching pairs are produced
+    /// directly — by an index probe, or by [`join::scan`] with indexing
+    /// off — and the full product is never built. An operand with an
+    /// index in the cache takes its arity from it instead of a scan, so
+    /// a small probe side against a large indexed one costs
+    /// `O(probe · matches)`. Otherwise this is exactly the materializing
+    /// `Expr::Product` evaluation (element-count prediction, then
+    /// [`Bag::product`]), and the caller must still apply the filter.
     fn eval_product(
         &mut self,
         a: &Expr,
@@ -1197,8 +1245,17 @@ impl<'a> Evaluator<'a> {
         let left = expect_bag(self.eval_inner(a)?)?;
         let right = expect_bag(self.eval_inner(b)?)?;
 
-        let keys = join_attrs
-            .and_then(|(i, j)| Some(((i, j), join::classify(i, j, left.pairs(), right.pairs())?)));
+        let arity = |bag: &Bag| {
+            self.indexes
+                .arity(bag)
+                .or_else(|| join::uniform_arity(bag.pairs()))
+        };
+        let keys = join_attrs.and_then(|(i, j)| {
+            Some((
+                (i, j),
+                join::spanning_keys(i, j, arity(&left)?, arity(&right)?)?,
+            ))
+        });
         if let Some((attrs, (li, rj))) = keys {
             let indexed = if self.use_indexes {
                 self.indexed_join((a, &left, li), (b, &right, rj))?
@@ -1206,7 +1263,10 @@ impl<'a> Evaluator<'a> {
                 None
             };
             let (out, tag) = match indexed {
-                Some(out) => (out, "indexed-join"),
+                Some(out) => {
+                    self.indexed_joins += 1;
+                    (out, "indexed-join")
+                }
                 // Indexes disabled (or neither side indexable): the
                 // kernel's reference loop, which the probe is checked
                 // against — the same pairs at the same charges.
@@ -1253,15 +1313,17 @@ impl<'a> Evaluator<'a> {
     /// its bag and its join attribute in the side's own 1-based numbering;
     /// both bags are known to be uniform-arity tuple bags. Prefers an index
     /// that is already cached (either side). On a double miss it indexes
-    /// the operand that outlives the enclosing loop: one that reads a
-    /// λ-bound variable (the accumulator or the fresh tuples of an IFP
-    /// round, the row of a `MAP`) is a new bag next time round and its
-    /// index would die unused, while the other side (the edge bag of a
-    /// transitive closure) is built once and hit every round. When that
-    /// does not decide — both sides or neither read the environment — the
-    /// smaller side is the cheaper build. Returns `Ok(None)` only when no
-    /// side can be indexed, which the guards above make unreachable in
-    /// practice; the caller then falls back to [`join::scan`].
+    /// the operand that lives longest ([`Evaluator::lifetime`]): one that
+    /// reads a λ-bound variable (the accumulator or the fresh tuples of an
+    /// IFP round, the row of a `MAP`, a view probe's delta half) is a new
+    /// bag next time round and its index would die unused, while the
+    /// other side (the edge bag of a transitive closure, the base a view
+    /// delta joins against) is built once and hit every round. When that
+    /// does not decide, the smaller side is the cheaper build. When
+    /// neither side outlives the evaluation, the index serves this one
+    /// join and is never cached. Returns `Ok(None)` only when no side can
+    /// be indexed, which the guards above make unreachable in practice;
+    /// the caller then falls back to [`join::scan`].
     fn indexed_join(
         &mut self,
         (a, left, li): (&Expr, &Bag, usize),
@@ -1272,16 +1334,18 @@ impl<'a> Evaluator<'a> {
         } else if let Some(index) = self.indexes.peek(right, rj) {
             (Some(index), true)
         } else {
-            let index_left = match (self.reads_env(a), self.reads_env(b)) {
-                (false, true) => true,
-                (true, false) => false,
-                _ => left.distinct_count() <= right.distinct_count(),
+            let (lives_left, lives_right) = (self.lifetime(a, left), self.lifetime(b, right));
+            let index_left = match lives_left.cmp(&lives_right) {
+                std::cmp::Ordering::Equal => left.distinct_count() <= right.distinct_count(),
+                longer => longer.is_gt(),
             };
-            if index_left {
-                (self.indexes.get_or_build(left, li), false)
+            let (bag, attr) = if index_left { (left, li) } else { (right, rj) };
+            let index = if lives_left.max(lives_right) > 0 {
+                self.indexes.get_or_build(bag, attr)
             } else {
-                (self.indexes.get_or_build(right, rj), true)
-            }
+                BagIndex::build(bag, attr).map(Arc::new)
+            };
+            (index, !index_left)
         };
         let Some(index) = index else {
             return Ok(None);
@@ -1306,10 +1370,21 @@ impl<'a> Evaluator<'a> {
         Ok(Some(out.build()))
     }
 
-    /// Does `expr` read a variable the λ environment binds — is its value
-    /// one iteration's, not the whole evaluation's?
-    fn reads_env(&self, expr: &Expr) -> bool {
-        self.env.iter().any(|(name, _)| mentions_free(expr, name))
+    /// How long a join operand's bag lives, as a rank: 2 when `expr`
+    /// reads no variable the λ environment binds (one value for the
+    /// whole evaluation); 1 when it does but the database holds `bag`
+    /// (a base bound to a view probe's input, whose index the lent cache
+    /// keeps patched across commits); 0 when the value is one
+    /// iteration's, or one probe's, and dies with it.
+    fn lifetime(&self, expr: &Expr, bag: &Bag) -> u8 {
+        if !self.env.iter().any(|(name, _)| mentions_free(expr, name)) {
+            return 2;
+        }
+        u8::from(
+            self.db
+                .iter()
+                .any(|(_, base)| base.shares_representation(bag)),
+        )
     }
 
     fn eval_binary(&mut self, a: &Expr, b: &Expr, op: MergeOp) -> Result<Value, EvalError> {

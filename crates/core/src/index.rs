@@ -18,8 +18,21 @@
 //! the slice allocation cannot be freed (no pointer reuse), and any
 //! mutation of the bag goes through `Arc::make_mut`, which must copy the
 //! now-shared slice — so a cached pointer can never silently refer to
-//! changed data. The one caller that *wants* in-place mutation (the
-//! incremental runtime's base-patch commit) first [`IndexCache::take_for_patch`]s
+//! changed data.
+//!
+//! An evaluator owns a fresh cache unless one is lent to it
+//! ([`crate::eval::Evaluator::set_index_cache`]). The incremental view
+//! runtime keeps **one** persistent cache and lends it to every evaluator
+//! it builds — registration, maintenance and re-derivation alike — so a
+//! join delta probes the same base index every commit. What the
+//! evaluator caches is decided on a double miss: an operand that
+//! *outlives the evaluation* (it reads no λ-bound variable, or the
+//! evaluator's database holds its bag) is indexed and cached; when
+//! neither operand does, the index is built for the one join and
+//! dropped, so a probe over a delta never leaves a dead entry pinning
+//! its bag. The one caller that *wants* in-place mutation (that
+//! runtime's base-patch commit) is the only exception to pointer
+//! keying's no-mutation rule: it first [`IndexCache::take_for_patch`]es
 //! the entries out — restoring unique ownership — applies the same delta
 //! to base and index, and restores the patched index under the new
 //! representation.
@@ -338,6 +351,17 @@ impl IndexCache {
             }
         }
         self.entries.push(entry);
+    }
+
+    /// The uniform arity of `bag`'s rows, read off any index cached over
+    /// its representation (whatever its attribute), so a join can skip
+    /// scanning an operand it will probe. No counter moves and no
+    /// entry's recency changes.
+    pub fn arity(&self, bag: &Bag) -> Option<usize> {
+        self.entries
+            .iter()
+            .filter(|e| e.owner.shares_representation(bag))
+            .find_map(|e| e.index.as_ref().map(|index| index.arity()))
     }
 
     /// A cached index for `(bag, attr)` if one exists — no build. A hit

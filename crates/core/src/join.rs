@@ -2,19 +2,19 @@
 //! pairs of `σ_{αᵢ=αⱼ}(L × R)`.
 //!
 //! The paper has no join operator — a join is product then selection,
-//! both inside BALG¹ — so every engine that wants it fast recognises that
-//! shape and fuses it. What they share lives here, once: **classify**
-//! ([`equi_attrs`], [`uniform_arity`], [`spanning_keys`]), **probe** a
-//! [`BagIndex`] ([`probe`]), and the index-free **reference scan** the
-//! differential suites compare the probe against ([`scan`]). Every loop
-//! here runs on the calling thread: a join never partitions.
+//! both inside BALG¹ — so the evaluator recognises that shape and fuses
+//! it. The kernel's pieces live here, once: **classify** ([`equi_attrs`],
+//! [`uniform_arity`], [`spanning_keys`]), **probe** a [`BagIndex`]
+//! ([`probe`]), and the index-free **reference scan** the differential
+//! suites compare the probe against ([`scan`]). Every loop here runs on
+//! the calling thread: a join never partitions.
 //!
-//! What differs between engines is *policy* and stays with them, passed
-//! in as closures the compiler monomorphises: how two multiplicities
-//! combine (`ℕ·ℕ`, `ℤ·ℕ`, `−ℤ·ℤ`), where a pair goes, what it costs (a
-//! step and an element-budget check per pair, or the distinct-element
-//! budget after every push) and which operand gets indexed. Nothing here
-//! knows which engine is calling.
+//! The evaluator is the kernel's one caller — the incremental view
+//! engine's join deltas are evaluator probes over `ℕ`-bag halves of a
+//! delta — so every pair combines `ℕ·ℕ`. What stays with the caller is
+//! *policy*, passed in as closures the compiler monomorphises: where a
+//! pair goes, what it costs (a step and an element-budget check per
+//! pair) and which operand gets indexed.
 
 use crate::index::BagIndex;
 use crate::natural::Natural;
@@ -51,22 +51,12 @@ pub fn spanning_keys(
         .then(|| (i, j - left_arity))
 }
 
-/// The fused join's shape guards in one call: [`uniform_arity`] on both
-/// operands, then [`spanning_keys`].
-pub fn classify<L, R>(
-    i: usize,
-    j: usize,
-    left: &[(Value, L)],
-    right: &[(Value, R)],
-) -> Option<(usize, usize)> {
-    spanning_keys(i, j, uniform_arity(left)?, uniform_arity(right)?)
-}
-
 /// Look the `key`-th field (1-based) of every row up in `index` and hand
 /// each match to `sink` as `(left fields, right fields, probe
 /// multiplicity, match multiplicity)` — fields in operand order,
 /// whichever side is probing. The first error from `sink` ends the walk.
-/// Rows must be tuples at least `key` wide ([`classify`] establishes it).
+/// Rows must be tuples at least `key` wide ([`spanning_keys`] over their
+/// [`uniform_arity`] establishes it).
 pub fn probe<P, E>(
     rows: &[(Value, P)],
     index: &BagIndex,

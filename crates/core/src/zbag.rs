@@ -25,7 +25,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use crate::bag::{merge_sorted_pairs, Bag, BagError, Multiplicity, PairBuffer};
+use crate::bag::{merge_sorted_pairs, Bag, Multiplicity, PairBuffer};
 use crate::natural::Natural;
 use crate::value::Value;
 
@@ -123,11 +123,6 @@ impl ZInt {
             self.negative != other.negative,
             &self.magnitude * &other.magnitude,
         )
-    }
-
-    /// `self · n` for a natural scale factor.
-    pub fn scale(&self, factor: &Natural) -> ZInt {
-        ZInt::from_parts(self.negative, &self.magnitude * factor)
     }
 }
 
@@ -479,33 +474,6 @@ impl ZBag {
             Bag::from_sorted_vec(negative),
         )
     }
-
-    /// `×` of two deltas (the building block of the bilinear product rule
-    /// `δ(A×B) = δA×B ⊕ A×δB ⊕ δA×δB`): tuples concatenate, signed
-    /// multiplicities multiply. `max_elements` bounds the distinct output
-    /// count exactly like [`Bag::product`].
-    pub fn product(&self, other: &ZBag, max_elements: u64) -> Result<ZBag, BagError> {
-        let mut out = ZBagBuilder::new();
-        for (left, lm) in &self.pairs {
-            let left_fields = left
-                .as_tuple()
-                .ok_or_else(|| BagError::NotATuple(left.clone()))?;
-            for (right, rm) in &other.pairs {
-                let right_fields = right
-                    .as_tuple()
-                    .ok_or_else(|| BagError::NotATuple(right.clone()))?;
-                out.push(Value::concat_tuples(left_fields, right_fields), lm.mul(rm));
-                if out.ensure_distinct_within(max_elements).is_err() {
-                    return Err(BagError::TooLarge {
-                        predicted: &Natural::from(self.pairs.len() as u64)
-                            * &Natural::from(other.pairs.len() as u64),
-                        limit: max_elements,
-                    });
-                }
-            }
-        }
-        Ok(out.build())
-    }
 }
 
 impl fmt::Display for ZBag {
@@ -543,13 +511,6 @@ impl ZBagBuilder {
     /// Add `mult` signed copies of `value`.
     pub fn push(&mut self, value: Value, mult: ZInt) {
         self.buffer.push(value, mult);
-    }
-
-    /// Enforce a distinct-element budget mid-build: `Err(observed)` with
-    /// the exact distinct count as soon as it exceeds `limit` — the ℤ
-    /// counterpart of [`BagBuilder::ensure_distinct_within`](crate::bag::BagBuilder::ensure_distinct_within).
-    pub fn ensure_distinct_within(&mut self, limit: u64) -> Result<(), u64> {
-        self.buffer.ensure_distinct_within(limit)
     }
 
     /// Finish into a [`ZBag`].
@@ -673,42 +634,6 @@ mod tests {
         assert!(ZBag::singleton(Value::int(999), z(-1))
             .apply_to(&base)
             .is_err());
-    }
-
-    #[test]
-    fn product_is_bilinear() {
-        // δ(A×B) = δA×B ⊕ A×δB ⊕ δA×δB, checked on a concrete update.
-        let t = |a: &str, b: &str| Value::tuple([sym(a), sym(b)]);
-        let a_old = Bag::from_values([t("a", "1"), t("a", "2")]);
-        let b_old = Bag::from_values([t("x", "p")]);
-        let da = ZBag::from_counted([(t("a", "3"), z(1)), (t("a", "1"), z(-1))]);
-        let db = ZBag::from_counted([(t("y", "q"), z(2))]);
-        let a_new = da.apply_to(&a_old).unwrap();
-        let b_new = db.apply_to(&b_old).unwrap();
-
-        let full_old = a_old.product(&b_old, u64::MAX).unwrap();
-        let full_new = a_new.product(&b_new, u64::MAX).unwrap();
-        let expected = ZBag::diff(&full_new, &full_old);
-
-        let rule = da
-            .product(&ZBag::from_bag(&b_old), u64::MAX)
-            .unwrap()
-            .add(&ZBag::from_bag(&a_old).product(&db, u64::MAX).unwrap())
-            .add(&da.product(&db, u64::MAX).unwrap());
-        assert_eq!(rule, expected);
-    }
-
-    #[test]
-    fn product_budget_enforced() {
-        let mk = |n: i64| {
-            ZBag::from_counted((0..n).map(|i| (Value::tuple([Value::int(i)]), ZInt::one())))
-        };
-        let a = mk(100);
-        assert!(matches!(
-            a.product(&a, 50),
-            Err(BagError::TooLarge { limit: 50, .. })
-        ));
-        assert_eq!(a.product(&a, 20_000).unwrap().distinct_count(), 10_000);
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub(crate) struct IncrObs {
     pub(crate) indexed_join_ops: Counter,
     /// `balg_scanned_join_ops_total`.
     pub(crate) scanned_join_ops: Counter,
-    /// `balg_irregular_join_fallbacks_total`.
-    pub(crate) irregular_join_fallbacks: Counter,
 }
 
 /// Registered handles for the durability layer's metrics.
@@ -117,10 +115,6 @@ pub(crate) fn incr_obs() -> Option<&'static IncrObs> {
         scanned_join_ops: registry.counter(
             "balg_scanned_join_ops_total",
             "Fused equi-join deltas propagated by scanning the unchanged operand",
-        ),
-        irregular_join_fallbacks: registry.counter(
-            "balg_irregular_join_fallbacks_total",
-            "Fused equi-joins that re-derived because a delta row was not a flat pair",
         ),
     });
     INCR_OBS.get()

@@ -183,14 +183,19 @@ pub(crate) fn check_view(name: &str, expr: &Expr) -> Result<(), UpdateError> {
 }
 
 /// How the runtime configures every evaluator it hands a view: the
-/// budgets, the index switch and the partition override.
+/// budgets, the index switch, the one index cache and the partition
+/// override.
 #[derive(Clone, Debug)]
 struct EvalSettings {
     limits: Limits,
-    /// Whether every fused equi-join — a view node's delta and each
+    /// Whether every fused equi-join — a view node's delta probe and each
     /// evaluator's one-shot join — probes a `BagIndex` (default) or runs
     /// `join::scan`; the differential suites run both.
     use_indexes: bool,
+    /// Per-key join indexes, persistent across batches and lent to every
+    /// evaluator built here: base indexes are patched alongside the base
+    /// on every commit instead of being rebuilt.
+    indexes: IndexCache,
     /// Partitioned-execution override; `None` inherits the process-wide
     /// default ([`Parallel::from_global`]). Every setting maintains
     /// identical views — only scheduling differs.
@@ -200,10 +205,12 @@ struct EvalSettings {
 impl EvalSettings {
     /// The one place a view's evaluator is built — for registration,
     /// maintenance and re-derivation alike. Each call is fresh, so one
-    /// view's steps never count against another's budget.
-    fn evaluator<'a>(&self, db: &'a Database) -> Evaluator<'a> {
+    /// view's steps never count against another's budget, and each
+    /// borrows the runtime's index cache.
+    fn evaluator<'a>(&'a mut self, db: &'a Database) -> Evaluator<'a> {
         let mut ev = Evaluator::new(db, self.limits.clone());
         ev.set_indexing(self.use_indexes);
+        ev.set_index_cache(&mut self.indexes);
         if let Some(p) = self.parallel {
             ev.set_parallel_threads(p.chunks());
             ev.set_parallel_threshold(p.threshold);
@@ -228,10 +235,6 @@ pub struct ViewRuntime {
     /// when a view of the same name is registered again.
     dropped: BTreeMap<String, DroppedView>,
     batches: u64,
-    /// Per-key join indexes over base bags (and join-node snapshots),
-    /// persistent across batches: base indexes are patched alongside the
-    /// base on every commit instead of being rebuilt.
-    indexes: IndexCache,
 }
 
 impl Default for ViewRuntime {
@@ -259,27 +262,28 @@ impl ViewRuntime {
             eval: EvalSettings {
                 limits,
                 use_indexes: true,
+                indexes: IndexCache::new(),
                 parallel: None,
             },
             views: BTreeMap::new(),
             dropped: BTreeMap::new(),
             batches: 0,
-            indexes: IndexCache::new(),
         }
     }
 
     /// Choose how every fused equi-join finds its pairs: probe a per-key
     /// `BagIndex` (enabled, the default) or run `join::scan`, the kernel's
     /// reference loop, over the unchanged operand (disabled;
-    /// [`ViewStats::scanned_join_ops`]). The evaluators the runtime builds
-    /// get the same switch ([`Evaluator::set_indexing`]). Both settings
-    /// maintain identical views — the differential suites run every
-    /// (query, update-stream) pair both ways and require strict equality.
-    /// Disabling drops any cached indexes.
+    /// [`ViewStats::scanned_join_ops`]). The switch reaches a view's join
+    /// only through the evaluators the runtime builds
+    /// ([`Evaluator::set_indexing`]). Both settings maintain identical
+    /// views — the differential suites run every (query, update-stream)
+    /// pair both ways and require strict equality. Disabling drops any
+    /// cached indexes.
     pub fn set_indexing(&mut self, enabled: bool) {
         self.eval.use_indexes = enabled;
         if !enabled {
-            self.indexes.clear();
+            self.eval.indexes.clear();
         }
     }
 
@@ -320,19 +324,15 @@ impl ViewRuntime {
         self.eval.parallel.unwrap_or_else(Parallel::from_global)
     }
 
-    /// Join-index cache statistics `(hits, builds)`.
-    pub fn index_stats(&self) -> (u64, u64) {
-        (self.indexes.hits(), self.indexes.builds())
-    }
-
-    /// Full join-index cache statistics
+    /// Join-index cache statistics
     /// `(hits, misses, builds, evictions)` — the `:stats` surface.
     pub fn index_cache_stats(&self) -> (u64, u64, u64, u64) {
+        let indexes = &self.eval.indexes;
         (
-            self.indexes.hits(),
-            self.indexes.misses(),
-            self.indexes.builds(),
-            self.indexes.evictions(),
+            indexes.hits(),
+            indexes.misses(),
+            indexes.builds(),
+            indexes.evictions(),
         )
     }
 
@@ -360,7 +360,7 @@ impl ViewRuntime {
         // entries stay valid by construction).
         if let Some(old) = self.db.get(name) {
             if !old.shares_representation(&bag) {
-                self.indexes.invalidate(old);
+                self.eval.indexes.invalidate(old);
             }
         }
         self.db.insert(name, bag);
@@ -510,7 +510,7 @@ impl ViewRuntime {
         for name in affected {
             let base = self.db.take(name).expect("validated by the caller");
             let delta = batch.delta(name).expect("affected implies a delta");
-            let taken = self.indexes.take_for_patch(&base);
+            let taken = self.eval.indexes.take_for_patch(&base);
             let new =
                 delta
                     .apply_into(base)
@@ -524,7 +524,7 @@ impl ViewRuntime {
                 // A mismatch (delta rows the index cannot reconcile)
                 // drops the index; it is rebuilt lazily on the next probe.
                 if index.patch(delta).is_ok() {
-                    self.indexes.restore(&new, index);
+                    self.eval.indexes.restore(&new, index);
                 }
             }
             self.db.insert(name, new);
@@ -547,8 +547,6 @@ impl ViewRuntime {
                 affected,
                 &self.db,
                 &mut self.eval.evaluator(&self.db),
-                &mut self.indexes,
-                self.eval.use_indexes,
             );
             if maintained.is_err() {
                 if let Err(error) = view.reinit(&self.db, &mut self.eval.evaluator(&self.db)) {

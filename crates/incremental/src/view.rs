@@ -5,28 +5,39 @@
 //! holds its operator as a *probe*: the operator applied to fresh input
 //! variables, one per child. The evaluator runs every probe, so a node
 //! computes exactly what a one-shot evaluation of its operator computes,
-//! under the same budgets. An update pass walks the tree once: subtrees
-//! whose free database names are untouched by the batch return
-//! immediately; `∪⁺`, `×` and the fused join combine their children's
-//! deltas algebraically; `MAP`, `σ` and `δ` run their probe on the
-//! positive and negative parts of their input's delta; every other node
-//! re-derives **one operator application** over its children's refreshed
-//! snapshots and hands the pointwise difference to its parent as a delta.
-//! The result is that work concentrates where the update actually lands.
+//! under the same budgets, and its work is charged to the same step
+//! meter. An update pass walks the tree once: subtrees whose free
+//! database names are untouched by the batch return immediately. Then,
+//! by rule:
+//!
+//! * `∪⁺` adds its children's deltas;
+//! * `MAP`, `σ` and `δ` (linear in their one input) run their probe on
+//!   the positive and negative parts of the input's delta,
+//!   `F(δ) = F(δ⁺) ⊖ F(δ⁻)`;
+//! * `×` and the fused equi-join `σ_{αᵢ=αⱼ}(×)` (bilinear) run their
+//!   probe on the three terms of
+//!   `δ(A ⋈ B) = δA ⋈ B_new ⊕ A_new ⋈ δB ⊖ δA ⋈ δB`, each delta split
+//!   the same way — the evaluator's join probes `B_new`'s index from the
+//!   runtime's one patched cache, so a one-row delta against a large base
+//!   touches only the matching rows;
+//! * every other node re-derives **one operator application** over its
+//!   children's refreshed snapshots and hands the pointwise difference to
+//!   its parent as a delta.
+//!
+//! Every image is an `ℕ`-bag the evaluator computed; only their signed
+//! sum is a ℤ-bag. The result is that work concentrates where the update
+//! actually lands.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 use balg_core::analyze::{base_linearity, Linearity};
 use balg_core::bag::Bag;
 use balg_core::eval::{equi_join_attrs, EvalError, Evaluator};
 use balg_core::expr::{Expr, Pred, Var};
-use balg_core::index::{BagIndex, IndexCache};
-use balg_core::join;
 use balg_core::schema::Database;
 use balg_core::value::Value;
-use balg_core::zbag::{ZBag, ZBagBuilder, ZInt};
+use balg_core::zbag::ZBag;
 
 /// The fresh variable a probe binds its `k`-th child's value to (not
 /// expressible in the surface syntax, so it can never collide with a user
@@ -51,13 +62,13 @@ pub struct ViewStats {
     /// Full view re-derivations (degraded path after a maintenance
     /// error, or an explicit rebase).
     pub full_reinits: u64,
-    /// Fused `σ_{αᵢ=αⱼ}(×)` deltas propagated by probing a per-key
-    /// [`IndexCache`] index — only rows keyed by the delta's join values
-    /// were touched (`O(matches)`).
+    /// Fused `σ_{αᵢ=αⱼ}(×)` deltas whose probes the evaluator answered
+    /// by probing a per-key index — only rows keyed by the delta's join
+    /// values were touched (`O(matches)`).
     pub indexed_join_ops: u64,
-    /// Fused equi-join deltas propagated by scanning the unchanged
-    /// operand (`O(|other side|)`): indexing disabled, or the pair of
-    /// attributes does not key a single side.
+    /// Fused equi-join deltas that probed no index (`O(|other side|)`):
+    /// indexing disabled, the pair of attributes does not span the
+    /// product boundary, or an operand's rows are not of one arity.
     pub scanned_join_ops: u64,
 }
 
@@ -132,16 +143,13 @@ enum Rule {
     Const,
     /// `∪⁺`: the children's deltas add.
     Sum,
-    /// `×`: the bilinear rule in post-update form.
+    /// `×`: the bilinear rule in post-update form, each term a probe.
     Product,
     /// `σ_{αᵢ=αⱼ}(A × B)` fused at compile time (children are the two
-    /// product operands). When the equality spans the product boundary
-    /// the delta touches only the rows keyed by the delta's join values
-    /// — probed from a per-key index, or scanned when indexing is off;
-    /// otherwise the bilinear terms run with the general pair filter.
-    /// The probe re-derives the whole `σ(×)` for the shapes the fused
-    /// rule cannot take (mixed arities).
-    EquiJoin { i: usize, j: usize },
+    /// product operands): the bilinear rule with the fused join as the
+    /// probe, so a term keyed across the product boundary touches only
+    /// the rows the delta's join values key in the other operand's index.
+    EquiJoin,
     /// `MAP`, `σ` and `δ`: linear in their one input, so the probe maps
     /// a delta's positive and negative parts — while the λ body reads no
     /// updated bag.
@@ -160,7 +168,8 @@ struct Node {
     rule: Rule,
     /// The node's operator with each child replaced by its input
     /// variable (λ bodies stay inside): what the evaluator runs over the
-    /// children's values, or over a linear node's delta parts.
+    /// children's values, or over the delta parts of a linear node's
+    /// input or a bilinear node's terms.
     probe: Expr,
     /// The probe's input variables, one per child, in child order.
     inputs: Vec<Var>,
@@ -197,19 +206,6 @@ struct UpdateCtx<'a, 'e> {
     db: &'a Database,
     ev: &'e mut Evaluator<'a>,
     stats: &'e mut ViewStats,
-    /// The runtime's persistent per-key index cache: base-bag indexes
-    /// survive across batches (patched alongside the base on commit),
-    /// snapshot indexes re-key naturally when a snapshot's
-    /// representation changes.
-    indexes: &'e mut IndexCache,
-    /// Whether the fused equi-join may probe indexes (`false` forces the
-    /// scan path the differential suite compares against).
-    use_indexes: bool,
-    /// Fallbacks forced by *data* irregularity in a fused equi-join
-    /// (mixed arities, attributes past both sides) — a runtime property
-    /// the syntactic linearity lattice cannot see, so these are exempt
-    /// from the ≤-bilinear no-fallback assertion in [`View::maintain`].
-    irregular_join_fallbacks: u64,
 }
 
 /// Free database names of a λ body, excluding the bound variable.
@@ -237,8 +233,8 @@ fn compile(expr: Expr) -> Node {
         }
         _ => None,
     };
-    let rule = if let Some((i, j)) = join {
-        Rule::EquiJoin { i, j }
+    let rule = if join.is_some() {
+        Rule::EquiJoin
     } else {
         match &expr {
             Expr::Var(name) => Rule::Base(name.clone()),
@@ -320,10 +316,10 @@ fn can_fall_back(node: &Node) -> bool {
             .any(|c| matches!(c.probe, Expr::Tuple(_) | Expr::Attr(..)))
     };
     match &node.rule {
-        // The fused join's linear rule needs uniform-arity operands — a
-        // runtime property — so the node must be able to re-derive.
-        Rule::Rederive | Rule::Scalar | Rule::EquiJoin { .. } => true,
-        Rule::Linear | Rule::Sum | Rule::Product => !node.body_reads.is_empty() || opaque_child(),
+        Rule::Rederive | Rule::Scalar => true,
+        Rule::Linear | Rule::Sum | Rule::Product | Rule::EquiJoin => {
+            !node.body_reads.is_empty() || opaque_child()
+        }
         Rule::Base(_) | Rule::Const => false,
     }
 }
@@ -331,17 +327,16 @@ fn can_fall_back(node: &Node) -> bool {
 /// Decide which nodes materialize snapshots. `demanded` means the parent
 /// may read this node's value (re-derivation input, scalar recompute, or
 /// the root result). `Var` nodes never materialize — readers go through
-/// [`Node::current_bag`] to the database, and [`Node::current_value`]
-/// clones out of it for a probe binding.
+/// [`Node::current_value`] to the database.
 fn mark_snapshots(node: &mut Node, demanded: bool) {
     node.keep_snapshot = match node.rule {
         Rule::Base(_) | Rule::Const => false,
         _ => demanded || can_fall_back(node),
     };
     let demands_children = match &node.rule {
-        // Re-derivation reads every child; the bilinear product rule reads
-        // both operands' fresh values.
-        Rule::Rederive | Rule::Scalar | Rule::Product | Rule::EquiJoin { .. } => true,
+        // Re-derivation reads every child; the bilinear rules read both
+        // operands' fresh values.
+        Rule::Rederive | Rule::Scalar | Rule::Product | Rule::EquiJoin => true,
         Rule::Linear | Rule::Sum => can_fall_back(node),
         Rule::Base(_) | Rule::Const => false,
     };
@@ -357,135 +352,15 @@ fn expect_bag(value: &Value) -> Result<&Bag, EvalError> {
     })
 }
 
-/// Classify one join operand. `preferred` is the attribute (in the
-/// side's own 1-based numbering) the probe terms would key by, and
-/// `want_index` says whether any term will actually probe this side (the
-/// opposite delta is non-empty). `persistent` marks a base bag (`Var`
-/// child): only those go through the runtime's [`IndexCache`] — it
-/// patches base indexes across commits, so the `O(|bag|)` build
-/// amortizes to `O(1)` per batch. A derived operand (a child node's
-/// snapshot) gets a *transient* index instead: caching its owner clone
-/// would force a copy-on-write of the snapshot on its next in-place
-/// patch and churn the cache with dead entries every batch. Scan mode
-/// establishes uniformity by scanning (its terms are `O(|bag|)` anyway).
-///
-/// Returns the side's uniform arity and, when indexing is enabled and
-/// `preferred` falls on this side, its per-key index — or `None` for
-/// mixed arities or non-tuple rows, where the fused linear rule is
-/// unsound and the node re-derives instead. The caller has dealt with the
-/// vacuous side (empty and untouched).
-fn join_side(
-    ctx: &mut UpdateCtx<'_, '_>,
-    bag: &Bag,
-    preferred: usize,
-    delta: &ZBag,
-    persistent: bool,
-    want_index: bool,
-) -> Option<(usize, Option<Arc<BagIndex>>)> {
-    // Delta rows must share the operand's arity or the fixed split point
-    // of the concatenated tuple is ill-defined.
-    let delta_arity = join::uniform_arity(delta.pairs());
-    if delta_arity.is_none() && !delta.is_empty() {
-        return None;
-    }
-    if bag.is_empty() {
-        return delta_arity.map(|arity| (arity, None));
-    }
-    let cached = ctx.use_indexes && persistent;
-    let index = if cached {
-        // Build (or hit) the cached base index even when this batch's
-        // terms won't probe it: it is built at most once per (base,
-        // attribute), patched thereafter, and doubles as an O(1) arity
-        // witness for every later batch.
-        ctx.indexes.get_or_build(bag, preferred)
-    } else if ctx.use_indexes && want_index {
-        BagIndex::build(bag, preferred).map(Arc::new)
-    } else {
-        None
-    };
-    let arity = match &index {
-        Some(built) => Some(built.arity()),
-        // The preferred attribute may simply be out of this side's range
-        // (the equality reads one side twice); attribute 1 is in range
-        // for every tuple, so it settles uniformity.
-        None if cached => ctx.indexes.get_or_build(bag, 1).map(|w| w.arity()),
-        None => join::uniform_arity(bag.pairs()),
-    };
-    arity
-        .filter(|&arity| delta_arity.is_none_or(|d| d == arity))
-        .map(|arity| (arity, index))
-}
-
-/// One `F(δX × Y_new)` term of a fused equi-join delta: the unchanged
-/// operand `Y_new`, how its matching rows are reached, and which side of
-/// the product the delta rows sit on.
-struct SideTerm<'a> {
-    other: &'a Bag,
-    /// `Y_new`'s per-key index and the key's 1-based position within a
-    /// delta row — set when the equality spans the product boundary and
-    /// the side got an index; otherwise the term scans `Y_new`.
-    probe: Option<(Arc<BagIndex>, usize)>,
-    attrs: (usize, usize),
-    delta_is_left: bool,
-}
-
-impl SideTerm<'_> {
-    /// Hand every surviving pair of `rows × Y_new` to `push`, its
-    /// multiplicity the δ-row's scaled by `Y`'s.
-    fn run<E>(
-        &self,
-        rows: &[(Value, ZInt)],
-        mut push: impl FnMut(Value, ZInt) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let (attrs, left) = (self.attrs, self.delta_is_left);
-        match &self.probe {
-            Some((index, key)) => join::probe(rows, index, *key, left, |lf, rf, d, m| {
-                push(Value::concat_tuples(lf, rf), d.scale(m))
-            }),
-            None => join::scan(rows, self.other.pairs(), attrs, left, |lf, rf, d, m| {
-                push(Value::concat_tuples(lf, rf), d.scale(m))
-            }),
-        }
-    }
-}
-
-/// A fused equi-join delta, classified: what [`Node::join_delta`] runs.
-struct DeltaJoin<'a> {
-    /// The `F(δA × B_new)` and `F(A_new × δB)` terms, each with its delta.
-    sides: [(SideTerm<'a>, &'a ZBag); 2],
-}
-
-impl<'a> DeltaJoin<'a> {
-    /// The side terms that are not zero (nothing on one side).
-    fn live(&self) -> impl Iterator<Item = &(SideTerm<'a>, &'a ZBag)> {
-        let live = |(term, delta): &&(SideTerm, &ZBag)| !delta.is_empty() && !term.other.is_empty();
-        self.sides.iter().filter(live)
-    }
-
-    /// `⊖ F(δA × δB)` — both sides small, one pair-filter scan.
-    fn cross_term<E>(&self, mut push: impl FnMut(Value, ZInt) -> Result<(), E>) -> Result<(), E> {
-        let [(term, da), (_, db)] = &self.sides;
-        join::scan(da.pairs(), db.pairs(), term.attrs, true, |lf, rf, l, r| {
-            push(Value::concat_tuples(lf, rf), l.mul(r).neg())
-        })
-    }
-
-    /// One builder across all three terms, the distinct-element budget
-    /// enforced after every push.
-    fn exact(&self, limit: u64) -> Result<ZBag, MaintainError> {
-        let mut out = ZBagBuilder::new();
-        let mut push = |value, change| {
-            out.push(value, change);
-            out.ensure_distinct_within(limit).map_err(|observed| {
-                MaintainError::Eval(EvalError::ElementLimit { observed, limit })
-            })
-        };
-        for (term, delta) in self.live() {
-            term.run(delta.pairs(), &mut push)?;
-        }
-        self.cross_term(&mut push)?;
-        Ok(out.build())
-    }
+/// A delta's non-empty `ℕ`-bag halves, `δ = δ⁺ ⊖ δ⁻`, each with whether
+/// it is the positive one.
+fn halves(delta: &ZBag) -> Vec<(Value, bool)> {
+    let (plus, minus) = delta.split();
+    [(plus, true), (minus, false)]
+        .into_iter()
+        .filter(|(half, _)| !half.is_empty())
+        .map(|(half, sign)| (Value::Bag(half), sign))
+        .collect()
 }
 
 /// Classify a replaced value for the parent: unchanged, a bag delta, or an
@@ -501,23 +376,17 @@ fn replaced(old: &Value, new: &Value) -> Delta {
 }
 
 impl Node {
-    /// The node's current bag value: materialized nodes answer from their
-    /// snapshot, `Var` nodes read through to the (post-update) database so
-    /// base bags never carry a second reference (which would force
-    /// copy-on-write on every in-place base patch).
-    fn current_bag<'x>(&'x self, db: &'x Database) -> Result<&'x Bag, EvalError> {
+    /// The node's current value, cloned (a probe binding): materialized
+    /// nodes answer from their snapshot, `Var` nodes read through to the
+    /// (post-update) database so base bags never carry a second reference
+    /// (which would force copy-on-write on every in-place base patch).
+    fn current_value(&self, db: &Database) -> Result<Value, EvalError> {
         match &self.rule {
             Rule::Base(name) if !self.keep_snapshot => db
                 .get(name)
+                .cloned()
+                .map(Value::Bag)
                 .ok_or_else(|| EvalError::UnboundVariable(name.clone())),
-            _ => expect_bag(&self.snapshot),
-        }
-    }
-
-    /// The node's current value, cloned (a probe binding).
-    fn current_value(&self, db: &Database) -> Result<Value, EvalError> {
-        match &self.rule {
-            Rule::Base(_) if !self.keep_snapshot => self.current_bag(db).cloned().map(Value::Bag),
             _ => Ok(self.snapshot.clone()),
         }
     }
@@ -547,14 +416,69 @@ impl Node {
     /// negative parts, two ℕ-bags, and the images subtract —
     /// `F(δ⁺ ⊖ δ⁻) = F(δ⁺) ⊖ F(δ⁻)`.
     fn linear_delta(&self, ev: &mut Evaluator<'_>, delta: &ZBag) -> Result<ZBag, EvalError> {
-        let (added, removed) = delta.split();
-        let mut image = |part: Bag| -> Result<Bag, EvalError> {
-            if part.is_empty() {
-                return Ok(part);
+        self.signed_images(ev, halves(delta).into_iter().map(|(x, sign)| ([x], sign)))
+    }
+
+    /// A bilinear node's delta (`×`, or the fused `σ_{αᵢ=αⱼ}(×)`) in
+    /// post-update form — only fresh operand values are needed, so no old
+    /// snapshots are captured: `δ(A ⋈ B) = δA ⋈ B_new ⊕ A_new ⋈ δB ⊖
+    /// δA ⋈ δB`, `⋈` the node's probe. Each delta splits into its halves,
+    /// so a term is up to four probes, each image signed by its halves.
+    fn bilinear_delta(
+        &self,
+        db: &Database,
+        ev: &mut Evaluator<'_>,
+        delta_a: &ZBag,
+        delta_b: &ZBag,
+    ) -> Result<ZBag, EvalError> {
+        let a = self.children[0].current_value(db)?;
+        let b = self.children[1].current_value(db)?;
+        let (a_halves, b_halves) = (halves(delta_a), halves(delta_b));
+        let mut terms = Vec::new();
+        for (x, sign) in &a_halves {
+            terms.push(([x.clone(), b.clone()], *sign));
+        }
+        for (y, sign) in &b_halves {
+            terms.push(([a.clone(), y.clone()], *sign));
+        }
+        for (x, x_sign) in &a_halves {
+            for (y, y_sign) in &b_halves {
+                terms.push(([x.clone(), y.clone()], x_sign != y_sign));
             }
-            expect_bag(&self.run_probe(ev, [Value::Bag(part)])?).cloned()
-        };
-        Ok(ZBag::diff(&image(added)?, &image(removed)?))
+        }
+        self.signed_images(ev, terms)
+    }
+
+    /// The signed sum of the probe's images over `terms`, each a binding
+    /// of the inputs (in order) and whether its image adds or subtracts.
+    /// The images are `ℕ`-bags, summed per sign and subtracted once. A
+    /// term with an empty input is zero — every probe here is linear in
+    /// each input — and is skipped. The delta is an intermediate bag like
+    /// any other, so it obeys the distinct-element budget.
+    fn signed_images<const N: usize>(
+        &self,
+        ev: &mut Evaluator<'_>,
+        terms: impl IntoIterator<Item = ([Value; N], bool)>,
+    ) -> Result<ZBag, EvalError> {
+        let (mut plus, mut minus) = (Bag::new(), Bag::new());
+        for (values, adds) in terms {
+            if values.iter().any(|v| v.as_bag().is_some_and(Bag::is_empty)) {
+                continue;
+            }
+            let image = expect_bag(&self.run_probe(ev, values)?)?.clone();
+            let sum = if adds { &mut plus } else { &mut minus };
+            *sum = if sum.is_empty() {
+                image
+            } else {
+                sum.additive_union(&image)
+            };
+        }
+        let delta = ZBag::diff(&plus, &minus);
+        let (observed, limit) = (delta.distinct_count() as u64, ev.limits().max_bag_elements);
+        if observed > limit {
+            return Err(EvalError::ElementLimit { observed, limit });
+        }
+        Ok(delta)
     }
 
     /// Fill in the materialized snapshots. A kept node whose children all
@@ -597,91 +521,6 @@ impl Node {
         Ok(delta)
     }
 
-    /// The fused equi-join's linear delta in post-update form:
-    /// `δJ = F(δA × B_new) ⊕ F(A_new × δB) ⊖ F(δA × δB)` with
-    /// `F = σ_{αᵢ=αⱼ}` — three calls into [`balg_core::join`], which owns
-    /// the pair loops; this adapter classifies the operands and owns the
-    /// sink, on the calling thread. When the equality spans the product
-    /// boundary, each `F(δX × Y)` term probes `Y`'s per-key index — only
-    /// the rows keyed by the delta's join values are touched,
-    /// `O(|δ| · matches)`;
-    /// otherwise the terms scan `Y` under the pair filter (still linear
-    /// in `|Y|`, the shape of the unfused bilinear rule). Returns `None`
-    /// when the operands do not admit the fused rule (mixed arities, an
-    /// attribute past both sides) — the caller re-derives, which also
-    /// reproduces any per-element `σ` error faithfully. The boolean
-    /// reports whether an index was probed.
-    fn join_delta(
-        &self,
-        ctx: &mut UpdateCtx<'_, '_>,
-        i: usize,
-        j: usize,
-        da: &ZBag,
-        db_: &ZBag,
-    ) -> Result<Option<(ZBag, bool)>, MaintainError> {
-        let db = ctx.db;
-        let left_new = self.children[0]
-            .current_bag(db)
-            .map_err(MaintainError::Eval)?;
-        let right_new = self.children[1]
-            .current_bag(db)
-            .map_err(MaintainError::Eval)?;
-        let left_persistent = matches!(self.children[0].rule, Rule::Base(_));
-        let right_persistent = matches!(self.children[1].rule, Rule::Base(_));
-        // Only a non-empty opposite delta makes a side worth indexing:
-        // F(A_new × δB) probes the left index, F(δA × B_new) the right.
-        let (want_left, want_right) = (!db_.is_empty(), !da.is_empty());
-        // An operand that is empty and untouched makes the join delta
-        // zero. The left side's arity fixes the split point of the
-        // concatenated tuple, so it resolves first.
-        let zero = || Ok(Some((ZBag::new(), false)));
-        if left_new.is_empty() && da.is_empty() {
-            return zero();
-        }
-        let Some((la, left_index)) = join_side(ctx, left_new, i, da, left_persistent, want_left)
-        else {
-            return Ok(None);
-        };
-        if right_new.is_empty() && db_.is_empty() {
-            return zero();
-        }
-        let right_preferred = if j > la { j - la } else { 1 };
-        let Some((ra, right_index)) = join_side(
-            ctx,
-            right_new,
-            right_preferred,
-            db_,
-            right_persistent,
-            want_right,
-        ) else {
-            return Ok(None);
-        };
-        if i > la + ra || j > la + ra {
-            return Ok(None); // σ errors on every pair — re-derive honestly
-        }
-        // A term probes only when the equality spans the boundary *and*
-        // `join_side` indexed the operand it reads: F(δA × B_new) keys
-        // B's index by αᵢ of a δA row, F(A_new × δB) keys A's by
-        // α_{j−la} of a δB row. A term with nothing on one side is zero.
-        let spanning = join::spanning_keys(i, j, la, ra);
-        let side = |other, index: Option<Arc<BagIndex>>, key, delta_is_left| SideTerm {
-            other,
-            probe: index.zip(key),
-            attrs: (i, j),
-            delta_is_left,
-        };
-        let (left_key, right_key) = (spanning.map(|k| k.0), spanning.map(|k| k.1));
-        let join = DeltaJoin {
-            sides: [
-                (side(right_new, right_index, left_key, true), da),
-                (side(left_new, left_index, right_key, false), db_),
-            ],
-        };
-        let used_index = join.live().any(|(term, _)| term.probe.is_some());
-        let limit = ctx.ev.limits().max_bag_elements;
-        Ok(Some((join.exact(limit)?, used_index)))
-    }
-
     /// Apply a bag delta to this node's snapshot (in place when uniquely
     /// owned; skipped entirely for non-materialized nodes) and normalize
     /// the report.
@@ -716,7 +555,7 @@ impl Node {
             Rule::Base(name) => {
                 let name = name.clone();
                 // The runtime has already committed the new base bag;
-                // readers go through `current_bag` to the database, so
+                // readers go through `current_value` to the database, so
                 // only a demanded-as-root Var refreshes a snapshot.
                 if self.keep_snapshot {
                     let bag = ctx.db.get(&name);
@@ -729,7 +568,7 @@ impl Node {
                 }
             }
             Rule::Const => Ok(Delta::None),
-            Rule::Sum | Rule::Product | Rule::EquiJoin { .. } => {
+            Rule::Sum | Rule::Product | Rule::EquiJoin => {
                 let left = self.children[0].update(ctx)?;
                 let right = self.children[1].update(ctx)?;
                 let (da, db) = match (left, right) {
@@ -737,23 +576,19 @@ impl Node {
                     (Delta::None, Delta::None) => return Ok(Delta::None),
                     (left, right) => (left.into_zbag(), right.into_zbag()),
                 };
-                let delta = match self.rule {
-                    Rule::EquiJoin { i, j } => match self.join_delta(ctx, i, j, &da, &db)? {
-                        Some((delta, used_index)) => {
-                            if used_index {
-                                ctx.stats.indexed_join_ops += 1;
-                            } else {
-                                ctx.stats.scanned_join_ops += 1;
-                            }
-                            delta
+                let delta = if let Rule::Sum = self.rule {
+                    da.add(&db)
+                } else {
+                    let probed = ctx.ev.indexed_joins();
+                    let delta = self.bilinear_delta(ctx.db, ctx.ev, &da, &db)?;
+                    if let Rule::EquiJoin = self.rule {
+                        if ctx.ev.indexed_joins() > probed {
+                            ctx.stats.indexed_join_ops += 1;
+                        } else {
+                            ctx.stats.scanned_join_ops += 1;
                         }
-                        None => {
-                            ctx.irregular_join_fallbacks += 1;
-                            return self.rederive(ctx);
-                        }
-                    },
-                    Rule::Product => self.product_delta(ctx, &da, &db)?,
-                    _ => da.add(&db),
+                    }
+                    delta
                 };
                 ctx.stats.linear_delta_ops += 1;
                 self.apply_bag_delta(delta)
@@ -781,31 +616,6 @@ impl Node {
                 self.rederive(ctx)
             }
         }
-    }
-
-    /// The bilinear `×` rule in post-update form — only fresh operand
-    /// values are needed, so no old snapshots are captured:
-    /// `δ(A×B) = δA×B_new ⊕ A_new×δB ⊖ δA×δB`.
-    fn product_delta(
-        &self,
-        ctx: &UpdateCtx<'_, '_>,
-        da: &ZBag,
-        db: &ZBag,
-    ) -> Result<ZBag, MaintainError> {
-        let limit = ctx.ev.limits().max_bag_elements;
-        let mut delta = ZBag::new();
-        if !da.is_empty() {
-            let right = ZBag::from_bag(self.children[1].current_bag(ctx.db)?);
-            delta = delta.add(&da.product(&right, limit).map_err(EvalError::Bag)?);
-        }
-        if !db.is_empty() {
-            let left = ZBag::from_bag(self.children[0].current_bag(ctx.db)?);
-            delta = delta.add(&left.product(db, limit).map_err(EvalError::Bag)?);
-        }
-        if !da.is_empty() && !db.is_empty() {
-            delta = delta.add(&da.product(db, limit).map_err(EvalError::Bag)?.negate());
-        }
-        Ok(delta)
     }
 }
 
@@ -884,19 +694,16 @@ impl View {
     }
 
     /// One maintenance pass for a committed update batch. `db` is the
-    /// **post-update** database and `ev` the runtime's evaluator over it;
-    /// `affected` names the bases whose deltas are nonzero. `indexes` is
-    /// the runtime's persistent per-key index cache (base indexes in it
-    /// have already been patched for this batch); `use_indexes` routes
-    /// the fused equi-join between index probes and scans.
+    /// **post-update** database and `ev` the runtime's evaluator over it,
+    /// holding the runtime's index cache (base indexes in it have already
+    /// been patched for this batch); `affected` names the bases whose
+    /// deltas are nonzero.
     pub(crate) fn maintain<'a>(
         &mut self,
         deltas: &BTreeMap<Var, ZBag>,
         affected: &BTreeSet<Var>,
         db: &'a Database,
         ev: &mut Evaluator<'a>,
-        indexes: &mut IndexCache,
-        use_indexes: bool,
     ) -> Result<(), MaintainError> {
         let counters_before = (self.stats.fallback_recomputes, self.stats.scalar_recomputes);
         let mut ctx = UpdateCtx {
@@ -905,22 +712,12 @@ impl View {
             db,
             ev,
             stats: &mut self.stats,
-            indexes,
-            use_indexes,
-            irregular_join_fallbacks: 0,
         };
         self.root.update(&mut ctx)?;
-        let irregular = ctx.irregular_join_fallbacks;
-        if irregular > 0 {
-            if let Some(obs) = crate::obs::incr_obs() {
-                obs.irregular_join_fallbacks.add(irregular);
-            }
-        }
         // The analyzer's certificate, checked against reality: when every
-        // updated base is ≤ bilinear (and no fused join hit irregular
-        // data), the whole pass must have stayed in delta form. The
-        // converse is *not* asserted — a non-linear base can still get
-        // lucky (e.g. its subtree delta cancels to zero).
+        // updated base is ≤ bilinear, the whole pass must have stayed in
+        // delta form. The converse is *not* asserted — a non-linear base
+        // can still get lucky (e.g. its subtree delta cancels to zero).
         debug_assert!(
             {
                 let all_linearish = affected.iter().all(|base| {
@@ -930,7 +727,7 @@ impl View {
                         .unwrap_or(Linearity::Unread)
                         <= Linearity::Bilinear
                 });
-                !(all_linearish && irregular == 0)
+                !all_linearish
                     || (self.stats.fallback_recomputes == counters_before.0
                         && self.stats.scalar_recomputes == counters_before.1)
             },

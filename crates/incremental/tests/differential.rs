@@ -554,7 +554,7 @@ fn fused_join_propagates_through_the_index() {
     assert_eq!(off.indexed_join_ops, 0, "{off:?}");
     // The base index was patched across the batches, not rebuilt: at
     // most one build per (base, attribute) pair ever happens.
-    let (hits, builds) = indexed.index_stats();
+    let (hits, _, builds, _) = indexed.index_cache_stats();
     assert!(
         hits > builds,
         "cached indexes must be reused across batches: {hits} hits, {builds} builds"
@@ -588,12 +588,109 @@ fn derived_operand_joins_stay_exact_without_cache_churn() {
         runtime.apply(&batch).unwrap();
         assert!(runtime.verify("dj").unwrap(), "step {step}");
     }
-    let (_, builds) = runtime.index_stats();
+    let (_, _, builds, _) = runtime.index_cache_stats();
     assert!(
         builds <= 2,
         "persistent-cache builds must not scale with batches: {builds}"
     );
     assert!(runtime.stats().views.indexed_join_ops > 0);
+}
+
+/// One legal update of the irregular-join stream: a pair or a triple
+/// into `G`, a pair into `H`, or a present row out of either.
+fn irregular_update(rng: &mut StdRng, runtime: &ViewRuntime, batch: &mut UpdateBatch) {
+    fn field(rng: &mut StdRng) -> Value {
+        Value::int(rng.gen_range(0..3))
+    }
+    let name = match rng.gen_range(0..5u8) {
+        0 => return batch.insert("G", Value::tuple([field(rng), field(rng)])),
+        1 => return batch.insert("G", Value::tuple([field(rng), field(rng), field(rng)])),
+        2 => return batch.insert("H", Value::tuple([field(rng), field(rng)])),
+        3 => "G",
+        _ => "H",
+    };
+    let present: Vec<Value> = runtime
+        .database()
+        .get(name)
+        .expect("loaded base")
+        .iter()
+        .filter(|(value, mult)| {
+            let pending = batch
+                .delta(name)
+                .map_or_else(ZInt::zero, |d| d.multiplicity(value));
+            ZInt::from_natural((*mult).clone()).add(&pending) > ZInt::zero()
+        })
+        .map(|(value, _)| value.clone())
+        .collect();
+    if !present.is_empty() {
+        batch.delete(name, present[rng.gen_range(0..present.len())].clone());
+    }
+}
+
+/// Fused joins over irregular data. `mixed` joins a `G` of pairs and
+/// triples — no one arity — against pairs, so every pair is in range but
+/// the equality falls on either side of the product boundary; `past`
+/// reads `α₅`, which lies past both operands once a pair joins `G`'s
+/// triples. Insert and delete batches drive both. After each batch the
+/// view equals a one-shot re-evaluation, or the runtime dropped it with
+/// the error that re-evaluation raises. Mixed arities never re-derive
+/// the join: the evaluator's product takes them.
+#[test]
+fn irregular_join_shapes_match_one_shot_evaluation() {
+    let triple = |a, b, c| Value::tuple([Value::int(a), Value::int(b), Value::int(c)]);
+    let join = |j| {
+        Expr::var("G").product(Expr::var("H")).select(
+            "x",
+            Pred::eq(Expr::var("x").attr(2), Expr::var("x").attr(j)),
+        )
+    };
+    let cases = [
+        (
+            "mixed",
+            join(3),
+            vec![pair(0, 1), pair(1, 2), triple(0, 1, 2), triple(2, 0, 1)],
+        ),
+        ("past", join(5), vec![triple(0, 1, 2), triple(1, 2, 0)]),
+    ];
+    let mut dropped = 0;
+    for (name, expr, g) in cases {
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut runtime = ViewRuntime::with_limits(limits());
+            runtime.load_base("G", Bag::from_values(g.clone())).unwrap();
+            let h = [pair(1, 5), pair(2, 6), pair(0, 7)];
+            runtime.load_base("H", Bag::from_values(h)).unwrap();
+            runtime.create_view(name, expr.clone()).unwrap();
+            for step in 0..12 {
+                let mut batch = UpdateBatch::new();
+                for _ in 0..rng.gen_range(1..=2) {
+                    irregular_update(&mut rng, &runtime, &mut batch);
+                }
+                let applied = runtime.apply(&batch);
+                let one_shot = Evaluator::new(runtime.database(), limits()).eval_bag(&expr);
+                let Some(view) = runtime.view(name) else {
+                    let error = one_shot.expect_err("dropped where one-shot evaluation succeeds");
+                    assert!(
+                        matches!(&applied, Err(UpdateError::View { error: e, .. }) if *e == error),
+                        "{name}, seed {seed}, step {step}: {applied:?} vs {error:?}"
+                    );
+                    dropped += 1;
+                    break;
+                };
+                assert!(applied.is_ok(), "{name}, seed {seed}, step {step}");
+                assert_eq!(
+                    one_shot.as_ref(),
+                    Ok(view),
+                    "{name}, seed {seed}, step {step}"
+                );
+            }
+            if name == "mixed" {
+                let stats = runtime.stats().views;
+                assert_eq!(stats.fallback_recomputes, 0, "seed {seed}: {stats:?}");
+            }
+        }
+    }
+    assert!(dropped > 0, "no stream reached the out-of-range equality");
 }
 
 /// Regression: `α₀` in an equality over a product must never reach the

@@ -10,7 +10,10 @@
 //! sizes must equal the constants below.
 //!
 //! The constants were taken at commit `8899e58` (the parent of the
-//! `balg_core::join` extraction), before any edit. The serial runtime and
+//! `balg_core::join` extraction), before any edit, save the index-cache
+//! tuples: since join deltas run on evaluators that borrow the runtime's
+//! one cache, only hits and misses moved (derived at each tuple). The
+//! serial runtime and
 //! one at 4 chunks, threshold 0, must both hit them: a join delta never
 //! partitions, so a partition count cannot change its bag, error or
 //! counters.
@@ -22,10 +25,10 @@
 //! view nodes ran their operators through the evaluator.
 
 use balg_core::bag::Bag;
-use balg_core::eval::Limits;
+use balg_core::eval::{EvalError, Limits};
 use balg_core::expr::{Expr, Pred};
 use balg_core::value::Value;
-use balg_incremental::{UpdateBatch, ViewRuntime, ViewStats};
+use balg_incremental::{UpdateBatch, UpdateError, ViewRuntime, ViewStats};
 
 fn pair(a: i64, b: i64) -> Value {
     Value::tuple([Value::int(a), Value::int(b)])
@@ -116,7 +119,15 @@ fn indexed_stream_counters_are_pinned() {
         same_side: join_ops(64, 0, 64),
         // `G ⊎ G` is one linear op per batch on top of the join's.
         derived: join_ops(128, 64, 0),
-        index_cache: (318, 2, 2, 0),
+        // Registration: `spanning` misses G and H, builds H (the smaller
+        // base); `derived` misses `G ⊎ G`, hits H. Each of the 64 batches
+        // has one δG half: `spanning` and `derived` each miss it and hit
+        // H (128 hits, 128 misses). Of the 32 batches with one δH half,
+        // the first builds G (3 misses), the other 31 hit it; `derived`
+        // misses `G ⊎ G` and δH, and both views miss δG and δH in the
+        // cross term, the transient builds (6 misses each batch).
+        // Hits 1 + 128 + 31 = 160; misses 4 + 128 + 3 + 64 + 128 = 327.
+        index_cache: (160, 327, 2, 0),
         rows: [114, 32, 114],
     };
     assert_eq!(run(|rt| rt.set_parallel_threads(1)), expected);
@@ -351,6 +362,52 @@ fn a_delta_past_the_element_budget_costs_exactly_one_reinit() {
             },
             "{chunks} chunk(s)"
         );
-        assert_eq!(rt.index_cache_stats(), (0, 2, 2, 0), "{chunks} chunk(s)");
+        // Registration misses G and H and builds G (the smaller base);
+        // δG⁺ misses itself and H and builds H; δG⁻ misses itself, hits
+        // H; the re-derivation hits the patched G index.
+        assert_eq!(rt.index_cache_stats(), (2, 7, 2, 0), "{chunks} chunk(s)");
     }
+}
+
+/// A join delta runs on the view's evaluator, so its surviving pairs are
+/// charged to `Limits.max_steps`: a commit whose join delta has more
+/// pairs than the budget drops the join view with a tombstone, as a
+/// failed re-derivation does, while the batch commits and an unrelated
+/// view is maintained. A bare `×` is charged what a one-shot product is —
+/// its node, not its pairs — so the product view over the same delta
+/// stays maintained and exact.
+#[test]
+fn join_maintenance_obeys_max_steps() {
+    let mut rt = ViewRuntime::with_limits(Limits {
+        max_steps: 100,
+        ..Limits::default()
+    });
+    rt.load_base("G", Bag::new()).unwrap();
+    rt.load_base("H", Bag::from_values((0..40).map(|k| pair(k % 2, k))))
+        .unwrap();
+    rt.load_base("R", Bag::from_values([pair(0, 0)])).unwrap();
+    // `G` is empty, so registration costs a handful of steps.
+    rt.create_view("join", join(Expr::var("G"), 2, 3)).unwrap();
+    rt.create_view("product", Expr::var("G").product(Expr::var("H")))
+        .unwrap();
+    rt.create_view("other", Expr::var("R").project(&[2]))
+        .unwrap();
+    // Ten `G` rows, each keyed by `α₂` to 20 `H` rows: 200 join pairs.
+    let mut batch = UpdateBatch::new();
+    for k in 0..10 {
+        batch.insert("G", pair(k, k % 2));
+    }
+    batch.insert("R", pair(1, 1));
+    let err = rt.apply(&batch).unwrap_err();
+    assert!(
+        matches!(&err, UpdateError::View { view, error: EvalError::StepLimit(100) } if view == "join"),
+        "{err:?}"
+    );
+    let dropped: Vec<(&str, &str)> = rt.dropped().map(|(n, d)| (n, d.cause.as_str())).collect();
+    assert_eq!(dropped, [("join", "step budget of 100 exhausted")]);
+    assert_eq!(rt.stats().batches, 1);
+    assert_eq!(rt.database().get("G").unwrap().distinct_count(), 10);
+    assert_eq!(rt.view("product").unwrap().distinct_count(), 400);
+    assert_eq!(rt.view("other").unwrap().distinct_count(), 2);
+    assert!(rt.verify("product").unwrap() && rt.verify("other").unwrap());
 }

@@ -1,4 +1,4 @@
-//! One input, every adapter of the `balg_core::join` kernel, one answer.
+//! One input, every path to the `balg_core::join` kernel, one answer.
 //!
 //! The per-pair suites (`index_props`, both `parallel_differential`s,
 //! `incremental/tests/differential.rs`) each compare two join paths. This
@@ -9,8 +9,9 @@
 //!   partitions — results, error values and `Metrics.steps` must agree;
 //! * (d) a `ViewRuntime` join view registered over *empty* bases, with `L`
 //!   and `R` streamed in as randomly split insert batches and a random
-//!   subset then deleted — the ℤ-multiplicity path — indexed, scanning and
-//!   at 4 chunks, checked after every batch;
+//!   subset then deleted — the bilinear delta rule, its terms evaluator
+//!   probes over each delta's halves — indexed, scanning and at 4 chunks,
+//!   checked after every batch;
 //!
 //! against `σ(L × R)` *materialised* (product, then a per-element filter
 //! no recogniser fuses) on the same database. (e) `RalgEvaluator`, the
