@@ -1142,7 +1142,7 @@ pub fn e18_sql_frontend() -> Report {
     }
     // Duplicate visibility.
     let dup = run("SELECT customer FROM orders", &catalog, &db).unwrap();
-    let ok = dup.total_rows() == 4 && dup.rows.iter().any(|(_, m)| *m == 2);
+    let ok = dup.total_rows() == 4 && dup.rows().iter().any(|(_, m)| *m == 2);
     report.push(
         vec![
             "SELECT customer FROM orders".into(),

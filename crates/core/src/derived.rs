@@ -13,7 +13,7 @@
 use crate::bag::Bag;
 use crate::expr::{Expr, Pred};
 use crate::natural::Natural;
-use crate::value::Value;
+use crate::value::{Atom, Value};
 
 /// The fixed constant used by integer encodings (the paper's `a`).
 pub const UNIT_ATOM: &str = "a";
@@ -39,10 +39,15 @@ pub fn int_lit(n: impl Into<Natural>) -> Expr {
 
 /// Decode an integer bag back to a [`Natural`]: the cardinality of a bag
 /// of `[a]` tuples. Returns `None` if the value is not an integer bag.
+/// The `[a]` shape is checked in place, so decoding allocates nothing
+/// unless the count itself spills past `u64`.
 pub fn decode_int(value: &Value) -> Option<Natural> {
     let bag = value.as_bag()?;
-    let unit = unit_tuple();
-    if bag.iter().all(|(v, _)| *v == unit) {
+    let is_unit = |v: &Value| match v.as_tuple() {
+        Some([Value::Atom(Atom::Str(s))]) => &**s == UNIT_ATOM,
+        _ => false,
+    };
+    if bag.elements().all(is_unit) {
         Some(bag.cardinality())
     } else {
         None
@@ -472,8 +477,43 @@ mod tests {
             decode_int(&Value::bag([Value::tuple([Value::sym("z")])])),
             None
         );
+        // `⟦[b]⟧`, `⟦[a, a]⟧` and `⟦[a], a⟧`: the wrong atom, the wrong
+        // arity, and a unit tuple mixed with a bare atom.
+        assert_eq!(
+            decode_int(&Value::bag([Value::tuple([Value::sym(UNIT_ATOM_B)])])),
+            None
+        );
+        assert_eq!(
+            decode_int(&Value::bag([Value::tuple([
+                Value::sym(UNIT_ATOM),
+                Value::sym(UNIT_ATOM)
+            ])])),
+            None
+        );
+        assert_eq!(
+            decode_int(&Value::bag([unit_tuple(), Value::sym(UNIT_ATOM)])),
+            None
+        );
+        // `⟦[1]⟧`: an integer atom is not the symbol `a`.
+        assert_eq!(
+            decode_int(&Value::bag([Value::tuple([Value::int(1)])])),
+            None
+        );
+        assert_eq!(decode_int(&Value::tuple([Value::sym(UNIT_ATOM)])), None);
         assert_eq!(decode_int(&int_value(17u64)), Some(nat(17)));
         assert_eq!(decode_int(&Value::empty_bag()), Some(nat(0)));
+    }
+
+    #[test]
+    fn decode_int_round_trips_int_value() {
+        for n in [0u64, 1, 2, 17, 1 << 40, u64::MAX] {
+            assert_eq!(decode_int(&int_value(n)), Some(nat(n)));
+        }
+        // Counts past `u64` spill to limbs and still round-trip.
+        for n in [u64::MAX as u128 + 1, u128::MAX] {
+            let n = Natural::from(n);
+            assert_eq!(decode_int(&int_value(n.clone())), Some(n));
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn runtime(a_rows: i64, b_rows: i64, limits: Limits) -> SqlRuntime {
 
 /// Register the join view, push one insert through it, and check it was
 /// maintained by the indexed join rule and still equals a re-evaluation.
-fn registers_and_maintains(mut rt: SqlRuntime, expected_rows: u64) {
+fn registers_and_maintains(mut rt: SqlRuntime, expected_rows: u128) {
     let created = execute_write(&mut rt, VIEW);
     assert!(created.ok, "{}", created.text);
     assert_eq!(rt.view_rows("j").unwrap().total_rows(), expected_rows);

@@ -11,7 +11,7 @@ use std::fmt;
 
 use balg_core::bag::{Bag, BagBuilder};
 use balg_core::derived::{decode_int, int_value};
-use balg_core::value::Value;
+use balg_core::value::{Atom, Value};
 
 /// A column declaration.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -167,14 +167,36 @@ pub fn encode_value(value: &SqlValue, numeric: bool) -> Result<Value, LoadError>
 
 /// Decode a stored value back to SQL level.
 pub fn decode_value(value: &Value, numeric: bool) -> Option<SqlValue> {
+    decode_cell(value, numeric).map(Cell::to_sql)
+}
+
+/// A decoded value borrowed from the bag that holds it: what
+/// [`decode_value`] returns, without copying a text cell.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Cell<'a> {
+    Int(i64),
+    Str(&'a str),
+}
+
+impl Cell<'_> {
+    pub(crate) fn to_sql(self) -> SqlValue {
+        match self {
+            Cell::Int(v) => SqlValue::Int(v),
+            Cell::Str(s) => SqlValue::Str(s.to_owned()),
+        }
+    }
+}
+
+/// Decode a stored value in place: a numeric column holds `⟦[a]ⁿ⟧` with
+/// `n ≤ i64::MAX`, a plain one an atom.
+pub(crate) fn decode_cell(value: &Value, numeric: bool) -> Option<Cell<'_>> {
     if numeric {
         let n = decode_int(value)?;
-        Some(SqlValue::Int(i64::try_from(n.to_u64()?).ok()?))
+        Some(Cell::Int(i64::try_from(n.to_u64()?).ok()?))
     } else {
-        match value {
-            Value::Atom(balg_core::value::Atom::Int(v)) => Some(SqlValue::Int(*v)),
-            Value::Atom(balg_core::value::Atom::Str(s)) => Some(SqlValue::Str(s.to_string())),
-            _ => None,
+        match value.as_atom()? {
+            Atom::Int(v) => Some(Cell::Int(*v)),
+            Atom::Str(s) => Some(Cell::Str(s)),
         }
     }
 }

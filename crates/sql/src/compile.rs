@@ -14,6 +14,7 @@
 
 use std::fmt;
 
+use balg_core::bag::Bag;
 use balg_core::derived::{average, count, int_value};
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
@@ -24,7 +25,7 @@ use balg_core::value::Value;
 use crate::ast::{
     Aggregate, ColumnRef, CompareOp, Comparison, Operand, Projection, Query, SelectCore,
 };
-use crate::catalog::{decode_value, Catalog, Column, SqlValue};
+use crate::catalog::{decode_cell, Catalog, Cell, Column, SqlValue};
 use crate::parser::{parse, ParseError};
 
 /// A compile-time error.
@@ -100,8 +101,8 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// Evaluate over `db` and decode the rows: the one evaluation tail of
-    /// every SQL read. `chunks` pins the evaluator's partition count
+    /// Evaluate over `db` and validate the result bag: the one evaluation
+    /// tail of every SQL read. `chunks` pins the evaluator's partition count
     /// (`None` inherits the process-wide default).
     pub fn evaluate(
         &self,
@@ -528,26 +529,68 @@ impl fmt::Display for SqlError {
 
 impl std::error::Error for SqlError {}
 
-/// A decoded result: rows with multiplicities (bag semantics is visible).
+/// A query result: the result bag, validated against its output columns
+/// by [`decode_result`]. Every row is a tuple of `columns.len()` cells
+/// that decode (see [`crate::catalog::decode_value`]), with a
+/// multiplicity that fits a `u64`, so bag semantics stays visible: each
+/// distinct row once, with its count. The reply writer
+/// (`Display for Response::Rows`) reads the rows straight from the bag;
+/// [`QueryResult::rows`] decodes them on request.
+///
+/// The derived equality compares `(columns, bag)`. Over the same columns
+/// it is equality of the decoded rows: a bag is canonical (sorted, each
+/// distinct element once), and decoding a validated cell is injective
+/// per column kind — an atom maps to itself, `⟦[a]ⁿ⟧` to `n`.
+///
+/// Both fields are private: the bag is only sound to render against the
+/// columns it was validated with.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct QueryResult {
-    /// Output columns.
-    pub columns: Vec<Column>,
-    /// `(row, multiplicity)` pairs in row order.
-    pub rows: Vec<(Vec<SqlValue>, u64)>,
+    columns: Vec<Column>,
+    bag: Bag,
 }
 
+/// What [`decode_result`] checked, restated where the writer relies on it.
+const VALIDATED: &str = "decode_result validated the bag against its columns";
+
 impl QueryResult {
-    /// Total number of rows counting duplicates.
-    pub fn total_rows(&self) -> u64 {
-        self.rows.iter().map(|(_, m)| m).sum()
+    /// The output columns.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Each distinct row's cells, borrowed from the bag, with its
+    /// multiplicity, in row order.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (impl Iterator<Item = Cell<'_>>, u64)> + '_ {
+        self.bag.iter().map(|(row, mult)| {
+            let fields = row.as_tuple().expect(VALIDATED);
+            let cells = fields
+                .iter()
+                .zip(&self.columns)
+                .map(|(value, column)| decode_cell(value, column.numeric).expect(VALIDATED));
+            (cells, mult.to_u64().expect(VALIDATED))
+        })
+    }
+
+    /// The decoded `(row, multiplicity)` pairs in row order.
+    pub fn rows(&self) -> Vec<(Vec<SqlValue>, u64)> {
+        self.cells()
+            .map(|(cells, mult)| (cells.map(Cell::to_sql).collect(), mult))
+            .collect()
+    }
+
+    /// Total number of rows counting duplicates. Exact: each multiplicity
+    /// fits a `u64`, so the sum over any bag fits a `u128`.
+    pub fn total_rows(&self) -> u128 {
+        self.cells().map(|(_, mult)| u128::from(mult)).sum()
     }
 
     /// The single scalar of an aggregate result.
     pub fn scalar(&self) -> Option<i64> {
-        match self.rows.as_slice() {
-            [(row, 1)] => match row.as_slice() {
-                [SqlValue::Int(v)] => Some(*v),
+        let mut rows = self.cells();
+        match (rows.next(), rows.next()) {
+            (Some((mut cells, 1)), None) => match (cells.next(), cells.next()) {
+                (Some(Cell::Int(v)), None) => Some(v),
                 _ => None,
             },
             _ => None,
@@ -598,15 +641,14 @@ pub(crate) fn compile_view(query: &Query, catalog: &Catalog) -> Result<CompiledQ
     Ok(compiled)
 }
 
-/// Decode a result bag against an output row shape. Public so external
-/// runtimes (the `balg-server` snapshot read path) can decode pinned view
-/// bags exactly the way [`CompiledQuery::evaluate`] decodes one-shot
-/// results.
-pub fn decode_result(
-    bag: &balg_core::bag::Bag,
-    output: Vec<Column>,
-) -> Result<QueryResult, SqlError> {
-    let mut rows = Vec::with_capacity(bag.distinct_count());
+/// Validate a result bag against an output row shape and keep it as a
+/// [`QueryResult`]. One pass, no allocation on success: the first
+/// failure is, per row in bag order, a row that is not a tuple, the wrong
+/// arity, a cell that does not decode, then a multiplicity over `u64`.
+/// Public so external runtimes (the `balg-server` snapshot read path) can
+/// check pinned view bags exactly the way [`CompiledQuery::evaluate`]
+/// checks one-shot results.
+pub fn decode_result(bag: &Bag, output: Vec<Column>) -> Result<QueryResult, SqlError> {
     for (row, mult) in bag.iter() {
         let fields = row
             .as_tuple()
@@ -618,22 +660,20 @@ pub fn decode_result(
                 output.len()
             )));
         }
-        let decoded = fields
+        if let Some((value, _)) = fields
             .iter()
             .zip(&output)
-            .map(|(value, column)| {
-                decode_value(value, column.numeric)
-                    .ok_or_else(|| SqlError::Decode(value.to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let m = mult
-            .to_u64()
-            .ok_or_else(|| SqlError::Decode("multiplicity over u64".into()))?;
-        rows.push((decoded, m));
+            .find(|(value, column)| decode_cell(value, column.numeric).is_none())
+        {
+            return Err(SqlError::Decode(value.to_string()));
+        }
+        if mult.to_u64().is_none() {
+            return Err(SqlError::Decode("multiplicity over u64".into()));
+        }
     }
     Ok(QueryResult {
         columns: output,
-        rows,
+        bag: bag.clone(),
     })
 }
 
@@ -693,8 +733,8 @@ mod tests {
         assert_eq!(result.total_rows(), 4);
         // ann appears twice via the duplicate row.
         let ann = result
-            .rows
-            .iter()
+            .rows()
+            .into_iter()
             .find(|(row, _)| row[0] == SqlValue::Str("ann".into()))
             .unwrap();
         assert_eq!(ann.1, 2);
@@ -705,7 +745,7 @@ mod tests {
         let (catalog, db) = setup();
         let result = run("SELECT DISTINCT customer FROM orders", &catalog, &db).unwrap();
         assert_eq!(result.total_rows(), 2);
-        assert!(result.rows.iter().all(|(_, m)| *m == 1));
+        assert!(result.rows().iter().all(|(_, m)| *m == 1));
     }
 
     #[test]
@@ -782,11 +822,11 @@ mod tests {
             &db,
         )
         .unwrap();
-        assert_eq!(result.rows.len(), 2);
+        assert_eq!(result.rows().len(), 2);
         let find = |name: &str| {
             result
-                .rows
-                .iter()
+                .rows()
+                .into_iter()
                 .find(|(row, _)| row[0] == SqlValue::Str(name.into()))
                 .map(|(row, _)| row[1].clone())
         };
@@ -801,8 +841,8 @@ mod tests {
         .unwrap();
         let find = |name: &str| {
             counts
-                .rows
-                .iter()
+                .rows()
+                .into_iter()
                 .find(|(row, _)| row[0] == SqlValue::Str(name.into()))
                 .map(|(row, _)| row[1].clone())
         };
@@ -816,8 +856,8 @@ mod tests {
         )
         .unwrap();
         let find = |name: &str| {
-            avg.rows
-                .iter()
+            avg.rows()
+                .into_iter()
                 .find(|(row, _)| row[0] == SqlValue::Str(name.into()))
                 .map(|(row, _)| row[1].clone())
         };
@@ -836,8 +876,8 @@ mod tests {
         .unwrap();
         let find = |name: &str| {
             result
-                .rows
-                .iter()
+                .rows()
+                .into_iter()
                 .find(|(row, _)| row[0] == SqlValue::Str(name.into()))
                 .map(|(row, _)| row[1].clone())
         };
@@ -851,7 +891,7 @@ mod tests {
             &db,
         )
         .unwrap();
-        assert_eq!(pairs.rows.len(), 3); // (ann,apple), (bob,pear), (bob,apple)
+        assert_eq!(pairs.rows().len(), 3); // (ann,apple), (bob,pear), (bob,apple)
     }
 
     #[test]

@@ -23,7 +23,7 @@ use balg_incremental::{DurableError, Runtime, UpdateBatch, ViewRuntime};
 
 use crate::ast::Query;
 use crate::cache::{Prepared, StatementCache};
-use crate::catalog::{encode_value, Catalog, Column, SqlValue, Table};
+use crate::catalog::{encode_value, Catalog, Cell, Column, SqlValue, Table};
 use crate::compile::{compile_view, decode_result, QueryResult, SqlError};
 use crate::lexer::{tokenize_with_positions, Keyword, Token};
 use crate::parser::{parse_query_from, ParseError, Parser};
@@ -256,17 +256,34 @@ pub enum Response {
 impl fmt::Display for Response {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // The one writer of result rows: straight from the validated
+            // bag, `cell | cell  xN` per distinct row, then the exact total.
             Response::Rows(result) => {
-                for (row, mult) in &result.rows {
-                    for (ix, cell) in row.iter().enumerate() {
+                let mut out = ReplyBuf {
+                    f,
+                    buf: [0; ReplyBuf::CAPACITY],
+                    len: 0,
+                };
+                let mut total = 0u128;
+                for (cells, mult) in result.cells() {
+                    for (ix, cell) in cells.enumerate() {
                         if ix > 0 {
-                            f.write_str(" | ")?;
+                            out.text(" | ")?;
                         }
-                        write!(f, "{cell}")?;
+                        match cell {
+                            Cell::Int(v) => out.decimal(v < 0, v.unsigned_abs().into())?,
+                            Cell::Str(s) => out.text(s)?,
+                        }
                     }
-                    writeln!(f, "  x{mult}")?;
+                    out.text("  x")?;
+                    out.decimal(false, mult.into())?;
+                    out.text("\n")?;
+                    total += u128::from(mult);
                 }
-                write!(f, "({} rows)", result.total_rows())
+                out.text("(")?;
+                out.decimal(false, total)?;
+                out.text(" rows)")?;
+                out.flush()
             }
             Response::ViewCreated { name, rows } => {
                 write!(f, "view {name} created ({} rows)", rows.total_rows())
@@ -280,6 +297,73 @@ impl fmt::Display for Response {
                 write!(f, "checkpoint complete (snapshot lsn {lsn})")
             }
         }
+    }
+}
+
+/// A reply's bytes gathered on the stack and handed to the formatter a
+/// buffer at a time, with integers written in place: one `write_str`
+/// per buffer instead of several per row, and none of the `fmt`
+/// machinery a `write!` costs per cell. The buffer only ever holds whole
+/// `str` pieces and ASCII digits, so it is always valid UTF-8.
+struct ReplyBuf<'a, 'f> {
+    f: &'a mut fmt::Formatter<'f>,
+    buf: [u8; ReplyBuf::CAPACITY],
+    len: usize,
+}
+
+impl ReplyBuf<'_, '_> {
+    const CAPACITY: usize = 512;
+
+    fn text(&mut self, s: &str) -> fmt::Result {
+        if s.len() > Self::CAPACITY - self.len {
+            self.flush()?;
+            if s.len() > Self::CAPACITY {
+                return self.f.write_str(s);
+            }
+        }
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+        self.len += s.len();
+        Ok(())
+    }
+
+    /// `n` in decimal, negated when `negative`.
+    fn decimal(&mut self, negative: bool, n: u128) -> fmt::Result {
+        // `u128::MAX` has 39 digits; one more byte for the sign.
+        if Self::CAPACITY - self.len < 40 {
+            self.flush()?;
+        }
+        if negative {
+            self.buf[self.len] = b'-';
+            self.len += 1;
+        }
+        let end = self.len + n.checked_ilog10().map_or(1, |log| log as usize + 1);
+        let mut at = end;
+        let mut push = |digit: u8| {
+            at -= 1;
+            self.buf[at] = b'0' + digit;
+        };
+        // u128 division is a library call: drop to a word as soon as it fits.
+        let mut wide = n;
+        while wide > u128::from(u64::MAX) {
+            push((wide % 10) as u8);
+            wide /= 10;
+        }
+        let mut word = wide as u64;
+        loop {
+            push((word % 10) as u8);
+            word /= 10;
+            if word == 0 {
+                break;
+            }
+        }
+        self.len = end;
+        Ok(())
+    }
+
+    fn flush(&mut self) -> fmt::Result {
+        let text = std::str::from_utf8(&self.buf[..self.len]).expect("whole pieces and digits");
+        self.len = 0;
+        self.f.write_str(text)
     }
 }
 
@@ -856,9 +940,9 @@ mod tests {
         rt.execute("CREATE VIEW quantities AS BALG project(orders, 2)")
             .unwrap();
         let rows = rt.view_rows("quantities").unwrap();
-        assert!(rows.columns[0].numeric);
+        assert!(rows.columns()[0].numeric);
         assert!(rows
-            .rows
+            .rows()
             .iter()
             .all(|(row, _)| matches!(row[0], SqlValue::Int(_))));
         // Case-insensitive prefix, like every other keyword.
@@ -1060,8 +1144,8 @@ mod tests {
         rt.execute("DELETE FROM orders VALUES ('bob', 5)").unwrap();
         let rows = rt.view_rows("per_customer").unwrap();
         let find = |name: &str| {
-            rows.rows
-                .iter()
+            rows.rows()
+                .into_iter()
                 .find(|(row, _)| row[0] == SqlValue::Str(name.into()))
                 .map(|(row, _)| row[1].clone())
         };

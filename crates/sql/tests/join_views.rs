@@ -99,8 +99,8 @@ fn assert_views_fresh(rt: &mut SqlRuntime, after: &str) {
             panic!("{query} is a query")
         };
         assert_eq!(
-            rt.view_rows(name).unwrap().rows,
-            fresh.rows,
+            rt.view_rows(name).unwrap().rows(),
+            fresh.rows(),
             "view {name} after {after}"
         );
     }
@@ -150,8 +150,8 @@ proptest! {
         assert_views_fresh(&mut reopened, "re-open");
         for (name, _) in VIEWS {
             prop_assert_eq!(
-                reopened.view_rows(name).unwrap().rows,
-                memory.view_rows(name).unwrap().rows,
+                reopened.view_rows(name).unwrap().rows(),
+                memory.view_rows(name).unwrap().rows(),
                 "re-opened view {} differs from the never-closed one", name
             );
         }

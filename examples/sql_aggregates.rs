@@ -51,11 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for sql in queries {
         let result = run(sql, &catalog, &db)?;
         println!("{sql}");
-        let header: Vec<&str> = result.columns.iter().map(|c| c.name.as_str()).collect();
+        let header: Vec<&str> = result.columns().iter().map(|c| c.name.as_str()).collect();
         println!("  columns: {header:?}");
-        for (row, mult) in &result.rows {
+        for (row, mult) in result.rows() {
             let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
-            if *mult == 1 {
+            if mult == 1 {
                 println!("  {}", cells.join(" | "));
             } else {
                 println!("  {}  ×{mult}", cells.join(" | "));

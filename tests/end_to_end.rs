@@ -32,8 +32,9 @@ fn sql_pipeline_with_duplicates_and_aggregates() {
     // Duplicates are preserved through projections.
     let kinds = run("SELECT kind FROM events WHERE user = 'u1'", &catalog, &db).unwrap();
     assert_eq!(kinds.total_rows(), 3);
-    assert_eq!(kinds.rows.len(), 1); // one distinct row, multiplicity 3
-    assert_eq!(kinds.rows[0].1, 3);
+    let rows = kinds.rows();
+    assert_eq!(rows.len(), 1); // one distinct row, multiplicity 3
+    assert_eq!(rows[0].1, 3);
 }
 
 #[test]

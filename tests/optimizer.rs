@@ -146,7 +146,7 @@ fn optimized_sql_agrees_with_unoptimized() {
     for sql in queries {
         let plain = run(sql, &catalog, &db).unwrap();
         let optimized = run_optimized(sql, &catalog, &db).unwrap();
-        assert_eq!(plain.rows, optimized.rows, "optimizer broke: {sql}");
+        assert_eq!(plain.rows(), optimized.rows(), "optimizer broke: {sql}");
     }
 }
 
@@ -263,7 +263,7 @@ fn optimizer_keeps_the_sql_join_normal_form() {
         assert_eq!(optimize(&once, &schema), once, "not idempotent on {sql}");
         let plain = run(sql, &catalog, &db).unwrap();
         let optimized = run_optimized(sql, &catalog, &db).unwrap();
-        assert_eq!(plain.rows, optimized.rows, "optimizer broke: {sql}");
+        assert_eq!(plain.rows(), optimized.rows(), "optimizer broke: {sql}");
     }
 }
 

@@ -165,8 +165,8 @@ fn multiplicities_multiply_through_joins() {
     )
     .unwrap();
     let a_row = result
-        .rows
-        .iter()
+        .rows()
+        .into_iter()
         .find(|(row, _)| row[0] == SqlValue::Str("a".into()))
         .expect("join must produce an 'a' row");
     assert_eq!(a_row.1, 6);
