@@ -83,7 +83,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use crate::natural::Natural;
 use crate::value::Value;
@@ -182,6 +182,26 @@ fn shared_empty() -> Arc<Vec<(Value, Natural)>> {
     EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
 }
 
+/// One version of a bag, named without keeping it alive: a `Weak` to its
+/// slice. The `Weak` pins the allocation's address, so a freed and reused
+/// address never matches a stale handle. And while a handle is held, an
+/// in-place mutation of the slice through `Arc::make_mut` moves it to a
+/// new allocation, so a matching bag also has the content it had.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Version(Weak<Vec<(Value, Natural)>>);
+
+impl Version {
+    /// The handle of `bag`'s current version.
+    pub(crate) fn of(bag: &Bag) -> Version {
+        Version(Arc::downgrade(&bag.elems))
+    }
+
+    /// `true` iff `bag` is the version this handle names.
+    pub(crate) fn is(&self, bag: &Bag) -> bool {
+        std::ptr::eq(self.0.as_ptr(), Arc::as_ptr(&bag.elems))
+    }
+}
+
 impl Default for Bag {
     fn default() -> Bag {
         Bag::new()
@@ -252,6 +272,12 @@ impl Bag {
     /// mutation, and the caller must re-establish the invariant.
     pub(crate) fn elems_mut(&mut self) -> &mut Vec<(Value, Natural)> {
         Arc::make_mut(&mut self.elems)
+    }
+
+    /// `true` iff another clone holds this bag's slice, so a patch must
+    /// copy it. The shared empty slice always counts as shared.
+    pub(crate) fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.elems) > 1
     }
 
     /// Read-only view of the sorted `(element, multiplicity)` pair slice

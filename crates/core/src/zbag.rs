@@ -13,19 +13,32 @@
 //! The representation mirrors [`Bag`]: one sorted pair slice with no zero
 //! entries, built through the same overflow-buffer machinery as
 //! [`crate::bag::BagBuilder`] and merged with the same two-pointer
-//! passes. Unlike [`Bag`] there is no
-//! copy-on-write `Arc` — deltas are transient values that are consumed by
-//! [`ZBag::apply_to`].
+//! passes. Unlike [`Bag`] there is no copy-on-write `Arc`: a delta is a
+//! small value, consumed by [`ZBag::patch`] / [`ZBag::apply_to`]. The one
+//! delta that outlives its commit is a [`Spare`]'s *lag*.
 //!
 //! `Bag ⟶ ZBag` is the evident embedding ([`ZBag::from_bag`]); the reverse
 //! direction is partial and **checked** ([`ZBag::try_into_bag`] /
 //! [`ZBag::apply_to`] report [`ZBagError::NegativeMultiplicity`] instead
 //! of silently truncating, which would confuse a bad delta with monus).
+//!
+//! # Patching a bag a snapshot shares
+//!
+//! A server publishes immutable snapshots whose bags share their slices
+//! with the runtime's, so the next write finds every bag it patches
+//! shared, and copy-on-write would copy the whole slice, `O(n)` refcount
+//! touches for a one-row delta, only for the old copy to be freed when
+//! the new snapshot replaces the old one. [`ZBag::patch`] instead keeps
+//! that old version as the bag's [`Spare`] (the left-right technique,
+//! one bag at a time): once no snapshot holds it, the next patch brings
+//! it up to date with the delta it lags by and applies its own delta, both
+//! in place. The versions alternate between two buffers, and readers
+//! still only ever see immutable slices.
 
 use std::cmp::Ordering;
 use std::fmt;
 
-use crate::bag::{merge_sorted_pairs, Bag, Multiplicity, PairBuffer};
+use crate::bag::{merge_sorted_pairs, Bag, Multiplicity, PairBuffer, Version};
 use crate::natural::Natural;
 use crate::value::Value;
 
@@ -391,18 +404,79 @@ impl ZBag {
         self.apply_into(base.clone())
     }
 
-    /// As [`ZBag::apply_to`], consuming the base. A small delta against a
-    /// uniquely-owned base patches the pair slice **in place** (binary
-    /// search plus a memmove per new key) — the commit path of the
-    /// incremental runtime, which takes bags out of the database so a
-    /// single-tuple update never rebuilds the whole slice. On error the
-    /// base may be partially patched and is dropped; callers that need
-    /// atomicity validate first (see `ViewRuntime::apply`).
-    pub fn apply_into(&self, mut base: Bag) -> Result<Bag, ZBagError> {
+    /// Whether [`ZBag::apply_into`] patches `base` in place: the delta has
+    /// at most one pair per eight of `base`'s.
+    fn patches_in_place(&self, base: &Bag) -> bool {
+        self.pairs.len() * 8 <= base.distinct_count()
+    }
+
+    /// `base ⊕ self`, consuming the base, with `spare` the bag's [`Spare`]
+    /// (the module doc's *Patching a bag a snapshot shares*). The rule:
+    ///
+    /// 1. `base` is not shared: patch it in place. A spare that tracks
+    ///    `base` adds the delta to its lag, and is dropped once the lag
+    ///    would no longer patch its buffer in place.
+    /// 2. `base` is shared, and the spare is usable: it tracks `base`, no
+    ///    clone holds its buffer any more, and its lag and this delta both
+    ///    patch in place. Then the lag brings the buffer up to `base`'s
+    ///    version, the delta is applied on top, and `base` becomes the new
+    ///    spare with this delta as its lag.
+    /// 3. Otherwise copy `base` as [`ZBag::apply_to`] does, and keep
+    ///    `base` as the spare when this delta patches in place.
+    ///
+    /// A spare only ever catches up to the version it last returned
+    /// (named by a `Weak`), so a bag replaced any other way is never
+    /// caught up from it. Nothing shares a bag that nobody clones, so such
+    /// a bag never gets a spare. On error the base may be partially patched
+    /// and is dropped, and so is the spare; callers that need atomicity
+    /// validate first (see `ViewRuntime::apply`).
+    pub fn patch(&self, base: Bag, spare: &mut Spare) -> Result<Bag, ZBagError> {
         if self.is_empty() {
             return Ok(base);
         }
-        if self.pairs.len() * 8 <= base.distinct_count() {
+        // Taken out first: while the handle is held, an in-place patch of
+        // `base` would move its slice to a new allocation.
+        let tracked = std::mem::take(&mut spare.issued).is(&base);
+        let buffer = spare.buffer.take().filter(|_| tracked);
+        let lag = std::mem::take(&mut spare.lag);
+        if !base.is_shared() {
+            let new = self.apply_into(base)?;
+            if let Some(buffer) = buffer {
+                let lag = lag.add(self);
+                if lag.patches_in_place(&buffer) {
+                    *spare = Spare::issue(buffer, lag, &new);
+                }
+            }
+            return Ok(new);
+        }
+        if let Some(buffer) = buffer.filter(|buffer| {
+            !buffer.is_shared() && lag.patches_in_place(buffer) && self.patches_in_place(&base)
+        }) {
+            let caught_up = lag
+                .apply_into(buffer)
+                .expect("the lag leads the spare to the version it issued");
+            debug_assert!(caught_up == base, "a caught-up spare must equal its bag");
+            let new = self.apply_into(caught_up)?;
+            *spare = Spare::issue(base, self.clone(), &new);
+            return Ok(new);
+        }
+        let new = self.apply_into(base.clone())?;
+        if self.patches_in_place(&base) {
+            *spare = Spare::issue(base, self.clone(), &new);
+        }
+        Ok(new)
+    }
+
+    /// As [`ZBag::apply_to`], consuming the base. A small delta against a
+    /// uniquely-owned base patches the pair slice **in place** (binary
+    /// search plus a memmove per new key). Outside this module every
+    /// patch goes through [`ZBag::patch`], which calls this. On error the
+    /// base may be partially patched and is dropped.
+    pub(crate) fn apply_into(&self, mut base: Bag) -> Result<Bag, ZBagError> {
+        if self.is_empty() {
+            return Ok(base);
+        }
+        if self.patches_in_place(&base) {
             let elems = base.elems_mut();
             for (value, mult) in &self.pairs {
                 match elems.binary_search_by(|probe| probe.0.cmp(value)) {
@@ -486,6 +560,33 @@ impl fmt::Display for ZBag {
             write!(f, "{value}^{mult}")?;
         }
         f.write_str("}}")
+    }
+}
+
+/// What [`ZBag::patch`] keeps of a bag's previous version so that the next
+/// patch of the bag, while a snapshot shares it, can reuse that version's
+/// buffer instead of copying. Empty (the default) until a patch finds its
+/// bag shared. One per patched bag: the incremental runtime keeps one per
+/// base and one per materialized view node.
+#[derive(Clone, Debug, Default)]
+pub struct Spare {
+    /// The previous version; `None` when there is no spare.
+    buffer: Option<Bag>,
+    /// The delta from `buffer`'s version to `issued`'s.
+    lag: ZBag,
+    /// The version the last patch returned.
+    issued: Version,
+}
+
+impl Spare {
+    /// The spare `buffer`, lagging `new` (the version just returned) by
+    /// `lag`.
+    fn issue(buffer: Bag, lag: ZBag, new: &Bag) -> Spare {
+        Spare {
+            buffer: Some(buffer),
+            lag,
+            issued: Version::of(new),
+        }
     }
 }
 

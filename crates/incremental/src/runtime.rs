@@ -12,7 +12,7 @@ use balg_core::par::Parallel;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 use balg_core::wal::{bag_decodes, expr_decodes, zbag_decodes, MAX_DECODE_DEPTH};
-use balg_core::zbag::{ZBag, ZBagError, ZInt};
+use balg_core::zbag::{Spare, ZBag, ZBagError, ZInt};
 
 use crate::view::{View, ViewStats};
 
@@ -231,6 +231,10 @@ pub struct ViewRuntime {
     db: Database,
     eval: EvalSettings,
     views: BTreeMap<String, View>,
+    /// Each base's [`Spare`]: the version before the current one, reused
+    /// by the next commit while a published snapshot still shares the
+    /// current one.
+    spares: BTreeMap<Var, Spare>,
     /// Tombstones for views dropped after a failed re-derivation, cleared
     /// when a view of the same name is registered again.
     dropped: BTreeMap<String, DroppedView>,
@@ -266,6 +270,7 @@ impl ViewRuntime {
                 parallel: None,
             },
             views: BTreeMap::new(),
+            spares: BTreeMap::new(),
             dropped: BTreeMap::new(),
             batches: 0,
         }
@@ -501,19 +506,23 @@ impl ViewRuntime {
         batch: &UpdateBatch,
         affected: &BTreeSet<Var>,
     ) -> Result<(), UpdateError> {
-        // Taking each bag out of the database gives the patch unique
-        // ownership, so a small delta edits the sorted slice in place
-        // instead of rebuilding (or copy-on-write cloning) it.
-        // Cached indexes over the base are taken out first — dropping the
-        // cache's owner clone is what restores unique ownership — patched
-        // with the same delta, and restored under the new representation.
+        // Taking each bag out of the database, and its cached indexes out
+        // of the cache (dropping the cache's owner clone), leaves at most
+        // a published snapshot holding it. Unshared, a small delta edits
+        // the sorted slice in place. Shared, `ZBag::patch` brings the
+        // base's spare (the version the snapshot before held) up to date
+        // in place instead, or, while a reader still holds that version,
+        // copies the slice once and keeps the current version as the
+        // spare. The taken indexes are patched with the same delta and
+        // restored under the new representation.
         for name in affected {
             let base = self.db.take(name).expect("validated by the caller");
             let delta = batch.delta(name).expect("affected implies a delta");
             let taken = self.eval.indexes.take_for_patch(&base);
+            let spare = self.spares.entry(name.clone()).or_default();
             let new =
                 delta
-                    .apply_into(base)
+                    .patch(base, spare)
                     .map_err(|ZBagError::NegativeMultiplicity { value }| {
                         UpdateError::NegativeBase {
                             base: name.to_string(),

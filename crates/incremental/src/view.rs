@@ -37,7 +37,7 @@ use balg_core::eval::{equi_join_attrs, EvalError, Evaluator};
 use balg_core::expr::{Expr, Pred, Var};
 use balg_core::schema::Database;
 use balg_core::value::Value;
-use balg_core::zbag::ZBag;
+use balg_core::zbag::{Spare, ZBag};
 
 /// The fresh variable a probe binds its `k`-th child's value to (not
 /// expressible in the surface syntax, so it can never collide with a user
@@ -197,6 +197,10 @@ struct Node {
     /// through to the database instead of holding a second reference, and
     /// literals hold their value from compilation on).
     snapshot: Value,
+    /// The snapshot's previous version, for [`ZBag::patch`]. Only view
+    /// roots are published, so in practice only a root's spare ever holds
+    /// a buffer.
+    spare: Spare,
 }
 
 /// Everything an update pass threads through the tree.
@@ -300,6 +304,7 @@ fn compile(expr: Expr) -> Node {
         keep_snapshot: true,
         expr,
         snapshot,
+        spare: Spare::default(),
     }
 }
 
@@ -522,8 +527,9 @@ impl Node {
     }
 
     /// Apply a bag delta to this node's snapshot (in place when uniquely
-    /// owned; skipped entirely for non-materialized nodes) and normalize
-    /// the report.
+    /// owned, through the node's spare when a published snapshot shares
+    /// it; skipped entirely for non-materialized nodes) and normalize the
+    /// report.
     fn apply_bag_delta(&mut self, delta: ZBag) -> Result<Delta, MaintainError> {
         if delta.is_empty() {
             return Ok(Delta::None);
@@ -538,7 +544,7 @@ impl Node {
             ));
         };
         let new = delta
-            .apply_into(old)
+            .patch(old, &mut self.spare)
             .map_err(|e| MaintainError::Internal(e.to_string()))?;
         self.snapshot = Value::Bag(new);
         Ok(Delta::Bag(delta))

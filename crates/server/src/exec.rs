@@ -99,7 +99,13 @@ pub fn route(line: &str) -> Route {
 /// reader session pins (one `Arc` clone) and evaluates against without
 /// any coordination with the writer. Bags are copy-on-write behind `Arc`,
 /// so building one of these per write batch clones maps of pointers, not
-/// data; the statement cache is shared, not copied.
+/// data; the statement cache and the view output columns are shared, not
+/// copied. The bags it shares are what the *next* write patches: instead
+/// of copying each shared slice, the runtime patches the version the
+/// snapshot before this one held, once nothing holds that version any
+/// more ([`balg_core::zbag::ZBag::patch`]). So a write costs its delta as
+/// long as old snapshots are released; a reader holding an old snapshot
+/// across writes makes the next write of each bag copy it once.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// Writer-serialized statement count at publication time (monotonic).
@@ -112,8 +118,9 @@ pub struct Snapshot {
     pub statements: Arc<StatementCache>,
     /// The base bags.
     pub db: Database,
-    /// Maintained view results with their output shapes.
-    pub views: BTreeMap<String, (Bag, Vec<Column>)>,
+    /// Maintained view results with their output shapes (shared with the
+    /// runtime's, not copied).
+    pub views: BTreeMap<String, (Bag, Arc<[Column]>)>,
     /// Views the runtime dropped, with the rendered failure cause.
     pub dropped: BTreeMap<String, String>,
     /// Evaluation budgets for one-shot queries.
@@ -131,7 +138,10 @@ pub fn snapshot_of(rt: &SqlRuntime, seq: u64) -> Snapshot {
     let mut views = BTreeMap::new();
     for (name, view) in runtime.views() {
         if let Some(columns) = rt.view_output(name) {
-            views.insert(name.to_owned(), (view.result().clone(), columns.to_vec()));
+            views.insert(
+                name.to_owned(),
+                (view.result().clone(), Arc::clone(columns)),
+            );
         }
     }
     let dropped = runtime
@@ -221,7 +231,7 @@ pub fn execute_read(snap: &Snapshot, line: &str) -> Reply {
 /// runtime would give — never a bare "unknown view".
 fn snapshot_view_rows(snap: &Snapshot, name: &str) -> Result<QueryResult, String> {
     match snap.views.get(name) {
-        Some((bag, columns)) => decode_result(bag, columns.clone()).map_err(|e| e.to_string()),
+        Some((bag, columns)) => decode_result(bag, Arc::clone(columns)).map_err(|e| e.to_string()),
         None => {
             let error = match snap.dropped.get(name) {
                 Some(cause) => UpdateError::ViewDropped {

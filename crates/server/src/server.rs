@@ -20,6 +20,14 @@
 //! monotonic for everyone). Between a write being applied and its ack,
 //! other sessions may or may not see it yet; they can only move forward
 //! in time (`:seq` is monotonic).
+//!
+//! Publishing (1) builds the new snapshot, swaps it in under the slot's
+//! write lock, and drops the replaced one after releasing it. The new
+//! snapshot shares its bags with the runtime; once the last reader of the
+//! replaced one is done, its bags become the spares the next batch
+//! patches in place (left-right, one bag at a time: see
+//! `balg_core::zbag::ZBag::patch`). While readers release their
+//! snapshots, a write copies no slice a snapshot shares.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -482,8 +490,14 @@ fn writer_loop(mut rt: SqlRuntime, receiver: &Receiver<WriteJob>, shared: &Share
         }
         // Publish BEFORE acking (read-your-writes): a client that has
         // its ack in hand can only ever read this snapshot or a later
-        // one. A send can fail only if the session already vanished.
-        *crate::lock::write(&shared.snapshot) = Arc::new(snapshot_of(&rt, seq));
+        // one. A send can fail only if the session already vanished. The
+        // snapshot is built before the write lock and the replaced one
+        // dropped after it, so a reader pinning meanwhile waits for
+        // neither; dropping the last clone of the replaced snapshot is
+        // what frees the bases' and views' spares for the next write.
+        let fresh = Arc::new(snapshot_of(&rt, seq));
+        let replaced = std::mem::replace(&mut *crate::lock::write(&shared.snapshot), fresh);
+        drop(replaced);
         for (sender, reply) in replies {
             let _ = sender.send(reply);
         }

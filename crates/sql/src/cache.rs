@@ -173,7 +173,7 @@ fn footprint(text: &str, compiled: &CompiledQuery) -> usize {
             };
     });
     let names: usize = compiled.output.iter().map(|c| c.name.capacity()).sum();
-    bytes + compiled.output.capacity() * size_of::<Column>() + names
+    bytes + ARC_BYTES + compiled.output.len() * size_of::<Column>() + names
 }
 
 /// The cache's metric handles. The absent-registry answer is not cached:

@@ -13,6 +13,7 @@
 //! constructions over the integer-bag encoding.
 
 use std::fmt;
+use std::sync::Arc;
 
 use balg_core::bag::Bag;
 use balg_core::derived::{average, count, int_value};
@@ -96,8 +97,9 @@ impl std::error::Error for CompileError {}
 pub struct CompiledQuery {
     /// The expression (free variables are table names).
     pub expr: Expr,
-    /// Output columns, in order.
-    pub output: Vec<Column>,
+    /// Output columns, in order; shared with every result evaluated from
+    /// this query.
+    pub output: Arc<[Column]>,
 }
 
 impl CompiledQuery {
@@ -115,7 +117,7 @@ impl CompiledQuery {
             evaluator.set_parallel_threads(chunks);
         }
         let bag = evaluator.eval_bag(&self.expr).map_err(SqlError::Eval)?;
-        decode_result(&bag, self.output.clone())
+        decode_result(&bag, Arc::clone(&self.output))
     }
 }
 
@@ -181,7 +183,7 @@ fn compile_setop(
         && left
             .output
             .iter()
-            .zip(&right.output)
+            .zip(right.output.iter())
             .all(|(x, y)| x.numeric == y.numeric);
     if !shapes_match {
         return Err(CompileError::ShapeMismatch);
@@ -257,11 +259,14 @@ fn compile_select(core: &SelectCore, catalog: &Catalog) -> Result<CompiledQuery,
     if !core.group_by.is_empty() {
         let (expr, output) = compile_grouped(core, expr, &scope)?;
         let expr = if core.distinct { expr.dedup() } else { expr };
-        return Ok(CompiledQuery { expr, output });
+        return Ok(CompiledQuery {
+            expr,
+            output: output.into(),
+        });
     }
 
     // Projection / aggregate.
-    let (expr, output) = match &core.projection {
+    let (expr, output): (Expr, Vec<Column>) = match &core.projection {
         Projection::Star => {
             let output = scope.columns.iter().map(|sc| sc.column.clone()).collect();
             (expr, output)
@@ -294,7 +299,10 @@ fn compile_select(core: &SelectCore, catalog: &Catalog) -> Result<CompiledQuery,
     };
 
     let expr = if core.distinct { expr.dedup() } else { expr };
-    Ok(CompiledQuery { expr, output })
+    Ok(CompiledQuery {
+        expr,
+        output: output.into(),
+    })
 }
 
 fn compile_aggregate(
@@ -546,7 +554,7 @@ impl std::error::Error for SqlError {}
 /// columns it was validated with.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct QueryResult {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
     bag: Bag,
 }
 
@@ -566,7 +574,7 @@ impl QueryResult {
             let fields = row.as_tuple().expect(VALIDATED);
             let cells = fields
                 .iter()
-                .zip(&self.columns)
+                .zip(self.columns.iter())
                 .map(|(value, column)| decode_cell(value, column.numeric).expect(VALIDATED));
             (cells, mult.to_u64().expect(VALIDATED))
         })
@@ -647,8 +655,10 @@ pub(crate) fn compile_view(query: &Query, catalog: &Catalog) -> Result<CompiledQ
 /// arity, a cell that does not decode, then a multiplicity over `u64`.
 /// Public so external runtimes (the `balg-server` snapshot read path) can
 /// check pinned view bags exactly the way [`CompiledQuery::evaluate`]
-/// checks one-shot results.
-pub fn decode_result(bag: &Bag, output: Vec<Column>) -> Result<QueryResult, SqlError> {
+/// checks one-shot results. Pass the columns as the `Arc` their owner
+/// holds and the result shares them instead of copying.
+pub fn decode_result(bag: &Bag, output: impl Into<Arc<[Column]>>) -> Result<QueryResult, SqlError> {
+    let output = output.into();
     for (row, mult) in bag.iter() {
         let fields = row
             .as_tuple()
@@ -662,7 +672,7 @@ pub fn decode_result(bag: &Bag, output: Vec<Column>) -> Result<QueryResult, SqlE
         }
         if let Some((value, _)) = fields
             .iter()
-            .zip(&output)
+            .zip(output.iter())
             .find(|(value, column)| decode_cell(value, column.numeric).is_none())
         {
             return Err(SqlError::Decode(value.to_string()));

@@ -440,7 +440,7 @@ pub struct SqlRuntime {
     /// earlier keep the cache of the catalog they carry.
     statements: Arc<StatementCache>,
     backend: Runtime,
-    view_columns: BTreeMap<String, Vec<Column>>,
+    view_columns: BTreeMap<String, Arc<[Column]>>,
     /// Partition-count override for this session's evaluators (ad-hoc
     /// queries and view maintenance); `None` inherits the process-wide
     /// default. Every setting computes identical results — only
@@ -503,7 +503,7 @@ impl SqlRuntime {
                     .collect();
                 persisted.declare(table, &refs);
             } else if let Some(view) = key.strip_prefix("viewcols:") {
-                view_columns.insert(view.to_owned(), decode_columns(value)?);
+                view_columns.insert(view.to_owned(), decode_columns(value)?.into());
             }
         }
         // A replayed runtime may have dropped views (deterministic
@@ -589,9 +589,10 @@ impl SqlRuntime {
     }
 
     /// The cached output shape of a registered view (`None` for unknown
-    /// or dropped views).
-    pub fn view_output(&self, name: &str) -> Option<&[Column]> {
-        self.view_columns.get(name).map(Vec::as_slice)
+    /// or dropped views), shared with every result and snapshot that
+    /// reads the view.
+    pub fn view_output(&self, name: &str) -> Option<&Arc<[Column]>> {
+        self.view_columns.get(name)
     }
 
     /// Pin the partition count of this session's evaluators — ad-hoc
@@ -643,7 +644,7 @@ impl SqlRuntime {
                     ));
                 }
                 let output = self.analyze_balg_view(&expr, at)?;
-                self.register_view(name, expr, output)
+                self.register_view(name, expr, output.into())
             }
             Statement::Insert { table, rows } => {
                 let count = rows.len() as u64;
@@ -713,7 +714,7 @@ impl SqlRuntime {
         &mut self,
         name: String,
         expr: Expr,
-        output: Vec<Column>,
+        output: Arc<[Column]>,
     ) -> Result<Response, SqlError> {
         self.backend.create_view(&name, expr).map_err(durable_err)?;
         self.backend
@@ -737,7 +738,7 @@ impl SqlRuntime {
             .view_columns
             .get(name)
             .ok_or_else(|| SqlError::Update(runtime.missing_view_error(name)))?;
-        decode_result(bag, columns.clone())
+        decode_result(bag, Arc::clone(columns))
     }
 
     /// Names of the registered views (as the runtime sees them).
@@ -927,7 +928,7 @@ mod tests {
         assert_eq!(name, "customers");
         assert_eq!(rows.total_rows(), 2); // ann, bob (deduped)
         assert_eq!(
-            rt.view_output("customers").map(<[Column]>::len),
+            rt.view_output("customers").map(|columns| columns.len()),
             Some(1),
             "columns derive from the inferred type"
         );
@@ -1034,7 +1035,7 @@ mod tests {
         rt.execute("CREATE VIEW v AS SELECT customer FROM vip")
             .unwrap();
         assert!(rt.declare_table("v", &[("x", false)]).is_err());
-        assert_eq!(rt.view_output("v").map(<[Column]>::len), Some(1));
+        assert_eq!(rt.view_output("v").map(|columns| columns.len()), Some(1));
         assert!(rt.view_output("orders").is_none());
     }
 
@@ -1125,7 +1126,10 @@ mod tests {
         assert!(rt.catalog().get("orders").is_some());
         assert!(rt.catalog().get("notes").is_some());
         assert_eq!(rt.view_rows("spenders").unwrap().total_rows(), 2); // bob, cleo
-        assert_eq!(rt.view_output("spenders").map(<[Column]>::len), Some(1));
+        assert_eq!(
+            rt.view_output("spenders").map(|columns| columns.len()),
+            Some(1)
+        );
         assert!(rt.verify("spenders").unwrap());
         // And the restored schema still accepts updates.
         rt.execute("DELETE FROM orders VALUES ('bob', 5)").unwrap();
