@@ -29,9 +29,9 @@
 //!   evaluates as a hash join — matching pairs are produced directly
 //!   instead of building the full Cartesian product and filtering it. The
 //!   pair loop itself is [`crate::join`]'s (its index probe, or its
-//!   reference scan with [`Evaluator::set_indexing`] off); this evaluator
-//!   is its one caller and supplies which side is indexed and what a
-//!   pair costs (the incremental view engine's join deltas run here too);
+//!   reference scan); this evaluator is its one caller and supplies which
+//!   side is indexed and what a pair costs (the incremental view engine's
+//!   join deltas run here too);
 //! * an `IFP` whose body is `ε` of an expression that reads the fixpoint
 //!   variable once, linearly ([`crate::analyze::ifp_delta_form`] — the
 //!   transitive-closure shape), evaluates that body on the tuples the
@@ -51,6 +51,36 @@
 //! count against [`Limits::max_bag_elements`] and don't appear in
 //! [`Metrics`]. That is the point: the budgets meter what the evaluator
 //! actually materializes.
+//!
+//! # Fast paths and their references
+//!
+//! Six fast paths each keep their reference as the fallback they take
+//! when they do not apply, and [`Evaluator::set_reference`] sends every
+//! one of them there. `:profile` tags the frame a fast path ran in.
+//!
+//! | fast path | tag | reference | contract |
+//! |---|---|---|---|
+//! | `σ` decided on the borrowed row | `in-place` | the λ-binding tree walk | exact |
+//! | leading `σ` on `α₁` literals, per run | `seek` | the row scan | exact |
+//! | lone prefix `π` over a bag | `key-runs` | the per-row loop | exact |
+//! | fused `σ_{αᵢ=αⱼ}(e × e′)` | `indexed-join` | [`join::scan`] (`scan-join`) | exact |
+//! | `π` over `×` with every index on one side | `project-scale` | the streamed pairs | fewer |
+//! | `IFP` in delta form | `semi-naive` | the full-accumulator loop | fewer |
+//!
+//! * *exact*: the same bag or error, the same [`Metrics`], and a
+//!   `StepLimit` on the same step, at every budget;
+//! * *fewer*: the same bag, [`Metrics::ifp_iterations`] and error
+//!   variant, with [`Metrics::steps`] no more than the reference's (so a
+//!   step budget fails later or not at all).
+//!
+//! The seek only runs on an in-place `σ`, so the in-place switch is its
+//! switch too. `nest`'s `key-runs`/`key-sort` tags name [`Bag::nest`]'s
+//! own branch, which has no reference to switch to. The `αᵢ(x)` shortcut
+//! — the field read straight off the λ-bound tuple, charging the step of
+//! the `Var` it skips — is not a fast path: it is always on, and exact.
+//! `tests/fast_path_differential.rs` holds each fast path to its
+//! reference at every step budget, and fails when a tag stops firing in
+//! its share of the generated cases.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -284,10 +314,9 @@ pub struct Evaluator<'a> {
     /// queries, a view's join delta every commit) probe instead of
     /// rebuilding.
     indexes: Indexes<'a>,
-    /// Whether a fused equi-join probes a [`BagIndex`] or runs
-    /// [`join::scan`], the kernel's reference loop. The differential
-    /// suites flip this to prove the two paths equivalent.
-    use_indexes: bool,
+    /// Whether every fast path takes its reference instead (module doc,
+    /// *Fast paths and their references*).
+    reference: bool,
     /// Fused equi-joins answered by an index probe so far.
     indexed_joins: u64,
     /// Partitioned-execution settings for the four keywise merges
@@ -357,7 +386,7 @@ impl<'a> Evaluator<'a> {
             invariant_roots: PtrMap::default(),
             projection_specs: PtrMap::default(),
             indexes: Indexes::Own(IndexCache::new()),
-            use_indexes: true,
+            reference: false,
             indexed_joins: 0,
             par: par::Parallel::from_global(),
             profiler: None,
@@ -377,15 +406,14 @@ impl<'a> Evaluator<'a> {
         self.profiler.take()
     }
 
-    /// Choose how a fused equi-join finds its pairs: probe a cached
-    /// per-key index (enabled, the default) or run [`join::scan`], the
-    /// index-free reference loop (disabled). Nothing else reads the switch.
-    /// Both settings compute the same bags with the same step charges; the
-    /// differential test suites run every query both ways and require
-    /// strict equality. Disabling drops any cached indexes.
-    pub fn set_indexing(&mut self, enabled: bool) {
-        self.use_indexes = enabled;
-        if !enabled {
+    /// Send every fast path to the reference it falls back to (`true`), or
+    /// let each take its fast path where it applies (`false`, the
+    /// default). Nothing else reads the switch; the module doc's table
+    /// says what each fast path keeps equal to its reference.
+    /// Switching on drops any cached indexes.
+    pub fn set_reference(&mut self, on: bool) {
+        self.reference = on;
+        if on {
             self.indexes.clear();
         }
     }
@@ -746,8 +774,8 @@ impl<'a> Evaluator<'a> {
             //
             // A body in delta form ([`ifp_delta_form`]) is evaluated on
             // `fresh` instead of on B — semi-naive iteration; every other
-            // body binds B. Contract between the two (module doc; gated by
-            // `tests/ifp_seminaive_props.rs`): result bag,
+            // body, and every body under the reference, binds B. Contract
+            // between the two (module doc's *fewer*): result bag,
             // `Metrics::ifp_iterations`, the `observe` of each round's
             // accumulator and the round at which `IfpLimit` fires are
             // identical; steps and the maxima over the body's
@@ -758,27 +786,15 @@ impl<'a> Evaluator<'a> {
             // variant, because an element that fails the body fails it in
             // the first round that sees it — the round it is fresh.
             Expr::Ifp { var, body, input } => {
-                let mut current = expect_bag(self.eval_inner(input)?)?;
-                let delta_form = ifp_delta_form(var, body);
-                let mut fresh = current.clone(); // round 1: the seed
-                for _ in 0..self.limits.max_ifp_iterations {
-                    self.metrics.ifp_iterations += 1;
-                    let bound = if delta_form { fresh } else { current.clone() };
-                    self.env.push((var.clone(), Value::Bag(bound)));
-                    let stepped = self.eval_inner(body);
-                    self.env.pop();
-                    fresh = self.merge_bags(&expect_bag(stepped?)?, &current, MergeOp::Monus);
-                    let next = self.merge_bags(&current, &fresh, MergeOp::Add);
-                    self.observe(&next)?;
-                    if fresh.is_empty() {
-                        if delta_form {
-                            self.note_fast_path("semi-naive");
-                        }
-                        return Ok(Value::Bag(current));
-                    }
-                    current = next;
+                let seed = expect_bag(self.eval_inner(input)?)?;
+                let delta_form = !self.reference && ifp_delta_form(var, body);
+                let result = self.inflate(var, body, seed, delta_form);
+                // Noted after the body's own notes, and on a failed
+                // fixpoint too, so the frame says which loop ran.
+                if delta_form {
+                    self.note_fast_path("semi-naive");
                 }
-                Err(EvalError::IfpLimit(self.limits.max_ifp_iterations))
+                result.map(Value::Bag)
             }
             Expr::Nest { group, input } => {
                 let bag = expect_bag(self.eval_inner(input)?)?;
@@ -787,6 +803,34 @@ impl<'a> Evaluator<'a> {
                 Ok(Value::Bag(out))
             }
         }
+    }
+
+    /// The rounds of `IFP_var(body)` from `current`, the seed: the body
+    /// binds the whole accumulator, or only what the last round added
+    /// when `delta_form`.
+    fn inflate(
+        &mut self,
+        var: &Var,
+        body: &Expr,
+        mut current: Bag,
+        delta_form: bool,
+    ) -> Result<Bag, EvalError> {
+        let mut fresh = current.clone(); // round 1: the seed
+        for _ in 0..self.limits.max_ifp_iterations {
+            self.metrics.ifp_iterations += 1;
+            let bound = if delta_form { fresh } else { current.clone() };
+            self.env.push((var.clone(), Value::Bag(bound)));
+            let stepped = self.eval_inner(body);
+            self.env.pop();
+            fresh = self.merge_bags(&expect_bag(stepped?)?, &current, MergeOp::Monus);
+            let next = self.merge_bags(&current, &fresh, MergeOp::Add);
+            self.observe(&next)?;
+            if fresh.is_empty() {
+                return Ok(current);
+            }
+            current = next;
+        }
+        Err(EvalError::IfpLimit(self.limits.max_ifp_iterations))
     }
 
     /// Classify one spine node as a [`Stage`], consulting the cached
@@ -807,7 +851,7 @@ impl<'a> Evaluator<'a> {
             Expr::Select { var, pred, .. } => Stage::Filter {
                 var,
                 pred,
-                in_place: reads_row_in_place(pred, var),
+                in_place: !self.reference && reads_row_in_place(pred, var),
             },
             _ => unreachable!("spine nodes are Map or Select"),
         }
@@ -890,8 +934,9 @@ impl<'a> Evaluator<'a> {
                     // project-and-scale pass (tiny products are cheaper to
                     // stream directly).
                     Some(Stage::Project { indices })
-                        if left.distinct_count() * right.distinct_count()
-                            > 2 * (left.distinct_count() + right.distinct_count()) =>
+                        if !self.reference
+                            && left.distinct_count() * right.distinct_count()
+                                > 2 * (left.distinct_count() + right.distinct_count()) =>
                     {
                         match one_sided_projection(&left, &right, indices)? {
                             // One step per produced element, in bulk, when
@@ -999,6 +1044,16 @@ impl<'a> Evaluator<'a> {
     /// the caller can unregister its memo entries on both the success and
     /// the error path.
     fn run_chain_loop(&mut self, base: &ChainBase, stages: &[Stage<'_>]) -> Result<Bag, EvalError> {
+        // Once per chain, not per row, unless the chain's join noted its
+        // own path; what the rows run (the seek, a `MAP` body) notes over it.
+        if self.profiler.is_some()
+            && self.fast_path.is_none()
+            && stages
+                .iter()
+                .any(|stage| matches!(stage, Stage::Filter { in_place: true, .. }))
+        {
+            self.note_fast_path("in-place");
+        }
         let mut out = BagBuilder::new();
         match base {
             ChainBase::Bag(bag) => {
@@ -1098,6 +1153,7 @@ impl<'a> Evaluator<'a> {
         out: &mut BagBuilder,
     ) -> Result<(), EvalError> {
         let mut skipped = false;
+        let mut outcome = Ok(());
         for run in cuts.windows(2).map(|cut| &rows[cut[0]..cut[1]]) {
             let mut steps = 0;
             let verdict = run[0]
@@ -1110,15 +1166,18 @@ impl<'a> Evaluator<'a> {
                 self.charge_steps(bulk).expect("checked against steps_left");
                 skipped = true;
             } else {
-                self.scan_rows(run, Some(pred), stages, out)?;
+                outcome = self.scan_rows(run, Some(pred), stages, out);
+                if outcome.is_err() {
+                    break;
+                }
             }
         }
         // Noted last, so the tag lands on this chain's frame rather than on
-        // a frame the later stages evaluate.
+        // a frame the later stages evaluate, and also when a later run fails.
         if skipped {
             self.note_fast_path("seek");
         }
-        Ok(())
+        outcome
     }
 
     /// Decide an in-place σ ([`reads_row_in_place`]) on a borrowed row:
@@ -1148,7 +1207,7 @@ impl<'a> Evaluator<'a> {
     /// remaining steps, or the output would exceed the element budget.
     fn project_key_runs(&mut self, bag: &Bag, indices: &[usize]) -> Option<Bag> {
         let steps = bag.distinct_count() as u64;
-        if !is_key_prefix(indices) || steps > self.steps_left {
+        if self.reference || !is_key_prefix(indices) || steps > self.steps_left {
             return None;
         }
         let out = bag.project_prefix(indices.len())?;
@@ -1257,17 +1316,17 @@ impl<'a> Evaluator<'a> {
             ))
         });
         if let Some((attrs, (li, rj))) = keys {
-            let indexed = if self.use_indexes {
-                self.indexed_join((a, &left, li), (b, &right, rj))?
-            } else {
+            let indexed = if self.reference {
                 None
+            } else {
+                self.indexed_join((a, &left, li), (b, &right, rj))?
             };
             let (out, tag) = match indexed {
                 Some(out) => {
                     self.indexed_joins += 1;
                     (out, "indexed-join")
                 }
-                // Indexes disabled (or neither side indexable): the
+                // The reference (or neither side indexable): the
                 // kernel's reference loop, which the probe is checked
                 // against — the same pairs at the same charges.
                 None => {
@@ -1444,7 +1503,8 @@ enum Stage<'e> {
         var: &'e Var,
         pred: &'e Pred,
         /// The predicate only compares attributes of `var`'s own row and
-        /// literals ([`reads_row_in_place`]): decided by [`row_verdict`]
+        /// literals ([`reads_row_in_place`]), and the evaluator is not on
+        /// the reference: decided by [`row_verdict`]
         /// on the borrowed row, by the tree walk only for the rows
         /// `row_verdict` declines.
         in_place: bool,

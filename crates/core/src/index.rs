@@ -543,6 +543,48 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Patching an index with a delta is equivalent to rebuilding it
+        /// over the patched bag; a delta the bag itself rejects
+        /// (over-deletion) is rejected by the patch too.
+        #[test]
+        fn index_patch_matches_rebuild(
+            rows in proptest::collection::vec((0i64..5, 0i64..5, 1u64..3), 1..16),
+            changes in proptest::collection::vec((0i64..5, 0i64..5, -2i64..3), 0..8),
+            attr in 1usize..3,
+        ) {
+            let base = bag(&rows);
+            let Some(mut index) = BagIndex::build(&base, attr) else {
+                panic!("binary bags are indexable on attribute {attr}");
+            };
+            let delta = ZBag::from_counted(
+                changes
+                    .iter()
+                    .map(|&(a, b, m)| (row(a, b), ZInt::from(m))),
+            );
+            match delta.apply_to(&base) {
+                Ok(patched) => {
+                    index.patch(&delta).expect("legal delta must patch");
+                    match BagIndex::build(&patched, attr) {
+                        Some(rebuilt) => {
+                            proptest::prop_assert_eq!(index.rows(), rebuilt.rows());
+                            for key in 0i64..5 {
+                                proptest::prop_assert_eq!(
+                                    index.group(&Value::int(key)),
+                                    rebuilt.group(&Value::int(key))
+                                );
+                            }
+                        }
+                        None => proptest::prop_assert_eq!(index.rows(), 0, "only emptiness de-indexes"),
+                    }
+                }
+                Err(_) => proptest::prop_assert!(index.patch(&delta).is_err()),
+            }
+        }
+    }
+
     #[test]
     fn patch_rejects_divergent_deltas() {
         let base = bag(&[(1, 10, 2)]);

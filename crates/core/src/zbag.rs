@@ -17,10 +17,11 @@
 //! small value, consumed by [`ZBag::patch`] / [`ZBag::apply_to`]. The one
 //! delta that outlives its commit is a [`Spare`]'s *lag*.
 //!
-//! `Bag ⟶ ZBag` is the evident embedding ([`ZBag::from_bag`]); the reverse
-//! direction is partial and **checked** ([`ZBag::try_into_bag`] /
-//! [`ZBag::apply_to`] report [`ZBagError::NegativeMultiplicity`] instead
-//! of silently truncating, which would confuse a bad delta with monus).
+//! `Bag ⟶ ZBag` is the evident embedding, `ZBag::diff(bag, ∅)`
+//! ([`ZBag::diff`]); the reverse direction is partial: [`ZBag::split`]
+//! returns a bag exactly when its negative half is empty, and
+//! [`ZBag::apply_to`] reports [`ZBagError::NegativeMultiplicity`] instead
+//! of silently truncating, which would confuse a bad delta with monus.
 //!
 //! # Patching a bag a snapshot shares
 //!
@@ -223,9 +224,9 @@ impl std::error::Error for ZBagError {}
 /// A bag with signed multiplicities: the free ℤ-module over [`Value`]s.
 ///
 /// Invariant (same as [`Bag`]): strictly ascending keys, no zero entries.
-/// The additive structure is a *group* — [`ZBag::negate`] inverts and
-/// [`ZBag::add`] cancels — which is what makes deletion symmetric with
-/// insertion.
+/// The additive structure is a *group* — [`ZBag::add`] cancels, and the
+/// inverse of `p ⊖ n` is `n ⊖ p` — which is what makes deletion symmetric
+/// with insertion.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ZBag {
     pairs: Vec<(Value, ZInt)>,
@@ -261,16 +262,6 @@ impl ZBag {
             builder.push(value, mult);
         }
         builder.build()
-    }
-
-    /// The embedding `Bag ⟶ ZBag`: every multiplicity reinterpreted as a
-    /// non-negative integer.
-    pub fn from_bag(bag: &Bag) -> ZBag {
-        ZBag::from_sorted_vec(
-            bag.iter()
-                .map(|(v, m)| (v.clone(), ZInt::from_natural(m.clone())))
-                .collect(),
-        )
     }
 
     /// `true` iff this is the zero delta.
@@ -329,16 +320,6 @@ impl ZBag {
         }
     }
 
-    /// Group negation: flips every sign.
-    pub fn negate(&self) -> ZBag {
-        ZBag::from_sorted_vec(
-            self.pairs
-                .iter()
-                .map(|(v, m)| (v.clone(), m.neg()))
-                .collect(),
-        )
-    }
-
     /// Group addition (the two-pointer merge; cancellations vanish).
     pub fn add(&self, other: &ZBag) -> ZBag {
         if self.is_empty() {
@@ -354,19 +335,6 @@ impl ZBag {
         ))
     }
 
-    /// Scale every multiplicity by a signed factor.
-    pub fn scale(&self, factor: &ZInt) -> ZBag {
-        if factor.is_zero() {
-            return ZBag::new();
-        }
-        ZBag::from_sorted_vec(
-            self.pairs
-                .iter()
-                .map(|(v, m)| (v.clone(), m.mul(factor)))
-                .collect(),
-        )
-    }
-
     /// The pointwise difference `new − old` of two bags — the delta that
     /// [`ZBag::apply_to`] turns `old` back into `new`. This is how the
     /// non-linear fallback of the incremental engine re-expresses a
@@ -379,23 +347,6 @@ impl ZBag {
                 .map(|(v, m)| (v.clone(), ZInt::from_parts(true, m.clone()))),
             |a, b| a.add(&b),
         ))
-    }
-
-    /// The checked extraction `ZBag ⟶ Bag`: succeeds iff every
-    /// multiplicity is non-negative.
-    pub fn try_into_bag(&self) -> Result<Bag, ZBagError> {
-        let mut out = Vec::with_capacity(self.pairs.len());
-        for (value, mult) in &self.pairs {
-            match mult.to_natural() {
-                Some(m) => out.push((value.clone(), m)),
-                None => {
-                    return Err(ZBagError::NegativeMultiplicity {
-                        value: value.clone(),
-                    })
-                }
-            }
-        }
-        Ok(Bag::from_sorted_vec(out))
     }
 
     /// Apply the delta to a base bag: `base ⊕ self`, checked to stay in ℕ
@@ -657,18 +608,21 @@ mod tests {
             (sym("a"), Natural::from(2u64)),
             (sym("b"), Natural::from(1u64)),
         ]);
-        let zbag = ZBag::from_bag(&bag);
-        assert_eq!(zbag.try_into_bag().unwrap(), bag);
+        let zbag = ZBag::diff(&bag, &Bag::new());
+        assert_eq!(zbag.split(), (bag, Bag::new()));
     }
 
     #[test]
     fn group_laws_and_cancellation() {
         let delta = ZBag::from_counted([(sym("a"), z(2)), (sym("b"), z(-1))]);
-        assert!(delta.add(&delta.negate()).is_empty());
+        let (positive, negative) = delta.split();
+        assert!(delta.add(&ZBag::diff(&negative, &positive)).is_empty());
         let twice = delta.add(&delta);
         assert_eq!(twice.multiplicity(&sym("a")), z(4));
         assert_eq!(twice.multiplicity(&sym("b")), z(-2));
-        assert_eq!(delta.scale(&z(-3)).multiplicity(&sym("a")), z(-6));
+        let three = Natural::from(3u64);
+        let times_minus_three = ZBag::diff(&negative.scale(&three), &positive.scale(&three));
+        assert_eq!(times_minus_three.multiplicity(&sym("a")), z(-6));
     }
 
     #[test]
@@ -686,16 +640,13 @@ mod tests {
         assert_eq!(delta.multiplicity(&sym("b")), z(-1));
         assert_eq!(delta.multiplicity(&sym("c")), z(2));
         assert_eq!(delta.apply_to(&old).unwrap(), new);
-        assert_eq!(delta.negate().apply_to(&new).unwrap(), old);
+        assert_eq!(ZBag::diff(&old, &new).apply_to(&new).unwrap(), old);
     }
 
     #[test]
     fn checked_extraction_rejects_negative() {
         let delta = ZBag::singleton(sym("a"), z(-1));
-        assert!(matches!(
-            delta.try_into_bag(),
-            Err(ZBagError::NegativeMultiplicity { .. })
-        ));
+        assert_eq!(delta.split(), (Bag::new(), Bag::singleton(sym("a"))));
         // Deleting from an element that isn't there is an error, not monus.
         let base = Bag::singleton(sym("b"));
         assert!(matches!(
@@ -712,7 +663,8 @@ mod tests {
         let base =
             Bag::from_counted((0..64i64).map(|i| (Value::int(i), Natural::from(i as u64 % 3 + 1))));
         // Small vs base → in-place patch path; the group-theoretic spec
-        // (embed, add, extract) is the oracle for both.
+        // (embed, add, extract with an empty negative half) is the oracle
+        // for both.
         let small = ZBag::from_counted([
             (Value::int(3), z(-1)),
             (Value::int(5), z(-3)), // multiplicity of 5 is exactly 3: entry vanishes
@@ -721,7 +673,8 @@ mod tests {
         // Large vs base → the merge path.
         let large = ZBag::from_counted((0..64i64).map(|i| (Value::int(i), z(1))));
         for delta in [&small, &large] {
-            let expected = ZBag::from_bag(&base).add(delta).try_into_bag().unwrap();
+            let (expected, negative) = ZBag::diff(&base, &Bag::new()).add(delta).split();
+            assert!(negative.is_empty());
             assert_eq!(delta.apply_to(&base).unwrap(), expected);
             assert_eq!(delta.apply_into(base.clone()).unwrap(), expected);
         }

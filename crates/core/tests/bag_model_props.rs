@@ -4,12 +4,21 @@
 //! is computed twice, once by `Bag` and once by naive map arithmetic, and
 //! the results must agree; each produced bag is also checked against the
 //! representation invariant (strictly ascending keys, no zeros).
+//!
+//! The key-run kernels, `Bag::nest` and `Bag::project`, which read groups
+//! off the sorted slice (or a stable sort of it), are held to a naive
+//! group-by over the occurrences of an [`ExpandedBag`] instead: every
+//! distinct key is collected by a selection over all occurrences, and the
+//! first error is the first bad row in slice order, with the variant and
+//! fields the row-by-row operators raised.
 
 use std::collections::BTreeMap;
 
-use balg_core::bag::{Bag, BagBuilder, MergeOp};
+use balg_core::bag::{Bag, BagBuilder, BagError, MergeOp};
+use balg_core::expanded::ExpandedBag;
 use balg_core::natural::Natural;
 use balg_core::value::Value;
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 type Model = BTreeMap<Value, Natural>;
@@ -290,5 +299,175 @@ proptest! {
         let flat = outer.destroy().unwrap();
         assert_invariant(&flat);
         prop_assert!(bag_matches_model(&flat, &model));
+    }
+}
+
+/// The `αᵢ` checks of the row-by-row operators, written out: index zero,
+/// then a positive index past the row's arity.
+fn check_row(row: &Value, indices: &[usize]) -> Result<(), BagError> {
+    let fields = row
+        .as_tuple()
+        .ok_or_else(|| BagError::NotATuple(row.clone()))?;
+    for &ix in indices {
+        if ix == 0 {
+            return Err(BagError::AttrIndexZero);
+        }
+        if ix > fields.len() {
+            return Err(BagError::BadArity {
+                index: ix,
+                arity: fields.len(),
+            });
+        }
+    }
+    Ok(())
+}
+
+fn check_rows(bag: &Bag, indices: &[usize]) -> Result<ExpandedBag, BagError> {
+    for (row, _) in bag.iter() {
+        check_row(row, indices)?;
+    }
+    Ok(ExpandedBag::from_bag(bag).expect("small multiplicities"))
+}
+
+fn pick(row: &Value, indices: &[usize]) -> Vec<Value> {
+    let fields = row.as_tuple().expect("checked");
+    indices.iter().map(|&ix| fields[ix - 1].clone()).collect()
+}
+
+fn naive_project(bag: &Bag, indices: &[usize]) -> Result<Bag, BagError> {
+    Ok(check_rows(bag, indices)?
+        .map(|row| Value::tuple(pick(row, indices)))
+        .to_bag())
+}
+
+fn naive_nest(bag: &Bag, group: &[usize]) -> Result<Bag, BagError> {
+    let occurrences = check_rows(bag, group)?;
+    let residual = |row: &Value| {
+        let fields = row.as_tuple().expect("checked");
+        Value::tuple(
+            (1..=fields.len())
+                .filter(|ix| !group.contains(ix))
+                .map(|ix| fields[ix - 1].clone()),
+        )
+    };
+    let keys = occurrences
+        .map(|row| Value::tuple(pick(row, group)))
+        .dedup()
+        .to_bag();
+    Ok(Bag::from_values(keys.elements().map(|key| {
+        let members = occurrences.select(|row| Value::tuple(pick(row, group)) == *key);
+        let mut fields = key.as_tuple().expect("a key tuple").to_vec();
+        fields.push(Value::Bag(members.map(residual).to_bag()));
+        Value::tuple(fields)
+    })))
+}
+
+/// Up to nine rows of arity 1 to 4 over a three-value domain, so keys
+/// repeat, arities interleave inside a run, and short rows occur; now and
+/// then an atom or a bag element as well.
+fn key_run_rows() -> BoxedStrategy<Bag> {
+    (vec((vec(0i64..3, 1..5), 1u64..4), 0..10), 0u8..6)
+        .prop_map(|(rows, stray)| {
+            let mut bag = Bag::from_counted(rows.into_iter().map(|(fields, m)| {
+                (
+                    Value::tuple(fields.into_iter().map(Value::int)),
+                    Natural::from(m),
+                )
+            }));
+            match stray {
+                0 => bag.insert(Value::int(7)),
+                1 => bag.insert(Value::bag([Value::int(1)])),
+                _ => {}
+            }
+            bag
+        })
+        .boxed()
+}
+
+/// Prefixes `1..=k`, permuted and duplicated keys, and arbitrary index
+/// lists (zero and past-every-arity included).
+fn key_indices() -> BoxedStrategy<Vec<usize>> {
+    prop_oneof![
+        (0usize..4).prop_map(|k| (1..=k).collect::<Vec<_>>()),
+        Just(vec![2, 1]),
+        Just(vec![1, 1]),
+        Just(vec![3, 1]),
+        vec(0usize..6, 0..4),
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn nest_matches_a_naive_group_by(bag in key_run_rows(), group in key_indices()) {
+        let got = bag.nest(&group);
+        if let Ok(out) = &got {
+            assert!(out.debug_validate(), "nest{group:?}({bag}) broke the invariant");
+        }
+        assert_eq!(got, naive_nest(&bag, &group), "nest{group:?}({bag})");
+    }
+
+    #[test]
+    fn project_matches_a_naive_map(bag in key_run_rows(), indices in key_indices()) {
+        assert_eq!(
+            bag.project(&indices),
+            naive_project(&bag, &indices),
+            "π{indices:?}({bag})"
+        );
+    }
+}
+
+/// The key-run cases the random inputs must also reach, fixed.
+#[test]
+fn key_run_named_shapes() {
+    let t = |fields: &[i64]| Value::tuple(fields.iter().copied().map(Value::int));
+    let g = Bag::from_counted([
+        (t(&[0, 2]), nat(2)),
+        (t(&[0, 2, 1]), nat(1)),
+        (t(&[1, 0]), nat(3)),
+        (t(&[1, 0, 0]), nat(1)),
+        (t(&[1, 1, 2, 2]), nat(1)),
+    ]);
+    for group in [vec![], vec![1], vec![1, 2], vec![2], vec![2, 1], vec![1, 1]] {
+        let out = g.nest(&group).unwrap();
+        assert_eq!(Ok(out), naive_nest(&g, &group), "nest{group:?}");
+    }
+    // `nest(G, 1)`: two groups, each holding its residuals, short first.
+    let nested = g.nest(&[1]).unwrap();
+    let inner = |key: i64| {
+        nested
+            .elements()
+            .find(|row| row.as_tuple().unwrap()[0] == Value::int(key))
+            .and_then(|row| row.as_tuple().unwrap()[1].as_bag().cloned())
+            .unwrap()
+    };
+    assert_eq!(
+        inner(0),
+        Bag::from_counted([(t(&[2]), nat(2)), (t(&[2, 1]), Natural::one())])
+    );
+    assert_eq!(inner(1).distinct_count(), 3);
+
+    // The first bad row in slice order raises, with the parent's fields:
+    // `[0, 2]` is the first row too short for `α₃`.
+    assert_eq!(g.nest(&[3]), Err(BagError::BadArity { index: 3, arity: 2 }));
+    assert_eq!(g.nest(&[1, 0]), Err(BagError::AttrIndexZero));
+    assert_eq!(
+        g.project(&[1, 2, 3]),
+        Err(BagError::BadArity { index: 3, arity: 2 })
+    );
+    // Atoms sort before tuples: the stray is the first row of all.
+    let mut polluted = g;
+    polluted.insert(Value::int(7));
+    assert_eq!(polluted.nest(&[1]), Err(BagError::NotATuple(Value::int(7))));
+    assert_eq!(
+        polluted.project(&[1]),
+        Err(BagError::NotATuple(Value::int(7)))
+    );
+    // No rows, no row to fail: a bad index on the empty bag stays `Ok`.
+    for group in [vec![0], vec![9], vec![2, 1]] {
+        assert_eq!(Bag::new().nest(&group), Ok(Bag::new()));
+        assert_eq!(Bag::new().project(&group), Ok(Bag::new()));
     }
 }

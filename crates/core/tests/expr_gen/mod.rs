@@ -1,10 +1,13 @@
 //! The random-expression generator shared by `analyze_differential`,
-//! `step_limit_props` and the optimizer suite: expressions over two unary
-//! relations `R`, `S` and one binary relation `G` that reach every
-//! operator, both arities, `∈` and `⊑` predicates, λs binding `x` or `y`,
-//! a nested λ reading its outer binder, a `MAP_x` inside a `MAP_x` body,
-//! and deliberately doomed shapes; and random databases conforming to
-//! that schema.
+//! `step_limit_props`, `fast_path_differential` and the optimizer suite:
+//! expressions over two unary relations `R`, `S` and one binary relation
+//! `G` that reach every operator, both arities, `∈` and `⊑` predicates,
+//! λs binding `x` or `y`, a nested λ reading its outer binder, a `MAP_x`
+//! inside a `MAP_x` body, and deliberately doomed shapes; and random
+//! databases conforming to that schema.
+//!
+//! `shapes.rs` beside it adds one strategy per evaluator fast path, for
+//! `fast_path_differential`.
 
 use balg_core::bag::Bag;
 use balg_core::expr::{Expr, Pred};

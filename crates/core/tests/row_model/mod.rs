@@ -1,16 +1,18 @@
-//! The stage chain re-derived outside the evaluator, shared by the
-//! `row_filter_props` and `seek_props` differentials: every base row is
-//! pushed through the chain's stages one by one, each `σ` through the
-//! public tree walk [`Evaluator::eval_pred_open`], each general `MAP` body
-//! through [`Evaluator::eval_open`], into a `BagBuilder` — charging the
-//! spine, product and projection steps the fused loop documents, and
-//! checking the element budget after every push as the fused loop does.
-//! Nothing in it can reach the in-place walker or the seek, because the
-//! predicate never sits under a `Select` node the reference evaluates.
+//! The stage chain re-derived outside the evaluator, against which
+//! `fast_path_differential` holds the reference side of `σ`/`π` chains:
+//! every base row is pushed through the chain's stages one by one, each
+//! `σ` through the public tree walk [`Evaluator::eval_pred_open`], each
+//! general `MAP` body through [`Evaluator::eval_open`], into a
+//! `BagBuilder` — charging the spine, product and projection steps the
+//! chain loop documents, checking the element budget after every push as
+//! the chain loop does, and observing each bag the evaluator observes (a
+//! chain's result, an `ε`, a fixpoint's accumulator every round) for the
+//! maxima and budgets of [`Metrics`]. Its evaluator runs on the reference
+//! ([`Evaluator::set_reference`]), and a chain's own predicates never sit
+//! under a `Select` node it evaluates, so no fast path is reached.
 
-use balg_core::analyze::ifp_delta_form;
 use balg_core::bag::{attr_field, Bag, BagBuilder, BagError};
-use balg_core::eval::{EvalError, Evaluator, Limits};
+use balg_core::eval::{EvalError, Evaluator, Limits, Metrics};
 use balg_core::expr::{Expr, Var};
 use balg_core::natural::Natural;
 use balg_core::schema::Database;
@@ -19,8 +21,10 @@ use balg_core::value::Value;
 /// The stage chain, row by row, over the tree-walk entry points of one
 /// evaluator (which accumulates the steps and enforces the step budget).
 pub struct Model<'a> {
-    pub ev: Evaluator<'a>,
-    max_bag_elements: u64,
+    ev: Evaluator<'a>,
+    limits: Limits,
+    /// The maxima and rounds of what the model itself observed.
+    observed: Metrics,
 }
 
 type Env = Vec<(Var, Value)>;
@@ -52,10 +56,52 @@ fn projection(body: &Expr, var: &Var) -> Option<Vec<usize>> {
 
 impl<'a> Model<'a> {
     pub fn new(db: &'a Database, limits: &Limits) -> Model<'a> {
+        let mut ev = Evaluator::new(db, limits.clone());
+        ev.set_reference(true);
         Model {
-            ev: Evaluator::new(db, limits.clone()),
-            max_bag_elements: limits.max_bag_elements,
+            ev,
+            limits: limits.clone(),
+            observed: Metrics::default(),
         }
+    }
+
+    /// The evaluator's metrics, with the maxima and rounds of the bags the
+    /// model observed itself.
+    pub fn metrics(&self) -> Metrics {
+        let (ev, own) = (self.ev.metrics(), &self.observed);
+        Metrics {
+            max_distinct_elements: ev.max_distinct_elements.max(own.max_distinct_elements),
+            max_multiplicity: ev
+                .max_multiplicity
+                .clone()
+                .max(own.max_multiplicity.clone()),
+            max_cardinality: ev.max_cardinality.clone().max(own.max_cardinality.clone()),
+            ifp_iterations: ev.ifp_iterations + own.ifp_iterations,
+            ..ev.clone()
+        }
+    }
+
+    /// Record a bag the evaluator observes, under its budgets.
+    fn observe(&mut self, bag: Bag) -> Result<Bag, EvalError> {
+        let distinct = bag.distinct_count() as u64;
+        if distinct > self.limits.max_bag_elements {
+            return Err(EvalError::ElementLimit {
+                observed: distinct,
+                limit: self.limits.max_bag_elements,
+            });
+        }
+        let max_mult = bag.max_multiplicity();
+        if max_mult.bits() > self.limits.max_multiplicity_bits {
+            return Err(EvalError::MultiplicityLimit {
+                observed_bits: max_mult.bits(),
+                limit_bits: self.limits.max_multiplicity_bits,
+            });
+        }
+        let m = &mut self.observed;
+        m.max_distinct_elements = m.max_distinct_elements.max(distinct);
+        m.max_multiplicity = m.max_multiplicity.clone().max(max_mult);
+        m.max_cardinality = m.max_cardinality.clone().max(bag.cardinality());
+        Ok(bag)
     }
 
     /// Charge exactly one step (a literal is one node).
@@ -73,25 +119,25 @@ impl<'a> Model<'a> {
             Expr::Map { .. } | Expr::Select { .. } => self.chain(expr, env),
             Expr::Dedup(inner) => {
                 self.tick()?;
-                Ok(self.bag(inner, env)?.dedup())
+                let deduped = self.bag(inner, env)?.dedup();
+                self.observe(deduped)
             }
             Expr::Ifp { var, body, input } => {
                 self.tick()?;
-                // The evaluator's loop: a delta-form body (form 3 with a
-                // predicate that does not read `T`) sees only the rows
-                // the last round added, and is charged for those.
-                let delta_form = ifp_delta_form(var, body);
+                // The reference's loop: every round binds the whole
+                // accumulator.
                 let mut current = self.bag(input, env)?;
-                let mut fresh = current.clone();
-                loop {
-                    let seen = if delta_form { fresh } else { current.clone() };
-                    let inner = bound(env, var, Value::Bag(seen));
-                    fresh = self.bag(body, &inner)?.subtract(&current);
+                for _ in 0..self.limits.max_ifp_iterations {
+                    self.observed.ifp_iterations += 1;
+                    let inner = bound(env, var, Value::Bag(current.clone()));
+                    let fresh = self.bag(body, &inner)?.subtract(&current);
+                    let next = self.observe(current.additive_union(&fresh))?;
                     if fresh.is_empty() {
                         return Ok(current);
                     }
-                    current = current.additive_union(&fresh);
+                    current = next;
                 }
+                Err(EvalError::IfpLimit(self.limits.max_ifp_iterations))
             }
             _ => Ok(self
                 .ev
@@ -137,7 +183,7 @@ impl<'a> Model<'a> {
                 }
             }
         }
-        Ok(out.build())
+        self.observe(out.build())
     }
 
     fn row(
@@ -179,10 +225,10 @@ impl<'a> Model<'a> {
             }
         }
         out.push(current, mult);
-        out.ensure_distinct_within(self.max_bag_elements)
+        out.ensure_distinct_within(self.limits.max_bag_elements)
             .map_err(|observed| EvalError::ElementLimit {
                 observed,
-                limit: self.max_bag_elements,
+                limit: self.limits.max_bag_elements,
             })
     }
 }

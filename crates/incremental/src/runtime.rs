@@ -183,15 +183,14 @@ pub(crate) fn check_view(name: &str, expr: &Expr) -> Result<(), UpdateError> {
 }
 
 /// How the runtime configures every evaluator it hands a view: the
-/// budgets, the index switch, the one index cache and the partition
+/// budgets, the reference switch, the one index cache and the partition
 /// override.
 #[derive(Clone, Debug)]
 struct EvalSettings {
     limits: Limits,
-    /// Whether every fused equi-join — a view node's delta probe and each
-    /// evaluator's one-shot join — probes a `BagIndex` (default) or runs
-    /// `join::scan`; the differential suites run both.
-    use_indexes: bool,
+    /// Whether every evaluator built here runs each fast path's reference
+    /// ([`Evaluator::set_reference`]); the differential suites run both.
+    reference: bool,
     /// Per-key join indexes, persistent across batches and lent to every
     /// evaluator built here: base indexes are patched alongside the base
     /// on every commit instead of being rebuilt.
@@ -209,7 +208,7 @@ impl EvalSettings {
     /// borrows the runtime's index cache.
     fn evaluator<'a>(&'a mut self, db: &'a Database) -> Evaluator<'a> {
         let mut ev = Evaluator::new(db, self.limits.clone());
-        ev.set_indexing(self.use_indexes);
+        ev.set_reference(self.reference);
         ev.set_index_cache(&mut self.indexes);
         if let Some(p) = self.parallel {
             ev.set_parallel_threads(p.chunks());
@@ -265,7 +264,7 @@ impl ViewRuntime {
             db,
             eval: EvalSettings {
                 limits,
-                use_indexes: true,
+                reference: false,
                 indexes: IndexCache::new(),
                 parallel: None,
             },
@@ -276,25 +275,18 @@ impl ViewRuntime {
         }
     }
 
-    /// Choose how every fused equi-join finds its pairs: probe a per-key
-    /// `BagIndex` (enabled, the default) or run `join::scan`, the kernel's
-    /// reference loop, over the unchanged operand (disabled;
-    /// [`ViewStats::scanned_join_ops`]). The switch reaches a view's join
-    /// only through the evaluators the runtime builds
-    /// ([`Evaluator::set_indexing`]). Both settings maintain identical
-    /// views — the differential suites run every (query, update-stream)
-    /// pair both ways and require strict equality. Disabling drops any
-    /// cached indexes.
-    pub fn set_indexing(&mut self, enabled: bool) {
-        self.eval.use_indexes = enabled;
-        if !enabled {
+    /// Send every fast path of every evaluator the runtime builds to its
+    /// reference ([`Evaluator::set_reference`]): a view's join delta then
+    /// runs `join::scan` over the unchanged operand
+    /// ([`ViewStats::scanned_join_ops`]) instead of probing a `BagIndex`.
+    /// Both settings maintain identical views — the differential suites
+    /// run every (query, update-stream) pair both ways and require strict
+    /// equality. Switching on drops any cached indexes.
+    pub fn set_reference(&mut self, on: bool) {
+        self.eval.reference = on;
+        if on {
             self.eval.indexes.clear();
         }
-    }
-
-    /// Whether the index fast paths are enabled.
-    pub fn indexing(&self) -> bool {
-        self.eval.use_indexes
     }
 
     /// Pin the maintenance partition count, clamped to

@@ -67,8 +67,9 @@ pub struct ViewStats {
     /// values were touched (`O(matches)`).
     pub indexed_join_ops: u64,
     /// Fused equi-join deltas that probed no index (`O(|other side|)`):
-    /// indexing disabled, the pair of attributes does not span the
-    /// product boundary, or an operand's rows are not of one arity.
+    /// the runtime set to its reference, the pair of attributes does not
+    /// span the product boundary, or an operand's rows are not of one
+    /// arity.
     pub scanned_join_ops: u64,
 }
 

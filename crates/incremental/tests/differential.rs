@@ -295,15 +295,15 @@ fn run_case(seed: u64, depth: usize, arity: usize, batches: usize) {
 }
 
 /// Two runtimes over the same (query, update-stream) pair — one with the
-/// per-key index fast paths, one forced onto the scan paths — must agree
-/// on every view snapshot after every batch, and the scan runtime must
-/// never report an index probe.
+/// fast paths, one set to their references — must agree on every view
+/// snapshot after every batch, and the reference runtime must never
+/// report an index probe.
 fn run_dual_case(seed: u64, depth: usize, arity: usize, batches: usize) {
     let mut generator = QueryGen::new(seed);
     let expr = generator.expr(depth, arity);
     let mut indexed = ViewRuntime::with_limits(limits());
     let mut scanned = ViewRuntime::with_limits(limits());
-    scanned.set_indexing(false);
+    scanned.set_reference(true);
     for (name, bag) in base_db() {
         indexed.load_base(name, bag.clone()).unwrap();
         scanned.load_base(name, bag).unwrap();
@@ -312,7 +312,7 @@ fn run_dual_case(seed: u64, depth: usize, arity: usize, batches: usize) {
     assert_eq!(
         registered,
         scanned.create_view("v", expr.clone()).is_ok(),
-        "registration must not depend on indexing: {expr}"
+        "registration must not depend on the reference switch: {expr}"
     );
     if !registered {
         return;
@@ -328,7 +328,7 @@ fn run_dual_case(seed: u64, depth: usize, arity: usize, batches: usize) {
         assert_eq!(
             a.is_ok(),
             b.is_ok(),
-            "budget/maintenance outcome must not depend on indexing for seed {seed}: {expr}"
+            "budget/maintenance outcome must not depend on the reference switch for seed {seed}: {expr}"
         );
         if a.is_err() {
             return; // both dropped the view identically
@@ -343,7 +343,7 @@ fn run_dual_case(seed: u64, depth: usize, arity: usize, batches: usize) {
     assert_eq!(
         scanned.stats().views.indexed_join_ops,
         0,
-        "a scan-forced runtime must never probe an index"
+        "a runtime on the reference must never probe an index"
     );
     assert!(indexed.verify_all().unwrap());
 }
@@ -363,9 +363,9 @@ proptest! {
         run_case(seed, depth, arity, batches);
     }
 
-    /// ≥256 random pairs replayed through an indexed and a scan-forced
-    /// runtime in lockstep: strictly equal bases and snapshots after
-    /// every batch.
+    /// ≥256 random pairs replayed through a default runtime and one set
+    /// to the reference, in lockstep: strictly equal bases and snapshots
+    /// after every batch.
     #[test]
     fn indexed_and_unindexed_runtimes_agree(
         seed in 0u64..1_000_000,
@@ -507,7 +507,7 @@ fn literal_operand_of_rederived_operator() {
 /// The fused `σ_{αᵢ=αⱼ}(×)` join: a single-tuple update must propagate
 /// through an index probe — visible as `indexed_join_ops` with zero
 /// fallbacks — touch only the matching rows, and stay exact; the same
-/// stream through a scan-forced runtime reports `scanned_join_ops`
+/// stream through a runtime set to the reference reports `scanned_join_ops`
 /// instead and computes the same view.
 #[test]
 fn fused_join_propagates_through_the_index() {
@@ -520,7 +520,7 @@ fn fused_join_propagates_through_the_index() {
         .project(&[1, 4]);
     let mut indexed = ViewRuntime::with_limits(limits());
     let mut scanned = ViewRuntime::with_limits(limits());
-    scanned.set_indexing(false);
+    scanned.set_reference(true);
     for (name, bag) in base_db() {
         indexed.load_base(name, bag.clone()).unwrap();
         scanned.load_base(name, bag).unwrap();

@@ -148,12 +148,12 @@ fn scanned_stream_counters_are_pinned() {
         rows: [114, 32, 114],
     };
     let serial = run(|rt| {
-        rt.set_indexing(false);
+        rt.set_reference(true);
         rt.set_parallel_threads(1);
     });
     assert_eq!(serial, expected);
     let partitioned = run(|rt| {
-        rt.set_indexing(false);
+        rt.set_reference(true);
         rt.set_parallel_threads(4);
         rt.set_parallel_threshold(0);
     });
@@ -273,9 +273,9 @@ fn every_rule_counts_as_before() {
         ("scalar", stats(72, 0, 112), 5),
         ("subbag", stats(0, 24, 0), 5),
     ];
-    for (indexing, chunks) in [(true, 1), (false, 1), (true, 4)] {
+    for (reference, chunks) in [(false, 1), (true, 1), (false, 4)] {
         let mut rt = ViewRuntime::with_limits(Limits::default());
-        rt.set_indexing(indexing);
+        rt.set_reference(reference);
         rt.set_parallel_threads(chunks);
         rt.set_parallel_threshold(0);
         // Every `G` row the stream deletes is loaded or inserted first.
@@ -299,7 +299,10 @@ fn every_rule_counts_as_before() {
                 (name, view.stats().clone(), view.result().distinct_count())
             })
             .collect();
-        assert_eq!(observed, expected, "indexing {indexing}, {chunks} chunk(s)");
+        assert_eq!(
+            observed, expected,
+            "reference {reference}, {chunks} chunk(s)"
+        );
     }
 }
 

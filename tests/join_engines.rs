@@ -1,17 +1,19 @@
 //! One input, every path to the `balg_core::join` kernel, one answer.
 //!
-//! The per-pair suites (`index_props`, both `parallel_differential`s,
-//! `incremental/tests/differential.rs`) each compare two join paths. This
-//! one feeds a single random `σ_{αᵢ=αⱼ}(L × R)` through all of them:
+//! The per-pair suites (`fast_path_differential`, both
+//! `parallel_differential`s, `incremental/tests/differential.rs`) each
+//! compare two join paths. This one feeds a single random
+//! `σ_{αᵢ=αⱼ}(L × R)` through all of them:
 //!
-//! * (a) `Evaluator`, indexed; (b) `set_indexing(false)`; (c) at 4 chunks
-//!   (`set_parallel_threads(4)`, threshold 1), where a join never
-//!   partitions — results, error values and `Metrics.steps` must agree;
+//! * (a) `Evaluator`, indexed; (b) `set_reference(true)`, whose join runs
+//!   `join::scan`; (c) at 4 chunks (`set_parallel_threads(4)`, threshold
+//!   1), where a join never partitions — results, error values and
+//!   `Metrics.steps` must agree;
 //! * (d) a `ViewRuntime` join view registered over *empty* bases, with `L`
 //!   and `R` streamed in as randomly split insert batches and a random
 //!   subset then deleted — the bilinear delta rule, its terms evaluator
-//!   probes over each delta's halves — indexed, scanning and at 4 chunks,
-//!   checked after every batch;
+//!   probes over each delta's halves — indexed, on the reference and at 4
+//!   chunks, checked after every batch;
 //!
 //! against `σ(L × R)` *materialised* (product, then a per-element filter
 //! no recogniser fuses) on the same database. (e) `RalgEvaluator`, the
@@ -107,13 +109,13 @@ proptest! {
         };
         let (i, j) = (attr(picks.0), attr(picks.1));
         // (d) three runtimes in lockstep over the stream.
-        let mut runtimes: Vec<(&str, ViewRuntime, bool)> = ["indexed", "scan", "partitioned"]
+        let mut runtimes: Vec<(&str, ViewRuntime, bool)> = ["indexed", "reference", "partitioned"]
             .into_iter()
             .map(|path| {
                 let mut rt = ViewRuntime::new();
                 rt.set_parallel_threads(if path == "partitioned" { 4 } else { 1 });
                 rt.set_parallel_threshold(0);
-                rt.set_indexing(path != "scan");
+                rt.set_reference(path == "reference");
                 rt.load_base("L", Bag::new()).unwrap();
                 rt.load_base("R", Bag::new()).unwrap();
                 rt.create_view("j", fused(i, j)).unwrap();
@@ -153,10 +155,10 @@ proptest! {
 
         // (a)–(c) the three `Evaluator` paths: outcome and step charges.
         let mut steps = Vec::new();
-        for path in ["indexed", "scan", "partitioned"] {
+        for path in ["indexed", "reference", "partitioned"] {
             let mut ev = Evaluator::new(&db, Limits::default());
             match path {
-                "scan" => ev.set_indexing(false),
+                "reference" => ev.set_reference(true),
                 "partitioned" => {
                     ev.set_parallel_threads(4);
                     ev.set_parallel_threshold(1);
