@@ -35,12 +35,27 @@
 //! the first `k` fields is monotone in that order, hence rows that share
 //! their first `k` fields form one contiguous *key run*. Two distinct rows
 //! of a run first differ at a field past `k` (or one ends there), so their
-//! residuals `[α_{k+1}, …]` ascend strictly in slice order. The same holds
-//! for any key after a *stable* sort of the rows by the key fields: rows
-//! with equal key fields first differ at a non-key position, in the order
-//! their residuals compare. [`Bag::nest`] and [`Bag::project_prefix`] walk
-//! these runs, building every output slice already sorted ([`is_key_prefix`]
-//! says when no sort is needed).
+//! residuals `[α_{k+1}, …]` ascend strictly in slice order. [`Bag::nest`]
+//! and [`Bag::project_prefix`] walk these runs, building every output
+//! slice already sorted ([`is_key_prefix`] says when the key is a prefix).
+//!
+//! # Grouping by hash
+//!
+//! Any other key is not clustered by the slice, but its groups keep one
+//! property of a run: two rows with equal key fields first differ at a
+//! non-key position, so their residuals compare as the rows do, and a
+//! group's rows taken in slice order ascend in both. `KeyGroups` is the
+//! one kernel for such keys. It reads the rows in slice order, borrowed,
+//! and files each under a hash of its key fields (the multiply-xor
+//! [`ValueHasher`] of the join indexes; the first few groups are found by
+//! comparison alone); a group accumulates what its caller needs — the
+//! member rows for [`Bag::nest`], a multiplicity sum for the evaluator's
+//! projection sink — and only the distinct keys are sorted, once, at the
+//! end. A sort of every row by its key fields, the path this replaced,
+//! compared values `O(n log n)` times; past the first few groups the
+//! kernel hashes each row's key once and compares it only with keys whose
+//! hashes match. No key vector is ever cloned: a group's key is read off
+//! its first row.
 //!
 //! The same order makes `α₁` monotone: once the first row is a non-empty
 //! tuple and the last a tuple, every row is a tuple with an `α₁` (atoms
@@ -81,10 +96,12 @@
 //! `memmove` per insertion.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock, Weak};
 
+use crate::index::ValueHasher;
 use crate::natural::Natural;
 use crate::value::Value;
 
@@ -155,10 +172,126 @@ pub fn attr_field(fields: &[Value], index: usize) -> Result<&Value, BagError> {
 
 /// `true` iff `indices` is `1, 2, …, k` (`k ≥ 0`): the leading attributes,
 /// on which the sorted slice is already clustered into key runs (module
-/// doc). The one test behind [`Bag::nest`]'s sort-free path, the prefix
-/// projections and the evaluator's `key-runs`/`key-sort` profile tags.
+/// doc). The one test behind [`Bag::nest`]'s run walk, the prefix
+/// projections and the evaluator's `key-runs`/`key-hash` profile tags.
 pub fn is_key_prefix(indices: &[usize]) -> bool {
     indices.iter().enumerate().all(|(i, &ix)| ix == i + 1)
+}
+
+/// The fields `key` picks out of a row, in key order. Every index must be
+/// in range (`1..=fields.len()`); callers check it with [`attr_field`].
+pub(crate) fn key_fields<'a>(
+    key: &'a [usize],
+    fields: &'a [Value],
+) -> impl Iterator<Item = &'a Value> + 'a {
+    key.iter().map(move |&ix| &fields[ix - 1])
+}
+
+/// A borrowed row seen through its key: hashes and compares only the key
+/// fields, so grouping never clones a key.
+#[derive(Clone, Copy)]
+struct KeyView<'a> {
+    key: &'a [usize],
+    fields: &'a [Value],
+}
+
+impl Hash for KeyView<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        key_fields(self.key, self.fields).for_each(|field| field.hash(state));
+    }
+}
+
+impl PartialEq for KeyView<'_> {
+    fn eq(&self, other: &KeyView<'_>) -> bool {
+        key_fields(self.key, self.fields).eq(key_fields(other.key, other.fields))
+    }
+}
+
+impl Eq for KeyView<'_> {}
+
+/// The grouping kernel for keys that are not a prefix of the row (module
+/// doc, § *Grouping by hash*): rows borrowed from a bag's slice, grouped by
+/// their key fields, each group accumulating an `A` — a multiplicity sum
+/// for a projection, the member rows for `nest`. Fed in slice order, every
+/// group sees its rows in slice order; the distinct keys are sorted once,
+/// by [`KeyGroups::into_sorted`].
+///
+/// The first [`KeyGroups::SCAN`] groups are found by comparing key fields
+/// one group after another; past that, every group is filed under a hash
+/// of its key fields ([`ValueHasher`]). A handful of groups — a point
+/// select's one row — never pays for a hash table.
+pub(crate) struct KeyGroups<'a, A> {
+    key: &'a [usize],
+    /// Every group so far, in the order of its first row.
+    groups: Vec<(&'a [Value], A)>,
+    /// Each group's position in `groups`, once there are more than
+    /// [`KeyGroups::SCAN`].
+    positions: HashMap<KeyView<'a>, usize, BuildHasherDefault<ValueHasher>>,
+}
+
+impl<'a, A> KeyGroups<'a, A> {
+    /// The most groups found by comparison alone.
+    const SCAN: usize = 8;
+
+    /// No groups yet, keyed on the 1-based attributes `key`.
+    pub(crate) fn new(key: &'a [usize]) -> Self {
+        KeyGroups {
+            key,
+            groups: Vec::new(),
+            positions: HashMap::default(),
+        }
+    }
+
+    /// The accumulator of the group `fields` belongs to, made by `new` if
+    /// the group is new. Every key index must be in range for `fields`.
+    pub(crate) fn entry(&mut self, fields: &'a [Value], new: impl FnOnce() -> A) -> &mut A {
+        let key = self.key;
+        let view = KeyView { key, fields };
+        let found = if self.groups.len() <= Self::SCAN {
+            self.groups
+                .iter()
+                .position(|(first, _)| KeyView { key, fields: first } == view)
+        } else {
+            if self.positions.is_empty() {
+                self.positions = self
+                    .groups
+                    .iter()
+                    .enumerate()
+                    .map(|(at, (first, _))| (KeyView { key, fields: first }, at))
+                    .collect();
+            }
+            self.positions.get(&view).copied()
+        };
+        let at = found.unwrap_or_else(|| {
+            let at = self.groups.len();
+            if !self.positions.is_empty() {
+                self.positions.insert(view, at);
+            }
+            self.groups.push((fields, new()));
+            at
+        });
+        &mut self.groups[at].1
+    }
+
+    /// The key the groups are made on.
+    pub(crate) fn key(&self) -> &'a [usize] {
+        self.key
+    }
+
+    /// The number of groups so far.
+    pub(crate) fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Every group in ascending key order: the fields of a row it holds
+    /// (its key fields are the group's key) and its accumulator.
+    pub(crate) fn into_sorted(mut self) -> Vec<(&'a [Value], A)> {
+        let key = self.key;
+        // Distinct keys: an unstable sort is exact.
+        self.groups
+            .sort_unstable_by(|a, b| key_fields(key, a.0).cmp(key_fields(key, b.0)));
+        self.groups
+    }
 }
 
 /// A homogeneous bag of [`Value`]s with exact [`Natural`] multiplicities.
@@ -826,14 +959,17 @@ impl Bag {
     /// **once**, extended with a bag holding the residual-attribute tuples
     /// of its members (inner multiplicities preserved).
     ///
-    /// One walk over key runs (module doc). A prefix key `1..=k` reads
-    /// them straight off the slice; any other key first stable-sorts the
-    /// rows by their borrowed key fields. Either way each inner bag is a
-    /// run's residuals, already ascending and distinct, and the groups
-    /// come out in key order. Every row is checked first, in slice order,
-    /// so the first bad row raises as it would in a row-by-row pass.
+    /// A prefix key `1..=k` reads its groups straight off the slice's key
+    /// runs; any other key groups the borrowed rows by hash (`KeyGroups`,
+    /// module doc). Either way each group's members come in slice order, so
+    /// each inner bag is born ascending and distinct, and the groups come
+    /// out in key order. Every row is checked as it is read, in slice
+    /// order, so the first bad row raises as it would in a row-by-row pass.
     pub fn nest(&self, group: &[usize]) -> Result<Bag, BagError> {
-        let mut rows: Vec<(&[Value], &Natural)> = Vec::with_capacity(self.elems.len());
+        let prefix = is_key_prefix(group);
+        let mut rows: Vec<(&[Value], &Natural)> =
+            Vec::with_capacity(if prefix { self.elems.len() } else { 0 });
+        let mut groups = KeyGroups::new(group);
         for (row, mult) in self.elems.iter() {
             let fields = row
                 .as_tuple()
@@ -841,16 +977,13 @@ impl Bag {
             for &ix in group {
                 attr_field(fields, ix)?;
             }
-            rows.push((fields, mult));
+            if prefix {
+                rows.push((fields, mult));
+            } else {
+                groups.entry(fields, Vec::new).push((fields, mult));
+            }
         }
         // Every index is now known to be in range for every row.
-        fn key_of<'a>(group: &'a [usize], fields: &'a [Value]) -> impl Iterator<Item = &'a Value> {
-            group.iter().map(move |&ix| &fields[ix - 1])
-        }
-        let prefix = is_key_prefix(group);
-        if !prefix {
-            rows.sort_by(|a, b| key_of(group, a.0).cmp(key_of(group, b.0)));
-        }
         // Membership bitmask over 1-based attribute positions, so the
         // residual split is O(arity) per row instead of O(arity × |group|).
         // Fixed-size (no allocation keyed to attacker-controlled indices);
@@ -882,22 +1015,30 @@ impl Bag {
                     .collect(),
             )
         };
-        let out = rows
-            .chunk_by(|a, b| key_of(group, a.0).eq(key_of(group, b.0)))
-            .map(|members| {
-                let inner = members
-                    .iter()
-                    .map(|(fields, mult)| (residual(fields), (*mult).clone()))
-                    .collect();
-                let nested = Value::Bag(Bag::from_sorted_vec(inner));
-                // An exact-size chain: one allocation for the whole tuple.
-                let fields: Arc<[Value]> = key_of(group, members[0].0)
-                    .cloned()
-                    .chain([nested])
-                    .collect();
-                (Value::Tuple(fields), Natural::one())
-            })
-            .collect();
+        let nested = |members: &[(&[Value], &Natural)]| {
+            let inner = members
+                .iter()
+                .map(|(fields, mult)| (residual(fields), (*mult).clone()))
+                .collect();
+            let nested = Value::Bag(Bag::from_sorted_vec(inner));
+            // An exact-size chain: one allocation for the whole tuple.
+            let fields: Arc<[Value]> = key_fields(group, members[0].0)
+                .cloned()
+                .chain([nested])
+                .collect();
+            (Value::Tuple(fields), Natural::one())
+        };
+        let out = if prefix {
+            rows.chunk_by(|a, b| key_fields(group, a.0).eq(key_fields(group, b.0)))
+                .map(nested)
+                .collect()
+        } else {
+            groups
+                .into_sorted()
+                .into_iter()
+                .map(|(_, members)| nested(&members))
+                .collect()
+        };
         Ok(Bag::from_sorted_vec(out))
     }
 
@@ -1753,6 +1894,42 @@ mod tests {
         let residual = fields[1].as_bag().unwrap();
         let (res_row, _) = residual.iter().next().unwrap();
         assert_eq!(res_row.as_tuple().unwrap().len(), 129);
+    }
+
+    #[test]
+    fn nest_past_the_scan_matches_a_naive_group_by() {
+        // 600 rows `[k mod 7, 37k mod 50]`, every third one with a third
+        // field: 50 groups on `α₂`, so most are filed by hash.
+        let bag = Bag::from_counted((0..600i64).map(|k| {
+            let mut fields = vec![Value::int(k % 7), Value::int(37 * k % 50)];
+            if k % 3 == 0 {
+                fields.push(Value::int(k));
+            }
+            (Value::tuple(fields), nat(1 + (k % 4) as u64))
+        }));
+        for group in [&[2][..], &[2, 2], &[2, 1], &[1, 2]] {
+            let key_of = |row: &Value| {
+                let fields = row.as_tuple().unwrap();
+                Value::tuple(group.iter().map(|&i| fields[i - 1].clone()))
+            };
+            let residual = |row: &Value| {
+                let fields = row.as_tuple().unwrap();
+                Value::tuple(
+                    (1..=fields.len())
+                        .filter(|i| !group.contains(i))
+                        .map(|i| fields[i - 1].clone()),
+                )
+            };
+            let keys: std::collections::BTreeSet<Value> = bag.elements().map(key_of).collect();
+            let naive = Bag::from_values(keys.into_iter().map(|key| {
+                let members = bag.iter().filter(|(row, _)| key_of(row) == key);
+                let inner = Bag::from_counted(members.map(|(row, m)| (residual(row), m.clone())));
+                let mut fields = key.as_tuple().unwrap().to_vec();
+                fields.push(Value::Bag(inner));
+                Value::tuple(fields)
+            }));
+            assert_eq!(bag.nest(group).unwrap(), naive, "nest on {group:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!   through the whole chain in one pass, so only the chain's final bag is
 //!   ever built; a chain that is only `π_{1..k}` over a bag folds the
 //!   bag's key runs instead ([`Bag::project_prefix`]), with one bulk charge
-//!   equal to the per-row loop's and that loop as its fallback;
+//!   equal to the per-row loop's and that loop as its fallback, and a
+//!   chain of in-place `σ` stages ending in a `π` not led by `α₁` sums
+//!   the surviving rows' multiplicities per distinct projection
+//!   (`bag::KeyGroups`), one tuple allocated per group instead
+//!   of one per row;
 //! * a `σ` stage whose predicate only compares attributes of its own row
 //!   with each other and with literals (`True`/`=`/`<`/`≤`/`¬`/`∧`/`∨` over
 //!   `αᵢ(x)`, `i ≥ 1`, and constants — every single-table SQL `WHERE`) is
@@ -54,15 +58,17 @@
 //!
 //! # Fast paths and their references
 //!
-//! Six fast paths each keep their reference as the fallback they take
+//! Seven fast paths each keep their reference as the fallback they take
 //! when they do not apply, and [`Evaluator::set_reference`] sends every
-//! one of them there. `:profile` tags the frame a fast path ran in.
+//! one of them there. `:profile` tags the frame a fast path ran in with
+//! every tag that fired there, in firing order (`[in-place, key-hash]`).
 //!
 //! | fast path | tag | reference | contract |
 //! |---|---|---|---|
 //! | `σ` decided on the borrowed row | `in-place` | the λ-binding tree walk | exact |
 //! | leading `σ` on `α₁` literals, per run | `seek` | the row scan | exact |
 //! | lone prefix `π` over a bag | `key-runs` | the per-row loop | exact |
+//! | in-place `σ`s, then a `π` not led by `α₁` | `key-hash` | the per-row loop | exact |
 //! | fused `σ_{αᵢ=αⱼ}(e × e′)` | `indexed-join` | [`join::scan`] (`scan-join`) | exact |
 //! | `π` over `×` with every index on one side | `project-scale` | the streamed pairs | fewer |
 //! | `IFP` in delta form | `semi-naive` | the full-accumulator loop | fewer |
@@ -74,8 +80,12 @@
 //!   step budget fails later or not at all).
 //!
 //! The seek only runs on an in-place `σ`, so the in-place switch is its
-//! switch too. `nest`'s `key-runs`/`key-sort` tags name [`Bag::nest`]'s
-//! own branch, which has no reference to switch to. The `αᵢ(x)` shortcut
+//! switch too; the grouping sink reads its rows from the seek or the scan,
+//! whichever ran. `nest`'s `key-runs`/`key-hash` tags name [`Bag::nest`]'s
+//! own branch — its key-run walk, or the grouping kernel the sink also
+//! runs — which has no reference to switch to: both build the one bag a
+//! group-by defines, and `tests/bag_model_props.rs` holds each to a naive
+//! one. The `αᵢ(x)` shortcut
 //! — the field read straight off the λ-bound tuple, charging the step of
 //! the `Var` it skips — is not a fast path: it is always on, and exact.
 //! `tests/fast_path_differential.rs` holds each fast path to its
@@ -90,7 +100,9 @@ use std::sync::Arc;
 use balg_obs::profile::{Profiler, SpanId};
 
 use crate::analyze::ifp_delta_form;
-use crate::bag::{attr_field, is_key_prefix, Bag, BagBuilder, BagError, MergeOp};
+use crate::bag::{
+    attr_field, is_key_prefix, key_fields, Bag, BagBuilder, BagError, KeyGroups, MergeOp,
+};
 use crate::expr::{Expr, Pred, Var};
 use crate::index::{BagIndex, IndexCache};
 use crate::join;
@@ -330,10 +342,11 @@ pub struct Evaluator<'a> {
     /// env-empty (top-level plan) nodes, so λ-body and IFP-body
     /// per-element evaluations collapse into their parent frame.
     profiler: Option<Profiler>,
-    /// The fast-path tag of the most recent fused/indexed operator, read
-    /// (and cleared) by the enclosing profiled frame. Only written while
-    /// profiling — evaluation results never depend on it.
-    fast_path: Option<&'static str>,
+    /// The fast-path tags noted since the innermost open profiled frame
+    /// opened, each once, in firing order; that frame takes them when it
+    /// closes. Only written while profiling — evaluation results never
+    /// depend on it.
+    fast_path: Vec<&'static str>,
 }
 
 /// Always-on per-evaluation counters, resolved lazily from the installed
@@ -390,7 +403,7 @@ impl<'a> Evaluator<'a> {
             indexed_joins: 0,
             par: par::Parallel::from_global(),
             profiler: None,
-            fast_path: None,
+            fast_path: Vec::new(),
         }
     }
 
@@ -653,6 +666,8 @@ impl<'a> Evaluator<'a> {
     /// delta, output cardinality, and any fast-path tag its operator set.
     fn eval_inner_profiled(&mut self, expr: &Expr) -> Result<Value, EvalError> {
         let span = self.open_span(expr);
+        // The enclosing frame's notes so far wait while this frame runs.
+        let outer = std::mem::take(&mut self.fast_path);
         let steps_before = self.metrics.steps;
         let result = self.eval_inner_plain(expr);
         let steps = self.metrics.steps - steps_before;
@@ -660,19 +675,20 @@ impl<'a> Evaluator<'a> {
             Ok(Value::Bag(bag)) => Some(bag.distinct_count() as u64),
             _ => None,
         };
-        let noted = self.fast_path.take();
+        let mut tags = std::mem::replace(&mut self.fast_path, outer);
         // `nest` is tagged here rather than in `eval_node`: a branch there
         // measurably slowed every node of an unprofiled evaluation.
-        let tag = match expr {
-            Expr::Nest { group, .. } if result.is_ok() => Some(if is_key_prefix(group) {
-                "key-runs"
-            } else {
-                "key-sort"
-            }),
-            _ => noted,
-        };
+        if let Expr::Nest { group, .. } = expr {
+            if result.is_ok() {
+                tags.push(if is_key_prefix(group) {
+                    "key-runs"
+                } else {
+                    "key-hash"
+                });
+            }
+        }
         if let Some(profiler) = self.profiler.as_mut() {
-            profiler.finish(span, steps, rows, tag, result.is_err());
+            profiler.finish(span, steps, rows, tags, result.is_err());
         }
         result
     }
@@ -686,11 +702,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Record the fast path an operator took, for the enclosing profiled
-    /// frame. A field store behind an is-profiling branch — inert when
-    /// profiling is off, and invisible to evaluation either way.
+    /// frame: once per frame, in firing order. A push behind an
+    /// is-profiling branch — inert when profiling is off, and invisible to
+    /// evaluation either way.
     fn note_fast_path(&mut self, tag: &'static str) {
-        if self.profiler.is_some() {
-            self.fast_path = Some(tag);
+        if self.profiler.is_some() && !self.fast_path.contains(&tag) {
+            self.fast_path.push(tag);
         }
     }
 
@@ -1044,19 +1061,24 @@ impl<'a> Evaluator<'a> {
     /// the caller can unregister its memo entries on both the success and
     /// the error path.
     fn run_chain_loop(&mut self, base: &ChainBase, stages: &[Stage<'_>]) -> Result<Bag, EvalError> {
-        // Once per chain, not per row, unless the chain's join noted its
-        // own path; what the rows run (the seek, a `MAP` body) notes over it.
+        // Once per chain, not per row; what the rows run (the seek, a
+        // `MAP` body) notes after it.
         if self.profiler.is_some()
-            && self.fast_path.is_none()
             && stages
                 .iter()
                 .any(|stage| matches!(stage, Stage::Filter { in_place: true, .. }))
         {
             self.note_fast_path("in-place");
         }
-        let mut out = BagBuilder::new();
         match base {
             ChainBase::Bag(bag) => {
+                let mut out = match key_hash_projection(stages) {
+                    Some(indices) if !self.reference => {
+                        self.note_fast_path("key-hash");
+                        Sink::Groups(KeyGroups::new(indices))
+                    }
+                    _ => Sink::Rows(BagBuilder::new()),
+                };
                 // A leading in-place σ that compares `α₁` with literals
                 // seeks the runs its verdict is constant on; any other
                 // chain scans the rows.
@@ -1083,8 +1105,10 @@ impl<'a> Evaluator<'a> {
                     }
                     _ => self.scan_rows(bag.pairs(), lead, stages, &mut out)?,
                 }
+                Ok(out.build())
             }
             ChainBase::Pairs(left, right) => {
+                let mut out = BagBuilder::new();
                 // A leading projection picks its fields straight off the
                 // two sides, skipping the concatenated-tuple allocation.
                 let (project, rest) = match stages.first() {
@@ -1109,21 +1133,21 @@ impl<'a> Evaluator<'a> {
                         self.run_stages(first, lm * rm, rest, &mut out)?;
                     }
                 }
+                Ok(out.build())
             }
         }
-        Ok(out.build())
     }
 
     /// Push `rows` of a bag base through the chain one by one. A leading
     /// in-place σ (`lead`) decides on the borrowed row, so a rejected row
     /// is never cloned; a row it declines enters the chain at that stage's
     /// tree walk.
-    fn scan_rows(
+    fn scan_rows<'r>(
         &mut self,
-        rows: &[(Value, Natural)],
+        rows: &'r [(Value, Natural)],
         lead: Option<&Pred>,
         stages: &[Stage<'_>],
-        out: &mut BagBuilder,
+        out: &mut Sink<'r>,
     ) -> Result<(), EvalError> {
         for (value, mult) in rows {
             let from = match lead.and_then(|pred| self.filter_in_place(pred, value)) {
@@ -1131,7 +1155,63 @@ impl<'a> Evaluator<'a> {
                 Some(true) => 1,
                 None => 0,
             };
-            self.run_stages(value.clone(), mult.clone(), &stages[from..], out)?;
+            match out {
+                Sink::Rows(out) => {
+                    self.run_stages(value.clone(), mult.clone(), &stages[from..], out)?;
+                }
+                Sink::Groups(groups) => self.group_row(value, mult, &stages[from..], groups)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Evaluator::run_stages`] for a `key-hash` chain
+    /// ([`key_hash_projection`]): the same filters, charges and errors on
+    /// the borrowed row, in the same order, then its multiplicity is added
+    /// to its projection's group instead of a projected tuple being built
+    /// and pushed. The element budget fails on the row that opens one
+    /// group too many, with the count the builder would report.
+    fn group_row<'r>(
+        &mut self,
+        row: &'r Value,
+        mult: &Natural,
+        stages: &[Stage<'_>],
+        groups: &mut KeyGroups<'r, Natural>,
+    ) -> Result<(), EvalError> {
+        let Some((Stage::Project { indices }, filters)) = stages.split_last() else {
+            unreachable!("a key-hash chain ends in its projection");
+        };
+        for stage in filters {
+            let Stage::Filter { var, pred, .. } = stage else {
+                unreachable!("a key-hash chain filters in place");
+            };
+            let keep = match self.filter_in_place(pred, row) {
+                Some(keep) => keep,
+                None => {
+                    // Declined: the tree walk, on a clone as `run_stages`
+                    // binds it.
+                    self.env.push(((*var).clone(), row.clone()));
+                    let keep = self.eval_pred(pred);
+                    self.env.pop();
+                    keep?
+                }
+            };
+            if !keep {
+                return Ok(());
+            }
+        }
+        self.step()?; // the projection application
+        let fields = row.as_tuple().ok_or_else(|| shape("a tuple", row))?;
+        for &ix in indices.iter() {
+            attr_field(fields, ix).map_err(EvalError::Bag)?;
+        }
+        *groups.entry(fields, Natural::zero) += mult;
+        let observed = groups.len() as u64;
+        if observed > self.limits.max_bag_elements {
+            return Err(EvalError::ElementLimit {
+                observed,
+                limit: self.limits.max_bag_elements,
+            });
         }
         Ok(())
     }
@@ -1144,13 +1224,13 @@ impl<'a> Evaluator<'a> {
     /// run — true, reading past `α₁`, or with a bulk charge over the steps
     /// left — is scanned: the same bags, errors and [`Metrics`] at every
     /// budget.
-    fn seek_runs(
+    fn seek_runs<'r>(
         &mut self,
-        rows: &[(Value, Natural)],
+        rows: &'r [(Value, Natural)],
         cuts: &[usize],
         pred: &Pred,
         stages: &[Stage<'_>],
-        out: &mut BagBuilder,
+        out: &mut Sink<'r>,
     ) -> Result<(), EvalError> {
         let mut skipped = false;
         let mut outcome = Ok(());
@@ -1621,6 +1701,58 @@ fn row_operand<'r>(operand: &'r Expr, fields: &'r [Value], steps: &mut u64) -> O
 enum ChainBase {
     Bag(Bag),
     Pairs(Bag, Bag),
+}
+
+/// Where the rows of a bag base that survive the chain go.
+enum Sink<'r> {
+    /// The per-row loop: each row's final value, pushed into a builder.
+    Rows(BagBuilder),
+    /// `key-hash`: each row's multiplicity, summed per distinct value of
+    /// the chain's final projection ([`key_hash_projection`]).
+    Groups(KeyGroups<'r, Natural>),
+}
+
+impl Sink<'_> {
+    fn build(self) -> Bag {
+        match self {
+            Sink::Rows(out) => out.build(),
+            Sink::Groups(groups) => {
+                let indices = groups.key();
+                Bag::from_sorted_vec(
+                    groups
+                        .into_sorted()
+                        .into_iter()
+                        .map(|(fields, sum)| {
+                            let tuple: Arc<[Value]> =
+                                key_fields(indices, fields).cloned().collect();
+                            (Value::Tuple(tuple), sum)
+                        })
+                        .collect(),
+                )
+            }
+        }
+    }
+}
+
+/// The indices of a chain the grouping sink runs (`key-hash`): in-place
+/// `σ` stages, then a `π` not led by `α₁`. Its output is a projection of
+/// borrowed rows, so the sink sums their multiplicities per distinct key
+/// and allocates one tuple per key instead of one per row. An `α₁`-led
+/// projection of the sorted slice comes out nearly sorted, which the
+/// builder appends for less than a hash costs, so it keeps the per-row
+/// loop.
+fn key_hash_projection<'s>(stages: &'s [Stage<'_>]) -> Option<&'s [usize]> {
+    match stages.split_last()? {
+        (Stage::Project { indices }, filters)
+            if indices.first() != Some(&1)
+                && filters
+                    .iter()
+                    .all(|stage| matches!(stage, Stage::Filter { in_place: true, .. })) =>
+        {
+            Some(indices)
+        }
+        _ => None,
+    }
 }
 
 /// `true` for subexpressions whose once-only evaluation is worth a memo

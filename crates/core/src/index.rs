@@ -46,13 +46,20 @@ use crate::natural::Natural;
 use crate::value::Value;
 use crate::zbag::ZBag;
 
-/// A word-at-a-time multiply-xor hasher for [`Value`] keys. The default
-/// SipHash costs more than the probes it guards on the small tuple keys
-/// these indexes carry; the index maps are not exposed to untrusted key
-/// sets (keys come from the database's own rows), so HashDoS hardening
-/// buys nothing here. Integer writes mix one word each instead of
-/// looping over bytes — `Value`'s derived `Hash` is almost entirely
-/// discriminants and `i64`s.
+/// A word-at-a-time multiply-xor hasher for [`Value`] keys, used by the
+/// join indexes and by `bag::KeyGroups`. The default SipHash
+/// costs more than the probes it guards on the small tuple keys these
+/// maps carry. Integer writes mix one word each instead of looping over
+/// bytes — `Value`'s derived `Hash` is almost entirely discriminants and
+/// `i64`s.
+///
+/// The trade: the hash is unkeyed, and its keys are not trusted. Index
+/// keys and grouping keys are fields of rows that clients `INSERT`, so a
+/// client that knows this function can craft a key set whose hashes
+/// collide and push an index build or a grouping to quadratic time. That
+/// is the whole exposure: equal hashes only cost comparisons, so a crafted
+/// key set cannot change a result, and cannot abort the process. A keyed
+/// hash, or a cap on probe lengths, would close it; neither is done yet.
 pub struct ValueHasher(u64);
 
 impl ValueHasher {

@@ -1,10 +1,10 @@
 //! One strategy per evaluator fast path for `fast_path_differential`:
 //! each draws a query and its database in the shape that path needs, with
 //! its near misses — [`in_place_shape`], [`seek_shape`],
-//! [`key_run_shape`], [`join_shape`], [`project_scale_shape`],
-//! [`ifp_shape`] and [`ifp_near_miss_shape`] — plus [`subbag_shape`] for
-//! the `⊑` filter, and the named shapes build their fixed cases from the
-//! same query builders.
+//! [`key_run_shape`], [`key_hash_shape`], [`join_shape`],
+//! [`project_scale_shape`], [`ifp_shape`] and [`ifp_near_miss_shape`] —
+//! plus [`subbag_shape`] for the `⊑` filter, and the named shapes build
+//! their fixed cases from the same query builders.
 
 use balg_core::bag::Bag;
 use balg_core::derived::int_value;
@@ -323,12 +323,7 @@ pub fn seek_shape() -> BoxedStrategy<(Expr, Database)> {
 
 /// `π_I(G)`, under `ε` when `dedup`.
 pub fn key_run_query(indices: &[usize], dedup: bool) -> Expr {
-    let q = Expr::var("G").project(indices);
-    if dedup {
-        q.dedup()
-    } else {
-        q
-    }
+    key_hash_query(&[], indices, dedup)
 }
 
 /// The key runs: a projection over the seek's sorted slices (runs of
@@ -349,6 +344,61 @@ pub fn key_run_shape() -> BoxedStrategy<(Expr, Database)> {
     (sorted_rows(), indices, any::<bool>())
         .prop_map(|(g, indices, dedup)| {
             (key_run_query(&indices, dedup), Database::new().with("G", g))
+        })
+        .boxed()
+}
+
+/// `π_I` over `G` behind the in-place `σ` stages `filters` (innermost
+/// first), under `ε` when `dedup`.
+pub fn key_hash_query(filters: &[Pred], indices: &[usize], dedup: bool) -> Expr {
+    let q = filters
+        .iter()
+        .fold(Expr::var("G"), |input, p| input.select("x", p.clone()))
+        .project(indices);
+    if dedup {
+        q.dedup()
+    } else {
+        q
+    }
+}
+
+/// The grouping sink: a projection not led by `α₁` — permuted,
+/// duplicated, onto a column short rows lack, or out of range (`α₀`,
+/// `α₄`) — now and then an `α₁`-led near miss, over the seek's sorted
+/// slices (strays and short rows at the ends): straight on the bag, behind
+/// an in-place `σ` on `α₂`/`α₃` (a scan), behind a seeking `σ` on `α₁`, or
+/// behind both; alone or under `ε`.
+pub fn key_hash_shape() -> BoxedStrategy<(Expr, Database)> {
+    let indices = prop_oneof![
+        Just(vec![2]),
+        Just(vec![3]),
+        Just(vec![2, 1]),
+        Just(vec![3, 2]),
+        Just(vec![2, 2]),
+        Just(vec![3, 1, 3]),
+        Just(vec![0]),
+        Just(vec![4]),
+        Just(vec![2, 0]),
+        Just(vec![1, 3]),
+    ];
+    let scan = (0u8..3, 2usize..4, 0i64..3).prop_map(|(op, j, c)| compare(op, own(j), int(c)));
+    (
+        sorted_rows(),
+        indices,
+        0u8..4,
+        seek_predicate(),
+        scan,
+        any::<bool>(),
+    )
+        .prop_map(|(g, indices, base, seek, scan, dedup)| {
+            let filters = match base {
+                0 => vec![],
+                1 => vec![scan],
+                2 => vec![seek],
+                _ => vec![seek, scan],
+            };
+            let q = key_hash_query(&filters, &indices, dedup);
+            (q, Database::new().with("G", g))
         })
         .boxed()
 }

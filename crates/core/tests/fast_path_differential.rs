@@ -30,19 +30,19 @@
 //! shape the path needs with its near misses, each for 256 cases (512 for
 //! key runs, and for the `⊑` filter's two queries; the fixpoint's delta
 //! form and its near misses 256 each). The `σ`/`π` chain shapes (in-place
-//! `σ`, seek, key runs) are also held, on the reference, to `row_model`'s
-//! row-by-row model outside the engine: outcome and every [`Metrics`]
-//! field at every step budget and at the element budgets (outcome only
-//! where a predicate has a computed operand, which the chain hoists and
-//! the row-at-a-time model does not).
+//! `σ`, seek, key runs, key hash) are also held, on the reference, to
+//! `row_model`'s row-by-row model outside the engine: outcome and every
+//! [`Metrics`] field at every step budget and at the element budgets
+//! (outcome only where a predicate has a computed operand, which the
+//! chain hoists and the row-at-a-time model does not).
 //!
 //! The suite is a coverage ledger too: every query runs once more under
-//! the profiler on each setting. Each of the six tags `:profile` prints
-//! for a fast path must fire in at least 5 % of the cases drawn for that
-//! path, and none may fire on the reference, so a generator that drifts
-//! away from its path fails here. `nest`'s `key-runs` tag names
-//! [`Bag::nest`]'s own branch, which no switch reaches, and is not
-//! counted.
+//! the profiler on each setting, and every tag of every frame counts.
+//! Each of the seven tags `:profile` prints for a fast path must fire in
+//! at least 5 % of the cases drawn for that path, and none may fire on the
+//! reference, so a generator that drifts away from its path fails here.
+//! `nest`'s `key-runs`/`key-hash` tags name [`Bag::nest`]'s own branch,
+//! which no switch reaches, and are not counted.
 //!
 //! The vendored `proptest` does not shrink: a failing case prints the
 //! seed that replays it first (`PROPTEST_SEED`, `PROPTEST_CASES=1`).
@@ -67,11 +67,12 @@ use proptest::test_runner::TestRng;
 use row_model::Model;
 use shapes::*;
 
-/// The six fast-path tags, in the module doc's table order.
-const TAGS: [&str; 6] = [
+/// The seven fast-path tags, in the module doc's table order.
+const TAGS: [&str; 7] = [
     "in-place",
     "seek",
     "key-runs",
+    "key-hash",
     "indexed-join",
     "project-scale",
     "semi-naive",
@@ -141,7 +142,7 @@ fn tags(q: &Expr, db: &Database, reference: bool) -> Vec<&'static str> {
         .frames()
         .iter()
         .filter(|frame| !frame.label.starts_with("nest"))
-        .filter_map(|frame| frame.tag)
+        .flat_map(|frame| frame.tags.iter().copied())
         .filter(|tag| TAGS.contains(tag))
         .collect()
 }
@@ -334,7 +335,7 @@ fn check(family: &str, q: &Expr, db: &Database) -> Vec<&'static str> {
         u64::MAX
     };
     hold_to_reference(q, db, Contract::of(&fired), sweep_cap);
-    if matches!(family, "in-place" | "seek" | "key-runs") {
+    if matches!(family, "in-place" | "seek" | "key-runs" | "key-hash") {
         hold_reference_to_model(q, db);
     }
     fired
@@ -353,6 +354,7 @@ fn families() -> Vec<(&'static str, BoxedStrategy<(Expr, Database)>)> {
         ("seek", seek_shape()),
         ("key-runs", key_run_shape()),
         ("key-runs", key_run_shape()),
+        ("key-hash", key_hash_shape()),
         ("indexed-join", join_shape()),
         ("project-scale", project_scale_shape()),
         ("semi-naive", ifp_shape()),
@@ -483,13 +485,17 @@ fn named_seek_shapes() {
     }
     // The chain's frame keeps the tag when the last run is true and its
     // rows run a `MAP` body that notes a fast path of its own (the prefix
-    // `π` over `G` folds key runs).
+    // `π` over `G` folds key runs): every tag, in firing order.
     for p in [lead(15), Pred::le(int(12), own(1))] {
         let q = Expr::var("G").select("x", p).map(
             "y",
             Expr::tuple([Expr::var("y").attr(1), Expr::var("G").project(&[1])]),
         );
-        assert_eq!(tags(&q, &db, false), ["seek"], "{q}");
+        assert_eq!(
+            tags(&q, &db, false),
+            ["in-place", "key-runs", "seek"],
+            "{q}"
+        );
     }
     // A slice end that is not a tuple with an `α₁` declines the seek.
     for stray in [Value::int(7), Value::tuple([]), Value::bag([Value::int(1)])] {
@@ -544,6 +550,60 @@ fn named_key_run_shapes() {
             }
         }
     }
+}
+
+#[test]
+fn named_key_hash_shapes() {
+    let t = |fields: &[i64]| Value::tuple(fields.iter().copied().map(Value::int));
+    let g = Bag::from_counted([
+        (t(&[0, 2]), Natural::from(2u64)),
+        (t(&[0, 2, 1]), Natural::from(1u64)),
+        (t(&[1, 0]), Natural::from(3u64)),
+        (t(&[1, 2, 0]), Natural::from(1u64)),
+        (t(&[2, 0, 1]), Natural::from(1u64)),
+        (t(&[2, 2]), Natural::from(4u64)),
+    ]);
+    let mut polluted = g.clone();
+    polluted.insert(Value::int(7));
+    let seek = Pred::le(int(1), own(1));
+    let scan = Pred::lt(own(2), int(2));
+    // Every base and filter form around the sink's errors: a row too
+    // short for `α₃`, `α₀`, a stray atom, and no rows at all.
+    for bag in [g.clone(), polluted, Bag::new()] {
+        let db = Database::new().with("G", bag);
+        for indices in [&[2][..], &[2, 1], &[3, 2], &[2, 2], &[0]] {
+            for filters in [vec![], vec![scan.clone()], vec![seek.clone(), scan.clone()]] {
+                for dedup in [false, true] {
+                    check("key-hash", &key_hash_query(&filters, indices, dedup), &db);
+                }
+            }
+        }
+    }
+    // Absolute answers, so both sides cannot be wrong together, and the
+    // chain's frame carries every tag that fired, in firing order.
+    let db = Database::new().with("G", g);
+    let unlimited = |q: &Expr| run(q, &db, &Limits::default(), false).outcome.unwrap();
+    let q = key_hash_query(&[], &[2], false);
+    assert_eq!(
+        unlimited(&q),
+        Bag::from_counted([
+            (t(&[0]), Natural::from(4u64)),
+            (t(&[2]), Natural::from(8u64)),
+        ])
+    );
+    assert_eq!(tags(&q, &db, false), ["key-hash"]);
+    let q = key_hash_query(&[seek, scan], &[2, 1], false);
+    assert_eq!(
+        unlimited(&q),
+        Bag::from_counted([
+            (t(&[0, 1]), Natural::from(3u64)),
+            (t(&[0, 2]), Natural::from(1u64)),
+        ])
+    );
+    assert_eq!(tags(&q, &db, false), ["in-place", "key-hash", "seek"]);
+    // A projection led by `α₁` stays on the per-row loop.
+    let q = key_hash_query(&[], &[1, 3], false);
+    assert!(tags(&q, &db, false).is_empty());
 }
 
 /// The cache pays off across repeated joins against a stable operand: an
@@ -638,13 +698,14 @@ fn named_ifp_shapes() {
     }
     // One absolute answer, so both sides cannot be wrong together: the
     // closure of a 4-cycle is all 16 pairs, reached in four rounds, and
-    // the fixpoint's frame says it ran semi-naively.
+    // the fixpoint's frame says it ran semi-naively, after the join its
+    // body ran.
     let db = ifp_database(cycle.clone(), cycle);
     let closure = fixpoint(hop(t(), e(), 1, 4).dedup());
     let traced = run(&closure, &db, &Limits::default(), false);
     assert_eq!(traced.outcome.unwrap().distinct_count(), 16);
     assert_eq!(traced.rounds, 4);
-    assert_eq!(tags(&closure, &db, false).first(), Some(&"semi-naive"));
+    assert_eq!(tags(&closure, &db, false), ["indexed-join", "semi-naive"]);
     // And an error that surfaces in round 2 with the same payload on both:
     // the first round derives unary rows, the second asks them for `α₂`.
     let failing = fixpoint(t().project(&[2]).dedup());

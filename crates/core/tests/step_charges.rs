@@ -311,6 +311,76 @@ fn projection_onto_the_two_leading_attributes() {
     assert_eq!(out.distinct_count(), 60);
 }
 
+// ---- projections and nest on a key that is not a prefix ----
+//
+// The constants below were taken at commit `2dd5987` (the parent of the
+// grouping kernel), before any edit, when such a projection pushed one
+// tuple per row into a builder and `nest` stable-sorted every row by its
+// key. The grouping sink charges what that per-row loop charged.
+
+#[test]
+fn dedup_of_a_second_column_projection_behind_a_filter() {
+    let q = Expr::var("G")
+        .select("x", Pred::le(int(10), Expr::var("x").attr(2)))
+        .project(&[2])
+        .dedup();
+    let out = pinned(&q, &mixed_arity(), &Limits::default(), 324, 38).unwrap();
+    assert_eq!(out.distinct_count(), 38);
+}
+
+#[test]
+fn projection_onto_the_second_attribute() {
+    let q = Expr::var("G").project(&[2]);
+    let out = pinned(&q, &mixed_arity(), &Limits::default(), 70, 48).unwrap();
+    assert_eq!(out.distinct_count(), 48);
+    // Over budget: the row that opens the 21st group fails, as the
+    // builder's count did.
+    let limits = Limits {
+        max_bag_elements: 20,
+        ..Limits::default()
+    };
+    let err = pinned(&q, &mixed_arity(), &limits, 27, 0).unwrap_err();
+    assert_eq!(
+        err,
+        EvalError::ElementLimit {
+            observed: 21,
+            limit: 20
+        }
+    );
+}
+
+#[test]
+fn swapped_projection_behind_a_seek() {
+    let (_, db) = orders();
+    let q = Expr::var("orders")
+        .select("x", Pred::lt(id(), int(100)))
+        .project(&[3, 2]);
+    let out = pinned(&q, &db, &Limits::default(), 1_127, 32).unwrap();
+    assert_eq!(out.distinct_count(), 32);
+    let limits = Limits {
+        max_steps: 600,
+        ..Limits::default()
+    };
+    let err = pinned(&q, &db, &limits, 601, 0).unwrap_err();
+    assert_eq!(err, EvalError::StepLimit(600));
+}
+
+#[test]
+fn nest_on_an_attribute_short_rows_lack() {
+    let err = pinned(
+        &Expr::var("G").nest(&[3]),
+        &mixed_arity(),
+        &Limits::default(),
+        2,
+        0,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        EvalError::Bag(BagError::BadArity { index: 3, arity: 2 })
+    );
+}
+
 // ---- σ on the leading attribute, decided per run of the sorted slice ----
 //
 // The constants below were taken at commit `457755b` (the parent of the

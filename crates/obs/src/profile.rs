@@ -2,7 +2,7 @@
 //!
 //! The evaluator opens a [`SpanId`] per operator node, evaluates the
 //! node, and closes the span with the step charge, output cardinality,
-//! and an optional fast-path tag. [`Profiler::render`] then prints the
+//! and the fast-path tags that fired in it. [`Profiler::render`] then prints the
 //! frame tree with per-node wall time.
 //!
 //! By default time comes from a monotonic wall clock. When the
@@ -57,8 +57,9 @@ pub struct Frame {
     pub steps: u64,
     /// Distinct-element count of the frame's output bag, when bag-valued.
     pub rows: Option<u64>,
-    /// Fast-path tag (e.g. `indexed-join`), when one fired.
-    pub tag: Option<&'static str>,
+    /// Every fast-path tag that fired in the frame (e.g. `in-place`,
+    /// `key-hash`), each once, in firing order.
+    pub tags: Vec<&'static str>,
     /// Whether the frame ended in an evaluation error.
     pub error: bool,
 }
@@ -121,7 +122,7 @@ impl Profiler {
             elapsed_ns: 0,
             steps: 0,
             rows: None,
-            tag: None,
+            tags: Vec::new(),
             error: false,
         });
         let id = self.frames.len() - 1;
@@ -137,7 +138,7 @@ impl Profiler {
         id: SpanId,
         steps: u64,
         rows: Option<u64>,
-        tag: Option<&'static str>,
+        tags: Vec<&'static str>,
         error: bool,
     ) {
         if id.0 == DROPPED {
@@ -153,7 +154,7 @@ impl Profiler {
         frame.elapsed_ns = end.saturating_sub(frame.start_ns);
         frame.steps = steps;
         frame.rows = rows;
-        frame.tag = tag;
+        frame.tags = tags;
         frame.error = error;
     }
 
@@ -173,7 +174,7 @@ impl Profiler {
     }
 
     /// Render the frame tree, one line per frame, indented by depth:
-    /// `label [tag] — time, steps, rows`.
+    /// `label [tag, …] — time, steps, rows`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for frame in &self.frames {
@@ -181,8 +182,8 @@ impl Profiler {
                 out.push_str("  ");
             }
             out.push_str(&frame.label);
-            if let Some(tag) = frame.tag {
-                out.push_str(&format!(" [{tag}]"));
+            if !frame.tags.is_empty() {
+                out.push_str(&format!(" [{}]", frame.tags.join(", ")));
             }
             out.push_str(&format!(
                 " \u{2014} {}, {} steps",
@@ -226,15 +227,15 @@ mod tests {
         let mut p = ticks(1000);
         let root = p.start("union+");
         let left = p.start("base R");
-        p.finish(left, 1, Some(4), None, false);
+        p.finish(left, 1, Some(4), Vec::new(), false);
         let right = p.start("\u{3c0}\u{b7}\u{d7}");
-        p.finish(right, 30, Some(12), Some("indexed-join"), false);
-        p.finish(root, 42, Some(7), None, false);
+        p.finish(right, 30, Some(12), vec!["in-place", "key-hash"], false);
+        p.finish(root, 42, Some(7), Vec::new(), false);
         assert_eq!(
             p.render(),
             "union+ \u{2014} 5.000\u{b5}s, 42 steps, 7 rows\n  \
              base R \u{2014} 1.000\u{b5}s, 1 steps, 4 rows\n  \
-             \u{3c0}\u{b7}\u{d7} [indexed-join] \u{2014} 1.000\u{b5}s, 30 steps, 12 rows\n"
+             \u{3c0}\u{b7}\u{d7} [in-place, key-hash] \u{2014} 1.000\u{b5}s, 30 steps, 12 rows\n"
         );
         assert_eq!(p.total_ns(), 5000);
     }
@@ -246,9 +247,9 @@ mod tests {
         let a = p.start("a");
         let b = p.start("b");
         let c = p.start("c");
-        p.finish(c, 0, None, None, false);
-        p.finish(b, 0, None, None, false);
-        p.finish(a, 0, None, None, false);
+        p.finish(c, 0, None, Vec::new(), false);
+        p.finish(b, 0, None, Vec::new(), false);
+        p.finish(a, 0, None, Vec::new(), false);
         assert!(p.truncated());
         assert_eq!(p.frames().len(), 2);
         assert!(p.render().contains("truncated at 2 frames"));
@@ -260,7 +261,7 @@ mod tests {
         let a = p.start("a");
         let _b = p.start("b");
         // Finish the parent directly (error propagation path).
-        p.finish(a, 5, None, None, true);
+        p.finish(a, 5, None, Vec::new(), true);
         assert!(p.stack.is_empty());
         assert!(p.render().contains("error"));
     }

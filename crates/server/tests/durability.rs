@@ -107,11 +107,13 @@ fn durable_server_survives_restart() {
 
 #[test]
 fn full_writer_queue_rejects_with_busy_instead_of_blocking() {
-    // 600 seed rows make the cross-product view materialization a
-    // genuinely slow write, so the writer is provably mid-job while we
-    // probe the one-slot queue.
+    // 800 seed rows make the view below a genuinely slow write: its `<`
+    // is no equi-join, so 640 000 pairs are built and filtered, which
+    // takes a few hundred milliseconds in a release build and longer in a
+    // debug one — well past the sleeps below. `:seq` proves it: it counts
+    // published writes, and must not move while the probe is answered.
     let catalog = Catalog::new().with_table("t", &[("v", true)]);
-    let rows: Vec<Vec<SqlValue>> = (0..600i64).map(|v| vec![SqlValue::Int(v)]).collect();
+    let rows: Vec<Vec<SqlValue>> = (0..800i64).map(|v| vec![SqlValue::Int(v)]).collect();
     let db = database_from_rows(&catalog, &[("t", rows)]).unwrap();
     let config = ServerConfig {
         writer_queue: 1,
@@ -119,27 +121,40 @@ fn full_writer_queue_rejects_with_busy_instead_of_blocking() {
         ..ServerConfig::default()
     };
     let server = SqlServer::spawn("127.0.0.1:0", catalog, db, config).unwrap();
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+    let seq = |client: &mut Client| client.request(":seq").unwrap().text;
+    let before = seq(&mut client);
 
     // Occupy the writer with the slow CREATE VIEW from a side thread.
-    let addr = server.addr();
     let slow = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         client
-            .request("CREATE VIEW pairs AS SELECT a.v, b.v FROM t a, t b")
+            .request("CREATE VIEW below AS SELECT a.v FROM t a, t b WHERE a.v < b.v")
             .unwrap()
     });
-    std::thread::sleep(Duration::from_millis(100));
+    std::thread::sleep(Duration::from_millis(30));
     // Fill the single queue slot from another side thread…
     let queued = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         client.request("INSERT INTO t VALUES (1000)").unwrap()
     });
-    std::thread::sleep(Duration::from_millis(50));
+    std::thread::sleep(Duration::from_millis(20));
     // …so this write finds the queue full and is rejected immediately,
-    // well before the slow job completes.
-    let mut client = Client::connect(addr).unwrap();
+    // well before the slow job completes: nothing is published before the
+    // probe is sent, nor by the time its reply is in.
+    assert_eq!(
+        seq(&mut client),
+        before,
+        "the slow write ended before the probe"
+    );
     let started = std::time::Instant::now();
     let reply = client.request("INSERT INTO t VALUES (2000)").unwrap();
+    assert_eq!(
+        seq(&mut client),
+        before,
+        "the slow write ended during the probe"
+    );
     assert!(!reply.ok, "{}", reply.text);
     assert!(reply.text.contains("busy"), "{}", reply.text);
     assert!(reply.text.contains("retry"), "{}", reply.text);
