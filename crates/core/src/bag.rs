@@ -22,9 +22,11 @@
 //! * the merge operations (`∪⁺`, `−`, `∪`, `∩`) are one keywise walk over
 //!   both slices producing its output already sorted (§ *One keywise
 //!   merge* below);
-//! * `powerset`/`powerbag` subbags are bulk-built straight from the
-//!   enumeration (the source entries arrive in element order), skipping
-//!   the per-subbag tree construction that dominated those operators;
+//! * `powerset`/`powerbag` enumerate the subbags in bag order (a subbag
+//!   is its choices `(eᵢ, cᵢ)` in ascending `i`, and a preorder walk that
+//!   extends each choice list by ascending `i`, then `c`, emits a prefix
+//!   before its extensions), so every subbag slice and the output slice
+//!   are born sorted: no per-subbag tree, and no sort of the output;
 //! * equality, ordering, and hashing are slice operations, and the
 //!   lexicographic order over `(element, multiplicity)` pairs is exactly
 //!   the order the old map iteration induced, so the total [`Value`] order
@@ -84,6 +86,19 @@
 //! operands one representation, where `f(p, p)` is `2p`, 0 or `p`), and
 //! [`crate::par::merge`] runs the same kernel on each aligned cut.
 //! [`Bag::is_subbag_of`] walks its candidate with the same find step.
+//!
+//! The kernel reads its left operand borrowed, cloning each pair it
+//! keeps, or owned, moving it. [`Bag::merge_owned`] consumes both bags
+//! and hands the kernel an owned left side when `Arc::get_mut` says no
+//! other bag and no weak `Version` holds its slice — an intermediate
+//! result, or the fixpoint's accumulator. Since `f` is symmetric for
+//! `∪⁺`, `∪` and `∩`, those take whichever side is unshared as their left
+//! side; `∸` never swaps. An owned left side of `∸` whose right side holds
+//! under 1/16 of its keys is rewritten in place: the walk (over the right
+//! side, binary-searching the left) lowers each multiplicity where it
+//! sits, zeroes the keys it drops, and the slice is compacted once at the
+//! end. The evaluator's serial merges consume their operands; the
+//! partitioned merge and the reference read them borrowed.
 //!
 //! The slice sits behind an [`Arc`] (as a `Vec`, so a uniquely-owned bag
 //! can still be mutated in place) with copy-on-write mutation: cloning a
@@ -584,8 +599,38 @@ impl Bag {
     /// The keywise merge `B op B′`: `o` has multiplicity `f(p, q)` in the
     /// result (module doc, § *One keywise merge*).
     pub fn merge(&self, other: &Bag, op: MergeOp) -> Bag {
-        self.merge_short_cut(other, op)
-            .unwrap_or_else(|| Bag::from_sorted_vec(merge_slices(&self.elems, &other.elems, op)))
+        self.merge_short_cut(other, op).unwrap_or_else(|| {
+            Bag::from_sorted_vec(merge_slices(&self.elems[..], &other.elems, op))
+        })
+    }
+
+    /// [`Bag::merge`] consuming both operands: the kernel moves the pairs
+    /// of an operand whose slice nothing else holds — no other bag, and no
+    /// weak handle such as a patch's `Version` — instead of cloning them
+    /// (module doc, § *One keywise merge*). `∪⁺`, `∪` and `∩` take
+    /// whichever side is unshared, since `f` is symmetric; `∸` only ever
+    /// takes its left side, and rewrites it in place when the right side
+    /// holds under 1/16 of its keys. Equal to [`Bag::merge`] in every case.
+    pub fn merge_owned(mut self, mut other: Bag, op: MergeOp) -> Bag {
+        if let Some(out) = self.merge_short_cut(&other, op) {
+            return out;
+        }
+        let (mut left, right) = if op != MergeOp::Monus
+            && Arc::get_mut(&mut self.elems).is_none()
+            && Arc::get_mut(&mut other.elems).is_some()
+        {
+            (other, self)
+        } else {
+            (self, other)
+        };
+        let pairs = match Arc::get_mut(&mut left.elems).map(std::mem::take) {
+            None => merge_slices(&left.elems[..], &right.elems, op),
+            Some(pairs) if op == MergeOp::Monus && is_skewed(right.elems.len(), pairs.len()) => {
+                merge_slices(InPlace::new(pairs), &right.elems, op)
+            }
+            Some(pairs) => merge_slices(Moved(pairs.into_iter()), &right.elems, op),
+        };
+        Bag::from_sorted_vec(pairs)
     }
 
     /// The merges that need no walk, or `None`: an empty side leaves the
@@ -743,39 +788,7 @@ impl Bag {
     /// that count explodes, callers pass an element budget and receive
     /// [`BagError::TooLarge`] when the exact predicted count exceeds it.
     pub fn powerset(&self, max_elements: u64) -> Result<Bag, BagError> {
-        // Each subbag is bulk-built from the enumeration (the source
-        // entries arrive in element order, so the subbag slice is born
-        // sorted); the collected output is one sort away from the bag
-        // invariant — distinct subbags are enumerated exactly once, so no
-        // merge pass is needed. The capacity is clamped to the caller's
-        // budget, never trusted from a raw `to_u64` conversion.
-        let predicted = self.powerset_cardinality();
-        // One distinct element — the paper's integer encoding `⟦a^n⟧`:
-        // the n+1 subbags ⟦⟧, ⟦a⟧, …, ⟦a^n⟧ are emitted directly, already
-        // in ascending bag order (multiplicities compare last).
-        if self.elems.len() == 1 {
-            if predicted > Natural::from(max_elements) {
-                return Err(BagError::TooLarge {
-                    predicted,
-                    limit: max_elements,
-                });
-            }
-            let (value, mult) = &self.elems[0];
-            let n = mult.to_u64().expect("bounded by the element budget");
-            let mut pairs = Vec::with_capacity(n as usize + 1);
-            pairs.push((Value::Bag(Bag::new()), Natural::one()));
-            for k in 1..=n {
-                let sub = Bag::from_sorted_vec(vec![(value.clone(), Natural::from(k))]);
-                pairs.push((Value::Bag(sub), Natural::one()));
-            }
-            return Ok(Bag::from_sorted_vec(pairs));
-        }
-        let mut pairs = Vec::with_capacity(subbag_capacity(&predicted, max_elements));
-        self.for_each_subbag(predicted, max_elements, |entries, counts| {
-            pairs.push((Value::Bag(build_subbag(entries, counts)), Natural::one()));
-        })?;
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(Bag::from_sorted_vec(pairs))
+        self.subbags(max_elements, false)
     }
 
     /// The exact number of distinct subbags, `Π (mᵢ + 1)` — what
@@ -794,17 +807,7 @@ impl Bag {
     /// Output cardinality is `2^|B|` (`2ⁿ` for `n` copies of one constant)
     /// while the number of *distinct* elements stays `Π (mᵢ + 1)`.
     pub fn powerbag(&self, max_elements: u64) -> Result<Bag, BagError> {
-        let predicted = self.powerset_cardinality();
-        let mut pairs = Vec::with_capacity(subbag_capacity(&predicted, max_elements));
-        self.for_each_subbag(predicted, max_elements, |entries, counts| {
-            let mut weight = Natural::one();
-            for ((_, mult), &count) in entries.iter().zip(counts) {
-                weight *= &Natural::binomial(mult, count);
-            }
-            pairs.push((Value::Bag(build_subbag(entries, counts)), weight));
-        })?;
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(Bag::from_sorted_vec(pairs))
+        self.subbags(max_elements, true)
     }
 
     /// The exact total cardinality of `P_b(B)`, namely `2^|B|`.
@@ -1042,71 +1045,66 @@ impl Bag {
         Ok(Bag::from_sorted_vec(out))
     }
 
-    /// Shared subbag enumeration for `P` and `P_b`: calls `f` once per
-    /// distinct subbag with the source entries (in element order) and the
-    /// occurrence counts the subbag takes of each. Streaming — the
-    /// `Π(mᵢ+1)` choices are never buffered, so the only allocation is the
-    /// one `counts` odometer, sized exactly to the distinct-element count
-    /// (no cardinality-derived capacity guesses).
-    /// `predicted` is the caller-computed [`Bag::powerset_cardinality`]
-    /// (shared with the allocation hint so it is only computed once).
-    fn for_each_subbag(
-        &self,
-        predicted: Natural,
-        max_elements: u64,
-        mut f: impl FnMut(&[(&Value, &Natural)], &[u64]),
-    ) -> Result<(), BagError> {
-        debug_assert_eq!(predicted, self.powerset_cardinality());
+    /// Every distinct subbag, in bag order, for `P` and `P_b`: with
+    /// `weighed`, each occurs `Π C(mᵢ, cᵢ)` times, else once. A subbag is
+    /// its choices `(eᵢ, cᵢ)`, `cᵢ ≥ 1`, in ascending `i`, and bags
+    /// compare lexicographically over such pairs, a prefix first. So a
+    /// preorder walk that emits each choice list before its extensions,
+    /// extending by ascending `i`, then ascending `c`, emits the subbags
+    /// in ascending order: every subbag slice, and the output slice, is
+    /// born sorted. `TooLarge` is decided from the exact predicted count
+    /// before anything is allocated.
+    fn subbags(&self, max_elements: u64, weighed: bool) -> Result<Bag, BagError> {
+        let predicted = self.powerset_cardinality();
         if predicted > Natural::from(max_elements) {
             return Err(BagError::TooLarge {
                 predicted,
                 limit: max_elements,
             });
         }
-        let entries: Vec<(&Value, &Natural)> = self.iter().collect();
-        // Since Π(mᵢ+1) ≤ max_elements (a u64), every mᵢ fits in u64.
-        let bounds: Vec<u64> = entries
-            .iter()
-            .map(|(_, m)| m.to_u64().expect("bounded by predicted cardinality"))
-            .collect();
-        let mut current = vec![0u64; bounds.len()];
-        loop {
-            f(&entries, &current);
-            // Odometer increment over 0..=bounds[i].
-            let mut pos = 0;
-            loop {
-                if pos == bounds.len() {
-                    return Ok(());
-                }
-                if current[pos] < bounds[pos] {
-                    current[pos] += 1;
-                    break;
-                }
-                current[pos] = 0;
-                pos += 1;
-            }
-        }
+        let predicted = predicted.to_u64().expect("bounded by the element budget");
+        let mut out = Vec::with_capacity(predicted as usize);
+        let mut choices = Vec::with_capacity(self.elems.len());
+        extend_subbags(
+            &self.elems,
+            &mut choices,
+            &Natural::one(),
+            weighed,
+            &mut out,
+        );
+        Ok(Bag::from_sorted_vec(out))
     }
 }
 
-/// Allocation hint for subbag enumeration: the predicted distinct count
-/// when it fits, clamped by the element budget (never trusted raw).
-fn subbag_capacity(predicted: &Natural, max_elements: u64) -> usize {
-    predicted.to_u64().map_or(0, |n| n.min(max_elements)) as usize
-}
-
-/// Materialize one subbag choice: `counts[i]` occurrences of the `i`-th
-/// source entry. The source entries arrive in element order, so the pair
-/// vector is born satisfying the bag invariant — no per-subbag tree or
-/// sort, just a filtered copy.
-fn build_subbag(entries: &[(&Value, &Natural)], counts: &[u64]) -> Bag {
-    let mut pairs = Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
-    for ((value, _), &count) in entries.iter().zip(counts) {
-        if count > 0 {
-            pairs.push(((*value).clone(), Natural::from(count)));
+/// Emit the subbag `choices`, weighed `weight`, then every extension of
+/// it by entries of `rest` in ascending order (preorder, [`Bag::subbags`]).
+/// The depth is at most the number of distinct elements, which is at most
+/// 64 since each one at least doubles the predicted count.
+fn extend_subbags(
+    rest: &[(Value, Natural)],
+    choices: &mut Vec<(Value, Natural)>,
+    weight: &Natural,
+    weighed: bool,
+    out: &mut Vec<(Value, Natural)>,
+) {
+    out.push((
+        Value::Bag(Bag::from_sorted_vec(choices.clone())),
+        weight.clone(),
+    ));
+    for (i, (value, mult)) in rest.iter().enumerate() {
+        // Since Π(mᵢ+1) fits the budget (a u64), every mᵢ fits in u64.
+        let m = mult.to_u64().expect("bounded by the element budget");
+        for count in 1..=m {
+            let weight = if weighed {
+                weight * &Natural::binomial(mult, count)
+            } else {
+                Natural::one()
+            };
+            choices.push((value.clone(), Natural::from(count)));
+            extend_subbags(&rest[i + 1..], choices, &weight, weighed, out);
+            choices.pop();
         }
     }
-    Bag::from_sorted_vec(pairs)
 }
 
 /// The multiplicity interface shared by the ℕ-valued [`Bag`] machinery and
@@ -1174,65 +1172,209 @@ impl MergeOp {
     }
 }
 
-/// The one keywise merge kernel: `op` over two sorted pair slices, the
-/// output sorted. It walks the side with fewer keys and finds each key in
-/// the rest of the other side — by a linear scan, or by binary search
-/// when that side holds more than 16× the keys — copying or skipping the
-/// run before it by that side's keep flag (module doc).
-pub(crate) fn merge_slices(
-    a: &[(Value, Natural)],
-    b: &[(Value, Natural)],
+/// The one keywise merge kernel: `op` over the sorted pairs of `a` and
+/// `b`, the output sorted. It walks the side with fewer keys and finds
+/// each key in the rest of the other side — by a linear scan, or by binary
+/// search when that side holds more than 16× the keys — keeping or
+/// skipping the run before it by that side's keep flag (module doc). The
+/// left operand is read borrowed, cloning what it keeps, or owned,
+/// moving it ([`Operand`]).
+pub(crate) fn merge_slices<A: Operand>(
+    mut a: A,
+    mut b: &[(Value, Natural)],
     op: MergeOp,
 ) -> Vec<(Value, Natural)> {
     let (keep_a, keep_b) = op.keeps();
-    let mut out = Vec::with_capacity(match (keep_a, keep_b) {
-        (true, true) => a.len() + b.len(),
-        (true, false) => a.len(),
-        _ => a.len().min(b.len()),
+    let (a_len, b_len) = (a.rest().len(), b.len());
+    let mut out = a.output(match (keep_a, keep_b) {
+        (true, true) => a_len + b_len,
+        (true, false) => a_len,
+        _ => a_len.min(b_len),
     });
-    // Walk the shorter side; `flip` when that is `b`, so `f` still sees
+    // Walk the shorter side; flipped when that is `b`, so `f` still sees
     // its arguments in operand order.
-    let flip = a.len() > b.len();
-    let (small, big) = if flip { (b, a) } else { (a, b) };
-    let (keep_small, keep_big) = if flip {
-        (keep_b, keep_a)
+    if a_len > b_len {
+        walk(
+            &mut b,
+            &mut a,
+            (keep_b, keep_a),
+            |p, q| op.combine(q, p),
+            &mut out,
+        );
     } else {
-        (keep_a, keep_b)
-    };
-    let skewed = is_skewed(small.len(), big.len());
-    let mut lo = 0;
-    for (value, m) in small {
-        let rest = &big[lo..];
-        let found = find_key(rest, value, skewed);
+        walk(
+            &mut a,
+            &mut b,
+            (keep_a, keep_b),
+            |p, q| op.combine(p, q),
+            &mut out,
+        );
+    }
+    a.finish(out)
+}
+
+/// The walk of [`merge_slices`] over `small`, finding each key in `big`;
+/// `f(p, q)` with `p` from `small`. A key both sides hold is taken from
+/// the owned side, if one is.
+fn walk<S: Operand, B: Operand>(
+    small: &mut S,
+    big: &mut B,
+    (keep_small, keep_big): (bool, bool),
+    f: impl Fn(&Natural, &Natural) -> Natural,
+    out: &mut Vec<(Value, Natural)>,
+) {
+    let skewed = is_skewed(small.rest().len(), big.rest().len());
+    while let Some((value, p)) = small.rest().first() {
+        let found = find_key(big.rest(), value, skewed);
         let (Ok(ix) | Err(ix)) = found;
-        if keep_big {
-            out.extend_from_slice(&rest[..ix]);
-        }
-        match found {
-            Ok(_) => {
-                let q = &rest[ix].1;
-                let combined = if flip {
-                    op.combine(q, m)
-                } else {
-                    op.combine(m, q)
-                };
-                if !combined.is_zero() {
-                    out.push((value.clone(), combined));
-                }
-                lo += ix + 1;
+        let combined = found.is_ok().then(|| f(p, &big.rest()[ix].1));
+        big.pass(ix, keep_big, out);
+        match combined {
+            Some(m) if m.is_zero() => {
+                small.pass(1, false, out);
+                big.pass(1, false, out);
             }
-            Err(_) => {
-                if keep_small {
-                    out.push((value.clone(), m.clone()));
-                }
-                lo += ix;
+            Some(m) if B::OWNED && !S::OWNED => {
+                small.pass(1, false, out);
+                big.keep_as(m, out);
             }
+            Some(m) => {
+                big.pass(1, false, out);
+                small.keep_as(m, out);
+            }
+            None => small.pass(1, keep_small, out),
         }
     }
-    if keep_big {
-        out.extend_from_slice(&big[lo..]);
+    let rest = big.rest().len();
+    big.pass(rest, keep_big, out);
+}
+
+/// One operand of the keywise merge, read front to back by
+/// [`merge_slices`]: a borrowed slice clones the pairs it keeps, an owned
+/// vector ([`Moved`]) moves them, and the left side of a skewed `∸`
+/// ([`InPlace`]) leaves them where they sit.
+pub(crate) trait Operand {
+    /// Whether the pairs are owned, so a key both sides hold is taken from
+    /// this side rather than cloned from the other.
+    const OWNED: bool;
+    /// The pairs not read yet.
+    fn rest(&self) -> &[(Value, Natural)];
+    /// Read the next `n` pairs, keeping them in the result or not.
+    fn pass(&mut self, n: usize, keep: bool, out: &mut Vec<(Value, Natural)>);
+    /// Read the next pair, keeping its key with multiplicity `mult`.
+    fn keep_as(&mut self, mult: Natural, out: &mut Vec<(Value, Natural)>);
+    /// The buffer the walk writes kept pairs to.
+    fn output(&self, capacity: usize) -> Vec<(Value, Natural)> {
+        Vec::with_capacity(capacity)
     }
-    out
+    /// The merged pairs, once both sides are read.
+    fn finish(self, out: Vec<(Value, Natural)>) -> Vec<(Value, Natural)>
+    where
+        Self: Sized,
+    {
+        out
+    }
+}
+
+impl Operand for &[(Value, Natural)] {
+    const OWNED: bool = false;
+
+    fn rest(&self) -> &[(Value, Natural)] {
+        self
+    }
+
+    fn pass(&mut self, n: usize, keep: bool, out: &mut Vec<(Value, Natural)>) {
+        if keep {
+            out.extend_from_slice(&self[..n]);
+        }
+        *self = &self[n..];
+    }
+
+    fn keep_as(&mut self, mult: Natural, out: &mut Vec<(Value, Natural)>) {
+        out.push((self[0].0.clone(), mult));
+        *self = &self[1..];
+    }
+}
+
+/// An owned operand whose kept pairs move into the result.
+struct Moved(std::vec::IntoIter<(Value, Natural)>);
+
+impl Operand for Moved {
+    const OWNED: bool = true;
+
+    fn rest(&self) -> &[(Value, Natural)] {
+        self.0.as_slice()
+    }
+
+    fn pass(&mut self, n: usize, keep: bool, out: &mut Vec<(Value, Natural)>) {
+        let run = self.0.by_ref().take(n);
+        if keep {
+            out.extend(run);
+        } else {
+            run.for_each(drop);
+        }
+    }
+
+    fn keep_as(&mut self, mult: Natural, out: &mut Vec<(Value, Natural)>) {
+        let (value, _) = self.0.next().expect("a pair is left");
+        out.push((value, mult));
+    }
+}
+
+/// An owned left operand of `∸` rewritten in place: a kept pair stays
+/// where it sits, a dropped one is zeroed, and the zeroed pairs are
+/// compacted away once, at the end. Sound only when the other side keeps
+/// nothing of its own, and worth it when that side is small: `∸` drops at
+/// most one key per right-side key, so the buffer stays mostly full.
+struct InPlace {
+    pairs: Vec<(Value, Natural)>,
+    read: usize,
+    dropped: bool,
+}
+
+impl InPlace {
+    fn new(pairs: Vec<(Value, Natural)>) -> InPlace {
+        InPlace {
+            pairs,
+            read: 0,
+            dropped: false,
+        }
+    }
+}
+
+impl Operand for InPlace {
+    const OWNED: bool = true;
+
+    fn rest(&self) -> &[(Value, Natural)] {
+        &self.pairs[self.read..]
+    }
+
+    fn pass(&mut self, n: usize, keep: bool, _: &mut Vec<(Value, Natural)>) {
+        if !keep {
+            for (_, mult) in &mut self.pairs[self.read..self.read + n] {
+                *mult = Natural::zero();
+            }
+            self.dropped |= n > 0;
+        }
+        self.read += n;
+    }
+
+    fn keep_as(&mut self, mult: Natural, _: &mut Vec<(Value, Natural)>) {
+        self.pairs[self.read].1 = mult;
+        self.read += 1;
+    }
+
+    fn output(&self, _: usize) -> Vec<(Value, Natural)> {
+        Vec::new()
+    }
+
+    fn finish(mut self, out: Vec<(Value, Natural)>) -> Vec<(Value, Natural)> {
+        debug_assert!(out.is_empty(), "an in-place merge keeps only its own pairs");
+        if self.dropped {
+            self.pairs.retain(|(_, mult)| !mult.is_zero());
+        }
+        self.pairs
+    }
 }
 
 /// Whether a walk over `small` keys finds them in `big` keys by binary
@@ -1519,26 +1661,6 @@ impl BagBuilder {
 impl FromIterator<Value> for Bag {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
         Bag::from_values(iter)
-    }
-}
-
-#[cfg(feature = "serde")]
-mod serde_impls {
-    //! The pair slice serializes as a sequence of `(value, multiplicity)`
-    //! pairs; deserialization rebuilds through [`Bag::from_counted`], so
-    //! foreign input cannot violate the sorted-slice invariant.
-    use super::*;
-
-    impl serde::Serialize for Bag {
-        fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            serializer.collect_seq(self.elems.iter())
-        }
-    }
-
-    impl<'de> serde::Deserialize<'de> for Bag {
-        fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Bag, D::Error> {
-            Vec::<(Value, Natural)>::deserialize(deserializer).map(Bag::from_counted)
-        }
     }
 }
 

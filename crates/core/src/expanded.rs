@@ -8,11 +8,9 @@
 //! a sorted vector of occurrences — with independent, deliberately naive
 //! implementations of the duplicate-sensitive operators.
 //!
-//! Its purpose is twofold:
-//! * **differential testing**: every counted [`Bag`] operation is checked
-//!   against this oracle on random inputs (see `tests/differential.rs`);
-//! * **ablation**: the `micro_counted_vs_expanded` bench quantifies what
-//!   the counted representation buys.
+//! Its purpose is differential testing: every counted [`Bag`] operation
+//! is checked against this oracle on random inputs (see
+//! `tests/differential.rs`).
 //!
 //! Multiplicities beyond `u32::MAX` cannot be materialized; constructors
 //! return `None` for such bags (the counted form is the only lossless

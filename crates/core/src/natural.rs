@@ -29,11 +29,9 @@ use std::str::FromStr;
 /// number has exactly one encoding — so the derived `PartialEq`/`Hash`
 /// agree with numeric equality.
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Natural(Repr);
 
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Repr {
     /// The value itself, for everything that fits a machine word.
     Small(u64),

@@ -16,7 +16,6 @@ use std::fmt;
 /// type checker only produces `Unknown` under a `Bag` node of an empty bag
 /// literal.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Type {
     /// The atomic type `U` (an infinite domain of constants).
     Atom,

@@ -21,7 +21,6 @@ use crate::types::Type;
 /// strings, giving the total order on the domain that Section 4's
 /// parity-with-order expression and Section 5's encodings assume.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Atom {
     /// An integer constant.
     Int(i64),
@@ -69,7 +68,6 @@ impl fmt::Display for Atom {
 // consistent with it.
 #[allow(clippy::derived_hash_with_manual_eq)]
 #[derive(Clone, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// An atomic constant.
     Atom(Atom),

@@ -12,12 +12,15 @@
 //! first error is the first bad row in slice order, with the variant and
 //! fields the row-by-row operators raised.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use balg_core::bag::{Bag, BagBuilder, BagError, MergeOp};
 use balg_core::expanded::ExpandedBag;
 use balg_core::natural::Natural;
 use balg_core::value::Value;
+use balg_core::zbag::{Spare, ZBag, ZInt};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -94,6 +97,28 @@ fn bag_matches_model(bag: &Bag, model: &Model) -> bool {
             .all(|((bv, bm), (mv, mm))| bv == mv && bm == mm)
 }
 
+const MERGE_OPS: [MergeOp; 4] = [MergeOp::Add, MergeOp::Monus, MergeOp::Max, MergeOp::Min];
+
+/// `x op y` on the map model: `f(p, q)` at every key either side holds,
+/// zeros dropped.
+fn merge_model(x: &Model, y: &Model, op: MergeOp) -> Model {
+    let get = |m: &Model, k: &Value| m.get(k).cloned().unwrap_or_default();
+    let mut out = Model::new();
+    for key in x.keys().chain(y.keys()) {
+        let (p, q) = (get(x, key), get(y, key));
+        let value = match op {
+            MergeOp::Add => &p + &q,
+            MergeOp::Monus => p.monus(&q),
+            MergeOp::Max => p.max(q),
+            MergeOp::Min => p.min(q),
+        };
+        if !value.is_zero() {
+            out.insert(key.clone(), value);
+        }
+    }
+    out
+}
+
 /// The representation invariant the sorted slice must uphold — the same
 /// check [`Bag::debug_validate`] runs at every builder exit.
 fn assert_invariant(bag: &Bag) {
@@ -154,41 +179,14 @@ proptest! {
             (Bag::from_counted(sb.clone()), model_from(&sb))
         };
 
-        let keys: Vec<&Value> = ma.keys().chain(mb.keys()).collect();
-        let get = |m: &Model, k: &Value| m.get(k).cloned().unwrap_or_default();
-
-        let mut add = Model::new();
-        let mut sub = Model::new();
-        let mut max = Model::new();
-        let mut min = Model::new();
-        for key in keys {
-            let (x, y) = (get(&ma, key), get(&mb, key));
-            let mut sum = x.clone();
-            sum += &y;
-            for (model, value) in [
-                (&mut add, sum),
-                (&mut sub, x.monus(&y)),
-                (&mut max, x.clone().max(y.clone())),
-                (&mut min, x.min(y)),
-            ] {
-                if !value.is_zero() {
-                    model.insert(key.clone(), value);
-                }
-            }
-        }
-
-        for (op, model) in [
-            (MergeOp::Add, add),
-            (MergeOp::Monus, sub),
-            (MergeOp::Max, max),
-            (MergeOp::Min, min),
-        ] {
+        for op in MERGE_OPS {
             let bag = a.merge(&b, op);
             assert_invariant(&bag);
-            prop_assert!(bag_matches_model(&bag, &model), "{:?}", op);
+            prop_assert!(bag_matches_model(&bag, &merge_model(&ma, &mb, op)), "{:?}", op);
         }
 
         // Point lookups agree with the model everywhere on the domain.
+        let get = |m: &Model, k: &Value| m.get(k).cloned().unwrap_or_default();
         for k in -5i64..205 {
             let key = Value::int(k);
             prop_assert_eq!(a.multiplicity(&key), get(&ma, &key));
@@ -469,5 +467,195 @@ fn key_run_named_shapes() {
     for group in [vec![0], vec![9], vec![2, 1]] {
         assert_eq!(Bag::new().nest(&group), Ok(Bag::new()));
         assert_eq!(Bag::new().project(&group), Ok(Bag::new()));
+    }
+}
+
+// ----- owned merges and born-sorted subbags -----
+
+/// Counts the allocations made on the calling thread, so a merge can be
+/// held to the buffers it needs: one for its pairs and one for the bag
+/// around them.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// const-initialised thread-local without a destructor, so touching it
+// never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: forwarded with the caller's layout.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `f()` and the allocations it made on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// A nested element for key `k`: `[k, ⟦[k mod 3]^(1 + k mod 2)⟧]`, so
+/// equal keys give equal values and every clone shares a tuple and a bag.
+fn nested(k: i64) -> Value {
+    let inner = Bag::repeated(Value::tuple([Value::int(k % 3)]), 1 + (k % 2) as u64);
+    Value::tuple([Value::int(k), Value::Bag(inner)])
+}
+
+/// A fresh bag of nested elements: its own allocation, held by nobody.
+fn nested_bag(script: &Script) -> Bag {
+    Bag::from_counted(script.iter().map(|&(k, m)| (nested(k), nat(m))))
+}
+
+fn model_of(bag: &Bag) -> Model {
+    bag.iter().map(|(v, m)| (v.clone(), m.clone())).collect()
+}
+
+/// Who else holds each operand of an owned merge.
+#[derive(Clone, Copy, Debug)]
+enum Holders {
+    /// A clone of each side: the merge must read both borrowed.
+    Neither,
+    /// A clone of the right side only.
+    LeftUnshared,
+    /// A clone of the left side only.
+    RightUnshared,
+    /// Nobody.
+    Both,
+    /// The left side is a patch result its `Spare` names by a weak
+    /// `Version`, and a clone pins the bag it was patched from; the right
+    /// side is unshared.
+    VersionHeld,
+}
+
+/// `bag` with one more occurrence of its first key, patched while the
+/// caller pins `bag`: the patch copies it, keeps `bag` as the spare's
+/// buffer and names the copy in `spare` by a weak `Version`. So no other
+/// bag holds the copy, and it is still not unshared.
+fn version_held(bag: Bag, spare: &mut Spare) -> Bag {
+    let (key, _) = bag.iter().next().expect("a delta patches in place");
+    ZBag::singleton(key.clone(), ZInt::one())
+        .patch(bag, spare)
+        .expect("an insertion applies")
+}
+
+/// The enumeration `P` and `P_b` ran before subbags came out in bag
+/// order: an odometer over the counts `0..=mᵢ` with the first entry
+/// turning fastest, each subbag weighed `Π C(mᵢ, cᵢ)` for `P_b`, then one
+/// sort of everything it produced.
+fn odometer_subbags(bag: &Bag, weighed: bool) -> Bag {
+    let entries: Vec<(&Value, &Natural)> = bag.iter().collect();
+    let mut counts = vec![0u64; entries.len()];
+    let mut pairs = Vec::new();
+    loop {
+        let mut weight = Natural::one();
+        let mut sub = Vec::new();
+        for ((value, mult), &count) in entries.iter().zip(&counts) {
+            if weighed {
+                weight *= &Natural::binomial(mult, count);
+            }
+            if count > 0 {
+                sub.push(((*value).clone(), nat(count)));
+            }
+        }
+        pairs.push((Value::Bag(Bag::from_counted(sub)), weight));
+        let mut pos = 0;
+        loop {
+            if pos == counts.len() {
+                pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                return Bag::from_counted(pairs);
+            }
+            if nat(counts[pos]) < *entries[pos].1 {
+                counts[pos] += 1;
+                break;
+            }
+            counts[pos] = 0;
+            pos += 1;
+        }
+    }
+}
+
+proptest! {
+    /// `merge_owned` under every holder pattern equals `Bag::merge` and
+    /// the map model, for all four ops, on balanced operands and on
+    /// operands skewed past 16× in either order; every clone a holder
+    /// kept still has its content; and neither merge makes more than two
+    /// allocations — a pair buffer and its bag — so a shared operand is
+    /// read in place rather than copied first.
+    #[test]
+    fn owned_merges_agree_with_map_model(operands in merge_operands()) {
+        let (ra, rb, _) = operands;
+        Bag::new(); // the shared empty bag, allocated once up front
+        for op in MERGE_OPS {
+            for holders in [
+                Holders::Neither,
+                Holders::LeftUnshared,
+                Holders::RightUnshared,
+                Holders::Both,
+                Holders::VersionHeld,
+            ] {
+                let (mut a, b) = (nested_bag(&ra), nested_bag(&rb));
+                let mut spare = Spare::default();
+                let mut held = Vec::new();
+                match holders {
+                    Holders::Neither => held.extend([a.clone(), b.clone()]),
+                    Holders::LeftUnshared => held.push(b.clone()),
+                    Holders::RightUnshared => held.push(a.clone()),
+                    Holders::Both => {}
+                    // A delta patches in place against eight keys per pair.
+                    Holders::VersionHeld if a.distinct_count() < 8 => continue,
+                    Holders::VersionHeld => {
+                        held.push(a.clone());
+                        a = version_held(a, &mut spare);
+                    }
+                }
+                let contents: Vec<Model> = held.iter().map(model_of).collect();
+                let model = merge_model(&model_of(&a), &model_of(&b), op);
+                let (borrowed, copies) = allocations(|| a.merge(&b, op));
+                prop_assert!(copies <= 2, "{:?} borrowed: {} allocations", op, copies);
+                let (owned, moves) = allocations(|| a.merge_owned(b, op));
+                prop_assert!(moves <= 2, "{:?} {:?}: {} allocations", op, holders, moves);
+                for bag in [&borrowed, &owned] {
+                    assert_invariant(bag);
+                    prop_assert!(bag_matches_model(bag, &model), "{:?} {:?}", op, holders);
+                }
+                for (bag, content) in held.iter().zip(&contents) {
+                    prop_assert!(bag_matches_model(bag, content), "{:?} {:?}: a holder's clone changed", op, holders);
+                }
+            }
+        }
+    }
+
+    /// `P` and `P_b` equal the odometer-and-sort construction on nested
+    /// elements with multiplicities up to 3, and fail with `TooLarge` at
+    /// exactly the predicted count.
+    #[test]
+    fn subbags_match_the_odometer_and_sort(raw in vec((0i64..8, 1u64..4), 0..6)) {
+        // One multiplicity per key, so each stays at most 3.
+        let raw: Script = raw.into_iter().collect::<BTreeMap<_, _>>().into_iter().collect();
+        let bag = nested_bag(&raw);
+        let predicted = bag.powerset_cardinality();
+        let limit = predicted.to_u64().unwrap();
+        let powerset = bag.powerset(limit).unwrap();
+        let powerbag = bag.powerbag(limit).unwrap();
+        assert_invariant(&powerset);
+        assert_invariant(&powerbag);
+        prop_assert_eq!(&powerset, &odometer_subbags(&bag, false));
+        prop_assert_eq!(&powerbag, &odometer_subbags(&bag, true));
+        let too_large = BagError::TooLarge { predicted, limit: limit - 1 };
+        prop_assert_eq!(bag.powerset(limit - 1), Err(too_large.clone()));
+        prop_assert_eq!(bag.powerbag(limit - 1), Err(too_large));
     }
 }

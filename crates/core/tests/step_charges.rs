@@ -526,3 +526,85 @@ fn subbag_reference_is_derived_only_when_a_row_flows() {
     let err = pinned(&q, &db, &Limits::default(), 7, 1).unwrap_err();
     assert_eq!(err, EvalError::Bag(BagError::NotABag(Value::sym("a"))));
 }
+
+// The constants below were taken at commit `5a9f782` (the parent of the
+// change that let a merge take over an operand nothing else holds and
+// enumerate subbags in bag order), before any edit. The merges charge no
+// steps of their own: what they may not move is the charge of the
+// operands they consume and of every node that reads their result.
+
+/// `A′ = σ_{α₁<α₂}(A)` (rows 6..47) and `B′ = σ_{α₁≤α₂}(B)` (rows 0..29):
+/// operands the evaluator computes, so no other handle holds them when a
+/// merge consumes them.
+fn computed_operands() -> (Database, Expr, Expr) {
+    let db = Database::new()
+        .with("A", keyed(48, 6))
+        .with("B", keyed(30, 6));
+    let row = || Expr::var("x");
+    let a = Expr::var("A").select("x", Pred::lt(row().attr(1), row().attr(2)));
+    let b = Expr::var("B").select("x", Pred::le(row().attr(1), row().attr(2)));
+    (db, a, b)
+}
+
+#[test]
+fn merges_over_computed_operands() {
+    let (db, a, b) = computed_operands();
+    // (A′ ∪⁺ B′) ∸ (A′ ∩ B′), the shape of `query_large`'s merge class.
+    let q = a
+        .clone()
+        .additive_union(b.clone())
+        .subtract(a.clone().intersect(b.clone()));
+    let out = pinned(&q, &db, &Limits::default(), 791, 48).unwrap();
+    // 42 + 30 rows, 24 in both.
+    assert_eq!(out.distinct_count(), 48);
+    // ∸ with a right side under 1/16 of the left that takes a row out,
+    // and ∪ over the result, which puts it back.
+    let one_row = Expr::var("B").select("x", Pred::eq(Expr::var("x").attr(2), int(7)));
+    let q = a
+        .additive_union(b.clone())
+        .subtract(one_row.clone().additive_union(one_row))
+        .max_union(b);
+    let out = pinned(&q, &db, &Limits::default(), 794, 48).unwrap();
+    assert_eq!(out.distinct_count(), 48);
+    let row_7 = Value::tuple([Value::int(1), Value::int(7)]);
+    // `[1, 7]` goes with ∸ (4 ∸ 4) and comes back from `B′` by ∪.
+    assert_eq!(out.multiplicity(&row_7), Natural::from(2u64));
+}
+
+#[test]
+fn powerset_and_powerbag_of_a_computed_bag() {
+    let db = subbag_db();
+    // M′ = σ_{λx. x < 5}(M): 5 distinct elements, 2·3·4·2·3 = 144 subbags.
+    let m = Expr::var("M").select("x", Pred::lt(Expr::var("x"), Expr::lit(Value::int(5))));
+    // σ_{λs. s ⊑ C}(P(M′)) reads every subbag in bag order.
+    let q = m
+        .clone()
+        .powerset()
+        .select("s", Pred::SubBag(Expr::var("s"), Expr::var("C")));
+    let out = pinned(&q, &db, &Limits::default(), 454, 144).unwrap();
+    assert_eq!(out.distinct_count(), 8); // the subbags of {0, 2, 4}
+    let out = pinned(
+        &m.clone().powerbag().dedup(),
+        &db,
+        &Limits::default(),
+        22,
+        144,
+    )
+    .unwrap();
+    assert_eq!(out.distinct_count(), 144);
+    // One subbag over the element budget fails before P builds any.
+    let limits = Limits {
+        max_bag_elements: 143,
+        ..Limits::default()
+    };
+    for q in [m.clone().powerset(), m.powerbag()] {
+        let err = pinned(&q, &db, &limits, 21, 5).unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::Bag(BagError::TooLarge {
+                predicted: Natural::from(144u64),
+                limit: 143
+            })
+        );
+    }
+}

@@ -59,7 +59,8 @@ pub enum Aggregate {
     CountDistinct(ColumnRef),
     /// `SUM(col)` — requires a numeric (bag-encoded) column.
     Sum(ColumnRef),
-    /// `AVG(col)` — requires a numeric column; integral result.
+    /// `AVG(col)` — requires a numeric column; an integral average, else
+    /// [`crate::compile::SqlError::NoAverage`].
     Avg(ColumnRef),
 }
 

@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use balg_core::bag::Bag;
-use balg_core::derived::{average, count, int_value};
+use balg_core::derived::{count, int_value, sum};
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
 use balg_core::rewrite::split_select_over_product;
@@ -26,7 +26,7 @@ use balg_core::value::Value;
 use crate::ast::{
     Aggregate, ColumnRef, CompareOp, Comparison, Operand, Projection, Query, SelectCore,
 };
-use crate::catalog::{decode_cell, Catalog, Cell, Column, SqlValue};
+use crate::catalog::{average_parts, decode_cell, Catalog, Cell, Column, SqlValue};
 use crate::parser::{parse, ParseError};
 
 /// A compile-time error.
@@ -335,10 +335,22 @@ fn compile_aggregate(
             if !scope.columns[idx].column.numeric {
                 return Err(CompileError::NonNumericAggregate(column.to_string()));
             }
+            // `values` is bound once, by a MAP over its singleton, and
+            // read twice.
             let values = input.map("ŝ", Expr::var("ŝ").attr(idx + 1));
-            Ok((scalar_row(average(values)), "avg".to_owned()))
+            let row = Expr::tuple([sum_and_count(Expr::var("â"))]);
+            Ok((values.singleton().map("â", row), "avg".to_owned()))
         }
     }
+}
+
+/// SQL `AVG` of the integer bags `values` as one cell `[SUM, COUNT]`,
+/// which [`decode_cell`] divides. Section 3's powerset guess
+/// (`derived::average`) is defined only for an integral average and costs
+/// O(Σ values); this costs O(rows), and an average with no integral value
+/// is [`SqlError::NoAverage`].
+fn sum_and_count(values: Expr) -> Expr {
+    Expr::tuple([sum(values.clone()), count(values)])
 }
 
 /// Compile `SELECT g₁, …, gₖ, AGG(col) FROM … GROUP BY …` via `nest`:
@@ -413,7 +425,10 @@ fn compile_grouped(
                 return Err(CompileError::NonNumericAggregate(reference.to_string()));
             }
             let j = residual_index(reference)?;
-            (average(inner().map("ŝ", Expr::var("ŝ").attr(j))), "avg")
+            (
+                sum_and_count(inner().map("ŝ", Expr::var("ŝ").attr(j))),
+                "avg",
+            )
         }
     };
     let mut fields: Vec<Expr> = key_positions
@@ -512,6 +527,15 @@ pub enum SqlError {
     Eval(EvalError),
     /// The result did not decode against the output shape.
     Decode(String),
+    /// An `AVG` with no integral value: over no rows (`count` 0), or with
+    /// a `sum` that `count` does not divide. The subset has neither NULL
+    /// nor decimals.
+    NoAverage {
+        /// The sum of the averaged values.
+        sum: u64,
+        /// The number of rows averaged.
+        count: u64,
+    },
     /// An update statement was rejected by the incremental view runtime.
     Update(balg_incremental::UpdateError),
     /// The durability layer failed (or a durable-only statement such as
@@ -529,6 +553,10 @@ impl fmt::Display for SqlError {
             }
             SqlError::Eval(e) => write!(f, "{e}"),
             SqlError::Decode(what) => write!(f, "decode failure: {what}"),
+            SqlError::NoAverage { count: 0, .. } => f.write_str("AVG over no rows"),
+            SqlError::NoAverage { sum, count } => {
+                write!(f, "AVG of {count} rows summing to {sum} is not an integer")
+            }
             SqlError::Update(e) => write!(f, "{e}"),
             SqlError::Durability(what) => write!(f, "durability error: {what}"),
         }
@@ -675,7 +703,12 @@ pub fn decode_result(bag: &Bag, output: impl Into<Arc<[Column]>>) -> Result<Quer
             .zip(output.iter())
             .find(|(value, column)| decode_cell(value, column.numeric).is_none())
         {
-            return Err(SqlError::Decode(value.to_string()));
+            return Err(match average_parts(value) {
+                Some((sum, count)) if count == 0 || sum % count != 0 => {
+                    SqlError::NoAverage { sum, count }
+                }
+                _ => SqlError::Decode(value.to_string()),
+            });
         }
         if mult.to_u64().is_none() {
             return Err(SqlError::Decode("multiplicity over u64".into()));
@@ -795,6 +828,34 @@ mod tests {
         assert_eq!(avg.scalar(), Some(3)); // (3+3+5+1)/4
     }
 
+    /// `AVG` over `values` in a one-column numeric table.
+    fn avg_of(values: &[i64]) -> Result<QueryResult, SqlError> {
+        let catalog = Catalog::new().with_table("t", &[("n", true)]);
+        let rows = values.iter().map(|&v| vec![SqlValue::Int(v)]).collect();
+        let db = database_from_rows(&catalog, &[("t", rows)]).unwrap();
+        run("SELECT AVG(n) FROM t", &catalog, &db)
+    }
+
+    #[test]
+    fn avg_is_an_integer_or_an_error() {
+        // 10/4 has no integral value: an error, never a silent 0.
+        let err = avg_of(&[1, 2, 3, 4]).unwrap_err();
+        assert!(
+            matches!(err, SqlError::NoAverage { sum: 10, count: 4 }),
+            "{err:?}"
+        );
+        let err = avg_of(&[]).unwrap_err();
+        assert!(
+            matches!(err, SqlError::NoAverage { sum: 0, count: 0 }),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "AVG over no rows");
+        // O(rows), not O(Σ values): the powerset guess predicted 2 000 001
+        // subbags here and failed with `TooLarge`.
+        let avg = avg_of(&[1_000_000, 1_000_000]).unwrap();
+        assert_eq!(avg.scalar(), Some(1_000_000));
+    }
+
     #[test]
     fn set_operations() {
         let (catalog, db) = setup();
@@ -873,6 +934,31 @@ mod tests {
         };
         assert_eq!(find("ann"), Some(SqlValue::Int(3)));
         assert_eq!(find("bob"), Some(SqlValue::Int(3)));
+
+        // A group whose average is not an integer fails the whole read.
+        let s = |x: &str| SqlValue::Str(x.into());
+        let db = database_from_rows(
+            &catalog,
+            &[(
+                "orders",
+                vec![
+                    vec![s("ann"), s("apple"), SqlValue::Int(1)],
+                    vec![s("ann"), s("pear"), SqlValue::Int(2)],
+                    vec![s("bob"), s("pear"), SqlValue::Int(4)],
+                ],
+            )],
+        )
+        .unwrap();
+        let err = run(
+            "SELECT customer, AVG(qty) FROM orders GROUP BY customer",
+            &catalog,
+            &db,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, SqlError::NoAverage { sum: 3, count: 2 }),
+            "{err:?}"
+        );
     }
 
     #[test]

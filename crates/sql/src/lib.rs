@@ -5,9 +5,10 @@
 //! conjunctive comparisons; UNION/EXCEPT/INTERSECT with and without ALL;
 //! scalar COUNT/SUM/AVG) and compiles it to BALG expressions evaluated by
 //! `balg-core`. Duplicates behave exactly as in SQL because the target
-//! algebra is a bag algebra; `DISTINCT` is the paper's `ε`; `SUM`/`AVG`
-//! are the Section 3 aggregate constructions over the integer-bag
-//! encoding.
+//! algebra is a bag algebra; `DISTINCT` is the paper's `ε`; `SUM` and
+//! `COUNT` are the Section 3 aggregate constructions over the integer-bag
+//! encoding, and `AVG` is their quotient, an error unless it is an
+//! integer.
 //!
 //! ```
 //! use balg_sql::prelude::*;
