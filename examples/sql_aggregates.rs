@@ -1,7 +1,7 @@
 //! SQL with honest bag semantics: duplicates flow through SELECT, and the
 //! aggregates are the paper's Section 3 algebra constructions — `COUNT`
-//! via the product-with-⟦[a]⟧ trick, `SUM` via `δ`, `AVG` via the
-//! powerset guess.
+//! via the product-with-⟦[a]⟧ trick, `SUM` via `δ`, and `AVG` as the
+//! two divided, an error when the quotient is not an integer.
 //!
 //! ```sh
 //! cargo run --example sql_aggregates
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "SELECT COUNT(*) FROM orders",
         "SELECT COUNT(DISTINCT customer) FROM orders",
         "SELECT SUM(qty) FROM orders",
-        "SELECT AVG(qty) FROM orders",
+        "SELECT AVG(qty) FROM orders WHERE customer = 'bob'",
         "SELECT o.item FROM orders o, vip v WHERE o.customer = v.customer",
         "SELECT customer FROM orders WHERE qty >= 3",
         "SELECT customer FROM orders EXCEPT ALL SELECT customer FROM vip",
@@ -68,5 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sum = run("SELECT SUM(qty) FROM orders", &catalog, &db)?;
     assert_eq!(sum.scalar(), Some(19));
     println!("SUM(qty) = 19: the duplicate row contributed — bag semantics, as in real SQL.");
+
+    // 19 over 5 rows has no integral average, and the subset has neither
+    // NULL nor decimals: the read fails rather than answer a wrong number.
+    match run("SELECT AVG(qty) FROM orders", &catalog, &db) {
+        Err(err @ SqlError::NoAverage { sum: 19, count: 5 }) => println!("AVG(qty): {err}."),
+        other => return Err(format!("unexpected AVG(qty): {other:?}").into()),
+    }
     Ok(())
 }
