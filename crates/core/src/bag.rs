@@ -88,17 +88,16 @@
 //! [`Bag::is_subbag_of`] walks its candidate with the same find step.
 //!
 //! The kernel reads its left operand borrowed, cloning each pair it
-//! keeps, or owned, moving it. [`Bag::merge_owned`] consumes both bags
-//! and hands the kernel an owned left side when `Arc::get_mut` says no
-//! other bag and no weak `Version` holds its slice — an intermediate
-//! result, or the fixpoint's accumulator. Since `f` is symmetric for
-//! `∪⁺`, `∪` and `∩`, those take whichever side is unshared as their left
-//! side; `∸` never swaps. An owned left side of `∸` whose right side holds
-//! under 1/16 of its keys is rewritten in place: the walk (over the right
-//! side, binary-searching the left) lowers each multiplicity where it
-//! sits, zeroes the keys it drops, and the slice is compacted once at the
-//! end. The evaluator's serial merges consume their operands; the
-//! partitioned merge and the reference read them borrowed.
+//! keeps, or owned, moving it. [`Bag::merge_owned`] consumes the left bag
+//! and hands the kernel its pairs when `Arc::get_mut` says no other bag
+//! and no weak `Version` holds its slice — an intermediate result, or the
+//! fixpoint's accumulator. An owned left side of `∸` whose right side
+//! holds under 1/16 of its keys is rewritten in place: the walk (over the
+//! right side, binary-searching the left) lowers each multiplicity where
+//! it sits, zeroes the keys it drops, and the slice is compacted once at
+//! the end, so the merge needs no second buffer. The evaluator's serial
+//! merges consume their left operand; the partitioned merge and the
+//! reference read it borrowed.
 //!
 //! The slice sits behind an [`Arc`] (as a `Vec`, so a uniquely-owned bag
 //! can still be mutated in place) with copy-on-write mutation: cloning a
@@ -604,31 +603,22 @@ impl Bag {
         })
     }
 
-    /// [`Bag::merge`] consuming both operands: the kernel moves the pairs
-    /// of an operand whose slice nothing else holds — no other bag, and no
-    /// weak handle such as a patch's `Version` — instead of cloning them
-    /// (module doc, § *One keywise merge*). `∪⁺`, `∪` and `∩` take
-    /// whichever side is unshared, since `f` is symmetric; `∸` only ever
-    /// takes its left side, and rewrites it in place when the right side
-    /// holds under 1/16 of its keys. Equal to [`Bag::merge`] in every case.
-    pub fn merge_owned(mut self, mut other: Bag, op: MergeOp) -> Bag {
-        if let Some(out) = self.merge_short_cut(&other, op) {
+    /// [`Bag::merge`] consuming the left operand: when nothing else holds
+    /// its slice — no other bag, and no weak handle such as a patch's
+    /// `Version` — the kernel moves its pairs instead of cloning them, and
+    /// `∸` against a right side under 1/16 of its keys rewrites it in
+    /// place (module doc, § *One keywise merge*). Equal to [`Bag::merge`]
+    /// in every case.
+    pub fn merge_owned(mut self, other: &Bag, op: MergeOp) -> Bag {
+        if let Some(out) = self.merge_short_cut(other, op) {
             return out;
         }
-        let (mut left, right) = if op != MergeOp::Monus
-            && Arc::get_mut(&mut self.elems).is_none()
-            && Arc::get_mut(&mut other.elems).is_some()
-        {
-            (other, self)
-        } else {
-            (self, other)
-        };
-        let pairs = match Arc::get_mut(&mut left.elems).map(std::mem::take) {
-            None => merge_slices(&left.elems[..], &right.elems, op),
-            Some(pairs) if op == MergeOp::Monus && is_skewed(right.elems.len(), pairs.len()) => {
-                merge_slices(InPlace::new(pairs), &right.elems, op)
+        let pairs = match Arc::get_mut(&mut self.elems).map(std::mem::take) {
+            None => merge_slices(&self.elems[..], &other.elems, op),
+            Some(pairs) if op == MergeOp::Monus && is_skewed(other.elems.len(), pairs.len()) => {
+                merge_slices(InPlace::new(pairs), &other.elems, op)
             }
-            Some(pairs) => merge_slices(Moved(pairs.into_iter()), &right.elems, op),
+            Some(pairs) => merge_slices(Moved(pairs.into_iter()), &other.elems, op),
         };
         Bag::from_sorted_vec(pairs)
     }

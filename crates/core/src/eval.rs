@@ -79,9 +79,9 @@
 //!   variant, with [`Metrics::steps`] no more than the reference's (so a
 //!   step budget fails later or not at all).
 //!
-//! The serial keywise merges consume their operands
-//! ([`Bag::merge_owned`]: an operand nothing else holds is moved, not
-//! cloned); that is not a tagged fast path, since it computes the one bag
+//! The serial keywise merges consume their left operand
+//! ([`Bag::merge_owned`]: a left operand nothing else holds is moved,
+//! not cloned); that is not a tagged fast path, since it computes the one bag
 //! the copying [`Bag::merge`] does and charges no step, but the reference
 //! copies all the same.
 //!
@@ -845,9 +845,9 @@ impl<'a> Evaluator<'a> {
             self.env.push((var.clone(), Value::Bag(bound)));
             let stepped = self.eval_inner(body);
             self.env.pop();
-            fresh = self.merge_bags(expect_bag(stepped?)?, current.clone(), MergeOp::Monus);
+            fresh = self.merge_bags(expect_bag(stepped?)?, &current, MergeOp::Monus);
             // With nothing fresh, the union is `current` itself.
-            current = self.merge_bags(current, fresh.clone(), MergeOp::Add);
+            current = self.merge_bags(current, &fresh, MergeOp::Add);
             self.observe(&current)?;
             if fresh.is_empty() {
                 return Ok(current);
@@ -1535,30 +1535,30 @@ impl<'a> Evaluator<'a> {
     fn eval_binary(&mut self, a: &Expr, b: &Expr, op: MergeOp) -> Result<Value, EvalError> {
         let left = expect_bag(self.eval_inner(a)?)?;
         let right = expect_bag(self.eval_inner(b)?)?;
-        let out = self.merge_bags(left, right, op);
+        let out = self.merge_bags(left, &right, op);
         self.observe(&out)?;
         Ok(Value::Bag(out))
     }
 
-    /// Run one of the four keywise merges on operands the caller gives up:
-    /// partitioned when the combined input is large enough, else through
-    /// [`Bag::merge_owned`], which moves the pairs of an operand nothing
-    /// else holds (an intermediate result, the fixpoint's accumulator)
-    /// instead of cloning them, and on the reference through
+    /// Run one of the four keywise merges on a left operand the caller
+    /// gives up: partitioned when the combined input is large enough, else through
+    /// [`Bag::merge_owned`], which moves the pairs of a left operand
+    /// nothing else holds (an intermediate result, the fixpoint's
+    /// accumulator) instead of cloning them, and on the reference through
     /// [`Bag::merge`], which clones. The partitioned merge clones too:
     /// every chunk reads both operands. The merges charge no per-element
     /// steps, so all three are identical in every observable (bag, error,
     /// metrics); the partitioned one is the only parallelism in the
     /// evaluator.
-    fn merge_bags(&self, left: Bag, right: Bag, op: MergeOp) -> Bag {
+    fn merge_bags(&self, left: Bag, right: &Bag, op: MergeOp) -> Bag {
         if self
             .par
             .wants(left.distinct_count() + right.distinct_count())
         {
-            return par::merge(&left, &right, op, self.par.chunks());
+            return par::merge(&left, right, op, self.par.chunks());
         }
         if self.reference {
-            return left.merge(&right, op);
+            return left.merge(right, op);
         }
         left.merge_owned(right, op)
     }

@@ -625,7 +625,7 @@ proptest! {
                 let model = merge_model(&model_of(&a), &model_of(&b), op);
                 let (borrowed, copies) = allocations(|| a.merge(&b, op));
                 prop_assert!(copies <= 2, "{:?} borrowed: {} allocations", op, copies);
-                let (owned, moves) = allocations(|| a.merge_owned(b, op));
+                let (owned, moves) = allocations(|| a.merge_owned(&b, op));
                 prop_assert!(moves <= 2, "{:?} {:?}: {} allocations", op, holders, moves);
                 for bag in [&borrowed, &owned] {
                     assert_invariant(bag);

@@ -60,7 +60,8 @@ pub enum Aggregate {
     /// `SUM(col)` — requires a numeric (bag-encoded) column.
     Sum(ColumnRef),
     /// `AVG(col)` — requires a numeric column; an integral average, else
-    /// [`crate::compile::SqlError::NoAverage`].
+    /// [`crate::compile::SqlError::NoAverage`]. Never compared across rows
+    /// ([`crate::compile::CompileError::AverageCompared`]).
     Avg(ColumnRef),
 }
 

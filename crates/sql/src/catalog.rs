@@ -5,8 +5,8 @@
 //! a bag of `v` unit tuples — so that `SUM` and `COUNT` compile to the
 //! Section 3 aggregate constructions (`δ`, a MAP onto one unit tuple)
 //! instead of needing native arithmetic. `AVG` compiles to the pair of
-//! the two, divided where the cell is decoded. Non-numeric columns hold
-//! atoms.
+//! the two, which `compile::decode_result` divides. Non-numeric columns
+//! hold atoms.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -190,16 +190,11 @@ impl Cell<'_> {
 }
 
 /// Decode a stored value in place: a numeric column holds `⟦[a]ⁿ⟧` with
-/// `n ≤ i64::MAX`, or, for SQL `AVG`, the pair `[SUM, COUNT]` of such
-/// bags, which decodes to their quotient when it is an integer; a plain
-/// column holds an atom.
+/// `n ≤ i64::MAX`, a plain one an atom.
 pub(crate) fn decode_cell(value: &Value, numeric: bool) -> Option<Cell<'_>> {
     if numeric {
-        let n = match average_parts(value) {
-            Some((sum, count)) => (count > 0 && sum % count == 0).then(|| sum / count)?,
-            None => decode_int(value)?.to_u64()?,
-        };
-        Some(Cell::Int(i64::try_from(n).ok()?))
+        let n = decode_int(value)?;
+        Some(Cell::Int(i64::try_from(n.to_u64()?).ok()?))
     } else {
         match value.as_atom()? {
             Atom::Int(v) => Some(Cell::Int(*v)),

@@ -15,7 +15,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use balg_core::bag::Bag;
+use balg_core::bag::{Bag, BagBuilder};
 use balg_core::derived::{count, int_value, sum};
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
@@ -58,6 +58,10 @@ pub enum CompileError {
     /// A table declaration under a name already taken by a table or a
     /// registered view.
     TableExists(String),
+    /// An `AVG` column where rows are compared: a set-operation branch, or
+    /// `DISTINCT` over groups the select list does not tell apart. An
+    /// `AVG` cell is its `[SUM, COUNT]`, and equal averages have many.
+    AverageCompared(String),
 }
 
 impl fmt::Display for CompileError {
@@ -85,6 +89,9 @@ impl fmt::Display for CompileError {
             }
             CompileError::TableExists(name) => {
                 write!(f, "name {name} is already a table or view")
+            }
+            CompileError::AverageCompared(what) => {
+                write!(f, "AVG cannot be compared across rows: {what}")
             }
         }
     }
@@ -179,6 +186,9 @@ fn compile_setop(
 ) -> Result<CompiledQuery, CompileError> {
     let left = compile_query(a, catalog)?;
     let right = compile_query(b, catalog)?;
+    if averages(a) || averages(b) {
+        return Err(CompileError::AverageCompared("in a set operation".into()));
+    }
     let shapes_match = left.output.len() == right.output.len()
         && left
             .output
@@ -193,6 +203,18 @@ fn compile_setop(
         // Column names follow SQL convention: the left branch's.
         output: left.output,
     })
+}
+
+/// Whether `query` is a SELECT whose aggregate is `AVG`.
+fn averages(query: &Query) -> bool {
+    matches!(
+        query,
+        Query::Select(core) if matches!(
+            core.projection,
+            Projection::Aggregate(Aggregate::Avg(_))
+                | Projection::GroupedAggregate(_, Aggregate::Avg(_))
+        )
+    )
 }
 
 /// The row variable of every compiled WHERE selection.
@@ -345,7 +367,7 @@ fn compile_aggregate(
 }
 
 /// SQL `AVG` of the integer bags `values` as one cell `[SUM, COUNT]`,
-/// which [`decode_cell`] divides. Section 3's powerset guess
+/// which [`decode_result`] divides. Section 3's powerset guess
 /// (`derived::average`) is defined only for an integral average and costs
 /// O(Σ values); this costs O(rows), and an average with no integral value
 /// is [`SqlError::NoAverage`].
@@ -389,6 +411,16 @@ fn compile_grouped(
         };
         key_positions.push(position + 1);
         output.push(scope.columns[idx - 1].column.clone());
+    }
+    // Two groups give rows with equal keys when the select list leaves a
+    // grouped column out; their `AVG` cells then differ as pairs.
+    if core.distinct
+        && matches!(aggregate, Aggregate::Avg(_))
+        && (1..=group_indices.len()).any(|p| !key_positions.contains(&p))
+    {
+        return Err(CompileError::AverageCompared(
+            "DISTINCT over groups the select list does not tell apart".into(),
+        ));
     }
     // The aggregated column must be a residual (non-group) column; its
     // index inside the nested tuples is its rank among residuals.
@@ -576,7 +608,8 @@ impl std::error::Error for SqlError {}
 /// The derived equality compares `(columns, bag)`. Over the same columns
 /// it is equality of the decoded rows: a bag is canonical (sorted, each
 /// distinct element once), and decoding a validated cell is injective
-/// per column kind — an atom maps to itself, `⟦[a]ⁿ⟧` to `n`.
+/// per column kind — an atom maps to itself, `⟦[a]ⁿ⟧` to `n`, and an
+/// `AVG` pair has already been replaced by its quotient.
 ///
 /// Both fields are private: the bag is only sound to render against the
 /// columns it was validated with.
@@ -681,12 +714,15 @@ pub(crate) fn compile_view(query: &Query, catalog: &Catalog) -> Result<CompiledQ
 /// [`QueryResult`]. One pass, no allocation on success: the first
 /// failure is, per row in bag order, a row that is not a tuple, the wrong
 /// arity, a cell that does not decode, then a multiplicity over `u64`.
+/// Only a bag with `AVG` cells is copied: rebuilt with each cell's
+/// quotient, so that rows with equal averages are one row.
 /// Public so external runtimes (the `balg-server` snapshot read path) can
 /// check pinned view bags exactly the way [`CompiledQuery::evaluate`]
 /// checks one-shot results. Pass the columns as the `Arc` their owner
 /// holds and the result shares them instead of copying.
 pub fn decode_result(bag: &Bag, output: impl Into<Arc<[Column]>>) -> Result<QueryResult, SqlError> {
     let output = output.into();
+    let mut averages = false;
     for (row, mult) in bag.iter() {
         let fields = row
             .as_tuple()
@@ -698,26 +734,55 @@ pub fn decode_result(bag: &Bag, output: impl Into<Arc<[Column]>>) -> Result<Quer
                 output.len()
             )));
         }
-        if let Some((value, _)) = fields
-            .iter()
-            .zip(output.iter())
-            .find(|(value, column)| decode_cell(value, column.numeric).is_none())
-        {
-            return Err(match average_parts(value) {
+        for (value, column) in fields.iter().zip(output.iter()) {
+            if decode_cell(value, column.numeric).is_some() {
+                continue;
+            }
+            // Else an `AVG` cell, whose quotient must decode.
+            match average_parts(value).filter(|_| column.numeric) {
                 Some((sum, count)) if count == 0 || sum % count != 0 => {
-                    SqlError::NoAverage { sum, count }
+                    return Err(SqlError::NoAverage { sum, count })
                 }
-                _ => SqlError::Decode(value.to_string()),
-            });
+                Some((sum, count)) if i64::try_from(sum / count).is_ok() => averages = true,
+                _ => return Err(SqlError::Decode(value.to_string())),
+            }
         }
         if mult.to_u64().is_none() {
             return Err(SqlError::Decode("multiplicity over u64".into()));
         }
     }
+    let bag = if averages {
+        let divided = divide_averages(bag);
+        if divided.iter().any(|(_, mult)| mult.to_u64().is_none()) {
+            return Err(SqlError::Decode("multiplicity over u64".into()));
+        }
+        divided
+    } else {
+        bag.clone()
+    };
     Ok(QueryResult {
         columns: output,
-        bag: bag.clone(),
+        bag,
     })
+}
+
+/// A validated result bag with each `AVG` cell `[SUM, COUNT]` replaced by
+/// its quotient `⟦[a]ⁿ⟧`, so that rows whose averages are equal are one
+/// row, with their multiplicities added. Only an `AVG` cell is a tuple.
+fn divide_averages(bag: &Bag) -> Bag {
+    let mut rows = BagBuilder::with_capacity(bag.distinct_count());
+    for (row, mult) in bag.iter() {
+        let cells = row
+            .as_tuple()
+            .expect(VALIDATED)
+            .iter()
+            .map(|cell| match average_parts(cell) {
+                Some((sum, count)) => int_value(sum / count),
+                None => cell.clone(),
+            });
+        rows.push(Value::Tuple(cells.collect()), mult.clone());
+    }
+    rows.build()
 }
 
 /// Build a database by loading rows into catalog tables.
@@ -959,6 +1024,57 @@ mod tests {
             matches!(err, SqlError::NoAverage { sum: 3, count: 2 }),
             "{err:?}"
         );
+    }
+
+    /// Equal averages have many `[SUM, COUNT]` cells, so an `AVG` branch of
+    /// a set operation, and `DISTINCT` over groups that share their
+    /// selected keys, are compile errors; such groups otherwise come out
+    /// as one row per average.
+    #[test]
+    fn averages_are_compared_by_value_or_not_at_all() {
+        let catalog = Catalog::new()
+            .with_table("a", &[("n", true)])
+            .with_table("b", &[("n", true)])
+            .with_table("t", &[("g", false), ("h", false), ("n", true)]);
+        let s = |x: &str| SqlValue::Str(x.into());
+        let i = SqlValue::Int;
+        let db = database_from_rows(
+            &catalog,
+            &[
+                ("a", vec![vec![i(2)]]),             // [2, 1]
+                ("b", vec![vec![i(1)], vec![i(3)]]), // [4, 2]
+                (
+                    "t",
+                    vec![
+                        vec![s("x"), s("p"), i(2)],
+                        vec![s("x"), s("q"), i(1)],
+                        vec![s("x"), s("q"), i(3)],
+                    ],
+                ),
+            ],
+        )
+        .unwrap();
+        for sql in [
+            "SELECT AVG(n) FROM a UNION SELECT AVG(n) FROM b",
+            "SELECT AVG(n) FROM a UNION ALL SELECT AVG(n) FROM b",
+            "SELECT AVG(n) FROM a INTERSECT SELECT SUM(n) FROM a",
+            "SELECT SUM(n) FROM a EXCEPT SELECT AVG(n) FROM b",
+            "SELECT n FROM a EXCEPT ALL SELECT AVG(n) FROM b",
+            "SELECT DISTINCT g, AVG(n) FROM t GROUP BY g, h",
+        ] {
+            let err = run(sql, &catalog, &db).unwrap_err();
+            assert!(
+                matches!(err, SqlError::Compile(CompileError::AverageCompared(_))),
+                "{sql}: {err:?}"
+            );
+        }
+        // Groups (x, p) and (x, q) average 2 as [2, 1] and as [4, 2].
+        let grouped = run("SELECT g, AVG(n) FROM t GROUP BY g, h", &catalog, &db).unwrap();
+        assert_eq!(grouped.rows(), vec![(vec![s("x"), i(2)], 2)]);
+        let keyed = "SELECT DISTINCT g, h, AVG(n) FROM t GROUP BY g, h";
+        assert_eq!(run(keyed, &catalog, &db).unwrap().total_rows(), 2);
+        let scalar = run("SELECT DISTINCT AVG(n) FROM b", &catalog, &db).unwrap();
+        assert_eq!(scalar.scalar(), Some(2));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! algebra is a bag algebra; `DISTINCT` is the paper's `ε`; `SUM` and
 //! `COUNT` are the Section 3 aggregate constructions over the integer-bag
 //! encoding, and `AVG` is their quotient, an error unless it is an
-//! integer.
+//! integer. An `AVG` column cannot feed a set operation, whose rows the
+//! algebra compares before the quotient is taken.
 //!
 //! ```
 //! use balg_sql::prelude::*;

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use balg_core::analyze;
 use balg_core::eval::Limits;
 use balg_core::expr::Expr;
+use balg_core::natural::Natural;
 use balg_core::types::Type;
 use balg_core::value::Value;
 use balg_incremental::{DurableError, Runtime, UpdateBatch, ViewRuntime};
@@ -229,12 +230,14 @@ pub fn parse_statement(input: &str) -> Result<Statement, ParseError> {
 pub enum Response {
     /// Decoded rows of a one-shot query.
     Rows(QueryResult),
-    /// A view was registered; its initial contents are included.
+    /// A view was registered. Its rows are read with
+    /// [`SqlRuntime::view_rows`], which reports a cell that does not
+    /// decode, such as an `AVG` with no integral value yet.
     ViewCreated {
         /// The view name.
         name: String,
-        /// The initial decoded contents.
-        rows: QueryResult,
+        /// The number of rows it holds, counting duplicates.
+        rows: Natural,
     },
     /// An update was applied and all dependent views maintained.
     Applied {
@@ -286,7 +289,7 @@ impl fmt::Display for Response {
                 out.flush()
             }
             Response::ViewCreated { name, rows } => {
-                write!(f, "view {name} created ({} rows)", rows.total_rows())
+                write!(f, "view {name} created ({rows} rows)")
             }
             Response::Applied {
                 table,
@@ -709,7 +712,8 @@ impl SqlRuntime {
 
     /// Register an analyzed/compiled view expression under `name` and
     /// persist its output shape — shared tail of both `CREATE VIEW`
-    /// forms.
+    /// forms. The view stands once it is saved, so its rows are counted,
+    /// not decoded: a decode error belongs to the reads.
     fn register_view(
         &mut self,
         name: String,
@@ -721,7 +725,11 @@ impl SqlRuntime {
             .set_meta(&format!("viewcols:{name}"), Some(&encode_columns(&output)))
             .map_err(durable_err)?;
         self.view_columns.insert(name.clone(), output);
-        let rows = self.view_rows(&name)?;
+        let runtime = self.backend.runtime();
+        let rows = runtime
+            .view(&name)
+            .ok_or_else(|| SqlError::Update(runtime.missing_view_error(&name)))?
+            .cardinality();
         Ok(Response::ViewCreated { name, rows })
     }
 
@@ -875,7 +883,7 @@ mod tests {
             panic!("expected ViewCreated");
         };
         assert_eq!(name, "spenders");
-        assert_eq!(rows.total_rows(), 2); // bob twice
+        assert_eq!(rows, Natural::from(2u64)); // bob twice
 
         rt.execute("INSERT INTO orders VALUES ('cleo', 9), ('ann', 1)")
             .unwrap();
@@ -902,6 +910,25 @@ mod tests {
         assert_eq!(rows.total_rows(), 1);
     }
 
+    /// A view whose `AVG` has no integral value yet is created and saved
+    /// all the same: the error belongs to its reads, which succeed once
+    /// the rows divide.
+    #[test]
+    fn average_view_is_created_before_it_divides() {
+        let mut rt = setup();
+        let create = "CREATE VIEW mean AS SELECT AVG(qty) FROM orders";
+        let response = rt.execute(create).unwrap();
+        assert_eq!(response.to_string(), "view mean created (1 rows)");
+        assert!(matches!(
+            rt.view_rows("mean"),
+            Err(SqlError::NoAverage { sum: 13, count: 3 })
+        ));
+        assert!(rt.view_names().any(|name| name == "mean"));
+        rt.execute("INSERT INTO orders VALUES ('cleo', 7)").unwrap();
+        assert_eq!(rt.view_rows("mean").unwrap().scalar(), Some(5)); // 20 / 4
+        assert!(rt.verify("mean").unwrap());
+    }
+
     #[test]
     fn aggregate_view_is_maintained_via_fallback() {
         let mut rt = setup();
@@ -926,7 +953,7 @@ mod tests {
             panic!("expected ViewCreated");
         };
         assert_eq!(name, "customers");
-        assert_eq!(rows.total_rows(), 2); // ann, bob (deduped)
+        assert_eq!(rows, Natural::from(2u64)); // ann, bob (deduped)
         assert_eq!(
             rt.view_output("customers").map(|columns| columns.len()),
             Some(1),
