@@ -14,12 +14,8 @@
 //!   runtime. `--slow-ms N` logs any statement served in ≥ N ms to
 //!   stderr.
 //! - `--connect ADDR` is a line client for a served instance.
-//! - `--threads N` pins the partition count for intra-query parallel
-//!   execution in every mode (REPL, served instance, and its readers).
-//!   `--threads 1` pins the serial paths. Every setting computes
-//!   identical results — only scheduling differs. Without the flag the
-//!   `BALG_THREADS` environment variable, then the detected core count,
-//!   decides.
+//!
+//! Every kernel is serial: no mode splits one query over threads.
 
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
@@ -35,29 +31,10 @@ fn main() -> ExitCode {
         .position(|a| a == "--data-dir")
         .and_then(|p| args.get(p + 1))
         .map(String::as_str);
-    let threads = match args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|p| args.get(p + 1))
-    {
-        None => None,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                eprintln!("--threads wants a positive partition count, got {raw:?}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    if let Some(n) = threads {
-        // Process-wide: every evaluator resolves its default chunk count
-        // from here (REPL lines, maintenance passes, served queries).
-        balg_core::pool::set_default_parallelism(n);
-    }
     if let Some(pos) = args.iter().position(|a| a == "--serve") {
         let Some(addr) = args.get(pos + 1) else {
             eprintln!(
-                "usage: balg-cli --serve ADDR [--tables name=col[:int],col;...] [--data-dir DIR] [--slow-ms N] [--threads N]"
+                "usage: balg-cli --serve ADDR [--tables name=col[:int],col;...] [--data-dir DIR] [--slow-ms N]"
             );
             return ExitCode::FAILURE;
         };
@@ -80,7 +57,7 @@ fn main() -> ExitCode {
                 }
             },
         };
-        return serve(addr, tables, data_dir, slow_ms, threads);
+        return serve(addr, tables, data_dir, slow_ms);
     }
     if let Some(pos) = args.iter().position(|a| a == "--connect") {
         let Some(addr) = args.get(pos + 1) else {
@@ -115,13 +92,7 @@ fn parse_tables(spec: &str) -> Result<balg_sql::Catalog, String> {
     Ok(catalog)
 }
 
-fn serve(
-    addr: &str,
-    tables: &str,
-    data_dir: Option<&str>,
-    slow_ms: Option<u64>,
-    threads: Option<usize>,
-) -> ExitCode {
+fn serve(addr: &str, tables: &str, data_dir: Option<&str>, slow_ms: Option<u64>) -> ExitCode {
     let catalog = match parse_tables(tables) {
         Ok(catalog) => catalog,
         Err(message) => {
@@ -133,7 +104,6 @@ fn serve(
     let config = balg_server::ServerConfig {
         data_dir: data_dir.map(std::path::PathBuf::from),
         slow_ms,
-        threads,
         ..balg_server::ServerConfig::default()
     };
     let server = match balg_server::SqlServer::spawn(addr, catalog, db, config) {

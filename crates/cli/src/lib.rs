@@ -163,7 +163,6 @@ impl Session {
             "analyze" => analyze_command(args, &self.schema()),
             "profile" => profile_command(args, &self.db, self.limits.clone()),
             "metrics" => metrics_command(),
-            "threads" => threads_command(args),
             other => Response::Text(format!("unknown command :{other} (:help)")),
         }
     }
@@ -214,33 +213,6 @@ fn profile_command(args: &str, db: &Database, limits: Limits) -> Response {
     }
 }
 
-/// The `:threads [N|off]` command, shared by both session kinds: report
-/// or set the process-wide partition count for intra-query parallel
-/// execution. Every setting computes identical results — only
-/// scheduling differs — so this is purely a performance knob.
-fn threads_command(args: &str) -> Response {
-    match args {
-        "" => Response::Text(format!(
-            "parallel partitions: {}",
-            balg_core::pool::default_parallelism()
-        )),
-        "off" => {
-            balg_core::pool::set_default_parallelism(1);
-            Response::Text("parallel execution off (serial paths pinned)".into())
-        }
-        raw => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                balg_core::pool::set_default_parallelism(n);
-                Response::Text(format!(
-                    "parallel partitions: {}",
-                    balg_core::pool::default_parallelism()
-                ))
-            }
-            _ => Response::Text(":threads wants a positive partition count or `off`".into()),
-        },
-    }
-}
-
 /// The `:metrics` command, shared by both session kinds: the
 /// process-global registry in Prometheus exposition format.
 fn metrics_command() -> Response {
@@ -282,8 +254,6 @@ commands:
   :profile expr       evaluate with per-operator timing: wall time, step
                       charge, cardinality, and fast-path tags per node
   :metrics            process metrics in Prometheus text format
-  :threads [N|off]    set/show the parallel partition count (same
-                      results at every setting — a performance knob)
   :optimize expr      print the rewritten expression
   :quit               leave
 anything else is parsed as a BALG expression and evaluated, e.g.
@@ -470,7 +440,6 @@ impl IncrementalSession {
                 self.backend.runtime().limits().clone(),
             ),
             "metrics" => metrics_command(),
-            "threads" => threads_command(args),
             "dropview" => match self.backend.drop_view(args) {
                 Ok(true) => Response::Text(format!("dropped view {args}")),
                 Ok(false) => Response::Text(format!("no view named {args}")),
@@ -525,8 +494,6 @@ incremental mode — standing views maintained by the ℤ-bag delta engine:
   :profile expr       evaluate one-shot with per-operator timing (reads
                       bases plus view results, like a plain line)
   :metrics            process metrics in Prometheus text format
-  :threads [N|off]    set/show the parallel partition count (same
-                      results at every setting — a performance knob)
   :dropview NAME      unregister a view
   :checkpoint         snapshot a durable session and truncate its WAL
   :quit               leave

@@ -83,8 +83,7 @@
 //! holds more than 16× the keys; then it is a binary search, so a small
 //! operand costs `O(s log b)` comparisons instead of `O(s + b)`.
 //! [`Bag::merge`] takes the short cuts first (an empty side, or both
-//! operands one representation, where `f(p, p)` is `2p`, 0 or `p`), and
-//! [`crate::par::merge`] runs the same kernel on each aligned cut.
+//! operands one representation, where `f(p, p)` is `2p`, 0 or `p`).
 //! [`Bag::is_subbag_of`] walks its candidate with the same find step.
 //!
 //! The kernel reads its left operand borrowed, cloning each pair it
@@ -95,9 +94,8 @@
 //! holds under 1/16 of its keys is rewritten in place: the walk (over the
 //! right side, binary-searching the left) lowers each multiplicity where
 //! it sits, zeroes the keys it drops, and the slice is compacted once at
-//! the end, so the merge needs no second buffer. The evaluator's serial
-//! merges consume their left operand; the partitioned merge and the
-//! reference read it borrowed.
+//! the end, so the merge needs no second buffer. The evaluator's merges
+//! consume their left operand; the reference reads it borrowed.
 //!
 //! The slice sits behind an [`Arc`] (as a `Vec`, so a uniquely-owned bag
 //! can still be mutated in place) with copy-on-write mutation: cloning a
@@ -428,8 +426,7 @@ impl Bag {
     }
 
     /// Read-only view of the sorted `(element, multiplicity)` pair slice
-    /// (strictly ascending keys, no zero multiplicities) — what
-    /// [`crate::par`]'s partitioned merges split at key boundaries and the
+    /// (strictly ascending keys, no zero multiplicities) — what the
     /// [`crate::join`] loops walk. Construction stays
     /// crate-private, so the invariant cannot be broken through this view.
     pub fn pairs(&self) -> &[(Value, Natural)] {
@@ -626,8 +623,8 @@ impl Bag {
     /// The merges that need no walk, or `None`: an empty side leaves the
     /// other side whole or nothing, by its keep flag, and a bag merged
     /// with its own representation has `f(p, p)` at every key — doubled,
-    /// emptied or shared. The partitioned merge takes the same short cuts.
-    pub(crate) fn merge_short_cut(&self, other: &Bag, op: MergeOp) -> Option<Bag> {
+    /// emptied or shared.
+    fn merge_short_cut(&self, other: &Bag, op: MergeOp) -> Option<Bag> {
         let (keep_left, keep_right) = op.keeps();
         if other.is_empty() {
             return Some(if keep_left { self.clone() } else { Bag::new() });
@@ -1169,7 +1166,7 @@ impl MergeOp {
 /// skipping the run before it by that side's keep flag (module doc). The
 /// left operand is read borrowed, cloning what it keeps, or owned,
 /// moving it ([`Operand`]).
-pub(crate) fn merge_slices<A: Operand>(
+fn merge_slices<A: Operand>(
     mut a: A,
     mut b: &[(Value, Natural)],
     op: MergeOp,

@@ -113,7 +113,6 @@ use crate::expr::{Expr, Pred, Var};
 use crate::index::{BagIndex, IndexCache};
 use crate::join;
 use crate::natural::Natural;
-use crate::par;
 use crate::schema::Database;
 use crate::value::Value;
 
@@ -337,12 +336,6 @@ pub struct Evaluator<'a> {
     reference: bool,
     /// Fused equi-joins answered by an index probe so far.
     indexed_joins: u64,
-    /// Partitioned-execution settings for the four keywise merges
-    /// ([`crate::par`]; every other operator is serial). Partition counts
-    /// are a pure function of `par.chunks()`, never of hardware, so every
-    /// setting computes the same bags, errors, and step charges; the
-    /// parallel↔serial differential suites flip this to prove it.
-    par: par::Parallel,
     /// Per-operator span recording for `:profile`; `None` (the default)
     /// costs one branch per closed node. Frames are only opened for
     /// env-empty (top-level plan) nodes, so λ-body and IFP-body
@@ -407,7 +400,6 @@ impl<'a> Evaluator<'a> {
             indexes: Indexes::Own(IndexCache::new()),
             reference: false,
             indexed_joins: 0,
-            par: par::Parallel::from_global(),
             profiler: None,
             fast_path: Vec::new(),
         }
@@ -458,29 +450,10 @@ impl<'a> Evaluator<'a> {
         self.indexed_joins
     }
 
-    /// Pin the partition count of the keywise merges, clamped to
-    /// `1..=`[`crate::pool::MAX_PARALLELISM`] (`1` pins them to the serial
-    /// path; a fresh evaluator adopts the process-wide default
-    /// [`crate::pool::default_parallelism`]). Every setting computes the
-    /// same bags, errors, and step charges — only scheduling differs.
-    /// Partitioning is a pure function of this count — never of worker
-    /// count or load — so differential tests can compare any two
-    /// settings on any host.
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        self.par = par::Parallel::new(n, self.par.threshold);
-    }
-
-    /// Override the minimum combined input size (distinct elements) before
-    /// a merge partitions. Tests drop this to `0` to force the partitioned
-    /// paths onto small inputs.
-    pub fn set_parallel_threshold(&mut self, n: usize) {
-        self.par.threshold = n;
-    }
-
-    /// The current partition count (`1` means serial).
-    pub fn parallel_chunks(&self) -> usize {
-        self.par.chunks()
-    }
+    /// Inert: ignores its argument, since every kernel is serial. Kept
+    /// only because the frozen end-to-end benchmark (`benchmark/`) calls
+    /// it; ROADMAP item 1(g) removes those calls and then this method.
+    pub fn set_parallel_threads(&mut self, _n: usize) {}
 
     /// Evaluate a closed expression (free variables resolve to database
     /// bags).
@@ -1541,22 +1514,13 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Run one of the four keywise merges on a left operand the caller
-    /// gives up: partitioned when the combined input is large enough, else through
-    /// [`Bag::merge_owned`], which moves the pairs of a left operand
-    /// nothing else holds (an intermediate result, the fixpoint's
-    /// accumulator) instead of cloning them, and on the reference through
-    /// [`Bag::merge`], which clones. The partitioned merge clones too:
-    /// every chunk reads both operands. The merges charge no per-element
-    /// steps, so all three are identical in every observable (bag, error,
-    /// metrics); the partitioned one is the only parallelism in the
-    /// evaluator.
+    /// gives up: through [`Bag::merge_owned`], which moves the pairs of a
+    /// left operand nothing else holds (an intermediate result, the
+    /// fixpoint's accumulator) instead of cloning them, and on the
+    /// reference through [`Bag::merge`], which clones. The merges charge
+    /// no per-element steps, so both are identical in every observable
+    /// (bag, error, metrics).
     fn merge_bags(&self, left: Bag, right: &Bag, op: MergeOp) -> Bag {
-        if self
-            .par
-            .wants(left.distinct_count() + right.distinct_count())
-        {
-            return par::merge(&left, right, op, self.par.chunks());
-        }
         if self.reference {
             return left.merge(right, op);
         }

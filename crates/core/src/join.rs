@@ -7,7 +7,7 @@
 //! [`uniform_arity`], [`spanning_keys`]), **probe** a [`BagIndex`]
 //! ([`probe`]), and the index-free **reference scan** the differential
 //! suites compare the probe against ([`scan`]). Every loop here runs on
-//! the calling thread: a join never partitions.
+//! the calling thread, as every kernel does.
 //!
 //! The evaluator is the kernel's one caller — the incremental view
 //! engine's join deltas are evaluator probes over `ℕ`-bag halves of a

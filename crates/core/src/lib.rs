@@ -47,10 +47,8 @@
 //! | [`mod@eval`] | resource-limited evaluation with metrics |
 //! | [`index`]   | per-key join indexes and their representation-keyed cache |
 //! | [`join`]    | the equi-join kernel: classify, index probe, reference scan — every engine's fused `σ_{αᵢ=αⱼ}(×)` is an adapter over it |
-//! | [`pool`]    | vendored one-queue thread pool; the submitter is one of its threads (std-only) |
-//! | [`par`]     | the keywise merge (`∪⁺`, `−`, `∪`, `∩`) run on deterministic aligned cuts |
+//! | [`pool`]    | the inert partition count (`1`): every kernel is serial |
 //! | [`derived`] | aggregates, cardinality quantifiers, Prop 3.1 identities |
-//! | [`expanded`] | the standard-encoding representation (differential oracle) |
 //! | [`rewrite`] | multiplicity-exact optimization rules (σ pushdown, ε/MAP fusion) |
 //! | [`schema`]  | bag databases, schemas, isomorphism (genericity) |
 //! | [`zbag`]    | signed-multiplicity ℤ-bags — the delta objects of incremental view maintenance |
@@ -62,12 +60,10 @@ pub mod analyze;
 pub mod bag;
 pub mod derived;
 pub mod eval;
-pub mod expanded;
 pub mod expr;
 pub mod index;
 pub mod join;
 pub mod natural;
-pub mod par;
 pub mod parse;
 pub mod pool;
 pub mod profile;

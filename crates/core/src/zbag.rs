@@ -577,6 +577,17 @@ impl ZBagBuilder {
 mod tests {
     use super::*;
 
+    fn assert_send_sync<T: Send + Sync>() {}
+
+    /// Published snapshots and their deltas cross session threads.
+    #[test]
+    fn core_values_cross_threads() {
+        assert_send_sync::<Value>();
+        assert_send_sync::<Bag>();
+        assert_send_sync::<Natural>();
+        assert_send_sync::<ZBag>();
+    }
+
     fn sym(s: &str) -> Value {
         Value::sym(s)
     }

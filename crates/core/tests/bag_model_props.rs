@@ -17,12 +17,16 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use balg_core::bag::{Bag, BagBuilder, BagError, MergeOp};
-use balg_core::expanded::ExpandedBag;
 use balg_core::natural::Natural;
 use balg_core::value::Value;
 use balg_core::zbag::{Spare, ZBag, ZInt};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+// Only the occurrences are read here; `differential.rs` runs the operators.
+#[allow(dead_code)]
+mod standard;
+use standard::ExpandedBag;
 
 type Model = BTreeMap<Value, Natural>;
 

@@ -3,10 +3,12 @@
 //! on arbitrary inputs.
 
 use balg_core::bag::Bag;
-use balg_core::expanded::ExpandedBag;
 use balg_core::natural::Natural;
 use balg_core::value::Value;
 use proptest::prelude::*;
+
+mod standard;
+use standard::ExpandedBag;
 
 fn flat_bag() -> impl Strategy<Value = Bag> {
     proptest::collection::btree_map(0u8..5, 1u64..8, 0..6).prop_map(|entries| {
@@ -116,4 +118,63 @@ fn small_bag() -> impl Strategy<Value = Bag> {
                 .map(|(atom, mult)| (Value::tuple([Value::int(atom as i64)]), Natural::from(mult))),
         )
     })
+}
+
+/// The oracle itself on fixed samples: a round trip, a multiplicity it
+/// cannot expand, and each operator against the counted bag.
+mod samples {
+    use super::*;
+
+    fn counted(pairs: &[(&str, u64)]) -> Bag {
+        Bag::from_counted(
+            pairs
+                .iter()
+                .map(|(s, m)| (Value::tuple([Value::sym(s)]), Natural::from(*m))),
+        )
+    }
+
+    #[test]
+    fn roundtrip() {
+        let bag = counted(&[("a", 3), ("b", 1)]);
+        let expanded = ExpandedBag::from_bag(&bag).unwrap();
+        assert_eq!(expanded.len(), 4);
+        assert_eq!(expanded.to_bag(), bag);
+    }
+
+    #[test]
+    fn huge_multiplicities_rejected() {
+        let bag = Bag::repeated(Value::sym("a"), Natural::pow2(40));
+        assert!(ExpandedBag::from_bag(&bag).is_none());
+    }
+
+    #[test]
+    fn operations_agree_with_counted_on_samples() {
+        let b1 = counted(&[("a", 3), ("b", 1)]);
+        let b2 = counted(&[("a", 1), ("c", 2)]);
+        let e1 = ExpandedBag::from_bag(&b1).unwrap();
+        let e2 = ExpandedBag::from_bag(&b2).unwrap();
+        assert_eq!(e1.additive_union(&e2).to_bag(), b1.additive_union(&b2));
+        assert_eq!(e1.subtract(&e2).to_bag(), b1.subtract(&b2));
+        assert_eq!(e1.max_union(&e2).to_bag(), b1.max_union(&b2));
+        assert_eq!(e1.intersect(&e2).to_bag(), b1.intersect(&b2));
+        assert_eq!(e1.dedup().to_bag(), b1.dedup());
+        assert_eq!(
+            e1.product(&e2).unwrap().to_bag(),
+            b1.product(&b2, u64::MAX).unwrap()
+        );
+    }
+
+    #[test]
+    fn destroy_agrees() {
+        let inner1 = counted(&[("x", 2)]);
+        let inner2 = counted(&[("y", 1)]);
+        let mut outer = Bag::new();
+        outer.insert_with_multiplicity(Value::Bag(inner1), Natural::from(2u64));
+        outer.insert(Value::Bag(inner2));
+        let expanded = ExpandedBag::from_bag(&outer).unwrap();
+        assert_eq!(
+            expanded.destroy().unwrap().to_bag(),
+            outer.destroy().unwrap()
+        );
+    }
 }

@@ -21,9 +21,8 @@
 //!   same variant when `project-scale` did (its rows reach the later
 //!   stages in another order).
 //!
-//! The default also repeats its own trace at 4 chunks with every merge
-//! partitioned, and its outcome on a second run over its warm index
-//! cache.
+//! The default also repeats its outcome on a second run over its warm
+//! index cache.
 //!
 //! The queries come from `expr_gen`: its random expressions, and one
 //! strategy per fast path (`expr_gen/shapes.rs`) that draws the input
@@ -123,10 +122,6 @@ impl Trace {
 fn run(q: &Expr, db: &Database, limits: &Limits, reference: bool) -> Trace {
     let mut ev = Evaluator::new(db, limits.clone());
     ev.set_reference(reference);
-    traced(&mut ev, q)
-}
-
-fn traced(ev: &mut Evaluator<'_>, q: &Expr) -> Trace {
     let outcome = ev.eval_bag(q);
     Trace::new(outcome, ev.metrics())
 }
@@ -229,16 +224,12 @@ fn agree(q: &Expr, contract: Contract, got: &Trace, want: &Trace, at: &str) {
 }
 
 /// Default against reference: unbounded and under every [`budgets`]. The
-/// default also repeats itself unbounded at 4 chunks with every merge
-/// partitioned, and on a second evaluation over its warm index cache.
+/// default also repeats itself on a second evaluation over its warm
+/// index cache.
 fn hold_to_reference(q: &Expr, db: &Database, contract: Contract, sweep_cap: u64) {
     let both = |limits: &Limits| (run(q, db, limits, false), run(q, db, limits, true));
     let (got, want) = both(&limits(UNBOUNDED));
     agree(q, contract, &got, &want, "no budget");
-    let mut ev = Evaluator::new(db, limits(UNBOUNDED));
-    ev.set_parallel_threads(4);
-    ev.set_parallel_threshold(0);
-    assert_eq!(traced(&mut ev, q), got, "4 chunks vs 1 for {q}");
     let mut warm = Evaluator::new(db, limits(UNBOUNDED));
     let first = warm.eval_bag(q);
     assert_eq!(warm.eval_bag(q), first, "a warm index cache changed {q}");

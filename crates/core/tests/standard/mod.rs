@@ -9,17 +9,18 @@
 //! implementations of the duplicate-sensitive operators.
 //!
 //! Its purpose is differential testing: every counted [`Bag`] operation
-//! is checked against this oracle on random inputs (see
-//! `tests/differential.rs`).
+//! is checked against this oracle on random inputs (`differential.rs`),
+//! and `bag_model_props.rs` groups its occurrences for the key-run
+//! kernels.
 //!
 //! Multiplicities beyond `u32::MAX` cannot be materialized; constructors
 //! return `None` for such bags (the counted form is the only lossless
 //! one — which is itself a finding the paper's encoding discussion
 //! anticipates).
 
-use crate::bag::Bag;
-use crate::natural::Natural;
-use crate::value::Value;
+use balg_core::bag::Bag;
+use balg_core::natural::Natural;
+use balg_core::value::Value;
 
 /// A bag stored as its standard encoding: one slot per occurrence, kept
 /// sorted so equality is canonical.
@@ -29,11 +30,6 @@ pub struct ExpandedBag {
 }
 
 impl ExpandedBag {
-    /// The empty bag.
-    pub fn new() -> ExpandedBag {
-        ExpandedBag::default()
-    }
-
     /// Expand a counted bag; `None` if any multiplicity exceeds `u32::MAX`
     /// (the representation gap the counted form closes).
     pub fn from_bag(bag: &Bag) -> Option<ExpandedBag> {
@@ -55,11 +51,6 @@ impl ExpandedBag {
     /// Number of occurrences (the paper's bag size).
     pub fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// `true` iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Occurrences of one value, by scanning.
@@ -176,62 +167,4 @@ fn distinct(items: &[Value]) -> impl Iterator<Item = &Value> {
         .enumerate()
         .filter(|(i, v)| *i == 0 || items[i - 1] != **v)
         .map(|(_, v)| v)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn counted(pairs: &[(&str, u64)]) -> Bag {
-        Bag::from_counted(
-            pairs
-                .iter()
-                .map(|(s, m)| (Value::tuple([Value::sym(s)]), Natural::from(*m))),
-        )
-    }
-
-    #[test]
-    fn roundtrip() {
-        let bag = counted(&[("a", 3), ("b", 1)]);
-        let expanded = ExpandedBag::from_bag(&bag).unwrap();
-        assert_eq!(expanded.len(), 4);
-        assert_eq!(expanded.to_bag(), bag);
-    }
-
-    #[test]
-    fn huge_multiplicities_rejected() {
-        let bag = Bag::repeated(Value::sym("a"), Natural::pow2(40));
-        assert!(ExpandedBag::from_bag(&bag).is_none());
-    }
-
-    #[test]
-    fn operations_agree_with_counted_on_samples() {
-        let b1 = counted(&[("a", 3), ("b", 1)]);
-        let b2 = counted(&[("a", 1), ("c", 2)]);
-        let e1 = ExpandedBag::from_bag(&b1).unwrap();
-        let e2 = ExpandedBag::from_bag(&b2).unwrap();
-        assert_eq!(e1.additive_union(&e2).to_bag(), b1.additive_union(&b2));
-        assert_eq!(e1.subtract(&e2).to_bag(), b1.subtract(&b2));
-        assert_eq!(e1.max_union(&e2).to_bag(), b1.max_union(&b2));
-        assert_eq!(e1.intersect(&e2).to_bag(), b1.intersect(&b2));
-        assert_eq!(e1.dedup().to_bag(), b1.dedup());
-        assert_eq!(
-            e1.product(&e2).unwrap().to_bag(),
-            b1.product(&b2, u64::MAX).unwrap()
-        );
-    }
-
-    #[test]
-    fn destroy_agrees() {
-        let inner1 = counted(&[("x", 2)]);
-        let inner2 = counted(&[("y", 1)]);
-        let mut outer = Bag::new();
-        outer.insert_with_multiplicity(Value::Bag(inner1), Natural::from(2u64));
-        outer.insert(Value::Bag(inner2));
-        let expanded = ExpandedBag::from_bag(&outer).unwrap();
-        assert_eq!(
-            expanded.destroy().unwrap().to_bag(),
-            outer.destroy().unwrap()
-        );
-    }
 }

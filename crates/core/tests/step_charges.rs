@@ -1,7 +1,7 @@
 //! Exact work counters of the fused equi-join, pinned.
 //!
-//! The differential suites (`fast_path_differential`,
-//! `parallel_differential`) compare the evaluator's paths with each other;
+//! The differential suite (`fast_path_differential`) compares the
+//! evaluator's paths with each other;
 //! two paths drifting *together* — what an extraction of their shared loop
 //! can cause — passes every one of them. Only absolute numbers catch that,
 //! so this file pins `Metrics.{steps, max_distinct_elements}` for fixed
@@ -9,10 +9,8 @@
 //!
 //! The constants were taken at commit `8899e58` (the parent of the
 //! `balg_core::join` extraction), before any edit, and every case is
-//! checked on all three `Evaluator` settings — the default,
-//! `set_reference(true)` and 4 chunks (`set_parallel_threads(4)`,
-//! threshold 1), where a join never partitions, so that row pins that a
-//! partition count cannot change a join's bag, error or charge. A changed
+//! checked on both `Evaluator` settings — the default and
+//! `set_reference(true)`. A changed
 //! number is a bug in the change, not a re-baseline — with one exception:
 //! `ifp_closure_over_a_join_body` was re-recorded when the fixpoint became
 //! semi-naive, which by contract charges less (reason at the constant);
@@ -44,7 +42,7 @@ fn join(left: &str, right: &str, i: usize, j: usize) -> Expr {
     )
 }
 
-/// Evaluate on the three paths; each must report exactly
+/// Evaluate on both paths; each must report exactly
 /// `(steps, max_distinct_elements)` and all must agree on the outcome.
 fn pinned(
     q: &Expr,
@@ -66,30 +64,18 @@ fn pinned_apart(
     reference: (u64, u64),
 ) -> Result<Bag, EvalError> {
     let mut outcomes = Vec::new();
-    for path in ["default", "reference", "partitioned"] {
+    for (path, on, charge) in [("default", false, default), ("reference", true, reference)] {
         let mut ev = Evaluator::new(db, limits.clone());
-        match path {
-            "reference" => ev.set_reference(true),
-            "partitioned" => {
-                ev.set_parallel_threads(4);
-                ev.set_parallel_threshold(1);
-            }
-            _ => {}
-        }
+        ev.set_reference(on);
         let outcome = ev.eval_bag(q);
         assert_eq!(
             (ev.metrics().steps, ev.metrics().max_distinct_elements),
-            if path == "reference" {
-                reference
-            } else {
-                default
-            },
+            charge,
             "{path} path: (steps, max_distinct_elements) moved for {q}"
         );
         outcomes.push(outcome);
     }
     assert_eq!(outcomes[0], outcomes[1], "default vs reference for {q}");
-    assert_eq!(outcomes[0], outcomes[2], "default vs partitioned for {q}");
     outcomes.swap_remove(0)
 }
 

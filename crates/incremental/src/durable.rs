@@ -785,12 +785,6 @@ impl Runtime {
         Ok(())
     }
 
-    /// Forwarded tuning knob (not a logged mutation): see
-    /// [`ViewRuntime::set_parallel_threads`].
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        self.views.set_parallel_threads(n);
-    }
-
     /// Write a full snapshot and truncate the WAL, returning the
     /// post-checkpoint counters; `Ok(None)` in memory (nothing to
     /// persist).

@@ -8,7 +8,6 @@ use balg_core::bag::Bag;
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Var};
 use balg_core::index::IndexCache;
-use balg_core::par::Parallel;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 use balg_core::wal::{bag_decodes, expr_decodes, zbag_decodes, MAX_DECODE_DEPTH};
@@ -183,8 +182,7 @@ pub(crate) fn check_view(name: &str, expr: &Expr) -> Result<(), UpdateError> {
 }
 
 /// How the runtime configures every evaluator it hands a view: the
-/// budgets, the reference switch, the one index cache and the partition
-/// override.
+/// budgets, the reference switch and the one index cache.
 #[derive(Clone, Debug)]
 struct EvalSettings {
     limits: Limits,
@@ -195,10 +193,6 @@ struct EvalSettings {
     /// evaluator built here: base indexes are patched alongside the base
     /// on every commit instead of being rebuilt.
     indexes: IndexCache,
-    /// Partitioned-execution override; `None` inherits the process-wide
-    /// default ([`Parallel::from_global`]). Every setting maintains
-    /// identical views — only scheduling differs.
-    parallel: Option<Parallel>,
 }
 
 impl EvalSettings {
@@ -210,10 +204,6 @@ impl EvalSettings {
         let mut ev = Evaluator::new(db, self.limits.clone());
         ev.set_reference(self.reference);
         ev.set_index_cache(&mut self.indexes);
-        if let Some(p) = self.parallel {
-            ev.set_parallel_threads(p.chunks());
-            ev.set_parallel_threshold(p.threshold);
-        }
         ev
     }
 }
@@ -266,7 +256,6 @@ impl ViewRuntime {
                 limits,
                 reference: false,
                 indexes: IndexCache::new(),
-                parallel: None,
             },
             views: BTreeMap::new(),
             spares: BTreeMap::new(),
@@ -287,38 +276,6 @@ impl ViewRuntime {
         if on {
             self.eval.indexes.clear();
         }
-    }
-
-    /// Pin the maintenance partition count, clamped to
-    /// `1..=`[`balg_core::pool::MAX_PARALLELISM`] (`1` pins every
-    /// maintenance evaluator to the serial paths; unset, the process-wide
-    /// default [`balg_core::pool::default_parallelism`] applies). Only the
-    /// keywise merges partition — a join delta never does. Every setting
-    /// maintains identical views, errors, and stats; partitioning is a pure
-    /// function of this count, so differential suites can compare any two
-    /// settings.
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        let threshold = self.parallel().threshold;
-        self.eval.parallel = Some(Parallel::new(n, threshold));
-    }
-
-    /// Override the minimum combined input size before a maintenance
-    /// merge partitions (tests drop this to `0` to force the partitioned
-    /// merges onto small updates).
-    pub fn set_parallel_threshold(&mut self, n: usize) {
-        let mut p = self.parallel();
-        p.threshold = n;
-        self.eval.parallel = Some(p);
-    }
-
-    /// The effective maintenance partition count (`1` means serial).
-    pub fn parallel_chunks(&self) -> usize {
-        self.parallel().chunks()
-    }
-
-    /// The effective partitioned-execution settings.
-    fn parallel(&self) -> Parallel {
-        self.eval.parallel.unwrap_or_else(Parallel::from_global)
     }
 
     /// Join-index cache statistics

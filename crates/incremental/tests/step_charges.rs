@@ -1,7 +1,6 @@
 //! Exact maintenance counters of the fused equi-join view, pinned.
 //!
-//! `differential.rs` and `parallel_differential.rs` compare maintenance
-//! paths with each other; this file pins absolute numbers, so two paths
+//! `differential.rs` compares maintenance paths with each other; this file pins absolute numbers, so two paths
 //! drifting together cannot pass. A fixed 64-batch stream (inserts,
 //! deletes, and batches touching both operands, so all three bilinear
 //! terms run) goes through three join views — a spanning join over two
@@ -12,11 +11,7 @@
 //! The constants were taken at commit `8899e58` (the parent of the
 //! `balg_core::join` extraction), before any edit, save the index-cache
 //! tuples: since join deltas run on evaluators that borrow the runtime's
-//! one cache, only hits and misses moved (derived at each tuple). The
-//! serial runtime and
-//! one at 4 chunks, threshold 0, must both hit them: a join delta never
-//! partitions, so a partition count cannot change its bag, error or
-//! counters.
+//! one cache, only hits and misses moved (derived at each tuple).
 //!
 //! `every_rule_counts_as_before` does the same for every other rule
 //! (linear `MAP`/`σ`/`δ`, a cancelling delta, re-derived merges, `P`,
@@ -130,12 +125,7 @@ fn indexed_stream_counters_are_pinned() {
         index_cache: (160, 327, 2, 0),
         rows: [114, 32, 114],
     };
-    assert_eq!(run(|rt| rt.set_parallel_threads(1)), expected);
-    let partitioned = run(|rt| {
-        rt.set_parallel_threads(4);
-        rt.set_parallel_threshold(0);
-    });
-    assert_eq!(partitioned, expected);
+    assert_eq!(run(|_| {}), expected);
 }
 
 #[test]
@@ -147,17 +137,7 @@ fn scanned_stream_counters_are_pinned() {
         index_cache: (0, 0, 0, 0),
         rows: [114, 32, 114],
     };
-    let serial = run(|rt| {
-        rt.set_reference(true);
-        rt.set_parallel_threads(1);
-    });
-    assert_eq!(serial, expected);
-    let partitioned = run(|rt| {
-        rt.set_reference(true);
-        rt.set_parallel_threads(4);
-        rt.set_parallel_threshold(0);
-    });
-    assert_eq!(partitioned, expected);
+    assert_eq!(run(|rt| rt.set_reference(true)), expected);
 }
 
 fn unary(v: i64) -> Value {
@@ -256,8 +236,8 @@ fn rule_batch(k: i64) -> UpdateBatch {
 
 /// Every non-join rule over a fixed 32-batch stream: each view's
 /// [`ViewStats`] and distinct rows, taken at `626c916`, before view
-/// nodes ran their operators through the evaluator. Indexing and
-/// partitioning must not move them.
+/// nodes ran their operators through the evaluator. Indexing must not
+/// move them.
 #[test]
 fn every_rule_counts_as_before() {
     let expected: Vec<(&str, ViewStats, usize)> = vec![
@@ -273,11 +253,9 @@ fn every_rule_counts_as_before() {
         ("scalar", stats(72, 0, 112), 5),
         ("subbag", stats(0, 24, 0), 5),
     ];
-    for (reference, chunks) in [(false, 1), (true, 1), (false, 4)] {
+    for reference in [false, true] {
         let mut rt = ViewRuntime::with_limits(Limits::default());
         rt.set_reference(reference);
-        rt.set_parallel_threads(chunks);
-        rt.set_parallel_threshold(0);
         // Every `G` row the stream deletes is loaded or inserted first.
         let g = (0..32).filter(|k| k % 4 == 0).map(|k| pair(k % 3, k));
         rt.load_base("G", Bag::from_values(g)).unwrap();
@@ -299,10 +277,7 @@ fn every_rule_counts_as_before() {
                 (name, view.stats().clone(), view.result().distinct_count())
             })
             .collect();
-        assert_eq!(
-            observed, expected,
-            "reference {reference}, {chunks} chunk(s)"
-        );
+        assert_eq!(observed, expected, "reference {reference}");
     }
 }
 
@@ -334,42 +309,37 @@ fn a_failing_body_drops_the_view_with_the_evaluators_error() {
 /// A delta of 24 distinct rows against a 16-element budget, though the
 /// view holds 12 rows before and after: maintenance must fail on the
 /// budget (never commit a partial delta) and degrade to exactly one full
-/// re-derivation — at 1 and at 4 chunks alike.
+/// re-derivation.
 #[test]
 fn a_delta_past_the_element_budget_costs_exactly_one_reinit() {
-    for chunks in [1, 4] {
-        let mut rt = ViewRuntime::with_limits(Limits {
-            max_bag_elements: 16,
-            ..Limits::default()
-        });
-        rt.set_parallel_threads(chunks);
-        rt.set_parallel_threshold(0);
-        rt.load_base("G", Bag::from_values([pair(0, 1), pair(0, 2)]))
-            .unwrap();
-        rt.load_base("H", Bag::from_values((0..6).map(|k| pair(0, 200 + k))))
-            .unwrap();
-        rt.create_view("v", join(Expr::var("G"), 1, 3)).unwrap();
-        let mut swap = UpdateBatch::new();
-        swap.delete("G", pair(0, 1));
-        swap.delete("G", pair(0, 2));
-        swap.insert("G", pair(0, 3));
-        swap.insert("G", pair(0, 4));
-        rt.apply(&swap).unwrap();
-        assert_eq!(rt.view("v").unwrap().distinct_count(), 12);
-        assert!(rt.verify_all().unwrap());
-        assert_eq!(
-            rt.stats().views,
-            ViewStats {
-                full_reinits: 1,
-                ..ViewStats::default()
-            },
-            "{chunks} chunk(s)"
-        );
-        // Registration misses G and H and builds G (the smaller base);
-        // δG⁺ misses itself and H and builds H; δG⁻ misses itself, hits
-        // H; the re-derivation hits the patched G index.
-        assert_eq!(rt.index_cache_stats(), (2, 7, 2, 0), "{chunks} chunk(s)");
-    }
+    let mut rt = ViewRuntime::with_limits(Limits {
+        max_bag_elements: 16,
+        ..Limits::default()
+    });
+    rt.load_base("G", Bag::from_values([pair(0, 1), pair(0, 2)]))
+        .unwrap();
+    rt.load_base("H", Bag::from_values((0..6).map(|k| pair(0, 200 + k))))
+        .unwrap();
+    rt.create_view("v", join(Expr::var("G"), 1, 3)).unwrap();
+    let mut swap = UpdateBatch::new();
+    swap.delete("G", pair(0, 1));
+    swap.delete("G", pair(0, 2));
+    swap.insert("G", pair(0, 3));
+    swap.insert("G", pair(0, 4));
+    rt.apply(&swap).unwrap();
+    assert_eq!(rt.view("v").unwrap().distinct_count(), 12);
+    assert!(rt.verify_all().unwrap());
+    assert_eq!(
+        rt.stats().views,
+        ViewStats {
+            full_reinits: 1,
+            ..ViewStats::default()
+        }
+    );
+    // Registration misses G and H and builds G (the smaller base);
+    // δG⁺ misses itself and H and builds H; δG⁻ misses itself, hits
+    // H; the re-derivation hits the patched G index.
+    assert_eq!(rt.index_cache_stats(), (2, 7, 2, 0));
 }
 
 /// A join delta runs on the view's evaluator, so its surviving pairs are

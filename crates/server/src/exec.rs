@@ -15,7 +15,7 @@
 //! every later read of the same text, in any session. Sharing
 //! is sound because a compiled query is a function of its text and the
 //! catalog alone: data, budgets and views enter only at evaluation,
-//! which reads the snapshot's own `db`, `limits` and `parallel_chunks`.
+//! which reads the snapshot's own `db` and `limits`.
 //! The runtime replaces its cache whenever it replaces its catalog, so
 //! a snapshot's cache only ever holds compiles against the catalog that
 //! snapshot carries — a snapshot pinned before a `:table` keeps the old
@@ -125,10 +125,9 @@ pub struct Snapshot {
     pub dropped: BTreeMap<String, String>,
     /// Evaluation budgets for one-shot queries.
     pub limits: Limits,
-    /// Partition-count override for one-shot query evaluators (`None`
-    /// inherits the process-wide default). Carried on the snapshot so
-    /// reader sessions honor the server's `--threads` setting without
-    /// touching process-global state.
+    /// Inert: always `None`, since every kernel is serial. Kept only
+    /// because the frozen end-to-end benchmark (`benchmark/`) reads it;
+    /// ROADMAP item 1(g) removes that read and then this field.
     pub parallel_chunks: Option<usize>,
 }
 
@@ -156,7 +155,7 @@ pub fn snapshot_of(rt: &SqlRuntime, seq: u64) -> Snapshot {
         views,
         dropped,
         limits: runtime.limits().clone(),
-        parallel_chunks: rt.parallel_threads(),
+        parallel_chunks: None,
     }
 }
 
@@ -220,7 +219,7 @@ pub fn execute_read(snap: &Snapshot, line: &str) -> Reply {
         }
         Err(e) => return Reply::err(e.to_string()),
     };
-    match compiled.evaluate(&snap.db, snap.limits.clone(), snap.parallel_chunks) {
+    match compiled.evaluate(&snap.db, snap.limits.clone()) {
         Ok(rows) => Reply::ok(Response::Rows(rows).to_string()),
         Err(e) => Reply::err(e.to_string()),
     }

@@ -74,12 +74,9 @@ pub struct ServerConfig {
     /// (queue wait included) reaches it is logged to stderr and counted
     /// in `balg_server_slow_queries_total`. `None` disables the log.
     pub slow_ms: Option<u64>,
-    /// Partition count for intra-query parallel execution (the binary's
-    /// `--threads N`). `None` inherits the process-wide default
-    /// (`BALG_THREADS` or the detected core count); `Some(1)` pins the
-    /// serial paths, and any count is clamped to
-    /// `1..=`[`balg_core::pool::MAX_PARALLELISM`]. Every setting computes
-    /// identical results — only scheduling differs.
+    /// Inert: never read, since every kernel is serial. Kept only because
+    /// the frozen end-to-end benchmark (`benchmark/`) sets it; ROADMAP
+    /// item 1(g) removes that use and then this field.
     pub threads: Option<usize>,
 }
 
@@ -198,9 +195,9 @@ impl SqlServer {
             data_dir,
             read_timeout,
             slow_ms,
-            threads,
+            threads: _,
         } = config;
-        let mut rt = match &data_dir {
+        let rt = match &data_dir {
             None => SqlRuntime::with_limits(catalog, db, limits),
             Some(dir) => {
                 let mut rt = SqlRuntime::open(&catalog, dir, limits)
@@ -233,9 +230,6 @@ impl SqlServer {
                 rt
             }
         };
-        if let Some(threads) = threads {
-            rt.set_parallel_threads(threads);
-        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let (sender, receiver) = mpsc::sync_channel(writer_queue.max(1));

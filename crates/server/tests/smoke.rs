@@ -34,6 +34,24 @@ fn full_statement_surface_over_the_wire() {
     assert!(rows.text.contains("bob"), "{}", rows.text);
     assert!(!rows.text.contains("ann"), "{}", rows.text);
 
+    // A second CREATE VIEW under the live name is refused, as the serial
+    // twin refuses it, and the first view's rows stay.
+    let again = "CREATE VIEW big AS SELECT customer FROM orders";
+    let reply = client.request(again).unwrap();
+    assert_eq!(reply, Reply::err("name big is already a table or view"));
+    let catalog = Catalog::new().with_table("orders", &[("customer", false), ("qty", true)]);
+    let mut twin = SerialTwin::new(
+        catalog.clone(),
+        database_from_rows(&catalog, &[]).unwrap(),
+        Limits::default(),
+    );
+    assert!(
+        twin.execute("CREATE VIEW big AS SELECT customer FROM orders WHERE qty >= 4")
+            .ok
+    );
+    assert_eq!(twin.execute(again), reply);
+    assert_eq!(client.request(":rows big").unwrap(), rows);
+
     // One-shot queries answer from the same snapshot state.
     let select = client
         .request("SELECT customer FROM orders WHERE qty >= 4")

@@ -70,11 +70,7 @@ fn chain(snap: &Snapshot, line: &str) -> Reply {
         Ok(compiled) => compiled,
         Err(e) => return Reply::err(e.to_string()),
     };
-    let mut evaluator = Evaluator::new(&snap.db, snap.limits.clone());
-    if let Some(chunks) = snap.parallel_chunks {
-        evaluator.set_parallel_threads(chunks);
-    }
-    let bag = match evaluator.eval_bag(&compiled.expr) {
+    let bag = match Evaluator::new(&snap.db, snap.limits.clone()).eval_bag(&compiled.expr) {
         Ok(bag) => bag,
         Err(e) => return Reply::err(e.to_string()),
     };

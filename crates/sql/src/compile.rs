@@ -111,19 +111,11 @@ pub struct CompiledQuery {
 
 impl CompiledQuery {
     /// Evaluate over `db` and validate the result bag: the one evaluation
-    /// tail of every SQL read. `chunks` pins the evaluator's partition count
-    /// (`None` inherits the process-wide default).
-    pub fn evaluate(
-        &self,
-        db: &Database,
-        limits: Limits,
-        chunks: Option<usize>,
-    ) -> Result<QueryResult, SqlError> {
-        let mut evaluator = Evaluator::new(db, limits);
-        if let Some(chunks) = chunks {
-            evaluator.set_parallel_threads(chunks);
-        }
-        let bag = evaluator.eval_bag(&self.expr).map_err(SqlError::Eval)?;
+    /// tail of every SQL read.
+    pub fn evaluate(&self, db: &Database, limits: Limits) -> Result<QueryResult, SqlError> {
+        let bag = Evaluator::new(db, limits)
+            .eval_bag(&self.expr)
+            .map_err(SqlError::Eval)?;
         decode_result(&bag, Arc::clone(&self.output))
     }
 }
@@ -676,7 +668,7 @@ pub fn run_query(
 ) -> Result<QueryResult, SqlError> {
     let parsed = parse(sql).map_err(SqlError::Parse)?;
     let compiled = compile_query(&parsed, catalog).map_err(SqlError::Compile)?;
-    compiled.evaluate(db, limits, None)
+    compiled.evaluate(db, limits)
 }
 
 /// Shorthand for [`run_query`] with default limits.
@@ -691,7 +683,7 @@ pub fn run_optimized(sql: &str, catalog: &Catalog, db: &Database) -> Result<Quer
     let parsed = parse(sql).map_err(SqlError::Parse)?;
     let mut compiled = compile_query(&parsed, catalog).map_err(SqlError::Compile)?;
     compiled.expr = balg_core::rewrite::optimize(&compiled.expr, &catalog.to_schema());
-    compiled.evaluate(db, Limits::default(), None)
+    compiled.evaluate(db, Limits::default())
 }
 
 /// Compile a `CREATE VIEW` query and have the static analyzer certify

@@ -444,11 +444,6 @@ pub struct SqlRuntime {
     statements: Arc<StatementCache>,
     backend: Runtime,
     view_columns: BTreeMap<String, Arc<[Column]>>,
-    /// Partition-count override for this session's evaluators (ad-hoc
-    /// queries and view maintenance); `None` inherits the process-wide
-    /// default. Every setting computes identical results — only
-    /// scheduling differs.
-    parallel_chunks: Option<usize>,
 }
 
 impl SqlRuntime {
@@ -478,7 +473,6 @@ impl SqlRuntime {
             statements: Arc::default(),
             backend: Runtime::memory(runtime),
             view_columns: BTreeMap::new(),
-            parallel_chunks: None,
         }
     }
 
@@ -517,7 +511,6 @@ impl SqlRuntime {
             statements: Arc::default(),
             backend,
             view_columns,
-            parallel_chunks: None,
         };
         // Then the caller's catalog: new tables are declared (and
         // persisted); already-known tables must not be silently reshaped.
@@ -598,22 +591,10 @@ impl SqlRuntime {
         self.view_columns.get(name)
     }
 
-    /// Pin the partition count of this session's evaluators — ad-hoc
-    /// queries and view maintenance alike — clamped to
-    /// `1..=`[`balg_core::pool::MAX_PARALLELISM`] (`1` pins every operator
-    /// to the serial paths; unset, the process-wide default
-    /// [`balg_core::pool::default_parallelism`] applies). Every setting
-    /// computes identical results, errors, and step charges.
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        self.backend.set_parallel_threads(n);
-        self.parallel_chunks = Some(self.backend.runtime().parallel_chunks());
-    }
-
-    /// This session's partition-count override (`None` means the
-    /// process-wide default applies).
-    pub fn parallel_threads(&self) -> Option<usize> {
-        self.parallel_chunks
-    }
+    /// Inert: ignores its argument, since every kernel is serial. Kept
+    /// only because the frozen end-to-end benchmark (`benchmark/`) calls
+    /// it; ROADMAP item 1(g) removes those calls and then this method.
+    pub fn set_parallel_threads(&mut self, _n: usize) {}
 
     /// Parse and execute one statement.
     pub fn execute(&mut self, sql: &str) -> Result<Response, SqlError> {
@@ -621,7 +602,7 @@ impl SqlRuntime {
             Prepared::Query(compiled) => {
                 let runtime = self.backend.runtime();
                 let limits = runtime.limits().clone();
-                let rows = compiled.evaluate(runtime.database(), limits, self.parallel_chunks)?;
+                let rows = compiled.evaluate(runtime.database(), limits)?;
                 return Ok(Response::Rows(rows));
             }
             Prepared::Other(statement) => statement,
@@ -629,23 +610,12 @@ impl SqlRuntime {
         match statement {
             Statement::Query(_) => unreachable!("prepare compiles every query"),
             Statement::CreateView { name, query } => {
-                // A view may not take a declared table's name: the name
-                // would mean the base rows in FROM but the view rows in
-                // view_rows(), silently.
-                if self.catalog.get(&name).is_some() {
-                    return Err(SqlError::Compile(
-                        crate::compile::CompileError::ViewShadowsTable(name),
-                    ));
-                }
+                self.check_view_name(&name)?;
                 let compiled = compile_view(&query, &self.catalog)?;
                 self.register_view(name, compiled.expr, compiled.output)
             }
             Statement::CreateBalgView { name, expr, at } => {
-                if self.catalog.get(&name).is_some() {
-                    return Err(SqlError::Compile(
-                        crate::compile::CompileError::ViewShadowsTable(name),
-                    ));
-                }
+                self.check_view_name(&name)?;
                 let output = self.analyze_balg_view(&expr, at)?;
                 self.register_view(name, expr, output.into())
             }
@@ -676,6 +646,24 @@ impl SqlRuntime {
                 )),
             },
         }
+    }
+
+    /// Refuse a `CREATE VIEW` name before anything is compiled or logged.
+    /// A declared table's name would mean the base rows in FROM but the
+    /// view rows in `view_rows()`; a live view's name would replace that
+    /// view. A dropped view's name is free again.
+    fn check_view_name(&self, name: &str) -> Result<(), SqlError> {
+        if self.catalog.get(name).is_some() {
+            return Err(SqlError::Compile(
+                crate::compile::CompileError::ViewShadowsTable(name.to_owned()),
+            ));
+        }
+        if self.backend.runtime().view(name).is_some() {
+            return Err(SqlError::Compile(
+                crate::compile::CompileError::TableExists(name.to_owned()),
+            ));
+        }
+        Ok(())
     }
 
     /// Gate a raw BALG view through the static analyzer: reject type and
@@ -853,26 +841,6 @@ mod tests {
         SqlRuntime::new(catalog, db)
     }
 
-    /// `set_parallel_threads(usize::MAX)` is clamped, not handed to a merge
-    /// as its cut count: a `UNION ALL` of two 5 000-row tables (above the
-    /// partition threshold) answers what a serial session answers.
-    #[test]
-    fn an_oversized_partition_count_is_clamped() {
-        let catalog = Catalog::new()
-            .with_table("t", &[("k", true)])
-            .with_table("u", &[("k", true)]);
-        let rows = |lo: i64| (lo..lo + 5000).map(|k| vec![SqlValue::Int(k)]).collect();
-        let db = database_from_rows(&catalog, &[("t", rows(0)), ("u", rows(2500))]).unwrap();
-        let query = "SELECT k FROM t UNION ALL SELECT k FROM u";
-        let mut serial = SqlRuntime::new(catalog.clone(), db.clone());
-        serial.set_parallel_threads(1);
-        let mut wide = SqlRuntime::new(catalog, db);
-        wide.set_parallel_threads(usize::MAX);
-        assert_eq!(wide.execute(query).unwrap(), serial.execute(query).unwrap());
-        let max = balg_core::pool::MAX_PARALLELISM;
-        assert_eq!(wide.parallel_threads(), Some(max));
-    }
-
     #[test]
     fn create_view_and_maintain_under_updates() {
         let mut rt = setup();
@@ -1042,6 +1010,32 @@ mod tests {
         assert!(rt.view_names().next().is_none());
     }
 
+    /// A second `CREATE VIEW` under a live view's name, SQL or BALG, is
+    /// refused with `TableExists` and leaves the first view's rows alone.
+    #[test]
+    fn a_live_view_name_is_not_replaced() {
+        let mut rt = setup();
+        rt.execute("CREATE VIEW v AS SELECT customer FROM orders WHERE qty >= 4")
+            .unwrap();
+        let before = rt.view_rows("v").unwrap();
+        for again in [
+            "CREATE VIEW v AS SELECT customer FROM vip",
+            "CREATE VIEW v AS BALG dedup(vip)",
+        ] {
+            let err = rt.execute(again).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SqlError::Compile(crate::compile::CompileError::TableExists(ref name)) if name == "v"
+                ),
+                "{again}: {err}"
+            );
+            assert_eq!(err.to_string(), "name v is already a table or view");
+        }
+        assert_eq!(rt.view_rows("v").unwrap(), before);
+        assert!(rt.verify("v").unwrap());
+    }
+
     #[test]
     fn declare_table_at_runtime() {
         let mut rt = setup();
@@ -1161,6 +1155,38 @@ mod tests {
         // And the restored schema still accepts updates.
         rt.execute("DELETE FROM orders VALUES ('bob', 5)").unwrap();
         assert_eq!(rt.view_rows("spenders").unwrap().total_rows(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The refusal comes before the log: a durable session's LSN does not
+    /// move, and after a reopen the first view still answers its rows.
+    #[test]
+    fn a_durable_live_view_name_is_not_replaced() {
+        let dir = sql_scratch("view-twice");
+        let _ = std::fs::remove_dir_all(&dir);
+        let catalog = Catalog::new().with_table("orders", &[("customer", false), ("qty", true)]);
+        let before = {
+            let mut rt = SqlRuntime::open(&catalog, &dir, Limits::default()).unwrap();
+            rt.execute("INSERT INTO orders VALUES ('ann', 3), ('bob', 5)")
+                .unwrap();
+            rt.execute("CREATE VIEW v AS SELECT customer FROM orders WHERE qty >= 4")
+                .unwrap();
+            let before = rt.view_rows("v").unwrap();
+            let logged = rt.durability();
+            let err = rt
+                .execute("CREATE VIEW v AS SELECT customer FROM orders")
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                SqlError::Compile(crate::compile::CompileError::TableExists(_))
+            ));
+            assert_eq!(rt.durability(), logged);
+            assert_eq!(rt.view_rows("v").unwrap(), before);
+            before
+        };
+        let rt = SqlRuntime::open(&Catalog::new(), &dir, Limits::default()).unwrap();
+        assert_eq!(rt.view_rows("v").unwrap(), before);
+        assert!(rt.verify("v").unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,22 +1,19 @@
 //! One input, every path to the `balg_core::join` kernel, one answer.
 //!
-//! The per-pair suites (`fast_path_differential`, both
-//! `parallel_differential`s, `incremental/tests/differential.rs`) each
-//! compare two join paths. This one feeds a single random
-//! `σ_{αᵢ=αⱼ}(L × R)` through all of them:
+//! The per-pair suites (`fast_path_differential`,
+//! `incremental/tests/differential.rs`) each compare two join paths. This
+//! one feeds a single random `σ_{αᵢ=αⱼ}(L × R)` through all of them:
 //!
 //! * (a) `Evaluator`, indexed; (b) `set_reference(true)`, whose join runs
-//!   `join::scan`; (c) at 4 chunks (`set_parallel_threads(4)`, threshold
-//!   1), where a join never partitions — results, error values and
-//!   `Metrics.steps` must agree;
-//! * (d) a `ViewRuntime` join view registered over *empty* bases, with `L`
+//!   `join::scan` — results, error values and `Metrics.steps` must agree;
+//! * (c) a `ViewRuntime` join view registered over *empty* bases, with `L`
 //!   and `R` streamed in as randomly split insert batches and a random
 //!   subset then deleted — the bilinear delta rule, its terms evaluator
-//!   probes over each delta's halves — indexed, on the reference and at 4
-//!   chunks, checked after every batch;
+//!   probes over each delta's halves — indexed and on the reference,
+//!   checked after every batch;
 //!
 //! against `σ(L × R)` *materialised* (product, then a per-element filter
-//! no recogniser fuses) on the same database. (e) `RalgEvaluator`, the
+//! no recogniser fuses) on the same database. (d) `RalgEvaluator`, the
 //! set-semantics oracle with no join of its own (product, then filter),
 //! must give `ε` of that reference on the same database seen as sets.
 //! `(i, j)` ranges over spanning, same-side, equal, out-of-range and `α₀`
@@ -108,13 +105,11 @@ proptest! {
             _ => 1 + (pick - 1) % (la + ra),
         };
         let (i, j) = (attr(picks.0), attr(picks.1));
-        // (d) three runtimes in lockstep over the stream.
-        let mut runtimes: Vec<(&str, ViewRuntime, bool)> = ["indexed", "reference", "partitioned"]
+        // (c) two runtimes in lockstep over the stream.
+        let mut runtimes: Vec<(&str, ViewRuntime, bool)> = ["indexed", "reference"]
             .into_iter()
             .map(|path| {
                 let mut rt = ViewRuntime::new();
-                rt.set_parallel_threads(if path == "partitioned" { 4 } else { 1 });
-                rt.set_parallel_threshold(0);
                 rt.set_reference(path == "reference");
                 rt.load_base("L", Bag::new()).unwrap();
                 rt.load_base("R", Bag::new()).unwrap();
@@ -153,24 +148,17 @@ proptest! {
         }
         let expected = reference(&db, i, j);
 
-        // (a)–(c) the three `Evaluator` paths: outcome and step charges.
+        // (a)–(b) the two `Evaluator` paths: outcome and step charges.
         let mut steps = Vec::new();
-        for path in ["indexed", "reference", "partitioned"] {
+        for path in ["indexed", "reference"] {
             let mut ev = Evaluator::new(&db, Limits::default());
-            match path {
-                "reference" => ev.set_reference(true),
-                "partitioned" => {
-                    ev.set_parallel_threads(4);
-                    ev.set_parallel_threshold(1);
-                }
-                _ => {}
-            }
+            ev.set_reference(path == "reference");
             prop_assert_eq!(&ev.eval_bag(&fused(i, j)), &expected, "{} evaluator", path);
             steps.push(ev.metrics().steps);
         }
-        prop_assert!(steps.iter().all(|s| *s == steps[0]), "step charges diverged: {:?}", steps);
+        prop_assert_eq!(steps[0], steps[1], "step charges diverged");
 
-        // (e) the relational evaluator, against ε of the reference.
+        // (d) the relational evaluator, against ε of the reference.
         let ralg = RalgExpr::var("L").product(RalgExpr::var("R")).select(
             "x",
             RalgPred::eq(RalgExpr::var("x").attr(i), RalgExpr::var("x").attr(j)),
