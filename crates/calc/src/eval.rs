@@ -7,7 +7,6 @@
 //! the evaluation-cost asymmetry Theorem 5.2 turns into an expressiveness
 //! gap.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use balg_core::bag::Bag;
@@ -245,11 +244,6 @@ pub fn structures_agree(
     right: &Database,
 ) -> Result<bool, CalcError> {
     Ok(eval_sentence(formula, left)? == eval_sentence(formula, right)?)
-}
-
-/// All atoms of the database plus, for convenience, the explicit set.
-pub fn active_atoms(db: &Database) -> BTreeSet<Atom> {
-    db.active_domain()
 }
 
 #[cfg(test)]

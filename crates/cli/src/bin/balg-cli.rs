@@ -15,10 +15,46 @@
 //!   stderr.
 //! - `--connect ADDR` is a line client for a served instance.
 //!
-//! Every kernel is serial: no mode splits one query over threads.
+//! An unknown flag, or a known one without its value, prints the usage
+//! to stderr and exits non-zero before any mode starts. Every kernel is
+//! serial: no mode splits one query over threads.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
+
+/// Every flag the binary knows, and whether it takes a value.
+const FLAGS: [(&str, bool); 6] = [
+    ("--incremental", false),
+    ("--data-dir", true),
+    ("--serve", true),
+    ("--tables", true),
+    ("--slow-ms", true),
+    ("--connect", true),
+];
+
+const USAGE: &str = "usage: balg-cli [--incremental] [--data-dir DIR]
+       balg-cli --serve ADDR [--tables name=col[:int],col;...] [--data-dir DIR] [--slow-ms N]
+       balg-cli --connect ADDR";
+
+/// The flags given, each with its value (`""` for `--incremental`); an
+/// unknown flag, or a known one missing its value, is an error.
+fn parse_flags(args: &[String]) -> Result<BTreeMap<&'static str, &str>, String> {
+    let mut flags = BTreeMap::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(&(flag, takes_value)) = FLAGS.iter().find(|(flag, _)| flag == arg) else {
+            return Err(format!("unknown flag {arg:?}"));
+        };
+        let value = match takes_value.then(|| args.next()) {
+            None => "",
+            Some(Some(value)) if !value.starts_with("--") => value.as_str(),
+            Some(_) => return Err(format!("{flag} wants a value")),
+        };
+        flags.insert(flag, value);
+    }
+    Ok(flags)
+}
 
 fn main() -> ExitCode {
     // One process-global registry for every mode: the REPLs' `:metrics`,
@@ -26,28 +62,17 @@ fn main() -> ExitCode {
     // counter all read from it.
     balg_obs::install_global(balg_obs::MetricsRegistry::new());
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let data_dir = args
-        .iter()
-        .position(|a| a == "--data-dir")
-        .and_then(|p| args.get(p + 1))
-        .map(String::as_str);
-    if let Some(pos) = args.iter().position(|a| a == "--serve") {
-        let Some(addr) = args.get(pos + 1) else {
-            eprintln!(
-                "usage: balg-cli --serve ADDR [--tables name=col[:int],col;...] [--data-dir DIR] [--slow-ms N]"
-            );
+    let flags = match parse_flags(&args) {
+        Ok(flags) => flags,
+        Err(message) => {
+            eprintln!("{message}\n{USAGE}");
             return ExitCode::FAILURE;
-        };
-        let tables = args
-            .iter()
-            .position(|a| a == "--tables")
-            .and_then(|p| args.get(p + 1))
-            .map_or("", String::as_str);
-        let slow_ms = match args
-            .iter()
-            .position(|a| a == "--slow-ms")
-            .and_then(|p| args.get(p + 1))
-        {
+        }
+    };
+    let data_dir = flags.get("--data-dir").copied();
+    if let Some(addr) = flags.get("--serve") {
+        let tables = flags.get("--tables").copied().unwrap_or("");
+        let slow_ms = match flags.get("--slow-ms") {
             None => None,
             Some(raw) => match raw.parse::<u64>() {
                 Ok(ms) => Some(ms),
@@ -59,14 +84,10 @@ fn main() -> ExitCode {
         };
         return serve(addr, tables, data_dir, slow_ms);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--connect") {
-        let Some(addr) = args.get(pos + 1) else {
-            eprintln!("usage: balg-cli --connect ADDR");
-            return ExitCode::FAILURE;
-        };
+    if let Some(addr) = flags.get("--connect") {
         return connect(addr);
     }
-    repl(args.iter().any(|a| a == "--incremental"), data_dir)
+    repl(flags.contains_key("--incremental"), data_dir)
 }
 
 /// Parse `name=col[:int],col;name2=...` into a catalog.

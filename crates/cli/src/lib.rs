@@ -70,13 +70,7 @@ impl Session {
 
     /// The schema inferred from the stored bags.
     pub fn schema(&self) -> Schema {
-        let mut schema = Schema::new();
-        for (name, bag) in self.db.iter() {
-            if let Some(ty) = Value::Bag(bag.clone()).infer_type() {
-                schema = schema.with(name, ty);
-            }
-        }
-        schema
+        inferred_schema(&self.db)
     }
 
     /// Process one input line.
@@ -187,6 +181,18 @@ impl Session {
         );
         Ok((value, summary))
     }
+}
+
+/// The schema a session's expressions see: each bag's inferred type,
+/// with no entry for a bag whose type cannot be inferred (mixed arities).
+fn inferred_schema(db: &Database) -> Schema {
+    let mut schema = Schema::new();
+    for (name, bag) in db.iter() {
+        if let Some(ty) = Value::Bag(bag.clone()).infer_type() {
+            schema = schema.with(name, ty);
+        }
+    }
+    schema
 }
 
 /// The `:analyze EXPR` command, shared by both session kinds: parse,
@@ -313,13 +319,7 @@ impl IncrementalSession {
     /// The schema plain expressions see: inferred from the bases plus
     /// the view results (the same bags [`Self::query_db`] exposes).
     fn schema(&self) -> Schema {
-        let mut schema = Schema::new();
-        for (name, bag) in self.query_db().iter() {
-            if let Some(ty) = Value::Bag(bag.clone()).infer_type() {
-                schema = schema.with(name, ty);
-            }
-        }
-        schema
+        inferred_schema(&self.query_db())
     }
 
     fn eval_bag_text(&self, text: &str) -> Result<balg_core::bag::Bag, String> {
@@ -360,12 +360,9 @@ impl IncrementalSession {
         match cmd {
             "quit" | "q" | "exit" => Response::Quit,
             "help" | "h" => Response::Text(INCREMENTAL_HELP.trim_end().to_owned()),
+            // The runtime refuses a base over a live view and a view over a
+            // live view or a base (its naming rule).
             "load" => match name_and_expr(args).and_then(|(name, text)| {
-                // A base may not shadow a view: plain expressions would
-                // read one bag while :insert/:delete update the other.
-                if self.backend.runtime().view(&name).is_some() {
-                    return Err(format!("{name} is a view (:dropview {name} first)"));
-                }
                 let bag = self.eval_bag_text(&text)?;
                 self.backend
                     .load_base(&name, bag)
@@ -375,9 +372,6 @@ impl IncrementalSession {
                 Ok(message) | Err(message) => Response::Text(message),
             },
             "view" => match name_and_expr(args).and_then(|(name, text)| {
-                if self.backend.runtime().database().get(&name).is_some() {
-                    return Err(format!("{name} is a base bag — pick another view name"));
-                }
                 let expr = parse_expr(&text).map_err(|e| e.to_string())?;
                 self.backend
                     .create_view(&name, expr)
@@ -735,6 +729,23 @@ mod tests {
         session.process_line(":view D dedup(G)");
         let out = text(session.process_line(":load D bag{ [x,y] }"));
         assert!(out.contains("is a view"), "{out}");
+    }
+
+    #[test]
+    fn a_live_view_is_not_replaced() {
+        let dir = std::env::temp_dir().join(format!("balg-cli-view-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = IncrementalSession::open(&dir).unwrap();
+        for mut session in [IncrementalSession::new(), durable] {
+            session.process_line(":load G bag{ [a,b] }");
+            text(session.process_line(":view V project(G, 1)"));
+            let lsn = session.backend.durability().map(|d| d.lsn);
+            let out = text(session.process_line(":view V project(G, 2)"));
+            assert_eq!(out, "V is a view (drop it first)");
+            assert_eq!(text(session.process_line("V")), "{{[a]}}");
+            assert_eq!(session.backend.durability().map(|d| d.lsn), lsn);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

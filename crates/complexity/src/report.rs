@@ -34,11 +34,6 @@ impl Report {
         self.rows.push(row);
         self.all_match &= matches;
     }
-
-    /// Append an informational row (always counts as matching).
-    pub fn info(&mut self, row: Vec<String>) {
-        self.rows.push(row);
-    }
 }
 
 impl fmt::Display for Report {

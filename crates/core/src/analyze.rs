@@ -292,14 +292,6 @@ impl Facts {
             .unwrap_or(Linearity::Unread)
     }
 
-    /// `true` when every base the expression reads is linear or bilinear
-    /// — an update to any base propagates as delta operations only.
-    pub fn fully_linear(&self) -> bool {
-        self.linearity
-            .values()
-            .all(|&class| class <= Linearity::Bilinear)
-    }
-
     /// The smallest `k` such that the expression is in BALGᵏ. By the
     /// Section 4 convention, level 1 additionally demands strictly
     /// unnested types.

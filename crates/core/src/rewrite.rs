@@ -6,30 +6,39 @@
 //! All rules are **multiplicity-exact** — bag semantics rules out several
 //! classical set rewrites (the paper cites \[CV93\] for how set-based
 //! conjunctive-query reasoning fails on bags), so each rule here preserves
-//! the full bag, not just the support:
+//! the full bag, not just the support. Each is one match arm, kept only
+//! because removing it moves the result, `steps` or
+//! `max_distinct_elements` of some optimized expression in the tests:
 //!
-//! * selection fusion and pushdown (below `MAP`, and through `×` by the
-//!   conjunct splitter [`split_select_over_product`], whose output —
-//!   one-sided conjuncts below the product, the join equality directly
-//!   on it, the residue above — is this optimizer's normal form and the
-//!   shape the SQL lowering emits);
-//! * `ε` pushdown (`ε∘σ = σ∘ε`, `ε(A×B) = ε(A)×ε(B)`,
-//!   `ε(A ∪⁺ B) = ε(A) ∪ ε(B)`, …). `ε` moves below `×` only when the
-//!   schema gives both operands an arity: concatenating tuples is
-//!   injective only then, and over `A = {{[a], [a,b]}}`,
+//! * `σ_true` elimination, `σ` fusion, pushdown below `MAP`, and through
+//!   `×` the conjunct splitter [`split_select_over_product`], whose
+//!   output — one-sided conjuncts below the product, the join equality
+//!   directly on it, the residue above — is this optimizer's normal form
+//!   and the shape the SQL lowering emits. A `σ` over a join `σ` is
+//!   re-split rather than fused, or fusion and the splitter would undo
+//!   each other without end;
+//! * `ε` elimination under the analyzer's set-ness certificate (which
+//!   covers `ε(ε e)` and `ε(∅)`), and `ε` pushdown (`ε∘σ = σ∘ε`,
+//!   `ε(A×B) = ε(A)×ε(B)`, `ε(A ∪⁺ B) = ε(A) ∪ ε(B)`, …). `ε` moves below
+//!   `×` only when the schema gives both operands an arity: concatenating
+//!   tuples is injective only then, and over `A = {{[a], [a,b]}}`,
 //!   `B = {{[b,c], [c]}}` the pushed form would count `[a,b,c]` twice;
-//! * MAP fusion (`MAP_f ∘ MAP_g = MAP_{f∘g}`) and identity elimination;
+//! * `MAP(∅) → ∅` and MAP fusion (`MAP_f ∘ MAP_g = MAP_{f∘g}`);
 //! * empty-bag and idempotence simplifications;
-//! * constant folding of closed, powerset-free subexpressions.
+//! * constant folding of closed, powerset-free subexpressions (which
+//!   empties a closed `σ(∅)` or `δ(∅)`).
 //!
-//! The rewriter assumes the input expression **type checks** against the
-//! schema it is given: simplifications such as `∅ × e → ∅` erase shape
-//! errors an ill-typed `e` would have raised.
+//! [`optimize`] is **total**: it types its input with [`analyze`] first
+//! and hands back unchanged one that does not type, so a rule such as
+//! `∅ × e → ∅` cannot erase the error of an ill-typed `e`. Every closed
+//! subtree of a typed expression types too, so the shape guards (arity,
+//! set-ness) decline only inside λ bodies, whose variables the schema
+//! does not type.
 
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
-use crate::analyze::infer_type;
+use crate::analyze::{analyze, infer_type};
 use crate::bag::Bag;
 use crate::eval::{equi_join_attrs, Evaluator, Limits};
 use crate::expr::{Expr, Pred, Var};
@@ -40,10 +49,15 @@ use crate::value::Value;
 /// Rewrite `expr` to a cheaper equivalent, using `schema` for the
 /// attribute-range analysis of selection pushdown through products.
 ///
-/// Runs bottom-up passes to a fixpoint (bounded), so the result is stable:
-/// `optimize(optimize(e)) == optimize(e)`.
+/// Total: an `expr` that [`analyze`] rejects under `schema` comes back
+/// unchanged, so its error still surfaces when it is evaluated. A typed
+/// one runs bottom-up passes to a fixpoint (bounded), so the result is
+/// stable: `optimize(optimize(e)) == optimize(e)`.
 pub fn optimize(expr: &Expr, schema: &Schema) -> Expr {
     let mut current = expr.clone();
+    if analyze(expr, schema).is_err() {
+        return current;
+    }
     for _ in 0..12 {
         if !pass(&mut current, schema) {
             break;
@@ -59,7 +73,7 @@ fn pass(expr: &mut Expr, schema: &Schema) -> bool {
     expr.for_each_child_mut(|child, _| changed |= pass(child, schema));
     // Then the node itself, repeatedly while local rules fire.
     loop {
-        let node = std::mem::replace(expr, Expr::Tuple(Vec::new()));
+        let node = take(expr);
         let (next, fired) = apply_rules(node, schema);
         *expr = next;
         if !fired {
@@ -67,6 +81,11 @@ fn pass(expr: &mut Expr, schema: &Schema) -> bool {
         }
         changed = true;
     }
+}
+
+/// Move the expression out of `slot`, leaving a placeholder.
+fn take(slot: &mut Expr) -> Expr {
+    std::mem::replace(slot, Expr::Tuple(Vec::new()))
 }
 
 fn is_empty_lit(expr: &Expr) -> bool {
@@ -203,7 +222,6 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
     match expr {
         // --- selection rules -------------------------------------------
         Expr::Select { pred, input, .. } if matches!(*pred, Pred::True) => (*input, true),
-        Expr::Select { input, .. } if is_empty_lit(&input) => (empty(), true),
         // σ_p(σ_{αᵢ=αⱼ}(L × R)): the join σ sitting on its product is the
         // shape both engines fuse, so it is not absorbed into the outer σ —
         // the pair is re-split with the join equality first, which keeps it
@@ -239,77 +257,50 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
         }
         // Fuse σ_p(σ_q(e)): rename q's variable to p's.
         Expr::Select {
-            var: outer_var,
-            pred: outer_pred,
-            input,
+            var,
+            pred,
+            mut input,
         } if matches!(*input, Expr::Select { .. }) => {
             let Expr::Select {
                 var: inner_var,
-                pred: mut inner_pred,
+                pred: inner_pred,
                 input: inner_input,
-            } = *input
+            } = &mut *input
             else {
                 unreachable!("guarded by matches!")
             };
-            if inner_var == outer_var
-                || subst_pred(&mut inner_pred, &inner_var, &Expr::Var(outer_var.clone()))
-            {
-                let fused = Expr::Select {
-                    var: outer_var,
-                    pred: Box::new(Pred::And(outer_pred, inner_pred)),
-                    input: inner_input,
-                };
-                (fused, true)
-            } else {
-                let unfused = Expr::Select {
-                    var: outer_var,
-                    pred: outer_pred,
-                    input: Box::new(Expr::Select {
-                        var: inner_var,
-                        pred: inner_pred,
-                        input: inner_input,
-                    }),
-                };
-                (unfused, false)
+            if *inner_var != var && !subst_pred(inner_pred, inner_var, &Expr::Var(var.clone())) {
+                return (Expr::Select { var, pred, input }, false);
             }
+            let inner_pred = std::mem::replace(inner_pred, Box::new(Pred::True));
+            *input = take(inner_input);
+            let pred = Box::new(Pred::And(pred, inner_pred));
+            (Expr::Select { var, pred, input }, true)
         }
         // Push σ below MAP: σ_p(MAP_f(e)) = MAP_f(σ_{p[x := f]}(e)).
         Expr::Select {
-            var: select_var,
+            var,
             mut pred,
-            input,
+            mut input,
         } if matches!(*input, Expr::Map { .. }) => {
             let Expr::Map {
                 var: map_var,
                 body,
                 input: map_input,
-            } = *input
+            } = &mut *input
             else {
                 unreachable!("guarded by matches!")
             };
-            if subst_pred(&mut pred, &select_var, &body) {
-                let pushed = Expr::Map {
-                    var: map_var.clone(),
-                    body,
-                    input: Box::new(Expr::Select {
-                        var: map_var,
-                        pred,
-                        input: map_input,
-                    }),
-                };
-                (pushed, true)
-            } else {
-                let kept = Expr::Select {
-                    var: select_var,
-                    pred,
-                    input: Box::new(Expr::Map {
-                        var: map_var,
-                        body,
-                        input: map_input,
-                    }),
-                };
-                (kept, false)
+            if !subst_pred(&mut pred, &var, body) {
+                return (Expr::Select { var, pred, input }, false);
             }
+            let below = Expr::Select {
+                var: map_var.clone(),
+                pred,
+                input: Box::new(take(map_input)),
+            };
+            **map_input = below;
+            (*input, true)
         }
         // Split σ over ×: one-sided conjuncts below, the join equality on
         // the product, the residue above.
@@ -332,22 +323,15 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
         // certifies strictly more than the syntactic lattice (products of
         // sets with statically known arities); inside λ bodies, where the
         // operand has free λ variables the schema cannot type, the
-        // syntactic lattice still applies.
+        // syntactic lattice still applies. It covers `ε(ε e)` and `ε(∅)`
+        // too: the lattice certifies every `ε` and the empty bag.
         Expr::Dedup(e) if certified_set(&e, schema) => (*e, true),
-        Expr::Dedup(e) if matches!(*e, Expr::Dedup(_)) => (*e, true),
-        Expr::Dedup(e) if is_empty_lit(&e) => (empty(), true),
-        Expr::Dedup(e) if matches!(*e, Expr::Select { .. }) => {
-            let Expr::Select { var, pred, input } = *e else {
-                unreachable!("guarded by matches!")
-            };
-            (
-                Expr::Select {
-                    var,
-                    pred,
-                    input: Box::new(Expr::Dedup(input)),
-                },
-                true,
-            )
+        // ε(σ(e)) = σ(ε(e)).
+        Expr::Dedup(mut e) if matches!(*e, Expr::Select { .. }) => {
+            if let Expr::Select { input, .. } = &mut *e {
+                **input = take(input).dedup();
+            }
+            (*e, true)
         }
         // ε(A × B) = ε(A) × ε(B) needs both arities: concatenation is
         // injective only then (module doc).
@@ -358,64 +342,36 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
             let Expr::Product(a, b) = *e else {
                 unreachable!("guarded by matches!")
             };
-            (
-                Expr::Product(Box::new(Expr::Dedup(a)), Box::new(Expr::Dedup(b))),
-                true,
-            )
+            (a.dedup().product(b.dedup()), true)
         }
+        // ε(A ∪ B) = ε(A ∪⁺ B) = ε(A) ∪ ε(B): support union.
         Expr::Dedup(e) if matches!(*e, Expr::MaxUnion(_, _) | Expr::AdditiveUnion(_, _)) => {
-            let (a, b) = match *e {
-                Expr::MaxUnion(a, b) | Expr::AdditiveUnion(a, b) => (a, b),
-                _ => unreachable!("guarded by matches!"),
+            let (Expr::MaxUnion(a, b) | Expr::AdditiveUnion(a, b)) = *e else {
+                unreachable!("guarded by matches!")
             };
-            // ε(A ∪ B) = ε(A ∪⁺ B) = ε(A) ∪ ε(B): support union.
-            (
-                Expr::MaxUnion(Box::new(Expr::Dedup(a)), Box::new(Expr::Dedup(b))),
-                true,
-            )
+            (a.dedup().max_union(b.dedup()), true)
         }
 
         // --- MAP rules ---------------------------------------------------
         Expr::Map { input, .. } if is_empty_lit(&input) => (empty(), true),
-        // Identity map.
-        Expr::Map { var, body, input } if *body == Expr::Var(var.clone()) => {
-            let _ = var;
-            (*input, true)
-        }
         // Fusion MAP_f(MAP_g(e)) → MAP_{f[x:=g]}(e), where it does not
         // grow the body.
         Expr::Map {
-            var: outer_var,
-            body: mut outer_body,
-            input,
+            var,
+            mut body,
+            mut input,
         } if matches!(*input, Expr::Map { .. }) => {
             let Expr::Map {
-                var: inner_var,
-                body: inner_body,
-                input: inner_input,
-            } = *input
+                body: inner_body, ..
+            } = &mut *input
             else {
                 unreachable!("guarded by matches!")
             };
-            if fuse_map_bodies(&mut outer_body, &outer_var, &inner_body) {
-                let fused = Expr::Map {
-                    var: inner_var,
-                    body: outer_body,
-                    input: inner_input,
-                };
-                (fused, true)
-            } else {
-                let unfused = Expr::Map {
-                    var: outer_var,
-                    body: outer_body,
-                    input: Box::new(Expr::Map {
-                        var: inner_var,
-                        body: inner_body,
-                        input: inner_input,
-                    }),
-                };
-                (unfused, false)
+            if !fuse_map_bodies(&mut body, &var, inner_body) {
+                return (Expr::Map { var, body, input }, false);
             }
+            *inner_body = body;
+            (*input, true)
         }
 
         // --- empty-bag propagation & idempotence ------------------------
@@ -429,7 +385,6 @@ fn apply_rules(expr: Expr, schema: &Schema) -> (Expr, bool) {
         Expr::Subtract(a, b) if is_empty_lit(&b) => (*a, true),
         Expr::Subtract(a, b) if is_empty_lit(&a) || a == b => (empty(), true),
         Expr::Product(a, b) if is_empty_lit(&a) || is_empty_lit(&b) => (empty(), true),
-        Expr::Destroy(e) if is_empty_lit(&e) => (empty(), true),
 
         // --- constant folding -------------------------------------------
         other => try_fold(other),
@@ -611,9 +566,7 @@ fn try_fold(expr: Expr) -> (Expr, bool) {
     }
     let mut explosive = false;
     expr.visit(&mut |e| {
-        if matches!(e, Expr::Powerset(_) | Expr::Powerbag(_) | Expr::Ifp { .. }) {
-            explosive = true;
-        }
+        explosive |= matches!(e, Expr::Powerset(_) | Expr::Powerbag(_) | Expr::Ifp { .. });
     });
     if explosive {
         return (expr, false);
@@ -653,6 +606,13 @@ mod tests {
         Database::new().with("G", g).with("H", h)
     }
 
+    /// How many nodes of `expr` are of the `kind` asked for.
+    fn count(expr: &Expr, kind: fn(&Expr) -> bool) -> usize {
+        let mut n = 0;
+        expr.visit(&mut |e| n += usize::from(kind(e)));
+        n
+    }
+
     /// Optimization must preserve the *bag*, not just the support.
     fn assert_equivalent(q: &Expr) {
         let schema = graph_schema();
@@ -682,12 +642,7 @@ mod tests {
             .product(Expr::var("H").dedup())
             .dedup();
         let out = optimize(&p, &graph_schema());
-        let mut dedups = 0;
-        out.visit(&mut |e| {
-            if matches!(e, Expr::Dedup(_)) {
-                dedups += 1;
-            }
-        });
+        let dedups = count(&out, |e| matches!(e, Expr::Dedup(_)));
         assert_eq!(dedups, 2, "outer ε should be elided: {out}");
         assert_equivalent(&p);
 
@@ -716,13 +671,11 @@ mod tests {
             );
         let out = optimize(&q, &graph_schema());
         // One Select remains.
-        let mut selects = 0;
-        out.visit(&mut |e| {
-            if matches!(e, Expr::Select { .. }) {
-                selects += 1;
-            }
-        });
-        assert_eq!(selects, 1, "{out}");
+        assert_eq!(
+            count(&out, |e| matches!(e, Expr::Select { .. })),
+            1,
+            "{out}"
+        );
         assert_equivalent(&q);
     }
 
@@ -812,20 +765,11 @@ mod tests {
     }
 
     #[test]
-    fn map_fusion_and_identity() {
+    fn map_fusion() {
         let q = Expr::var("G").project(&[2, 1]).project(&[2, 1]);
         let out = optimize(&q, &graph_schema());
-        let mut maps = 0;
-        out.visit(&mut |e| {
-            if matches!(e, Expr::Map { .. }) {
-                maps += 1;
-            }
-        });
-        assert_eq!(maps, 1, "{out}");
+        assert_eq!(count(&out, |e| matches!(e, Expr::Map { .. })), 1, "{out}");
         assert_equivalent(&q);
-
-        let identity = Expr::var("G").map("x", Expr::var("x"));
-        assert_eq!(optimize(&identity, &graph_schema()), Expr::var("G"));
     }
 
     #[test]
@@ -862,13 +806,7 @@ mod tests {
     fn dedup_rules() {
         let q = Expr::var("G").dedup().dedup();
         let out = optimize(&q, &graph_schema());
-        let mut dedups = 0;
-        out.visit(&mut |e| {
-            if matches!(e, Expr::Dedup(_)) {
-                dedups += 1;
-            }
-        });
-        assert_eq!(dedups, 1);
+        assert_eq!(count(&out, |e| matches!(e, Expr::Dedup(_))), 1, "{out}");
         assert_equivalent(&q);
 
         let q2 = Expr::var("G").product(Expr::var("H")).dedup();
@@ -902,6 +840,21 @@ mod tests {
             optimize(&Expr::var("G").subtract(Expr::var("G")), &schema),
             empty
         );
+    }
+
+    #[test]
+    fn an_ill_typed_input_comes_back_unchanged() {
+        // G is binary: α3 is out of range, so the product fails to
+        // evaluate, and rewriting it to ∅ would hide that.
+        let q = Expr::empty_bag().product(Expr::var("G").project(&[3]));
+        assert!(analyze(&q, &graph_schema()).is_err());
+        assert_eq!(optimize(&q, &graph_schema()), q);
+        assert!(eval_bag(&q, &graph_db()).is_err());
+        // A rule that would fire on the typed part does not either.
+        let q = Expr::var("G")
+            .select("x", Pred::True)
+            .product(Expr::var("G").project(&[3]));
+        assert_eq!(optimize(&q, &graph_schema()), q);
     }
 
     #[test]

@@ -46,15 +46,6 @@ impl Schema {
     pub fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &Type)> {
         self.types.iter()
     }
-
-    /// The maximal bag nesting over all bag types in the schema.
-    pub fn max_nesting(&self) -> usize {
-        self.types
-            .values()
-            .map(Type::bag_nesting)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// A bag database instance: named bags.

@@ -720,7 +720,9 @@ impl Runtime {
     }
 
     /// Log and apply a base load/replace (see [`ViewRuntime::load_base`]).
+    /// A name a live view holds is refused ([`UpdateError::NameTaken`]).
     pub fn load_base(&mut self, name: &str, bag: Bag) -> Result<(), DurableError> {
+        self.check_name(name, false)?;
         check_base(name, &bag)?;
         self.write_ahead(|lsn| WalRecord::LoadBase {
             lsn,
@@ -733,9 +735,12 @@ impl Runtime {
     /// Log and apply a view registration (see
     /// [`ViewRuntime::create_view`]). A registration the runtime rejects
     /// is logged but rejected identically on replay, so the log and the
-    /// state never diverge — except one the log could not decode, which
-    /// is refused before it is logged.
+    /// state never diverge — except one the log could not decode, and a
+    /// name a live view or a base already holds
+    /// ([`UpdateError::NameTaken`]), which are refused before they are
+    /// logged.
     pub fn create_view(&mut self, name: &str, expr: Expr) -> Result<&Bag, DurableError> {
+        self.check_name(name, true)?;
         check_view(name, &expr)?;
         self.write_ahead(|lsn| WalRecord::CreateView {
             lsn,
@@ -745,6 +750,21 @@ impl Runtime {
         self.views
             .create_view(name, expr)
             .map_err(DurableError::from)
+    }
+
+    /// The one naming rule: no name is both a live view and a base, and
+    /// no live view is replaced. A registration (`for_view`) may take
+    /// neither kind of name, a base load no view's. Replay bypasses it,
+    /// so logs written before the rule still open.
+    fn check_name(&self, name: &str, for_view: bool) -> Result<(), UpdateError> {
+        let by_view = self.views.view(name).is_some();
+        if by_view || (for_view && self.views.database().get(name).is_some()) {
+            return Err(UpdateError::NameTaken {
+                name: name.to_owned(),
+                by_view,
+            });
+        }
+        Ok(())
     }
 
     /// Log and apply a view drop (see [`ViewRuntime::drop_view`]).

@@ -107,6 +107,18 @@ pub enum UpdateError {
     /// ([`balg_core::wal::MAX_DECODE_DEPTH`]) — refused before anything is
     /// logged or committed, so every logged record replays.
     TooDeep(String),
+    /// A view registration named a live view or a base bag, or a base
+    /// load named a live view — refused by the durable [`Runtime`]
+    /// before anything is logged: one name would otherwise read one bag
+    /// while updates (or the replaced registration) reach another.
+    ///
+    /// [`Runtime`]: crate::Runtime
+    NameTaken {
+        /// The refused name.
+        name: String,
+        /// `true` when a live view holds it, `false` when a base does.
+        by_view: bool,
+    },
 }
 
 impl fmt::Display for UpdateError {
@@ -128,6 +140,10 @@ impl fmt::Display for UpdateError {
                 f,
                 "{name} nests deeper than the {MAX_DECODE_DEPTH} levels the log decodes"
             ),
+            UpdateError::NameTaken { name, by_view } => match by_view {
+                true => write!(f, "{name} is a view (drop it first)"),
+                false => write!(f, "{name} is a base bag (pick another view name)"),
+            },
         }
     }
 }

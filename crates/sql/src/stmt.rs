@@ -20,7 +20,7 @@ use balg_core::expr::Expr;
 use balg_core::natural::Natural;
 use balg_core::types::Type;
 use balg_core::value::Value;
-use balg_incremental::{DurableError, Runtime, UpdateBatch, ViewRuntime};
+use balg_incremental::{DurableError, Runtime, UpdateBatch, UpdateError, ViewRuntime};
 
 use crate::ast::Query;
 use crate::cache::{Prepared, StatementCache};
@@ -648,19 +648,14 @@ impl SqlRuntime {
         }
     }
 
-    /// Refuse a `CREATE VIEW` name before anything is compiled or logged.
-    /// A declared table's name would mean the base rows in FROM but the
-    /// view rows in `view_rows()`; a live view's name would replace that
-    /// view. A dropped view's name is free again.
+    /// Refuse a `CREATE VIEW` name a declared table holds before anything
+    /// is compiled or logged: it would mean the base rows in FROM but the
+    /// view rows in `view_rows()`. A live view's name is refused by the
+    /// runtime in [`Self::register_view`]; a dropped view's is free again.
     fn check_view_name(&self, name: &str) -> Result<(), SqlError> {
         if self.catalog.get(name).is_some() {
             return Err(SqlError::Compile(
                 crate::compile::CompileError::ViewShadowsTable(name.to_owned()),
-            ));
-        }
-        if self.backend.runtime().view(name).is_some() {
-            return Err(SqlError::Compile(
-                crate::compile::CompileError::TableExists(name.to_owned()),
             ));
         }
         Ok(())
@@ -708,7 +703,14 @@ impl SqlRuntime {
         expr: Expr,
         output: Arc<[Column]>,
     ) -> Result<Response, SqlError> {
-        self.backend.create_view(&name, expr).map_err(durable_err)?;
+        // A live view's name is the runtime's refusal, before anything is
+        // logged, and the `TableExists` any second create is.
+        self.backend.create_view(&name, expr).map_err(|e| match e {
+            DurableError::Update(UpdateError::NameTaken { name, .. }) => {
+                SqlError::Compile(crate::compile::CompileError::TableExists(name))
+            }
+            other => durable_err(other),
+        })?;
         self.backend
             .set_meta(&format!("viewcols:{name}"), Some(&encode_columns(&output)))
             .map_err(durable_err)?;
