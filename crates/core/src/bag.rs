@@ -116,6 +116,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use crate::index::ValueHasher;
 use crate::natural::Natural;
 use crate::value::Value;
+use crate::wal::{self, ByteReader, DecodeError};
 
 /// An error from a primitive bag operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -306,7 +307,10 @@ impl<'a, A> KeyGroups<'a, A> {
     }
 }
 
-/// A homogeneous bag of [`Value`]s with exact [`Natural`] multiplicities.
+/// A homogeneous bag of [`Value`]s with exact multiplicities: [`Natural`]
+/// ones by default, the bags of Section 3, or signed
+/// [`ZInt`](crate::zbag::ZInt) ones, the deltas of incremental
+/// maintenance ([`crate::zbag`]).
 ///
 /// Invariant: the pair slice is strictly ascending in [`Value`] order and
 /// stores no multiplicity-zero entries, so equality and ordering of bags
@@ -314,17 +318,12 @@ impl<'a, A> KeyGroups<'a, A> {
 /// PSPACE encoding of Theorem 5.1 relies on.
 ///
 /// Cloning is `O(1)` (shared `Arc`); the first mutation of a shared bag
-/// copies the pair slice (copy-on-write).
+/// copies the pair slice (copy-on-write). The constructors, accessors and
+/// the builder work for either multiplicity; the operators of Section 3
+/// are defined on `Bag<Natural>` only.
 #[derive(Clone, Debug)]
-pub struct Bag {
-    elems: Arc<Vec<(Value, Natural)>>,
-}
-
-/// All empty bags share one allocation, so `Bag::new()` is free and
-/// comparisons against the empty bag hit the pointer-equality fast path.
-fn shared_empty() -> Arc<Vec<(Value, Natural)>> {
-    static EMPTY: OnceLock<Arc<Vec<(Value, Natural)>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
+pub struct Bag<M = Natural> {
+    elems: Arc<Vec<(Value, M)>>,
 }
 
 /// One version of a bag, named without keeping it alive: a `Weak` to its
@@ -347,28 +346,28 @@ impl Version {
     }
 }
 
-impl Default for Bag {
-    fn default() -> Bag {
+impl<M: Multiplicity> Default for Bag<M> {
+    fn default() -> Bag<M> {
         Bag::new()
     }
 }
 
-impl PartialEq for Bag {
-    fn eq(&self, other: &Bag) -> bool {
+impl<M: Multiplicity> PartialEq for Bag<M> {
+    fn eq(&self, other: &Bag<M>) -> bool {
         Arc::ptr_eq(&self.elems, &other.elems) || self.elems == other.elems
     }
 }
 
-impl Eq for Bag {}
+impl<M: Multiplicity> Eq for Bag<M> {}
 
-impl PartialOrd for Bag {
-    fn partial_cmp(&self, other: &Bag) -> Option<Ordering> {
+impl<M: Multiplicity> PartialOrd for Bag<M> {
+    fn partial_cmp(&self, other: &Bag<M>) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Bag {
-    fn cmp(&self, other: &Bag) -> Ordering {
+impl<M: Multiplicity> Ord for Bag<M> {
+    fn cmp(&self, other: &Bag<M>) -> Ordering {
         if Arc::ptr_eq(&self.elems, &other.elems) {
             return Ordering::Equal;
         }
@@ -379,23 +378,24 @@ impl Ord for Bag {
     }
 }
 
-impl Hash for Bag {
+impl<M: Multiplicity> Hash for Bag<M> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         (*self.elems).hash(state);
     }
 }
 
-impl Bag {
-    /// The empty bag `⟦⟧`.
-    pub fn new() -> Bag {
-        Bag {
-            elems: shared_empty(),
-        }
+impl<M: Multiplicity> Bag<M> {
+    /// The empty bag `⟦⟧`. Every empty bag of one multiplicity shares one
+    /// slice ([`Multiplicity::empty`]), so this allocates nothing, and
+    /// comparisons against the empty bag hit the pointer-equality fast
+    /// path.
+    pub fn new() -> Bag<M> {
+        Bag { elems: M::empty() }
     }
 
     /// Wrap a pair vector that already satisfies the representation
     /// invariant (strictly ascending keys, no zero multiplicities).
-    pub(crate) fn from_sorted_vec(pairs: Vec<(Value, Natural)>) -> Bag {
+    pub(crate) fn from_sorted_vec(pairs: Vec<(Value, M)>) -> Bag<M> {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "bag keys must be strictly ascending"
@@ -412,24 +412,11 @@ impl Bag {
         }
     }
 
-    /// Mutable access to the pair vector for same-crate patching
-    /// ([`crate::zbag::ZBag::apply_into`]); copy-on-write like every
-    /// mutation, and the caller must re-establish the invariant.
-    pub(crate) fn elems_mut(&mut self) -> &mut Vec<(Value, Natural)> {
-        Arc::make_mut(&mut self.elems)
-    }
-
-    /// `true` iff another clone holds this bag's slice, so a patch must
-    /// copy it. The shared empty slice always counts as shared.
-    pub(crate) fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.elems) > 1
-    }
-
     /// Read-only view of the sorted `(element, multiplicity)` pair slice
     /// (strictly ascending keys, no zero multiplicities) — what the
     /// [`crate::join`] loops walk. Construction stays
     /// crate-private, so the invariant cannot be broken through this view.
-    pub fn pairs(&self) -> &[(Value, Natural)] {
+    pub fn pairs(&self) -> &[(Value, M)] {
         &self.elems
     }
 
@@ -446,13 +433,112 @@ impl Bag {
     /// the identity the [`crate::index::IndexCache`] keys cached indexes
     /// by. Shared representation implies equality; the converse does not
     /// hold (equal bags may be separately allocated).
-    pub fn shares_representation(&self, other: &Bag) -> bool {
+    pub fn shares_representation(&self, other: &Bag<M>) -> bool {
         Arc::ptr_eq(&self.elems, &other.elems)
     }
 
     /// The bagging constructor `β(o) = ⟦o⟧`: a bag where `o` 1-belongs.
-    pub fn singleton(value: Value) -> Bag {
-        Bag::from_sorted_vec(vec![(value, Natural::one())])
+    pub fn singleton(value: Value) -> Bag<M> {
+        Bag::from_sorted_vec(vec![(value, M::one())])
+    }
+
+    /// Build from `(value, multiplicity)` pairs; zero multiplicities are
+    /// dropped, duplicate keys accumulate (and signed ones may cancel).
+    pub fn from_counted(pairs: impl IntoIterator<Item = (Value, M)>) -> Bag<M> {
+        let mut builder = BagBuilder::new();
+        for (value, mult) in pairs {
+            builder.push(value, mult);
+        }
+        builder.build()
+    }
+
+    /// Add one occurrence of `value`.
+    pub fn insert(&mut self, value: Value) {
+        self.insert_with_multiplicity(value, M::one());
+    }
+
+    /// Add `mult` occurrences of `value` (no-op when `mult` is zero); a
+    /// signed `mult` that cancels an entry removes it.
+    ///
+    /// Appending past the current maximum element is `O(1)` amortized;
+    /// out-of-order insertion into a uniquely-owned bag is a binary search
+    /// plus a `memmove`. Prefer [`BagBuilder`] for loops that insert in
+    /// arbitrary order.
+    pub fn insert_with_multiplicity(&mut self, value: Value, mult: M) {
+        if mult.is_zero() {
+            return;
+        }
+        let elems = Arc::make_mut(&mut self.elems);
+        let order = elems.last().map(|last| last.0.cmp(&value));
+        let ix = match order {
+            None | Some(Ordering::Less) => {
+                elems.push((value, mult));
+                return;
+            }
+            Some(Ordering::Equal) => elems.len() - 1,
+            Some(Ordering::Greater) => match elems.binary_search_by(|probe| probe.0.cmp(&value)) {
+                Ok(ix) => ix,
+                Err(ix) => {
+                    elems.insert(ix, (value, mult));
+                    return;
+                }
+            },
+        };
+        elems[ix].1.accumulate(&mult);
+        if M::CAN_CANCEL && elems[ix].1.is_zero() {
+            elems.remove(ix);
+        }
+    }
+
+    /// The number of occurrences of `o` — the `n` such that `o` n-belongs
+    /// (zero when absent).
+    pub fn multiplicity(&self, value: &Value) -> M {
+        match self.elems.binary_search_by(|probe| probe.0.cmp(value)) {
+            Ok(ix) => self.elems[ix].1.clone(),
+            Err(_) => M::default(),
+        }
+    }
+
+    /// `true` iff `o` p-belongs for some `p ≠ 0`.
+    pub fn contains(&self, value: &Value) -> bool {
+        self.elems
+            .binary_search_by(|probe| probe.0.cmp(value))
+            .is_ok()
+    }
+
+    /// Number of distinct elements.
+    pub fn distinct_count(&self) -> usize {
+        self.elems.len()
+    }
+
+    /// `true` iff the bag is empty.
+    pub fn is_empty(&self) -> bool {
+        self.elems.is_empty()
+    }
+
+    /// Iterate over `(element, multiplicity)` in element order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Value, &M)> {
+        self.elems.iter().map(|(v, m)| (v, m))
+    }
+
+    /// Iterate over distinct elements in order.
+    pub fn elements(&self) -> impl Iterator<Item = &Value> {
+        self.elems.iter().map(|(v, _)| v)
+    }
+}
+
+impl Bag {
+    /// Mutable access to the pair vector for same-crate patching
+    /// ([`Bag::apply_into`]); copy-on-write like every mutation, and the
+    /// caller must re-establish the invariant.
+    pub(crate) fn elems_mut(&mut self) -> &mut Vec<(Value, Natural)> {
+        Arc::make_mut(&mut self.elems)
+    }
+
+    /// `true` iff another clone holds this bag's slice, so a patch must
+    /// copy it. The shared empty slice always counts as shared.
+    pub(crate) fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.elems) > 1
     }
 
     /// A bag containing `count` occurrences of `value` — the paper's `Bᵗᵢ`
@@ -475,84 +561,10 @@ impl Bag {
         builder.build()
     }
 
-    /// Build from `(value, multiplicity)` pairs; zero multiplicities are
-    /// dropped, duplicate keys accumulate.
-    pub fn from_counted(pairs: impl IntoIterator<Item = (Value, Natural)>) -> Bag {
-        let mut builder = BagBuilder::new();
-        for (value, mult) in pairs {
-            builder.push(value, mult);
-        }
-        builder.build()
-    }
-
-    /// Add one occurrence of `value`.
-    pub fn insert(&mut self, value: Value) {
-        self.insert_with_multiplicity(value, Natural::one());
-    }
-
-    /// Add `mult` occurrences of `value` (no-op when `mult` is zero).
-    ///
-    /// Appending past the current maximum element is `O(1)` amortized;
-    /// out-of-order insertion into a uniquely-owned bag is a binary search
-    /// plus a `memmove`. Prefer [`BagBuilder`] for loops that insert in
-    /// arbitrary order.
-    pub fn insert_with_multiplicity(&mut self, value: Value, mult: Natural) {
-        if mult.is_zero() {
-            return;
-        }
-        let elems = Arc::make_mut(&mut self.elems);
-        match elems.last_mut() {
-            None => elems.push((value, mult)),
-            Some(last) => match last.0.cmp(&value) {
-                Ordering::Less => elems.push((value, mult)),
-                Ordering::Equal => last.1 += &mult,
-                Ordering::Greater => match elems.binary_search_by(|probe| probe.0.cmp(&value)) {
-                    Ok(ix) => elems[ix].1 += &mult,
-                    Err(ix) => elems.insert(ix, (value, mult)),
-                },
-            },
-        }
-    }
-
-    /// The number of occurrences of `o` — the `n` such that `o` n-belongs.
-    pub fn multiplicity(&self, value: &Value) -> Natural {
-        match self.elems.binary_search_by(|probe| probe.0.cmp(value)) {
-            Ok(ix) => self.elems[ix].1.clone(),
-            Err(_) => Natural::zero(),
-        }
-    }
-
-    /// `true` iff `o` p-belongs for some `p > 0`.
-    pub fn contains(&self, value: &Value) -> bool {
-        self.elems
-            .binary_search_by(|probe| probe.0.cmp(value))
-            .is_ok()
-    }
-
     /// Total number of occurrences, `Σ mᵢ` (the paper's bag size up to
     /// encoding constants).
     pub fn cardinality(&self) -> Natural {
         self.elems.iter().map(|(_, m)| m).sum()
-    }
-
-    /// Number of distinct elements.
-    pub fn distinct_count(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// `true` iff the bag is empty.
-    pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
-    }
-
-    /// Iterate over `(element, multiplicity)` in element order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Value, &Natural)> {
-        self.elems.iter().map(|(v, m)| (v, m))
-    }
-
-    /// Iterate over distinct elements in order.
-    pub fn elements(&self) -> impl Iterator<Item = &Value> {
-        self.elems.iter().map(|(v, _)| v)
     }
 
     /// The maximal multiplicity of any element (zero for the empty bag).
@@ -1094,32 +1106,71 @@ fn extend_subbags(
     }
 }
 
-/// The multiplicity interface shared by the ℕ-valued [`Bag`] machinery and
-/// the ℤ-valued [`crate::zbag::ZBag`] delta machinery: the merge and the
-/// builder below are generic over it, so both number systems run through
-/// one implementation of the two-pointer merge and the overflow-buffer
-/// accumulation strategy.
-pub(crate) trait Multiplicity: Clone {
+/// What a [`Bag`] counts its elements with: [`Natural`] for the bags of
+/// Section 3, [`ZInt`](crate::zbag::ZInt) for the signed deltas of
+/// incremental maintenance. One representation, one builder, one codec
+/// and one set of accessors serve both; the operators that need ℕ are
+/// defined on `Bag<Natural>` alone, those of the group ℤ on `Bag<ZInt>`
+/// alone ([`crate::zbag`]). `Default` is the zero, the multiplicity of an
+/// absent element.
+pub trait Multiplicity: Clone + Default + Ord + Hash + fmt::Debug + fmt::Display {
     /// Whether accumulating two nonzero values can produce zero. `false`
     /// for ℕ (addition only grows), `true` for ℤ (cancellation) — lets
     /// the shared machinery skip zero-filtering scans entirely on the ℕ
     /// hot paths.
     const CAN_CANCEL: bool;
+    /// The fewest bytes [`Multiplicity::put`] writes.
+    const MIN_ENCODED: usize;
+    /// The multiplicity of a bagged element, one.
+    fn one() -> Self;
     /// `true` iff this is the additive identity (such entries are dropped).
     fn is_zero(&self) -> bool;
     /// `self += other` in the multiplicity's own arithmetic.
     fn accumulate(&mut self, other: &Self);
+    /// The one empty slice every empty bag of this multiplicity shares
+    /// (Rust has no generic statics, so each multiplicity keeps its own).
+    fn empty() -> Arc<Vec<(Value, Self)>>;
+    /// Append the canonical encoding of `mult` ([`crate::wal::put_bag`]).
+    fn put(out: &mut Vec<u8>, mult: &Self);
+    /// Decode a multiplicity written by [`Multiplicity::put`].
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, DecodeError>;
 }
 
+// `#[inline]`: the generic bag code that calls these is instantiated in
+// the calling crate, which can inline them only when they are marked.
 impl Multiplicity for Natural {
     const CAN_CANCEL: bool = false;
+    const MIN_ENCODED: usize = 1;
 
+    #[inline]
+    fn one() -> Natural {
+        Natural::one()
+    }
+
+    #[inline]
     fn is_zero(&self) -> bool {
         Natural::is_zero(self)
     }
 
+    #[inline]
     fn accumulate(&mut self, other: &Natural) {
         *self += other;
+    }
+
+    #[inline]
+    fn empty() -> Arc<Vec<(Value, Natural)>> {
+        static EMPTY: OnceLock<Arc<Vec<(Value, Natural)>>> = OnceLock::new();
+        EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
+    }
+
+    #[inline]
+    fn put(out: &mut Vec<u8>, mult: &Natural) {
+        wal::put_natural(out, mult);
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Natural, DecodeError> {
+        wal::get_natural(r)
     }
 }
 
@@ -1394,8 +1445,10 @@ fn find_key<M>(rest: &[(Value, M)], value: &Value, skewed: bool) -> Result<usize
 /// present on one side pass through, keys present on both are combined
 /// with `combine`; zero results are dropped (for ℕ accumulation that never
 /// happens, for ℤ addition it is how cancellation disappears). The
-/// builders' compaction and the `ZBag` group operations run it; the ℕ
-/// merges of Section 3 run `merge_slices`.
+/// builder's compaction and the ℤ group operations of `Bag<ZInt>` run it;
+/// the ℕ merges of Section 3 run `merge_slices`, which reads its right
+/// operand borrowed, so the compaction (both sides owned) would clone the
+/// pairs this merge moves.
 pub(crate) fn merge_sorted_pairs<M: Multiplicity>(
     a: impl IntoIterator<Item = (Value, M)>,
     b: impl IntoIterator<Item = (Value, M)>,
@@ -1431,9 +1484,9 @@ pub(crate) fn merge_sorted_pairs<M: Multiplicity>(
     out
 }
 
-/// The generic accumulation core of [`BagBuilder`] (and of the ℤ-valued
-/// `ZBagBuilder`): a sorted prefix plus a small unsorted overflow buffer
-/// bulk-merged on demand.
+/// The accumulation core of [`BagBuilder`], for either multiplicity: a
+/// sorted prefix plus a small unsorted overflow buffer bulk-merged on
+/// demand.
 ///
 /// Signed multiplicities can cancel to zero in place; zeroed entries are
 /// left where they sit (keys stay ascending) and filtered during
@@ -1465,12 +1518,24 @@ impl<M: Multiplicity> PairBuffer<M> {
         if !M::CAN_CANCEL {
             return self.sorted.is_empty() && self.pending.is_empty();
         }
-        // Cancelling multiplicities can zero entries in place, so vector
-        // emptiness alone under-reports emptiness.
-        self.sorted
-            .iter()
-            .chain(self.pending.iter())
-            .all(|(_, m)| m.is_zero())
+        // Cancelling multiplicities can zero a sorted entry in place, and
+        // two pending pushes of one key can cancel before a compaction
+        // sums them. A pending key is never in the sorted prefix (it was
+        // not found there, and the prefix only grows past its last key),
+        // so the builder is empty iff every sorted entry is zero and
+        // every pending key sums to zero.
+        if !self.sorted.iter().all(|(_, m)| m.is_zero()) {
+            return false;
+        }
+        let mut pending: Vec<&(Value, M)> = self.pending.iter().collect();
+        pending.sort_by(|a, b| a.0.cmp(&b.0));
+        pending.chunk_by(|a, b| a.0 == b.0).all(|run| {
+            let mut sum = run[0].1.clone();
+            for (_, mult) in &run[1..] {
+                sum.accumulate(mult);
+            }
+            sum.is_zero()
+        })
     }
 
     pub(crate) fn push(&mut self, value: Value, mult: M) {
@@ -1577,35 +1642,30 @@ impl<M: Multiplicity> PairBuffer<M> {
 /// whenever it matters: the distinct count can only exceed the budget if
 /// `sorted + overflow` does, and that triggers a compaction.
 #[derive(Default)]
-pub struct BagBuilder {
-    buffer: PairBuffer<Natural>,
+pub struct BagBuilder<M: Multiplicity = Natural> {
+    buffer: PairBuffer<M>,
 }
 
-impl BagBuilder {
+impl<M: Multiplicity> BagBuilder<M> {
     /// An empty builder.
-    pub fn new() -> BagBuilder {
+    pub fn new() -> BagBuilder<M> {
         BagBuilder::default()
     }
 
     /// An empty builder with room for `cap` in-order insertions.
-    pub fn with_capacity(cap: usize) -> BagBuilder {
+    pub fn with_capacity(cap: usize) -> BagBuilder<M> {
         BagBuilder {
             buffer: PairBuffer::with_capacity(cap),
         }
     }
 
-    /// `true` iff nothing has been pushed.
+    /// `true` iff nothing has been pushed (or only pairs that cancelled).
     pub fn is_empty(&self) -> bool {
         self.buffer.is_empty()
     }
 
-    /// Add one occurrence of `value`.
-    pub fn push_one(&mut self, value: Value) {
-        self.push(value, Natural::one());
-    }
-
     /// Add `mult` occurrences of `value` (no-op when `mult` is zero).
-    pub fn push(&mut self, value: Value, mult: Natural) {
+    pub fn push(&mut self, value: Value, mult: M) {
         self.buffer.push(value, mult);
     }
 
@@ -1624,10 +1684,17 @@ impl BagBuilder {
     }
 
     /// Finish into a [`Bag`].
-    pub fn build(self) -> Bag {
+    pub fn build(self) -> Bag<M> {
         let bag = Bag::from_sorted_vec(self.buffer.into_sorted());
         debug_assert!(bag.debug_validate(), "builder broke the bag invariant");
         bag
+    }
+}
+
+impl BagBuilder {
+    /// Add one occurrence of `value`.
+    pub fn push_one(&mut self, value: Value) {
+        self.push(value, Natural::one());
     }
 
     /// Finish into a duplicate-free [`Bag`] (every multiplicity clamped to
@@ -1651,7 +1718,7 @@ impl FromIterator<Value> for Bag {
     }
 }
 
-impl fmt::Display for Bag {
+impl<M: Multiplicity> fmt::Display for Bag<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("{{")?;
         let mut first = true;
@@ -1660,7 +1727,7 @@ impl fmt::Display for Bag {
                 f.write_str(", ")?;
             }
             first = false;
-            if mult.is_one() {
+            if *mult == M::one() {
                 write!(f, "{value}")?;
             } else {
                 write!(f, "{value}^{mult}")?;

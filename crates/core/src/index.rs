@@ -44,7 +44,7 @@ use std::sync::Arc;
 use crate::bag::Bag;
 use crate::natural::Natural;
 use crate::value::Value;
-use crate::zbag::ZBag;
+use crate::zbag::ZInt;
 
 /// A word-at-a-time multiply-xor hasher for [`Value`] keys, used by the
 /// join indexes and by `bag::KeyGroups`. The default SipHash
@@ -137,7 +137,7 @@ impl std::error::Error for IndexMismatch {}
 ///
 /// Built in one pass over the sorted slice (groups inherit the bag's
 /// element order, so no per-group sort). [`BagIndex::patch`] keeps an
-/// index consistent under a [`ZBag`] delta in `O(|δ| log(group))`, which
+/// index consistent under a `Bag<ZInt>` delta in `O(|δ| log(group))`, which
 /// is how the incremental runtime's cached base indexes survive update
 /// batches without a rebuild.
 #[derive(Clone, Debug)]
@@ -208,7 +208,7 @@ impl BagIndex {
     /// Apply a signed delta to the index, keeping it consistent with
     /// `delta.apply_to(indexed bag)`. On [`IndexMismatch`] the index may
     /// be partially patched and must be discarded.
-    pub fn patch(&mut self, delta: &ZBag) -> Result<(), IndexMismatch> {
+    pub fn patch(&mut self, delta: &Bag<ZInt>) -> Result<(), IndexMismatch> {
         for (row, change) in delta.iter() {
             let fields = row.as_tuple().ok_or(IndexMismatch)?;
             if fields.len() != self.arity {
@@ -495,7 +495,6 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zbag::ZInt;
 
     fn row(a: i64, b: i64) -> Value {
         Value::tuple([Value::int(a), Value::int(b)])
@@ -536,7 +535,7 @@ mod tests {
     fn patch_tracks_apply_to() {
         let base = bag(&[(1, 10, 2), (2, 20, 1)]);
         let mut index = BagIndex::build(&base, 2).unwrap();
-        let delta = ZBag::from_counted([
+        let delta = Bag::from_counted([
             (row(1, 10), ZInt::from(-1i64)), // 2 → 1
             (row(2, 20), ZInt::from(-1i64)), // vanishes
             (row(3, 10), ZInt::from(4i64)),  // new row in the 10-group
@@ -566,7 +565,7 @@ mod tests {
             let Some(mut index) = BagIndex::build(&base, attr) else {
                 panic!("binary bags are indexable on attribute {attr}");
             };
-            let delta = ZBag::from_counted(
+            let delta = Bag::from_counted(
                 changes
                     .iter()
                     .map(|&(a, b, m)| (row(a, b), ZInt::from(m))),
@@ -598,17 +597,20 @@ mod tests {
         // Deleting a row the index never saw.
         let mut index = BagIndex::build(&base, 2).unwrap();
         assert!(index
-            .patch(&ZBag::singleton(row(9, 9), ZInt::from(-1i64)))
+            .patch(&Bag::from_counted([(row(9, 9), ZInt::from(-1i64))]))
             .is_err());
         // Over-deleting a present row.
         let mut index = BagIndex::build(&base, 2).unwrap();
         assert!(index
-            .patch(&ZBag::singleton(row(1, 10), ZInt::from(-3i64)))
+            .patch(&Bag::from_counted([(row(1, 10), ZInt::from(-3i64))]))
             .is_err());
         // A row of the wrong arity.
         let mut index = BagIndex::build(&base, 2).unwrap();
         assert!(index
-            .patch(&ZBag::singleton(Value::tuple([Value::int(1)]), ZInt::one()))
+            .patch(&Bag::from_counted([(
+                Value::tuple([Value::int(1)]),
+                ZInt::one()
+            )]))
             .is_err());
     }
 
@@ -652,8 +654,7 @@ mod tests {
         let base = bag(&[(1, 10, 1), (2, 20, 3)]);
         let mut cache = IndexCache::new();
         cache.get_or_build(&base, 2).unwrap();
-        let delta =
-            ZBag::from_counted([(row(2, 20), ZInt::from(-3i64)), (row(4, 10), ZInt::one())]);
+        let delta = Bag::from_counted([(row(2, 20), ZInt::from(-3i64)), (row(4, 10), ZInt::one())]);
         let mut taken = cache.take_for_patch(&base);
         assert_eq!(taken.len(), 1);
         assert!(

@@ -154,7 +154,7 @@ mod tests {
             uniform_arity(rows(&[(1, 2, 1), (3, 4, 2)]).pairs()),
             Some(2)
         );
-        assert_eq!(uniform_arity(Bag::new().pairs()), None);
+        assert_eq!(uniform_arity(Bag::<Natural>::new().pairs()), None);
         let mut mixed = rows(&[(1, 2, 1)]);
         mixed.insert(Value::tuple([Value::int(9)]));
         assert_eq!(uniform_arity(mixed.pairs()), None);

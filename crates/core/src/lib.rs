@@ -51,7 +51,7 @@
 //! | [`derived`] | aggregates, cardinality quantifiers, Prop 3.1 identities |
 //! | [`rewrite`] | multiplicity-exact optimization rules (σ pushdown, ε/MAP fusion) |
 //! | [`schema`]  | bag databases, schemas, isomorphism (genericity) |
-//! | [`zbag`]    | signed-multiplicity ℤ-bags — the delta objects of incremental view maintenance |
+//! | [`zbag`]    | ℤ-bags, `Bag<ZInt>`: the signed multiplicity and the group operations of the delta objects of incremental view maintenance |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -3,7 +3,8 @@
 //! The incremental runtime persists committed update batches and periodic
 //! base snapshots so a process restart replays to exactly the acked state.
 //! This module owns the byte-level vocabulary: LEB128 varints, a canonical
-//! encoding for [`Natural`]/[`Value`]/[`Bag`]/[`ZInt`]/[`ZBag`] and for the
+//! encoding for [`Natural`]/[`ZInt`]/[`Value`] and for bags over either
+//! multiplicity ([`Bag`], `Bag<ZInt>`), and for the
 //! [`Expr`]/[`Pred`] trees that define views, and the length-prefixed,
 //! CRC-32-checksummed record frame both the WAL and the snapshot file are
 //! built from.
@@ -26,11 +27,11 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::bag::{Bag, BagBuilder};
+use crate::bag::{Bag, BagBuilder, Multiplicity};
 use crate::expr::{Expr, Pred, Var};
 use crate::natural::Natural;
 use crate::value::{Atom, Value};
-use crate::zbag::{ZBag, ZInt};
+use crate::zbag::ZInt;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (ISO-HDLC / zlib polynomial 0xEDB88320)
@@ -132,11 +133,11 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// How deep the recursive decoders ([`get_value`], [`get_bag`],
-/// [`get_zbag`], [`get_expr`], [`get_pred`]) may nest, each call one
-/// level. A record nested deeper is [`DecodeError::Invalid`], not a stack
-/// overflow. The write path refuses anything deeper before it reaches a
-/// log ([`bag_decodes`], [`zbag_decodes`], [`expr_decodes`]), so every
-/// record a runtime wrote decodes. A debug build spends 4–5 KB of stack
+/// [`get_expr`], [`get_pred`]) may nest, each call one level. A record
+/// nested deeper is [`DecodeError::Invalid`], not a stack overflow. The
+/// write path refuses anything deeper before it reaches a log
+/// ([`bag_decodes`], [`expr_decodes`]), so every record a runtime wrote
+/// decodes. A debug build spends 4–5 KB of stack
 /// per expression level, so the cap fits a 2 MiB thread (a server
 /// session's) about twice; text the parsers accept
 /// ([`crate::expr::MAX_EXPR_DEPTH`]) nests about 70 levels.
@@ -278,7 +279,7 @@ pub fn get_zint(r: &mut ByteReader<'_>) -> Result<ZInt, DecodeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Value / Bag / ZBag
+// Value / Bag
 // ---------------------------------------------------------------------------
 
 const VAL_INT: u8 = 0;
@@ -288,8 +289,6 @@ const VAL_BAG: u8 = 3;
 
 /// The fewest bytes a value encodes to: a tag and a one-byte varint.
 const MIN_VALUE: usize = 2;
-/// The fewest bytes a [`Natural`] encodes to: a zero limb count.
-const MIN_NATURAL: usize = 1;
 /// The fewest bytes an [`Expr`] encodes to: a tag and an empty name.
 const MIN_EXPR: usize = 2;
 
@@ -336,59 +335,33 @@ pub fn get_value(r: &mut ByteReader<'_>) -> Result<Value, DecodeError> {
     })
 }
 
-/// Encode a [`Bag`]: distinct count, then `(value, multiplicity)` pairs in
-/// the bag's canonical sorted order.
-pub fn put_bag(out: &mut Vec<u8>, bag: &Bag) {
+/// Encode a bag over either multiplicity: distinct count, then
+/// `(value, multiplicity)` pairs in the bag's canonical sorted order, each
+/// multiplicity in its own encoding ([`Multiplicity::put`]: a
+/// [`put_natural`] for ℕ, a [`put_zint`] for ℤ).
+pub fn put_bag<M: Multiplicity>(out: &mut Vec<u8>, bag: &Bag<M>) {
     put_u64(out, bag.distinct_count() as u64);
     for (value, mult) in bag.iter() {
         put_value(out, value);
-        put_natural(out, mult);
+        M::put(out, mult);
     }
 }
 
-/// Decode a [`Bag`] written by [`put_bag`]. Pairs arrive in canonical order,
+/// Decode a bag written by [`put_bag`]. Pairs arrive in canonical order,
 /// so the builder's in-order bulk path applies.
-pub fn get_bag(r: &mut ByteReader<'_>) -> Result<Bag, DecodeError> {
+pub fn get_bag<M: Multiplicity>(r: &mut ByteReader<'_>) -> Result<Bag<M>, DecodeError> {
     r.nested(|r| {
-        let count = r.count(MIN_VALUE + MIN_NATURAL)?;
+        let count = r.count(MIN_VALUE + M::MIN_ENCODED)?;
         let mut builder = BagBuilder::with_capacity(count);
         for _ in 0..count {
             let value = get_value(r)?;
-            let mult = get_natural(r)?;
+            let mult = M::get(r)?;
             if mult.is_zero() {
                 return Err(DecodeError::Invalid("zero multiplicity in bag"));
             }
             builder.push(value, mult);
         }
         Ok(builder.build())
-    })
-}
-
-/// Encode a [`ZBag`] delta: distinct count, then `(value, ℤ-multiplicity)`
-/// pairs in canonical order.
-pub fn put_zbag(out: &mut Vec<u8>, zbag: &ZBag) {
-    put_u64(out, zbag.distinct_count() as u64);
-    for (value, mult) in zbag.iter() {
-        put_value(out, value);
-        put_zint(out, mult);
-    }
-}
-
-/// Decode a [`ZBag`] written by [`put_zbag`].
-pub fn get_zbag(r: &mut ByteReader<'_>) -> Result<ZBag, DecodeError> {
-    r.nested(|r| {
-        // A ℤ-multiplicity is a sign byte and a natural.
-        let count = r.count(MIN_VALUE + 1 + MIN_NATURAL)?;
-        let mut pairs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let value = get_value(r)?;
-            let mult = get_zint(r)?;
-            if mult.is_zero() {
-                return Err(DecodeError::Invalid("zero multiplicity in zbag"));
-            }
-            pairs.push((value, mult));
-        }
-        Ok(ZBag::from_counted(pairs))
     })
 }
 
@@ -647,15 +620,9 @@ fn pred_node(r: &mut ByteReader<'_>) -> Result<Pred, DecodeError> {
 // ---------------------------------------------------------------------------
 
 /// `true` iff [`get_bag`] decodes `bag` within [`MAX_DECODE_DEPTH`].
-pub fn bag_decodes(bag: &Bag) -> bool {
+pub fn bag_decodes<M: Multiplicity>(bag: &Bag<M>) -> bool {
     bag.elements()
         .all(|value| value_fits(value, MAX_DECODE_DEPTH - 1))
-}
-
-/// `true` iff [`get_zbag`] decodes `zbag` within [`MAX_DECODE_DEPTH`].
-pub fn zbag_decodes(zbag: &ZBag) -> bool {
-    zbag.iter()
-        .all(|(value, _)| value_fits(value, MAX_DECODE_DEPTH - 1))
 }
 
 /// `true` iff [`get_expr`] decodes `expr` within [`MAX_DECODE_DEPTH`].
@@ -908,18 +875,54 @@ mod tests {
         assert_eq!(get_bag(&mut r).unwrap(), bag);
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The durable bytes of a nested ℕ-bag with a two-limb multiplicity
+    /// and of a mixed-sign ℤ-delta, as the codec wrote them before the
+    /// two bag types became one: the same values encode to the same bytes
+    /// and decode back equal.
     #[test]
-    fn zbag_roundtrip_mixed_signs() {
-        let zbag = ZBag::from_counted([
-            (Value::int(1), ZInt::from_parts(true, Natural::from(3u64))),
-            (Value::sym("a"), ZInt::one()),
+    fn bag_and_delta_bytes_are_pinned() {
+        let nested = Bag::from_counted([
+            (
+                Value::bag([Value::int(1), Value::int(1), Value::sym("x")]),
+                Natural::pow2(70),
+            ),
+            (
+                Value::tuple([Value::int(-3), Value::sym("héllo")]),
+                Natural::from(2u64),
+            ),
+            (Value::int(300), Natural::one()),
         ]);
+        let bytes = unhex("0300d804010102020005010668c3a96c6c6f01020302000201020101780101020040");
         let mut buf = Vec::new();
-        put_zbag(&mut buf, &zbag);
-        let mut r = ByteReader::new(&buf);
-        let back = get_zbag(&mut r).unwrap();
-        assert!(back.multiplicity(&Value::int(1)).is_negative());
-        assert_eq!(back.multiplicity(&Value::sym("a")), ZInt::one());
+        put_bag(&mut buf, &nested);
+        assert_eq!(buf, bytes);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(get_bag(&mut r).unwrap(), nested);
+        assert!(r.is_empty());
+
+        let delta = Bag::from_counted([
+            (Value::int(1), ZInt::from(-3i64)),
+            (Value::sym("a"), ZInt::one()),
+            (
+                Value::tuple([Value::int(7), Value::sym("b")]),
+                ZInt::from_parts(true, Natural::pow2(64)),
+            ),
+            (Value::bag([Value::int(2)]), ZInt::from(5u64)),
+        ]);
+        let bytes = unhex("0400020101030101610001010202000e01016201020001030100040101000105");
+        let mut buf = Vec::new();
+        put_bag(&mut buf, &delta);
+        assert_eq!(buf, bytes);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(get_bag(&mut r).unwrap(), delta);
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -1062,7 +1065,10 @@ mod tests {
         let tuples = [VAL_TUPLE, 1].repeat(200_000);
         assert_eq!(get_value(&mut ByteReader::new(&tuples)), Err(TOO_DEEP));
         let bags = [VAL_BAG, 1].repeat(200_000);
-        assert_eq!(get_bag(&mut ByteReader::new(&bags)), Err(TOO_DEEP));
+        assert_eq!(
+            get_bag::<Natural>(&mut ByteReader::new(&bags)),
+            Err(TOO_DEEP)
+        );
         let dedups = [EXPR_DEDUP].repeat(200_000);
         assert_eq!(get_expr(&mut ByteReader::new(&dedups)), Err(TOO_DEEP));
         let nots = [PRED_NOT].repeat(200_000);
@@ -1084,7 +1090,7 @@ mod tests {
         let mut record = Vec::new();
         put_u64(&mut record, 1 << 40);
         assert_eq!(
-            get_zbag(&mut ByteReader::new(&record)),
+            get_bag::<ZInt>(&mut ByteReader::new(&record)),
             Err(DecodeError::Truncated)
         );
         let mut record = vec![EXPR_NEST];
@@ -1109,10 +1115,10 @@ mod tests {
             let decoded = get_value(&mut ByteReader::new(&buf));
             assert_eq!(decoded.is_ok(), depth < MAX_DECODE_DEPTH, "value {depth}");
 
-            let bag = Bag::singleton(value.clone());
+            let bag: Bag = Bag::singleton(value.clone());
             let mut buf = Vec::new();
             put_bag(&mut buf, &bag);
-            let decoded = get_bag(&mut ByteReader::new(&buf));
+            let decoded = get_bag::<Natural>(&mut ByteReader::new(&buf));
             assert_eq!(decoded.is_ok(), bag_decodes(&bag), "bag {depth}");
             assert_eq!(
                 decoded.is_ok(),
@@ -1120,11 +1126,11 @@ mod tests {
                 "bag {depth}"
             );
 
-            let zbag = ZBag::from_counted([(Value::bag([value.clone()]), ZInt::one())]);
+            let zbag = Bag::from_counted([(Value::bag([value.clone()]), ZInt::one())]);
             let mut buf = Vec::new();
-            put_zbag(&mut buf, &zbag);
-            let decoded = get_zbag(&mut ByteReader::new(&buf));
-            assert_eq!(decoded.is_ok(), zbag_decodes(&zbag), "zbag {depth}");
+            put_bag(&mut buf, &zbag);
+            let decoded = get_bag::<ZInt>(&mut ByteReader::new(&buf));
+            assert_eq!(decoded.is_ok(), bag_decodes(&zbag), "zbag {depth}");
 
             let expr = (0..depth).fold(Expr::lit(Value::int(1)), |e, _| e.dedup());
             let select = Expr::var("G").select(

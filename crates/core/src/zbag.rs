@@ -3,25 +3,55 @@
 //!
 //! The paper's whole point is that bags carry multiplicities; extending
 //! the multiplicity monoid ℕ to the group ℤ makes every database update a
-//! first-class algebraic object — a [`ZBag`] — that flows through the BALG
-//! operators. An insertion of `o` is `+1·o`, a deletion is `−1·o`, and
-//! for every *linear* operator `F` the maintained identity
+//! first-class algebraic object — a `Bag<ZInt>` — that flows through the
+//! BALG operators. An insertion of `o` is `+1·o`, a deletion is `−1·o`,
+//! and for every *linear* operator `F` the maintained identity
 //! `F(B ⊕ δ) = F(B) ⊕ F(δ)` answers a standing query in time proportional
 //! to the delta (this is the classic Z-set / Z-relation construction of
 //! the IVM literature, grounded here in the Section 3 operator set).
 //!
-//! The representation mirrors [`Bag`]: one sorted pair slice with no zero
-//! entries, built through the same overflow-buffer machinery as
-//! [`crate::bag::BagBuilder`] and merged with the same two-pointer
-//! passes. Unlike [`Bag`] there is no copy-on-write `Arc`: a delta is a
-//! small value, consumed by [`ZBag::patch`] / [`ZBag::apply_to`]. The one
-//! delta that outlives its commit is a [`Spare`]'s *lag*.
+//! # One bag type over two multiplicities
 //!
-//! `Bag ⟶ ZBag` is the evident embedding, `ZBag::diff(bag, ∅)`
-//! ([`ZBag::diff`]); the reverse direction is partial: [`ZBag::split`]
-//! returns a bag exactly when its negative half is empty, and
-//! [`ZBag::apply_to`] reports [`ZBagError::NegativeMultiplicity`] instead
-//! of silently truncating, which would confuse a bad delta with monus.
+//! A ℤ-bag is a [`Bag`] whose [`Multiplicity`] is [`ZInt`]: the same
+//! copy-on-write sorted pair slice with no zero entries, built by the same
+//! [`BagBuilder`], read through the same accessors and written to the log
+//! by the same [`crate::wal::put_bag`]. [`ZBag`] and [`ZBagBuilder`] are
+//! aliases. What only the group ℤ has is defined here, on `Bag<ZInt>`:
+//! addition with cancellation ([`Bag::add`]), the delta between two
+//! ℕ-bags ([`Bag::diff`]), its checked application ([`Bag::apply_to`],
+//! [`Bag::patch`]) and the split into two ℕ-bags ([`Bag::split`]). What
+//! only ℕ has stays on `Bag<Natural>`: the four keywise merges,
+//! `powerset`, `powerbag`, `product`, `nest`, `dedup`, `scale`, `map`,
+//! `select` and `destroy`. So the type system keeps a delta out of them:
+//!
+//! ```
+//! use balg_core::value::Value;
+//! use balg_core::zbag::{ZBag, ZInt};
+//!
+//! let delta = ZBag::from_counted([(Value::int(1), ZInt::from(-2i64))]);
+//! assert_eq!(delta.add(&delta).multiplicity(&Value::int(1)), ZInt::from(-4i64));
+//! ```
+//!
+//! ```compile_fail,E0599
+//! # use balg_core::value::Value;
+//! # use balg_core::zbag::{ZBag, ZInt};
+//! let delta = ZBag::from_counted([(Value::int(1), ZInt::from(-2i64))]);
+//! let _ = delta.powerset(64);
+//! ```
+//!
+//! ```compile_fail,E0599
+//! # use balg_core::bag::MergeOp;
+//! # use balg_core::value::Value;
+//! # use balg_core::zbag::{ZBag, ZInt};
+//! let delta = ZBag::from_counted([(Value::int(1), ZInt::from(-2i64))]);
+//! let _ = delta.merge(&delta, MergeOp::Add);
+//! ```
+//!
+//! `Bag ⟶ Bag<ZInt>` is the evident embedding, `Bag::diff(bag, ∅)`; the
+//! reverse direction is partial: [`Bag::split`] returns a bag exactly
+//! when its negative half is empty, and [`Bag::apply_to`] reports
+//! [`ZBagError::NegativeMultiplicity`] instead of silently truncating,
+//! which would confuse a bad delta with monus.
 //!
 //! # Patching a bag a snapshot shares
 //!
@@ -29,7 +59,7 @@
 //! with the runtime's, so the next write finds every bag it patches
 //! shared, and copy-on-write would copy the whole slice, `O(n)` refcount
 //! touches for a one-row delta, only for the old copy to be freed when
-//! the new snapshot replaces the old one. [`ZBag::patch`] instead keeps
+//! the new snapshot replaces the old one. [`Bag::patch`] instead keeps
 //! that old version as the bag's [`Spare`] (the left-right technique,
 //! one bag at a time): once no snapshot holds it, the next patch brings
 //! it up to date with the delta it lags by and applies its own delta, both
@@ -38,10 +68,12 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use crate::bag::{merge_sorted_pairs, Bag, Multiplicity, PairBuffer, Version};
+use crate::bag::{merge_sorted_pairs, Bag, BagBuilder, Multiplicity, Version};
 use crate::natural::Natural;
 use crate::value::Value;
+use crate::wal::{self, ByteReader, DecodeError};
 
 /// A signed arbitrary-precision integer: the multiplicity group ℤ.
 ///
@@ -140,15 +172,42 @@ impl ZInt {
     }
 }
 
+// `#[inline]`: the generic bag code that calls these is instantiated in
+// the calling crate, which can inline them only when they are marked.
 impl Multiplicity for ZInt {
     const CAN_CANCEL: bool = true;
+    /// A sign byte and a natural.
+    const MIN_ENCODED: usize = 1 + Natural::MIN_ENCODED;
 
+    #[inline]
+    fn one() -> ZInt {
+        ZInt::one()
+    }
+
+    #[inline]
     fn is_zero(&self) -> bool {
         ZInt::is_zero(self)
     }
 
+    #[inline]
     fn accumulate(&mut self, other: &ZInt) {
         *self = self.add(other);
+    }
+
+    #[inline]
+    fn empty() -> Arc<Vec<(Value, ZInt)>> {
+        static EMPTY: OnceLock<Arc<Vec<(Value, ZInt)>>> = OnceLock::new();
+        EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
+    }
+
+    #[inline]
+    fn put(out: &mut Vec<u8>, mult: &ZInt) {
+        wal::put_zint(out, mult);
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<ZInt, DecodeError> {
+        wal::get_zint(r)
     }
 }
 
@@ -197,7 +256,7 @@ impl fmt::Display for ZInt {
     }
 }
 
-/// An error from the checked `ZBag ⟶ Bag` direction.
+/// An error from the checked `Bag<ZInt> ⟶ Bag` direction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZBagError {
     /// Extraction (or delta application) would produce a negative
@@ -222,125 +281,36 @@ impl fmt::Display for ZBagError {
 impl std::error::Error for ZBagError {}
 
 /// A bag with signed multiplicities: the free ℤ-module over [`Value`]s.
-///
-/// Invariant (same as [`Bag`]): strictly ascending keys, no zero entries.
-/// The additive structure is a *group* — [`ZBag::add`] cancels, and the
+/// Its additive structure is a *group* — [`Bag::add`] cancels, and the
 /// inverse of `p ⊖ n` is `n ⊖ p` — which is what makes deletion symmetric
 /// with insertion.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct ZBag {
-    pairs: Vec<(Value, ZInt)>,
-}
+pub type ZBag = Bag<ZInt>;
 
-impl ZBag {
-    /// The zero delta.
-    pub fn new() -> ZBag {
-        ZBag::default()
-    }
+/// The builder of a [`ZBag`] by repeated signed insertion.
+pub type ZBagBuilder = BagBuilder<ZInt>;
 
-    /// Wrap a pair vector already in canonical form.
-    fn from_sorted_vec(pairs: Vec<(Value, ZInt)>) -> ZBag {
-        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(pairs.iter().all(|(_, m)| !m.is_zero()));
-        ZBag { pairs }
-    }
-
-    /// A single-element delta: `mult` (possibly negative) copies of
-    /// `value`.
-    pub fn singleton(value: Value, mult: ZInt) -> ZBag {
-        if mult.is_zero() {
-            return ZBag::new();
-        }
-        ZBag::from_sorted_vec(vec![(value, mult)])
-    }
-
-    /// Accumulate from arbitrary `(value, mult)` pairs (duplicates
-    /// combine, zeros vanish).
-    pub fn from_counted(pairs: impl IntoIterator<Item = (Value, ZInt)>) -> ZBag {
-        let mut builder = ZBagBuilder::new();
-        for (value, mult) in pairs {
-            builder.push(value, mult);
-        }
-        builder.build()
-    }
-
-    /// `true` iff this is the zero delta.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Check the representation invariant: strictly ascending keys, no
-    /// zero multiplicities — the ℤ counterpart of
-    /// [`Bag::debug_validate`]. `O(n)`; for `debug_assert!` and tests.
-    pub fn debug_validate(&self) -> bool {
-        self.pairs.windows(2).all(|w| w[0].0 < w[1].0)
-            && self.pairs.iter().all(|(_, mult)| !mult.is_zero())
-    }
-
-    /// Number of distinct elements carried.
-    pub fn distinct_count(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Read-only view of the sorted `(element, signed multiplicity)` pair
-    /// slice. Construction stays private, so exposing the slice cannot
-    /// break the representation invariant; the [`crate::join`] loops walk
-    /// delta rows through it.
-    pub fn pairs(&self) -> &[(Value, ZInt)] {
-        &self.pairs
-    }
-
-    /// Iterate over `(element, signed multiplicity)` in element order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Value, &ZInt)> {
-        self.pairs.iter().map(|(v, m)| (v, m))
-    }
-
-    /// The signed multiplicity of `value` (zero when absent).
-    pub fn multiplicity(&self, value: &Value) -> ZInt {
-        match self.pairs.binary_search_by(|probe| probe.0.cmp(value)) {
-            Ok(ix) => self.pairs[ix].1.clone(),
-            Err(_) => ZInt::zero(),
-        }
-    }
-
-    /// Add `mult` copies of `value` in place (binary search; intended for
-    /// small deltas — bulk construction goes through [`ZBagBuilder`]).
-    pub fn insert(&mut self, value: Value, mult: ZInt) {
-        if mult.is_zero() {
-            return;
-        }
-        match self.pairs.binary_search_by(|probe| probe.0.cmp(&value)) {
-            Ok(ix) => {
-                self.pairs[ix].1.accumulate(&mult);
-                if self.pairs[ix].1.is_zero() {
-                    self.pairs.remove(ix);
-                }
-            }
-            Err(ix) => self.pairs.insert(ix, (value, mult)),
-        }
-    }
-
+impl Bag<ZInt> {
     /// Group addition (the two-pointer merge; cancellations vanish).
-    pub fn add(&self, other: &ZBag) -> ZBag {
+    pub fn add(&self, other: &Bag<ZInt>) -> Bag<ZInt> {
         if self.is_empty() {
             return other.clone();
         }
         if other.is_empty() {
             return self.clone();
         }
-        ZBag::from_sorted_vec(merge_sorted_pairs(
-            self.pairs.iter().cloned(),
-            other.pairs.iter().cloned(),
+        Bag::from_sorted_vec(merge_sorted_pairs(
+            self.pairs().iter().cloned(),
+            other.pairs().iter().cloned(),
             |a, b| a.add(&b),
         ))
     }
 
     /// The pointwise difference `new − old` of two bags — the delta that
-    /// [`ZBag::apply_to`] turns `old` back into `new`. This is how the
+    /// [`Bag::apply_to`] turns `old` back into `new`. This is how the
     /// non-linear fallback of the incremental engine re-expresses a
     /// re-derived node as a delta for its parents.
-    pub fn diff(new: &Bag, old: &Bag) -> ZBag {
-        ZBag::from_sorted_vec(merge_sorted_pairs(
+    pub fn diff(new: &Bag, old: &Bag) -> Bag<ZInt> {
+        Bag::from_sorted_vec(merge_sorted_pairs(
             new.iter()
                 .map(|(v, m)| (v.clone(), ZInt::from_natural(m.clone()))),
             old.iter()
@@ -355,10 +325,10 @@ impl ZBag {
         self.apply_into(base.clone())
     }
 
-    /// Whether [`ZBag::apply_into`] patches `base` in place: the delta has
+    /// Whether [`Bag::apply_into`] patches `base` in place: the delta has
     /// at most one pair per eight of `base`'s.
     fn patches_in_place(&self, base: &Bag) -> bool {
-        self.pairs.len() * 8 <= base.distinct_count()
+        self.distinct_count() * 8 <= base.distinct_count()
     }
 
     /// `base ⊕ self`, consuming the base, with `spare` the bag's [`Spare`]
@@ -372,7 +342,7 @@ impl ZBag {
     ///    patch in place. Then the lag brings the buffer up to `base`'s
     ///    version, the delta is applied on top, and `base` becomes the new
     ///    spare with this delta as its lag.
-    /// 3. Otherwise copy `base` as [`ZBag::apply_to`] does, and keep
+    /// 3. Otherwise copy `base` as [`Bag::apply_to`] does, and keep
     ///    `base` as the spare when this delta patches in place.
     ///
     /// A spare only ever catches up to the version it last returned
@@ -418,10 +388,10 @@ impl ZBag {
         Ok(new)
     }
 
-    /// As [`ZBag::apply_to`], consuming the base. A small delta against a
+    /// As [`Bag::apply_to`], consuming the base. A small delta against a
     /// uniquely-owned base patches the pair slice **in place** (binary
     /// search plus a memmove per new key). Outside this module every
-    /// patch goes through [`ZBag::patch`], which calls this. On error the
+    /// patch goes through [`Bag::patch`], which calls this. On error the
     /// base may be partially patched and is dropped.
     pub(crate) fn apply_into(&self, mut base: Bag) -> Result<Bag, ZBagError> {
         if self.is_empty() {
@@ -429,7 +399,7 @@ impl ZBag {
         }
         if self.patches_in_place(&base) {
             let elems = base.elems_mut();
-            for (value, mult) in &self.pairs {
+            for (value, mult) in self.pairs() {
                 match elems.binary_search_by(|probe| probe.0.cmp(value)) {
                     Ok(ix) => {
                         if mult.is_negative() {
@@ -467,7 +437,7 @@ impl ZBag {
         let merged = merge_sorted_pairs(
             base.iter()
                 .map(|(v, m)| (v.clone(), ZInt::from_natural(m.clone()))),
-            self.pairs.iter().cloned(),
+            self.pairs().iter().cloned(),
             |a, b| a.add(&b),
         );
         let mut out = Vec::with_capacity(merged.len());
@@ -481,12 +451,12 @@ impl ZBag {
     }
 
     /// The positive and negative parts: the bags `(p, n)` with
-    /// `self = p ⊖ n`, so `ZBag::diff(&p, &n) == self`. A linear operator
+    /// `self = p ⊖ n`, so `Bag::diff(&p, &n) == self`. A linear operator
     /// `F` maps the delta as `F(p) ⊖ F(n)` with ℕ-bag kernels only — how
     /// the incremental engine runs `MAP`, `σ` and `δ` on a delta.
     pub fn split(&self) -> (Bag, Bag) {
         let (mut positive, mut negative) = (Vec::new(), Vec::new());
-        for (value, mult) in &self.pairs {
+        for (value, mult) in self.pairs() {
             let part = if mult.is_negative() {
                 &mut negative
             } else {
@@ -501,20 +471,7 @@ impl ZBag {
     }
 }
 
-impl fmt::Display for ZBag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("{{")?;
-        for (i, (value, mult)) in self.pairs.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{value}^{mult}")?;
-        }
-        f.write_str("}}")
-    }
-}
-
-/// What [`ZBag::patch`] keeps of a bag's previous version so that the next
+/// What [`Bag::patch`] keeps of a bag's previous version so that the next
 /// patch of the bag, while a snapshot shares it, can reuse that version's
 /// buffer instead of copying. Empty (the default) until a patch finds its
 /// bag shared. One per patched bag: the incremental runtime keeps one per
@@ -524,7 +481,7 @@ pub struct Spare {
     /// The previous version; `None` when there is no spare.
     buffer: Option<Bag>,
     /// The delta from `buffer`'s version to `issued`'s.
-    lag: ZBag,
+    lag: Bag<ZInt>,
     /// The version the last patch returned.
     issued: Version,
 }
@@ -532,44 +489,12 @@ pub struct Spare {
 impl Spare {
     /// The spare `buffer`, lagging `new` (the version just returned) by
     /// `lag`.
-    fn issue(buffer: Bag, lag: ZBag, new: &Bag) -> Spare {
+    fn issue(buffer: Bag, lag: Bag<ZInt>, new: &Bag) -> Spare {
         Spare {
             buffer: Some(buffer),
             lag,
             issued: Version::of(new),
         }
-    }
-}
-
-/// An accumulator for building a [`ZBag`] by repeated signed insertion —
-/// the ℤ instantiation of the [`BagBuilder`](crate::bag::BagBuilder)
-/// overflow-buffer machinery.
-#[derive(Default)]
-pub struct ZBagBuilder {
-    buffer: PairBuffer<ZInt>,
-}
-
-impl ZBagBuilder {
-    /// An empty builder.
-    pub fn new() -> ZBagBuilder {
-        ZBagBuilder::default()
-    }
-
-    /// `true` iff nothing (or only cancelling pairs) has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
-    }
-
-    /// Add `mult` signed copies of `value`.
-    pub fn push(&mut self, value: Value, mult: ZInt) {
-        self.buffer.push(value, mult);
-    }
-
-    /// Finish into a [`ZBag`].
-    pub fn build(self) -> ZBag {
-        let zbag = ZBag::from_sorted_vec(self.buffer.into_sorted());
-        debug_assert!(zbag.debug_validate(), "builder broke the ℤ-bag invariant");
-        zbag
     }
 }
 
@@ -656,7 +581,7 @@ mod tests {
 
     #[test]
     fn checked_extraction_rejects_negative() {
-        let delta = ZBag::singleton(sym("a"), z(-1));
+        let delta = ZBag::from_counted([(sym("a"), z(-1))]);
         assert_eq!(delta.split(), (Bag::new(), Bag::singleton(sym("a"))));
         // Deleting from an element that isn't there is an error, not monus.
         let base = Bag::singleton(sym("b"));
@@ -691,47 +616,13 @@ mod tests {
         }
         assert!(!small.apply_to(&base).unwrap().contains(&Value::int(5)));
         // Over-deletion errs on both paths.
-        let over_small = ZBag::singleton(Value::int(2), z(-100));
+        let over_small = ZBag::from_counted([(Value::int(2), z(-100))]);
         let over_large = ZBag::from_counted((0..64i64).map(|i| (Value::int(i), z(-100)))); // merge path
         assert!(over_small.apply_to(&base).is_err());
         assert!(over_large.apply_to(&base).is_err());
         // A negative delta on an absent key errs on the patch path too.
-        assert!(ZBag::singleton(Value::int(999), z(-1))
+        assert!(ZBag::from_counted([(Value::int(999), z(-1))])
             .apply_to(&base)
             .is_err());
-    }
-
-    #[test]
-    fn builder_is_empty_sees_in_place_cancellation() {
-        let mut builder = ZBagBuilder::new();
-        assert!(builder.is_empty());
-        builder.push(sym("a"), ZInt::one());
-        assert!(!builder.is_empty());
-        builder.push(sym("a"), ZInt::neg_one());
-        assert!(builder.is_empty(), "cancelled pair must read as empty");
-        assert!(builder.build().is_empty());
-    }
-
-    #[test]
-    fn builder_cancels_across_overflow() {
-        // Signed pushes that cancel inside the pending buffer and across
-        // the sorted prefix must vanish from the built delta.
-        let mut builder = ZBagBuilder::new();
-        for i in (0..100i64).rev() {
-            builder.push(Value::int(i), z(1));
-        }
-        for i in 0..100i64 {
-            if i % 2 == 0 {
-                builder.push(Value::int(i), z(-1));
-            }
-        }
-        let built = builder.build();
-        assert_eq!(built.distinct_count(), 50);
-        assert!(built.iter().all(|(v, m)| {
-            let Value::Atom(crate::value::Atom::Int(i)) = v else {
-                return false;
-            };
-            i % 2 == 1 && *m == ZInt::one()
-        }));
     }
 }

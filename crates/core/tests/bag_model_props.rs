@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use balg_core::bag::{Bag, BagBuilder, BagError, MergeOp};
 use balg_core::natural::Natural;
 use balg_core::value::Value;
-use balg_core::zbag::{Spare, ZBag, ZInt};
+use balg_core::zbag::{Spare, ZBag};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -550,7 +550,7 @@ enum Holders {
 /// bag holds the copy, and it is still not unshared.
 fn version_held(bag: Bag, spare: &mut Spare) -> Bag {
     let (key, _) = bag.iter().next().expect("a delta patches in place");
-    ZBag::singleton(key.clone(), ZInt::one())
+    ZBag::singleton(key.clone())
         .patch(bag, spare)
         .expect("an insertion applies")
 }
@@ -601,7 +601,7 @@ proptest! {
     #[test]
     fn owned_merges_agree_with_map_model(operands in merge_operands()) {
         let (ra, rb, _) = operands;
-        Bag::new(); // the shared empty bag, allocated once up front
+        let _: Bag = Bag::new(); // the shared empty bag, allocated once up front
         for op in MERGE_OPS {
             for holders in [
                 Holders::Neither,

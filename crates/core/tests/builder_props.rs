@@ -8,13 +8,17 @@
 //! the overflow, *and* arriving again after a compaction) and mid-build
 //! budget checks taken while the overflow is non-empty. Everything here
 //! is pinned against a `BTreeMap` model and against element-by-element
-//! `Bag::insert`.
+//! `Bag::insert`. The builder is one type over both multiplicities, so the
+//! push scripts also run signed through `BagBuilder<ZInt>`, where pairs
+//! cancel inside the overflow, across the sorted prefix and down to the
+//! empty bag.
 
 use std::collections::BTreeMap;
 
 use balg_core::bag::{Bag, BagBuilder};
 use balg_core::natural::Natural;
 use balg_core::value::Value;
+use balg_core::zbag::ZInt;
 use proptest::prelude::*;
 
 type Model = BTreeMap<Value, Natural>;
@@ -65,12 +69,43 @@ fn assert_matches_model(bag: &Bag, model: &Model) {
     assert!(bag.debug_validate(), "bag invariant violated");
 }
 
+/// The segments signed for the ℤ builder: segment `i` is negated when bit
+/// `i` of `signs` is set, and each segment whose bit in `undo` is set is
+/// pushed once more after the whole script, negated and in reverse order,
+/// so it cancels what it pushed. An ascending segment cancels across the
+/// sorted prefix, a descending one inside the overflow, and with every
+/// `undo` bit set the script cancels down to the empty bag.
+fn signed_script(segments: &[(bool, i64, i64, u64)], signs: u16, undo: u16) -> Vec<(Value, i128)> {
+    let mut script = Vec::new();
+    let mut undone = Vec::new();
+    for (i, segment) in segments.iter().enumerate() {
+        let sign = if signs >> i & 1 == 1 { -1 } else { 1 };
+        let pushes = script_from_segments(std::slice::from_ref(segment));
+        let pushes = pushes
+            .into_iter()
+            .map(|(value, mult)| (value, sign * i128::from(mult.to_u64().unwrap())));
+        let pushes: Vec<_> = pushes.collect();
+        if undo >> i & 1 == 1 {
+            undone.extend(pushes.iter().rev().map(|(value, m)| (value.clone(), -m)));
+        }
+        script.extend(pushes);
+    }
+    script.extend(undone);
+    script
+}
+
+fn z(v: i128) -> ZInt {
+    ZInt::from_parts(v < 0, Natural::from(v.unsigned_abs()))
+}
+
 proptest! {
     /// Interleaved duplicate keys straddling the bulk-merge boundary:
     /// the built bag must match the map model and the one-at-a-time
-    /// `Bag::insert` reference exactly.
+    /// `Bag::insert` reference exactly, with ℕ multiplicities and, signed
+    /// ([`signed_script`]), with ℤ ones, where the builder must also read
+    /// as empty after every push exactly when the model is.
     #[test]
-    fn overflow_path_matches_model(raw in segments()) {
+    fn overflow_path_matches_model(raw in segments(), signs in any::<u16>(), undo in any::<u16>()) {
         let script = script_from_segments(&raw);
         let model = model_from(&script);
         let mut builder = BagBuilder::new();
@@ -81,6 +116,25 @@ proptest! {
         }
         let built = builder.build();
         assert_matches_model(&built, &model);
+        prop_assert_eq!(built, reference);
+
+        let mut model = BTreeMap::<Value, i128>::new();
+        let mut builder = BagBuilder::<ZInt>::new();
+        let mut reference = Bag::<ZInt>::new();
+        for (value, mult) in signed_script(&raw, signs, undo) {
+            let entry = model.entry(value.clone()).or_default();
+            *entry += mult;
+            if *entry == 0 {
+                model.remove(&value);
+            }
+            builder.push(value.clone(), z(mult));
+            reference.insert_with_multiplicity(value, z(mult));
+            prop_assert_eq!(builder.is_empty(), model.is_empty());
+        }
+        let built = builder.build();
+        let expected: Vec<(Value, ZInt)> = model.into_iter().map(|(v, m)| (v, z(m))).collect();
+        prop_assert_eq!(built.pairs(), &expected[..]);
+        prop_assert!(built.debug_validate(), "ℤ-bag invariant violated");
         prop_assert_eq!(built, reference);
     }
 

@@ -27,7 +27,11 @@
 //!
 //! [`Runtime::open`] loads the snapshot (if any), replays the WAL tail,
 //! **truncates** — rather than fails on — a torn or corrupt final
-//! record, re-derives all views, and resumes with the next LSN.
+//! record, re-derives all views, and resumes with the next LSN. A record
+//! that passes its checksum but does not decode is a torn tail only when
+//! no valid record follows it; in the middle of the log it fails the
+//! open with [`DurableError::Corrupt`] and truncates nothing, since the
+//! records behind it are acked commits.
 //!
 //! Crash behaviour is tested the way the concurrency layer is: a fault
 //! plan ([`WalFaultPlan`]) injects kills at chosen WAL byte offsets and
@@ -45,10 +49,9 @@ use balg_core::bag::Bag;
 use balg_core::eval::Limits;
 use balg_core::expr::{Expr, Var};
 use balg_core::wal::{
-    frame, frames, get_bag, get_expr, get_zbag, put_bag, put_expr, put_str, put_u64, put_zbag,
-    ByteReader, DecodeError,
+    frame, frames, get_bag, get_expr, put_bag, put_expr, put_str, put_u64, ByteReader, DecodeError,
 };
-use balg_core::zbag::ZBag;
+use balg_core::zbag::ZInt;
 
 use crate::runtime::{
     check_base, check_view, render_stats, DroppedView, UpdateBatch, UpdateError, ViewRuntime,
@@ -84,7 +87,7 @@ pub enum WalRecord {
         /// This record's log sequence number.
         lsn: u64,
         /// Per-base deltas, in base-name order.
-        deltas: Vec<(Var, ZBag)>,
+        deltas: Vec<(Var, Bag<ZInt>)>,
     },
     /// A wholesale base load/replace.
     LoadBase {
@@ -146,7 +149,7 @@ impl WalRecord {
                 put_u64(&mut out, deltas.len() as u64);
                 for (name, delta) in deltas {
                     put_str(&mut out, name);
-                    put_zbag(&mut out, delta);
+                    put_bag(&mut out, delta);
                 }
             }
             WalRecord::LoadBase { lsn, name, bag } => {
@@ -193,7 +196,7 @@ impl WalRecord {
                 let mut deltas = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
                     let name = Var::from(r.str()?);
-                    deltas.push((name, get_zbag(&mut r)?));
+                    deltas.push((name, get_bag(&mut r)?));
                 }
                 WalRecord::Batch { lsn, deltas }
             }
@@ -315,8 +318,10 @@ impl WalFaultPlan {
 pub enum DurableError {
     /// The underlying filesystem operation failed.
     Io(std::io::Error),
-    /// A persisted structure failed to decode — snapshot corruption
-    /// (torn WAL *tails* are truncated, not surfaced as errors).
+    /// A persisted structure failed to decode: a damaged snapshot, or a
+    /// WAL record that passes its checksum but does not decode while a
+    /// valid record follows it. A torn or undecodable *final* WAL record
+    /// is truncated, not surfaced as an error.
     Corrupt(String),
     /// The logical operation was rejected by the runtime; the log and
     /// the in-memory state are unchanged (validation precedes logging)
@@ -545,7 +550,10 @@ impl Runtime {
 
     /// Open (or create) the data directory: load the latest snapshot,
     /// replay the WAL tail (truncating a torn/corrupt final record),
-    /// re-derive all views, and resume with monotonic LSNs.
+    /// re-derive all views, and resume with monotonic LSNs. A record that
+    /// does not decode in the middle of the log, with a valid record
+    /// behind it, is [`DurableError::Corrupt`], and the log is left as it
+    /// is.
     ///
     /// `limits` must match the budgets the directory was written under —
     /// deterministic replay of view drops depends on it.
@@ -592,7 +600,7 @@ impl Runtime {
         };
         let mut iter = frames(&bytes);
         let mut good_end = 0usize;
-        while let Some((_, payload)) = iter.next() {
+        while let Some((offset, payload)) = iter.next() {
             if payload.is_empty() {
                 // Zero-filled region decoding as an "empty record" — see
                 // the tag-0 note. Truncate here.
@@ -600,10 +608,21 @@ impl Runtime {
             }
             let record = match WalRecord::decode(payload) {
                 Ok(record) => record,
-                // Mid-file decode failure behind a valid CRC would be a
-                // writer bug; at the tail it is a torn write. Either way
-                // the only safe resumption point is before the record.
-                Err(_) => break,
+                // At the tail, a record that passes its checksum but does
+                // not decode is a torn write: resume before it. With a
+                // valid record behind it, truncating would drop acked
+                // commits, so the log is corrupt.
+                Err(err) => match iter.next() {
+                    Some((_, next)) if !next.is_empty() => {
+                        let lsn = ByteReader::new(&payload[1..]).u64();
+                        return Err(DurableError::Corrupt(format!(
+                            "wal: the record at byte {offset} (lsn {}) does not decode ({err}), \
+                             and a valid record follows it",
+                            lsn.map_or_else(|_| "unreadable".to_owned(), |lsn| lsn.to_string())
+                        )));
+                    }
+                    _ => break,
+                },
             };
             // A record at or below the snapshot LSN is already covered
             // (crash after rename, before WAL truncation).

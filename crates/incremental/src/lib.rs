@@ -5,9 +5,10 @@
 //! IVM/Z-set construction (cf. differential-dataflow-style engines),
 //! grounded directly in the paper's Section 3 operator set. The paper's
 //! own observation makes this algebraic: bags carry multiplicities, and
-//! extending the multiplicity monoid ℕ to the group ℤ
-//! ([`balg_core::zbag::ZBag`]) turns every insert/delete batch into a
-//! first-class *delta bag* that flows through the operators.
+//! extending the multiplicity monoid ℕ to the group ℤ turns every
+//! insert/delete batch into a first-class *delta bag*, the same
+//! [`balg_core::bag::Bag`] type over [`balg_core::zbag::ZInt`]
+//! multiplicities ([`balg_core::zbag`]), that flows through the operators.
 //!
 //! ## The linear / non-linear operator split
 //!
@@ -28,7 +29,7 @@
 //! back to re-derivation of **only the affected subtree**: every node
 //! memoizes its value, so the fallback recomputes one operator over its
 //! children's (already incrementally-maintained) snapshots and
-//! re-expresses the result as a delta ([`balg_core::zbag::ZBag::diff`])
+//! re-expresses the result as a delta ([`balg_core::bag::Bag::diff`])
 //! for its parents. Untouched subtrees are skipped entirely via free-name
 //! analysis. Fallbacks are counted by an instrumentation counter
 //! ([`ViewStats::fallback_recomputes`]) so tests can assert which path

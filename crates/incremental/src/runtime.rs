@@ -10,8 +10,8 @@ use balg_core::expr::{Expr, Var};
 use balg_core::index::IndexCache;
 use balg_core::schema::Database;
 use balg_core::value::Value;
-use balg_core::wal::{bag_decodes, expr_decodes, zbag_decodes, MAX_DECODE_DEPTH};
-use balg_core::zbag::{Spare, ZBag, ZBagError, ZInt};
+use balg_core::wal::{bag_decodes, expr_decodes, MAX_DECODE_DEPTH};
+use balg_core::zbag::{Spare, ZBagError, ZInt};
 
 use crate::view::{View, ViewStats};
 
@@ -20,7 +20,7 @@ use crate::view::{View, ViewStats};
 /// then deletes the same tuple cancels before it ever reaches a view.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateBatch {
-    deltas: BTreeMap<Var, ZBag>,
+    deltas: BTreeMap<Var, Bag<ZInt>>,
 }
 
 impl UpdateBatch {
@@ -44,27 +44,27 @@ impl UpdateBatch {
         self.deltas
             .entry(Var::from(base))
             .or_default()
-            .insert(value, by);
+            .insert_with_multiplicity(value, by);
     }
 
     /// Merge a whole delta bag into `base`'s pending change.
-    pub fn merge_delta(&mut self, base: &str, delta: &ZBag) {
+    pub fn merge_delta(&mut self, base: &str, delta: &Bag<ZInt>) {
         let slot = self.deltas.entry(Var::from(base)).or_default();
         *slot = slot.add(delta);
     }
 
     /// `true` iff every accumulated delta is zero.
     pub fn is_empty(&self) -> bool {
-        self.deltas.values().all(ZBag::is_empty)
+        self.deltas.values().all(Bag::<ZInt>::is_empty)
     }
 
     /// The accumulated delta for `base` (zero if untouched).
-    pub fn delta(&self, base: &str) -> Option<&ZBag> {
+    pub fn delta(&self, base: &str) -> Option<&Bag<ZInt>> {
         self.deltas.get(base)
     }
 
     /// Iterate over `(base, delta)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Var, &ZBag)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Var, &Bag<ZInt>)> {
         self.deltas.iter()
     }
 }
@@ -435,7 +435,7 @@ impl ViewRuntime {
                 .db
                 .get(name)
                 .ok_or_else(|| UpdateError::UnknownBase(name.to_string()))?;
-            if !zbag_decodes(delta) {
+            if !bag_decodes(delta) {
                 return Err(UpdateError::TooDeep(name.to_string()));
             }
             for (value, mult) in delta.iter() {
@@ -474,7 +474,7 @@ impl ViewRuntime {
         // Taking each bag out of the database, and its cached indexes out
         // of the cache (dropping the cache's owner clone), leaves at most
         // a published snapshot holding it. Unshared, a small delta edits
-        // the sorted slice in place. Shared, `ZBag::patch` brings the
+        // the sorted slice in place. Shared, `Bag::patch` brings the
         // base's spare (the version the snapshot before held) up to date
         // in place instead, or, while a reader still holds that version,
         // copies the slice once and keeps the current version as the

@@ -37,7 +37,7 @@ use balg_core::eval::{equi_join_attrs, EvalError, Evaluator};
 use balg_core::expr::{Expr, Pred, Var};
 use balg_core::schema::Database;
 use balg_core::value::Value;
-use balg_core::zbag::{Spare, ZBag};
+use balg_core::zbag::{Spare, ZInt};
 
 /// The fresh variable a probe binds its `k`-th child's value to (not
 /// expressible in the surface syntax, so it can never collide with a user
@@ -117,7 +117,7 @@ enum Delta {
     /// Nothing changed.
     None,
     /// The node is bag-valued and changed by exactly this delta.
-    Bag(ZBag),
+    Bag(Bag<ZInt>),
     /// The node's value was replaced wholesale (scalar constructs).
     Opaque,
 }
@@ -125,10 +125,10 @@ enum Delta {
 impl Delta {
     /// The bag delta, zero for `None`. Only for a delta known not to be
     /// `Opaque`.
-    fn into_zbag(self) -> ZBag {
+    fn into_zbag(self) -> Bag<ZInt> {
         match self {
             Delta::Bag(delta) => delta,
-            Delta::None | Delta::Opaque => ZBag::new(),
+            Delta::None | Delta::Opaque => Bag::<ZInt>::new(),
         }
     }
 }
@@ -198,7 +198,7 @@ struct Node {
     /// through to the database instead of holding a second reference, and
     /// literals hold their value from compilation on).
     snapshot: Value,
-    /// The snapshot's previous version, for [`ZBag::patch`]. Only view
+    /// The snapshot's previous version, for [`Bag::patch`]. Only view
     /// roots are published, so in practice only a root's spare ever holds
     /// a buffer.
     spare: Spare,
@@ -206,7 +206,7 @@ struct Node {
 
 /// Everything an update pass threads through the tree.
 struct UpdateCtx<'a, 'e> {
-    deltas: &'e BTreeMap<Var, ZBag>,
+    deltas: &'e BTreeMap<Var, Bag<ZInt>>,
     affected: &'e BTreeSet<Var>,
     db: &'a Database,
     ev: &'e mut Evaluator<'a>,
@@ -360,7 +360,7 @@ fn expect_bag(value: &Value) -> Result<&Bag, EvalError> {
 
 /// A delta's non-empty `ℕ`-bag halves, `δ = δ⁺ ⊖ δ⁻`, each with whether
 /// it is the positive one.
-fn halves(delta: &ZBag) -> Vec<(Value, bool)> {
+fn halves(delta: &Bag<ZInt>) -> Vec<(Value, bool)> {
     let (plus, minus) = delta.split();
     [(plus, true), (minus, false)]
         .into_iter()
@@ -376,7 +376,7 @@ fn replaced(old: &Value, new: &Value) -> Delta {
         return Delta::None;
     }
     if let (Value::Bag(o), Value::Bag(n)) = (old, new) {
-        return Delta::Bag(ZBag::diff(n, o));
+        return Delta::Bag(Bag::<ZInt>::diff(n, o));
     }
     Delta::Opaque
 }
@@ -421,7 +421,11 @@ impl Node {
     /// A linear node's delta: the probe maps the delta's positive and
     /// negative parts, two ℕ-bags, and the images subtract —
     /// `F(δ⁺ ⊖ δ⁻) = F(δ⁺) ⊖ F(δ⁻)`.
-    fn linear_delta(&self, ev: &mut Evaluator<'_>, delta: &ZBag) -> Result<ZBag, EvalError> {
+    fn linear_delta(
+        &self,
+        ev: &mut Evaluator<'_>,
+        delta: &Bag<ZInt>,
+    ) -> Result<Bag<ZInt>, EvalError> {
         self.signed_images(ev, halves(delta).into_iter().map(|(x, sign)| ([x], sign)))
     }
 
@@ -434,9 +438,9 @@ impl Node {
         &self,
         db: &Database,
         ev: &mut Evaluator<'_>,
-        delta_a: &ZBag,
-        delta_b: &ZBag,
-    ) -> Result<ZBag, EvalError> {
+        delta_a: &Bag<ZInt>,
+        delta_b: &Bag<ZInt>,
+    ) -> Result<Bag<ZInt>, EvalError> {
         let a = self.children[0].current_value(db)?;
         let b = self.children[1].current_value(db)?;
         let (a_halves, b_halves) = (halves(delta_a), halves(delta_b));
@@ -465,7 +469,7 @@ impl Node {
         &self,
         ev: &mut Evaluator<'_>,
         terms: impl IntoIterator<Item = ([Value; N], bool)>,
-    ) -> Result<ZBag, EvalError> {
+    ) -> Result<Bag<ZInt>, EvalError> {
         let (mut plus, mut minus) = (Bag::new(), Bag::new());
         for (values, adds) in terms {
             if values.iter().any(|v| v.as_bag().is_some_and(Bag::is_empty)) {
@@ -479,7 +483,7 @@ impl Node {
                 sum.additive_union(&image)
             };
         }
-        let delta = ZBag::diff(&plus, &minus);
+        let delta = Bag::<ZInt>::diff(&plus, &minus);
         let (observed, limit) = (delta.distinct_count() as u64, ev.limits().max_bag_elements);
         if observed > limit {
             return Err(EvalError::ElementLimit { observed, limit });
@@ -531,7 +535,7 @@ impl Node {
     /// owned, through the node's spare when a published snapshot shares
     /// it; skipped entirely for non-materialized nodes) and normalize the
     /// report.
-    fn apply_bag_delta(&mut self, delta: ZBag) -> Result<Delta, MaintainError> {
+    fn apply_bag_delta(&mut self, delta: Bag<ZInt>) -> Result<Delta, MaintainError> {
         if delta.is_empty() {
             return Ok(Delta::None);
         }
@@ -707,7 +711,7 @@ impl View {
     /// deltas are nonzero.
     pub(crate) fn maintain<'a>(
         &mut self,
-        deltas: &BTreeMap<Var, ZBag>,
+        deltas: &BTreeMap<Var, Bag<ZInt>>,
         affected: &BTreeSet<Var>,
         db: &'a Database,
         ev: &mut Evaluator<'a>,

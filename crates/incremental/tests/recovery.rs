@@ -16,6 +16,7 @@ use balg_core::bag::Bag;
 use balg_core::eval::Limits;
 use balg_core::expr::Expr;
 use balg_core::value::Value;
+use balg_core::zbag::ZInt;
 use balg_incremental::prelude::*;
 
 /// A unique scratch directory (no tempfile crate in the container); the
@@ -532,6 +533,85 @@ fn a_crafted_deep_record_is_a_torn_tail_not_an_abort() {
     let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_same("deep record", reopened.runtime(), &full);
     assert_eq!(std::fs::metadata(&wal).unwrap().len(), good_len);
+    cleanup(&dir);
+}
+
+/// The bytes of one update-batch record (two bases, mixed signs) as the
+/// log wrote them while a delta was its own `ZBag` type: now that it is a
+/// `Bag<ZInt>`, the same batch encodes to the same bytes and decodes back
+/// equal.
+#[test]
+fn update_batch_record_bytes_are_pinned() {
+    let mut batch = UpdateBatch::new();
+    let ann = Value::tuple([Value::int(1), Value::sym("ann")]);
+    batch.change("orders", ann, ZInt::from(2i64));
+    batch.delete("orders", Value::tuple([Value::int(2), Value::sym("bob")]));
+    batch.delete("cust", Value::sym("ann"));
+    let deltas: Vec<_> = batch.iter().map(|(n, d)| (n.clone(), d.clone())).collect();
+    let record = WalRecord::Batch {
+        lsn: 300,
+        deltas: deltas.clone(),
+    };
+    let hex = "01ac02020463757374010103616e6e010101066f726465727302020200020103616e6e\
+               000102020200040103626f62010101";
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(record.encode(), bytes);
+    let WalRecord::Batch { lsn, deltas: back } = WalRecord::decode(&bytes).unwrap() else {
+        panic!("an update batch must decode as one");
+    };
+    assert_eq!(lsn, 300);
+    assert_eq!(back, deltas);
+}
+
+/// A record that passes its checksum but does not decode, with a valid
+/// record behind it, is not a torn tail: the records behind it are acked
+/// commits. `open` refuses the log as corrupt, naming the record, and
+/// leaves every byte of it in place.
+#[test]
+fn an_undecodable_record_mid_log_is_corrupt_not_a_torn_tail() {
+    use balg_core::wal::{crc32, frames, FRAME_HEADER_LEN};
+    let dir = scratch("mid-log");
+    {
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
+        for name in ["R", "S", "T"] {
+            rt.load_base(name, Bag::from_values([Value::int(1)]))
+                .unwrap();
+        }
+    }
+    let wal = dir.join("wal.log");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    let records: Vec<(usize, usize)> = frames(&bytes).map(|(at, p)| (at, p.len())).collect();
+    assert_eq!(records.len(), 3);
+    // An unknown tag on the middle record, under a recomputed checksum.
+    let (at, len) = records[1];
+    let payload = at + FRAME_HEADER_LEN..at + FRAME_HEADER_LEN + len;
+    bytes[payload.start] = 0x7F;
+    let crc = crc32(&bytes[payload]);
+    bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&wal, &bytes).unwrap();
+
+    let Err(DurableError::Corrupt(what)) = Runtime::open(&dir, Limits::default()) else {
+        panic!("a mid-log record that does not decode must fail the open");
+    };
+    assert!(what.contains(&format!("byte {at}")), "{what}");
+    assert!(what.contains("lsn 2"), "{what}");
+    assert_eq!(std::fs::read(&wal).unwrap(), bytes, "nothing is truncated");
+
+    // The same record at the tail is a torn write: truncated away.
+    bytes.truncate(records[2].0);
+    std::fs::write(&wal, &bytes).unwrap();
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
+    let bases: Vec<&str> = reopened
+        .runtime()
+        .database()
+        .iter()
+        .map(|(name, _)| &**name)
+        .collect();
+    assert_eq!(bases, ["R"]);
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), at as u64);
     cleanup(&dir);
 }
 

@@ -103,7 +103,7 @@ pub fn route(line: &str) -> Route {
 /// copied. The bags it shares are what the *next* write patches: instead
 /// of copying each shared slice, the runtime patches the version the
 /// snapshot before this one held, once nothing holds that version any
-/// more ([`balg_core::zbag::ZBag::patch`]). So a write costs its delta as
+/// more ([`balg_core::bag::Bag::patch`]). So a write costs its delta as
 /// long as old snapshots are released; a reader holding an old snapshot
 /// across writes makes the next write of each bag copy it once.
 #[derive(Clone, Debug)]

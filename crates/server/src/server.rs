@@ -26,7 +26,7 @@
 //! snapshot shares its bags with the runtime; once the last reader of the
 //! replaced one is done, its bags become the spares the next batch
 //! patches in place (left-right, one bag at a time: see
-//! `balg_core::zbag::ZBag::patch`). While readers release their
+//! `balg_core::bag::Bag::patch`). While readers release their
 //! snapshots, a write copies no slice a snapshot shares.
 
 use std::io;

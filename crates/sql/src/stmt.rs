@@ -15,11 +15,13 @@ use std::path::Path;
 use std::sync::Arc;
 
 use balg_core::analyze;
+use balg_core::bag::BagBuilder;
 use balg_core::eval::Limits;
 use balg_core::expr::Expr;
 use balg_core::natural::Natural;
 use balg_core::types::Type;
 use balg_core::value::Value;
+use balg_core::zbag::ZInt;
 use balg_incremental::{DurableError, Runtime, UpdateBatch, UpdateError, ViewRuntime};
 
 use crate::ast::Query;
@@ -786,14 +788,10 @@ impl SqlRuntime {
             })?
             .clone();
         // Accumulate through the builder (amortized O(log n) per row) and
-        // merge once — per-row ZBag::insert would make wide INSERT
-        // statements quadratic in the row count.
-        let mut builder = balg_core::zbag::ZBagBuilder::new();
-        let sign = if delete {
-            balg_core::zbag::ZInt::neg_one()
-        } else {
-            balg_core::zbag::ZInt::one()
-        };
+        // merge once — per-row `insert_with_multiplicity` would make wide
+        // INSERT statements quadratic in the row count.
+        let mut builder = BagBuilder::new();
+        let sign = if delete { ZInt::neg_one() } else { ZInt::one() };
         for row in rows {
             builder.push(Self::encode_row(&table, row)?, sign.clone());
         }
