@@ -16,7 +16,13 @@
 //!   monotonic LSNs. A record is written (and, by default, fsynced)
 //!   *before* the in-memory commit, and only pre-validated batches are
 //!   logged — so every logged record replays cleanly, every acked commit
-//!   survives, and a torn tail can only be an un-acked suffix.
+//!   survives, and a torn tail can only be an un-acked suffix. The file
+//!   grows in steps of [`WAL_STEP`] bytes rather than by each record, so
+//!   most commits overwrite inside its length and their fsync flushes no
+//!   new file size: while a runtime is open, or after a crash, `wal.log`
+//!   is its frames followed by a zero tail up to the next step, and the
+//!   log ends at the first empty frame. A clean close cuts the file back
+//!   to its frames.
 //! * **`snapshot.balg`** — a full image of the runtime (bases, view
 //!   definitions, dropped-view tombstones, counters) written by
 //!   [`Runtime::checkpoint`]: to `snapshot.tmp` first, fsynced,
@@ -42,7 +48,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use balg_core::bag::Bag;
@@ -78,6 +84,13 @@ const SNAP_FOOTER: u8 = 0x1F;
 
 /// Snapshot format version written in the header frame.
 const SNAP_VERSION: u64 = 1;
+
+/// `wal.log` grows in steps of this many bytes, not by each frame. The
+/// commit that crosses a step boundary sizes the file up to the next
+/// multiple of the step (sparse, with `set_len`); every other commit
+/// overwrites bytes inside the file's length, so its `fdatasync` flushes
+/// data and no new file size.
+pub const WAL_STEP: u64 = 1 << 20;
 
 /// One durable mutation, as logged to and replayed from the WAL.
 #[derive(Clone, Debug)]
@@ -284,7 +297,9 @@ impl CheckpointPolicy {
 pub struct WalFaultPlan {
     /// Kill the process once the WAL would grow past this byte offset:
     /// the write up to the offset happens (a torn record), everything
-    /// after is lost.
+    /// after is lost. The record stays torn even where the zero tail
+    /// would supply its missing bytes: the write then stops before the
+    /// record's last non-zero byte.
     pub cut_wal_at: Option<u64>,
     /// Kill mid-checkpoint: after roughly half of `snapshot.tmp` has been
     /// written, before it is fsynced or renamed.
@@ -395,8 +410,13 @@ struct Wal {
     metas: BTreeMap<String, String>,
     dir: PathBuf,
     file: File,
-    /// Current WAL length in bytes (file offset of the next record).
+    /// Current WAL length in bytes (file offset of the next record, and
+    /// where the file's cursor stands). Never the file's length.
     wal_bytes: u64,
+    /// The file's length: `wal_bytes` after `open` and `checkpoint`,
+    /// else `wal_bytes` rounded up to a [`WAL_STEP`]. The bytes between
+    /// the two are zeros, which replay reads as the log's end.
+    allocated: u64,
     /// LSN of the last logged record.
     lsn: u64,
     /// LSN covered by `snapshot.balg` (0 = no snapshot).
@@ -432,19 +452,30 @@ impl Wal {
         result
     }
 
-    /// Append the record `build` makes of the next LSN as one frame,
-    /// honouring the fault plan; the LSN is taken only once the frame is
-    /// written whole.
+    /// Append the record `build` makes of the next LSN as one frame at
+    /// offset `wal_bytes`, first growing the file by a [`WAL_STEP`] if
+    /// the frame would end past it, and honouring the fault plan; the
+    /// LSN is taken only once the frame is written whole.
     fn append(&mut self, build: impl FnOnce(u64) -> WalRecord) -> Result<(), DurableError> {
         self.guarded(|wal| {
             let framed = frame(&build(wal.lsn + 1).encode());
+            let end = wal.wal_bytes + framed.len() as u64;
+            if end > wal.allocated {
+                let allocated = end.next_multiple_of(WAL_STEP);
+                wal.file.set_len(allocated)?;
+                wal.allocated = allocated;
+            }
             if let Some(cut) = wal.fault.cut_wal_at {
-                let end = wal.wal_bytes + framed.len() as u64;
                 if end > cut {
                     // Simulated kill mid-write: the prefix up to the cut
                     // reaches the disk (flushed so the recovery test sees
-                    // exactly what a crash would leave), the rest never does.
+                    // exactly what a crash would leave), the rest never
+                    // does, and the file keeps its zero tail. The tail
+                    // reads as the frame's missing bytes, so a tear stops
+                    // short of its last non-zero byte: a frame ending in
+                    // zeros, an empty base load say, is otherwise whole.
                     let keep = cut.saturating_sub(wal.wal_bytes) as usize;
+                    let keep = keep.min(framed.iter().rposition(|&b| b != 0).unwrap_or(0));
                     wal.file.write_all(&framed[..keep])?;
                     wal.file.sync_data()?;
                     return Err(DurableError::Fault("wal write cut"));
@@ -514,9 +545,16 @@ impl Wal {
             self.poisoned = true;
             return Err(DurableError::Fault("checkpoint truncate"));
         }
-        self.file.set_len(0)?;
-        self.file.sync_all()?;
+        // A failure here leaves the file's length or cursor unknown, so
+        // it poisons the log like a failed append.
+        self.guarded(|wal| {
+            wal.file.set_len(0)?;
+            wal.file.sync_all()?;
+            wal.file.rewind()?;
+            Ok(())
+        })?;
         self.wal_bytes = 0;
+        self.allocated = 0;
         self.snapshot_lsn = self.lsn;
         self.batches_since_checkpoint = 0;
         self.checkpoints += 1;
@@ -526,6 +564,17 @@ impl Wal {
             obs.checkpoints.inc();
         }
         Ok(())
+    }
+}
+
+impl Drop for Wal {
+    /// A clean close cuts the file back to its frames, so a directory at
+    /// rest holds the log and nothing after it. A poisoned log is left as
+    /// the crash left it: torn frames, then the zero tail.
+    fn drop(&mut self) {
+        if !self.poisoned && self.allocated > self.wal_bytes {
+            let _ = self.file.set_len(self.wal_bytes);
+        }
     }
 }
 
@@ -550,10 +599,12 @@ impl Runtime {
 
     /// Open (or create) the data directory: load the latest snapshot,
     /// replay the WAL tail (truncating a torn/corrupt final record),
-    /// re-derive all views, and resume with monotonic LSNs. A record that
-    /// does not decode in the middle of the log, with a valid record
-    /// behind it, is [`DurableError::Corrupt`], and the log is left as it
-    /// is.
+    /// re-derive all views, and resume with monotonic LSNs. The log ends
+    /// at its first empty frame: a crashed runtime leaves its frames
+    /// followed by a zero tail up to the next [`WAL_STEP`], which is
+    /// truncated like any torn tail. A record that does not decode in the
+    /// middle of the log, with a valid record behind it, is
+    /// [`DurableError::Corrupt`], and the log is left as it is.
     ///
     /// `limits` must match the budgets the directory was written under —
     /// deterministic replay of view drops depends on it.
@@ -578,7 +629,8 @@ impl Runtime {
         let mut file = OpenOptions::new()
             .create(true)
             .read(true)
-            .append(true)
+            .write(true)
+            .truncate(false)
             .open(dir.join("wal.log"))?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
@@ -588,6 +640,7 @@ impl Runtime {
             dir,
             file,
             wal_bytes: 0,
+            allocated: 0,
             lsn: snapshot_lsn,
             snapshot_lsn,
             batches_since_checkpoint: 0,
@@ -639,6 +692,9 @@ impl Runtime {
             wal.file.sync_all()?;
         }
         wal.wal_bytes = good_end as u64;
+        wal.allocated = good_end as u64;
+        // Every append writes at the cursor, so it starts at the log's end.
+        wal.file.seek(SeekFrom::Start(wal.wal_bytes))?;
         Ok(Runtime {
             views,
             log: Some(wal),

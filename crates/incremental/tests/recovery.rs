@@ -9,14 +9,16 @@
 //! injected crash point; cut offsets cover record boundaries, boundary±1
 //! (torn header / one spare byte), mid-header, and mid-payload.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use balg_core::bag::Bag;
 use balg_core::eval::Limits;
 use balg_core::expr::Expr;
 use balg_core::value::Value;
+use balg_core::wal::{frame, frames};
 use balg_core::zbag::ZInt;
+use balg_incremental::durable::WAL_STEP;
 use balg_incremental::prelude::*;
 
 /// A unique scratch directory (no tempfile crate in the container); the
@@ -203,6 +205,11 @@ fn record_boundaries() -> Vec<u64> {
     bounds
 }
 
+/// The length of `dir`'s `wal.log` on disk.
+fn wal_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join("wal.log")).unwrap().len()
+}
+
 #[test]
 fn clean_reopen_equals_twin() {
     let dir = scratch("clean");
@@ -238,6 +245,12 @@ fn kill_matrix_every_cut_offset_recovers() {
             let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
             drive(&mut rt, WalFaultPlan::cut_wal_at(cut))
         };
+        // The torn frame is followed by the zero tail on disk.
+        let len = wal_len(&dir);
+        assert!(
+            len > cut,
+            "cut at byte {cut}: a {len}-byte file has no zero tail"
+        );
         let reopened = Runtime::open(&dir, Limits::default())
             .unwrap_or_else(|e| panic!("reopen after cut at byte {cut} failed: {e}"));
         assert_same(&format!("cut at byte {cut}"), reopened.runtime(), &twin);
@@ -275,6 +288,128 @@ fn checkpoint_roundtrip_and_wal_truncation() {
     let stats = reopened.durability().unwrap();
     assert!(stats.snapshot_lsn > 0);
     assert!(stats.lsn > stats.snapshot_lsn);
+    cleanup(&dir);
+}
+
+#[test]
+fn the_wal_file_grows_in_steps_not_per_commit() {
+    let dir = scratch("steps");
+    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
+    rt.set_checkpoint_policy(CheckpointPolicy::manual());
+    rt.load_base("R", Bag::new()).unwrap();
+    let len = wal_len(&dir);
+    for i in 0..50 {
+        rt.apply(&to_batch(&[("R", i, i, false)])).unwrap();
+        assert_eq!(wal_len(&dir), len, "commit {i} changed the file's length");
+    }
+    let logged = rt.durability().unwrap().wal_bytes;
+    assert!(
+        len.is_multiple_of(WAL_STEP) && len >= logged,
+        "a {len}-byte file for a {logged}-byte log"
+    );
+    let bytes = std::fs::read(dir.join("wal.log")).unwrap();
+    assert!(
+        bytes[logged as usize..].iter().all(|&b| b == 0),
+        "the file past the log is not zero"
+    );
+    drop(rt);
+    cleanup(&dir);
+}
+
+#[test]
+fn a_crash_keeps_the_zero_tail_and_every_acked_commit() {
+    let dir = scratch("forget");
+    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
+    let mut twin = drive(&mut rt, WalFaultPlan::none());
+    let logged = rt.durability().unwrap().wal_bytes;
+    // A kill: no drop runs, so nothing cuts the file back to its frames.
+    std::mem::forget(rt);
+    assert!(wal_len(&dir) > logged);
+
+    let mut reopened = Runtime::open(&dir, Limits::default()).unwrap();
+    assert_same("reopen after a crash", reopened.runtime(), &twin);
+    assert_eq!(reopened.durability().unwrap().wal_bytes, logged);
+    // The next commit lands at the log's end, not after the zero tail.
+    let batch = to_batch(&[("R", 8, 8, false)]);
+    reopened.apply(&batch).unwrap();
+    twin.apply(&batch).unwrap();
+    drop(reopened);
+    let bytes = std::fs::read(dir.join("wal.log")).unwrap();
+    let last = frames(&bytes).last().map(|(at, _)| at);
+    assert_eq!(last, Some(logged as usize));
+    let again = Runtime::open(&dir, Limits::default()).unwrap();
+    assert_same("clean reopen after a crash", again.runtime(), &twin);
+    cleanup(&dir);
+}
+
+/// After a clean close `wal.log` is its frames and nothing else: the
+/// layout a build that appends to the file reads and writes.
+#[test]
+fn a_clean_close_leaves_only_frames() {
+    let dir = scratch("clean-close");
+    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
+    drive(&mut rt, WalFaultPlan::none());
+    let logged = rt.durability().unwrap().wal_bytes;
+    drop(rt);
+    let bytes = std::fs::read(dir.join("wal.log")).unwrap();
+    assert_eq!(bytes.len() as u64, logged);
+    let mut iter = frames(&bytes);
+    assert!(iter.by_ref().all(|(_, payload)| !payload.is_empty()));
+    assert_eq!(
+        iter.offset(),
+        bytes.len(),
+        "frames stop before the file ends"
+    );
+    cleanup(&dir);
+}
+
+#[test]
+fn a_crash_after_a_checkpoint_reopens_to_the_twin() {
+    let dir = scratch("checkpoint-forget");
+    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
+    rt.set_checkpoint_policy(CheckpointPolicy::manual());
+    let mut twin = ViewRuntime::with_limits(Limits::default());
+    for (i, op) in scenario().iter().enumerate() {
+        apply_durable(&mut rt, op).ok();
+        apply_twin(&mut twin, op);
+        if i == 8 {
+            rt.checkpoint().unwrap();
+            // Growth is lazy: a checkpoint leaves the file at the log's end.
+            assert_eq!(wal_len(&dir), 0);
+        }
+    }
+    assert_eq!(wal_len(&dir), WAL_STEP);
+    std::mem::forget(rt);
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
+    assert_same("crash after a checkpoint", reopened.runtime(), &twin);
+    cleanup(&dir);
+}
+
+/// A cut that leaves only a frame's trailing zeros unwritten still tears
+/// it: the zero tail would read as those bytes and make the frame whole,
+/// so the write stops before its last non-zero byte. An empty base load
+/// ends in its zero row count.
+#[test]
+fn a_cut_before_a_frames_trailing_zeros_still_tears_it() {
+    let dir = scratch("trailing-zeros");
+    let record = WalRecord::LoadBase {
+        lsn: 1,
+        name: "R".into(),
+        bag: Bag::new(),
+    };
+    let framed = frame(&record.encode());
+    assert_eq!(framed.last(), Some(&0));
+    {
+        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
+        rt.set_fault_plan(WalFaultPlan::cut_wal_at(framed.len() as u64 - 1));
+        assert!(matches!(
+            rt.load_base("R", Bag::new()),
+            Err(DurableError::Fault(_))
+        ));
+    }
+    let reopened = Runtime::open(&dir, Limits::default()).unwrap();
+    assert_eq!(reopened.runtime().database().get("R"), None);
+    assert_eq!(reopened.durability().unwrap().wal_bytes, 0);
     cleanup(&dir);
 }
 
@@ -516,7 +651,7 @@ fn nested(depth: usize) -> Value {
 
 #[test]
 fn a_crafted_deep_record_is_a_torn_tail_not_an_abort() {
-    use balg_core::wal::{frame, put_u64};
+    use balg_core::wal::put_u64;
     let (dir, full, _prefix) = two_batch_dir("deep-record");
     let wal = dir.join("wal.log");
     let mut bytes = std::fs::read(&wal).unwrap();
@@ -572,7 +707,7 @@ fn update_batch_record_bytes_are_pinned() {
 /// leaves every byte of it in place.
 #[test]
 fn an_undecodable_record_mid_log_is_corrupt_not_a_torn_tail() {
-    use balg_core::wal::{crc32, frames, FRAME_HEADER_LEN};
+    use balg_core::wal::{crc32, FRAME_HEADER_LEN};
     let dir = scratch("mid-log");
     {
         let mut rt = Runtime::open(&dir, Limits::default()).unwrap();

@@ -199,6 +199,12 @@ fn run_case(seed: u64, batches: usize, cut_permille: u64) {
         }
     }
     drop(rt);
+    // The torn frame is followed by the zero tail on disk.
+    let len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+    assert!(
+        len > cut,
+        "seed {seed}: a {len}-byte file after a cut at {cut}"
+    );
 
     let reopened = Runtime::open(&dir, Limits::default())
         .unwrap_or_else(|e| panic!("seed {seed}: reopen after cut at {cut} failed: {e}"));

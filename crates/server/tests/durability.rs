@@ -253,3 +253,59 @@ fn durable_server_seeds_declared_tables_and_keeps_the_seed_across_restart() {
     assert!(refused.to_string().contains("orders"), "{refused}");
     cleanup(&dir);
 }
+
+/// A durable server group-commits: each drained batch of writes is logged
+/// unsynced and reaches the disk through one `Runtime::sync_wal`. While it
+/// serves, `wal.log` runs a zero tail past the log; a clean shutdown cuts
+/// the file back to exactly its logged bytes, and the directory reopens to
+/// the server's last state.
+#[test]
+fn a_clean_shutdown_cuts_the_wal_back_to_its_frames() {
+    let dir = scratch("group-commit");
+    let catalog = Catalog::new().with_table("orders", &[("customer", false), ("qty", true)]);
+    let config = || ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let wal_len = || std::fs::metadata(dir.join("wal.log")).unwrap().len();
+    let server = SqlServer::spawn(
+        "127.0.0.1:0",
+        catalog,
+        database_from_rows(&Catalog::new(), &[]).unwrap(),
+        config(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for i in 0..20 {
+        let reply = client
+            .request(&format!("INSERT INTO orders VALUES ('c{i}', {i})"))
+            .unwrap();
+        assert!(reply.ok, "{}", reply.text);
+    }
+    let reply = client
+        .request("DELETE FROM orders VALUES ('c3', 3)")
+        .unwrap();
+    assert!(reply.ok, "{}", reply.text);
+    let stats = client.request(":stats").unwrap().text;
+    let logged: u64 = stats
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" WAL bytes since checkpoint"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no WAL byte count in {stats}"));
+    assert!(wal_len() > logged, "no zero tail while serving");
+    let rows = client
+        .request("SELECT customer, qty FROM orders")
+        .unwrap()
+        .text;
+    server.shutdown();
+    assert_eq!(wal_len(), logged);
+
+    let server =
+        SqlServer::spawn("127.0.0.1:0", Catalog::new(), Database::new(), config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reopened = client.request("SELECT customer, qty FROM orders").unwrap();
+    assert!(reopened.ok, "{}", reopened.text);
+    assert_eq!(reopened.text, rows);
+    server.shutdown();
+    cleanup(&dir);
+}
