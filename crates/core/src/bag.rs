@@ -1189,8 +1189,10 @@ pub enum MergeOp {
 }
 
 impl MergeOp {
-    /// `f(p, q)` at a key both sides hold; zero drops the key.
-    fn combine(self, p: &Natural, q: &Natural) -> Natural {
+    /// `f(p, q)`; zero drops the key. It is right at every key, one an
+    /// operand lacks included (`q = 0` gives `p` or 0), so the incremental
+    /// engine's pointwise rule ([`Bag::pointwise`]) calls it too.
+    pub fn combine(self, p: &Natural, q: &Natural) -> Natural {
         match self {
             MergeOp::Add => p + q,
             MergeOp::Monus => p.monus(q),

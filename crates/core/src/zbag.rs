@@ -19,7 +19,9 @@
 //! aliases. What only the group ℤ has is defined here, on `Bag<ZInt>`:
 //! addition with cancellation ([`Bag::add`]), the delta between two
 //! ℕ-bags ([`Bag::diff`]), its checked application ([`Bag::apply_to`],
-//! [`Bag::patch`]) and the split into two ℕ-bags ([`Bag::split`]). What
+//! [`Bag::patch`]), the split into two ℕ-bags ([`Bag::split`]) and the
+//! delta of a pointwise operator such as `ε` or a keywise merge
+//! ([`Bag::pointwise`]), which reads its ℕ-bag inputs. What
 //! only ℕ has stays on `Bag<Natural>`: the four keywise merges,
 //! `powerset`, `powerbag`, `product`, `nest`, `dedup`, `scale`, `map`,
 //! `select` and `destroy`. So the type system keeps a delta out of them:
@@ -468,6 +470,46 @@ impl Bag<ZInt> {
             Bag::from_sorted_vec(positive),
             Bag::from_sorted_vec(negative),
         )
+    }
+
+    /// The delta of a pointwise operator, `out(x) = f(m₁(x), …, m_N(x))`
+    /// (`ε`, `∸`, `∪`, `∩`), whose inputs hold `news` after moving by
+    /// `deltas`. Only a key some delta holds can change its output, so at
+    /// each such key, in order, this reads every `mᵢ(x)` from `news` by
+    /// binary search, takes the old `mᵢ(x) − δᵢ(x)`, and emits
+    /// `f(new…) − f(old…)`: `O(|δ| log n)`, and no old input is kept. An
+    /// old multiplicity below zero means a delta deletes what its input
+    /// never held, and is an error.
+    pub fn pointwise<const N: usize>(
+        news: [&Bag; N],
+        deltas: [&Bag<ZInt>; N],
+        f: impl Fn([&Natural; N]) -> Natural,
+    ) -> Result<Bag<ZInt>, ZBagError> {
+        let mut at = [0usize; N];
+        let mut out = Vec::new();
+        while let Some(key) = (0..N)
+            .filter_map(|i| deltas[i].pairs().get(at[i]).map(|(v, _)| v))
+            .min()
+        {
+            let new: [Natural; N] = std::array::from_fn(|i| news[i].multiplicity(key));
+            let mut old = new.clone();
+            for i in 0..N {
+                let Some((_, step)) = deltas[i].pairs().get(at[i]).filter(|(v, _)| v == key) else {
+                    continue;
+                };
+                at[i] += 1;
+                old[i] = ZInt::from_natural(new[i].clone())
+                    .add(&step.neg())
+                    .to_natural()
+                    .ok_or_else(|| ZBagError::NegativeMultiplicity { value: key.clone() })?;
+            }
+            let change = ZInt::from_natural(f(new.each_ref()))
+                .add(&ZInt::from_parts(true, f(old.each_ref())));
+            if !change.is_zero() {
+                out.push((key.clone(), change));
+            }
+        }
+        Ok(Bag::from_sorted_vec(out))
     }
 }
 

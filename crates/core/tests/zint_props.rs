@@ -10,9 +10,11 @@
 //! The last property holds `ZBag::split` to the rule the view engine
 //! builds on it: a linear operator maps a delta as the evaluator's image
 //! of the positive part minus its image of the negative part, which must
-//! equal the element-by-element sum `Σ m·F({x})` with signed `m`.
+//! equal the element-by-element sum `Σ m·F({x})` with signed `m`. The
+//! one after it holds `ZBag::pointwise`, the delta rule of `ε` and the
+//! keywise merges, to `F(new) − F(old)`.
 
-use balg_core::bag::Bag;
+use balg_core::bag::{Bag, MergeOp};
 use balg_core::eval::{Evaluator, Limits};
 use balg_core::expr::{Expr, Pred, Var};
 use balg_core::natural::Natural;
@@ -138,6 +140,66 @@ proptest! {
         }
         prop_assert_eq!(by_parts, by_element.build());
     }
+
+    /// `ZBag::pointwise` against its definition: for `ε` and each keywise
+    /// merge, the delta it reads off the new inputs and their deltas is
+    /// `F(new) − F(old)`, with keys entering, leaving and changing
+    /// multiplicity on either side.
+    #[test]
+    fn pointwise_delta_is_the_change_of_the_operator(
+        old_a in proptest::collection::vec((0i64..8, 0u64..4), 0..8),
+        new_a in proptest::collection::vec((0i64..8, 0u64..4), 0..8),
+        old_b in proptest::collection::vec((0i64..8, 0u64..4), 0..8),
+        new_b in proptest::collection::vec((0i64..8, 0u64..4), 0..8),
+        op in 0usize..5,
+    ) {
+        let (old_a, new_a, old_b, new_b) =
+            (counted(&old_a), counted(&new_a), counted(&old_b), counted(&new_b));
+        let (delta_a, delta_b) = (ZBag::diff(&new_a, &old_a), ZBag::diff(&new_b, &old_b));
+        let (pointwise, expected) = match op {
+            0 => (
+                ZBag::pointwise([&new_a], [&delta_a], |[m]| {
+                    if m.is_zero() { Natural::zero() } else { Natural::one() }
+                }),
+                ZBag::diff(&new_a.dedup(), &old_a.dedup()),
+            ),
+            _ => {
+                let op = [MergeOp::Add, MergeOp::Monus, MergeOp::Max, MergeOp::Min][op - 1];
+                (
+                    ZBag::pointwise([&new_a, &new_b], [&delta_a, &delta_b], |[p, q]| {
+                        op.combine(p, q)
+                    }),
+                    ZBag::diff(&new_a.merge(&new_b, op), &old_a.merge(&old_b, op)),
+                )
+            }
+        };
+        prop_assert_eq!(pointwise.unwrap(), expected);
+    }
+}
+
+/// A bag of atoms `k` with multiplicity `m`, duplicates accumulated.
+fn counted(pairs: &[(i64, u64)]) -> Bag {
+    Bag::from_counted(
+        pairs
+            .iter()
+            .map(|&(k, m)| (Value::int(k), Natural::from(m))),
+    )
+}
+
+/// A delta that deletes what its input never held is an error, not a
+/// monus: the old multiplicity would be negative.
+#[test]
+fn pointwise_rejects_a_delta_its_input_cannot_have_moved_by() {
+    let added = ZBag::from_counted([(Value::int(1), ZInt::one())]);
+    let dedup = |[m]: [&Natural; 1]| Natural::from(u64::from(!m.is_zero()));
+    // An empty input that gained a row, i.e. held −1 before.
+    assert!(ZBag::pointwise([&Bag::new()], [&added], dedup).is_err());
+    // An empty input that lost its one row: so did its `ε`.
+    let removed = ZBag::from_counted([(Value::int(1), ZInt::neg_one())]);
+    assert_eq!(
+        ZBag::pointwise([&Bag::new()], [&removed], dedup).unwrap(),
+        removed
+    );
 }
 
 fn input() -> Var {

@@ -21,26 +21,39 @@
 //! | `∪⁺` | `δ(A ∪⁺ B) = δA ⊕ δB` |
 //! | `MAP_φ` / `σ_φ` / `π` / `δ` (destroy) | `F(δ) = F(δ⁺) ⊖ F(δ⁻)`: the operator runs on the delta's positive and negative parts (valid while `φ` reads no updated bag) |
 //! | `×` | `δ(A×B) = δA×B ⊕ A×δB ⊕ δA×δB` |
+//! | `ε`, monus `∸`, `∪` (max), `∩` (min) | pointwise: `δout(x) = f(new(x)) − f(new(x) − δ(x))` at each key `x` of the inputs' deltas |
 //! | scalar constructs (`τ`, `β`, `αᵢ`) | cheap re-derivation of the single value |
 //!
-//! The **non-linear** operators — monus `−`, `ε`, `∪` (max), `∩` (min),
-//! `nest`, powerset/powerbag, `IFP`, and `MAP`/`σ` whose λ body reads an
-//! updated bag (e.g. a `SubBag` predicate against a changing base) — fall
-//! back to re-derivation of **only the affected subtree**: every node
-//! memoizes its value, so the fallback recomputes one operator over its
-//! children's (already incrementally-maintained) snapshots and
-//! re-expresses the result as a delta ([`balg_core::bag::Bag::diff`])
-//! for its parents. Untouched subtrees are skipped entirely via free-name
+//! The pointwise operators compute `out(x) = f(m₁(x), m₂(x))`, with `f`
+//! one of `[m > 0]`, monus, `max` and `min`, so their output can move only
+//! on the support of their inputs' deltas (DBSP's incremental `distinct`,
+//! extended to the merges as in the counting algorithm).
+//! [`balg_core::bag::Bag::pointwise`] reads the new multiplicities off
+//! the inputs' maintained values by binary search: `O(|δ| log n)`, counted
+//! under [`ViewStats::pointwise_delta_ops`]. Unlike every other rule it
+//! applies `f` itself instead of running the operator on the evaluator,
+//! so it charges no evaluation steps; to keep the budgets a re-derivation
+//! enforced, it checks the patched value's distinct count against
+//! `max_bag_elements` and the width of every multiplicity the delta
+//! raised against `max_multiplicity_bits`.
+//!
+//! The **non-linear** operators — `nest`, powerset/powerbag, `IFP`, and
+//! `MAP`/`σ` whose λ body reads an updated bag (e.g. a `SubBag` predicate
+//! against a changing base) — fall back to re-derivation of **only the
+//! affected subtree**: every node memoizes its value, so the fallback
+//! recomputes one operator over its children's (already
+//! incrementally-maintained) snapshots and re-expresses the result as a
+//! delta ([`balg_core::bag::Bag::diff`]) for its parents. Untouched subtrees are skipped entirely via free-name
 //! analysis. Fallbacks are counted by an instrumentation counter
 //! ([`ViewStats::fallback_recomputes`]) so tests can assert which path
 //! ran.
 //!
-//! A node never applies an operator itself. It holds the operator as a
-//! *probe* over fresh input variables, and the view's
-//! [`balg_core::eval::Evaluator`] runs it — over the children's snapshots
-//! to re-derive, or over a delta's two parts for the linear rule — so a
-//! maintained node computes what a one-shot evaluation computes, under
-//! the same budgets.
+//! Except for the pointwise rule, a node never applies an operator
+//! itself. It holds the operator as a *probe* over fresh input variables,
+//! and the view's [`balg_core::eval::Evaluator`] runs it — over the
+//! children's snapshots to re-derive, or over a delta's two parts for the
+//! linear rule — so a maintained node computes what a one-shot evaluation
+//! computes, under the same budgets.
 //!
 //! ## One stateful runtime
 //!

@@ -18,6 +18,8 @@ pub(crate) struct IncrObs {
     pub(crate) maintain_duration: Histogram,
     /// `balg_linear_delta_ops_total`.
     pub(crate) linear_delta_ops: Counter,
+    /// `balg_pointwise_delta_ops_total`.
+    pub(crate) pointwise_delta_ops: Counter,
     /// `balg_fallback_recomputes_total`.
     pub(crate) fallback_recomputes: Counter,
     /// `balg_scalar_recomputes_total`.
@@ -95,6 +97,10 @@ pub(crate) fn incr_obs() -> Option<&'static IncrObs> {
         linear_delta_ops: registry.counter(
             "balg_linear_delta_ops_total",
             "Linear derivative-rule applications",
+        ),
+        pointwise_delta_ops: registry.counter(
+            "balg_pointwise_delta_ops_total",
+            "Pointwise delta-rule applications (ε, monus, max- and min-union)",
         ),
         fallback_recomputes: registry.counter(
             "balg_fallback_recomputes_total",

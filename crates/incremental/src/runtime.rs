@@ -533,6 +533,8 @@ impl ViewRuntime {
                 let after = view.stats();
                 obs.linear_delta_ops
                     .add(after.linear_delta_ops - before.linear_delta_ops);
+                obs.pointwise_delta_ops
+                    .add(after.pointwise_delta_ops - before.pointwise_delta_ops);
                 obs.fallback_recomputes
                     .add(after.fallback_recomputes - before.fallback_recomputes);
                 obs.scalar_recomputes
@@ -629,11 +631,12 @@ impl ViewRuntime {
 pub fn render_stats(rt: &ViewRuntime, durability: Option<&crate::durable::Durability>) -> String {
     let stats = rt.stats();
     let mut out = format!(
-        "{} batches — {} linear delta ops ({} indexed joins, {} scanned joins), {} non-linear fallbacks, {} scalar recomputes, {} full re-inits",
+        "{} batches — {} linear delta ops ({} indexed joins, {} scanned joins), {} pointwise delta ops, {} non-linear fallbacks, {} scalar recomputes, {} full re-inits",
         stats.batches,
         stats.views.linear_delta_ops,
         stats.views.indexed_join_ops,
         stats.views.scanned_join_ops,
+        stats.views.pointwise_delta_ops,
         stats.views.fallback_recomputes,
         stats.views.scalar_recomputes,
         stats.views.full_reinits
@@ -760,6 +763,22 @@ mod tests {
         batch.insert("S", edge("a", "b"));
         runtime.apply(&batch).unwrap();
         assert!(runtime.view("diff").unwrap().is_empty());
+        checked(&runtime);
+        // `∸` is pointwise: patched at the one key, not re-derived.
+        let stats = runtime.stats().views;
+        assert_eq!(
+            (stats.pointwise_delta_ops, stats.fallback_recomputes),
+            (1, 0),
+            "{stats:?}"
+        );
+
+        // `nest` still re-derives.
+        runtime
+            .create_view("groups", Expr::var("R").nest(&[1]))
+            .unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.insert("R", edge("c", "d"));
+        runtime.apply(&batch).unwrap();
         checked(&runtime);
         assert!(runtime.stats().views.fallback_recomputes > 0);
     }

@@ -20,9 +20,20 @@
 //!   the same way — the evaluator's join probes `B_new`'s index from the
 //!   runtime's one patched cache, so a one-row delta against a large base
 //!   touches only the matching rows;
-//! * every other node re-derives **one operator application** over its
-//!   children's refreshed snapshots and hands the pointwise difference to
-//!   its parent as a delta.
+//! * `ε`, `∸`, `∪` and `∩` are pointwise in the multiplicity,
+//!   `out(x) = f(m₁(x), m₂(x))` with `f` one of `[m > 0]`, monus, `max`
+//!   and `min`, so their output moves only at keys their children's deltas
+//!   hold: [`Bag::pointwise`] reads each such key's new multiplicities off
+//!   the children's refreshed values by binary search, takes the old ones
+//!   by subtracting the deltas, and emits `f(new) − f(old)`
+//!   (`O(|δ| log n)`, no old snapshot kept). This rule applies `f` itself
+//!   and runs no probe, so it charges no evaluation steps; it checks the
+//!   element and multiplicity budgets a re-derivation would have on the
+//!   patched value;
+//! * every other node (`P`, `P_b`, `nest`, `IFP`, and any node with a
+//!   scalar child that changed wholesale) re-derives **one operator
+//!   application** over its children's refreshed snapshots and hands the
+//!   pointwise difference to its parent as a delta.
 //!
 //! Every image is an `ℕ`-bag the evaluator computed; only their signed
 //! sum is a ℤ-bag. The result is that work concentrates where the update
@@ -32,9 +43,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use balg_core::analyze::{base_linearity, Linearity};
-use balg_core::bag::Bag;
-use balg_core::eval::{equi_join_attrs, EvalError, Evaluator};
+use balg_core::bag::{Bag, MergeOp};
+use balg_core::eval::{equi_join_attrs, EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred, Var};
+use balg_core::natural::Natural;
 use balg_core::schema::Database;
 use balg_core::value::Value;
 use balg_core::zbag::{Spare, ZInt};
@@ -52,9 +64,14 @@ pub struct ViewStats {
     /// Linear derivative-rule applications (`∪⁺`, `MAP`/`σ` with an
     /// unaffected body, the bilinear `×` rule, destroy).
     pub linear_delta_ops: u64,
+    /// Pointwise delta-rule applications: an `ε`, `∸`, `∪` or `∩` node
+    /// patched at the keys its children's deltas hold, without running
+    /// its operator.
+    pub pointwise_delta_ops: u64,
     /// Non-linear fallbacks: one operator re-derived over memoized child
-    /// snapshots (monus, `ε`, `∪`, `∩`, `nest`, `P`/`P_b`, `IFP`, and
-    /// `MAP`/`σ` whose λ body reads an updated bag).
+    /// snapshots (`nest`, `P`/`P_b`, `IFP`, `MAP`/`σ` whose λ body reads
+    /// an updated bag, and a pointwise node whose scalar child changed
+    /// wholesale).
     pub fallback_recomputes: u64,
     /// Scalar construct re-derivations (`τ`, `β`, `αᵢ` over a changed
     /// child value) — constant-size work, counted separately.
@@ -78,6 +95,7 @@ impl ViewStats {
     pub fn merged(&self, other: &ViewStats) -> ViewStats {
         ViewStats {
             linear_delta_ops: self.linear_delta_ops + other.linear_delta_ops,
+            pointwise_delta_ops: self.pointwise_delta_ops + other.pointwise_delta_ops,
             fallback_recomputes: self.fallback_recomputes + other.fallback_recomputes,
             scalar_recomputes: self.scalar_recomputes + other.scalar_recomputes,
             full_reinits: self.full_reinits + other.full_reinits,
@@ -155,8 +173,14 @@ enum Rule {
     /// a delta's positive and negative parts — while the λ body reads no
     /// updated bag.
     Linear,
-    /// `∸`, `∪`, `∩`, `ε`, `P`, `P_b`, `nest` and `IFP`: re-derived
-    /// whenever an input, or a bag the λ body reads, moved.
+    /// `ε` (`None`) and the merges `∸`, `∪`, `∩` (`Some(op)`): pointwise
+    /// in the multiplicity, so the node's delta is `f(new) − f(old)` at
+    /// the keys its children's deltas hold ([`Bag::pointwise`]), `f` being
+    /// `[m > 0]` or [`MergeOp::combine`]. A child that changed wholesale
+    /// sends the node to re-derivation.
+    Pointwise(Option<MergeOp>),
+    /// `P`, `P_b`, `nest` and `IFP`: re-derived whenever an input, or a
+    /// bag the λ body reads, moved.
     Rederive,
     /// `τ`, `β`, `αᵢ`: constant-size re-derivation.
     Scalar,
@@ -248,14 +272,13 @@ fn compile(expr: Expr) -> Node {
             Expr::Product(..) => Rule::Product,
             Expr::Map { .. } | Expr::Select { .. } | Expr::Destroy(_) => Rule::Linear,
             Expr::Tuple(_) | Expr::Singleton(_) | Expr::Attr(..) => Rule::Scalar,
-            Expr::Subtract(..)
-            | Expr::MaxUnion(..)
-            | Expr::Intersect(..)
-            | Expr::Dedup(_)
-            | Expr::Powerset(_)
-            | Expr::Powerbag(_)
-            | Expr::Nest { .. }
-            | Expr::Ifp { .. } => Rule::Rederive,
+            Expr::Dedup(_) => Rule::Pointwise(None),
+            Expr::Subtract(..) => Rule::Pointwise(Some(MergeOp::Monus)),
+            Expr::MaxUnion(..) => Rule::Pointwise(Some(MergeOp::Max)),
+            Expr::Intersect(..) => Rule::Pointwise(Some(MergeOp::Min)),
+            Expr::Powerset(_) | Expr::Powerbag(_) | Expr::Nest { .. } | Expr::Ifp { .. } => {
+                Rule::Rederive
+            }
         }
     };
     // The fused join's pred reads only attributes of the bound tuple, so
@@ -314,7 +337,8 @@ fn compile(expr: Expr) -> Node {
 /// fresh values.) `Opaque` child deltas, the other fallback trigger, can
 /// only originate from direct `τ`/`αᵢ` children: every other node
 /// reports `None` or a bag delta, and a node that absorbs an `Opaque` by
-/// re-deriving emits a bag delta itself.
+/// re-deriving emits a bag delta itself. A pointwise node counts as one
+/// too: its budget check reads its own patched value.
 fn can_fall_back(node: &Node) -> bool {
     let opaque_child = || {
         node.children
@@ -322,7 +346,7 @@ fn can_fall_back(node: &Node) -> bool {
             .any(|c| matches!(c.probe, Expr::Tuple(_) | Expr::Attr(..)))
     };
     match &node.rule {
-        Rule::Rederive | Rule::Scalar => true,
+        Rule::Rederive | Rule::Pointwise(_) | Rule::Scalar => true,
         Rule::Linear | Rule::Sum | Rule::Product | Rule::EquiJoin => {
             !node.body_reads.is_empty() || opaque_child()
         }
@@ -340,9 +364,9 @@ fn mark_snapshots(node: &mut Node, demanded: bool) {
         _ => demanded || can_fall_back(node),
     };
     let demands_children = match &node.rule {
-        // Re-derivation reads every child; the bilinear rules read both
-        // operands' fresh values.
-        Rule::Rederive | Rule::Scalar | Rule::Product | Rule::EquiJoin => true,
+        // Re-derivation reads every child; the bilinear and pointwise
+        // rules read every operand's fresh value.
+        Rule::Rederive | Rule::Pointwise(_) | Rule::Scalar | Rule::Product | Rule::EquiJoin => true,
         Rule::Linear | Rule::Sum => can_fall_back(node),
         Rule::Base(_) | Rule::Const => false,
     };
@@ -388,12 +412,19 @@ impl Node {
     /// (which would force copy-on-write on every in-place base patch).
     fn current_value(&self, db: &Database) -> Result<Value, EvalError> {
         match &self.rule {
+            Rule::Base(_) if !self.keep_snapshot => self.current_bag(db).cloned().map(Value::Bag),
+            _ => Ok(self.snapshot.clone()),
+        }
+    }
+
+    /// The node's current value as a borrowed bag: [`Node::current_value`]
+    /// without the clone.
+    fn current_bag<'v>(&'v self, db: &'v Database) -> Result<&'v Bag, EvalError> {
+        match &self.rule {
             Rule::Base(name) if !self.keep_snapshot => db
                 .get(name)
-                .cloned()
-                .map(Value::Bag)
                 .ok_or_else(|| EvalError::UnboundVariable(name.clone())),
-            _ => Ok(self.snapshot.clone()),
+            _ => expect_bag(&self.snapshot),
         }
     }
 
@@ -457,6 +488,64 @@ impl Node {
             }
         }
         self.signed_images(ev, terms)
+    }
+
+    /// A pointwise node's delta: `f` at the keys the children's `deltas`
+    /// hold, read off their refreshed values ([`Bag::pointwise`]). `op`
+    /// is the node's merge, `None` for `ε`.
+    fn pointwise_delta(
+        &self,
+        db: &Database,
+        op: Option<MergeOp>,
+        deltas: &[Bag<ZInt>],
+    ) -> Result<Bag<ZInt>, MaintainError> {
+        let news = self
+            .children
+            .iter()
+            .map(|child| child.current_bag(db))
+            .collect::<Result<Vec<_>, _>>()?;
+        let delta = match op {
+            None => Bag::<ZInt>::pointwise([news[0]], [&deltas[0]], |[m]| {
+                Natural::from(u64::from(!m.is_zero()))
+            }),
+            Some(op) => {
+                Bag::<ZInt>::pointwise([news[0], news[1]], [&deltas[0], &deltas[1]], |[p, q]| {
+                    op.combine(p, q)
+                })
+            }
+        };
+        delta.map_err(|e| MaintainError::Internal(e.to_string()))
+    }
+
+    /// The budgets a re-derivation's evaluation would have enforced on a
+    /// pointwise node's patched value: its distinct count, and the width
+    /// of every multiplicity `delta` raised. The others are as they were
+    /// when last checked, at registration or by an earlier patch.
+    fn check_budget(&self, limits: &Limits, delta: &Delta) -> Result<(), EvalError> {
+        let Delta::Bag(delta) = delta else {
+            return Ok(());
+        };
+        let value = expect_bag(&self.snapshot)?;
+        let observed = value.distinct_count() as u64;
+        if observed > limits.max_bag_elements {
+            return Err(EvalError::ElementLimit {
+                observed,
+                limit: limits.max_bag_elements,
+            });
+        }
+        let widest = delta
+            .iter()
+            .filter(|(_, step)| !step.is_negative())
+            .map(|(key, _)| value.multiplicity(key).bits())
+            .max()
+            .unwrap_or(0);
+        if widest > limits.max_multiplicity_bits {
+            return Err(EvalError::MultiplicityLimit {
+                observed_bits: widest,
+                limit_bits: limits.max_multiplicity_bits,
+            });
+        }
+        Ok(())
     }
 
     /// The signed sum of the probe's images over `terms`, each a binding
@@ -614,6 +703,27 @@ impl Node {
                     self.apply_bag_delta(delta)
                 }
             },
+            // Refresh every child, then patch in `f`'s change at the keys
+            // their deltas hold.
+            Rule::Pointwise(op) => {
+                let op = *op;
+                let mut deltas = Vec::with_capacity(self.children.len());
+                for child in &mut self.children {
+                    deltas.push(child.update(ctx)?);
+                }
+                if deltas.iter().any(|d| matches!(d, Delta::Opaque)) {
+                    return self.rederive(ctx);
+                }
+                if deltas.iter().all(|d| matches!(d, Delta::None)) {
+                    return Ok(Delta::None);
+                }
+                let deltas: Vec<Bag<ZInt>> = deltas.into_iter().map(Delta::into_zbag).collect();
+                let delta = self.pointwise_delta(ctx.db, op, &deltas)?;
+                ctx.stats.pointwise_delta_ops += 1;
+                let report = self.apply_bag_delta(delta)?;
+                self.check_budget(ctx.ev.limits(), &report)?;
+                Ok(report)
+            }
             // Refresh every child, then re-derive this single operator
             // over their snapshots if anything it reads moved.
             Rule::Rederive | Rule::Scalar => {

@@ -9,11 +9,18 @@
 //! happen). Update streams mix inserts of random tuples with deletions
 //! of currently-present occurrences, applied in batches of 1–3.
 //!
+//! A third property draws views from `ε`, `∸`, `∪` and `∩` nested over
+//! `σ`, `π` and a fused join, with streams that create keys and empty
+//! them, and holds the pointwise rule to a fresh evaluation under both
+//! reference settings.
+//!
 //! Non-linear fallbacks are exercised and asserted through the engine's
 //! instrumentation counter in the deterministic tests at the bottom.
 
+use std::collections::BTreeSet;
+
 use balg_core::bag::Bag;
-use balg_core::eval::{Evaluator, Limits};
+use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
 use balg_core::value::Value;
 use balg_core::zbag::ZInt;
@@ -375,6 +382,181 @@ proptest! {
     ) {
         run_dual_case(seed, depth, arity, batches);
     }
+}
+
+/// A unary view built from `ε`, `∸`, `∪` and `∩` (and `∪⁺`, which lifts
+/// multiplicities past one) nested in each other, over `R`, `S`, a `σ`
+/// of `R`, a `π` of `G` and a `π` of the fused join `σ[α2=α3](G × G)`.
+fn pointwise_expr(rng: &mut StdRng, depth: usize) -> Expr {
+    let x = || Expr::var("x");
+    if depth == 0 {
+        return match rng.gen_range(0..5u8) {
+            0 => Expr::var("R"),
+            1 => Expr::var("S"),
+            2 => Expr::var("R").select(
+                "x",
+                Pred::lt(x().attr(1), Expr::lit(Value::int(rng.gen_range(1..4)))),
+            ),
+            3 => Expr::var("G").project(&[2]),
+            _ => Expr::var("G")
+                .product(Expr::var("G"))
+                .select("x", Pred::eq(x().attr(2), x().attr(3)))
+                .project(&[1]),
+        };
+    }
+    let left = pointwise_expr(rng, depth - 1);
+    if rng.gen_range(0..5u8) == 0 {
+        return left.dedup();
+    }
+    let right = pointwise_expr(rng, depth - 1);
+    match rng.gen_range(0..4u8) {
+        0 => left.subtract(right),
+        1 => left.max_union(right),
+        2 => left.intersect(right),
+        _ => left.additive_union(right),
+    }
+}
+
+/// One change to a random base, legal against what it holds with the
+/// batch's earlier changes: insert one or two copies of a row (a key may
+/// appear), delete one occurrence, or delete every occurrence of a row
+/// (its key empties).
+fn crossing_update(rng: &mut StdRng, runtime: &ViewRuntime, batch: &mut UpdateBatch) {
+    let (name, arity) = [("R", 1), ("S", 1), ("G", 2)][rng.gen_range(0..3usize)];
+    let current = runtime.database().get(name).expect("loaded base");
+    let held: Vec<(Value, ZInt)> = current
+        .iter()
+        .map(|(value, mult)| {
+            let pending = batch
+                .delta(name)
+                .map_or_else(ZInt::zero, |d| d.multiplicity(value));
+            (
+                value.clone(),
+                ZInt::from_natural(mult.clone()).add(&pending),
+            )
+        })
+        .filter(|(_, held)| !held.is_negative() && !held.is_zero())
+        .collect();
+    match rng.gen_range(0..3u8) {
+        0 if !held.is_empty() => {
+            let (victim, _) = &held[rng.gen_range(0..held.len())];
+            batch.delete(name, victim.clone());
+        }
+        1 if !held.is_empty() => {
+            let (victim, all) = &held[rng.gen_range(0..held.len())];
+            batch.change(name, victim.clone(), all.neg());
+        }
+        _ => {
+            let row = if arity == 1 {
+                unary(rng.gen_range(0..4))
+            } else {
+                pair(rng.gen_range(0..4), rng.gen_range(0..4))
+            };
+            batch.change(name, row, ZInt::from(rng.gen_range(1..=2i64)));
+        }
+    }
+}
+
+/// One pointwise view maintained by a default runtime and by one set to
+/// the reference, through batches whose multiplicities cross zero both
+/// ways: after every batch each must `verify` against a fresh
+/// evaluation, and the two must agree. Neither may re-derive a node.
+fn run_pointwise_case(seed: u64, depth: usize, batches: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let expr = pointwise_expr(&mut rng, depth);
+    let mut runtimes = [false, true].map(|reference| {
+        let mut runtime = ViewRuntime::with_limits(limits());
+        runtime.set_reference(reference);
+        for (name, bag) in base_db() {
+            runtime.load_base(name, bag).unwrap();
+        }
+        runtime.create_view("v", expr.clone()).unwrap();
+        runtime
+    });
+    for _ in 0..batches {
+        let mut batch = UpdateBatch::new();
+        for _ in 0..rng.gen_range(1..=3) {
+            crossing_update(&mut rng, &runtimes[0], &mut batch);
+        }
+        for runtime in &mut runtimes {
+            runtime.apply(&batch).unwrap();
+            assert!(runtime.verify("v").unwrap(), "seed {seed}: {expr}");
+        }
+        assert_eq!(
+            runtimes[0].view("v").unwrap(),
+            runtimes[1].view("v").unwrap(),
+            "seed {seed}: {expr}"
+        );
+    }
+    for runtime in &runtimes {
+        let stats = runtime.stats().views;
+        assert_eq!(
+            stats.fallback_recomputes, 0,
+            "seed {seed}: {expr}: {stats:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// 256 pointwise views over insert+delete streams, on both settings
+    /// of the reference switch.
+    #[test]
+    fn pointwise_views_match_full_reevaluation(
+        seed in 0u64..1_000_000,
+        depth in 1usize..4,
+        batches in 2usize..8,
+    ) {
+        run_pointwise_case(seed, depth, batches);
+    }
+}
+
+/// The pointwise generator reaches each of `ε`, `∸`, `∪`, `∩` over each
+/// of its leaf shapes, and its streams both create keys and empty them.
+#[test]
+fn pointwise_generator_reaches_what_it_claims() {
+    let mut reached = BTreeSet::new();
+    let (mut appeared, mut emptied) = (0, 0);
+    for seed in 0..64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        pointwise_expr(&mut rng, 3).visit(&mut |e| {
+            reached.insert(match e {
+                Expr::Dedup(_) => "ε",
+                Expr::Subtract(..) => "∸",
+                Expr::MaxUnion(..) => "∪",
+                Expr::Intersect(..) => "∩",
+                Expr::Select { input, .. } if matches!(**input, Expr::Product(..)) => "join",
+                Expr::Select { .. } => "σ",
+                Expr::Map { .. } => "π",
+                _ => return,
+            });
+        });
+        let mut runtime = ViewRuntime::with_limits(limits());
+        for (name, bag) in base_db() {
+            runtime.load_base(name, bag).unwrap();
+        }
+        for _ in 0..8 {
+            let mut batch = UpdateBatch::new();
+            crossing_update(&mut rng, &runtime, &mut batch);
+            let before = runtime.database().clone();
+            runtime.apply(&batch).unwrap();
+            for (name, delta) in batch.iter() {
+                for (value, _) in delta.iter() {
+                    let was = before.get(name).unwrap().contains(value);
+                    let is = runtime.database().get(name).unwrap().contains(value);
+                    appeared += usize::from(!was && is);
+                    emptied += usize::from(was && !is);
+                }
+            }
+        }
+    }
+    let all: BTreeSet<&str> = ["ε", "∸", "∪", "∩", "join", "σ", "π"].into();
+    assert_eq!(reached, all);
+    assert!(
+        appeared > 0 && emptied > 0,
+        "{appeared} keys appeared, {emptied} emptied"
+    );
 }
 
 /// The generator really spans every BALG operator (and the membership /
@@ -805,8 +987,51 @@ fn nodes_fail_where_one_shot_evaluation_fails() {
     assert_eq!(dropped.cause, expected.to_string());
 }
 
+/// A pointwise node runs no probe, so it charges no steps, but it keeps
+/// the element budget a re-derivation enforced: an `∪` view whose
+/// maintained result grows past `max_bag_elements` fails with
+/// `ElementLimit` and is dropped, with the one-shot error as its cause.
+#[test]
+fn a_pointwise_view_past_the_element_budget_is_dropped() {
+    let tight = Limits {
+        max_bag_elements: 8,
+        ..limits()
+    };
+    let mut rt = ViewRuntime::with_limits(tight.clone());
+    rt.load_base("R", Bag::from_values((0..4).map(unary)))
+        .unwrap();
+    rt.load_base("S", Bag::from_values((4..8).map(unary)))
+        .unwrap();
+    let expr = Expr::var("R").max_union(Expr::var("S"));
+    rt.create_view("v", expr.clone()).unwrap();
+    // A row `S` holds leaves the view at its 8 rows.
+    let mut batch = UpdateBatch::new();
+    batch.insert("R", unary(4));
+    rt.apply(&batch).unwrap();
+    assert!(rt.verify("v").unwrap());
+    assert_eq!(rt.stats().views.pointwise_delta_ops, 1);
+    // A ninth row.
+    let mut batch = UpdateBatch::new();
+    batch.insert("R", unary(8));
+    let err = rt.apply(&batch).unwrap_err();
+    let expected = Evaluator::new(rt.database(), tight)
+        .eval_bag(&expr)
+        .unwrap_err();
+    assert_eq!(
+        expected,
+        EvalError::ElementLimit {
+            observed: 9,
+            limit: 8
+        }
+    );
+    assert_eq!(err.to_string(), format!("view v: {expected}"));
+    let (name, dropped) = rt.dropped().next().expect("the view is dropped");
+    assert_eq!((name, dropped.cause.clone()), ("v", expected.to_string()));
+}
+
 /// Non-linear fallbacks are *exercised* and visible through the
-/// instrumentation counter; linear chains stay fallback-free.
+/// instrumentation counter; linear chains stay fallback-free, and monus
+/// takes the pointwise rule.
 #[test]
 fn fallback_counter_separates_linear_from_nonlinear() {
     // Linear chain: σ/π over R — zero fallbacks.
@@ -853,10 +1078,12 @@ fn fallback_counter_separates_linear_from_nonlinear() {
     let mut batch = UpdateBatch::new();
     batch.insert("R", unary(2));
     runtime.apply(&batch).unwrap();
-    let stats = runtime.stats();
-    assert!(
-        stats.views.fallback_recomputes >= 2,
-        "monus and the affected SubBag body must both re-derive: {stats:?}"
+    let stats = runtime.stats().views;
+    assert_eq!(
+        (stats.pointwise_delta_ops, stats.fallback_recomputes),
+        (1, 1),
+        "monus must take the pointwise rule and the affected SubBag body \
+         re-derive: {stats:?}"
     );
     assert!(runtime.verify_all().unwrap());
 }

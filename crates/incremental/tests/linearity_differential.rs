@@ -251,8 +251,8 @@ proptest! {
 }
 
 /// Deterministic spot checks of the certificate against hand-picked
-/// views: a linear chain, a bilinear join, and a mixed view where only
-/// one base's updates are certified fallback-free.
+/// views: a linear chain, a bilinear join, a mixed view where only one
+/// base's updates are certified fallback-free, and a `nest`.
 #[test]
 fn certificates_match_hand_classified_views() {
     let mut runtime = ViewRuntime::with_limits(limits());
@@ -277,6 +277,10 @@ fn certificates_match_hand_classified_views() {
             "mixed",
             Expr::var("R").additive_union(Expr::var("R").subtract(Expr::var("S"))),
         )
+        .unwrap();
+    // nest(R) is non-linear in R and keeps re-derivation.
+    runtime
+        .create_view("groups", Expr::var("R").nest(&[1]))
         .unwrap();
     let chain_facts: Vec<(String, Linearity)> = runtime
         .views()
@@ -306,10 +310,13 @@ fn certificates_match_hand_classified_views() {
     assert_eq!(stats.scalar_recomputes, 0, "{stats:?}");
     assert!(stats.linear_delta_ops > 0, "{stats:?}");
 
-    // An R batch hits the non-linear view and must re-derive the monus.
+    // An R batch hits the non-linear views: the monus takes the
+    // pointwise rule, and `nest` re-derives.
     let mut batch = UpdateBatch::new();
     batch.insert("R", unary(3));
     runtime.apply(&batch).unwrap();
-    assert!(runtime.stats().views.fallback_recomputes > 0);
+    let stats = runtime.stats().views;
+    assert_eq!(stats.pointwise_delta_ops, 1, "{stats:?}");
+    assert_eq!(stats.fallback_recomputes, 1, "{stats:?}");
     assert!(runtime.verify_all().unwrap());
 }

@@ -9,6 +9,9 @@
 //! answer byte for byte what a `SerialTwin` answered at its seq, and
 //! every fresh snapshot what the twin answers now.
 //!
+//! A third test does the same for `v_distinct` while writes add and
+//! remove its rows, which the pointwise rule patches in.
+//!
 //! Then only the newest snapshot is published, as the server does, and
 //! each write must patch `orders` and the `v_sel` and `v_join` roots in
 //! the buffers that the snapshot before the last one held (compared by
@@ -234,6 +237,37 @@ fn pinned_snapshots_survive_writes_rebases_and_recovery() {
     h.recover();
     h.churn(48, 12);
     assert_eq!(h.pins.iter().filter(|pin| pin.until == u64::MAX).count(), 4);
+}
+
+/// `v_distinct` takes the pointwise rule, which patches its root through
+/// the root's spare: writes that give an order to a customer no order had,
+/// and delete a customer's last order, add and remove its rows. Snapshots
+/// pinned across those writes still read the rows they were published
+/// with, and the view never re-derives.
+#[test]
+fn pinned_snapshots_of_a_distinct_view_keep_their_rows() {
+    let mut h = Harness::new("distinct");
+    let mut replies = std::collections::BTreeSet::new();
+    for k in 0..9i64 {
+        let order = |k: i64| format!("({}, 'new{}', 1)", 2000 + k, k % 3);
+        h.write(&format!("INSERT INTO orders VALUES {}", order(k)));
+        h.pin(if k % 3 == 0 { u64::MAX } else { 2 });
+        h.check();
+        if k % 2 == 1 {
+            h.write(&format!("DELETE FROM orders VALUES {}", order(k - 1)));
+            h.pin(u64::MAX);
+            h.check();
+        }
+        let fresh = snapshot_of(&h.rt, h.seq);
+        replies.insert(execute_read(&fresh, ":rows v_distinct").text);
+    }
+    assert!(
+        replies.len() >= 4,
+        "the distinct rows barely moved: {replies:?}"
+    );
+    let stats = h.rt.runtime().stats().views;
+    assert!(stats.pointwise_delta_ops > 0, "{stats:?}");
+    assert_eq!(stats.fallback_recomputes, 0, "{stats:?}");
 }
 
 type Pair = (balg_core::value::Value, balg_core::natural::Natural);

@@ -349,3 +349,73 @@ fn dedup_moves_below_a_product_only_when_both_arities_are_known() {
         Expr::var("A").dedup().product(Expr::var("B").dedup())
     );
 }
+
+// ----- witness pins: one named test per kept arm the generator misses -----
+
+/// The schema and database of the witness pins: `G` holds nine distinct
+/// pairs, `R` three unary rows.
+fn witness_db() -> (Schema, Database) {
+    let schema = Schema::new()
+        .with("G", Type::relation(2))
+        .with("R", Type::relation(1));
+    let g = (0..9i64).map(|i| Value::tuple([Value::int(i / 3), Value::int(i % 3)]));
+    let r = (0..3i64).map(|i| Value::tuple([Value::int(i)]));
+    let db = Database::new()
+        .with("G", Bag::from_values(g))
+        .with("R", Bag::from_values(r));
+    (schema, db)
+}
+
+/// `optimize(witness)` is `expected`, gives the witness's answer, and
+/// evaluates in `steps` steps with at most `max_distinct` distinct
+/// elements in any intermediate bag.
+fn pin_witness(witness: &Expr, expected: &Expr, steps: u64, max_distinct: u64) {
+    let (schema, db) = witness_db();
+    let optimized = optimize(witness, &schema);
+    assert_eq!(&optimized, expected, "{witness}");
+    let (answer, metrics) = eval_with_metrics(&optimized, &db, Limits::default());
+    assert_eq!(answer.unwrap(), eval(witness, &db).unwrap(), "{witness}");
+    assert_eq!(
+        (metrics.steps, metrics.max_distinct_elements),
+        (steps, max_distinct),
+        "{witness} → {optimized}"
+    );
+}
+
+fn empty_bag() -> Expr {
+    Expr::lit(Value::Bag(Bag::new()))
+}
+
+/// `MAP(∅) → ∅` on an operand constant folding cannot fold, since the
+/// body reads `G`: `δ(MAP[λx.σ[α1(y)=α2(x)](G)]((G − G)))` is `∅` in one
+/// step (three with the arm removed).
+#[test]
+fn witness_map_over_empty() {
+    let body = Expr::var("G").select(
+        "y",
+        Pred::eq(Expr::var("y").attr(1), Expr::var("x").attr(2)),
+    );
+    let witness = Expr::var("G")
+        .subtract(Expr::var("G"))
+        .map("x", body)
+        .destroy();
+    pin_witness(&witness, &empty_bag(), 1, 0);
+}
+
+/// `∅ ∪⁺ e → e`: `((G − G) ∪⁺ G)` is `G` in one step (three, with nine
+/// distinct elements, with the arm removed).
+#[test]
+fn witness_empty_additive_union() {
+    let witness = Expr::var("G")
+        .subtract(Expr::var("G"))
+        .additive_union(Expr::var("G"));
+    pin_witness(&witness, &Expr::var("G"), 1, 0);
+}
+
+/// `e × ∅ → ∅`: `ε((ε(R) × {{}}))` is `∅` in one step (five with the arm
+/// removed).
+#[test]
+fn witness_product_with_empty() {
+    let witness = Expr::var("R").dedup().product(empty_bag()).dedup();
+    pin_witness(&witness, &empty_bag(), 1, 0);
+}
