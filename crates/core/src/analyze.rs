@@ -28,9 +28,12 @@
 //!    additively), [`Linearity::Bilinear`] (through one side of a `×` or
 //!    equi-join), or [`Linearity::NonLinear`] (a non-linear operator or a
 //!    λ body reads the base — the *affected-body* condition the
-//!    incremental engine falls back on). The classification mirrors the
-//!    delta-strategy dispatch of `balg-incremental` exactly, and the
-//!    differential suite asserts they agree on random update streams.
+//!    incremental engine falls back on). The certificate is one-way: a
+//!    base rated ≤ bilinear never makes `balg-incremental` re-derive an
+//!    operator (`View::maintain` asserts it in debug builds, and the
+//!    linearity differential on random update streams). A base rated
+//!    non-linear may still be maintained in delta form — `ε`, `∸`, `∪`
+//!    and `∩` have a pointwise delta rule.
 //! 4. **Tractability class** — a polynomial degree bound when the
 //!    expression composes only the PTIME operators, or a static
 //!    `TooLarge`-risk classification ([`CostClass::Exponential`] /
@@ -424,9 +427,10 @@ fn set_like(expr: &Expr, set_env: &mut Vec<(Var, bool)>) -> bool {
 
 /// Per-base linearity classification, purely syntactic (no schema): how
 /// an update to each free base propagates through the expression. The
-/// rules mirror the incremental engine's per-operator delta dispatch, so
-/// a base classified [`Linearity::Linear`]/[`Linearity::Bilinear`] never
-/// triggers an operator recomputation there.
+/// certificate is one-way: a base classified
+/// [`Linearity::Linear`]/[`Linearity::Bilinear`] never triggers an
+/// operator re-derivation in the incremental engine, while a
+/// [`Linearity::NonLinear`] one may still be maintained in delta form.
 pub fn base_linearity(expr: &Expr) -> BTreeMap<Var, Linearity> {
     classify(expr, &mut Vec::new())
 }
@@ -516,8 +520,9 @@ fn classify(expr: &Expr, bound: &mut Vec<Var>) -> BTreeMap<Var, Linearity> {
         Expr::Lit(_) => BTreeMap::new(),
         // Δ(a ∪⁺ b) = Δa ∪⁺ Δb: linearity preserved on both sides.
         Expr::AdditiveUnion(a, b) => join(classify(a, bound), classify(b, bound)),
-        // Monus, max and min are not delta-additive: the engine
-        // recomputes the operator whenever either input changes.
+        // Monus, max and min are not delta-additive, so they rate
+        // non-linear; the engine still maintains them pointwise, which
+        // the one-way certificate allows.
         Expr::Subtract(a, b) | Expr::MaxUnion(a, b) | Expr::Intersect(a, b) => {
             saturate(join(classify(a, bound), classify(b, bound)))
         }

@@ -39,11 +39,13 @@
 //! open with [`DurableError::Corrupt`] and truncates nothing, since the
 //! records behind it are acked commits.
 //!
-//! Crash behaviour is tested the way the concurrency layer is: a fault
-//! plan ([`WalFaultPlan`]) injects kills at chosen WAL byte offsets and
-//! checkpoint crash points, and the recovery suites compare the reopened
-//! runtime against a never-crashed twin — and, step by step, a durable
-//! runtime against an in-memory one.
+//! The process never sees a kill, so the runtime has no hook for one.
+//! The recovery suites build the directory a kill at any WAL byte offset
+//! or checkpoint step would leave from the bytes a clean run of the same
+//! scenario wrote (`tests/common/crash.rs` holds that persistence model),
+//! reopen it, and compare the runtime against a never-crashed twin of
+//! the acked operations — and, step by step, a durable runtime against
+//! an in-memory one.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -287,47 +289,6 @@ impl CheckpointPolicy {
     }
 }
 
-/// Fault-injection plan for crash testing. A triggered fault leaves the
-/// on-disk state exactly as a kill at that instant would (including any
-/// torn partial write, which is flushed so the recovery test reads what a
-/// real crash would leave) and **poisons** the log: every later
-/// operation fails with [`DurableError::Poisoned`], modelling the process
-/// being gone. Reopening the directory is the only way forward.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WalFaultPlan {
-    /// Kill the process once the WAL would grow past this byte offset:
-    /// the write up to the offset happens (a torn record), everything
-    /// after is lost. The record stays torn even where the zero tail
-    /// would supply its missing bytes: the write then stops before the
-    /// record's last non-zero byte.
-    pub cut_wal_at: Option<u64>,
-    /// Kill mid-checkpoint: after roughly half of `snapshot.tmp` has been
-    /// written, before it is fsynced or renamed.
-    pub crash_checkpoint_write: bool,
-    /// Kill after `snapshot.tmp` is fully written and fsynced but before
-    /// the atomic rename — the post-WAL-pre-snapshot-rename point.
-    pub crash_checkpoint_rename: bool,
-    /// Kill after the snapshot rename lands but before the WAL is
-    /// truncated — replay must skip records already covered by the
-    /// snapshot (by LSN) instead of double-applying them.
-    pub crash_checkpoint_truncate: bool,
-}
-
-impl WalFaultPlan {
-    /// No faults.
-    pub fn none() -> Self {
-        WalFaultPlan::default()
-    }
-
-    /// Cut WAL writes at `offset` bytes.
-    pub fn cut_wal_at(offset: u64) -> Self {
-        WalFaultPlan {
-            cut_wal_at: Some(offset),
-            ..WalFaultPlan::default()
-        }
-    }
-}
-
 /// An error from the durability layer.
 #[derive(Debug)]
 pub enum DurableError {
@@ -342,10 +303,10 @@ pub enum DurableError {
     /// the in-memory state are unchanged (validation precedes logging)
     /// or consistently committed (deterministic view drops).
     Update(UpdateError),
-    /// An injected fault fired; the simulated process is dead.
-    Fault(&'static str),
-    /// The log was poisoned by an earlier injected fault or a failed
-    /// write to the WAL file.
+    /// The log was poisoned by an earlier failed write to the WAL file
+    /// (or failed truncation after a checkpoint): the file may end in a
+    /// torn frame, so nothing more is logged until the directory is
+    /// reopened.
     Poisoned,
 }
 
@@ -355,7 +316,6 @@ impl fmt::Display for DurableError {
             DurableError::Io(e) => write!(f, "durability I/O error: {e}"),
             DurableError::Corrupt(what) => write!(f, "corrupt durable state: {what}"),
             DurableError::Update(e) => write!(f, "{e}"),
-            DurableError::Fault(point) => write!(f, "injected fault: {point}"),
             DurableError::Poisoned => f.write_str("runtime poisoned by an earlier log failure"),
         }
     }
@@ -403,7 +363,7 @@ pub struct Durability {
 
 /// The commit log of a durable [`Runtime`]: everything that exists only
 /// on disk — the WAL file and its position, the snapshot's coverage, the
-/// persisted annotations, and the crash-test fault plan.
+/// persisted annotations.
 #[derive(Debug)]
 struct Wal {
     /// Opaque persisted annotations (see [`WalRecord::Meta`]).
@@ -426,7 +386,6 @@ struct Wal {
     checkpoints: u64,
     policy: CheckpointPolicy,
     sync_on_commit: bool,
-    fault: WalFaultPlan,
     poisoned: bool,
 }
 
@@ -454,8 +413,8 @@ impl Wal {
 
     /// Append the record `build` makes of the next LSN as one frame at
     /// offset `wal_bytes`, first growing the file by a [`WAL_STEP`] if
-    /// the frame would end past it, and honouring the fault plan; the
-    /// LSN is taken only once the frame is written whole.
+    /// the frame would end past it; the LSN is taken only once the frame
+    /// is written whole.
     fn append(&mut self, build: impl FnOnce(u64) -> WalRecord) -> Result<(), DurableError> {
         self.guarded(|wal| {
             let framed = frame(&build(wal.lsn + 1).encode());
@@ -464,22 +423,6 @@ impl Wal {
                 let allocated = end.next_multiple_of(WAL_STEP);
                 wal.file.set_len(allocated)?;
                 wal.allocated = allocated;
-            }
-            if let Some(cut) = wal.fault.cut_wal_at {
-                if end > cut {
-                    // Simulated kill mid-write: the prefix up to the cut
-                    // reaches the disk (flushed so the recovery test sees
-                    // exactly what a crash would leave), the rest never
-                    // does, and the file keeps its zero tail. The tail
-                    // reads as the frame's missing bytes, so a tear stops
-                    // short of its last non-zero byte: a frame ending in
-                    // zeros, an empty base load say, is otherwise whole.
-                    let keep = cut.saturating_sub(wal.wal_bytes) as usize;
-                    let keep = keep.min(framed.iter().rposition(|&b| b != 0).unwrap_or(0));
-                    wal.file.write_all(&framed[..keep])?;
-                    wal.file.sync_data()?;
-                    return Err(DurableError::Fault("wal write cut"));
-                }
             }
             wal.file.write_all(&framed)?;
             wal.lsn += 1;
@@ -524,27 +467,13 @@ impl Wal {
         let tmp = self.dir.join("snapshot.tmp");
         {
             let mut file = File::create(&tmp)?;
-            if self.fault.crash_checkpoint_write {
-                file.write_all(&bytes[..bytes.len() / 2])?;
-                file.sync_all()?;
-                self.poisoned = true;
-                return Err(DurableError::Fault("checkpoint write"));
-            }
             file.write_all(&bytes)?;
             file.sync_all()?;
-        }
-        if self.fault.crash_checkpoint_rename {
-            self.poisoned = true;
-            return Err(DurableError::Fault("checkpoint rename"));
         }
         std::fs::rename(&tmp, self.dir.join("snapshot.balg"))?;
         // Persist the rename itself before truncating the log it
         // supersedes.
         File::open(&self.dir)?.sync_all()?;
-        if self.fault.crash_checkpoint_truncate {
-            self.poisoned = true;
-            return Err(DurableError::Fault("checkpoint truncate"));
-        }
         // A failure here leaves the file's length or cursor unknown, so
         // it poisons the log like a failed append.
         self.guarded(|wal| {
@@ -570,7 +499,7 @@ impl Wal {
 impl Drop for Wal {
     /// A clean close cuts the file back to its frames, so a directory at
     /// rest holds the log and nothing after it. A poisoned log is left as
-    /// the crash left it: torn frames, then the zero tail.
+    /// the failed write left it: perhaps a torn frame, then the zero tail.
     fn drop(&mut self) {
         if !self.poisoned && self.allocated > self.wal_bytes {
             let _ = self.file.set_len(self.wal_bytes);
@@ -648,7 +577,6 @@ impl Runtime {
             checkpoints: 0,
             policy: CheckpointPolicy::default(),
             sync_on_commit: true,
-            fault: WalFaultPlan::none(),
             poisoned: false,
         };
         let mut iter = frames(&bytes);
@@ -720,13 +648,6 @@ impl Runtime {
     pub fn set_sync_on_commit(&mut self, sync: bool) {
         if let Some(wal) = &mut self.log {
             wal.sync_on_commit = sync;
-        }
-    }
-
-    /// Install a fault-injection plan (crash tests only).
-    pub fn set_fault_plan(&mut self, fault: WalFaultPlan) {
-        if let Some(wal) = &mut self.log {
-            wal.fault = fault;
         }
     }
 
@@ -1122,7 +1043,20 @@ mod tests {
         assert_eq!(rt.runtime().batches(), before.batches());
         assert!(matches!(rt.apply(&insert(3)), Err(DurableError::Poisoned)));
         assert!(matches!(rt.sync_wal(), Err(DurableError::Poisoned)));
+        // With a writable handle back, only the poison keeps the drop from
+        // cutting the file to its frames: the zero tail stays.
+        let wal = rt.log.as_mut().unwrap();
+        let logged = wal.wal_bytes;
+        wal.file = OpenOptions::new()
+            .write(true)
+            .open(dir.join("wal.log"))
+            .unwrap();
         drop(rt);
+        let len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+        assert!(
+            len > logged && len.is_multiple_of(WAL_STEP),
+            "a poisoned log of {logged} bytes was left as a {len}-byte file"
+        );
 
         let reopened = Runtime::open(&dir, Limits::default()).unwrap();
         assert_eq!(reopened.runtime().database(), before.database());

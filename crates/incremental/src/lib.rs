@@ -32,10 +32,11 @@
 //! the inputs' maintained values by binary search: `O(|δ| log n)`, counted
 //! under [`ViewStats::pointwise_delta_ops`]. Unlike every other rule it
 //! applies `f` itself instead of running the operator on the evaluator,
-//! so it charges no evaluation steps; to keep the budgets a re-derivation
-//! enforced, it checks the patched value's distinct count against
-//! `max_bag_elements` and the width of every multiplicity the delta
-//! raised against `max_multiplicity_bits`.
+//! so it charges no evaluation steps. Whatever rule computed a delta,
+//! every materialized node keeps the budgets a re-derivation enforced:
+//! its patched value's distinct count against `max_bag_elements`, and
+//! the width of every multiplicity the delta raised against
+//! `max_multiplicity_bits`.
 //!
 //! The **non-linear** operators — `nest`, powerset/powerbag, `IFP`, and
 //! `MAP`/`σ` whose λ body reads an updated bag (e.g. a `SubBag` predicate
@@ -97,9 +98,7 @@ pub mod view;
 
 /// Commonly used items, re-exported.
 pub mod prelude {
-    pub use crate::durable::{
-        CheckpointPolicy, Durability, DurableError, Runtime, WalFaultPlan, WalRecord,
-    };
+    pub use crate::durable::{CheckpointPolicy, Durability, DurableError, Runtime, WalRecord};
     pub use crate::runtime::{
         render_stats, DroppedView, RuntimeStats, UpdateBatch, UpdateError, ViewRuntime,
     };

@@ -518,13 +518,10 @@ impl Node {
     }
 
     /// The budgets a re-derivation's evaluation would have enforced on a
-    /// pointwise node's patched value: its distinct count, and the width
-    /// of every multiplicity `delta` raised. The others are as they were
-    /// when last checked, at registration or by an earlier patch.
-    fn check_budget(&self, limits: &Limits, delta: &Delta) -> Result<(), EvalError> {
-        let Delta::Bag(delta) = delta else {
-            return Ok(());
-        };
+    /// materialized node's patched value: its distinct count, and the
+    /// width of every multiplicity `delta` raised. The others are as they
+    /// were when last checked, at registration or by an earlier patch.
+    fn check_budget(&self, limits: &Limits, delta: &Bag<ZInt>) -> Result<(), EvalError> {
         let value = expect_bag(&self.snapshot)?;
         let observed = value.distinct_count() as u64;
         if observed > limits.max_bag_elements {
@@ -623,8 +620,14 @@ impl Node {
     /// Apply a bag delta to this node's snapshot (in place when uniquely
     /// owned, through the node's spare when a published snapshot shares
     /// it; skipped entirely for non-materialized nodes) and normalize the
-    /// report.
-    fn apply_bag_delta(&mut self, delta: Bag<ZInt>) -> Result<Delta, MaintainError> {
+    /// report. The patched value is held to the budgets a re-derivation
+    /// would have enforced on it ([`Node::check_budget`]), whichever rule
+    /// computed the delta.
+    fn apply_bag_delta(
+        &mut self,
+        limits: &Limits,
+        delta: Bag<ZInt>,
+    ) -> Result<Delta, MaintainError> {
         if delta.is_empty() {
             return Ok(Delta::None);
         }
@@ -641,6 +644,7 @@ impl Node {
             .patch(old, &mut self.spare)
             .map_err(|e| MaintainError::Internal(e.to_string()))?;
         self.snapshot = Value::Bag(new);
+        self.check_budget(limits, &delta)?;
         Ok(Delta::Bag(delta))
     }
 
@@ -691,7 +695,7 @@ impl Node {
                     delta
                 };
                 ctx.stats.linear_delta_ops += 1;
-                self.apply_bag_delta(delta)
+                self.apply_bag_delta(ctx.ev.limits(), delta)
             }
             Rule::Linear => match self.children[0].update(ctx)? {
                 _ if body_affected => self.rederive(ctx),
@@ -700,7 +704,7 @@ impl Node {
                 Delta::Bag(d) => {
                     let delta = self.linear_delta(ctx.ev, &d)?;
                     ctx.stats.linear_delta_ops += 1;
-                    self.apply_bag_delta(delta)
+                    self.apply_bag_delta(ctx.ev.limits(), delta)
                 }
             },
             // Refresh every child, then patch in `f`'s change at the keys
@@ -720,9 +724,7 @@ impl Node {
                 let deltas: Vec<Bag<ZInt>> = deltas.into_iter().map(Delta::into_zbag).collect();
                 let delta = self.pointwise_delta(ctx.db, op, &deltas)?;
                 ctx.stats.pointwise_delta_ops += 1;
-                let report = self.apply_bag_delta(delta)?;
-                self.check_budget(ctx.ev.limits(), &report)?;
-                Ok(report)
+                self.apply_bag_delta(ctx.ev.limits(), delta)
             }
             // Refresh every child, then re-derive this single operator
             // over their snapshots if anything it reads moved.

@@ -971,20 +971,53 @@ fn nodes_fail_where_one_shot_evaluation_fails() {
         }
     }
 
-    // Maintenance: `R ∪ S` re-derives past the budget on the batch that
-    // raises `R`'s multiplicity to 16; the view is dropped with the
-    // one-shot error as its cause.
-    let mut rt = ViewRuntime::with_limits(tight.clone());
-    rt.load_base("R", counted(15)).unwrap();
-    rt.load_base("S", three).unwrap();
-    let expr = Expr::var("R").max_union(Expr::var("S"));
-    rt.create_view("v", expr.clone()).unwrap();
-    let mut batch = UpdateBatch::new();
-    batch.insert("R", unary(0));
-    assert!(rt.apply(&batch).is_err());
-    let expected = one_shot(&rt, &expr).unwrap_err();
-    let (_, dropped) = rt.dropped().next().expect("the view is dropped");
-    assert_eq!(dropped.cause, expected.to_string());
+    // Maintenance: each view registers within the budgets and is dropped,
+    // with the one-shot error as its cause, by the batch that takes its
+    // maintained value past one, whichever rule computed the delta —
+    // `R ∪ S` (pointwise) as `R`'s multiplicity reaches 16, `R ∪⁺ R`
+    // (sum) as it reaches 16 twice over, `R ∪⁺ S` (sum) at 13 rows and
+    // `π₁(R)` (linear) at 9.
+    let four = |from: i64| Bag::from_values((from..from + 4).map(|i| pair(i, i)));
+    let five_more = || {
+        let mut batch = UpdateBatch::new();
+        for i in 8..13 {
+            batch.insert("R", pair(i, i));
+        }
+        batch
+    };
+    let mut one_more = UpdateBatch::new();
+    one_more.insert("R", unary(0));
+    let cases = [
+        (
+            Expr::var("R").max_union(Expr::var("S")),
+            counted(15),
+            three.clone(),
+            one_more.clone(),
+        ),
+        (
+            Expr::var("R").additive_union(Expr::var("R")),
+            counted(7),
+            three,
+            one_more,
+        ),
+        (
+            Expr::var("R").additive_union(Expr::var("S")),
+            four(0),
+            four(4),
+            five_more(),
+        ),
+        (Expr::var("R").project(&[1]), four(0), four(4), five_more()),
+    ];
+    for (expr, r, s, batch) in cases {
+        let mut rt = ViewRuntime::with_limits(tight.clone());
+        rt.load_base("R", r).unwrap();
+        rt.load_base("S", s).unwrap();
+        rt.create_view("v", expr.clone()).unwrap();
+        assert!(rt.apply(&batch).is_err(), "{expr} was maintained");
+        let expected = one_shot(&rt, &expr).unwrap_err();
+        let (_, dropped) = rt.dropped().next().expect("the view is dropped");
+        assert_eq!(dropped.cause, expected.to_string(), "{expr}");
+    }
 }
 
 /// A pointwise node runs no probe, so it charges no steps, but it keeps

@@ -5,9 +5,11 @@
 //! directory yields a runtime differentially equal to a never-crashed
 //! in-process twin that applied exactly the acked operations — every
 //! acked batch present, every unacked batch absent, every view verified
-//! green. The same seeded operation stream is driven through every
-//! injected crash point; cut offsets cover record boundaries, boundary±1
-//! (torn header / one spare byte), mid-header, and mid-payload.
+//! green. The seeded operation stream runs once, cleanly; the directory
+//! a kill at each crash point leaves is built from the bytes that run
+//! wrote (`common/crash.rs`). Cut offsets cover record boundaries,
+//! boundary±1 (torn header / one spare byte), mid-header, and
+//! mid-payload.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,10 +18,13 @@ use balg_core::bag::Bag;
 use balg_core::eval::Limits;
 use balg_core::expr::Expr;
 use balg_core::value::Value;
-use balg_core::wal::{frame, frames};
+use balg_core::wal::{frame, frames, FRAME_HEADER_LEN};
 use balg_core::zbag::ZInt;
 use balg_incremental::durable::WAL_STEP;
 use balg_incremental::prelude::*;
+
+mod common;
+use common::crash::{checkpoint_crash, crash_at, CheckpointCrash, CleanRun};
 
 /// A unique scratch directory (no tempfile crate in the container); the
 /// test removes it on success and leaves it for inspection on failure.
@@ -169,40 +174,31 @@ fn assert_same(ctx: &str, recovered: &ViewRuntime, twin: &ViewRuntime) {
     }
 }
 
-/// Drive the scenario with `fault`; returns the parallel twin holding
-/// exactly the acked operations. Ops rejected by an injected fault (or
-/// by the post-fault poison) are *not* applied to the twin; logical
-/// errors (e.g. a deterministic view drop) are applied to both sides.
-fn drive(rt: &mut Runtime, fault: WalFaultPlan) -> ViewRuntime {
+/// Drive the scenario through `rt`, opened over the empty directory
+/// `dir`, under a manual checkpoint policy; returns the parallel twin and
+/// what each op wrote. Logical errors (e.g. a deterministic view drop)
+/// are applied to both sides; a failed write to the log fails the test.
+fn drive(rt: &mut Runtime, dir: &Path) -> (ViewRuntime, CleanRun) {
     rt.set_checkpoint_policy(CheckpointPolicy::manual());
-    rt.set_fault_plan(fault);
     let mut twin = ViewRuntime::with_limits(Limits::default());
+    let mut run = CleanRun::default();
     for op in scenario() {
-        match apply_durable(rt, &op) {
-            Err(DurableError::Fault(_))
-            | Err(DurableError::Poisoned)
-            | Err(DurableError::Io(_)) => {}
-            _ => apply_twin(&mut twin, &op),
+        if let Err(e @ (DurableError::Io(_) | DurableError::Poisoned)) = apply_durable(rt, &op) {
+            panic!("{op:?} failed to log: {e}");
         }
+        run.record(dir, rt);
+        apply_twin(&mut twin, &op);
     }
-    twin
+    (twin, run)
 }
 
-/// The clean run's WAL record boundaries, for building the cut grid.
-fn record_boundaries() -> Vec<u64> {
-    let dir = scratch("boundaries");
-    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-    rt.set_checkpoint_policy(CheckpointPolicy::manual());
-    let mut bounds = vec![0u64];
-    for op in scenario() {
-        let _ = apply_durable(&mut rt, &op);
-        let bytes = rt.durability().unwrap().wal_bytes;
-        if Some(&bytes) != bounds.last() {
-            bounds.push(bytes);
-        }
+/// A never-crashed twin of the first `acked` ops of the scenario.
+fn acked_twin(acked: usize) -> ViewRuntime {
+    let mut twin = ViewRuntime::with_limits(Limits::default());
+    for op in &scenario()[..acked] {
+        apply_twin(&mut twin, op);
     }
-    cleanup(&dir);
-    bounds
+    twin
 }
 
 /// The length of `dir`'s `wal.log` on disk.
@@ -215,7 +211,7 @@ fn clean_reopen_equals_twin() {
     let dir = scratch("clean");
     let twin = {
         let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-        drive(&mut rt, WalFaultPlan::none())
+        drive(&mut rt, &dir).0
     };
     let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_same("clean reopen", reopened.runtime(), &twin);
@@ -225,7 +221,13 @@ fn clean_reopen_equals_twin() {
 
 #[test]
 fn kill_matrix_every_cut_offset_recovers() {
-    let bounds = record_boundaries();
+    let clean = scratch("clean-run");
+    let (_, run) = drive(
+        &mut Runtime::open(&clean, Limits::default()).unwrap(),
+        &clean,
+    );
+    cleanup(&clean);
+    let bounds: Vec<u64> = std::iter::once(0).chain(run.frame_ends()).collect();
     let total = *bounds.last().unwrap();
     // Cut grid: every record boundary, boundary ± 1, mid-header (+4),
     // and mid-record; deduplicated and bounded by the log length.
@@ -241,16 +243,7 @@ fn kill_matrix_every_cut_offset_recovers() {
     assert!(cuts.len() > 40, "kill matrix too small: {}", cuts.len());
     for cut in cuts {
         let dir = scratch(&format!("cut{cut}"));
-        let twin = {
-            let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-            drive(&mut rt, WalFaultPlan::cut_wal_at(cut))
-        };
-        // The torn frame is followed by the zero tail on disk.
-        let len = wal_len(&dir);
-        assert!(
-            len > cut,
-            "cut at byte {cut}: a {len}-byte file has no zero tail"
-        );
+        let twin = acked_twin(run.crash(&dir, cut));
         let reopened = Runtime::open(&dir, Limits::default())
             .unwrap_or_else(|e| panic!("reopen after cut at byte {cut} failed: {e}"));
         assert_same(&format!("cut at byte {cut}"), reopened.runtime(), &twin);
@@ -320,7 +313,7 @@ fn the_wal_file_grows_in_steps_not_per_commit() {
 fn a_crash_keeps_the_zero_tail_and_every_acked_commit() {
     let dir = scratch("forget");
     let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-    let mut twin = drive(&mut rt, WalFaultPlan::none());
+    let (mut twin, _) = drive(&mut rt, &dir);
     let logged = rt.durability().unwrap().wal_bytes;
     // A kill: no drop runs, so nothing cuts the file back to its frames.
     std::mem::forget(rt);
@@ -348,7 +341,7 @@ fn a_crash_keeps_the_zero_tail_and_every_acked_commit() {
 fn a_clean_close_leaves_only_frames() {
     let dir = scratch("clean-close");
     let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-    drive(&mut rt, WalFaultPlan::none());
+    drive(&mut rt, &dir);
     let logged = rt.durability().unwrap().wal_bytes;
     drop(rt);
     let bytes = std::fs::read(dir.join("wal.log")).unwrap();
@@ -387,11 +380,11 @@ fn a_crash_after_a_checkpoint_reopens_to_the_twin() {
 
 /// A cut that leaves only a frame's trailing zeros unwritten still tears
 /// it: the zero tail would read as those bytes and make the frame whole,
-/// so the write stops before its last non-zero byte. An empty base load
-/// ends in its zero row count.
+/// so the torn write stops before its last non-zero byte. An empty base
+/// load ends in its zero row count.
 #[test]
 fn a_cut_before_a_frames_trailing_zeros_still_tears_it() {
-    let dir = scratch("trailing-zeros");
+    let clean = scratch("trailing-zeros-clean");
     let record = WalRecord::LoadBase {
         lsn: 1,
         name: "R".into(),
@@ -399,14 +392,24 @@ fn a_cut_before_a_frames_trailing_zeros_still_tears_it() {
     };
     let framed = frame(&record.encode());
     assert_eq!(framed.last(), Some(&0));
-    {
-        let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-        rt.set_fault_plan(WalFaultPlan::cut_wal_at(framed.len() as u64 - 1));
-        assert!(matches!(
-            rt.load_base("R", Bag::new()),
-            Err(DurableError::Fault(_))
-        ));
-    }
+    Runtime::open(&clean, Limits::default())
+        .unwrap()
+        .load_base("R", Bag::new())
+        .unwrap();
+    assert_eq!(std::fs::read(clean.join("wal.log")).unwrap(), framed);
+    cleanup(&clean);
+    // Cut one byte short, the zero tail alone would complete the frame.
+    let cut = framed.len() as u64 - 1;
+    let mut completed = framed[..cut as usize].to_vec();
+    completed.resize(WAL_STEP as usize, 0);
+    let whole = frames(&completed).next().map(|(_, payload)| payload);
+    assert_eq!(whole, Some(&framed[FRAME_HEADER_LEN..]));
+
+    let dir = scratch("trailing-zeros");
+    assert_eq!(crash_at(&dir, &framed, &[framed.len() as u64], cut), 0);
+    let torn = std::fs::read(dir.join("wal.log")).unwrap();
+    assert_eq!(torn.len() as u64, WAL_STEP);
+    assert_eq!(frames(&torn).next(), None);
     let reopened = Runtime::open(&dir, Limits::default()).unwrap();
     assert_eq!(reopened.runtime().database().get("R"), None);
     assert_eq!(reopened.durability().unwrap().wal_bytes, 0);
@@ -446,51 +449,29 @@ fn checkpoint_policy_triggers_automatically() {
 
 #[test]
 fn checkpoint_crash_points_recover() {
-    for (tag, fault) in [
-        (
-            "write",
-            WalFaultPlan {
-                crash_checkpoint_write: true,
-                ..WalFaultPlan::default()
-            },
-        ),
-        (
-            "rename",
-            WalFaultPlan {
-                crash_checkpoint_rename: true,
-                ..WalFaultPlan::default()
-            },
-        ),
-        (
-            "truncate",
-            WalFaultPlan {
-                crash_checkpoint_truncate: true,
-                ..WalFaultPlan::default()
-            },
-        ),
-    ] {
-        let dir = scratch(&format!("ckpt-{tag}"));
+    // The snapshot the killed checkpoint encodes, from a second run.
+    let second = scratch("ckpt-second");
+    let snapshot = {
+        let mut rt = Runtime::open(&second, Limits::default()).unwrap();
+        drive(&mut rt, &second);
+        rt.checkpoint().unwrap();
+        std::fs::read(second.join("snapshot.balg")).unwrap()
+    };
+    cleanup(&second);
+    for at in CheckpointCrash::ALL {
+        let dir = scratch(&format!("ckpt-{at:?}"));
         let twin = {
             let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-            rt.set_checkpoint_policy(CheckpointPolicy::manual());
-            let mut twin = ViewRuntime::with_limits(Limits::default());
-            for op in scenario() {
-                apply_durable(&mut rt, &op).ok();
-                apply_twin(&mut twin, &op);
-            }
-            // The checkpoint crashes, but every op above was already
-            // acked — recovery must lose none of them.
-            rt.set_fault_plan(fault);
-            assert!(matches!(rt.checkpoint(), Err(DurableError::Fault(_))));
-            assert!(matches!(
-                rt.apply(&UpdateBatch::new()),
-                Err(DurableError::Poisoned)
-            ));
+            let (twin, _) = drive(&mut rt, &dir);
+            // The kill comes during the checkpoint, but every op above was
+            // already acked — recovery must lose none of them.
+            std::mem::forget(rt);
             twin
         };
+        checkpoint_crash(&dir, &snapshot, at);
         let reopened = Runtime::open(&dir, Limits::default()).unwrap();
         assert_same(
-            &format!("checkpoint crash at {tag}"),
+            &format!("checkpoint crash at {at:?}"),
             reopened.runtime(),
             &twin,
         );
@@ -502,7 +483,7 @@ fn checkpoint_crash_points_recover() {
         drop(reopened);
         let again = Runtime::open(&dir, Limits::default()).unwrap();
         assert_same(
-            &format!("post-recovery checkpoint, {tag}"),
+            &format!("post-recovery checkpoint, {at:?}"),
             again.runtime(),
             &twin,
         );
@@ -707,7 +688,7 @@ fn update_batch_record_bytes_are_pinned() {
 /// leaves every byte of it in place.
 #[test]
 fn an_undecodable_record_mid_log_is_corrupt_not_a_torn_tail() {
-    use balg_core::wal::{crc32, FRAME_HEADER_LEN};
+    use balg_core::wal::crc32;
     let dir = scratch("mid-log");
     {
         let mut rt = Runtime::open(&dir, Limits::default()).unwrap();

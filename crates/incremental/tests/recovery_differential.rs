@@ -2,10 +2,12 @@
 //! (base contents, view set, update stream, crash offset) tuples, a
 //! runtime killed at an arbitrary WAL byte offset and reopened must be
 //! state-identical to a never-crashed twin that applied exactly the
-//! acked operations. The same scenarios also run fault-free through a
-//! durable and an in-memory `Runtime` side by side, which must agree
-//! after every op. The nightly deep job raises `PROPTEST_CASES` to
-//! push both properties through 1024+ random scenarios and crash points.
+//! acked operations. Each scenario first runs cleanly through a durable
+//! and an in-memory `Runtime` side by side, which must agree after every
+//! op; the directory the kill leaves is then built from the bytes the
+//! clean run wrote (`common/crash.rs`). The nightly deep job raises
+//! `PROPTEST_CASES` to push both properties through 1024+ random
+//! scenarios and crash points.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,6 +21,9 @@ use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::crash::CleanRun;
 
 fn scratch() -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -151,23 +156,25 @@ fn assert_same_views(ctx: &str, durable: &ViewRuntime, memory: &ViewRuntime) {
     assert_eq!(durable.batches(), memory.batches(), "{ctx}: batch counter");
 }
 
-/// The property: kill at `cut` bytes into the (current) WAL, reopen,
-/// compare against the acked-ops twin.
+/// The property: kill at `cut` bytes into the (current) WAL — the first
+/// frame of the run that ends past `cut` of its log is torn there —
+/// reopen, compare against the acked-ops twin.
 fn run_case(seed: u64, batches: usize, cut_permille: u64) {
     let ops = scenario(seed, batches);
     let dir = scratch();
 
-    // Clean run to learn the final WAL extent for this scenario — with
-    // an in-memory `Runtime` alongside: the log is the only difference
-    // between the two, so every op must answer alike and leave the same
-    // `ViewRuntime` behind.
-    let total = {
+    // Clean run to record what each op wrote — with an in-memory
+    // `Runtime` alongside: the log is the only difference between the
+    // two, so every op must answer alike and leave the same `ViewRuntime`
+    // behind.
+    let mut run = CleanRun::default();
+    {
         let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
         rt.set_checkpoint_policy(CheckpointPolicy::manual());
         let mut memory = Runtime::memory(ViewRuntime::with_limits(Limits::default()));
-        let mut high = 0u64;
         for (i, op) in ops.iter().enumerate() {
             let logged = apply_durable(&mut rt, op).map_err(|e| e.to_string());
+            run.record(&dir, &rt);
             let unlogged = apply_durable(&mut memory, op).map_err(|e| e.to_string());
             assert_eq!(
                 logged, unlogged,
@@ -178,33 +185,17 @@ fn run_case(seed: u64, batches: usize, cut_permille: u64) {
                 rt.runtime(),
                 memory.runtime(),
             );
-            high = high.max(rt.durability().unwrap().wal_bytes);
         }
         assert_eq!(memory.durability(), None);
-        high.max(1)
-    };
+    }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let cut = total * cut_permille / 1000;
-    let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-    rt.set_checkpoint_policy(CheckpointPolicy::manual());
-    rt.set_fault_plan(WalFaultPlan::cut_wal_at(cut));
+    let cut = run.longest_log() * cut_permille / 1000;
+    let acked = run.crash(&dir, cut);
     let mut twin = ViewRuntime::with_limits(Limits::default());
-    for op in &ops {
-        match apply_durable(&mut rt, op) {
-            Err(DurableError::Fault(_))
-            | Err(DurableError::Poisoned)
-            | Err(DurableError::Io(_)) => {}
-            _ => apply_twin(&mut twin, op),
-        }
+    for op in &ops[..acked] {
+        apply_twin(&mut twin, op);
     }
-    drop(rt);
-    // The torn frame is followed by the zero tail on disk.
-    let len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
-    assert!(
-        len > cut,
-        "seed {seed}: a {len}-byte file after a cut at {cut}"
-    );
 
     let reopened = Runtime::open(&dir, Limits::default())
         .unwrap_or_else(|e| panic!("seed {seed}: reopen after cut at {cut} failed: {e}"));

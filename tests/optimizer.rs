@@ -419,3 +419,61 @@ fn witness_product_with_empty() {
     let witness = Expr::var("R").dedup().product(empty_bag()).dedup();
     pin_witness(&witness, &empty_bag(), 1, 0);
 }
+
+/// `σ[λx.α1(x) = 1](input)`.
+fn first_is_one(input: Expr) -> Expr {
+    input.select(
+        "x",
+        Pred::eq(Expr::var("x").attr(1), Expr::lit(Value::int(1))),
+    )
+}
+
+/// `ε(σ) → σ(ε)`: `ε(σ[α1=1]((R ∪⁺ R)))` dedups `R` before the filter,
+/// and then the `ε(A ∪⁺ B)` and `e ∪ e` arms leave `σ[α1=1](ε(R))`, in
+/// 15 steps (17 with the arm removed).
+#[test]
+fn witness_dedup_below_select() {
+    let witness = first_is_one(Expr::var("R").additive_union(Expr::var("R"))).dedup();
+    pin_witness(&witness, &first_is_one(Expr::var("R").dedup()), 15, 3);
+}
+
+/// `∅ ∪ e → e`: `({{}} ∪ ε(R))` is `ε(R)` in two steps (four with the
+/// arm removed).
+#[test]
+fn witness_empty_max_union_left() {
+    let witness = empty_bag().max_union(Expr::var("R").dedup());
+    pin_witness(&witness, &Expr::var("R").dedup(), 2, 3);
+}
+
+/// `e ∪ ∅ → e`: `(ε(R) ∪ {{}})` is `ε(R)` in two steps (four with the
+/// arm removed).
+#[test]
+fn witness_empty_max_union_right() {
+    let witness = Expr::var("R").dedup().max_union(empty_bag());
+    pin_witness(&witness, &Expr::var("R").dedup(), 2, 3);
+}
+
+/// `e ∪ e → e`: `(G ∪ G)` is `G` in one step (three, with nine distinct
+/// elements, with the arm removed).
+#[test]
+fn witness_max_union_with_itself() {
+    let witness = Expr::var("G").max_union(Expr::var("G"));
+    pin_witness(&witness, &Expr::var("G"), 1, 0);
+}
+
+/// `∅ ∩ e → ∅`: `({{}} ∩ ε(R))` is `∅` in one step (four with the arm
+/// removed).
+#[test]
+fn witness_intersect_with_empty() {
+    let witness = empty_bag().intersect(Expr::var("R").dedup());
+    pin_witness(&witness, &empty_bag(), 1, 0);
+}
+
+/// `e ∸ ∅ → e`: in `(G − (G − G))` the `e ∸ e` arm empties the right
+/// operand, and this arm leaves `G`, in one step (three, with nine
+/// distinct elements, with the arm removed).
+#[test]
+fn witness_subtract_empty() {
+    let witness = Expr::var("G").subtract(Expr::var("G").subtract(Expr::var("G")));
+    pin_witness(&witness, &Expr::var("G"), 1, 0);
+}
