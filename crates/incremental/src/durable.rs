@@ -1042,6 +1042,15 @@ mod tests {
         assert_eq!(rt.runtime().view("v"), before.view("v"));
         assert_eq!(rt.runtime().batches(), before.batches());
         assert!(matches!(rt.apply(&insert(3)), Err(DurableError::Poisoned)));
+        // The dead log refuses even batches that would log nothing: an
+        // empty one, and one that fails validation.
+        assert!(matches!(
+            rt.apply(&UpdateBatch::new()),
+            Err(DurableError::Poisoned)
+        ));
+        let mut unknown = UpdateBatch::new();
+        unknown.insert("nope", Value::int(1));
+        assert!(matches!(rt.apply(&unknown), Err(DurableError::Poisoned)));
         assert!(matches!(rt.sync_wal(), Err(DurableError::Poisoned)));
         // With a writable handle back, only the poison keeps the drop from
         // cutting the file to its frames: the zero tail stays.

@@ -72,9 +72,10 @@ impl CheckpointCrash {
 }
 
 /// Add to `dir` what a checkpoint killed `at` one of its steps had
-/// written of `snapshot`, the snapshot the checkpoint encodes (read off a
-/// second, clean run of the same scenario). `dir` is the directory of a
-/// run killed just before it checkpointed, so its log is untouched.
+/// written of `snapshot`, the snapshot the checkpoint encodes (what the
+/// same run writes when it checkpoints cleanly). `dir` is a copy of the
+/// run's directory taken just before it checkpointed, so its log is
+/// untouched.
 pub fn checkpoint_crash(dir: &Path, snapshot: &[u8], at: CheckpointCrash) {
     let (name, bytes) = match at {
         CheckpointCrash::Write => ("snapshot.tmp", &snapshot[..snapshot.len() / 2]),

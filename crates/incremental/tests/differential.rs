@@ -976,8 +976,10 @@ fn nodes_fail_where_one_shot_evaluation_fails() {
     // maintained value past one, whichever rule computed the delta —
     // `R ∪ S` (pointwise) as `R`'s multiplicity reaches 16, `R ∪⁺ R`
     // (sum) as it reaches 16 twice over, `R ∪⁺ S` (sum) at 13 rows and
-    // `π₁(R)` (linear) at 9.
+    // `π₁(R)` (linear) at 9, and `R × S` (product) and `σ[α1=α3](R × S)`
+    // (fused join) at 12, from a one-row insert whose delta is 4 rows.
     let four = |from: i64| Bag::from_values((from..from + 4).map(|i| pair(i, i)));
+    let keyed = |n: i64| Bag::from_values((0..n).map(|i| pair(0, i)));
     let five_more = || {
         let mut batch = UpdateBatch::new();
         for i in 8..13 {
@@ -987,6 +989,8 @@ fn nodes_fail_where_one_shot_evaluation_fails() {
     };
     let mut one_more = UpdateBatch::new();
     one_more.insert("R", unary(0));
+    let mut third = UpdateBatch::new();
+    third.insert("R", pair(0, 2));
     let cases = [
         (
             Expr::var("R").max_union(Expr::var("S")),
@@ -1007,6 +1011,21 @@ fn nodes_fail_where_one_shot_evaluation_fails() {
             five_more(),
         ),
         (Expr::var("R").project(&[1]), four(0), four(4), five_more()),
+        (
+            Expr::var("R").product(Expr::var("S")),
+            keyed(2),
+            keyed(4),
+            third.clone(),
+        ),
+        (
+            Expr::var("R").product(Expr::var("S")).select(
+                "x",
+                Pred::eq(Expr::var("x").attr(1), Expr::var("x").attr(3)),
+            ),
+            keyed(2),
+            keyed(4),
+            third,
+        ),
     ];
     for (expr, r, s, batch) in cases {
         let mut rt = ViewRuntime::with_limits(tight.clone());

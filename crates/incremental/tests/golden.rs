@@ -10,8 +10,8 @@
 //!   view's tombstone) plus a log tail with a rebase, an explicit view
 //!   drop and a view dropped by a batch;
 //! * `crashed` — the directory a kill mid-commit leaves
-//!   (`common::crash::crash_at`): frames, a torn frame, then zeros up to
-//!   the next `WAL_STEP`. It is stored without its zero tail, which the
+//!   (`common::crash::CleanRun::crash`): frames, a torn frame, then zeros
+//!   up to the next `WAL_STEP`. It is stored without its zero tail, which the
 //!   test restores with `set_len`.
 //!
 //! `expected.txt` writes bases and views as BALG text (`bag{ [1, 2]*2 }`),
@@ -34,7 +34,7 @@ use balg_incremental::durable::WAL_STEP;
 use balg_incremental::prelude::*;
 
 mod common;
-use common::crash::crash_at;
+use common::crash::CleanRun;
 
 /// A golden directory: its name, whether it is stored without its zero
 /// tail, and the scenario that writes it, returning the state its runtime
@@ -262,27 +262,23 @@ fn write_checkpoint_tail(dir: &Path) -> String {
 /// Four commits, the last one torn by a kill halfway through its frame.
 fn write_crashed(dir: &Path) -> String {
     let clean = scratch("crashed-clean");
-    let mut frame_ends = Vec::new();
-    let acked = {
-        let mut rt = fresh(&clean);
-        let mut logged = |rt: &Runtime| frame_ends.push(rt.durability().unwrap().wal_bytes);
-        rt.load_base("R", pairs(&[(1, 2), (2, 3)])).unwrap();
-        logged(&rt);
-        rt.create_view("rev", Expr::var("R").project(&[2, 1]))
-            .unwrap();
-        logged(&rt);
-        rt.apply(&batch(&[("R", pair(3, 4))], &[])).unwrap();
-        logged(&rt);
-        let acked = render(&rt);
-        rt.apply(&batch(&[("R", pair(5, 6))], &[("R", pair(1, 2))]))
-            .unwrap();
-        logged(&rt);
-        acked
-    };
-    let wal = std::fs::read(clean.join("wal.log")).unwrap();
+    let mut run = CleanRun::default();
+    let mut rt = fresh(&clean);
+    rt.load_base("R", pairs(&[(1, 2), (2, 3)])).unwrap();
+    run.record(&clean, &rt);
+    rt.create_view("rev", Expr::var("R").project(&[2, 1]))
+        .unwrap();
+    run.record(&clean, &rt);
+    rt.apply(&batch(&[("R", pair(3, 4))], &[])).unwrap();
+    run.record(&clean, &rt);
+    let acked = render(&rt);
+    rt.apply(&batch(&[("R", pair(5, 6))], &[("R", pair(1, 2))]))
+        .unwrap();
+    run.record(&clean, &rt);
+    drop(rt);
     let _ = std::fs::remove_dir_all(&clean);
-    let (start, end) = (frame_ends[2], frame_ends[3]);
-    assert_eq!(crash_at(dir, &wal, &frame_ends, (start + end) / 2), 3);
+    let ends: Vec<u64> = run.frame_ends().collect();
+    assert_eq!(run.crash(dir, (ends[2] + ends[3]) / 2), 3);
     // Store it without the zero tail.
     let mut torn = std::fs::read(dir.join("wal.log")).unwrap();
     let written = torn.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);

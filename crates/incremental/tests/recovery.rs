@@ -449,26 +449,29 @@ fn checkpoint_policy_triggers_automatically() {
 
 #[test]
 fn checkpoint_crash_points_recover() {
-    // The snapshot the killed checkpoint encodes, from a second run.
-    let second = scratch("ckpt-second");
-    let snapshot = {
-        let mut rt = Runtime::open(&second, Limits::default()).unwrap();
-        drive(&mut rt, &second);
-        rt.checkpoint().unwrap();
-        std::fs::read(second.join("snapshot.balg")).unwrap()
-    };
-    cleanup(&second);
-    for at in CheckpointCrash::ALL {
+    // One run, copied just before it checkpoints: each copy is what a kill
+    // during the checkpoint starts from, and the checkpoint the run then
+    // takes writes the snapshot bytes the killed one was writing.
+    let run = scratch("ckpt-run");
+    let mut rt = Runtime::open(&run, Limits::default()).unwrap();
+    let (twin, _) = drive(&mut rt, &run);
+    let dirs = CheckpointCrash::ALL.map(|at| {
         let dir = scratch(&format!("ckpt-{at:?}"));
-        let twin = {
-            let mut rt = Runtime::open(&dir, Limits::default()).unwrap();
-            let (twin, _) = drive(&mut rt, &dir);
-            // The kill comes during the checkpoint, but every op above was
-            // already acked — recovery must lose none of them.
-            std::mem::forget(rt);
-            twin
-        };
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&run).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+        (at, dir)
+    });
+    rt.checkpoint().unwrap();
+    let snapshot = std::fs::read(run.join("snapshot.balg")).unwrap();
+    drop(rt);
+    cleanup(&run);
+    for (at, dir) in dirs {
         checkpoint_crash(&dir, &snapshot, at);
+        // The kill comes during the checkpoint, but every op above was
+        // already acked — recovery must lose none of them.
         let reopened = Runtime::open(&dir, Limits::default()).unwrap();
         assert_same(
             &format!("checkpoint crash at {at:?}"),
